@@ -9,11 +9,11 @@ for larger ones.
 from __future__ import annotations
 
 import functools
-from typing import Sequence
 
 from .connectivity import check_4conn_augmentation, cut_structures, vertex_connectivity
 from .errors import ImpossibleError, InternalInvariantError, PreconditionError
-from .geometry import Point, PointSet, cross, polygon_doubled_area, segments_properly_cross
+from .geometry import (Point, PointSet, cross, crossing_pairs, polygon_doubled_area,
+                       segments_properly_cross)
 from .triangulation import (Edge, Triangulation, TriangulationClass, classify,
                             complete_to_triangulation, edge_key, flip,
                             is_flippable, triangle_key)
@@ -60,17 +60,6 @@ def _non_edges(t: Triangulation) -> list[Edge]:
     n = len(t.ps)
     return [edge_key(u, v) for u in range(n) for v in range(u + 1, n)
             if edge_key(u, v) not in t.edges]
-
-
-def _pairwise_noncrossing(ps: PointSet, edges: Sequence[Edge]) -> bool:
-    edges = sorted(edges)
-    for i in range(len(edges)):
-        a, b = edges[i]
-        for j in range(i + 1, len(edges)):
-            c, d = edges[j]
-            if segments_properly_cross(ps[a], ps[b], ps[c], ps[d]):
-                return False
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +196,7 @@ def _augment_3connected(t: Triangulation) -> set[Edge]:
             else:
                 new_edges.add(edge_key(vk1, hv))
         new_edges -= set(t.edges)
-        if _pairwise_noncrossing(ps, sorted(new_edges)):
+        if not crossing_pairs(ps, sorted(new_edges)):
             return new_edges
         last_bad = new_edges
     raise InternalInvariantError(
@@ -241,7 +230,7 @@ def _convex6_base(t: Triangulation) -> set[Edge]:
     from itertools import combinations
 
     for trio in combinations(_non_edges(t), 3):
-        if not _pairwise_noncrossing(t.ps, trio):
+        if crossing_pairs(t.ps, trio):
             continue
         if vertex_connectivity(6, set(t.edges) | set(trio)) >= 4:
             return set(trio)
@@ -412,7 +401,7 @@ def _wheel_remainder_wiring(t: Triangulation, chord: Edge, members: frozenset[in
         new_edges = {edge_key(u_prime, vj) for vj in vs}
         new_edges |= {edge_key(v1, q) for q in cell_inner}
         new_edges -= set(t.edges)
-        if _pairwise_noncrossing(t.ps, sorted(new_edges)):
+        if not crossing_pairs(t.ps, sorted(new_edges)):
             return new_edges
     raise InternalInvariantError("wheel-remainder wiring crosses itself in both sweeps")
 
@@ -451,7 +440,7 @@ def augment_to_4conn(t: Triangulation) -> frozenset[Edge]:
         raise PreconditionError("need n >= 6 in convex position or n >= 5 otherwise")
     partner = _plane_partner(t)
     new_edges = frozenset(e for e in partner if e not in t.edges)
-    if not _pairwise_noncrossing(t.ps, sorted(new_edges)):
+    if crossing_pairs(t.ps, sorted(new_edges)):
         raise InternalInvariantError("augmentation edges cross each other")
     ok, violations = check_4conn_augmentation(t, new_edges)
     if not ok:

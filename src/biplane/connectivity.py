@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .geometry import PointSet, cross, point_in_triangle, segments_properly_cross
+from .geometry import PointSet, cross, crossing_pairs, point_in_triangle, segments_properly_cross
 from .layered import LayeredGraph
 from .triangulation import Edge, Triangulation, edge_key
 
@@ -165,13 +165,9 @@ def crossing_conflict_graph(ps: PointSet, edges: Sequence[Edge]) -> tuple[list[E
     """Graph over edge indices with an arc per properly crossing pair."""
     es = [edge_key(*e) for e in edges]
     conflicts: list[set[int]] = [set() for _ in es]
-    for i in range(len(es)):
-        a, b = ps[es[i][0]], ps[es[i][1]]
-        for j in range(i + 1, len(es)):
-            c, d = ps[es[j][0]], ps[es[j][1]]
-            if segments_properly_cross(a, b, c, d):
-                conflicts[i].add(j)
-                conflicts[j].add(i)
+    for i, j in crossing_pairs(ps, es):
+        conflicts[i].add(j)
+        conflicts[j].add(i)
     return es, conflicts
 
 
@@ -216,17 +212,21 @@ def compute_layering(ps: PointSet, edges: Sequence[Edge]) -> tuple[dict[Edge, in
     return {es[i]: 1 + color[i] for i in range(len(es))}, None
 
 
-def verify_layering(g: LayeredGraph) -> bool:
-    """True iff within each layer no two edges properly cross."""
+def layer_crossing(g: LayeredGraph) -> tuple[int, Edge, Edge] | None:
+    """First same-layer crossing as (layer, e, f), e < f, layer 1 searched
+    first; None when both layers are plane."""
     for layer in (1, 2):
         es = sorted(g.layer_edges(layer))
-        for i in range(len(es)):
-            a, b = g.ps[es[i][0]], g.ps[es[i][1]]
-            for j in range(i + 1, len(es)):
-                c, d = g.ps[es[j][0]], g.ps[es[j][1]]
-                if segments_properly_cross(a, b, c, d):
-                    return False
-    return True
+        pairs = crossing_pairs(g.ps, es)
+        if pairs:
+            i, j = pairs[0]
+            return layer, es[i], es[j]
+    return None
+
+
+def verify_layering(g: LayeredGraph) -> bool:
+    """True iff within each layer no two edges properly cross."""
+    return layer_crossing(g) is None
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 import random
 
 from .errors import InternalInvariantError, PreconditionError
-from .geometry import PointSet, is_convex_position, segments_properly_cross
+from .geometry import PointSet, crosses_any, is_convex_position, segments_properly_cross
 from .triangulation import Edge, Triangulation, edge_key, flip, is_flippable, triangulate
 from .layered import LAYER1, LayeredGraph
 
@@ -80,8 +80,7 @@ def random_plane_tree(n: int, seed: int) -> LayeredGraph:
         pv = ps[v]
         ranked = sorted(placed, key=lambda u: ((ps[u].x - pv.x) ** 2 + (ps[u].y - pv.y) ** 2, u))
         for u in ranked:
-            pu = ps[u]
-            if not any(segments_properly_cross(pv, pu, ps[a], ps[b]) for (a, b) in edges):
+            if not crosses_any(ps, (v, u), edges):
                 edges.append(edge_key(u, v))
                 break
         else:

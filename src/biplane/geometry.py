@@ -75,37 +75,113 @@ def segments_properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
         and (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0
 
 
+# ----------------------------------------------------------------------
+# Crossing kernel: the same test as segments_properly_cross, on flat integer
+# coordinates, with a bounding-box reject in front of the determinants.
+# ----------------------------------------------------------------------
+
+def _open_segments_cross(s: tuple[int, int, int, int], t: tuple[int, int, int, int]) -> bool:
+    """segments_properly_cross for segments given as (x1, y1, x2, y2): a
+    shared endpoint makes one of the four determinants zero."""
+    ax, ay, bx, by = s
+    cx, cy, dx, dy = t
+    ex, ey = bx - ax, by - ay
+    d1 = ex * (cy - ay) - ey * (cx - ax)
+    d2 = ex * (dy - ay) - ey * (dx - ax)
+    if not ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)):
+        return False
+    fx, fy = dx - cx, dy - cy
+    d3 = fx * (ay - cy) - fy * (ax - cx)
+    d4 = fx * (by - cy) - fy * (bx - cx)
+    return (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
+
+
+def _x_sorted_segment(ps: PointSet, e: tuple[int, int]) -> tuple[int, int, int, int]:
+    xs, ys = ps.xs, ps.ys
+    u, v = e
+    if (xs[v], ys[v]) < (xs[u], ys[u]):
+        u, v = v, u
+    return (xs[u], ys[u], xs[v], ys[v])
+
+
+def crossing_pairs(ps: PointSet, edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """All index pairs (i, j), i < j, of properly crossing `edges`, sorted, so
+    the first pair is the one a nested i < j loop over `edges` meets first.
+
+    Segments are visited in order of their left x; each is tested only
+    against the segments that start before it ends (the pruning half of a
+    Shamos-Hoey sweep), and those only when their y ranges meet.
+    """
+    segs = [_x_sorted_segment(ps, e) for e in edges]
+    order = sorted(range(len(segs)), key=segs.__getitem__)
+    pairs: list[tuple[int, int]] = []
+    for pos, i in enumerate(order):
+        s = segs[i]
+        _, ay, bx, by = s
+        ylo, yhi = (ay, by) if ay < by else (by, ay)
+        for j in order[pos + 1:]:
+            t = segs[j]
+            if t[0] > bx:
+                break
+            if (t[1] < ylo and t[3] < ylo) or (t[1] > yhi and t[3] > yhi):
+                continue
+            if _open_segments_cross(s, t):
+                pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
+    return pairs
+
+
+def crosses_any(ps: PointSet, edge: tuple[int, int], edges: Iterable[tuple[int, int]]) -> bool:
+    """True iff `edge` properly crosses at least one of `edges`."""
+    s = _x_sorted_segment(ps, edge)
+    ax, ay, bx, by = s
+    ylo, yhi = (ay, by) if ay < by else (by, ay)
+    xs, ys = ps.xs, ps.ys
+    for u, v in edges:
+        xu, xv = xs[u], xs[v]
+        if (xu > bx and xv > bx) or (xu < ax and xv < ax):
+            continue
+        yu, yv = ys[u], ys[v]
+        if (yu > yhi and yv > yhi) or (yu < ylo and yv < ylo):
+            continue
+        if _open_segments_cross(s, (xu, yu, xv, yv)):
+            return True
+    return False
+
+
 class PointSet:
     """Ordered, validated point set: distinct points, no three collinear.
 
-    Vertex ids are assigned by position.  Immutable after construction.
+    Vertex ids are assigned by position.  Immutable after construction; `xs`
+    and `ys` hold the coordinates as flat integer tuples for the kernels below.
     """
 
     def __init__(self, points: Sequence[Point] | Sequence[tuple[int, int]]):
-        pts: list[Point] = []
-        for i, p in enumerate(points):
-            if isinstance(p, Point):
-                x, y = p.x, p.y
-            else:
-                x, y = p
-            if not isinstance(x, int) or not isinstance(y, int):
-                raise PreconditionError(f"point {i}: coordinates must be integers, got ({x!r}, {y!r})")
-            if abs(x) > COORD_LIMIT or abs(y) > COORD_LIMIT:
-                raise PreconditionError(f"point {i}: coordinate exceeds COORD_LIMIT={COORD_LIMIT}")
-            pts.append(Point(x, y, i))
-        seen: set[tuple[int, int]] = set()
-        for p in pts:
+        self._init(_checked_points(points, 0), 0)
+
+    def _init(self, pts: Sequence[Point], known: int) -> None:
+        """Validate the points from index `known` on against all others; the
+        first `known` points are already distinct and in general position.
+        Only triples whose largest index is at least `known` are tested, in
+        the same lexicographic order as a full scan."""
+        seen = {p.coords() for p in pts[:known]}
+        for p in pts[known:]:
             if p.coords() in seen:
                 raise PreconditionError(f"duplicate point {p.coords()}")
             seen.add(p.coords())
+        xs = tuple(p.x for p in pts)
+        ys = tuple(p.y for p in pts)
         n = len(pts)
         for i in range(n):
+            xi, yi = xs[i], ys[i]
             for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    if cross(pts[i], pts[j], pts[k]) == 0:
+                dx, dy = xs[j] - xi, ys[j] - yi
+                for k in range(max(j + 1, known), n):
+                    if dx * (ys[k] - yi) == dy * (xs[k] - xi):
                         raise PreconditionError(
                             f"points {i}, {j}, {k} are collinear (general position required)")
         self.points: tuple[Point, ...] = tuple(pts)
+        self.xs, self.ys = xs, ys
         self._hull: tuple[int, ...] | None = None
 
     def __len__(self) -> int:
@@ -131,9 +207,41 @@ class PointSet:
         return tuple(p.id for p in self.points if p.id not in h)
 
     def subset(self, ids: Iterable[int]) -> "PointSet":
-        """New PointSet of the given vertices, kept in original order."""
+        """New PointSet of the given vertices, kept in original order (a
+        subset is in general position already, so nothing is re-checked)."""
         keep = sorted(set(ids))
-        return PointSet([self.points[i].coords() for i in keep])
+        return self._derived([Point(self.points[i].x, self.points[i].y, k)
+                              for k, i in enumerate(keep)], len(keep))
+
+    def extended(self, coords: Sequence[tuple[int, int]]) -> "PointSet":
+        """This set with `coords` appended (ids continue from len(self)).
+
+        Raises the error `PointSet` would raise on the concatenated list, but
+        tests only the triples that contain a new point: O(n^2) per point.
+        """
+        return self._derived(self.points + tuple(_checked_points(coords, len(self))), len(self))
+
+    @staticmethod
+    def _derived(pts: Sequence[Point], known: int) -> "PointSet":
+        out = PointSet.__new__(PointSet)
+        out._init(pts, known)
+        return out
+
+
+def _checked_points(points: Sequence[Point] | Sequence[tuple[int, int]], start: int) -> list[Point]:
+    """Integer, in-range points with ids from `start` on."""
+    pts: list[Point] = []
+    for i, p in enumerate(points, start):
+        if isinstance(p, Point):
+            x, y = p.x, p.y
+        else:
+            x, y = p
+        if not isinstance(x, int) or not isinstance(y, int):
+            raise PreconditionError(f"point {i}: coordinates must be integers, got ({x!r}, {y!r})")
+        if abs(x) > COORD_LIMIT or abs(y) > COORD_LIMIT:
+            raise PreconditionError(f"point {i}: coordinate exceeds COORD_LIMIT={COORD_LIMIT}")
+        pts.append(Point(x, y, i))
+    return pts
 
 
 def convex_hull(ps: PointSet | Sequence[Point]) -> list[int]:

@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .connectivity import verify_layering
+from .connectivity import layer_crossing, verify_layering
 from .convex import build_5conn_convex
 from .errors import InternalInvariantError, PreconditionError
 from .geometry import (Point, PointSet, convex_hull, cross,
                        max_convex_subset_indices, point_strictly_inside_hull,
-                       segments_properly_cross, visible_hull_edges)
+                       polygon_doubled_area, segments_properly_cross,
+                       visible_hull_edges)
 from .layered import BOTH, LAYER1, LAYER2, LayeredGraph
 from .triangulation import (Edge, Triangulation, complete_to_triangulation,
                             edge_key, flip, is_flippable, triangle_key)
@@ -178,13 +179,19 @@ def _raise_degree_to_five(t1: Triangulation, t2: Triangulation, s: int) -> tuple
     raise InternalInvariantError("no flippable 4-cycle edge in either triangulation")
 
 
+def _layering_broken(g: LayeredGraph, step: str) -> InternalInvariantError:
+    layer, e, f = layer_crossing(g)
+    return InternalInvariantError(
+        f"layer separation broken by {step}: layer {layer} edges {e} and {f} cross")
+
+
 def insert_interior_point(state: InsertionState, coords: tuple[int, int]) -> InsertionState:
     """Insert one point lying inside ch(S) but outside the hull of the current
     interior vertices, keeping the graph 5-connected and biplane."""
     g = state.current
     ps_a = g.ps
     n = len(ps_a)
-    new_ps = PointSet([p.coords() for p in ps_a] + [coords])
+    new_ps = ps_a.extended([coords])
     s = n
     sp = new_ps[s]
     if not point_strictly_inside_hull(ps_a, sp):
@@ -211,7 +218,7 @@ def insert_interior_point(state: InsertionState, coords: tuple[int, int]) -> Ins
     if result.degree(s) < 5:
         raise InternalInvariantError(f"inserted vertex has degree {result.degree(s)} < 5")
     if not verify_layering(result):
-        raise InternalInvariantError("layer separation broken by interior insertion")
+        raise _layering_broken(result, "interior insertion")
     return InsertionState(result)
 
 
@@ -264,7 +271,7 @@ def check_property_maxi(sa: PointSet, sb: Sequence[tuple[int, int]]) -> tuple[bo
     if not sb:
         return True, None
     try:
-        combined = PointSet([q.coords() for q in sa] + list(sb))
+        combined = sa.extended(sb)
     except PreconditionError as exc:
         return False, f"S_a and S_b do not combine to a general-position set: {exc}"
     na = len(sa)
@@ -302,7 +309,7 @@ def edge_visibility_hall_holds(sa: PointSet, sb: Sequence[tuple[int, int]]) -> b
     ok, why = check_property_maxi(sa, sb)
     if not ok:
         raise PreconditionError(why)
-    combined = PointSet([q.coords() for q in sa] + list(sb))
+    combined = sa.extended(sb)
     na = len(sa)
     hull = combined.hull()
     if any(v < na for v in hull):
@@ -348,10 +355,7 @@ def _bipartite_match(vis: list[set[int]]) -> list[int] | None:
 
 def _quad_points(ps: PointSet, cycle: Sequence[int]) -> list[Point]:
     pts = [ps[v] for v in cycle]
-    area = 0
-    for a, b in zip(pts, pts[1:] + pts[:1]):
-        area += a.x * b.y - b.x * a.y
-    return pts if area > 0 else pts[::-1]
+    return pts if polygon_doubled_area(pts) > 0 else pts[::-1]
 
 
 def _convex_polys_overlap(p1: list[Point], p2: list[Point]) -> bool:
@@ -604,7 +608,7 @@ def insert_hull_points(state: InsertionState, sb: Sequence[tuple[int, int]]) -> 
         return state
     t1, t2, dummies = _saturate(g)
     na = len(ps_a)
-    new_ps = PointSet([p.coords() for p in ps_a] + list(sb))
+    new_ps = ps_a.extended(sb)
     b_ids = set(range(na, len(new_ps)))
     tags = _tags_from(t1, t2)
     w = _HullWiring(new_ps, tags)
@@ -638,7 +642,7 @@ def insert_hull_points(state: InsertionState, sb: Sequence[tuple[int, int]]) -> 
         if result.degree(b) < 5:
             raise InternalInvariantError(f"new hull vertex {b} has degree {result.degree(b)} < 5")
     if not verify_layering(result):
-        raise InternalInvariantError("layer separation broken by hull insertion")
+        raise _layering_broken(result, "hull insertion")
     return InsertionState(result)
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import InternalInvariantError, PreconditionError
-from .geometry import Point, convex_hull, segments_properly_cross
+from .geometry import Point, convex_hull, crossing_pairs
 from .layered import LAYER1, LAYER2, LayeredGraph
 from .triangulation import Edge, Triangulation, edge_key
 
@@ -203,12 +203,10 @@ def augment_tree_2edge(tree: LayeredGraph) -> frozenset[Edge]:
                 stack.append(v)
     if len(seen) != n:
         raise PreconditionError("input is not a tree (disconnected)")
-    for i in range(len(edges)):
-        a, b = edges[i]
-        for j in range(i + 1, len(edges)):
-            c, d = edges[j]
-            if segments_properly_cross(ps[a], ps[b], ps[c], ps[d]):
-                raise PreconditionError(f"tree edges {edges[i]} and {edges[j]} cross")
+    pairs = crossing_pairs(ps, edges)
+    if pairs:
+        i, j = pairs[0]
+        raise PreconditionError(f"tree edges {edges[i]} and {edges[j]} cross")
     leaves = [v for v in range(n) if len(adjacency[v]) == 1]
     m = len(leaves)
     if m < 2:

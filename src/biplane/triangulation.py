@@ -1,13 +1,14 @@
 """Plane triangulations with face adjacency, edge flips and classification."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
-from .geometry import (Point, PointSet, cross, point_in_triangle,
-                       segments_properly_cross)
+from .geometry import (Point, PointSet, crossing_pairs, crosses_any, cross,
+                       point_in_triangle, segments_properly_cross)
 
 Edge = tuple[int, int]
 
@@ -89,18 +90,38 @@ class Triangulation:
                 raise InternalInvariantError(f"edge {e} lies in {len(ws)} triangles, expected {want}")
         if not hull_edges <= self.edges:
             raise InternalInvariantError("hull edge missing from triangulation")
+        if self._locally_valid():
+            return
+        # only an invalid face set gets here: the full scans name the witness
         for (a, b, c) in self.triangles:
             pa, pb, pc = ps[a], ps[b], ps[c]
             for p in ps:
                 if p.id not in (a, b, c) and point_in_triangle(pa, pb, pc, p):
                     raise InternalInvariantError(f"triangle {(a, b, c)} contains vertex {p.id}")
         es = sorted(self.edges)
-        for i in range(len(es)):
-            u1, v1 = es[i]
-            for j in range(i + 1, len(es)):
-                u2, v2 = es[j]
-                if segments_properly_cross(ps[u1], ps[v1], ps[u2], ps[v2]):
-                    raise InternalInvariantError(f"edges {es[i]} and {es[j]} cross")
+        pairs = crossing_pairs(ps, es)
+        if pairs:
+            i, j = pairs[0]
+            raise InternalInvariantError(f"edges {es[i]} and {es[j]} cross")
+
+    def _locally_valid(self) -> bool:
+        """O(m) certificate: every triangle has three distinct corners and the
+        two apexes of every interior edge lie strictly on opposite sides of it.
+
+        Given the edge count and the 1-or-2 incidences checked before, this
+        holds exactly when the triangles are empty and the edges pairwise
+        noncrossing: every generic point inside the hull then lies in exactly
+        one triangle (see README, Verification).
+        """
+        if any(a == b or b == c for (a, b, c) in self.triangles):
+            return False
+        pts = self.ps.points
+        for (u, v), ws in self._opposites.items():
+            if len(ws) == 2:
+                pu, pv = pts[u], pts[v]
+                if cross(pu, pv, pts[ws[0]]) * cross(pu, pv, pts[ws[1]]) >= 0:
+                    return False
+        return True
 
     # ------------------------------------------------------------------
     def hull_edges(self) -> frozenset[Edge]:
@@ -116,9 +137,6 @@ class Triangulation:
     def opposites(self, e: Edge) -> tuple[int, ...]:
         return self._opposites[edge_key(*e)]
 
-    def faces_at(self, v: int) -> list[tuple[int, int, int]]:
-        return [t for t in self.triangles if v in t]
-
     def locate(self, s: Point) -> tuple[int, int, int]:
         """Triangle strictly containing s (linear scan, desk scale)."""
         for (a, b, c) in sorted(self.triangles):
@@ -128,27 +146,9 @@ class Triangulation:
 
     def link_cycle(self, v: int) -> list[int]:
         """Neighbors of interior vertex v in counterclockwise angular order."""
-        ps = self.ps
-        center = ps[v]
-        nbrs = sorted(self._adj[v])
-        if not nbrs:
+        if not self._adj[v]:
             raise PreconditionError(f"vertex {v} is isolated")
-
-        def half(p: Point) -> int:
-            dx, dy = p.x - center.x, p.y - center.y
-            return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-        import functools
-
-        def cmp(i: int, j: int) -> int:
-            pi, pj = ps[i], ps[j]
-            hi, hj = half(pi), half(pj)
-            if hi != hj:
-                return hi - hj
-            c = cross(center, pi, pj)
-            return -1 if c > 0 else 1
-
-        return sorted(nbrs, key=functools.cmp_to_key(cmp))
+        return _ccw_around(self.ps, v, self._adj[v])
 
     def link_is_cycle(self, v: int) -> bool:
         """True iff the neighbors of v induce exactly their angular cycle
@@ -163,6 +163,26 @@ class Triangulation:
         induced = {edge_key(a, b) for i, a in enumerate(ring) for b in ring[i + 1:]
                    if edge_key(a, b) in self.edges}
         return induced == ring_edges
+
+
+def _ccw_around(ps: PointSet, v: int, nbrs: Iterable[int]) -> list[int]:
+    """`nbrs` in counterclockwise angular order around v, starting at the
+    direction of +x."""
+    center = ps[v]
+
+    def half(p: Point) -> int:
+        dx, dy = p.x - center.x, p.y - center.y
+        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+
+    def cmp(i: int, j: int) -> int:
+        pi, pj = ps[i], ps[j]
+        hi, hj = half(pi), half(pj)
+        if hi != hj:
+            return hi - hj
+        c = cross(center, pi, pj)
+        return -1 if c > 0 else 1
+
+    return sorted(nbrs, key=functools.cmp_to_key(cmp))
 
 
 def triangulate(ps: PointSet) -> Triangulation:
@@ -266,10 +286,10 @@ def complete_to_triangulation(ps: PointSet, required: Iterable[Edge] = (),
     avoid_set = {edge_key(*e) for e in avoid}
     pts = ps.points
     chosen: list[Edge] = sorted(req)
-    for i, e1 in enumerate(chosen):
-        for e2 in chosen[i + 1:]:
-            if segments_properly_cross(pts[e1[0]], pts[e1[1]], pts[e2[0]], pts[e2[1]]):
-                raise PreconditionError(f"required edges {e1} and {e2} cross")
+    pairs = crossing_pairs(ps, chosen)
+    if pairs:
+        i, j = pairs[0]
+        raise PreconditionError(f"required edges {chosen[i]} and {chosen[j]} cross")
     n = len(ps)
     target = 3 * n - 3 - len(ps.hull())
 
@@ -277,19 +297,30 @@ def complete_to_triangulation(ps: PointSet, required: Iterable[Edge] = (),
         p, q = pts[e[0]], pts[e[1]]
         return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
 
-    candidates = [edge_key(u, v) for u in range(n) for v in range(u + 1, n)
-                  if edge_key(u, v) not in req]
-    candidates.sort(key=lambda e: (e in avoid_set, sqlen(e), e))
-    for e in candidates:
-        if len(chosen) == target:
-            break
-        eu, ev = pts[e[0]], pts[e[1]]
-        if any(segments_properly_cross(eu, ev, pts[c[0]], pts[c[1]]) for c in chosen):
-            continue
-        chosen.append(e)
+    if len(chosen) < target:
+        candidates = [edge_key(u, v) for u in range(n) for v in range(u + 1, n)
+                      if edge_key(u, v) not in req]
+        candidates.sort(key=lambda e: (e in avoid_set, sqlen(e), e))
+        for e in candidates:
+            if not crosses_any(ps, e, chosen):
+                chosen.append(e)
+                if len(chosen) == target:
+                    break
     if len(chosen) != target:
         raise InternalInvariantError("greedy completion failed to reach a triangulation")
-    return triangulation_from_edges(ps, chosen)
+    # a plane edge set of this size is a triangulation: its bounded faces are
+    # the angularly consecutive neighbor pairs that turn left
+    adj: dict[int, list[int]] = {p.id: [] for p in ps}
+    for (u, v) in chosen:
+        adj[u].append(v)
+        adj[v].append(u)
+    tris = set()
+    for v in range(n):
+        ring = _ccw_around(ps, v, adj[v])
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            if cross(pts[v], pts[a], pts[b]) > 0:
+                tris.add(triangle_key(v, a, b))
+    return Triangulation(ps, tris)
 
 
 def triangulation_from_edges(ps: PointSet, edges: Iterable[Edge]) -> Triangulation:

@@ -2,6 +2,7 @@
 library's algorithms."""
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 from biplane.geometry import PointSet, cross
@@ -114,3 +115,42 @@ def bf_max_convex_subset(ps: PointSet) -> tuple[int, ...]:
         if best is not None:
             return best[1]
     raise AssertionError("no convex subset of size 3 found")
+
+
+def _cross(o, a, b) -> int:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def bf_triangulation_ok(ps: PointSet, triangles) -> bool:
+    """Definition check of a triangulation by exhaustive scans: every triangle
+    has three distinct corners and no point strictly inside, no two edges
+    properly cross, each hull edge borders exactly one triangle and every
+    other edge two, and there are 3n - 3 - h edges."""
+    pts = [p.coords() for p in ps]
+    n = len(pts)
+    hull = bf_hull_ids(ps)
+    hull_edges = {(u, v) for u, v in combinations(sorted(hull), 2)
+                  if len({_cross(pts[u], pts[v], pts[w]) > 0
+                          for w in range(n) if w not in (u, v)}) == 1}
+    tris = {tuple(sorted(t)) for t in triangles}
+    if any(len(set(t)) < 3 for t in tris):
+        return False
+    incidences = Counter(e for t in tris for e in combinations(t, 2))
+    if len(incidences) != 3 * n - 3 - len(hull) or not hull_edges <= set(incidences):
+        return False
+    if any(k != (1 if e in hull_edges else 2) for e, k in incidences.items()):
+        return False
+    for t in tris:
+        a, b, c = (pts[v] for v in t)
+        for w in range(n):
+            if w not in t:
+                signs = {_cross(a, b, pts[w]) > 0, _cross(b, c, pts[w]) > 0,
+                         _cross(c, a, pts[w]) > 0}
+                if len(signs) == 1:
+                    return False
+    for (a, b), (c, d) in combinations(sorted(incidences), 2):
+        if len({a, b, c, d}) == 4 \
+                and (_cross(pts[a], pts[b], pts[c]) > 0) != (_cross(pts[a], pts[b], pts[d]) > 0) \
+                and (_cross(pts[c], pts[d], pts[a]) > 0) != (_cross(pts[c], pts[d], pts[b]) > 0):
+            return False
+    return True

@@ -1,10 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from biplane.errors import PreconditionError
 from biplane.geometry import (COORD_LIMIT, Orientation, Point, PointSet,
-                              cross, is_convex_position, max_convex_subset,
+                              cross, crosses_any, crossing_pairs,
+                              is_convex_position, max_convex_subset,
                               max_convex_subset_indices, orientation,
                               point_sees_hull_edge, polygon_doubled_area,
                               segment_sees_hull_edge, segments_properly_cross,
@@ -72,6 +75,75 @@ class TestPointSet:
     def test_rejects_floats(self):
         with pytest.raises(PreconditionError):
             PointSet([(0, 0), (1.5, 3), (1, 5)])
+
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_extended_raises_or_builds_like_a_full_construction(self, seed):
+        rng = random.Random(seed)
+        base = random_general_position(9, seed, span=8)
+        new = [(rng.randint(-8, 8), rng.randint(-8, 8)) for _ in range(rng.randint(1, 3))]
+        if seed % 4 == 0:
+            new.append(base[rng.randrange(9)].coords())
+        if seed == 1:
+            new.insert(0, (1.5, 2))
+        if seed == 2:
+            new.append((COORD_LIMIT + 1, 0))
+
+        def build(make):
+            try:
+                ps = make()
+            except PreconditionError as exc:
+                return str(exc)
+            return ps.points, ps.xs, ps.ys, ps.hull()
+
+        coords = [p.coords() for p in base] + new
+        assert build(lambda: base.extended(new)) == build(lambda: PointSet(coords))
+
+    def test_extended_reports_the_first_collinear_triple(self):
+        base = PointSet([(0, 0), (4, 1), (1, 4), (9, 3)])
+        with pytest.raises(PreconditionError, match=r"^points 0, 1, 4 are collinear"):
+            base.extended([(8, 2), (2, 8)])
+
+
+def nested_pairs(ps, edges):
+    return [(i, j) for i in range(len(edges)) for j in range(i + 1, len(edges))
+            if segments_properly_cross(ps[edges[i][0]], ps[edges[i][1]],
+                                       ps[edges[j][0]], ps[edges[j][1]])]
+
+
+class TestCrossingKernel:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_nested_loop(self, seed):
+        # a 7 x 7 grid gives many equal x, touching bounding boxes and, with
+        # edges drawn among few points, many shared endpoints
+        rng = random.Random(seed)
+        while True:
+            try:
+                ps = PointSet(rng.sample([(x, y) for x in range(7) for y in range(7)], 8))
+                break
+            except PreconditionError:
+                continue
+        edges = [(u, v) if rng.random() < 0.5 else (v, u)
+                 for u in range(8) for v in range(u + 1, 8) if rng.random() < 0.6]
+        rng.shuffle(edges)
+        pairs = crossing_pairs(ps, edges)
+        assert pairs == nested_pairs(ps, edges)
+        for e in edges:
+            assert crosses_any(ps, e, edges) == any(
+                segments_properly_cross(ps[e[0]], ps[e[1]], ps[f[0]], ps[f[1]]) for f in edges)
+
+    def test_first_pair_is_the_nested_loop_witness(self):
+        # all three cross; visited by left x, the pairs turn up in the reverse
+        # of the nested-loop order
+        ps = PointSet([(0, 0), (10, 1), (6, -3), (7, 4), (2, 3), (8, -2)])
+        edges = [(2, 3), (4, 5), (0, 1)]
+        assert crossing_pairs(ps, edges) == nested_pairs(ps, edges) == [(0, 1), (0, 2), (1, 2)]
+
+    def test_touching_boxes_and_shared_endpoints_do_not_cross(self):
+        ps = PointSet([(0, 0), (2, 2), (2, 5), (4, 1), (1, 3)])
+        edges = [(0, 1), (1, 3), (2, 3), (0, 4)]
+        assert crossing_pairs(ps, edges) == nested_pairs(ps, edges)
+        assert not crosses_any(ps, (0, 1), [(1, 3), (0, 4)])
 
 
 class TestConvexHull:

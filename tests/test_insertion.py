@@ -1,14 +1,17 @@
 import math
 import random
+import re
 
 import pytest
 
+from biplane import insertion
 from biplane.connectivity import kappa_of, verify_layering
 from biplane.convex import build_5conn_convex
-from biplane.errors import PreconditionError
+from biplane.errors import InternalInvariantError, PreconditionError
 from biplane.generators import (random_general_position, random_triangulation,
                                 regular_polygon_points)
-from biplane.geometry import PointSet, visible_hull_edges
+from biplane.geometry import PointSet, segments_properly_cross, visible_hull_edges
+from biplane.layered import LAYER1
 from biplane.insertion import (InsertionState, build_5conn_general,
                                check_property_maxi, edge_visibility_hall_holds,
                                find_flippable_opposite, insert_hull_points,
@@ -266,3 +269,24 @@ class TestBuildGeneral:
         ps = mixed_pipeline_instance(seed)
         g = build_5conn_general(ps)
         assert kappa_of(g) >= 5 and verify_layering(g)
+
+
+class TestLayeringFailureWitness:
+    """A broken layer separation names the layer and its first crossing pair."""
+
+    @pytest.mark.parametrize("step,insert,point", [
+        ("interior insertion", insert_interior_point, (3, 7)),
+        ("hull insertion", lambda st, p: insert_hull_points(st, [p]), (4000, 100)),
+    ])
+    def test_message_names_the_crossing(self, monkeypatch, step, insert, point):
+        # tag the union of both saturated layers as layer 1, which must cross
+        monkeypatch.setattr(insertion, "_tags_from",
+                            lambda t1, t2: {e: LAYER1 for e in t1.edges | t2.edges})
+        st = fresh_core()
+        with pytest.raises(InternalInvariantError,
+                           match=rf"^layer separation broken by {step}: layer 1 edges "
+                                 r"\(\d+, \d+\) and \(\d+, \d+\) cross$") as err:
+            insert(st, point)
+        a, b, c, d = map(int, re.findall(r"\d+", str(err.value))[1:])
+        ps = st.current.ps.extended([point])
+        assert (a, b) < (c, d) and segments_properly_cross(ps[a], ps[b], ps[c], ps[d])

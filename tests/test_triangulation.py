@@ -1,7 +1,11 @@
+import random
+import re
+
 import pytest
 
-from biplane.errors import PreconditionError
-from biplane.geometry import PointSet
+from biplane import geometry, triangulation
+from biplane.errors import InternalInvariantError, PreconditionError
+from biplane.geometry import PointSet, point_in_triangle
 from biplane.generators import (generate_fan, generate_wheel,
                                 random_general_position, random_triangulation,
                                 regular_polygon_points)
@@ -10,7 +14,10 @@ from biplane.connectivity import verify_layering
 from biplane.triangulation import (Triangulation, TriangulationClass,
                                    classify, complete_to_triangulation,
                                    edge_key, flip, is_flippable, quad_of_edge,
-                                   triangulate, triangulation_from_edges)
+                                   triangle_key, triangulate,
+                                   triangulation_from_edges)
+
+from oracles import bf_triangulation_ok
 
 
 def euler_count(t: Triangulation) -> bool:
@@ -164,3 +171,93 @@ class TestCompletion:
         ps = PointSet([(0, 0), (2, 0), (2, 2), (0, 2)])
         with pytest.raises(PreconditionError):
             complete_to_triangulation(ps, required=[(0, 2), (1, 3)])
+
+
+def flipped(t: Triangulation, e) -> frozenset:
+    """t's triangles with e swapped for the other diagonal of its quad, legal or not."""
+    (u, v), (a, b) = e, t.opposites(e)
+    return (t.triangles - {triangle_key(u, v, a), triangle_key(u, v, b)}) \
+        | {triangle_key(a, b, u), triangle_key(a, b, v)}
+
+
+def illegal_flip() -> tuple[PointSet, frozenset]:
+    """A reflex quadrilateral's diagonal flipped to a new edge: the counts stay right."""
+    t = random_triangulation(9, seed=2)
+    e = next(e for e in sorted(t.edges - t.hull_edges())
+             if not is_flippable(t, e) and edge_key(*t.opposites(e)) not in t.edges)
+    return t.ps, flipped(t, e)
+
+
+def near_triangulations(t: Triangulation, rng: random.Random):
+    """t itself plus triangle sets one local edit away from it: every flip of
+    an interior edge (illegal ones on reflex quadrilaterals included), one
+    triangle swapped for another on two of its corners, one triangle dropped."""
+    yield t.triangles
+    for e in sorted(t.edges - t.hull_edges()):
+        yield flipped(t, e)
+    n = len(t.ps)
+    for tri in rng.sample(sorted(t.triangles), min(4, len(t.triangles))):
+        u, v, _ = rng.sample(tri, 3)
+        x = rng.choice([w for w in range(n) if w not in tri])
+        yield (t.triangles - {tri}) | {triangle_key(u, v, x)}
+        yield t.triangles - {tri}
+
+
+def accepts(ps: PointSet, tris) -> bool:
+    try:
+        Triangulation(ps, tris)
+    except InternalInvariantError:
+        return False
+    return True
+
+
+class TestValidationCertificate:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_accepts_exactly_what_the_oracle_accepts(self, seed):
+        rng = random.Random(seed)
+        t = random_triangulation(rng.randint(5, 11), seed)
+        verdicts = [(accepts(t.ps, tris), bf_triangulation_ok(t.ps, tris))
+                    for tris in near_triangulations(t, rng)]
+        assert all(got == want for got, want in verdicts)
+        assert {got for got, _ in verdicts} == {True, False}
+
+    def test_illegal_flip_names_a_vertex_inside_a_triangle(self):
+        ps, tris = illegal_flip()
+        with pytest.raises(InternalInvariantError, match=r"triangle \(\d+, \d+, \d+\) contains vertex \d+$") as err:
+            Triangulation(ps, tris)
+        *corners, w = map(int, re.findall(r"\d+", str(err.value)))
+        assert triangle_key(*corners) in tris and point_in_triangle(*(ps[c] for c in corners), ps[w])
+
+    def test_crossing_edges_are_named(self, monkeypatch):
+        # with the counts right, a crossing comes with a vertex inside a
+        # triangle, which the emptiness scan reports first; switch that scan
+        # off to reach the crossing scan behind it
+        ps, tris = illegal_flip()
+        monkeypatch.setattr(triangulation, "point_in_triangle", lambda *args: False)
+        with pytest.raises(InternalInvariantError) as err:
+            Triangulation(ps, tris)
+        es = sorted(Triangulation(ps, tris, validate=False).edges)
+        e, f = next((e, f) for i, e in enumerate(es) for f in es[i + 1:]
+                    if geometry.segments_properly_cross(ps[e[0]], ps[e[1]], ps[f[0]], ps[f[1]]))
+        assert str(err.value) == f"edges {e} and {f} cross"
+
+    def test_valid_triangulation_costs_linear_orientation_tests(self, monkeypatch):
+        ps = random_general_position(200, seed=5, span=10 ** 6)
+        t = triangulate(ps)
+        fresh = PointSet([p.coords() for p in ps])  # hull not cached yet
+        calls = [0]
+        real = geometry.cross
+
+        def counting(o, a, b):
+            calls[0] += 1
+            return real(o, a, b)
+
+        def full_scan(*args):
+            raise AssertionError("a valid triangulation reached the full scan")
+
+        monkeypatch.setattr(geometry, "cross", counting)
+        monkeypatch.setattr(triangulation, "cross", counting)
+        monkeypatch.setattr(triangulation, "crossing_pairs", full_scan)
+        Triangulation(fresh, t.triangles)
+        # two orientation tests per interior edge, plus the monotone-chain hull
+        assert calls[0] <= 2 * len(t.edges) + 4 * len(ps)
