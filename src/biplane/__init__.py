@@ -23,8 +23,8 @@ from .convex import (build_4conn_convex, build_5conn_convex,
                      realize_hamiltonian_on_convex, vertex_split)
 from .insertion import (MIN_POINTS_GUARANTEEING_14_CONVEX, InsertionState,
                         build_5conn_general, check_property_maxi,
-                        edge_visibility_hall_holds, find_flippable_opposite,
-                        insert_hull_points, insert_interior_point)
+                        find_flippable_opposite, insert_hull_points,
+                        insert_interior_point)
 from .augment import augment_to_4conn, flip_pair_helper
 from .treeaug import (CellTree, LeafCell, RootedTreeIndex, augment_tree_2edge,
                       biplane_after_3conn_augment, build_cell_tree,

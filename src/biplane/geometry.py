@@ -323,86 +323,99 @@ def visible_hull_edges(s: Point, ps: PointSet) -> list[int]:
             if cross(ps[h[i]], ps[h[(i + 1) % len(h)]], s) < 0]
 
 
-def _angular_ccw_key(anchor: Point):
-    """Sort key for points strictly lex-greater than anchor: CCW starting
-    just above the downward vertical.  Exact, comparison based."""
+def _ccw_ring(xs: Sequence[int], ys: Sequence[int], v: int) -> tuple[list[int], list[int]]:
+    """The 2(n-1) directions +-(p - v), p != v, counterclockwise from just
+    above the downward vertical, as (ring, at).
 
-    def cmp(p: Point, q: Point) -> int:
-        c = cross(anchor, p, q)
-        if c > 0:
-            return -1
-        if c < 0:
-            return 1
-        raise PreconditionError("collinear points in angular sort")
-
-    return cmp_to_key(cmp)
+    A ring entry is p for the direction p - v and ~p for v - p.  The first
+    half lists, for every p, whichever of the two points into the half-plane
+    dx > 0 or (dx == 0, dy > 0); the second half is the first negated.
+    at[p] is the index of p's entry in the first half."""
+    vx, vy = xs[v], ys[v]
+    dirs: list[tuple[int, int, int]] = []
+    for p in range(len(xs)):
+        if p != v:
+            dx, dy = xs[p] - vx, ys[p] - vy
+            dirs.append((dx, dy, p) if (dx, dy) > (0, 0) else (-dx, -dy, ~p))
+    dirs.sort(key=cmp_to_key(lambda d, f: -1 if d[0] * f[1] > d[1] * f[0] else 1))
+    half = [e for _, _, e in dirs]
+    at = [0] * len(xs)
+    for i, e in enumerate(half):
+        at[e if e >= 0 else ~e] = i
+    return half + [~e for e in half], at
 
 
 def max_convex_subset_indices(ps: PointSet) -> tuple[int, ...]:
-    """Ids of a maximum-cardinality convex-position subset.
+    """Ids of a maximum-cardinality convex-position subset, in O(n^3) time
+    and O(n^2) memory.
 
     Ties are broken by largest doubled hull area, then by lexicographically
-    smallest sorted id tuple, which makes the result deterministic.  Dynamic
-    program over directed chain edges, run once per choice of the
-    lexicographically smallest member of the subset.
+    smallest sorted id tuple, which makes the result deterministic.
+
+    A subset is found as a counterclockwise polygon a, c1, ..., ck whose
+    anchor a is its lexicographically smallest point.  The other points are
+    lex-greater than a, so they span less than a half turn around a and ci
+    must come before ci+1 counterclockwise.  The turns at c1, at ck and at a
+    are then convex on their own: cross(ck-1, ck, a) = cross(a, ck-1, ck) > 0.
+    The one constraint left is a left turn cross(u, v, w) > 0 at every
+    interior chain vertex, so a dynamic program keeps, per anchor, one value
+    per directed chain edge (v, w) and every such value is a closed polygon.
+
+    A value is (size, doubled area, mask) compared as a tuple, where id i
+    sets bit n - 1 - i of the mask.  For two sets of one size, the smallest
+    id in their symmetric difference belongs to the set with the
+    lexicographically smaller sorted id tuple and sets the highest differing
+    bit, so the larger mask is the preferred set.  Extending a chain by w
+    adds the same size, the same area cross(a, v, w) and a bit that neither
+    set has to every chain ending at (v, w), which keeps their order; one
+    dominating value per edge is therefore exact.
+
+    Edges into v are processed by one angular sweep instead of being paired
+    with every edge out of v.  Every direction d_in = v - u of an edge into
+    v and d_out = w - v out of it lies in the open half-turn that starts at
+    v - a, because cross(a, u, v) > 0 and cross(a, v, w) > 0.  Inside that
+    half-turn, d_in comes before d_out counterclockwise exactly when
+    cross(u, v, w) > 0.  So walking the n - 2 ring entries of v after v - a
+    and folding each edge into v into a running best gives every edge out
+    of v its best allowed predecessor.  The rings are sorted once, in
+    O(n^2 log n); the walks cost O(n) per pair (a, v).
     """
-    if len(ps) < 3:
+    n = len(ps)
+    if n < 3:
         raise PreconditionError("need at least 3 points")
-    pts = ps.points
-    lex = sorted(pts, key=lambda p: (p.x, p.y))
-    best: tuple[int, int, tuple[int, ...]] | None = None  # (size, area2, ids) to maximize
-
-    def better(cand: tuple[int, int, tuple[int, ...]]) -> bool:
-        if best is None:
-            return True
-        if cand[0] != best[0]:
-            return cand[0] > best[0]
-        if cand[1] != best[1]:
-            return cand[1] > best[1]
-        return cand[2] < best[2]
-
-    for ai, anchor in enumerate(lex):
-        cand_pts = sorted(lex[ai + 1:], key=_angular_ccw_key(anchor))
-        m = len(cand_pts)
-        # state[(u, v)] = best chain anchor -> ... -> u -> v with convex left
-        # turns at every interior vertex; u == -1 stands for the anchor.
-        # Value (size, doubled area, sorted id tuple); extensions add the same
-        # increments to every chain ending at the same edge, so keeping a
-        # single dominating value per edge is sound.
-        state: dict[tuple[int, int], tuple[int, int, tuple[int, ...]]] = {
-            (-1, vi): (2, 0, tuple(sorted((anchor.id, cand_pts[vi].id))))
-            for vi in range(m)
-        }
-        for vi in range(m):
-            v = cand_pts[vi]
-            for ui in [-1] + list(range(vi)):
-                st = state.get((ui, vi))
-                if st is None:
-                    continue
-                size, area, ids = st
-                prev = anchor if ui == -1 else cand_pts[ui]
-                for wi in range(vi + 1, m):
-                    w = cand_pts[wi]
-                    if cross(prev, v, w) > 0:
-                        nxt = (size + 1, area + cross(anchor, v, w),
-                               tuple(sorted(ids + (w.id,))))
-                        cur = state.get((vi, wi))
-                        if cur is None or nxt[0] > cur[0] or (
-                                nxt[0] == cur[0] and (nxt[1] > cur[1] or (
-                                nxt[1] == cur[1] and nxt[2] < cur[2]))):
-                            state[(vi, wi)] = nxt
-        # a chain closes into a polygon when the turn at its last vertex
-        # toward the anchor is convex; the turn at the anchor itself is
-        # automatic because candidates span less than a half turn.
-        for (ui, vi), (size, area, ids) in state.items():
-            if ui >= 0 and cross(cand_pts[ui], cand_pts[vi], anchor) > 0:
-                cand = (size, area, ids)
-                if better(cand):
-                    best = cand
-    if best is None or best[0] < 3:
-        # every 3 general-position points are in convex position
-        raise PreconditionError("no convex subset found")  # pragma: no cover
-    return best[2]
+    # work on lexicographic ranks: rank r is the r-th smallest (x, y)
+    order = sorted(range(n), key=lambda i: (ps.xs[i], ps.ys[i]))
+    xs = [ps.xs[i] for i in order]
+    ys = [ps.ys[i] for i in order]
+    bit = [1 << (n - 1 - i) for i in order]
+    rings, ats = zip(*(_ccw_ring(xs, ys, v) for v in range(n)))
+    # state[v][w] = best chain a -> ... -> v -> w for the current anchor a;
+    # it is written while v is visited, before any later v reads it.
+    state: list[list[tuple[int, int, int]]] = [[(0, 0, 0)] * n for _ in range(n)]
+    top = (0, 0, 0)
+    for a in range(n - 2):
+        ax, ay = xs[a], ys[a]
+        # the first half of a's ring lists the lex-greater points counterclockwise
+        for v in [e for e in rings[a][:n - 1] if e > a]:
+            vx, vy = xs[v] - ax, ys[v] - ay
+            out = state[v]
+            best = (2, 0, bit[a] | bit[v])
+            k = ats[v][a]
+            for e in rings[v][k + 1:k + n - 1]:
+                if e >= 0:
+                    if e > a:
+                        size, area, mask = best
+                        s = (size + 1, area + vx * (ys[e] - ay) - vy * (xs[e] - ax),
+                             mask | bit[e])
+                        out[e] = s
+                        if s > top:
+                            top = s
+                elif ~e > a:
+                    s = state[~e][v]
+                    if s > best:
+                        best = s
+    mask = top[2]
+    return tuple(i for i in range(n) if mask >> (n - 1 - i) & 1)
 
 
 def max_convex_subset(ps: PointSet) -> PointSet:

@@ -303,32 +303,6 @@ def _common_visible(combined: PointSet, sa: PointSet, u: int, v: int) -> set[int
     return set(visible_hull_edges(combined[u], sa)) & set(visible_hull_edges(combined[v], sa))
 
 
-def edge_visibility_hall_holds(sa: PointSet, sb: Sequence[tuple[int, int]]) -> bool:
-    """Explicit Hall-condition check: every k consecutive hull edges of S_b
-    jointly see at least k hull edges of S_a (test oracle for the matching)."""
-    ok, why = check_property_maxi(sa, sb)
-    if not ok:
-        raise PreconditionError(why)
-    combined = sa.extended(sb)
-    na = len(sa)
-    hull = combined.hull()
-    if any(v < na for v in hull):
-        raise PreconditionError("S_a must lie in the interior of ch(S_b)")
-    q = len(hull)
-    for i in range(q):
-        if not _common_visible(combined, sa, hull[i], hull[(i + 1) % q]):
-            raise PreconditionError("two consecutive hull vertices of S_b see no common edge")
-    vis = [_common_visible(combined, sa, hull[i], hull[(i + 1) % q]) for i in range(q)]
-    for k in range(1, q + 1):
-        for start in range(q):
-            joint: set[int] = set()
-            for off in range(k):
-                joint |= vis[(start + off) % q]
-            if len(joint) < k:
-                return False
-    return True
-
-
 def _bipartite_match(vis: list[set[int]]) -> list[int] | None:
     """Assign each left node a distinct right node from its set (augmenting
     paths); None when no perfect matching exists."""

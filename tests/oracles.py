@@ -1,11 +1,15 @@
-"""Independent brute-force oracles, kept deliberately separate from the
-library's algorithms."""
+"""Independent brute-force oracles and reference implementations, kept
+deliberately separate from the library's algorithms."""
 from __future__ import annotations
 
 from collections import Counter
+from functools import cmp_to_key
 from itertools import combinations
+from typing import Sequence
 
-from biplane.geometry import PointSet, cross
+from biplane.errors import PreconditionError
+from biplane.geometry import Point, PointSet, cross, visible_hull_edges
+from biplane.insertion import check_property_maxi
 
 
 def bf_vertex_connectivity(n: int, edges) -> int:
@@ -100,21 +104,111 @@ def _subset_convex(ps: PointSet, ids: tuple[int, ...]) -> tuple[bool, int]:
     return True, area
 
 
+def bf_optimal_convex_subsets(ps: PointSet) -> list[tuple[int, ...]]:
+    """Every convex-position subset of the largest size that has the largest
+    doubled hull area among them, by exhaustive search, in id order."""
+    n = len(ps)
+    for k in range(n, 2, -1):
+        found = []
+        for ids in combinations(range(n), k):
+            ok, area = _subset_convex(ps, ids)
+            if ok:
+                found.append((area, ids))
+        if found:
+            top = max(area for area, _ in found)
+            return [ids for area, ids in found if area == top]
+    raise AssertionError("no convex subset of size 3 found")
+
+
 def bf_max_convex_subset(ps: PointSet) -> tuple[int, ...]:
     """Exhaustive search over all subsets: maximize size, then doubled hull
     area, then lexicographically smallest sorted id tuple."""
-    n = len(ps)
-    for k in range(n, 2, -1):
-        best: tuple[int, tuple[int, ...]] | None = None
-        for ids in combinations(range(n), k):
-            ok, area = _subset_convex(ps, ids)
-            if not ok:
-                continue
-            if best is None or area > best[0] or (area == best[0] and ids < best[1]):
-                best = (area, ids)
-        if best is not None:
-            return best[1]
-    raise AssertionError("no convex subset of size 3 found")
+    return bf_optimal_convex_subsets(ps)[0]
+
+
+# The O(n^4) chain dynamic program that `max_convex_subset_indices` used
+# before its angular sweep, kept as the reference for larger sets.
+
+def _angular_ccw_key(anchor: Point):
+    """Sort key for points strictly lex-greater than anchor: CCW starting
+    just above the downward vertical.  Exact, comparison based."""
+
+    def cmp(p: Point, q: Point) -> int:
+        c = cross(anchor, p, q)
+        if c > 0:
+            return -1
+        if c < 0:
+            return 1
+        raise PreconditionError("collinear points in angular sort")
+
+    return cmp_to_key(cmp)
+
+
+def dp_max_convex_subset(ps: PointSet) -> tuple[int, ...]:
+    """Ids of a maximum-cardinality convex-position subset.
+
+    Ties are broken by largest doubled hull area, then by lexicographically
+    smallest sorted id tuple, which makes the result deterministic.  Dynamic
+    program over directed chain edges, run once per choice of the
+    lexicographically smallest member of the subset.
+    """
+    if len(ps) < 3:
+        raise PreconditionError("need at least 3 points")
+    pts = ps.points
+    lex = sorted(pts, key=lambda p: (p.x, p.y))
+    best: tuple[int, int, tuple[int, ...]] | None = None  # (size, area2, ids) to maximize
+
+    def better(cand: tuple[int, int, tuple[int, ...]]) -> bool:
+        if best is None:
+            return True
+        if cand[0] != best[0]:
+            return cand[0] > best[0]
+        if cand[1] != best[1]:
+            return cand[1] > best[1]
+        return cand[2] < best[2]
+
+    for ai, anchor in enumerate(lex):
+        cand_pts = sorted(lex[ai + 1:], key=_angular_ccw_key(anchor))
+        m = len(cand_pts)
+        # state[(u, v)] = best chain anchor -> ... -> u -> v with convex left
+        # turns at every interior vertex; u == -1 stands for the anchor.
+        # Value (size, doubled area, sorted id tuple); extensions add the same
+        # increments to every chain ending at the same edge, so keeping a
+        # single dominating value per edge is sound.
+        state: dict[tuple[int, int], tuple[int, int, tuple[int, ...]]] = {
+            (-1, vi): (2, 0, tuple(sorted((anchor.id, cand_pts[vi].id))))
+            for vi in range(m)
+        }
+        for vi in range(m):
+            v = cand_pts[vi]
+            for ui in [-1] + list(range(vi)):
+                st = state.get((ui, vi))
+                if st is None:
+                    continue
+                size, area, ids = st
+                prev = anchor if ui == -1 else cand_pts[ui]
+                for wi in range(vi + 1, m):
+                    w = cand_pts[wi]
+                    if cross(prev, v, w) > 0:
+                        nxt = (size + 1, area + cross(anchor, v, w),
+                               tuple(sorted(ids + (w.id,))))
+                        cur = state.get((vi, wi))
+                        if cur is None or nxt[0] > cur[0] or (
+                                nxt[0] == cur[0] and (nxt[1] > cur[1] or (
+                                nxt[1] == cur[1] and nxt[2] < cur[2]))):
+                            state[(vi, wi)] = nxt
+        # a chain closes into a polygon when the turn at its last vertex
+        # toward the anchor is convex; the turn at the anchor itself is
+        # automatic because candidates span less than a half turn.
+        for (ui, vi), (size, area, ids) in state.items():
+            if ui >= 0 and cross(cand_pts[ui], cand_pts[vi], anchor) > 0:
+                cand = (size, area, ids)
+                if better(cand):
+                    best = cand
+    if best is None or best[0] < 3:
+        # every 3 general-position points are in convex position
+        raise PreconditionError("no convex subset found")  # pragma: no cover
+    return best[2]
 
 
 def _cross(o, a, b) -> int:
@@ -153,4 +247,33 @@ def bf_triangulation_ok(ps: PointSet, triangles) -> bool:
                 and (_cross(pts[a], pts[b], pts[c]) > 0) != (_cross(pts[a], pts[b], pts[d]) > 0) \
                 and (_cross(pts[c], pts[d], pts[a]) > 0) != (_cross(pts[c], pts[d], pts[b]) > 0):
             return False
+    return True
+
+
+def edge_visibility_hall_holds(sa: PointSet, sb: Sequence[tuple[int, int]]) -> bool:
+    """Explicit Hall-condition check: every k consecutive hull edges of S_b
+    jointly see at least k hull edges of S_a (test oracle for the matching)."""
+    ok, why = check_property_maxi(sa, sb)
+    if not ok:
+        raise PreconditionError(why)
+    combined = sa.extended(sb)
+    na = len(sa)
+    hull = combined.hull()
+    if any(v < na for v in hull):
+        raise PreconditionError("S_a must lie in the interior of ch(S_b)")
+    q = len(hull)
+
+    def common_visible(u: int, v: int) -> set[int]:
+        return set(visible_hull_edges(combined[u], sa)) & set(visible_hull_edges(combined[v], sa))
+
+    vis = [common_visible(hull[i], hull[(i + 1) % q]) for i in range(q)]
+    if not all(vis):
+        raise PreconditionError("two consecutive hull vertices of S_b see no common edge")
+    for k in range(1, q + 1):
+        for start in range(q):
+            joint: set[int] = set()
+            for off in range(k):
+                joint |= vis[(start + off) % q]
+            if len(joint) < k:
+                return False
     return True

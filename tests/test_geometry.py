@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -14,7 +15,8 @@ from biplane.geometry import (COORD_LIMIT, Orientation, Point, PointSet,
                               visible_hull_edges)
 from biplane.generators import random_general_position, regular_polygon_points
 
-from oracles import bf_hull_ids, bf_max_convex_subset
+from oracles import (bf_hull_ids, bf_max_convex_subset, bf_optimal_convex_subsets,
+                     dp_max_convex_subset)
 
 
 def P(x, y):
@@ -250,6 +252,79 @@ class TestMaxConvexSubset:
     def test_against_exhaustive(self, seed):
         ps = random_general_position(10, seed=seed)
         assert max_convex_subset_indices(ps) == bf_max_convex_subset(ps)
+
+    @pytest.mark.parametrize("n", [15, 22, 30, 40, 50, 60])
+    def test_against_chain_dp_on_random_sets(self, n):
+        ps = random_general_position(n, seed=700 + n)
+        assert max_convex_subset_indices(ps) == dp_max_convex_subset(ps)
+
+    @pytest.mark.parametrize("n", [15, 20, 28, 36, 45, 60])
+    def test_against_chain_dp_on_core_plus_interior(self, n):
+        ps = core_plus_interior(n, seed=n)
+        assert max_convex_subset_indices(ps) == dp_max_convex_subset(ps)
+
+    def test_ties_on_small_grids(self):
+        # On a 9 x 9 grid, sets that a quarter turn maps onto themselves have
+        # many optimal subsets of equal size and equal area, so the
+        # smallest-sorted-ids rule decides; count the sets where it must.
+        rng = random.Random(42)
+        ties = 0
+        for i in range(120):
+            ps = quarter_turn_set(rng, 2, 4) if i % 2 else grid_set(rng, rng.randint(4, 10), 4)
+            optimal = bf_optimal_convex_subsets(ps)
+            ties += len(optimal) > 1
+            assert max_convex_subset_indices(ps) == optimal[0]
+        assert ties >= 1
+
+
+def grid_set(rng, n, span):
+    """n points with coordinates in [-span, span], in general position."""
+    while True:
+        coords = set()
+        while len(coords) < n:
+            coords.add((rng.randint(-span, span), rng.randint(-span, span)))
+        try:
+            return PointSet(list(coords))
+        except PreconditionError:
+            continue
+
+
+def quarter_turn_set(rng, orbits, span):
+    """4 * orbits points with coordinates in [-span, span], closed under the
+    quarter turn (x, y) -> (-y, x), shuffled, in general position."""
+    while True:
+        coords = set()
+        for _ in range(orbits):
+            x, y = rng.randint(-span, span), rng.randint(-span, span)
+            coords |= {(x, y), (-y, x), (-x, -y), (y, -x)}
+        if len(coords) < 4 * orbits:
+            continue
+        order = sorted(coords)
+        rng.shuffle(order)
+        try:
+            return PointSet(order)
+        except PreconditionError:
+            continue
+
+
+def core_plus_interior(n, seed, radius=10 ** 5):
+    """14 jittered points on a circle plus n - 14 points inside it, shuffled,
+    in general position."""
+    rng = random.Random(seed)
+    while True:
+        coords = []
+        for j in range(14):
+            a = 2 * math.pi * (j + rng.uniform(-0.3, 0.3)) / 14
+            r = radius * rng.uniform(0.95, 1.05)
+            coords.append((round(r * math.cos(a)), round(r * math.sin(a))))
+        for _ in range(n - 14):
+            a, r = rng.uniform(0, 2 * math.pi), radius * rng.uniform(0.02, 0.9)
+            coords.append((round(r * math.cos(a)), round(r * math.sin(a))))
+        rng.shuffle(coords)
+        try:
+            return PointSet(coords)
+        except PreconditionError:
+            continue
 
 
 def test_doubled_area_of_ccw_square():

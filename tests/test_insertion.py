@@ -13,13 +13,13 @@ from biplane.generators import (random_general_position, random_triangulation,
 from biplane.geometry import PointSet, segments_properly_cross, visible_hull_edges
 from biplane.layered import LAYER1
 from biplane.insertion import (InsertionState, build_5conn_general,
-                               check_property_maxi, edge_visibility_hall_holds,
-                               find_flippable_opposite, insert_hull_points,
-                               insert_interior_point)
+                               check_property_maxi, find_flippable_opposite,
+                               insert_hull_points, insert_interior_point)
 from biplane.triangulation import edge_key, is_flippable
 from biplane.generators import generate_wheel
 
 from conftest import mixed_pipeline_instance
+from oracles import edge_visibility_hall_holds
 
 
 def fresh_core(n=14, radius=1000):
@@ -269,6 +269,38 @@ class TestBuildGeneral:
         ps = mixed_pipeline_instance(seed)
         g = build_5conn_general(ps)
         assert kappa_of(g) >= 5 and verify_layering(g)
+
+
+# Valid inputs (a 14-point convex core plus far points) on which hull
+# insertion breaks today.  Each must build once hull insertion is repaired;
+# strict xfail makes that day fail loudly so the marker comes off.
+HULL_INSERTION_REPROS = [
+    pytest.param(
+        [(99871, 17354), (83594, 63888), (41696, 90314), (-3359, 97670),
+         (-45726, 96530), (-65646, 76115), (-95224, 31371), (-98961, -4163),
+         (-81257, -51547), (-42048, -79989), (-10283, -99920), (33589, -96059),
+         (63885, -62344), (95724, -22890), (221170, 81764), (-321623, -229129),
+         (-325199, 185112)],
+        marks=pytest.mark.xfail(strict=True, raises=InternalInvariantError,
+                                reason="chain sees every hull edge; no linear arc"),
+        id="n17-chain-wraps"),
+    pytest.param(
+        [(99885, 3137), (87790, 45435), (53198, 83683), (-3350, 99983),
+         (-41376, 96591), (-69644, 73742), (-95208, 40498), (-97518, -23073),
+         (-82407, -53909), (-41751, -81976), (-9680, -99984), (34390, -92993),
+         (73999, -78035), (91014, -34262), (-14634, -311645), (294800, -237369),
+         (-62518, 341267), (-353854, -29514)],
+        marks=pytest.mark.xfail(strict=True, raises=InternalInvariantError,
+                                reason="layer separation broken by hull insertion: "
+                                       "layer 1 edges (4, 17) and (5, 16) cross"),
+        id="n18-surrounding"),
+]
+
+
+@pytest.mark.parametrize("coords", HULL_INSERTION_REPROS)
+def test_hull_insertion_repro_builds(coords):
+    g = build_5conn_general(PointSet(coords))
+    assert kappa_of(g) >= 5 and verify_layering(g)
 
 
 class TestLayeringFailureWitness:
