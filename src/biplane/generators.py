@@ -38,7 +38,13 @@ def regular_polygon_points(n: int, radius: int = 10 ** 6) -> PointSet:
 
 
 def random_general_position(n: int, seed: int, span: int = 10 ** 4) -> PointSet:
-    """n random points in general position, deterministic per seed."""
+    """n random points in general position, deterministic per seed.
+
+    Each draw takes n distinct points from [-span, span]^2.  A draw that is
+    not in general position is rejected, and `span` grows by half (to
+    span + span // 2 + 1) before the next one, so small spans can return
+    coordinates well beyond the span asked for.
+    """
     rng = random.Random(seed)
     for _ in range(200):
         coords = {(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(n)}

@@ -4,11 +4,13 @@ Interior points enter through a triangle split plus at most two degree-raising
 edge flips; hull points enter through visibility assignment (Hall matching on
 hull edges in the surrounding case, treatable chains otherwise); exterior
 points are inserted in reverse hull-peeling order.  Saturation to a union of
-two triangulations uses tracked dummy edges that are deleted afterwards.
+two triangulations uses tracked dummy edges that are deleted afterwards; the
+two triangulations are carried to the next step, which reuses them when no
+dummy edge was left.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .connectivity import layer_crossing, verify_layering
@@ -29,18 +31,34 @@ MIN_POINTS_GUARANTEEING_14_CONVEX = 1352079
 
 @dataclass
 class InsertionState:
-    """Carries the current verified biplane graph between insertions.
+    """The current verified biplane graph, carried from one insertion to the
+    next.
 
-    dummy_edges is only nonempty while an insertion step is in progress; the
-    public operations always return states without dummies.
+    After an interior insertion, t1 and t2 are the two validated layer
+    triangulations of `current`: each layer is a subset of its triangulation,
+    and only the saturation's dummy edges are missing from it.  No two edges
+    of a validated triangulation cross, so that inclusion alone shows both
+    layers plane.  When no dummy edge is left, both layers are complete, and
+    the next step starts from t1 and t2 instead of saturating again.  Greedy
+    completion of a complete layer returns that same triangulation, so the
+    result does not change.  Other states (the convex core, after hull
+    insertion) carry None.
     """
 
     current: LayeredGraph
-    dummy_edges: frozenset[Edge] = field(default_factory=frozenset)
+    t1: Triangulation | None = None
+    t2: Triangulation | None = None
 
 
-def _saturate(g: LayeredGraph) -> tuple[Triangulation, Triangulation, frozenset[Edge]]:
-    """Complete both layers to triangulations; report the added dummy edges."""
+def _saturate(state: InsertionState) -> tuple[Triangulation, Triangulation, frozenset[Edge]]:
+    """Complete both layers to triangulations; report the added dummy edges.
+
+    Returns the carried t1 and t2 when their edge sets equal the two layers.
+    """
+    g, t1, t2 = state.current, state.t1, state.t2
+    if (t1 is not None and t2 is not None and t1.edges == g.layer_edges(LAYER1)
+            and t2.edges == g.layer_edges(LAYER2)):
+        return t1, t2, frozenset()
     t1 = complete_to_triangulation(g.ps, required=g.layer_edges(LAYER1))
     t2 = complete_to_triangulation(g.ps, required=g.layer_edges(LAYER2), avoid=t1.edges)
     dummies = frozenset((t1.edges | t2.edges) - g.edges())
@@ -54,16 +72,6 @@ def _tags_from(t1: Triangulation, t2: Triangulation) -> dict[Edge, int]:
     for e in t2.edges:
         tags.setdefault(e, LAYER2)
     return tags
-
-
-def _insert_vertex(t: Triangulation, new_ps: PointSet, s: int) -> tuple[Triangulation, tuple[int, int, int]]:
-    """Split the triangle containing new point s into three."""
-    tri = t.locate(new_ps[s])
-    tris = set(t.triangles)
-    tris.discard(tri)
-    a, b, c = tri
-    tris |= {triangle_key(s, a, b), triangle_key(s, b, c), triangle_key(s, a, c)}
-    return Triangulation(new_ps, tris), tri
 
 
 def find_flippable_opposite(t: Triangulation, s: int) -> tuple[tuple[int, int, int], Edge]:
@@ -201,12 +209,8 @@ def insert_interior_point(state: InsertionState, coords: tuple[int, int]) -> Ins
         inner = ps_a.subset(interior)
         if point_strictly_inside_hull(inner, sp):
             raise PreconditionError("point must lie outside the hull of the interior vertices")
-    t1, t2, dummies = _saturate(g)
-    t1 = Triangulation(new_ps, t1.triangles, validate=False)
-    t2 = Triangulation(new_ps, t2.triangles, validate=False)
-    t1, _ = _insert_vertex(t1, new_ps, s)
-    t2, _ = _insert_vertex(t2, new_ps, s)
-    t1, t2 = _raise_degree_to_five(t1, t2, s)
+    t1, t2, dummies = _saturate(state)
+    t1, t2 = _raise_degree_to_five(t1.split(new_ps, s), t2.split(new_ps, s), s)
 
     union = t1.edges | t2.edges
     final_edges = union - (dummies & union)
@@ -217,9 +221,11 @@ def insert_interior_point(state: InsertionState, coords: tuple[int, int]) -> Ins
     result = LayeredGraph(new_ps, tags)
     if result.degree(s) < 5:
         raise InternalInvariantError(f"inserted vertex has degree {result.degree(s)} < 5")
-    if not verify_layering(result):
+    # a layer inside a validated triangulation is plane; scan only otherwise
+    if not (result.layer_edges(LAYER1) <= t1.edges and result.layer_edges(LAYER2) <= t2.edges) \
+            and not verify_layering(result):
         raise _layering_broken(result, "interior insertion")
-    return InsertionState(result)
+    return InsertionState(result, t1, t2)
 
 
 # ----------------------------------------------------------------------
@@ -580,7 +586,7 @@ def insert_hull_points(state: InsertionState, sb: Sequence[tuple[int, int]]) -> 
         raise PreconditionError(f"hull-insertion property violated: {why}")
     if not sb:
         return state
-    t1, t2, dummies = _saturate(g)
+    t1, t2, dummies = _saturate(state)
     na = len(ps_a)
     new_ps = ps_a.extended(sb)
     b_ids = set(range(na, len(new_ps)))

@@ -53,7 +53,7 @@ class Triangulation:
     edge count 3n - 3 - h, pairwise noncrossing edges and face emptiness.
     """
 
-    def __init__(self, ps: PointSet, triangles: Iterable[Sequence[int]], validate: bool = True):
+    def __init__(self, ps: PointSet, triangles: Iterable[Sequence[int]]):
         self.ps = ps
         self.triangles: frozenset[tuple[int, int, int]] = frozenset(
             triangle_key(*t) for t in triangles)
@@ -71,8 +71,7 @@ class Triangulation:
             adj[u].add(v)
             adj[v].add(u)
         self._adj = adj
-        if validate:
-            self._validate()
+        self._validate()
 
     # ------------------------------------------------------------------
     def _validate(self) -> None:
@@ -115,13 +114,57 @@ class Triangulation:
         """
         if any(a == b or b == c for (a, b, c) in self.triangles):
             return False
+        return self._apexes_separated(self._opposites.items())
+
+    def _apexes_separated(self, opposites: Iterable[tuple[Edge, tuple[int, ...]]]) -> bool:
+        """For every (edge, apexes) pair of an interior edge, the two apexes
+        lie strictly on opposite sides of the edge."""
         pts = self.ps.points
-        for (u, v), ws in self._opposites.items():
+        for (u, v), ws in opposites:
             if len(ws) == 2:
                 pu, pv = pts[u], pts[v]
                 if cross(pu, pv, pts[ws[0]]) * cross(pu, pv, pts[ws[1]]) >= 0:
                     return False
         return True
+
+    def split(self, new_ps: PointSet, s: int) -> "Triangulation":
+        """This triangulation on `new_ps`, which appends the one point s,
+        with the triangle containing s replaced by the three around s.
+
+        The face, apex and adjacency maps are copied and changed around the
+        split triangle only.  The certificate of `_locally_valid` already
+        holds on every edge whose apexes stayed the same, so it is re-checked
+        on the six edges whose apexes changed, together with the edge count
+        and the hull (see README, Verification).
+        """
+        ps, n = self.ps, len(self.ps)
+        if s != n or len(new_ps) != n + 1 or new_ps.xs[:n] != ps.xs or new_ps.ys[:n] != ps.ys:
+            raise PreconditionError(f"the new point set does not extend this one by point {s}")
+        a, b, c = tri = self.locate(new_ps[s])
+        out = Triangulation.__new__(Triangulation)
+        out.ps = new_ps
+        out.triangles = (self.triangles - {tri}) | {(a, b, s), (b, c, s), (a, c, s)}
+        out.edges = self.edges | {(a, s), (b, s), (c, s)}
+        opposites = dict(self._opposites)
+        for e, old in (((a, b), c), ((b, c), a), ((a, c), b)):
+            opposites[e] = tuple(sorted(s if w == old else w for w in opposites[e]))
+        opposites[(a, s)], opposites[(b, s)], opposites[(c, s)] = (b, c), (a, c), (a, b)
+        out._opposites = opposites
+        out.hull = new_ps.hull()
+        adj = dict(self._adj)
+        for v in tri:
+            adj[v] = adj[v] | {s}
+        adj[s] = {a, b, c}
+        out._adj = adj
+        if out.hull != self.hull:
+            raise InternalInvariantError(f"splitting {tri} at {s} changed the hull")
+        if len(out.edges) != 3 * n - len(out.hull):
+            raise InternalInvariantError(
+                f"edge count {len(out.edges)} != 3n-3-h = {3 * n - len(out.hull)}")
+        changed = ((a, b), (b, c), (a, c), (a, s), (b, s), (c, s))
+        if not out._apexes_separated((e, opposites[e]) for e in changed):
+            raise InternalInvariantError(f"splitting {tri} at {s} broke the local certificate")
+        return out
 
     # ------------------------------------------------------------------
     def hull_edges(self) -> frozenset[Edge]:

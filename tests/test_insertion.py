@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -11,11 +12,11 @@ from biplane.errors import InternalInvariantError, PreconditionError
 from biplane.generators import (random_general_position, random_triangulation,
                                 regular_polygon_points)
 from biplane.geometry import PointSet, segments_properly_cross, visible_hull_edges
-from biplane.layered import LAYER1
+from biplane.layered import LAYER1, LAYER2
 from biplane.insertion import (InsertionState, build_5conn_general,
                                check_property_maxi, find_flippable_opposite,
                                insert_hull_points, insert_interior_point)
-from biplane.triangulation import edge_key, is_flippable
+from biplane.triangulation import complete_to_triangulation, edge_key, is_flippable
 from biplane.generators import generate_wheel
 
 from conftest import mixed_pipeline_instance
@@ -269,6 +270,58 @@ class TestBuildGeneral:
         ps = mixed_pipeline_instance(seed)
         g = build_5conn_general(ps)
         assert kappa_of(g) >= 5 and verify_layering(g)
+
+
+# sha256 of repr(sorted(g.layers.items())) for mixed_pipeline_instance(seed):
+# any change to what an insertion step builds shows up here
+GOLDEN_LAYER_DIGESTS = [
+    "01cfd4f8e66de9e694ad725168cbe4545ca00151ccd718306c0ea17bc1cfe81f",
+    "351cbac9000ac738a7d0d58f5b7d2b7e2c200e904c8fec011d2fe42154a3ffb4",
+    "48239be53f2cd8d09e28c5558573465b055dae46104d5c484c71940fe42c27c9",
+    "1490272d274ae097bb2fe2fe4bf05554337577139c61d245c7e74d6a44c1f807",
+    "4e10568d0258b6ff9953e4c9294e1ee9a24b9d3664b89ff4ad69bd4076897ec5",
+    "eff737b8cfb6e09fd314fb420021136d58043728378edf385989cb8816c48590",
+    "1e15879350d6e69be14bffe0ce7cdd1291ffd36d7357fe3ca6dc8f269ea49b39",
+    "6bda617444c55ea39b5dbe3c613380c999fbf74cabecd179b062cd4447f7d0d0",
+    "bd755961a53a4591f7367b828146600391390250cda05bae80c67da217975695",
+    "55bad816f50d2eedb5bcb6aecf98706ac641a86818547f68339f9eac72fff7e4",
+]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_general_build_layers_are_unchanged(seed):
+    g = build_5conn_general(mixed_pipeline_instance(seed))
+    digest = hashlib.sha256(repr(sorted(g.layers.items())).encode()).hexdigest()
+    assert digest == GOLDEN_LAYER_DIGESTS[seed]
+
+
+def test_carried_triangulations_equal_a_fresh_saturation(monkeypatch):
+    """Where a step reuses the carried t1/t2, they are what saturating the
+    layers from scratch would give.  Seeds 0-9 reuse and saturate; seeds 21
+    and 30 also leave dummy edges, so a carried pair is turned down."""
+    real = insertion._saturate
+    paths = {"reused": 0, "no pair": 0, "dummies left": 0}
+
+    def checked(state):
+        t1, t2, dummies = real(state)
+        if state.t1 is None:
+            paths["no pair"] += 1
+        elif (t1, t2) != (state.t1, state.t2):
+            paths["dummies left"] += 1
+        else:
+            g = state.current
+            want1 = complete_to_triangulation(g.ps, required=g.layer_edges(LAYER1))
+            want2 = complete_to_triangulation(g.ps, required=g.layer_edges(LAYER2),
+                                              avoid=want1.edges)
+            assert (t1.triangles, t2.triangles) == (want1.triangles, want2.triangles)
+            assert not dummies
+            paths["reused"] += 1
+        return t1, t2, dummies
+
+    monkeypatch.setattr(insertion, "_saturate", checked)
+    for seed in [*range(10), 21, 30]:
+        build_5conn_general(mixed_pipeline_instance(seed))
+    assert all(paths.values()), paths
 
 
 # Valid inputs (a 14-point convex core plus far points) on which hull

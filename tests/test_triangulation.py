@@ -236,7 +236,7 @@ class TestValidationCertificate:
         monkeypatch.setattr(triangulation, "point_in_triangle", lambda *args: False)
         with pytest.raises(InternalInvariantError) as err:
             Triangulation(ps, tris)
-        es = sorted(Triangulation(ps, tris, validate=False).edges)
+        es = sorted({e for (a, b, c) in tris for e in ((a, b), (b, c), (a, c))})
         e, f = next((e, f) for i, e in enumerate(es) for f in es[i + 1:]
                     if geometry.segments_properly_cross(ps[e[0]], ps[e[1]], ps[f[0]], ps[f[1]]))
         assert str(err.value) == f"edges {e} and {f} cross"
@@ -261,3 +261,62 @@ class TestValidationCertificate:
         Triangulation(fresh, t.triangles)
         # two orientation tests per interior edge, plus the monotone-chain hull
         assert calls[0] <= 2 * len(t.edges) + 4 * len(ps)
+
+
+def scaled(t: Triangulation, k: int) -> Triangulation:
+    return Triangulation(PointSet([(k * p.x, k * p.y) for p in t.ps]), t.triangles)
+
+
+def point_in_face(ps: PointSet, tri) -> PointSet | None:
+    """ps extended by a point strictly inside triangle tri, in general position."""
+    cx, cy = (sum(ps[v].x for v in tri) // 3, sum(ps[v].y for v in tri) // 3)
+    for dx, dy in ((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (1, 2), (-2, 1), (2, -1)):
+        try:
+            new_ps = ps.extended([(cx + dx, cy + dy)])
+        except PreconditionError:
+            continue
+        if point_in_triangle(*(ps[v] for v in tri), new_ps[len(ps)]):
+            return new_ps
+    return None
+
+
+class TestSplit:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_full_constructor_in_every_face(self, seed):
+        t = scaled(random_triangulation(6 + seed, seed), 30)
+        s = len(t.ps)
+        split_faces = 0
+        for tri in sorted(t.triangles):
+            new_ps = point_in_face(t.ps, tri)
+            if new_ps is None:
+                continue
+            got = t.split(new_ps, s)
+            a, b, c = tri
+            want = Triangulation(new_ps, (t.triangles - {tri})
+                                 | {triangle_key(s, a, b), triangle_key(s, b, c), triangle_key(s, a, c)})
+            assert got.triangles == want.triangles and got.edges == want.edges
+            assert got.hull == want.hull
+            assert {e: got.opposites(e) for e in got.edges} == {e: want.opposites(e) for e in want.edges}
+            assert [got.neighbors(v) for v in range(s + 1)] == [want.neighbors(v) for v in range(s + 1)]
+            # the original is left as it was
+            assert len(t.ps) == s and s not in set().union(*(t.neighbors(v) for v in tri))
+            split_faces += 1
+        assert split_faces == len(t.triangles)
+
+    def test_point_outside_the_hull_rejected(self):
+        t = random_triangulation(8, 2)
+        far = max(max(abs(p.x), abs(p.y)) for p in t.ps) * 3
+        with pytest.raises(PreconditionError, match="lies in no triangle"):
+            t.split(t.ps.extended([(far, far + 1)]), len(t.ps))
+
+    def test_point_set_must_extend_by_one_point(self):
+        t = scaled(random_triangulation(8, 4), 30)
+        tri = min(t.triangles)
+        inside = point_in_face(t.ps, tri)
+        n = len(t.ps)
+        moved = PointSet([(p.x + 1, p.y) for p in t.ps] + [inside[n].coords()])
+        cases = [(moved, n), (inside, n - 1), (t.ps, n)]
+        cases.append((inside.extended([(inside[n].x + 1, inside[n].y + 3)]), n))
+        for new_ps, s in cases:
+            with pytest.raises(PreconditionError, match="does not extend"):
+                t.split(new_ps, s)
