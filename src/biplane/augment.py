@@ -9,11 +9,13 @@ for larger ones.
 from __future__ import annotations
 
 import functools
+from itertools import combinations
 
 from .connectivity import check_4conn_augmentation, cut_structures, vertex_connectivity
 from .errors import ImpossibleError, InternalInvariantError, PreconditionError
 from .geometry import (Point, PointSet, cross, crossing_pairs, polygon_doubled_area,
                        segments_properly_cross)
+from .treeaug import build_cell_tree
 from .triangulation import (Edge, Triangulation, TriangulationClass, classify,
                             complete_to_triangulation, edge_key, flip,
                             is_flippable, triangle_key)
@@ -47,13 +49,6 @@ def flip_pair_helper(t: Triangulation, u: int, v: int, w: int, v2: int) -> tuple
             t2 = flip(t1, cand)
             return t2, [first, (cand, edge_key(a, b))]
     raise InternalInvariantError("neither u-v2 nor v2-w is flippable after the first flip")
-
-
-def _chords_of(t: Triangulation) -> list[Edge]:
-    hullset = set(t.hull)
-    hull_edges = t.hull_edges()
-    return sorted(e for e in t.edges
-                  if e[0] in hullset and e[1] in hullset and e not in hull_edges)
 
 
 def _non_edges(t: Triangulation) -> list[Edge]:
@@ -227,8 +222,6 @@ def _k5_base(t: Triangulation) -> set[Edge]:
 def _convex6_base(t: Triangulation) -> set[Edge]:
     """Try the (few) noncrossing 3-subsets of absent edges; the chord triangle
     and chord path patterns always admit one making the union 4-connected."""
-    from itertools import combinations
-
     for trio in combinations(_non_edges(t), 3):
         if crossing_pairs(t.ps, trio):
             continue
@@ -240,7 +233,7 @@ def _convex6_base(t: Triangulation) -> set[Edge]:
 def _two_interior_base(t: Triangulation) -> set[Edge]:
     """Six points, a unique chord, one interior point each side: two disjoint
     noncrossing edges across the chord."""
-    chords = _chords_of(t)
+    chords = t.chords()
     if len(chords) != 1:
         raise InternalInvariantError("the 6-point two-interior base needs a unique chord")
     chord = chords[0]
@@ -259,8 +252,6 @@ def _two_interior_base(t: Triangulation) -> set[Edge]:
 
 
 def _leaf_cells(t: Triangulation) -> list[tuple[Edge, frozenset[int]]]:
-    from .treeaug import build_cell_tree
-
     ct = build_cell_tree(t)
     return sorted(((leaf.chord, leaf.members) for leaf in ct.leaves),
                   key=lambda item: item[0])
@@ -411,7 +402,7 @@ def _plane_partner(t: Triangulation) -> set[Edge]:
     4-connected; the recursion backbone."""
     n = len(t.ps)
     convex = len(t.hull) == n
-    chords = _chords_of(t)
+    chords = t.chords()
     if not chords:
         return _augment_3connected(t)
     if n == 5:

@@ -20,7 +20,7 @@ from .generators import (generate_fan, generate_no5conn_counterexample,
                          generate_wheel, random_general_position,
                          regular_polygon_points)
 from .insertion import build_5conn_general
-from .layered import LAYER1, LAYER2, LayeredGraph
+from .layered import LAYER1, LayeredGraph
 from .render import render_svg
 from .treeaug import min_augment_3conn
 from .triangulation import Triangulation, triangulation_from_edges
@@ -154,9 +154,7 @@ def _cmd_augment(args) -> int:
         added = augment_to_4conn(t)
     else:
         added = min_augment_3conn(t)
-    layers = {e: LAYER1 for e in t.edges}
-    layers.update({e: LAYER2 for e in added})
-    g = LayeredGraph(t.ps, layers)
+    g = LayeredGraph.from_layers(t.ps, t.edges, added)
     report = _report_for(g)
     report.extras["added_edges"] = sorted(map(list, added))
     _emit(args, report, g)

@@ -66,16 +66,17 @@ class _FlowNet:
         return flow
 
 
-def _local_vertex_connectivity(n: int, adj: Sequence[set[int]], s: int, t: int) -> int:
-    """Max number of internally vertex-disjoint s-t paths (s, t nonadjacent):
-    unit capacity on split vertices, infinite on arcs."""
+def _local_vertex_connectivity(n: int, adj: Sequence[set[int]], s: int, t: int,
+                               limit: int) -> int:
+    """Max number of internally vertex-disjoint s-t paths (s, t nonadjacent),
+    capped at `limit`: unit capacity on split vertices, infinite on arcs."""
     net = _FlowNet(2 * n)
     for v in range(n):
         net.add(2 * v, 2 * v + 1, INF if v in (s, t) else 1)
     for u in range(n):
         for v in adj[u]:
             net.add(2 * u + 1, 2 * v, INF)
-    return net.max_flow(2 * s + 1, 2 * t, n)
+    return net.max_flow(2 * s + 1, 2 * t, limit)
 
 
 def vertex_connectivity(n: int, edges: Iterable[Edge]) -> int:
@@ -83,6 +84,7 @@ def vertex_connectivity(n: int, edges: Iterable[Edge]) -> int:
 
     Pair schedule: fix a minimum-degree vertex s, run flow to every
     non-neighbor of s, then between every nonadjacent pair of neighbors of s.
+    Each flow stops at the running minimum, which it cannot lower beyond.
     """
     if n < 2:
         raise PreconditionError("vertex connectivity needs n >= 2")
@@ -91,12 +93,12 @@ def vertex_connectivity(n: int, edges: Iterable[Edge]) -> int:
     best = n - 1
     for t in range(n):
         if t != s and t not in adj[s]:
-            best = min(best, _local_vertex_connectivity(n, adj, s, t))
+            best = _local_vertex_connectivity(n, adj, s, t, best)
     nbrs = sorted(adj[s])
     for i, u in enumerate(nbrs):
         for v in nbrs[i + 1:]:
             if v not in adj[u]:
-                best = min(best, _local_vertex_connectivity(n, adj, u, v))
+                best = _local_vertex_connectivity(n, adj, u, v, best)
     return best
 
 
@@ -121,18 +123,14 @@ def is_connected(n: int, edges: Iterable[Edge]) -> bool:
 
 
 def is_two_edge_connected(n: int, edges: Iterable[Edge]) -> bool:
-    """Connected with no bridge (linear-time lowpoint search)."""
+    """Connected with no bridge (linear-time lowpoint search).  Parallel
+    edges count once, so a doubled edge is still a bridge."""
     adj = _adjacency(n, edges)
     if n == 0:
         return False
-    if not is_connected(n, edges):
-        return False
-    if n == 1:
-        return True
     disc = [-1] * n
     low = [0] * n
     timer = 0
-    bridge = False
     stack: list[tuple[int, int, Iterable[int]]] = [(0, -1, iter(sorted(adj[0])))]
     disc[0] = low[0] = timer
     timer += 1
@@ -156,9 +154,8 @@ def is_two_edge_connected(n: int, edges: Iterable[Edge]) -> bool:
             if parent != -1:
                 low[parent] = min(low[parent], low[u])
                 if low[u] > disc[parent]:
-                    bridge = True
-                    break
-    return not bridge
+                    return False
+    return timer == n
 
 
 def crossing_conflict_graph(ps: PointSet, edges: Sequence[Edge]) -> tuple[list[Edge], list[set[int]]]:
@@ -302,10 +299,7 @@ def cut_structures(t: Triangulation) -> CutReport:
     hull_edges = t.hull_edges()
     report = CutReport()
 
-    for e in sorted(t.edges):
-        u, v = e
-        if u in hullset and v in hullset and e not in hull_edges:
-            report.chords.append(e)
+    report.chords = t.chords()
 
     adj = {v: t.neighbors(v) for v in range(len(t.ps))}
     for m in range(len(t.ps)):

@@ -14,7 +14,7 @@ from .connectivity import compute_layering
 from .errors import (ImpossibleError, InternalInvariantError,
                      PreconditionError)
 from .geometry import PointSet, is_convex_position
-from .layered import BOTH, LAYER1, LAYER2, LayeredGraph
+from .layered import LAYER1, LayeredGraph
 from .triangulation import Edge, edge_key
 
 
@@ -63,12 +63,7 @@ def build_5conn_convex(ps: PointSet) -> LayeredGraph:
     if len(t1) != n - 1 or len(t2) != n - 1:
         raise InternalInvariantError("spanning tree has wrong edge count")
     hull_edges = {edge_key(hull[i], hull[(i + 1) % n]) for i in range(n)}
-    layers: dict[Edge, int] = {}
-    for e in t1 | hull_edges:
-        layers[e] = BOTH if e in t2 else LAYER1
-    for e in t2:
-        layers.setdefault(e, LAYER2)
-    return LayeredGraph(ps, layers)
+    return LayeredGraph.from_layers(ps, t1 | hull_edges, t2)
 
 
 class PlanarTriangulatedGraph:

@@ -172,7 +172,8 @@ class PointSet:
         xs = tuple(p.x for p in pts)
         ys = tuple(p.y for p in pts)
         n = len(pts)
-        for i in range(n):
+        # a subset (known == n) has no new point, so no triple to test
+        for i in range(n if known < n else 0):
             xi, yi = xs[i], ys[i]
             for j in range(i + 1, n):
                 dx, dy = xs[j] - xi, ys[j] - yi

@@ -20,7 +20,7 @@ from .geometry import (Point, PointSet, convex_hull, cross,
                        max_convex_subset_indices, point_strictly_inside_hull,
                        polygon_doubled_area, segments_properly_cross,
                        visible_hull_edges)
-from .layered import BOTH, LAYER1, LAYER2, LayeredGraph
+from .layered import LAYER1, LAYER2, LayeredGraph
 from .triangulation import (Edge, Triangulation, complete_to_triangulation,
                             edge_key, flip, is_flippable, triangle_key)
 
@@ -63,15 +63,6 @@ def _saturate(state: InsertionState) -> tuple[Triangulation, Triangulation, froz
     t2 = complete_to_triangulation(g.ps, required=g.layer_edges(LAYER2), avoid=t1.edges)
     dummies = frozenset((t1.edges | t2.edges) - g.edges())
     return t1, t2, dummies
-
-
-def _tags_from(t1: Triangulation, t2: Triangulation) -> dict[Edge, int]:
-    tags: dict[Edge, int] = {}
-    for e in t1.edges:
-        tags[e] = BOTH if e in t2.edges else LAYER1
-    for e in t2.edges:
-        tags.setdefault(e, LAYER2)
-    return tags
 
 
 def find_flippable_opposite(t: Triangulation, s: int) -> tuple[tuple[int, int, int], Edge]:
@@ -217,8 +208,7 @@ def insert_interior_point(state: InsertionState, coords: tuple[int, int]) -> Ins
     lost = g.edges() - final_edges
     if len(lost) > 1:
         raise InternalInvariantError(f"insertion deleted {len(lost)} original edges: {sorted(lost)}")
-    tags = {e: v for e, v in _tags_from(t1, t2).items() if e in final_edges}
-    result = LayeredGraph(new_ps, tags)
+    result = LayeredGraph.from_layers(new_ps, t1.edges & final_edges, t2.edges & final_edges)
     if result.degree(s) < 5:
         raise InternalInvariantError(f"inserted vertex has degree {result.degree(s)} < 5")
     # a layer inside a validated triangulation is plane; scan only otherwise
@@ -354,25 +344,28 @@ def _convex_polys_overlap(p1: list[Point], p2: list[Point]) -> bool:
 
 
 class _HullWiring:
-    """Shared bookkeeping for tagging new hull-insertion edges."""
+    """The two layer edge sets of a hull insertion, started from the
+    saturated layer triangulations and wired up in place."""
 
-    def __init__(self, new_ps: PointSet, tags: dict[Edge, int]):
+    def __init__(self, new_ps: PointSet, t1: Triangulation, t2: Triangulation):
         self.ps = new_ps
-        self.tags = tags
+        self.layers = {LAYER1: set(t1.edges), LAYER2: set(t2.edges)}
 
     def add(self, u: int, v: int, layer: int) -> None:
-        e = edge_key(u, v)
-        old = self.tags.get(e)
-        if old is None or old == layer:
-            self.tags[e] = layer
-        elif old != layer:
-            self.tags[e] = BOTH
+        self.layers[layer].add(edge_key(u, v))
 
     def demote(self, e: Edge, keep_layer: int) -> None:
+        """Drop e, which must lie in both layers, from the other layer."""
         e = edge_key(*e)
-        if self.tags.get(e) != BOTH:
-            raise InternalInvariantError(f"cannot demote edge {e} with tag {self.tags.get(e)}")
-        self.tags[e] = keep_layer
+        if not all(e in es for es in self.layers.values()):
+            tag = next((layer for layer, es in self.layers.items() if e in es), None)
+            raise InternalInvariantError(f"cannot demote edge {e} with tag {tag}")
+        self.layers[LAYER2 if keep_layer == LAYER1 else LAYER1].remove(e)
+
+    def delete(self, e: Edge) -> None:
+        """Drop e from both layers."""
+        for es in self.layers.values():
+            es.discard(e)
 
 
 def _wire_surrounding(w: _HullWiring, sa: PointSet, b_cycle: list[int]) -> None:
@@ -565,9 +558,9 @@ def _wire_single_point_p4(w: _HullWiring, sa: PointSet, t1: Triangulation,
     v_far = ws[0]
     if not segments_properly_cross(ps[b], ps[v_far], ps[a2], ps[a4]):
         raise InternalInvariantError("neither candidate quadrilateral is convex")
-    if chord in w.tags:
+    if chord in w.layers[LAYER1] or chord in w.layers[LAYER2]:
         deleted.add(chord)
-        del w.tags[chord]
+        w.delete(chord)
     crossed = [e for e in (edge_key(a2, a3), edge_key(a3, a4))
                if segments_properly_cross(ps[b], ps[v_far], ps[e[0]], ps[e[1]])]
     if len(crossed) != 1:
@@ -590,8 +583,7 @@ def insert_hull_points(state: InsertionState, sb: Sequence[tuple[int, int]]) -> 
     na = len(ps_a)
     new_ps = ps_a.extended(sb)
     b_ids = set(range(na, len(new_ps)))
-    tags = _tags_from(t1, t2)
-    w = _HullWiring(new_ps, tags)
+    w = _HullWiring(new_ps, t1, t2)
     deleted: set[Edge] = set()
     hull = list(new_ps.hull())
 
@@ -612,9 +604,9 @@ def insert_hull_points(state: InsertionState, sb: Sequence[tuple[int, int]]) -> 
                     chain = [v]
             _wire_chain(w, ps_a, t1, t2, chain, deleted)
 
-    for d in sorted(dummies):
-        tags.pop(d, None)
-    result = LayeredGraph(new_ps, tags)
+    for d in dummies:
+        w.delete(d)
+    result = LayeredGraph.from_layers(new_ps, w.layers[LAYER1], w.layers[LAYER2])
     lost = g.edges() - result.edges()
     if not lost <= deleted:
         raise InternalInvariantError(f"hull insertion lost unexpected edges {sorted(lost - deleted)}")

@@ -1,7 +1,7 @@
 """Geometric graphs with a two-layer edge tagging (the biplane artifact)."""
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import PreconditionError
 from .geometry import PointSet
@@ -36,6 +36,17 @@ class LayeredGraph:
             norm[k] = tag
         self.layers: dict[Edge, int] = dict(sorted(norm.items()))
 
+    @classmethod
+    def from_layers(cls, ps: PointSet, layer1: Iterable[Edge],
+                    layer2: Iterable[Edge]) -> "LayeredGraph":
+        """The graph with the given layer edge sets; an edge in both is
+        stored once, tagged BOTH."""
+        one = {edge_key(*e) for e in layer1}
+        two = {edge_key(*e) for e in layer2}
+        tags = {e: LAYER1 for e in one}
+        tags.update({e: BOTH if e in one else LAYER2 for e in two})
+        return cls(ps, tags)
+
     # ------------------------------------------------------------------
     def edges(self) -> frozenset[Edge]:
         return frozenset(self.layers)
@@ -63,12 +74,7 @@ def union_of_triangulations(t1: Triangulation, t2: Triangulation) -> LayeredGrap
     """Tag edges by membership in the two triangulations (shared -> both)."""
     if t1.ps is not t2.ps and t1.ps.points != t2.ps.points:
         raise PreconditionError("triangulations live on different point sets")
-    layers: dict[Edge, int] = {}
-    for e in t1.edges:
-        layers[e] = BOTH if e in t2.edges else LAYER1
-    for e in t2.edges:
-        layers.setdefault(e, LAYER2)
-    return LayeredGraph(t1.ps, layers)
+    return LayeredGraph.from_layers(t1.ps, t1.edges, t2.edges)
 
 
 def saturate_to_maximal_biplane(ps: PointSet, seed: Triangulation | None = None) -> LayeredGraph:

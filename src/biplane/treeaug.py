@@ -6,9 +6,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .connectivity import is_connected, is_two_edge_connected
 from .errors import InternalInvariantError, PreconditionError
 from .geometry import Point, convex_hull, crossing_pairs
-from .layered import LAYER1, LAYER2, LayeredGraph
+from .layered import LayeredGraph
 from .triangulation import Edge, Triangulation, edge_key
 
 
@@ -136,26 +137,6 @@ def _pairing_for_root(adjacency: Mapping[int, set], root: int,
     return pairs
 
 
-def _pairs_two_edge_connect(adjacency: Mapping[int, set], pairs: list[tuple[int, int]]) -> bool:
-    """Abstract 2-edge-connectivity of the tree plus the selected pairs."""
-    nodes = sorted(adjacency)
-    idx = {u: i for i, u in enumerate(nodes)}
-    multi: list[tuple[int, int]] = []
-    for u in nodes:
-        for v in adjacency[u]:
-            if idx[u] < idx[v]:
-                multi.append((idx[u], idx[v]))
-    tree_edges = list(multi)
-    extra = [(idx[a], idx[b]) for (a, b) in pairs]
-    from .connectivity import is_connected
-
-    def connected_without(skip: tuple[int, int]) -> bool:
-        es = [e for e in tree_edges if e != skip] + extra
-        return is_connected(len(nodes), es)
-
-    return all(connected_without(e) for e in tree_edges)
-
-
 def _noncrossing_leaf_pairing(adjacency: Mapping[int, set], leaf_points: Mapping[int, Point]) -> list[tuple[int, int]]:
     """Pair up tree leaves with ceil(m/2) pairwise-noncrossing connections so
     that the tree plus the pairs is 2-edge-connected.
@@ -167,6 +148,10 @@ def _noncrossing_leaf_pairing(adjacency: Mapping[int, set], leaf_points: Mapping
     """
     leaves = sorted(u for u in adjacency if len(adjacency[u]) == 1)
     internal = sorted(u for u in adjacency if len(adjacency[u]) > 1)
+    nodes = sorted(adjacency)
+    idx = {u: i for i, u in enumerate(nodes)}
+    tree_edges = [(idx[u], idx[v]) for u in nodes for v in adjacency[u] if idx[u] < idx[v]]
+    k = len(nodes)
     last_error: InternalInvariantError | None = None
     for root in leaves + internal:
         try:
@@ -174,7 +159,10 @@ def _noncrossing_leaf_pairing(adjacency: Mapping[int, set], leaf_points: Mapping
         except InternalInvariantError as exc:
             last_error = exc
             continue
-        if _pairs_two_edge_connect(adjacency, pairs):
+        # pair i runs through its own virtual node k + i: a pair parallel to
+        # a tree edge (one chord, two leaf cells) must still close a cycle
+        paths = [e for i, (a, b) in enumerate(pairs) for e in ((idx[a], k + i), (k + i, idx[b]))]
+        if is_two_edge_connected(k + len(pairs), tree_edges + paths):
             return pairs
     if last_error is not None:
         raise last_error
@@ -193,15 +181,7 @@ def augment_tree_2edge(tree: LayeredGraph) -> frozenset[Edge]:
     for (u, v) in edges:
         adjacency[u].add(v)
         adjacency[v].add(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    if len(seen) != n:
+    if not is_connected(n, edges):
         raise PreconditionError("input is not a tree (disconnected)")
     pairs = crossing_pairs(ps, edges)
     if pairs:
@@ -248,9 +228,8 @@ def build_cell_tree(t: Triangulation) -> CellTree:
     """Cells are the chord-free connected components of the triangle faces;
     two cells are adjacent when they share a chord."""
     hullset = set(t.hull)
-    hull_edges = t.hull_edges()
-    chords = {e for e in t.edges
-              if e[0] in hullset and e[1] in hullset and e not in hull_edges}
+    chords = t.chords()
+    chord_set = set(chords)
     tris = sorted(t.triangles)
     tri_index = {tri: i for i, tri in enumerate(tris)}
     comp = list(range(len(tris)))
@@ -269,7 +248,7 @@ def build_cell_tree(t: Triangulation) -> CellTree:
         for e in (edge_key(a, b), edge_key(b, c), edge_key(a, c)):
             edge_tris.setdefault(e, []).append(i)
     for e, owners in edge_tris.items():
-        if len(owners) == 2 and e not in chords:
+        if len(owners) == 2 and e not in chord_set:
             union(owners[0], owners[1])
     roots = sorted({find(i) for i in range(len(tris))})
     cell_id = {r: k for k, r in enumerate(roots)}
@@ -278,7 +257,7 @@ def build_cell_tree(t: Triangulation) -> CellTree:
         members[cell_id[find(i)]].update(tri)
     adjacency: dict[int, set[int]] = {k: set() for k in range(len(roots))}
     chord_of: dict[tuple[int, int], Edge] = {}
-    for e in sorted(chords):
+    for e in chords:
         owners = edge_tris[e]
         if len(owners) != 2:
             raise InternalInvariantError("chord not shared by two triangles")
@@ -326,8 +305,7 @@ def min_augment_3conn(t: Triangulation) -> frozenset[Edge]:
 
 
 def biplane_after_3conn_augment(t: Triangulation, added: Iterable[Edge] | None = None) -> LayeredGraph:
-    """Package the triangulation plus the added edges as a layered graph."""
+    """Package the triangulation as layer 1 and the added edges as layer 2;
+    an added edge that t already has keeps only its layer-2 tag."""
     extra = frozenset(edge_key(*e) for e in added) if added is not None else min_augment_3conn(t)
-    layers = {e: LAYER1 for e in t.edges}
-    layers.update({e: LAYER2 for e in extra})
-    return LayeredGraph(t.ps, layers)
+    return LayeredGraph.from_layers(t.ps, t.edges - extra, extra)

@@ -171,6 +171,13 @@ class Triangulation:
         h = self.hull
         return frozenset(edge_key(h[i], h[(i + 1) % len(h)]) for i in range(len(h)))
 
+    def chords(self) -> list[Edge]:
+        """Hull chords, sorted: edges joining two hull vertices that are not
+        hull edges."""
+        hullset, hull_edges = set(self.hull), self.hull_edges()
+        return sorted(e for e in self.edges
+                      if e[0] in hullset and e[1] in hullset and e not in hull_edges)
+
     def neighbors(self, v: int) -> frozenset[int]:
         return frozenset(self._adj[v])
 
@@ -351,42 +358,39 @@ def complete_to_triangulation(ps: PointSet, required: Iterable[Edge] = (),
                     break
     if len(chosen) != target:
         raise InternalInvariantError("greedy completion failed to reach a triangulation")
-    # a plane edge set of this size is a triangulation: its bounded faces are
-    # the angularly consecutive neighbor pairs that turn left
+    return _read_faces(ps, chosen)
+
+
+def triangulation_from_edges(ps: PointSet, edges: Iterable[Edge]) -> Triangulation:
+    """The triangulation whose edge set is `edges`.
+
+    Raises PreconditionError unless the edges are exactly 3n - 3 - h pairwise
+    noncrossing segments, that is, a full triangulation.
+    """
+    es = sorted({edge_key(*e) for e in edges})
+    expected = 3 * len(ps) - 3 - len(ps.hull())
+    if len(es) != expected:
+        raise PreconditionError(f"edge count {len(es)} != 3n-3-h = {expected}")
+    pairs = crossing_pairs(ps, es)
+    if pairs:
+        i, j = pairs[0]
+        raise PreconditionError(f"edges {es[i]} and {es[j]} cross")
+    return _read_faces(ps, es)
+
+
+def _read_faces(ps: PointSet, edges: Iterable[Edge]) -> Triangulation:
+    """The triangulation of a plane edge set of exactly 3n - 3 - h edges: its
+    bounded faces are the angularly consecutive neighbor pairs that turn left
+    (see README, Verification)."""
+    pts = ps.points
     adj: dict[int, list[int]] = {p.id: [] for p in ps}
-    for (u, v) in chosen:
+    for (u, v) in edges:
         adj[u].append(v)
         adj[v].append(u)
     tris = set()
-    for v in range(n):
+    for v in range(len(ps)):
         ring = _ccw_around(ps, v, adj[v])
         for a, b in zip(ring, ring[1:] + ring[:1]):
             if cross(pts[v], pts[a], pts[b]) > 0:
                 tris.add(triangle_key(v, a, b))
-    return Triangulation(ps, tris)
-
-
-def triangulation_from_edges(ps: PointSet, edges: Iterable[Edge]) -> Triangulation:
-    """Rebuild the face set of a maximal plane edge set.
-
-    In a full triangulation the bounded faces are exactly the empty 3-cycles.
-    """
-    es = {edge_key(*e) for e in edges}
-    adj: dict[int, set[int]] = {p.id: set() for p in ps}
-    for (u, v) in es:
-        adj[u].add(v)
-        adj[v].add(u)
-    tris = []
-    n = len(ps)
-    for a in range(n):
-        for b in sorted(adj[a]):
-            if b < a:
-                continue
-            for c in sorted(adj[a] & adj[b]):
-                if c < b:
-                    continue
-                pa, pb, pc = ps[a], ps[b], ps[c]
-                if not any(point_in_triangle(pa, pb, pc, p) for p in ps
-                           if p.id not in (a, b, c)):
-                    tris.append((a, b, c))
     return Triangulation(ps, tris)

@@ -7,7 +7,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 from biplane.errors import PreconditionError
+from biplane.generators import regular_polygon_points
 from biplane.geometry import PointSet
+from biplane.triangulation import flip, is_flippable, triangulate
 
 
 def mixed_pipeline_instance(seed: int) -> PointSet:
@@ -43,3 +45,16 @@ def mixed_pipeline_instance(seed: int) -> PointSet:
         except PreconditionError:
             continue
     raise AssertionError(f"no valid mixed instance for seed {seed}")
+
+
+def chordful_triangulation(n: int, seed: int):
+    """Convex-position triangulation diversified by random flips."""
+    ps = regular_polygon_points(n)
+    t = triangulate(ps)
+    rng = random.Random(seed)
+    for _ in range(3 * n):
+        cands = sorted(e for e in t.edges if is_flippable(t, e))
+        if not cands:
+            break
+        t = flip(t, cands[rng.randrange(len(cands))])
+    return t

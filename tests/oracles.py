@@ -250,6 +250,25 @@ def bf_triangulation_ok(ps: PointSet, triangles) -> bool:
     return True
 
 
+def bf_faces_of(ps: PointSet, edges) -> set[tuple[int, int, int]]:
+    """Bounded faces of a full triangulation given by its edges: the 3-cycles
+    of the edge set with no point strictly inside (sorted id triples)."""
+    pts = [p.coords() for p in ps]
+    adj: dict[int, set[int]] = {v: set() for v in range(len(pts))}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    faces = set()
+    for a, b, c in combinations(range(len(pts)), 3):
+        if b in adj[a] and c in adj[a] and c in adj[b]:
+            pa, pb, pc = pts[a], pts[b], pts[c]
+            if not any(len({_cross(pa, pb, pts[w]) > 0, _cross(pb, pc, pts[w]) > 0,
+                            _cross(pc, pa, pts[w]) > 0}) == 1
+                       for w in range(len(pts)) if w not in (a, b, c)):
+                faces.add((a, b, c))
+    return faces
+
+
 def edge_visibility_hall_holds(sa: PointSet, sb: Sequence[tuple[int, int]]) -> bool:
     """Explicit Hall-condition check: every k consecutive hull edges of S_b
     jointly see at least k hull edges of S_a (test oracle for the matching)."""

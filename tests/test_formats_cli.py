@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -5,11 +6,13 @@ import pytest
 
 from biplane.cli import main
 from biplane.errors import PreconditionError
-from biplane.formats import (dumps_layered, dumps_points, loads_layered,
-                             loads_points)
-from biplane.generators import regular_polygon_points
+from biplane.formats import (dumps_layered, dumps_points, edges_as_layered,
+                             loads_layered, loads_points)
+from biplane.generators import random_triangulation, regular_polygon_points
 from biplane.layered import BOTH, LAYER1, LAYER2, LayeredGraph
 from biplane.render import render_svg
+
+from conftest import chordful_triangulation
 
 
 class TestPointFormat:
@@ -68,6 +71,21 @@ class TestRender:
     def test_points_only(self):
         svg = render_svg(LayeredGraph(regular_polygon_points(4), {}))
         assert "<line" not in svg and svg.count("<circle") == 4
+
+
+def _write_input(tmp_path, ps, edges):
+    """Point and layer-1 edge files for `augment` or `verify`."""
+    pts, path = tmp_path / "t.pts", tmp_path / "t.edges"
+    pts.write_text(dumps_points(ps))
+    path.write_text(dumps_layered(edges_as_layered(ps, edges)))
+    return str(pts), str(path)
+
+
+def _exit_and_digest(capsys, *argv):
+    """Exit code of `biplane argv` and the sha256 of what it printed."""
+    capsys.readouterr()
+    code = main(list(argv))
+    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
 class TestCli:
@@ -149,6 +167,25 @@ class TestCli:
         assert payload["kappa"] == 4
         assert payload["chords"] == payload["bichords"] == payload["separating_triangles"] == 0
 
+    @pytest.mark.parametrize("target", ["3", "4"])
+    @pytest.mark.parametrize("n,seed,change,reason", [
+        (10, 1, "drop an edge", "edge count 20 != 3n-3-h = 21"),
+        (14, 0, "add crossing (0, 6)", "edge count 34 != 3n-3-h = 33"),
+    ])
+    def test_augment_non_triangulation_exit_3(self, tmp_path, capsys, target,
+                                              n, seed, change, reason):
+        t = random_triangulation(n, seed)
+        edges = sorted(t.edges)[1:] if change == "drop an edge" else sorted(t.edges | {(0, 6)})
+        pts, path = _write_input(tmp_path, t.ps, edges)
+        capsys.readouterr()
+        assert self.run("augment", "--target", target, "--points", pts, "--edges", path) == 3
+        assert capsys.readouterr().err.strip() == f"error: {reason}"
+        # verify still reports, but has no cut structures of another graph
+        assert self.run("--format", "json", "verify", "--points", pts, "--edges", path) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["edge_count"] == len(edges)
+        assert not {"chords", "bichords", "separating_triangles"} & set(payload)
+
     def test_build_nonconvex_precondition_exit_3(self, tmp_path):
         pts = tmp_path / "nc.pts"
         from biplane.formats import dumps_points
@@ -190,3 +227,70 @@ class TestCli:
             self.run("build", "--mode", "convex4", "--points", str(pts), "--out", str(out))
             outs.append(out.read_text())
         assert outs[0] == outs[1]
+
+
+class TestCliGolden:
+    """sha256 of the standard output of fixed CLI runs: a change that only
+    restructures the code must leave every digest as it is."""
+
+    BUILD = {
+        ("convex4", 12): "06f7fe52507506929e5c3910729bf195ad1621bffff5061f5ca35805fc42d6a6",
+        ("convex4", 14): "90ce2d0c32ad4678945e7abd16eed43cef46adec6fe49a768e88d3eb9a92e37d",
+        ("convex4", 16): "360e87a1d29259dda67b44412951a36f481efd747849773e9a63e5690598ee95",
+        ("convex4", 30): "c8aa7d65aa2c29a8ac1621e23486df9dd7f5eeb5417c6a200d7652772c2f69ff",
+        ("convex5", 12): "e137c1c8cc5f1e0cb7722f8afa37cf38b03286bbbb3b4cbddd31de17abc6221f",
+        ("convex5", 14): "956a2ffbaea0fb3291193aa4dca9cbeceb5a1322c2db536431040720589cacad",
+        ("convex5", 16): "f91c60de73fb135054ac65334a0de8946fbfcdfec9dad4dbcb2f3887b787ef89",
+        ("convex5", 30): "95242a0cdd66f06ef0ce73a2c4812ecf5519f4b85a080438a7639e5519fab60b",
+    }
+
+    AUGMENT = {
+        (3, "random", 10, 1): (0, "cae7e24a1e3ae909e44baf87ea303b995f89063ca77ba5408834ff53494e250b"),
+        (3, "random", 14, 0): (0, "f1baf4e947a0891667a2b8ece5c590296d29221d85a95a119b722a259fe1a12e"),
+        (3, "random", 20, 5): (0, "08f91072abfccef3b9fcddacf5895b2bd301fc87b09da7fae8445892f9214b2e"),
+        (3, "random", 30, 2): (0, "ca37d164faeab979595ba722145fe89ff2bbd2c892ba6c9bdccb0cae9c13323b"),
+        (3, "chordful", 8, 0): (0, "aee132135114f0420080efa47c5fe965b676776f4723fdb03e18cb920504d25d"),
+        (3, "chordful", 11, 3): (0, "49dc977af176e35c21dff9662f80525af1de6d58fc15d95ca7681dbaec6e34ee"),
+        (3, "chordful", 16, 6): (0, "59d1f641ff822f6ffb749f2259a7158c56468b077c6c4575d6a5aa60716e212c"),
+        (4, "random", 10, 1): (0, "6ae33658302c45dd58742b53d4c20fad2ba0455f1cf2c5ac06b9b80e8680aee0"),
+        (4, "random", 14, 0): (0, "dac4931dca7796a93e327f55a8e5f5780932d7196126f46480116f6cd0bdbf1a"),
+        (4, "random", 20, 5): (0, "4d87a545c997a8659679f20c6e6ede767822325ed2e0bc06276aa706df1c8685"),
+        (4, "random", 30, 2): (0, "cf81aaab16feca994108ca6f46122ece6002f97472df7aea0b6aa4342551e585"),
+        (4, "chordful", 8, 0): (0, "f7bd5ffed30ae9d91b83eb6adc3af2a4294f1f0cb1706993f1e19ad13eb485b0"),
+        (4, "chordful", 11, 3): (0, "67625feea64739a455a41e8e13d879c75156f309e094f0f0ad3dd6c43c370dfd"),
+        (4, "chordful", 16, 6): (0, "6c54335bd7faff482d67e17c470f9cbd3d5ac77391713493d486e0cd24c259c2"),
+    }
+
+    VERIFY = {
+        "convex5": "1cd5b20a6812afae0899eed4dd30529344877ccc4de20a8e006aa65c42b09d5c",
+        "no5conn": "e1da8b8e6a88817351da12627000f2889ce67753d5cbf7c82a5271b7ae80d441",
+    }
+
+    @pytest.mark.parametrize("mode,n", sorted(BUILD))
+    def test_build(self, tmp_path, capsys, mode, n):
+        pts = tmp_path / "p.pts"
+        main(["gen", "--shape", "regular", "--n", str(n), "--out", str(pts)])
+        got = _exit_and_digest(capsys, "build", "--mode", mode, "--points", str(pts))
+        assert got == (0, self.BUILD[mode, n])
+
+    @pytest.mark.parametrize("target,kind,n,seed", sorted(AUGMENT))
+    def test_augment(self, tmp_path, capsys, target, kind, n, seed):
+        make = random_triangulation if kind == "random" else chordful_triangulation
+        t = make(n, seed)
+        pts, edges = _write_input(tmp_path, t.ps, t.edges)
+        got = _exit_and_digest(capsys, "augment", "--target", str(target),
+                               "--points", pts, "--edges", edges)
+        assert got == self.AUGMENT[target, kind, n, seed]
+
+    @pytest.mark.parametrize("source", sorted(VERIFY))
+    def test_json_verify(self, tmp_path, capsys, source):
+        pts, edges = tmp_path / "p.pts", tmp_path / "g.edges"
+        if source == "convex5":
+            main(["gen", "--shape", "regular", "--n", "14", "--out", str(pts)])
+            main(["build", "--mode", "convex5", "--points", str(pts), "--out", str(edges)])
+        else:
+            main(["gen", "--shape", "no5conn", "--k", "2", "--out", str(pts),
+                  "--edges-out", str(edges)])
+        got = _exit_and_digest(capsys, "--format", "json", "verify",
+                               "--points", str(pts), "--edges", str(edges))
+        assert got == (0, self.VERIFY[source])

@@ -12,7 +12,7 @@ from biplane.errors import InternalInvariantError, PreconditionError
 from biplane.generators import (random_general_position, random_triangulation,
                                 regular_polygon_points)
 from biplane.geometry import PointSet, segments_properly_cross, visible_hull_edges
-from biplane.layered import LAYER1, LAYER2
+from biplane.layered import LAYER1, LAYER2, LayeredGraph
 from biplane.insertion import (InsertionState, build_5conn_general,
                                check_property_maxi, find_flippable_opposite,
                                insert_hull_points, insert_interior_point)
@@ -364,10 +364,10 @@ class TestLayeringFailureWitness:
         ("hull insertion", lambda st, p: insert_hull_points(st, [p]), (4000, 100)),
     ])
     def test_message_names_the_crossing(self, monkeypatch, step, insert, point):
-        # tag the union of both saturated layers as layer 1, which must cross
-        monkeypatch.setattr(insertion, "_tags_from",
-                            lambda t1, t2: {e: LAYER1 for e in t1.edges | t2.edges})
         st = fresh_core()
+        # from here on, tag the union of both layers as layer 1, which must cross
+        monkeypatch.setattr(LayeredGraph, "from_layers", classmethod(
+            lambda cls, ps, one, two: cls(ps, {e: LAYER1 for e in set(one) | set(two)})))
         with pytest.raises(InternalInvariantError,
                            match=rf"^layer separation broken by {step}: layer 1 edges "
                                  r"\(\d+, \d+\) and \(\d+, \d+\) cross$") as err:

@@ -5,15 +5,16 @@ import pytest
 
 from biplane.connectivity import is_two_edge_connected, kappa_of, verify_layering
 from biplane.errors import PreconditionError
-from biplane.generators import (random_plane_tree, random_triangulation,
-                                regular_polygon_points)
+from biplane.generators import (generate_fan, random_plane_tree,
+                                random_triangulation, regular_polygon_points)
 from biplane.geometry import PointSet, segments_properly_cross
 from biplane.layered import LAYER1, LayeredGraph
 from biplane.treeaug import (RootedTreeIndex, augment_tree_2edge,
                              biplane_after_3conn_augment, build_cell_tree,
                              min_augment_3conn)
-from biplane.triangulation import edge_key, flip, is_flippable, triangulate
+from biplane.triangulation import edge_key
 
+from conftest import chordful_triangulation
 from oracles import bf_two_edge_connected, bf_vertex_connectivity
 
 
@@ -112,30 +113,15 @@ class TestTree2Edge:
             assert is_connected(n, rest), f"no cycle through {e}"
 
 
-def chordful_triangulation(n, seed):
-    """Convex-position triangulation diversified by random flips."""
-    ps = regular_polygon_points(n)
-    t = triangulate(ps)
-    rng = random.Random(seed)
-    for _ in range(3 * n):
-        cands = sorted(e for e in t.edges if is_flippable(t, e))
-        if not cands:
-            break
-        t = flip(t, cands[rng.randrange(len(cands))])
-    return t
-
-
 class TestCellTree:
     def test_no_chords_single_cell(self):
         t = random_triangulation(7, 1)
-        from biplane.augment import _chords_of
-        if _chords_of(t):
+        if t.chords():
             pytest.skip("sampled triangulation has chords")
         ct = build_cell_tree(t)
         assert len(ct.cells) == 1 and ct.leaf_count() == 0
 
     def test_fan_triangulation_has_two_ear_leaves(self):
-        from biplane.generators import generate_fan
         t = generate_fan(7)
         ct = build_cell_tree(t)
         assert ct.leaf_count() == 2
@@ -175,11 +161,20 @@ class TestMinAugment3Conn:
         g = biplane_after_3conn_augment(t, extra)
         assert verify_layering(g)
         assert kappa_of(g) >= 3
-        from biplane.augment import _chords_of
         ps = t.ps
-        for chord in _chords_of(t):
+        for chord in t.chords():
             assert any(segments_properly_cross(ps[chord[0]], ps[chord[1]], ps[u], ps[v])
                        for (u, v) in extra), f"chord {chord} uncrossed"
+
+    @pytest.mark.parametrize("t", [generate_fan(4), random_triangulation(7, 0)],
+                             ids=["fan4", "random7"])
+    def test_single_chord(self, t):
+        """One chord gives two leaf cells, so the one leaf pair is parallel
+        to the only cell-tree edge and must still count as a cycle."""
+        assert len(t.chords()) == 1
+        extra = min_augment_3conn(t)
+        assert len(extra) == 1
+        assert bf_vertex_connectivity(len(t.ps), set(t.edges) | extra) >= 3
 
     @pytest.mark.parametrize("seed", range(8))
     def test_minimality_exhaustive(self, seed):

@@ -6,9 +6,9 @@ import pytest
 from biplane import geometry, triangulation
 from biplane.errors import InternalInvariantError, PreconditionError
 from biplane.geometry import PointSet, point_in_triangle
-from biplane.generators import (generate_fan, generate_wheel,
-                                random_general_position, random_triangulation,
-                                regular_polygon_points)
+from biplane.generators import (generate_fan, generate_no5conn_counterexample,
+                                generate_wheel, random_general_position,
+                                random_triangulation, regular_polygon_points)
 from biplane.layered import saturate_to_maximal_biplane
 from biplane.connectivity import verify_layering
 from biplane.triangulation import (Triangulation, TriangulationClass,
@@ -17,7 +17,7 @@ from biplane.triangulation import (Triangulation, TriangulationClass,
                                    triangle_key, triangulate,
                                    triangulation_from_edges)
 
-from oracles import bf_triangulation_ok
+from oracles import bf_faces_of, bf_triangulation_ok
 
 
 def euler_count(t: Triangulation) -> bool:
@@ -171,6 +171,33 @@ class TestCompletion:
         ps = PointSet([(0, 0), (2, 0), (2, 2), (0, 2)])
         with pytest.raises(PreconditionError):
             complete_to_triangulation(ps, required=[(0, 2), (1, 3)])
+
+
+FROM_EDGES_CASES = ([random_triangulation(n, seed) for n, seed in
+                     [(5, 0), (8, 1), (11, 2), (14, 3), (17, 4), (20, 5)]]
+                    + [generate_wheel(n) for n in (5, 9)]
+                    + [generate_fan(n) for n in (4, 9)]
+                    + [generate_no5conn_counterexample(k) for k in (2, 3)])
+
+
+class TestFromEdges:
+    @pytest.mark.parametrize("t", FROM_EDGES_CASES)
+    def test_angular_faces_match_the_empty_3_cycles(self, t):
+        got = triangulation_from_edges(t.ps, t.edges)
+        assert set(got.triangles) == bf_faces_of(t.ps, t.edges) == set(t.triangles)
+
+    def test_wrong_edge_count_is_a_precondition(self):
+        t = random_triangulation(10, 1)
+        with pytest.raises(PreconditionError, match=r"^edge count 20 != 3n-3-h = 21$"):
+            triangulation_from_edges(t.ps, sorted(t.edges)[1:])
+
+    def test_crossing_edges_are_a_precondition(self):
+        t = random_triangulation(10, 1)
+        e = next(e for e in sorted(t.edges) if is_flippable(t, e))
+        other = next(f for f in sorted(t.edges) if f != e)
+        edges = (t.edges - {other}) | {quad_of_edge(t, e).opposite}
+        with pytest.raises(PreconditionError, match=r"^edges \(\d+, \d+\) and \(\d+, \d+\) cross$"):
+            triangulation_from_edges(t.ps, edges)
 
 
 def flipped(t: Triangulation, e) -> frozenset:
