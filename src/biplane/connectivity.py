@@ -25,80 +25,76 @@ def _adjacency(n: int, edges: Iterable[Edge]) -> list[set[int]]:
     return adj
 
 
-class _FlowNet:
-    """Tiny augmenting-path max-flow on an explicit residual arc list."""
-
-    def __init__(self, nodes: int):
-        self.head: list[list[int]] = [[] for _ in range(nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add(self, u: int, v: int, c: int) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def max_flow(self, s: int, t: int, limit: int) -> int:
-        flow = 0
-        while flow < limit:
-            parent_arc = [-1] * len(self.head)
-            parent_arc[s] = -2
-            queue = deque([s])
-            while queue and parent_arc[t] == -1:
-                u = queue.popleft()
-                for a in self.head[u]:
-                    v = self.to[a]
-                    if parent_arc[v] == -1 and self.cap[a] > 0:
-                        parent_arc[v] = a
-                        queue.append(v)
-            if parent_arc[t] == -1:
-                break
-            v = t
-            while v != s:
-                a = parent_arc[v]
-                self.cap[a] -= 1
-                self.cap[a ^ 1] += 1
-                v = self.to[a ^ 1]
-            flow += 1
-        return flow
-
-
-def _local_vertex_connectivity(n: int, adj: Sequence[set[int]], s: int, t: int,
-                               limit: int) -> int:
-    """Max number of internally vertex-disjoint s-t paths (s, t nonadjacent),
-    capped at `limit`: unit capacity on split vertices, infinite on arcs."""
-    net = _FlowNet(2 * n)
-    for v in range(n):
-        net.add(2 * v, 2 * v + 1, INF if v in (s, t) else 1)
-    for u in range(n):
-        for v in adj[u]:
-            net.add(2 * u + 1, 2 * v, INF)
-    return net.max_flow(2 * s + 1, 2 * t, limit)
-
-
 def vertex_connectivity(n: int, edges: Iterable[Edge]) -> int:
     """Exact vertex connectivity kappa (n - 1 for complete graphs).
 
     Pair schedule: fix a minimum-degree vertex s, run flow to every
     non-neighbor of s, then between every nonadjacent pair of neighbors of s.
     Each flow stops at the running minimum, which it cannot lower beyond.
+
+    A flow counts internally vertex-disjoint s-t paths on split vertices: v
+    becomes an arc 2v -> 2v + 1 of capacity 1 (INF for s and t), and an edge
+    uv the arcs 2u + 1 -> 2v and 2v + 1 -> 2u of capacity INF.  Arcs are
+    stored in pairs, arc a ^ 1 being the residual of arc a.  The arcs are
+    built once; only the split capacities of s and t depend on the pair, so
+    each flow starts from a copy of the base capacities with those two set.
     """
     if n < 2:
         raise PreconditionError("vertex connectivity needs n >= 2")
     adj = _adjacency(n, edges)
+    head: list[list[int]] = [[] for _ in range(2 * n)]
+    to: list[int] = []
+    base: list[int] = []
+
+    def arc(u: int, v: int, c: int) -> None:
+        head[u].append(len(to))
+        to.extend((v, u))
+        base.extend((c, 0))
+        head[v].append(len(to) - 1)
+
+    for v in range(n):
+        arc(2 * v, 2 * v + 1, 1)  # split arc of v: index 2v
+    for u in range(n):
+        for v in adj[u]:
+            arc(2 * u + 1, 2 * v, INF)
+
+    def max_flow(s: int, t: int, limit: int) -> int:
+        cap = base[:]
+        cap[2 * s] = cap[2 * t] = INF
+        src, sink = 2 * s + 1, 2 * t
+        flow = 0
+        while flow < limit:
+            parent_arc = [-1] * (2 * n)
+            parent_arc[src] = -2
+            queue = deque([src])
+            while queue and parent_arc[sink] == -1:
+                u = queue.popleft()
+                for a in head[u]:
+                    v = to[a]
+                    if parent_arc[v] == -1 and cap[a] > 0:
+                        parent_arc[v] = a
+                        queue.append(v)
+            if parent_arc[sink] == -1:
+                break
+            v = sink
+            while v != src:
+                a = parent_arc[v]
+                cap[a] -= 1
+                cap[a ^ 1] += 1
+                v = to[a ^ 1]
+            flow += 1
+        return flow
+
     s = min(range(n), key=lambda v: (len(adj[v]), v))
     best = n - 1
     for t in range(n):
         if t != s and t not in adj[s]:
-            best = _local_vertex_connectivity(n, adj, s, t, best)
+            best = max_flow(s, t, best)
     nbrs = sorted(adj[s])
     for i, u in enumerate(nbrs):
         for v in nbrs[i + 1:]:
             if v not in adj[u]:
-                best = _local_vertex_connectivity(n, adj, u, v, best)
+                best = max_flow(u, v, best)
     return best
 
 

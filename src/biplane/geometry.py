@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cmp_to_key
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
@@ -162,8 +163,13 @@ class PointSet:
     def _init(self, pts: Sequence[Point], known: int) -> None:
         """Validate the points from index `known` on against all others; the
         first `known` points are already distinct and in general position.
-        Only triples whose largest index is at least `known` are tested, in
-        the same lexicographic order as a full scan."""
+
+        A collinear triple (i, j, k), i < j < k, is two earlier points i and
+        j in one reduced, sign-fixed direction from k.  So each k >= known
+        buckets the points before it by direction, O(k) time per point, and
+        the first two members of a bucket are its smallest pair.  The error
+        names the lexicographically smallest collinear triple whose largest
+        index is at least `known`, the one a full scan meets first."""
         seen = {p.coords() for p in pts[:known]}
         for p in pts[known:]:
             if p.coords() in seen:
@@ -171,16 +177,21 @@ class PointSet:
             seen.add(p.coords())
         xs = tuple(p.x for p in pts)
         ys = tuple(p.y for p in pts)
-        n = len(pts)
-        # a subset (known == n) has no new point, so no triple to test
-        for i in range(n if known < n else 0):
-            xi, yi = xs[i], ys[i]
-            for j in range(i + 1, n):
-                dx, dy = xs[j] - xi, ys[j] - yi
-                for k in range(max(j + 1, known), n):
-                    if dx * (ys[k] - yi) == dy * (xs[k] - xi):
-                        raise PreconditionError(
-                            f"points {i}, {j}, {k} are collinear (general position required)")
+        first: tuple[int, int, int] | None = None
+        for k in range(max(known, 2), len(pts)):
+            xk, yk = xs[k], ys[k]
+            bucket: dict[tuple[int, int], int] = {}
+            for i in range(k):
+                dx, dy = xs[i] - xk, ys[i] - yk
+                if dx < 0 or (dx == 0 and dy < 0):
+                    dx, dy = -dx, -dy
+                g = gcd(dx, dy)
+                i0 = bucket.setdefault((dx // g, dy // g), i)
+                if i0 != i and (first is None or (i0, i, k) < first):
+                    first = (i0, i, k)
+        if first is not None:
+            raise PreconditionError(
+                "points {}, {}, {} are collinear (general position required)".format(*first))
         self.points: tuple[Point, ...] = tuple(pts)
         self.xs, self.ys = xs, ys
         self._hull: tuple[int, ...] | None = None
@@ -218,7 +229,7 @@ class PointSet:
         """This set with `coords` appended (ids continue from len(self)).
 
         Raises the error `PointSet` would raise on the concatenated list, but
-        tests only the triples that contain a new point: O(n^2) per point.
+        tests only the triples that contain a new point: O(n) per point.
         """
         return self._derived(self.points + tuple(_checked_points(coords, len(self))), len(self))
 

@@ -17,7 +17,9 @@ class LayeredGraph:
     """Geometric graph whose edges carry a layer tag in {1, 2, 3 = both}.
 
     Edges shared by both layers are stored once with the both-layers flag;
-    layer queries report membership per layer.
+    layer queries report membership per layer.  A LayeredGraph is not
+    mutated after construction: the layer edge sets are computed once, from
+    the tags given to the constructor.
     """
 
     def __init__(self, ps: PointSet, layers: Mapping[Edge, int]):
@@ -35,6 +37,9 @@ class LayeredGraph:
                 raise PreconditionError(f"conflicting tags for edge {k}")
             norm[k] = tag
         self.layers: dict[Edge, int] = dict(sorted(norm.items()))
+        self._layer_edges = {
+            layer: frozenset(e for e, tag in self.layers.items() if tag in (layer, BOTH))
+            for layer in (LAYER1, LAYER2)}
 
     @classmethod
     def from_layers(cls, ps: PointSet, layer1: Iterable[Edge],
@@ -57,7 +62,7 @@ class LayeredGraph:
     def layer_edges(self, layer: int) -> frozenset[Edge]:
         if layer not in (LAYER1, LAYER2):
             raise PreconditionError("layer must be 1 or 2")
-        return frozenset(e for e, tag in self.layers.items() if tag in (layer, BOTH))
+        return self._layer_edges[layer]
 
     def adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {p.id: set() for p in self.ps}

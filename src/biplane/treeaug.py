@@ -306,6 +306,6 @@ def min_augment_3conn(t: Triangulation) -> frozenset[Edge]:
 
 def biplane_after_3conn_augment(t: Triangulation, added: Iterable[Edge] | None = None) -> LayeredGraph:
     """Package the triangulation as layer 1 and the added edges as layer 2;
-    an added edge that t already has keeps only its layer-2 tag."""
+    an added edge that t already has is in both layers, tagged BOTH."""
     extra = frozenset(edge_key(*e) for e in added) if added is not None else min_augment_3conn(t)
-    return LayeredGraph.from_layers(t.ps, t.edges - extra, extra)
+    return LayeredGraph.from_layers(t.ps, t.edges, extra)

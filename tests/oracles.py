@@ -2,7 +2,7 @@
 deliberately separate from the library's algorithms."""
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from functools import cmp_to_key
 from itertools import combinations
 from typing import Sequence
@@ -39,6 +39,95 @@ def bf_vertex_connectivity(n: int, edges) -> int:
             if not connected_after(set(subset)):
                 return k
     return n - 1
+
+
+class _FlowNet:
+    """Tiny augmenting-path max-flow on an explicit residual arc list."""
+
+    def __init__(self, nodes: int):
+        self.head: list[list[int]] = [[] for _ in range(nodes)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+
+    def add(self, u: int, v: int, c: int) -> None:
+        self.head[u].append(len(self.to))
+        self.to.append(v)
+        self.cap.append(c)
+        self.head[v].append(len(self.to))
+        self.to.append(u)
+        self.cap.append(0)
+
+    def max_flow(self, s: int, t: int, limit: int) -> int:
+        flow = 0
+        while flow < limit:
+            parent_arc = [-1] * len(self.head)
+            parent_arc[s] = -2
+            queue = deque([s])
+            while queue and parent_arc[t] == -1:
+                u = queue.popleft()
+                for a in self.head[u]:
+                    v = self.to[a]
+                    if parent_arc[v] == -1 and self.cap[a] > 0:
+                        parent_arc[v] = a
+                        queue.append(v)
+            if parent_arc[t] == -1:
+                break
+            v = t
+            while v != s:
+                a = parent_arc[v]
+                self.cap[a] -= 1
+                self.cap[a ^ 1] += 1
+                v = self.to[a ^ 1]
+            flow += 1
+        return flow
+
+
+def _local_vertex_connectivity(n: int, adj, s: int, t: int, limit: int) -> int:
+    """Max number of internally vertex-disjoint s-t paths (s, t nonadjacent),
+    capped at `limit`, on a split-vertex network built for this pair alone."""
+    inf = 1 << 30
+    net = _FlowNet(2 * n)
+    for v in range(n):
+        net.add(2 * v, 2 * v + 1, inf if v in (s, t) else 1)
+    for u in range(n):
+        for v in adj[u]:
+            net.add(2 * u + 1, 2 * v, inf)
+    return net.max_flow(2 * s + 1, 2 * t, limit)
+
+
+def ref_vertex_connectivity(n: int, edges) -> int:
+    """Reference vertex connectivity for graphs too large to enumerate: the
+    same pair schedule as the library, with a fresh flow network per pair."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for (u, v) in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    s = min(range(n), key=lambda v: (len(adj[v]), v))
+    best = n - 1
+    for t in range(n):
+        if t != s and t not in adj[s]:
+            best = _local_vertex_connectivity(n, adj, s, t, best)
+    nbrs = sorted(adj[s])
+    for i, u in enumerate(nbrs):
+        for v in nbrs[i + 1:]:
+            if v not in adj[u]:
+                best = _local_vertex_connectivity(n, adj, u, v, best)
+    return best
+
+
+def bf_first_collinear(xs: Sequence[int], ys: Sequence[int],
+                       known: int) -> tuple[int, int, int] | None:
+    """First collinear triple (i, j, k), i < j < k and k >= known, of a full
+    lexicographic triple scan; None when there is none.  Points are assumed
+    distinct."""
+    n = len(xs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx, dy = xs[j] - xs[i], ys[j] - ys[i]
+            for k in range(max(j + 1, known), n):
+                if dx * (ys[k] - ys[i]) == dy * (xs[k] - xs[i]):
+                    return i, j, k
+    return None
 
 
 def bf_two_edge_connected(n: int, edges) -> bool:

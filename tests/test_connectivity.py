@@ -2,19 +2,22 @@ import random
 
 import pytest
 
+from biplane.augment import augment_to_4conn
 from biplane.connectivity import (check_4conn_augmentation, compute_layering,
                                   crossing_conflict_graph, cut_structures,
                                   is_two_edge_connected, kappa_of,
                                   verify_layering, vertex_connectivity)
+from biplane.convex import build_4conn_convex, build_5conn_convex
 from biplane.errors import PreconditionError
 from biplane.geometry import PointSet, segments_properly_cross
-from biplane.generators import (generate_fan, generate_wheel,
-                                random_general_position, random_triangulation,
-                                regular_polygon_points)
+from biplane.generators import (generate_fan, generate_no5conn_counterexample,
+                                generate_wheel, random_general_position,
+                                random_triangulation, regular_polygon_points)
 from biplane.layered import BOTH, LAYER1, LAYER2, LayeredGraph
+from biplane.treeaug import min_augment_3conn
 from biplane.triangulation import edge_key, triangulate
 
-from oracles import bf_two_edge_connected, bf_vertex_connectivity
+from oracles import bf_two_edge_connected, bf_vertex_connectivity, ref_vertex_connectivity
 
 
 def random_graph(n, seed, p=0.5):
@@ -46,6 +49,52 @@ class TestVertexConnectivity:
         n = 4 + seed % 5
         edges = random_graph(n, seed, p=0.45 + 0.05 * (seed % 3))
         assert vertex_connectivity(n, edges) == bf_vertex_connectivity(n, edges)
+
+
+def kappa_inputs():
+    """(name, n, edges) for the flow differential: graphs past the reach of
+    the subset enumeration, with kappa from 0 to n - 1."""
+    for n in (30, 60, 120):
+        ps = regular_polygon_points(n)
+        yield f"convex5-{n}", n, build_5conn_convex(ps).edges()
+        yield f"convex4-{n}", n, build_4conn_convex(ps).edges()
+    for n, seed in ((10, 0), (16, 1), (24, 2), (32, 3), (40, 4)):
+        t = random_triangulation(n, seed)
+        yield f"random-{n}", n, t.edges
+        yield f"random-{n}+3", n, t.edges | min_augment_3conn(t)
+        yield f"random-{n}+4", n, t.edges | augment_to_4conn(t)
+    for k in (2, 3, 4):
+        t = generate_no5conn_counterexample(k)
+        yield f"no5conn-{k}", len(t.ps), t.edges
+    for n in (5, 9, 16):
+        yield f"wheel-{n}", n, generate_wheel(n).edges
+        yield f"fan-{n}", n, generate_fan(n).edges
+    for n, seed in ((12, 0), (20, 1), (30, 2)):
+        half = n // 2
+        left = random_graph(half, seed, p=0.6)
+        right = random_graph(n - half, seed + 1, p=0.6)
+        yield f"disconnected-{n}", n, left + [(u + half, v + half) for u, v in right]
+    yield "isolated-vertex", 12, random_graph(11, 5, p=0.8)
+    for n in (2, 3, 6, 10):
+        yield f"complete-{n}", n, [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for n, seed in ((20, 0), (30, 1), (40, 2)):
+        yield f"dense-{n}", n, random_graph(n, seed, p=0.4)
+
+
+KAPPA_INPUTS = list(kappa_inputs())
+
+
+class TestVertexConnectivityAgainstReference:
+    """The shared flow network against a fresh network per vertex pair."""
+
+    @pytest.mark.parametrize("name,n,edges", KAPPA_INPUTS,
+                             ids=[name for name, _, _ in KAPPA_INPUTS])
+    def test_matches(self, name, n, edges):
+        assert vertex_connectivity(n, edges) == ref_vertex_connectivity(n, edges)
+
+    def test_inputs_span_every_small_kappa(self):
+        kappas = {vertex_connectivity(n, edges) for _, n, edges in KAPPA_INPUTS}
+        assert set(range(6)) <= kappas
 
 
 class TestTwoEdgeConnected:
@@ -131,6 +180,13 @@ class TestVerifyLayering:
         ps = PointSet([(0, 0), (2, 0), (2, 2), (0, 2)])
         g = LayeredGraph(ps, {(0, 2): BOTH, (1, 3): LAYER2})
         assert not verify_layering(g)
+
+    def test_layer_edge_sets_are_computed_once(self):
+        ps = PointSet([(0, 0), (2, 0), (2, 2), (0, 2)])
+        g = LayeredGraph(ps, {(0, 1): LAYER1, (0, 2): BOTH, (3, 1): LAYER2})
+        assert g.layer_edges(LAYER1) == {(0, 1), (0, 2)}
+        assert g.layer_edges(LAYER2) == {(0, 2), (1, 3)}
+        assert g.layer_edges(LAYER1) is g.layer_edges(LAYER1)
 
 
 class TestCutStructures:

@@ -15,8 +15,8 @@ from biplane.geometry import (COORD_LIMIT, Orientation, Point, PointSet,
                               visible_hull_edges)
 from biplane.generators import random_general_position, regular_polygon_points
 
-from oracles import (bf_hull_ids, bf_max_convex_subset, bf_optimal_convex_subsets,
-                     dp_max_convex_subset)
+from oracles import (bf_first_collinear, bf_hull_ids, bf_max_convex_subset,
+                     bf_optimal_convex_subsets, dp_max_convex_subset)
 
 
 def P(x, y):
@@ -105,6 +105,83 @@ class TestPointSet:
         base = PointSet([(0, 0), (4, 1), (1, 4), (9, 3)])
         with pytest.raises(PreconditionError, match=r"^points 0, 1, 4 are collinear"):
             base.extended([(8, 2), (2, 8)])
+
+    def test_smallest_triple_wins_over_the_first_repeat(self):
+        # from point 6, bucket (1, 0) fills only at i = 5 but holds the
+        # smaller pair (0, 5); bucket (0, 1) repeats first, at i = 3
+        coords = [(1, 0), (0, 1), (3, 5), (0, 2), (5, -3), (-1, 0), (0, 0)]
+        assert general_position_error(coords, 0) == \
+            "points 0, 5, 6 are collinear (general position required)"
+        with pytest.raises(PreconditionError, match=r"^points 0, 5, 6 are collinear"):
+            PointSet(coords)
+
+    @pytest.mark.parametrize("family", ["grid", "quarter_turn", "duplicates"])
+    def test_matches_the_triple_scan_at_every_known(self, family):
+        """For every prefix in general position, extending it by the rest
+        raises what the duplicate check and the triple scan name."""
+        rng = random.Random(family)
+        duplicate = collinear = middle = 0
+        for _ in range(150):
+            coords = raw_coords(rng, family)
+            for known in range(len(coords) + 1):
+                if general_position_error(coords[:known], 0) is not None:
+                    break
+                want = general_position_error(coords, known)
+                try:
+                    if known:
+                        PointSet(coords[:known]).extended(coords[known:])
+                    else:
+                        PointSet(coords)
+                    got = None
+                except PreconditionError as exc:
+                    got = str(exc)
+                assert got == want, (coords, known)
+                if want is not None and want.startswith("duplicate"):
+                    duplicate += 1
+                elif want is not None:
+                    collinear += 1
+                    i, j, k = map(int, want[len("points "):want.index(" are")].split(", "))
+                    # k between i and j: the two lie in opposite directions from k
+                    middle += min(coords[i], coords[j]) < coords[k] < max(coords[i], coords[j])
+        if family == "duplicates":
+            assert duplicate >= 150
+        else:
+            assert collinear >= 100 and middle >= 20, (collinear, middle)
+
+
+def general_position_error(coords, known):
+    """The message PointSet raises on `coords` when the first `known` points
+    are already checked: a duplicate among the later points, else the first
+    collinear triple of the triple scan, else None."""
+    seen = set(coords[:known])
+    for c in coords[known:]:
+        if c in seen:
+            return f"duplicate point {c}"
+        seen.add(c)
+    triple = bf_first_collinear([x for x, _ in coords], [y for _, y in coords], known)
+    if triple is None:
+        return None
+    return "points {}, {}, {} are collinear (general position required)".format(*triple)
+
+
+def raw_coords(rng, family):
+    """Unchecked coordinates in [-4, 4]^2: distinct grid points, a set closed
+    under the quarter turn (x, y) -> (-y, x) (shuffled, sometimes with the
+    origin), or grid points with one repeated."""
+    if family == "quarter_turn":
+        coords = set()
+        for _ in range(rng.randint(1, 3)):
+            x, y = rng.randint(-4, 4), rng.randint(-4, 4)
+            coords |= {(x, y), (-y, x), (-x, -y), (y, -x)}
+        if rng.random() < 0.3:
+            coords.add((0, 0))
+        out = sorted(coords)
+        rng.shuffle(out)
+        return out
+    out = rng.sample([(x, y) for x in range(-4, 5) for y in range(-4, 5)], rng.randint(3, 9))
+    if family == "duplicates":
+        out.insert(rng.randint(1, len(out)), out[rng.randrange(len(out))])
+    return out
 
 
 def nested_pairs(ps, edges):

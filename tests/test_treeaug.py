@@ -8,7 +8,7 @@ from biplane.errors import PreconditionError
 from biplane.generators import (generate_fan, random_plane_tree,
                                 random_triangulation, regular_polygon_points)
 from biplane.geometry import PointSet, segments_properly_cross
-from biplane.layered import LAYER1, LayeredGraph
+from biplane.layered import BOTH, LAYER1, LAYER2, LayeredGraph
 from biplane.treeaug import (RootedTreeIndex, augment_tree_2edge,
                              biplane_after_3conn_augment, build_cell_tree,
                              min_augment_3conn)
@@ -141,6 +141,14 @@ class TestCellTree:
 
 
 class TestMinAugment3Conn:
+    def test_added_edge_already_in_t_is_in_both_layers(self):
+        t = generate_fan(6)
+        assert (0, 1) in t.edges
+        g = biplane_after_3conn_augment(t, [(1, 0)])
+        assert g.layers[(0, 1)] == BOTH
+        assert g.layer_edges(LAYER1) == t.edges
+        assert g.layer_edges(LAYER2) == {(0, 1)}
+
     def test_already_3_connected_yields_empty(self):
         for seed in range(30):
             t = random_triangulation(8, seed)
