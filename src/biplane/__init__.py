@@ -16,8 +16,8 @@ from .triangulation import (Quad, Triangulation, TriangulationClass, classify,
 from .connectivity import (Bichord, CutReport, SeparatingTriangle,
                            check_4conn_augmentation, compute_layering,
                            crossing_conflict_graph, cut_structures,
-                           is_two_edge_connected, kappa_of, verify_layering,
-                           vertex_connectivity)
+                           is_two_edge_connected, kappa_of, min_vertex_cut,
+                           verify_layering, vertex_connectivity)
 from .convex import (build_4conn_convex, build_5conn_convex,
                      find_hamiltonian_cycle, grow_4conn_planar, octahedron,
                      realize_hamiltonian_on_convex, vertex_split)

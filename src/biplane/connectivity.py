@@ -26,25 +26,52 @@ def _adjacency(n: int, edges: Iterable[Edge]) -> list[set[int]]:
 
 
 def vertex_connectivity(n: int, edges: Iterable[Edge]) -> int:
-    """Exact vertex connectivity kappa (n - 1 for complete graphs).
+    """Exact vertex connectivity kappa (n - 1 for complete graphs); the first
+    element of `min_vertex_cut`."""
+    return min_vertex_cut(n, edges)[0]
 
-    Pair schedule: fix a minimum-degree vertex s, run flow to every
-    non-neighbor of s, then between every nonadjacent pair of neighbors of s.
-    Each flow stops at the running minimum, which it cannot lower beyond.
+
+def min_vertex_cut(n: int, edges: Iterable[Edge]) -> tuple[int, list[int]]:
+    """Vertex connectivity kappa with a minimum vertex cut as its certificate.
+
+    The cut is a sorted list of kappa vertices whose removal disconnects the
+    graph; for a complete graph it is every vertex but one, since no vertex
+    set disconnects it.
+
+    Pair schedule (Esfahanian and Hakimi, 1984): fix a minimum-degree vertex
+    s and start from best = deg(s), which bounds kappa from above.  Run a
+    flow from s to every non-neighbour t of s outside a greedy maximal
+    independent set I of G - N[s], then between every nonadjacent pair of
+    neighbours of s.  Each flow stops at the running best.  Skipping I is
+    exact: if kappa < deg(s) and some minimum cut C misses s, a component T
+    of G - C away from s avoids N[s], and each of its vertices has at most
+    kappa neighbours outside T, so |T| >= deg(s) + 1 - kappa >= 2.  T is
+    connected, so it holds an edge, and an endpoint of that edge is a
+    target that C separates from s.  Cuts that contain s separate two
+    nonadjacent neighbours of s.
 
     A flow counts internally vertex-disjoint s-t paths on split vertices: v
     becomes an arc 2v -> 2v + 1 of capacity 1 (INF for s and t), and an edge
     uv the arcs 2u + 1 -> 2v and 2v + 1 -> 2u of capacity INF.  Arcs are
     stored in pairs, arc a ^ 1 being the residual of arc a.  The arcs are
-    built once; only the split capacities of s and t depend on the pair, so
-    each flow starts from a copy of the base capacities with those two set.
+    built once; each flow starts from a copy of the base capacities with the
+    split arcs of s and t set to INF.  It is seeded with greedy disjoint
+    paths, each a breadth-first search of the graph that avoids the interior
+    vertices of the earlier ones, and then augmented along residual paths.
+    Augmenting from any feasible flow reaches the maximum, so the seed
+    changes the work and not the value.  The cut is N(s) when no flow lowers
+    deg(s); otherwise it is read from the last flow that lowered best: the
+    vertices whose in-node the final residual search reached and whose
+    out-node it did not.
     """
     if n < 2:
         raise PreconditionError("vertex connectivity needs n >= 2")
     adj = _adjacency(n, edges)
+    nbrs = [sorted(a) for a in adj]
     head: list[list[int]] = [[] for _ in range(2 * n)]
     to: list[int] = []
     base: list[int] = []
+    edge_arc: list[dict[int, int]] = [{} for _ in range(n)]
 
     def arc(u: int, v: int, c: int) -> None:
         head[u].append(len(to))
@@ -55,27 +82,58 @@ def vertex_connectivity(n: int, edges: Iterable[Edge]) -> int:
     for v in range(n):
         arc(2 * v, 2 * v + 1, 1)  # split arc of v: index 2v
     for u in range(n):
-        for v in adj[u]:
+        for v in nbrs[u]:
+            edge_arc[u][v] = len(to)
             arc(2 * u + 1, 2 * v, INF)
 
-    def max_flow(s: int, t: int, limit: int) -> int:
+    def max_flow(s: int, t: int, limit: int) -> tuple[int, list[int]]:
+        """Flow value, at most limit; below limit, also the minimum cut that
+        the final, failed residual search leaves."""
         cap = base[:]
         cap[2 * s] = cap[2 * t] = INF
-        src, sink = 2 * s + 1, 2 * t
         flow = 0
+        used = [False] * n  # interior vertices of the greedy paths so far
+        while flow < limit:
+            parent = [-1] * n
+            parent[s] = s
+            queue = [s]
+            for u in queue:
+                for v in nbrs[u]:
+                    if parent[v] == -1 and not used[v]:
+                        parent[v] = u
+                        queue.append(v)
+                if parent[t] != -1:
+                    break
+            if parent[t] == -1:
+                break
+            v = t
+            while v != s:
+                u = parent[v]
+                a = edge_arc[u][v]
+                cap[a] -= 1
+                cap[a ^ 1] += 1
+                if u != s:
+                    used[u] = True
+                    cap[2 * u] -= 1
+                    cap[2 * u + 1] += 1
+                v = u
+            flow += 1
+        src, sink = 2 * s + 1, 2 * t
         while flow < limit:
             parent_arc = [-1] * (2 * n)
             parent_arc[src] = -2
-            queue = deque([src])
-            while queue and parent_arc[sink] == -1:
-                u = queue.popleft()
+            queue = [src]
+            for u in queue:
                 for a in head[u]:
                     v = to[a]
                     if parent_arc[v] == -1 and cap[a] > 0:
                         parent_arc[v] = a
                         queue.append(v)
+                if parent_arc[sink] != -1:
+                    break
             if parent_arc[sink] == -1:
-                break
+                return flow, [v for v in range(n)
+                              if parent_arc[2 * v] != -1 and parent_arc[2 * v + 1] == -1]
             v = sink
             while v != src:
                 a = parent_arc[v]
@@ -83,19 +141,29 @@ def vertex_connectivity(n: int, edges: Iterable[Edge]) -> int:
                 cap[a ^ 1] += 1
                 v = to[a ^ 1]
             flow += 1
-        return flow
+        return flow, []
+
+    def lower(s: int, t: int) -> None:
+        nonlocal best, cut
+        flow, side = max_flow(s, t, best)
+        if flow < best:
+            best, cut = flow, side
 
     s = min(range(n), key=lambda v: (len(adj[v]), v))
-    best = n - 1
+    best, cut = len(adj[s]), nbrs[s]
+    independent = [False] * n
     for t in range(n):
-        if t != s and t not in adj[s]:
-            best = max_flow(s, t, best)
-    nbrs = sorted(adj[s])
-    for i, u in enumerate(nbrs):
-        for v in nbrs[i + 1:]:
+        if t == s or t in adj[s]:
+            continue
+        if not any(independent[w] for w in nbrs[t]):
+            independent[t] = True
+            continue
+        lower(s, t)
+    for i, u in enumerate(nbrs[s]):
+        for v in nbrs[s][i + 1:]:
             if v not in adj[u]:
-                best = max_flow(u, v, best)
-    return best
+                lower(u, v)
+    return best, cut
 
 
 def kappa_of(g: LayeredGraph | Triangulation) -> int:

@@ -87,6 +87,15 @@ class PlanarTriangulatedGraph:
         self.edge_faces = edge_faces
         self.edges: frozenset[Edge] = frozenset(edge_faces)
 
+    @classmethod
+    def _from_maps(cls, n: int, faces: frozenset[tuple[int, int, int]],
+                   edge_faces: dict[Edge, list[tuple[int, int, int]]]) -> PlanarTriangulatedGraph:
+        """A graph from face and edge-face maps that are already consistent."""
+        g = cls.__new__(cls)
+        g.n, g.faces, g.edge_faces = n, faces, edge_faces
+        g.edges = frozenset(edge_faces)
+        return g
+
     def adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {v: set() for v in range(self.n)}
         for (u, v) in self.edges:
@@ -117,11 +126,20 @@ def vertex_split(g: PlanarTriangulatedGraph, e: Edge) -> PlanarTriangulatedGraph
     a = next(x for x in f1 if x not in e)
     b = next(x for x in f2 if x not in e)
     z = g.n
-    faces = set(g.faces)
-    faces.discard(f1)
-    faces.discard(f2)
-    faces |= {tuple(sorted(t)) for t in ((u, a, z), (a, v, z), (v, b, z), (b, u, z))}
-    return PlanarTriangulatedGraph(g.n + 1, faces)
+    # patch the parent's edge-face map: (u, v) goes, the sides of the
+    # quadrilateral u a v b now bound faces through z, and z gets four edges;
+    # the other face lists are shared with the parent, and neither mutates them
+    quad = (u, a, v, b)
+    new = [tuple(sorted((quad[i], quad[(i + 1) % 4], z))) for i in range(4)]
+    edge_faces = dict(g.edge_faces)
+    del edge_faces[e]
+    for i, x in enumerate(quad):
+        side = edge_key(x, quad[(i + 1) % 4])
+        old = f1 if i < 2 else f2
+        edge_faces[side] = [new[i] if f == old else f for f in edge_faces[side]]
+        edge_faces[(x, z)] = [new[i - 1], new[i]]
+    faces = (g.faces - {f1, f2}) | set(new)
+    return PlanarTriangulatedGraph._from_maps(z + 1, faces, edge_faces)  # type: ignore[arg-type]
 
 
 def grow_4conn_planar(n: int) -> PlanarTriangulatedGraph:
@@ -130,53 +148,64 @@ def grow_4conn_planar(n: int) -> PlanarTriangulatedGraph:
     if n < 6:
         raise ImpossibleError("every 4-connected planar graph has at least 6 vertices")
     g = octahedron()
+    last_nbrs = {x for e in g.edges if g.n - 1 in e for x in e} - {g.n - 1}
     while g.n < n:
-        last = g.n - 1
-        incident = sorted(e for e in g.edges if last in e)
-        g = vertex_split(g, incident[0] if incident else min(g.edges))
+        e = (min(last_nbrs), g.n - 1)
+        f1, f2 = g.edge_faces[e]
+        last_nbrs = set(f1) | set(f2)
+        g = vertex_split(g, e)
     return g
 
 
 def find_hamiltonian_cycle(n: int, edges: Iterable[Edge]) -> list[int]:
-    """Hamiltonian cycle by deterministic backtracking (desk scale n <= 24;
-    existence is guaranteed for 4-connected planar inputs)."""
+    """Hamiltonian cycle by deterministic backtracking (existence is
+    guaranteed for 4-connected planar inputs).
+
+    A partial path 0 ... tail is extended only while every unvisited vertex
+    keeps two usable connections: unvisited neighbours, the tail and 0.  When
+    a child appends w to a path whose test passed, w is the new tail, and the
+    count drops by one exactly for the unvisited neighbours of the old tail p
+    (not at all when p = 0), so only they are tested again.
+    """
     adj: dict[int, set[int]] = {v: set() for v in range(n)}
     for (u, v) in edges:
         adj[u].add(v)
         adj[v].add(u)
     if n < 3:
         raise PreconditionError("cycle needs n >= 3")
+    nbrs = [sorted(adj[v]) for v in range(n)]
     path = [0]
     on_path = [False] * n
     on_path[0] = True
 
-    def feasible() -> bool:
-        # every unvisited vertex must keep two usable connections
+    def feasible(candidates: Iterable[int]) -> bool:
         tail = path[-1]
-        for v in range(n):
+        for v in candidates:
             if on_path[v]:
                 continue
-            free = sum(1 for w in adj[v] if not on_path[w] or w == tail or w == 0)
+            free = sum(1 for w in nbrs[v] if not on_path[w] or w == tail or w == 0)
             if free < 2:
                 return False
         return True
 
-    def extend() -> bool:
+    def extend(candidates: Iterable[int]) -> bool:
         if len(path) == n:
             return 0 in adj[path[-1]]
-        if not feasible():
+        if not feasible(candidates):
             return False
-        for w in sorted(adj[path[-1]]):
+        p = path[-1]
+        changed = nbrs[p] if p != 0 else ()
+        for w in nbrs[p]:
             if not on_path[w]:
                 path.append(w)
                 on_path[w] = True
-                if extend():
+                if extend(changed):
                     return True
                 on_path[w] = False
                 path.pop()
         return False
 
-    if not extend():
+    if not extend(range(n)):
         raise PreconditionError("no Hamiltonian cycle found")
     return path
 

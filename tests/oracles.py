@@ -96,8 +96,10 @@ def _local_vertex_connectivity(n: int, adj, s: int, t: int, limit: int) -> int:
 
 
 def ref_vertex_connectivity(n: int, edges) -> int:
-    """Reference vertex connectivity for graphs too large to enumerate: the
-    same pair schedule as the library, with a fresh flow network per pair."""
+    """Reference vertex connectivity for graphs too large to enumerate: every
+    non-neighbour of a minimum-degree vertex and every nonadjacent pair of
+    its neighbours, from n - 1 down, with a fresh flow network per pair and
+    plain augmenting paths."""
     adj: list[set[int]] = [set() for _ in range(n)]
     for (u, v) in edges:
         adj[u].add(v)
@@ -113,6 +115,49 @@ def ref_vertex_connectivity(n: int, edges) -> int:
             if v not in adj[u]:
                 best = _local_vertex_connectivity(n, adj, u, v, best)
     return best
+
+
+def ref_hamiltonian_cycle(n: int, edges) -> list[int]:
+    """The Hamiltonian backtracking search with its feasibility test rerun
+    over every unvisited vertex at every node of the search."""
+    adj: dict[int, set[int]] = {v: set() for v in range(n)}
+    for (u, v) in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    if n < 3:
+        raise PreconditionError("cycle needs n >= 3")
+    path = [0]
+    on_path = [False] * n
+    on_path[0] = True
+
+    def feasible() -> bool:
+        tail = path[-1]
+        for v in range(n):
+            if on_path[v]:
+                continue
+            free = sum(1 for w in adj[v] if not on_path[w] or w == tail or w == 0)
+            if free < 2:
+                return False
+        return True
+
+    def extend() -> bool:
+        if len(path) == n:
+            return 0 in adj[path[-1]]
+        if not feasible():
+            return False
+        for w in sorted(adj[path[-1]]):
+            if not on_path[w]:
+                path.append(w)
+                on_path[w] = True
+                if extend():
+                    return True
+                on_path[w] = False
+                path.pop()
+        return False
+
+    if not extend():
+        raise PreconditionError("no Hamiltonian cycle found")
+    return path
 
 
 def bf_first_collinear(xs: Sequence[int], ys: Sequence[int],

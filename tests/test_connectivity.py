@@ -6,7 +6,8 @@ from biplane.augment import augment_to_4conn
 from biplane.connectivity import (check_4conn_augmentation, compute_layering,
                                   crossing_conflict_graph, cut_structures,
                                   is_two_edge_connected, kappa_of,
-                                  verify_layering, vertex_connectivity)
+                                  min_vertex_cut, verify_layering,
+                                  vertex_connectivity)
 from biplane.convex import build_4conn_convex, build_5conn_convex
 from biplane.errors import PreconditionError
 from biplane.geometry import PointSet, segments_properly_cross
@@ -95,6 +96,117 @@ class TestVertexConnectivityAgainstReference:
     def test_inputs_span_every_small_kappa(self):
         kappas = {vertex_connectivity(n, edges) for _, n, edges in KAPPA_INPUTS}
         assert set(range(6)) <= kappas
+
+
+def small_random_graphs(block, count=60):
+    """Seeded graphs on 2-9 vertices with densities spread over (0, 1)."""
+    for seed in range(block * count, (block + 1) * count):
+        rng = random.Random(seed)
+        n = rng.randint(2, 9)
+        p = rng.random()
+        yield n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+
+
+def pocket_graph(seed):
+    """A dense core of 8-30 vertices and a clique of 2-4 pocket vertices, each
+    joined to the same k = 1-5 core vertices, with labels shuffled.  Half of
+    the graphs trim one core vertex off the cut to the pocket degree, so that
+    it can be the minimum-degree vertex while the pocket is a two-vertex side
+    of a minimum cut.  Returns (n, edges, pocket vertices)."""
+    rng = random.Random(seed)
+    core = rng.randint(8, 30)
+    q = rng.randint(2, 4)
+    k = rng.randint(1, 5)
+    p = rng.uniform(0.5, 0.95)
+    n = core + q
+    edges = [(u, v) for u in range(core) for v in range(u + 1, core) if rng.random() < p]
+    edges += [(u, v) for u in range(core, n) for v in range(u + 1, n)]
+    cut = rng.sample(range(core), k)
+    edges += [(c, v) for c in cut for v in range(core, n)]
+    if rng.random() < 0.5:
+        x = rng.choice([v for v in range(core) if v not in cut])
+        keep = rng.sample([v for v in range(core) if v != x], min(q + k - 1, core - 1))
+        edges = [e for e in edges if x not in e] + [(x, v) for v in keep]
+    label = list(range(n))
+    rng.shuffle(label)
+    return n, [(label[u], label[v]) for u, v in edges], {label[v] for v in range(core, n)}
+
+
+def assert_cut_certifies(n, edges, kappa, cut):
+    """|cut| = kappa and removing it disconnects the graph, or, for a
+    complete graph, leaves a single vertex."""
+    assert len(cut) == kappa == len(set(cut))
+    removed = set(cut)
+    alive = [v for v in range(n) if v not in removed]
+    if len(alive) == 1:
+        assert len(edges) == n * (n - 1) // 2
+        return
+    assert not is_connected_after(n, edges, removed)
+
+
+def is_connected_after(n, edges, removed):
+    adj = {v: set() for v in range(n) if v not in removed}
+    for (u, v) in edges:
+        if u in adj and v in adj:
+            adj[u].add(v)
+            adj[v].add(u)
+    start = next(iter(adj))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adj)
+
+
+class TestVertexConnectivityFuzz:
+    """Seeded differential tests of the flow kernel and its cut certificate."""
+
+    @pytest.mark.parametrize("block", range(10))
+    def test_small_graphs_match_bruteforce(self, block):
+        for n, edges in small_random_graphs(block):
+            kappa, cut = min_vertex_cut(n, edges)
+            assert kappa == bf_vertex_connectivity(n, edges), (n, edges)
+            assert_cut_certifies(n, edges, kappa, cut)
+
+    @pytest.mark.parametrize("block", range(10))
+    def test_pocket_graphs_match_reference(self, block):
+        for seed in range(block * 30, (block + 1) * 30):
+            n, edges, _ = pocket_graph(seed)
+            kappa, cut = min_vertex_cut(n, edges)
+            assert kappa == ref_vertex_connectivity(n, edges), seed
+            assert_cut_certifies(n, edges, kappa, cut)
+
+    def test_pocket_family_reaches_the_tight_case(self):
+        """Some pocket graphs have kappa < delta, a minimum-degree vertex s
+        outside the pocket and a pocket of exactly delta + 1 - kappa = 2
+        vertices: the smallest side that skipping independent targets must
+        still reach."""
+        tight = 0
+        for seed in range(300):
+            n, edges, pocket = pocket_graph(seed)
+            degree = [0] * n
+            for (u, v) in edges:
+                degree[u] += 1
+                degree[v] += 1
+            s = min(range(n), key=lambda v: (degree[v], v))
+            kappa = vertex_connectivity(n, edges)
+            if kappa < degree[s] and s not in pocket and len(pocket) == 2 == degree[s] + 1 - kappa:
+                tight += 1
+        assert tight >= 10
+
+    @pytest.mark.parametrize("name,n,edges", KAPPA_INPUTS,
+                             ids=[name for name, _, _ in KAPPA_INPUTS])
+    def test_cut_certifies_kappa(self, name, n, edges):
+        kappa, cut = min_vertex_cut(n, edges)
+        assert kappa == vertex_connectivity(n, edges)
+        assert_cut_certifies(n, edges, kappa, cut)
+
+    def test_cut_is_the_neighbourhood_when_kappa_is_the_minimum_degree(self):
+        t = generate_wheel(7)
+        assert min_vertex_cut(7, t.edges) == (3, sorted(t.neighbors(0)))
 
 
 class TestTwoEdgeConnected:

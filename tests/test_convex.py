@@ -1,14 +1,19 @@
+import random
+
 import pytest
 
 from biplane.connectivity import kappa_of, verify_layering, vertex_connectivity
-from biplane.convex import (_fig1_trees, build_4conn_convex,
-                            build_5conn_convex, find_hamiltonian_cycle,
-                            grow_4conn_planar, octahedron,
-                            realize_hamiltonian_on_convex, vertex_split)
+from biplane.convex import (PlanarTriangulatedGraph, _fig1_trees,
+                            build_4conn_convex, build_5conn_convex,
+                            find_hamiltonian_cycle, grow_4conn_planar,
+                            octahedron, realize_hamiltonian_on_convex,
+                            vertex_split)
 from biplane.errors import ImpossibleError, PreconditionError
 from biplane.generators import regular_polygon_points
 from biplane.geometry import PointSet, segments_properly_cross
 from biplane.triangulation import edge_key
+
+from oracles import ref_hamiltonian_cycle
 
 
 class TestFig1Trees:
@@ -92,6 +97,16 @@ class TestOctahedronGrowth:
         z_neighbors = {v for (u, v) in g2.edges if u == 6} | {u for (u, v) in g2.edges if v == 6}
         assert z_neighbors == set(f1) | set(f2)
 
+    @pytest.mark.parametrize("n", [6, 7, 12, 40, 120])
+    def test_split_patch_matches_a_rebuild_from_faces(self, n):
+        g = grow_4conn_planar(n)
+        for e in sorted(g.edges)[:10]:
+            patched = vertex_split(g, e)
+            rebuilt = PlanarTriangulatedGraph(patched.n, patched.faces)
+            assert patched.edges == rebuilt.edges
+            assert ({e: set(fs) for e, fs in patched.edge_faces.items()}
+                    == {e: set(fs) for e, fs in rebuilt.edge_faces.items()})
+
     @pytest.mark.parametrize("n", range(6, 15))
     def test_growth_chain_stays_4_connected_planar(self, n):
         g = grow_4conn_planar(n)
@@ -119,6 +134,27 @@ class TestHamiltonian:
         g = grow_4conn_planar(n)
         cyc = find_hamiltonian_cycle(g.n, g.edges)
         assert sorted(cyc) == list(range(n))
+
+
+    @pytest.mark.parametrize("n", list(range(6, 60)) + [120, 160, 200])
+    def test_same_cycle_as_full_rescan(self, n):
+        g = grow_4conn_planar(n)
+        assert find_hamiltonian_cycle(n, g.edges) == ref_hamiltonian_cycle(n, g.edges)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_graphs_same_outcome_as_full_rescan(self, seed):
+        for k in range(20):
+            rng = random.Random(100 * seed + k)
+            n = rng.randint(3, 10)
+            p = rng.uniform(0.3, 0.8)
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            try:
+                expected = ref_hamiltonian_cycle(n, edges)
+            except PreconditionError:
+                with pytest.raises(PreconditionError):
+                    find_hamiltonian_cycle(n, edges)
+            else:
+                assert find_hamiltonian_cycle(n, edges) == expected
 
 
 class TestRealize:
