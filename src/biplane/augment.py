@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .connectivity import check_4conn_augmentation, cut_structures, vertex_connectivity
 from .errors import ImpossibleError, InternalInvariantError, PreconditionError
-from .geometry import (Point, PointSet, cross, crossing_pairs, polygon_doubled_area,
+from .geometry import (Point, PointSet, cross, first_crossing, polygon_doubled_area,
                        segments_properly_cross)
 from .treeaug import build_cell_tree
 from .triangulation import (Edge, Triangulation, TriangulationClass, classify,
@@ -191,7 +191,7 @@ def _augment_3connected(t: Triangulation) -> set[Edge]:
             else:
                 new_edges.add(edge_key(vk1, hv))
         new_edges -= set(t.edges)
-        if not crossing_pairs(ps, sorted(new_edges)):
+        if first_crossing(ps, sorted(new_edges)) is None:
             return new_edges
         last_bad = new_edges
     raise InternalInvariantError(
@@ -223,7 +223,7 @@ def _convex6_base(t: Triangulation) -> set[Edge]:
     """Try the (few) noncrossing 3-subsets of absent edges; the chord triangle
     and chord path patterns always admit one making the union 4-connected."""
     for trio in combinations(_non_edges(t), 3):
-        if crossing_pairs(t.ps, trio):
+        if first_crossing(t.ps, trio) is not None:
             continue
         if vertex_connectivity(6, set(t.edges) | set(trio)) >= 4:
             return set(trio)
@@ -392,7 +392,7 @@ def _wheel_remainder_wiring(t: Triangulation, chord: Edge, members: frozenset[in
         new_edges = {edge_key(u_prime, vj) for vj in vs}
         new_edges |= {edge_key(v1, q) for q in cell_inner}
         new_edges -= set(t.edges)
-        if not crossing_pairs(t.ps, sorted(new_edges)):
+        if first_crossing(t.ps, sorted(new_edges)) is None:
             return new_edges
     raise InternalInvariantError("wheel-remainder wiring crosses itself in both sweeps")
 
@@ -431,7 +431,7 @@ def augment_to_4conn(t: Triangulation) -> frozenset[Edge]:
         raise PreconditionError("need n >= 6 in convex position or n >= 5 otherwise")
     partner = _plane_partner(t)
     new_edges = frozenset(e for e in partner if e not in t.edges)
-    if crossing_pairs(t.ps, sorted(new_edges)):
+    if first_crossing(t.ps, sorted(new_edges)) is not None:
         raise InternalInvariantError("augmentation edges cross each other")
     ok, violations = check_4conn_augmentation(t, new_edges)
     if not ok:

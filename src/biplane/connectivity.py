@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .geometry import PointSet, cross, crossing_pairs, point_in_triangle, segments_properly_cross
+from .geometry import (PointSet, cross, crossing_pairs, first_crossing, point_in_triangle,
+                       segments_properly_cross)
 from .layered import LayeredGraph
 from .triangulation import Edge, Triangulation, edge_key
 
@@ -239,7 +240,14 @@ def compute_layering(ps: PointSet, edges: Sequence[Edge]) -> tuple[dict[Edge, in
     odd_cycle is a cyclic list of edges that pairwise-consecutively cross and
     has odd length.
     """
-    es, conflicts = crossing_conflict_graph(ps, edges)
+    return layers_from_conflicts(*crossing_conflict_graph(ps, edges))
+
+
+def layers_from_conflicts(es: Sequence[Edge], conflicts: Sequence[set[int]]
+                          ) -> tuple[dict[Edge, int] | None, list[Edge] | None]:
+    """compute_layering on a given conflict graph over the indices of `es`:
+    a breadth-first 2-coloring from each uncolored index in turn, neighbours
+    in ascending order, which names the first odd cycle it closes."""
     color = [-1] * len(es)
     parent = [-1] * len(es)
     for root in range(len(es)):
@@ -266,7 +274,7 @@ def compute_layering(ps: PointSet, edges: Sequence[Edge]) -> tuple[dict[Edge, in
                     while x != -1:
                         pv.append(x)
                         x = parent[x]
-                    iu, iv = set(pu), set(pv)
+                    iv = set(pv)
                     lca = next(x for x in pu if x in iv)
                     cyc = pu[:pu.index(lca) + 1] + pv[:pv.index(lca)][::-1]
                     return None, [es[i] for i in cyc]
@@ -278,9 +286,9 @@ def layer_crossing(g: LayeredGraph) -> tuple[int, Edge, Edge] | None:
     first; None when both layers are plane."""
     for layer in (1, 2):
         es = sorted(g.layer_edges(layer))
-        pairs = crossing_pairs(g.ps, es)
-        if pairs:
-            i, j = pairs[0]
+        pair = first_crossing(g.ps, es)
+        if pair:
+            i, j = pair
             return layer, es[i], es[j]
     return None
 

@@ -8,9 +8,10 @@ convex set through a Hamiltonian cycle with two-page chord coloring.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
-from .connectivity import compute_layering
+from .connectivity import layers_from_conflicts
 from .errors import (ImpossibleError, InternalInvariantError,
                      PreconditionError)
 from .geometry import PointSet, is_convex_position
@@ -188,26 +189,46 @@ def find_hamiltonian_cycle(n: int, edges: Iterable[Edge]) -> list[int]:
                 return False
         return True
 
-    def extend(candidates: Iterable[int]) -> bool:
-        if len(path) == n:
-            return 0 in adj[path[-1]]
-        if not feasible(candidates):
-            return False
+    # the search runs on an explicit stack of neighbour iterators, one per
+    # path vertex, so that its depth is not bounded by the recursion limit
+    stack = [iter(nbrs[0])] if feasible(range(n)) else []
+    while stack:
         p = path[-1]
-        changed = nbrs[p] if p != 0 else ()
-        for w in nbrs[p]:
-            if not on_path[w]:
-                path.append(w)
-                on_path[w] = True
-                if extend(changed):
-                    return True
-                on_path[w] = False
-                path.pop()
-        return False
+        for w in stack[-1]:
+            if on_path[w]:
+                continue
+            path.append(w)
+            on_path[w] = True
+            if len(path) == n:
+                if 0 in adj[w]:
+                    return path
+            elif feasible(nbrs[p] if p != 0 else ()):
+                stack.append(iter(nbrs[w]))
+                break
+            on_path[w] = False
+            path.pop()
+        else:
+            stack.pop()
+            on_path[path.pop()] = False
+    raise PreconditionError("no Hamiltonian cycle found")
 
-    if not extend(range(n)):
-        raise PreconditionError("no Hamiltonian cycle found")
-    return path
+
+def _hull_chord_conflicts(ps: PointSet, chords: Sequence[Edge]) -> list[set[int]]:
+    """crossing_conflict_graph(ps, chords)[1] for a point set in strictly
+    convex position, read off the hull order: with hull positions a < b and
+    c < d, chords (a, b) and (c, d) cross exactly when a < c < b < d or
+    c < a < d < b.  With the chords sorted by their left end, each chord is
+    tested only against the later ones whose left end lies below its right
+    end."""
+    pos = {v: i for i, v in enumerate(ps.hull())}
+    spans = sorted((min(pos[u], pos[v]), max(pos[u], pos[v]), i) for i, (u, v) in enumerate(chords))
+    conflicts: list[set[int]] = [set() for _ in chords]
+    for k, (a, b, i) in enumerate(spans):
+        for c, d, j in spans[k + 1:bisect_left(spans, (b,))]:
+            if a < c and b < d:
+                conflicts[i].add(j)
+                conflicts[j].add(i)
+    return conflicts
 
 
 def realize_hamiltonian_on_convex(g_edges: Iterable[Edge], ham: Sequence[int],
@@ -216,7 +237,8 @@ def realize_hamiltonian_on_convex(g_edges: Iterable[Edge], ham: Sequence[int],
 
     The cycle is mapped to the hull in order; the remaining edges become hull
     chords, two-colored through the crossing-conflict graph (bipartite for
-    planar inputs, the two-page book embedding argument).
+    planar inputs, the two-page book embedding argument), whose arcs are
+    read off the hull order.
     """
     n = len(ps)
     if not is_convex_position(ps):
@@ -232,7 +254,7 @@ def realize_hamiltonian_on_convex(g_edges: Iterable[Edge], ham: Sequence[int],
     cycle_edges = {edge_key(place[ham[i]], place[ham[(i + 1) % n]]) for i in range(n)}
     chords = sorted(edge_key(place[u], place[v]) for (u, v) in edges)
     chords = [e for e in chords if e not in cycle_edges]
-    coloring, odd = compute_layering(ps, chords)
+    coloring, odd = layers_from_conflicts(chords, _hull_chord_conflicts(ps, chords))
     if coloring is None:
         raise PreconditionError(
             f"chord conflict graph is not bipartite (non-planar input); odd cycle: {odd}")

@@ -132,6 +132,61 @@ def crossing_pairs(ps: PointSet, edges: Sequence[tuple[int, int]]) -> list[tuple
     return pairs
 
 
+def first_crossing(ps: PointSet, edges: Sequence[tuple[int, int]]) -> tuple[int, int] | None:
+    """crossing_pairs(ps, edges)[0], or None when no two `edges` properly
+    cross, in O(m log m) comparisons when they do not (Shamos and Hoey,
+    1976).
+
+    The sweep visits the endpoints in lexicographic (x, y) order, a sweep
+    line tilted slightly off vertical, so that a vertical edge needs no
+    special case.  The active segments are kept bottom to top, and a vertex
+    p finds its place by bisection with the exact orientation test.  Segments
+    ending at p form one contiguous block unless a crossing lies left of p;
+    the block is replaced by the segments starting at p, sorted around p,
+    and only the new neighbour pairs are tested.  The leftmost crossing pair
+    becomes adjacent at an earlier vertex and is tested there.  Once any
+    crossing shows, the full scan names the nested-loop witness.
+    """
+    xs, ys = ps.xs, ps.ys
+    starts: dict[int, list[tuple[int, int, int, int]]] = {}
+    ends: dict[int, int] = {}
+    for u, v in edges:
+        if (xs[v], ys[v]) < (xs[u], ys[u]):
+            u, v = v, u
+        starts.setdefault(u, []).append((xs[u], ys[u], xs[v], ys[v]))
+        starts.setdefault(v, [])
+        ends[v] = ends.get(v, 0) + 1
+    active: list[tuple[int, int, int, int]] = []
+    for p in sorted(starts, key=lambda v: (xs[v], ys[v])):
+        px, py = xs[p], ys[p]
+        # the first active segment that p is not strictly above
+        lo, hi = 0, len(active)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            ax, ay, bx, by = active[mid]
+            if (bx - ax) * (py - ay) - (by - ay) * (px - ax) > 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        hi = lo
+        while hi < len(active) and active[hi][2] == px and active[hi][3] == py:
+            hi += 1
+        if hi - lo != ends.get(p, 0):
+            break
+        # bottom to top around p: s comes before t when t is left of p -> s
+        new = sorted(starts[p], key=cmp_to_key(
+            lambda s, t: -1 if (s[2] - px) * (t[3] - py) > (s[3] - py) * (t[2] - px) else 1))
+        active[lo:hi] = new
+        hi = lo + len(new)
+        if (0 < lo < len(active) and _open_segments_cross(active[lo - 1], active[lo])) \
+                or (lo < hi < len(active) and _open_segments_cross(active[hi - 1], active[hi])):
+            break
+    else:
+        return None
+    pairs = crossing_pairs(ps, edges)
+    return pairs[0] if pairs else None
+
+
 def crosses_any(ps: PointSet, edge: tuple[int, int], edges: Iterable[tuple[int, int]]) -> bool:
     """True iff `edge` properly crosses at least one of `edges`."""
     s = _x_sorted_segment(ps, edge)

@@ -178,12 +178,6 @@ def _raise_degree_to_five(t1: Triangulation, t2: Triangulation, s: int) -> tuple
     raise InternalInvariantError("no flippable 4-cycle edge in either triangulation")
 
 
-def _layering_broken(g: LayeredGraph, step: str) -> InternalInvariantError:
-    layer, e, f = layer_crossing(g)
-    return InternalInvariantError(
-        f"layer separation broken by {step}: layer {layer} edges {e} and {f} cross")
-
-
 def insert_interior_point(state: InsertionState, coords: tuple[int, int]) -> InsertionState:
     """Insert one point lying inside ch(S) but outside the hull of the current
     interior vertices, keeping the graph 5-connected and biplane."""
@@ -211,10 +205,7 @@ def insert_interior_point(state: InsertionState, coords: tuple[int, int]) -> Ins
     result = LayeredGraph.from_layers(new_ps, t1.edges & final_edges, t2.edges & final_edges)
     if result.degree(s) < 5:
         raise InternalInvariantError(f"inserted vertex has degree {result.degree(s)} < 5")
-    # a layer inside a validated triangulation is plane; scan only otherwise
-    if not (result.layer_edges(LAYER1) <= t1.edges and result.layer_edges(LAYER2) <= t2.edges) \
-            and not verify_layering(result):
-        raise _layering_broken(result, "interior insertion")
+    # each layer is a subset of a validated triangulation, so it is plane
     return InsertionState(result, t1, t2)
 
 
@@ -614,7 +605,9 @@ def insert_hull_points(state: InsertionState, sb: Sequence[tuple[int, int]]) -> 
         if result.degree(b) < 5:
             raise InternalInvariantError(f"new hull vertex {b} has degree {result.degree(b)} < 5")
     if not verify_layering(result):
-        raise _layering_broken(result, "hull insertion")
+        layer, e, f = layer_crossing(result)
+        raise InternalInvariantError(
+            f"layer separation broken by hull insertion: layer {layer} edges {e} and {f} cross")
     return InsertionState(result)
 
 

@@ -8,7 +8,7 @@ from typing import Iterable, Mapping
 
 from .connectivity import is_connected, is_two_edge_connected
 from .errors import InternalInvariantError, PreconditionError
-from .geometry import Point, convex_hull, crossing_pairs
+from .geometry import Point, convex_hull, first_crossing
 from .layered import LayeredGraph
 from .triangulation import Edge, Triangulation, edge_key
 
@@ -183,9 +183,9 @@ def augment_tree_2edge(tree: LayeredGraph) -> frozenset[Edge]:
         adjacency[v].add(u)
     if not is_connected(n, edges):
         raise PreconditionError("input is not a tree (disconnected)")
-    pairs = crossing_pairs(ps, edges)
-    if pairs:
-        i, j = pairs[0]
+    pair = first_crossing(ps, edges)
+    if pair:
+        i, j = pair
         raise PreconditionError(f"tree edges {edges[i]} and {edges[j]} cross")
     leaves = [v for v in range(n) if len(adjacency[v]) == 1]
     m = len(leaves)

@@ -7,7 +7,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
-from .geometry import (Point, PointSet, crossing_pairs, crosses_any, cross,
+from .geometry import (Point, PointSet, crossing_pairs, crosses_any, cross, first_crossing,
                        point_in_triangle, segments_properly_cross)
 
 Edge = tuple[int, int]
@@ -336,9 +336,9 @@ def complete_to_triangulation(ps: PointSet, required: Iterable[Edge] = (),
     avoid_set = {edge_key(*e) for e in avoid}
     pts = ps.points
     chosen: list[Edge] = sorted(req)
-    pairs = crossing_pairs(ps, chosen)
-    if pairs:
-        i, j = pairs[0]
+    pair = first_crossing(ps, chosen)
+    if pair:
+        i, j = pair
         raise PreconditionError(f"required edges {chosen[i]} and {chosen[j]} cross")
     n = len(ps)
     target = 3 * n - 3 - len(ps.hull())
@@ -371,9 +371,9 @@ def triangulation_from_edges(ps: PointSet, edges: Iterable[Edge]) -> Triangulati
     expected = 3 * len(ps) - 3 - len(ps.hull())
     if len(es) != expected:
         raise PreconditionError(f"edge count {len(es)} != 3n-3-h = {expected}")
-    pairs = crossing_pairs(ps, es)
-    if pairs:
-        i, j = pairs[0]
+    pair = first_crossing(ps, es)
+    if pair:
+        i, j = pair
         raise PreconditionError(f"edges {es[i]} and {es[j]} cross")
     return _read_faces(ps, es)
 

@@ -8,7 +8,8 @@ from itertools import combinations
 from typing import Sequence
 
 from biplane.errors import PreconditionError
-from biplane.geometry import Point, PointSet, cross, visible_hull_edges
+from biplane.geometry import (Point, PointSet, cross, segments_properly_cross,
+                              visible_hull_edges)
 from biplane.insertion import check_property_maxi
 
 
@@ -158,6 +159,17 @@ def ref_hamiltonian_cycle(n: int, edges) -> list[int]:
     if not extend():
         raise PreconditionError("no Hamiltonian cycle found")
     return path
+
+
+def bf_first_crossing(ps: PointSet, edges) -> tuple[int, int] | None:
+    """First index pair (i, j), i < j, of properly crossing `edges` met by a
+    nested loop; None when the edges are pairwise noncrossing."""
+    for i, (a, b) in enumerate(edges):
+        for j in range(i + 1, len(edges)):
+            c, d = edges[j]
+            if segments_properly_cross(ps[a], ps[b], ps[c], ps[d]):
+                return i, j
+    return None
 
 
 def bf_first_collinear(xs: Sequence[int], ys: Sequence[int],

@@ -1,16 +1,20 @@
+import math
 import random
+import sys
 
 import pytest
 
-from biplane.connectivity import kappa_of, verify_layering, vertex_connectivity
-from biplane.convex import (PlanarTriangulatedGraph, _fig1_trees,
+from biplane.connectivity import (compute_layering, crossing_conflict_graph, kappa_of,
+                                  layers_from_conflicts, verify_layering,
+                                  vertex_connectivity)
+from biplane.convex import (PlanarTriangulatedGraph, _fig1_trees, _hull_chord_conflicts,
                             build_4conn_convex, build_5conn_convex,
                             find_hamiltonian_cycle, grow_4conn_planar,
                             octahedron, realize_hamiltonian_on_convex,
                             vertex_split)
 from biplane.errors import ImpossibleError, PreconditionError
 from biplane.generators import regular_polygon_points
-from biplane.geometry import PointSet, segments_properly_cross
+from biplane.geometry import PointSet, is_convex_position, segments_properly_cross
 from biplane.triangulation import edge_key
 
 from oracles import ref_hamiltonian_cycle
@@ -141,6 +145,18 @@ class TestHamiltonian:
         g = grow_4conn_planar(n)
         assert find_hamiltonian_cycle(n, g.edges) == ref_hamiltonian_cycle(n, g.edges)
 
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
+        # the path grows to 200 vertices, deeper than the whole allowed stack
+        g = grow_4conn_planar(200)
+        expected = ref_hamiltonian_cycle(200, g.edges)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            cycle = find_hamiltonian_cycle(200, g.edges)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert cycle == expected
+
     @pytest.mark.parametrize("seed", range(10))
     def test_random_graphs_same_outcome_as_full_rescan(self, seed):
         for k in range(20):
@@ -155,6 +171,44 @@ class TestHamiltonian:
                     find_hamiltonian_cycle(n, edges)
             else:
                 assert find_hamiltonian_cycle(n, edges) == expected
+
+
+def jittered_circle(n: int, seed: int) -> PointSet:
+    """n points at angles jittered by up to 0.3 of a step on a circle of
+    radius 10^6, redrawn until they are in strictly convex position."""
+    rng = random.Random(seed)
+    while True:
+        pts = [(round(10 ** 6 * math.cos(a)), round(10 ** 6 * math.sin(a)))
+               for a in (2 * math.pi * (j + rng.uniform(-0.3, 0.3)) / n for j in range(n))]
+        try:
+            ps = PointSet(pts)
+        except PreconditionError:
+            continue
+        if is_convex_position(ps):
+            return ps
+
+
+class TestHullChordConflicts:
+    """Chords of a strictly convex set cross exactly when their ends
+    interleave along the hull."""
+
+    @pytest.mark.parametrize("n", range(6, 61))
+    def test_random_chords_match_the_geometric_graph(self, n):
+        ps = regular_polygon_points(n) if n % 2 else jittered_circle(n, n)
+        rng = random.Random(n)
+        chords = sorted(edge_key(u, v) for u in range(n) for v in range(u + 1, n)
+                        if rng.random() < 0.3)
+        assert _hull_chord_conflicts(ps, chords) == crossing_conflict_graph(ps, chords)[1]
+
+    @pytest.mark.parametrize("n", [120, 160, 200])
+    def test_convex4_chords_on_jittered_circles(self, n):
+        ps = jittered_circle(n, n)
+        hull = ps.hull()
+        cycle = {edge_key(hull[i], hull[i - 1]) for i in range(n)}
+        chords = sorted(set(build_4conn_convex(ps).edges()) - cycle)
+        conflicts = _hull_chord_conflicts(ps, chords)
+        assert conflicts == crossing_conflict_graph(ps, chords)[1]
+        assert layers_from_conflicts(chords, conflicts) == compute_layering(ps, chords)
 
 
 class TestRealize:

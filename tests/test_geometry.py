@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 
 from biplane.errors import PreconditionError
 from biplane.geometry import (COORD_LIMIT, Orientation, Point, PointSet,
-                              cross, crosses_any, crossing_pairs,
+                              cross, crosses_any, crossing_pairs, first_crossing,
                               is_convex_position, max_convex_subset,
                               max_convex_subset_indices, orientation,
                               point_sees_hull_edge, polygon_doubled_area,
                               segment_sees_hull_edge, segments_properly_cross,
                               visible_hull_edges)
 from biplane.generators import random_general_position, regular_polygon_points
+from biplane.triangulation import edge_key, triangulate
 
-from oracles import (bf_first_collinear, bf_hull_ids, bf_max_convex_subset,
+from oracles import (bf_first_collinear, bf_first_crossing, bf_hull_ids, bf_max_convex_subset,
                      bf_optimal_convex_subsets, dp_max_convex_subset)
 
 
@@ -223,6 +224,100 @@ class TestCrossingKernel:
         edges = [(0, 1), (1, 3), (2, 3), (0, 4)]
         assert crossing_pairs(ps, edges) == nested_pairs(ps, edges)
         assert not crosses_any(ps, (0, 1), [(1, 3), (0, 4)])
+
+
+def grid_cases(rng):
+    # [-4, 4]^2 sets: shared x values, vertical edges, touching boxes
+    while True:
+        try:
+            ps = PointSet(rng.sample([(x, y) for x in range(-4, 5) for y in range(-4, 5)],
+                                     rng.randint(4, 9)))
+            break
+        except PreconditionError:
+            continue
+    n = len(ps)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for k in (2, 3, rng.randint(4, len(pairs))):
+        yield ps, [e if rng.random() < 0.5 else e[::-1] for e in rng.sample(pairs, k)]
+
+
+def triangulation_cases(rng):
+    # a plane subset of a triangulation, then 0, 1 or 2 edges it lacks
+    ps = random_general_position(rng.randint(6, 16), seed=rng.randrange(10 ** 6), span=60)
+    edges = sorted(triangulate(ps).edges)
+    others = [(u, v) for u in range(len(ps)) for v in range(u + 1, len(ps))
+              if (u, v) not in set(edges)]
+    for extra in (0, 1, 2):
+        sub = rng.sample(edges, rng.randint(len(edges) // 2, len(edges)))
+        sub += rng.sample(others, min(extra, len(others)))
+        rng.shuffle(sub)
+        yield ps, sub
+
+
+def star_cases(rng):
+    # every edge at one centre (many segments start or end at one vertex),
+    # then a second centre whose star may cross the first
+    ps = random_general_position(rng.randint(6, 14), seed=rng.randrange(10 ** 6), span=40)
+    n = len(ps)
+    a, b = rng.sample(range(n), 2)
+    one = [(a, v) for v in rng.sample(range(n), rng.randint(2, n - 1)) if v != a]
+    yield ps, one
+    yield ps, one + [(v, b) for v in rng.sample(range(n), 3) if v != b]
+
+
+def chord_cases(rng):
+    # chords of a convex polygon, crossing exactly when their ends interleave
+    n = rng.randint(5, 16)
+    ps = regular_polygon_points(n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    yield ps, sorted(triangulate(ps).edges)
+    for k in (2, rng.randint(3, 2 * n)):
+        yield ps, rng.sample(pairs, k)
+
+
+FIRST_CROSSING_FAMILIES = {"grid": grid_cases, "triangulation": triangulation_cases,
+                           "star": star_cases, "chords": chord_cases}
+
+
+class TestFirstCrossing:
+    @pytest.fixture(scope="class")
+    def outcomes(self):
+        """(family, first_crossing, bf_first_crossing) over 150 seeds of
+        every family."""
+        out = []
+        for family, cases in FIRST_CROSSING_FAMILIES.items():
+            for seed in range(150):
+                for ps, edges in cases(random.Random(f"{family}:{seed}")):
+                    out.append((family, first_crossing(ps, edges), bf_first_crossing(ps, edges)))
+        return out
+
+    @pytest.mark.parametrize("family", FIRST_CROSSING_FAMILIES)
+    def test_matches_the_nested_loop(self, outcomes, family):
+        mismatches = [(got, want) for fam, got, want in outcomes if fam == family and got != want]
+        assert not mismatches
+
+    def test_cases_cover_plane_and_crossing_sets(self, outcomes):
+        plane = sum(1 for _, _, want in outcomes if want is None)
+        assert plane >= 200 and len(outcomes) - plane >= 200
+        for family in FIRST_CROSSING_FAMILIES:
+            kinds = {want is None for fam, _, want in outcomes if fam == family}
+            assert kinds == {True, False}, family
+
+    def test_crossing_is_the_nested_loop_witness(self):
+        ps = PointSet([(0, 0), (10, 1), (6, -3), (7, 4), (2, 3), (8, -2)])
+        assert first_crossing(ps, [(2, 3), (4, 5), (0, 1)]) == (0, 1)
+
+    def test_vertical_edges_and_shared_x(self):
+        # (0, 1) and (3, 4) are vertical; (2, 3) passes between the ends of
+        # (0, 1) at its x
+        ps = PointSet([(0, -2), (0, 2), (-1, 1), (1, 0), (1, 5), (3, 6)])
+        assert first_crossing(ps, [(0, 1), (2, 3)]) == (0, 1)
+        assert first_crossing(ps, [(0, 1), (1, 4), (4, 5), (1, 3), (3, 4)]) is None
+
+    def test_ignores_shared_endpoints_and_repeats(self):
+        ps = PointSet([(0, 0), (4, 1), (1, 4), (5, 5)])
+        assert first_crossing(ps, [(0, 1), (1, 0), (0, 2), (1, 3), (2, 3), (0, 3)]) is None
+        assert first_crossing(ps, []) is None
 
 
 class TestConvexHull:
