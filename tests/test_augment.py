@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+import biplane.augment as augment_module
 from biplane.augment import augment_to_4conn, flip_pair_helper
 from biplane.connectivity import (check_4conn_augmentation, kappa_of,
                                   vertex_connectivity)
@@ -148,6 +151,44 @@ class TestAugmentTo4Conn:
             assert bf_vertex_connectivity(n, union) >= 4
         ok, violations = check_4conn_augmentation(t, extra)
         assert ok, violations
+
+
+class TestBichordStar:
+    """The chordless case in which every vertex lies in a bichord, so no
+    vertex is free for a star: `_augment_3connected` builds the bichord star
+    around a maximal sector and splits the hull by the bisector test."""
+
+    CASES = [
+        (8, 107, "8254a9487861e6083b8d017353b0b4be8ed055fede3db225aa5ede7f5581e417"),
+        (9, 160, "e712ad9c459efd6be166877f881c816afd05e32d9b6119dd406b744785042cb7"),
+        (12, 352, "67f966648df48b1134aa1fc0784cae6786b1327c7e6d1d74884ad6053a14fefb"),
+    ]
+
+    @pytest.mark.parametrize("n,seed,digest", CASES)
+    def test_branch_runs_and_output_is_fixed(self, monkeypatch, n, seed, digest):
+        t = random_triangulation(n, seed)
+        rep = cut_structures(t)
+        assert t.chords() == []
+        assert {v for triple in rep.cut_triples() for v in triple} == set(range(n))
+        assert rep.bichords and not rep.separating_triangles
+        calls = []
+        bisector = augment_module._closer_to_first_ray
+
+        def counted(*args):
+            calls.append(args)
+            return bisector(*args)
+
+        monkeypatch.setattr(augment_module, "_closer_to_first_ray", counted)
+        extra = augment_to_4conn(t)
+        assert calls, "the bisector split of the bichord star did not run"
+        ee = sorted(extra)
+        ps = t.ps
+        for i in range(len(ee)):
+            for j in range(i + 1, len(ee)):
+                assert not segments_properly_cross(ps[ee[i][0]], ps[ee[i][1]],
+                                                   ps[ee[j][0]], ps[ee[j][1]])
+        assert bf_vertex_connectivity(n, set(t.edges) | set(extra)) >= 4
+        assert hashlib.sha256(repr(ee).encode()).hexdigest() == digest
 
 
 class TestNo5ConnCounterexample:
