@@ -8,7 +8,6 @@ for larger ones.
 """
 from __future__ import annotations
 
-import functools
 from itertools import combinations
 
 from .connectivity import check_4conn_augmentation, cut_structures, vertex_connectivity
@@ -58,46 +57,8 @@ def _non_edges(t: Triangulation) -> list[Edge]:
 
 
 # ----------------------------------------------------------------------
-# Exact angle comparisons (for the bisector splits)
+# Exact wedge tests (for the bisector splits)
 # ----------------------------------------------------------------------
-
-def _angle_parts(center: Point, frm: Point, to: Point) -> tuple[int, int, int, int]:
-    """(half, dot, |u|^2, |v|^2) describing the ccw angle frm->to at center;
-    half 0 means the angle lies in (0, pi), half 1 in (pi, 2 pi)."""
-    ux, uy = frm.x - center.x, frm.y - center.y
-    vx, vy = to.x - center.x, to.y - center.y
-    cr = ux * vy - uy * vx
-    if cr == 0:
-        raise InternalInvariantError("collinear directions in angle comparison")
-    half = 0 if cr > 0 else 1
-    return (half, ux * vx + uy * vy, ux * ux + uy * uy, vx * vx + vy * vy)
-
-
-def _angle_cmp(center: Point, a: tuple[Point, Point], b: tuple[Point, Point]) -> int:
-    """Exact three-way comparison of two ccw angles around center."""
-    ha, dta, nua, nva = _angle_parts(center, *a)
-    hb, dtb, nub, nvb = _angle_parts(center, *b)
-    if ha != hb:
-        return -1 if ha < hb else 1
-    sa = (dta > 0) - (dta < 0)
-    sb = (dtb > 0) - (dtb < 0)
-    if sa != sb:
-        cos_cmp = 1 if sa > sb else -1
-    else:
-        left = dta * dta * nub * nvb
-        right = dtb * dtb * nua * nva
-        if left == right:
-            cos_cmp = 0
-        elif (left > right) == (sa >= 0):
-            cos_cmp = 1
-        else:
-            cos_cmp = -1
-    if cos_cmp == 0:
-        return 0
-    if ha == 0:
-        return -1 if cos_cmp > 0 else 1  # bigger cosine, smaller angle
-    return -1 if cos_cmp < 0 else 1
-
 
 def _in_ccw_sweep(center: Point, a: Point, b: Point, q: Point) -> bool:
     """Is direction center->q strictly inside the ccw sweep from center->a to
@@ -112,12 +73,31 @@ def _in_ccw_sweep(center: Point, a: Point, b: Point, q: Point) -> bool:
 def _closer_to_first_ray(center: Point, p1: Point, p2: Point, q: Point) -> bool:
     """For q inside one of the wedges bounded by rays center->p1, center->p2:
     is q's rotation distance from p1 at most its distance from p2 (the angle
-    bisector side test; ties go to the p1 side)?"""
-    if _in_ccw_sweep(center, p1, p2, q):
-        return _angle_cmp(center, (p1, q), (q, p2)) <= 0
-    if _in_ccw_sweep(center, p2, p1, q):
-        return _angle_cmp(center, (q, p1), (p2, q)) <= 0
-    raise InternalInvariantError("query direction coincides with a wedge boundary")
+    bisector side test; ties go to the p1 side)?
+
+    With a = p1 - center, b = p2 - center and d = q - center, both wedges are
+    bisected by the line through center along a/|a| + b/|b|, and q lies on
+    p1's side of it exactly when cross(a, b) * (cross(d, a) |b| +
+    cross(d, b) |a|) >= 0.  The sign of the bracket is exact: it is the
+    common sign of its terms, or else the sign of the term whose square is
+    larger (see README, Verification).
+    """
+    ax, ay = p1.x - center.x, p1.y - center.y
+    bx, by = p2.x - center.x, p2.y - center.y
+    dx, dy = q.x - center.x, q.y - center.y
+    da, db = dx * ay - dy * ax, dx * by - dy * bx
+    if da == 0 or db == 0:
+        raise InternalInvariantError("query direction coincides with a wedge boundary")
+    ab = ax * by - ay * bx
+    if ab == 0:
+        raise InternalInvariantError("the wedge rays are collinear")
+    if (da > 0) == (db > 0):
+        side = da
+    else:
+        side = da * da * (bx * bx + by * by) - db * db * (ax * ax + ay * ay)
+        if da < 0:
+            side = -side
+    return side == 0 or (side > 0) == (ab > 0)
 
 
 # ----------------------------------------------------------------------
@@ -361,31 +341,26 @@ def _wheel_remainder_wiring(t: Triangulation, chord: Edge, members: frozenset[in
     ps = t.ps
 
     def first_hit(pivot: int, toward: int, sweep_ccw: bool) -> int:
-        """Cell point first hit when rotating the line pivot-toward."""
-        base = ps[toward]
-        c0 = ps[pivot]
-
-        def norm(p: int) -> tuple[int, int]:
+        """Cell point first hit when rotating the line pivot-toward: each
+        direction is flipped to the swept side of the line, and the first one
+        in the sweep wins."""
+        c0, base = ps[pivot], ps[toward]
+        bx, by = base.x - c0.x, base.y - c0.y
+        turn = 1 if sweep_ccw else -1
+        best, best_x, best_y = -1, 0, 0
+        for p in cell_inner:
             dx, dy = ps[p].x - c0.x, ps[p].y - c0.y
-            cr = (base.x - c0.x) * dy - (base.y - c0.y) * dx
+            cr = bx * dy - by * dx
             if cr == 0:
                 raise InternalInvariantError("cell point collinear with the rotation line")
-            want_positive = sweep_ccw
-            if (cr > 0) != want_positive:
+            if (cr > 0) != sweep_ccw:
                 dx, dy = -dx, -dy
-            return dx, dy
-
-        def cmp(p: int, q: int) -> int:
-            px, py = norm(p)
-            qx, qy = norm(q)
-            cr = px * qy - py * qx
-            if cr == 0:
+            order = turn * (dx * best_y - dy * best_x)
+            if best >= 0 and order == 0:
                 raise InternalInvariantError("two cell points aligned with the pivot")
-            if sweep_ccw:
-                return -1 if cr > 0 else 1
-            return -1 if cr < 0 else 1
-
-        return sorted(cell_inner, key=functools.cmp_to_key(cmp))[0]
+            if best < 0 or order > 0:
+                best, best_x, best_y = p, dx, dy
+        return best
 
     for sweep_ccw in (False, True):
         u_prime = first_hit(v1, u, sweep_ccw)

@@ -345,29 +345,22 @@ class CutReport:
         return out
 
 
-def _hull_arc(hull: Sequence[int], a: int, b: int) -> list[int]:
-    """Hull vertices strictly between a and b walking forward from a."""
-    i = hull.index(a)
-    out = []
-    j = (i + 1) % len(hull)
-    while hull[j] != b:
-        out.append(hull[j])
-        j = (j + 1) % len(hull)
-    return out
-
-
 def cut_structures(t: Triangulation) -> CutReport:
     """Complete enumeration of chords, bichords and separating triangles.
 
     Side witnesses for bichords follow the hull cyclic order split at the
-    path endpoints (three parts when the middle vertex lies on the hull); a
-    pocket with interior-only witnesses always shows up as a separating
-    triangle instead, so the kappa characterizations are preserved.
+    path's hull vertices (three runs when the middle vertex lies on the hull,
+    taken in hull order; else the runs from u to w and from w to u).  Each
+    run must be non-empty, and its witness is its first vertex.  A pocket
+    with interior-only witnesses always shows up as a separating triangle
+    instead, so the kappa characterizations are preserved.  Faces of t are
+    empty, so they are never separating triangles and are not scanned.
     """
     if len(t.ps) < 5:
         raise PreconditionError("cut structures are defined for n >= 5")
-    hull = list(t.hull)
-    hullset = set(hull)
+    hull = t.hull
+    h = len(hull)
+    pos = {v: i for i, v in enumerate(hull)}
     hull_edges = t.hull_edges()
     report = CutReport()
 
@@ -375,35 +368,23 @@ def cut_structures(t: Triangulation) -> CutReport:
 
     adj = {v: t.neighbors(v) for v in range(len(t.ps))}
     for m in range(len(t.ps)):
-        hull_nbrs = sorted(x for x in adj[m] if x in hullset)
+        hull_nbrs = sorted(x for x in adj[m] if x in pos)
         for i, u in enumerate(hull_nbrs):
             for w in hull_nbrs[i + 1:]:
-                e1, e2 = edge_key(u, m), edge_key(m, w)
-                if e1 in hull_edges or e2 in hull_edges:
+                if edge_key(u, m) in hull_edges or edge_key(m, w) in hull_edges:
                     continue
-                if m in hullset:
-                    # split the cycle at u, m, w: all three arcs must be nonempty
-                    iu, im, iw = hull.index(u), hull.index(m), hull.index(w)
-                    order = sorted([(iu, u), (im, m), (iw, w)])
-                    parts = []
-                    for k in range(3):
-                        a = order[k][1]
-                        b = order[(k + 1) % 3][1]
-                        parts.append(_hull_arc(hull, a, b))
-                    if all(parts):
-                        report.bichords.append(Bichord(u, m, w, (parts[0][0], parts[1][0], parts[2][0])))
-                else:
-                    arc1 = _hull_arc(hull, u, w)
-                    arc2 = _hull_arc(hull, w, u)
-                    if arc1 and arc2:
-                        report.bichords.append(Bichord(u, m, w, (arc1[0], arc2[0])))
+                ends = sorted((u, m, w), key=pos.__getitem__) if m in pos else [u, w]
+                # the run from an end a to the next end b is non-empty iff b
+                # does not follow a on the hull; its first vertex follows a
+                if all((pos[b] - pos[a]) % h > 1 for a, b in zip(ends, ends[1:] + ends[:1])):
+                    report.bichords.append(Bichord(u, m, w, tuple(hull[(pos[a] + 1) % h] for a in ends)))
 
     seen: set[tuple[int, int, int]] = set()
     for e in sorted(t.edges):
         u, v = e
         for w in sorted(adj[u] & adj[v]):
             tri = tuple(sorted((u, v, w)))
-            if tri in seen:
+            if tri in seen or tri in t.triangles:
                 continue
             seen.add(tri)
             pa, pb, pc = t.ps[tri[0]], t.ps[tri[1]], t.ps[tri[2]]

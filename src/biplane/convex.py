@@ -97,13 +97,6 @@ class PlanarTriangulatedGraph:
         g.edges = frozenset(edge_faces)
         return g
 
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in range(self.n)}
-        for (u, v) in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
 
 def octahedron() -> PlanarTriangulatedGraph:
     """The 1-skeleton of the octahedron: 4-connected, planar, 6 vertices."""
@@ -267,7 +260,12 @@ def build_4conn_convex(ps: PointSet) -> LayeredGraph:
     """4-connected biplane graph on any convex point set with n >= 6.
 
     Always uses the octahedron split chain (kappa is exactly 4: the newest
-    split vertex has degree 4).
+    split vertex has degree 4).  The chain carries the Hamiltonian cycle
+    0, 1, 2, 4, 5, ..., n - 1, 3: the octahedron has 0-1-2-4-5-3, and split
+    vertex z (split (1, 5), then (1, z - 1)) joins 1, 2, 3 and z - 1, so the
+    run 4 ... z - 1 grows by z while the cycle keeps every edge it uses.  It
+    is also the first cycle `find_hamiltonian_cycle` finds on this graph
+    (see README, Verification).
     """
     n = len(ps)
     if n >= 3 and not is_convex_position(ps):
@@ -275,5 +273,4 @@ def build_4conn_convex(ps: PointSet) -> LayeredGraph:
     if n < 6:
         raise ImpossibleError("no 4-connected biplane graph exists on fewer than 6 points")
     g = grow_4conn_planar(n)
-    ham = find_hamiltonian_cycle(g.n, g.edges)
-    return realize_hamiltonian_on_convex(g.edges, ham, ps)
+    return realize_hamiltonian_on_convex(g.edges, [0, 1, 2, *range(4, n), 3], ps)

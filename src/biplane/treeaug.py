@@ -14,60 +14,33 @@ from .triangulation import Edge, Triangulation, edge_key
 
 
 class RootedTreeIndex:
-    """Constant-time lowest-common-ancestor queries via an Euler tour and a
-    sparse table over tour depths."""
+    """Parents and depths of a tree hung from `root`; lowest common
+    ancestors by walking up from the deeper node, then from both."""
 
     def __init__(self, adjacency: Mapping[int, set], root: int):
         self.root = root
         self.parent: dict[int, int | None] = {root: None}
         self.depth: dict[int, int] = {root: 0}
-        self.euler: list[int] = []
-        self.first: dict[int, int] = {}
-        children: dict[int, list[int]] = {}
-        stack: list[tuple[int, int | None]] = [(root, None)]
+        stack = [root]
         while stack:
-            u, par = stack.pop()
-            kids = sorted(v for v in adjacency[u] if v != par)
-            children[u] = kids
-            for v in kids:
-                self.parent[v] = u
-                self.depth[v] = self.depth[u] + 1
-                stack.append((v, u))
+            u = stack.pop()
+            for v in adjacency[u]:
+                if v != self.parent[u]:
+                    self.parent[v] = u
+                    self.depth[v] = self.depth[u] + 1
+                    stack.append(v)
         if len(self.parent) != len(adjacency):
             raise PreconditionError("adjacency is not a connected tree")
-        # iterative Euler tour; each return from a child appends the parent
-        walk: list[tuple[int, int]] = [(root, 0)]
-        while walk:
-            u, ki = walk.pop()
-            if ki == 0:
-                self.first[u] = len(self.euler)
-            self.euler.append(u)
-            if ki < len(children[u]):
-                walk.append((u, ki + 1))
-                walk.append((children[u][ki], 0))
-        m = len(self.euler)
-        levels = max(1, m.bit_length())
-        table = [list(range(m))]
-        k = 1
-        while (1 << k) <= m:
-            prev = table[-1]
-            row = []
-            for i in range(m - (1 << k) + 1):
-                a, b = prev[i], prev[i + (1 << (k - 1))]
-                row.append(a if self.depth[self.euler[a]] <= self.depth[self.euler[b]] else b)
-            table.append(row)
-            k += 1
-        self._table = table
 
     def lca(self, u: int, v: int) -> int:
-        lo, hi = self.first[u], self.first[v]
-        if lo > hi:
-            lo, hi = hi, lo
-        k = (hi - lo + 1).bit_length() - 1
-        row = self._table[k]
-        a, b = row[lo], row[hi - (1 << k) + 1]
-        best = a if self.depth[self.euler[a]] <= self.depth[self.euler[b]] else b
-        return self.euler[best]
+        parent, depth = self.parent, self.depth
+        while depth[u] > depth[v]:
+            u = parent[u]
+        while depth[v] > depth[u]:
+            v = parent[v]
+        while u != v:
+            u, v = parent[u], parent[v]
+        return u
 
     def is_ancestor(self, a: int, b: int) -> bool:
         return self.lca(a, b) == a

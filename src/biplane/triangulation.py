@@ -66,6 +66,8 @@ class Triangulation:
         self.edges: frozenset[Edge] = frozenset(edges)
         self._opposites = {e: tuple(sorted(ws)) for e, ws in opposites.items()}
         self.hull: tuple[int, ...] = ps.hull()
+        h = self.hull
+        self._hull_edges = frozenset(edge_key(h[i], h[(i + 1) % len(h)]) for i in range(len(h)))
         adj: dict[int, set[int]] = {p.id: set() for p in ps}
         for (u, v) in self.edges:
             adj[u].add(v)
@@ -151,6 +153,7 @@ class Triangulation:
         opposites[(a, s)], opposites[(b, s)], opposites[(c, s)] = (b, c), (a, c), (a, b)
         out._opposites = opposites
         out.hull = new_ps.hull()
+        out._hull_edges = self._hull_edges
         adj = dict(self._adj)
         for v in tri:
             adj[v] = adj[v] | {s}
@@ -168,8 +171,7 @@ class Triangulation:
 
     # ------------------------------------------------------------------
     def hull_edges(self) -> frozenset[Edge]:
-        h = self.hull
-        return frozenset(edge_key(h[i], h[(i + 1) % len(h)]) for i in range(len(h)))
+        return self._hull_edges
 
     def chords(self) -> list[Edge]:
         """Hull chords, sorted: edges joining two hull vertices that are not

@@ -7,10 +7,12 @@ from functools import cmp_to_key
 from itertools import combinations
 from typing import Sequence
 
-from biplane.errors import PreconditionError
-from biplane.geometry import (Point, PointSet, cross, segments_properly_cross,
-                              visible_hull_edges)
+from biplane.connectivity import Bichord, CutReport, SeparatingTriangle
+from biplane.errors import InternalInvariantError, PreconditionError
+from biplane.geometry import (Point, PointSet, cross, point_in_triangle,
+                              segments_properly_cross, visible_hull_edges)
 from biplane.insertion import check_property_maxi
+from biplane.triangulation import edge_key
 
 
 def bf_vertex_connectivity(n: int, edges) -> int:
@@ -442,3 +444,114 @@ def edge_visibility_hall_holds(sa: PointSet, sb: Sequence[tuple[int, int]]) -> b
             if len(joint) < k:
                 return False
     return True
+
+
+def _ref_angle_parts(center: Point, frm: Point, to: Point) -> tuple[int, int, int, int]:
+    """(half, dot, |u|^2, |v|^2) describing the ccw angle frm->to at center;
+    half 0 means the angle lies in (0, pi), half 1 in (pi, 2 pi)."""
+    ux, uy = frm.x - center.x, frm.y - center.y
+    vx, vy = to.x - center.x, to.y - center.y
+    cr = ux * vy - uy * vx
+    if cr == 0:
+        raise InternalInvariantError("collinear directions in angle comparison")
+    half = 0 if cr > 0 else 1
+    return (half, ux * vx + uy * vy, ux * ux + uy * uy, vx * vx + vy * vy)
+
+
+def _ref_angle_cmp(center: Point, a: tuple[Point, Point], b: tuple[Point, Point]) -> int:
+    """Exact three-way comparison of two ccw angles around center, by
+    half-plane, then the sign of the dot product, then squared cosines."""
+    ha, dta, nua, nva = _ref_angle_parts(center, *a)
+    hb, dtb, nub, nvb = _ref_angle_parts(center, *b)
+    if ha != hb:
+        return -1 if ha < hb else 1
+    sa = (dta > 0) - (dta < 0)
+    sb = (dtb > 0) - (dtb < 0)
+    if sa != sb:
+        cos_cmp = 1 if sa > sb else -1
+    else:
+        left = dta * dta * nub * nvb
+        right = dtb * dtb * nua * nva
+        if left == right:
+            cos_cmp = 0
+        elif (left > right) == (sa >= 0):
+            cos_cmp = 1
+        else:
+            cos_cmp = -1
+    if cos_cmp == 0:
+        return 0
+    if ha == 0:
+        return -1 if cos_cmp > 0 else 1  # bigger cosine, smaller angle
+    return -1 if cos_cmp < 0 else 1
+
+
+def _ref_in_ccw_sweep(center: Point, a: Point, b: Point, q: Point) -> bool:
+    ca = cross(center, a, q)
+    cb = cross(center, q, b)
+    if cross(center, a, b) > 0:
+        return ca > 0 and cb > 0
+    return ca > 0 or cb > 0
+
+
+def ref_closer_to_first_ray(center: Point, p1: Point, p2: Point, q: Point) -> bool:
+    """The bisector side test by comparing the two ccw angles that q makes
+    with the rays of the wedge that holds it."""
+    if _ref_in_ccw_sweep(center, p1, p2, q):
+        return _ref_angle_cmp(center, (p1, q), (q, p2)) <= 0
+    if _ref_in_ccw_sweep(center, p2, p1, q):
+        return _ref_angle_cmp(center, (q, p1), (p2, q)) <= 0
+    raise InternalInvariantError("query direction coincides with a wedge boundary")
+
+
+def _ref_hull_arc(hull: Sequence[int], a: int, b: int) -> list[int]:
+    """Hull vertices strictly between a and b walking forward from a."""
+    i = hull.index(a)
+    out = []
+    j = (i + 1) % len(hull)
+    while hull[j] != b:
+        out.append(hull[j])
+        j = (j + 1) % len(hull)
+    return out
+
+
+def ref_cut_structures(t) -> CutReport:
+    """cut_structures with the hull arcs listed in full and every 3-cycle of
+    t, faces included, tested for points inside and outside."""
+    if len(t.ps) < 5:
+        raise PreconditionError("cut structures are defined for n >= 5")
+    hull = list(t.hull)
+    hullset = set(hull)
+    hull_edges = t.hull_edges()
+    report = CutReport()
+    report.chords = t.chords()
+    adj = {v: t.neighbors(v) for v in range(len(t.ps))}
+    for m in range(len(t.ps)):
+        hull_nbrs = sorted(x for x in adj[m] if x in hullset)
+        for i, u in enumerate(hull_nbrs):
+            for w in hull_nbrs[i + 1:]:
+                if edge_key(u, m) in hull_edges or edge_key(m, w) in hull_edges:
+                    continue
+                if m in hullset:
+                    order = sorted([(hull.index(u), u), (hull.index(m), m), (hull.index(w), w)])
+                    parts = [_ref_hull_arc(hull, order[k][1], order[(k + 1) % 3][1])
+                             for k in range(3)]
+                    if all(parts):
+                        report.bichords.append(Bichord(u, m, w, (parts[0][0], parts[1][0], parts[2][0])))
+                else:
+                    arc1 = _ref_hull_arc(hull, u, w)
+                    arc2 = _ref_hull_arc(hull, w, u)
+                    if arc1 and arc2:
+                        report.bichords.append(Bichord(u, m, w, (arc1[0], arc2[0])))
+    seen: set[tuple[int, ...]] = set()
+    for u, v in sorted(t.edges):
+        for w in sorted(adj[u] & adj[v]):
+            tri = tuple(sorted((u, v, w)))
+            if tri in seen:
+                continue
+            seen.add(tri)
+            pa, pb, pc = (t.ps[x] for x in tri)
+            inside = [p.id for p in t.ps if p.id not in tri and point_in_triangle(pa, pb, pc, p)]
+            outside = [p.id for p in t.ps if p.id not in tri and p.id not in inside]
+            if inside and outside:
+                report.separating_triangles.append(SeparatingTriangle(tri, inside[0], outside[0]))
+    return report

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -6,16 +7,16 @@ import biplane.augment as augment_module
 from biplane.augment import augment_to_4conn, flip_pair_helper
 from biplane.connectivity import (check_4conn_augmentation, kappa_of,
                                   vertex_connectivity)
-from biplane.errors import ImpossibleError, PreconditionError
+from biplane.errors import ImpossibleError, InternalInvariantError, PreconditionError
 from biplane.generators import (generate_fan, generate_no5conn_counterexample,
                                 generate_wheel, random_triangulation,
                                 regular_polygon_points)
-from biplane.geometry import PointSet, segments_properly_cross
+from biplane.geometry import Point, PointSet, segments_properly_cross
 from biplane.connectivity import cut_structures
 from biplane.triangulation import (TriangulationClass, classify, edge_key,
                                    flip, is_flippable, triangulate)
 
-from oracles import bf_vertex_connectivity
+from oracles import bf_vertex_connectivity, ref_closer_to_first_ray
 
 
 class TestGenerators:
@@ -151,6 +152,67 @@ class TestAugmentTo4Conn:
             assert bf_vertex_connectivity(n, union) >= 4
         ok, violations = check_4conn_augmentation(t, extra)
         assert ok, violations
+
+
+def _grid_draws(rng: random.Random, span: int, count: int):
+    """(center, p1, p2, q) uniform on the integer grid [-span, span]^2."""
+    for _ in range(count):
+        yield tuple(Point(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(4))
+
+
+def _bisector_draws(rng: random.Random, count: int):
+    """Draws in [-1000, 1000]^2 with q on the bisector line of the wedge:
+    p2 - c is p1 - c reflected across the direction d = q - c and scaled by
+    |d|^2, so every draw is an exact tie; every other draw then moves p2 by
+    one unit, a near tie."""
+    while count:
+        cx, cy = rng.randint(-100, 100), rng.randint(-100, 100)
+        ax, ay, dx, dy = (rng.randint(-5, 5) for _ in range(4))
+        if ax * dy - ay * dx == 0:
+            continue
+        dot, dd = ax * dx + ay * dy, dx * dx + dy * dy
+        bx, by = 2 * dot * dx - dd * ax, 2 * dot * dy - dd * ay
+        if count % 2:
+            bx, by = bx + rng.choice((-1, 1)), by + rng.choice((-1, 0, 1))
+        k = rng.randint(1, 3)
+        yield (Point(cx, cy), Point(cx + ax, cy + ay), Point(cx + bx, cy + by),
+               Point(cx + k * dx, cy + k * dy))
+        count -= 1
+
+
+def _outcome(fn, draw):
+    try:
+        return fn(*draw)
+    except InternalInvariantError:
+        return InternalInvariantError
+
+
+class TestBisectorSign:
+    """`_closer_to_first_ray` (one sign test) against the angle comparison
+    it replaced, kept as `ref_closer_to_first_ray`."""
+
+    def test_matches_angle_comparison(self):
+        rng = random.Random(20261018)
+        draws = [*_grid_draws(rng, 6, 64000), *_grid_draws(rng, 1000, 40000),
+                 *_bisector_draws(rng, 4000)]
+        ties = raised = compared = 0
+        for draw in draws:
+            c, p1, p2, q = draw
+            ax, ay, bx, by = p1.x - c.x, p1.y - c.y, p2.x - c.x, p2.y - c.y
+            dx, dy = q.x - c.x, q.y - c.y
+            da, db = dx * ay - dy * ax, dx * by - dy * bx
+            new = _outcome(augment_module._closer_to_first_ray, draw)
+            if da == 0 or db == 0:
+                assert new is _outcome(ref_closer_to_first_ray, draw) is InternalInvariantError
+                raised += 1
+            elif ax * by - ay * bx == 0:
+                assert new is InternalInvariantError  # no wedge to bisect
+            else:
+                assert new == ref_closer_to_first_ray(*draw), draw
+                compared += 1
+                if da * db < 0 and da * da * (bx * bx + by * by) == db * db * (ax * ax + ay * ay):
+                    ties += 1
+        assert compared >= 100000 and ties >= 500 and raised >= 1000, (compared, ties, raised)
 
 
 class TestBichordStar:

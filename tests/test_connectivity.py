@@ -18,7 +18,9 @@ from biplane.layered import BOTH, LAYER1, LAYER2, LayeredGraph
 from biplane.treeaug import min_augment_3conn
 from biplane.triangulation import edge_key, triangulate
 
-from oracles import bf_two_edge_connected, bf_vertex_connectivity, ref_vertex_connectivity
+from conftest import chordful_triangulation
+from oracles import (bf_two_edge_connected, bf_vertex_connectivity, ref_cut_structures,
+                     ref_vertex_connectivity)
 
 
 def random_graph(n, seed, p=0.5):
@@ -318,6 +320,40 @@ class TestCutStructures:
             assert disconnected_after_removal(len(t.ps), t.edges, chord)
         for triple in rep.cut_triples():
             assert disconnected_after_removal(len(t.ps), t.edges, triple)
+
+
+def cut_structure_inputs():
+    """Triangulations for the hull-position witness rule: random ones at
+    n = 6-40, chordful convex ones, wheels, fans and the no5conn family."""
+    cases = [(f"random-{n}", lambda n=n: random_triangulation(n, 1000 + n)) for n in range(6, 41)]
+    cases += [(f"chordful-{n}-{seed}", lambda n=n, seed=seed: chordful_triangulation(n, seed))
+              for n in (6, 9, 13) for seed in range(3)]
+    cases += [(f"wheel-{n}", lambda n=n: generate_wheel(n)) for n in (5, 8, 11)]
+    cases += [(f"fan-{n}", lambda n=n: generate_fan(n)) for n in (5, 8, 11)]
+    cases += [(f"no5conn-{k}", lambda k=k: generate_no5conn_counterexample(k)) for k in (2, 3, 4)]
+    return cases
+
+
+class TestCutStructuresAgainstReference:
+    @pytest.mark.parametrize("name,build", cut_structure_inputs(),
+                             ids=[name for name, _ in cut_structure_inputs()])
+    def test_full_report_matches(self, name, build):
+        t = build()
+        assert cut_structures(t) == ref_cut_structures(t)
+
+    def test_inputs_reach_every_witness_rule(self):
+        hull_middle = id_order_against_hull = separating = chords = 0
+        for _, build in cut_structure_inputs():
+            t = build()
+            rep = cut_structures(t)
+            pos = {v: i for i, v in enumerate(t.hull)}
+            hull_middle += sum(1 for b in rep.bichords if b.m in pos)
+            # interior middle, u < w by id but w first in hull order
+            id_order_against_hull += sum(1 for b in rep.bichords
+                                         if b.m not in pos and pos[b.w] < pos[b.u])
+            separating += len(rep.separating_triangles)
+            chords += len(rep.chords)
+        assert min(hull_middle, id_order_against_hull, separating, chords) > 0
 
 
 def disconnected_after_removal(n, edges, removed) -> bool:

@@ -140,10 +140,13 @@ class TestHamiltonian:
         assert sorted(cyc) == list(range(n))
 
 
-    @pytest.mark.parametrize("n", list(range(6, 60)) + [120, 160, 200])
+    @pytest.mark.parametrize("n", range(6, 201))
     def test_same_cycle_as_full_rescan(self, n):
+        # both searches also return the cycle that build_4conn_convex reads
+        # off the split chain
         g = grow_4conn_planar(n)
-        assert find_hamiltonian_cycle(n, g.edges) == ref_hamiltonian_cycle(n, g.edges)
+        cycle = find_hamiltonian_cycle(n, g.edges)
+        assert cycle == ref_hamiltonian_cycle(n, g.edges) == [0, 1, 2, *range(4, n), 3]
 
     def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
         # the path grows to 200 vertices, deeper than the whole allowed stack
@@ -240,6 +243,13 @@ class TestBuild4ConnConvex:
         assert kappa_of(g) == 4
         assert verify_layering(g)
         assert g.edge_count() <= 3 * n - 6
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 13, 40, 120, 200])
+    def test_same_graph_as_the_searched_cycle(self, n):
+        ps = regular_polygon_points(n)
+        g = grow_4conn_planar(n)
+        searched = realize_hamiltonian_on_convex(g.edges, find_hamiltonian_cycle(n, g.edges), ps)
+        assert build_4conn_convex(ps).layers == searched.layers
 
     def test_rejects_5(self):
         with pytest.raises(ImpossibleError):
