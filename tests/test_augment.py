@@ -215,6 +215,32 @@ class TestBisectorSign:
         assert compared >= 100000 and ties >= 500 and raised >= 1000, (compared, ties, raised)
 
 
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record the argument tuples of every call of augment.<name>."""
+    calls: list = []
+    fn = getattr(augment_module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(augment_module, name, counted)
+    return calls
+
+
+def _assert_plane_4conn_with_digest(t, extra, digest: str) -> None:
+    """The added edges do not cross, the union is 4-connected (brute force),
+    and the sorted edge list hashes to the recorded digest."""
+    ee = sorted(extra)
+    ps = t.ps
+    for i in range(len(ee)):
+        for j in range(i + 1, len(ee)):
+            assert not segments_properly_cross(ps[ee[i][0]], ps[ee[i][1]],
+                                               ps[ee[j][0]], ps[ee[j][1]])
+    assert bf_vertex_connectivity(len(ps), set(t.edges) | set(extra)) >= 4
+    assert hashlib.sha256(repr(ee).encode()).hexdigest() == digest
+
+
 class TestBichordStar:
     """The chordless case in which every vertex lies in a bichord, so no
     vertex is free for a star: `_augment_3connected` builds the bichord star
@@ -233,24 +259,34 @@ class TestBichordStar:
         assert t.chords() == []
         assert {v for triple in rep.cut_triples() for v in triple} == set(range(n))
         assert rep.bichords and not rep.separating_triangles
-        calls = []
-        bisector = augment_module._closer_to_first_ray
-
-        def counted(*args):
-            calls.append(args)
-            return bisector(*args)
-
-        monkeypatch.setattr(augment_module, "_closer_to_first_ray", counted)
+        calls = _count_calls(monkeypatch, "_closer_to_first_ray")
         extra = augment_to_4conn(t)
         assert calls, "the bisector split of the bichord star did not run"
-        ee = sorted(extra)
-        ps = t.ps
-        for i in range(len(ee)):
-            for j in range(i + 1, len(ee)):
-                assert not segments_properly_cross(ps[ee[i][0]], ps[ee[i][1]],
-                                                   ps[ee[j][0]], ps[ee[j][1]])
-        assert bf_vertex_connectivity(n, set(t.edges) | set(extra)) >= 4
-        assert hashlib.sha256(repr(ee).encode()).hexdigest() == digest
+        _assert_plane_4conn_with_digest(t, extra, digest)
+
+
+class TestWheelRemainder:
+    """Peeling a leaf cell leaves a wheel: `_wheel_remainder_wiring` joins
+    the cell point first hit by a rotating line to the rim.  On these inputs
+    the first and the last point hit give different edge sets."""
+
+    CASES = [
+        (7, 219, "f87e7b6e1db59d216285f5690bcb194664e116a930b7b4a054260aedd7d7e686"),
+        (8, 324, "8a06b73c55d1dcdd796a5d8b9fde68bef18d05e5b10fef943af8a737b0c3bd2f"),
+        (8, 386, "4bd3a3f63bad1c1bcde5c3d12113d32e188d3879a57be133f982fdceeab972ee"),
+        (9, 193, "db6c3d39c59d0f1f145459e7ed36c6313e64aee8591e3dc30d1aed51729e53a8"),
+        (9, 287, "5be02a36c1aff291138d66d7fcd78808933d22079f163603aff0bef247456679"),
+        (10, 103, "9fc15909cd3fc119a1b51aa46f58c4dc82c5983c34d85c27c15ae3a7b47faf12"),
+        (11, 195, "8929b5f6cbcc10a3fa155495131c611a0d3fc20157623b43c811d4e29881d82a"),
+    ]
+
+    @pytest.mark.parametrize("n,seed,digest", CASES)
+    def test_branch_runs_and_output_is_fixed(self, monkeypatch, n, seed, digest):
+        t = random_triangulation(n, seed)
+        calls = _count_calls(monkeypatch, "_wheel_remainder_wiring")
+        extra = augment_to_4conn(t)
+        assert calls, "the wheel-remainder wiring did not run"
+        _assert_plane_4conn_with_digest(t, extra, digest)
 
 
 class TestNo5ConnCounterexample:
