@@ -88,16 +88,13 @@ def _closer_to_first_ray(center: Point, p1: Point, p2: Point, q: Point) -> bool:
     da, db = dx * ay - dy * ax, dx * by - dy * bx
     if da == 0 or db == 0:
         raise InternalInvariantError("query direction coincides with a wedge boundary")
-    ab = ax * by - ay * bx
-    if ab == 0:
-        raise InternalInvariantError("the wedge rays are collinear")
     if (da > 0) == (db > 0):
         side = da
     else:
         side = da * da * (bx * bx + by * by) - db * db * (ax * ax + ay * ay)
         if da < 0:
             side = -side
-    return side == 0 or (side > 0) == (ab > 0)
+    return (ax * by - ay * bx) * side >= 0
 
 
 # ----------------------------------------------------------------------
