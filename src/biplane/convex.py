@@ -261,9 +261,9 @@ def build_4conn_convex(ps: PointSet) -> LayeredGraph:
 
     Always uses the octahedron split chain (kappa is exactly 4: the newest
     split vertex has degree 4).  The chain carries the Hamiltonian cycle
-    0, 1, 2, 4, 5, ..., n - 1, 3: the octahedron has 0-1-2-4-5-3, and split
-    vertex z (split (1, 5), then (1, z - 1)) joins 1, 2, 3 and z - 1, so the
-    run 4 ... z - 1 grows by z while the cycle keeps every edge it uses.  It
+    0, 1, 2, 4, 5, ..., n - 1, 3: the octahedron has 0-1-2-4-5-3, and each
+    split vertex z joins 1, 2, 3 and z - 1 while only the edge (1, z - 1),
+    which the cycle does not use, goes; so z fits between z - 1 and 3.  It
     is also the first cycle `find_hamiltonian_cycle` finds on this graph
     (see README, Verification).
     """
