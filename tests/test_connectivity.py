@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -134,6 +135,29 @@ def pocket_graph(seed):
     return n, [(label[u], label[v]) for u, v in edges], {label[v] for v in range(core, n)}
 
 
+def hub_graph(seed):
+    """Two cliques A and B, h = 1-2 hubs joined to every clique vertex, and a
+    vertex s joined to 2-(h + 2) vertices of each clique but to no hub, with
+    labels shuffled.  s has the unique minimum degree, and {s} plus the hubs
+    is the only minimum cut (kappa = h + 1): it holds s, and s has neighbours
+    on both of its sides.  A flow from s never lowers best below h + 2.
+    Returns (n, edges, s, hubs)."""
+    rng = random.Random(seed)
+    h = rng.randint(1, 2)
+    ka, kb = rng.randint(2, h + 2), rng.randint(2, h + 2)
+    size_a = rng.randint(ka + kb - h + 2, ka + kb - h + 6)
+    size_b = rng.randint(ka + kb - h + 2, ka + kb - h + 6)
+    a = list(range(h + 1, h + 1 + size_a))
+    b = list(range(a[-1] + 1, a[-1] + 1 + size_b))
+    n = b[-1] + 1
+    edges = [(u, v) for clique in (a, b) for i, u in enumerate(clique) for v in clique[i + 1:]]
+    edges += [(c, v) for c in range(1, h + 1) for v in a + b]
+    edges += [(0, v) for v in rng.sample(a, ka) + rng.sample(b, kb)]
+    label = list(range(n))
+    rng.shuffle(label)
+    return n, [(label[u], label[v]) for u, v in edges], label[0], {label[c] for c in range(1, h + 1)}
+
+
 def assert_cut_certifies(n, edges, kappa, cut):
     """|cut| = kappa and removing it disconnects the graph, or, for a
     complete graph, leaves a single vertex."""
@@ -179,6 +203,35 @@ class TestVertexConnectivityFuzz:
             if kappa < degree[s] and s not in pocket and len(pocket) == 2 == degree[s] + 1 - kappa:
                 tight += 1
         assert tight >= 10
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_cut_through_the_minimum_degree_vertex(self, seed):
+        """Every minimum cut holds s, so only the flows between neighbours
+        of s can find it."""
+        n, edges, _, _ = hub_graph(seed)
+        kappa, cut = min_vertex_cut(n, edges)
+        assert kappa == bf_vertex_connectivity(n, edges) == ref_vertex_connectivity(n, edges)
+        assert_cut_certifies(n, edges, kappa, cut)
+
+    def test_hub_family_has_only_cuts_through_s(self):
+        for seed in range(40):
+            n, edges, s, hubs = hub_graph(seed)
+            degree = [0] * n
+            for (u, v) in edges:
+                degree[u] += 1
+                degree[v] += 1
+            assert min(range(n), key=lambda v: (degree[v], v)) == s
+            assert sorted(degree)[0] < sorted(degree)[1]
+            kappa = len(hubs) + 1
+            cuts = [c for c in combinations(range(n), kappa)
+                    if disconnected_after_removal(n, edges, c)]
+            assert cuts == [tuple(sorted(hubs | {s}))], seed
+            assert bf_vertex_connectivity(n, edges) == kappa < degree[s]
+            # N(s) meets both sides: one neighbour of s, with the hubs and s
+            # removed, does not reach another
+            nbrs = [v for (u, w) in edges for x, v in ((u, w), (w, u)) if x == s]
+            side = reachable(n, edges, nbrs[0], hubs | {s})
+            assert any(v not in side for v in nbrs)
 
     @pytest.mark.parametrize("name,n,edges", KAPPA_INPUTS,
                              ids=[name for name, _, _ in KAPPA_INPUTS])
@@ -354,6 +407,22 @@ class TestCutStructuresAgainstReference:
             separating += len(rep.separating_triangles)
             chords += len(rep.chords)
         assert min(hull_middle, id_order_against_hull, separating, chords) > 0
+
+
+def reachable(n, edges, root, removed) -> set[int]:
+    adj = {v: set() for v in range(n) if v not in removed}
+    for (u, v) in edges:
+        if u in adj and v in adj:
+            adj[u].add(v)
+            adj[v].add(u)
+    seen = {root}
+    stack = [root]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def disconnected_after_removal(n, edges, removed) -> bool:
