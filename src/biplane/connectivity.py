@@ -39,31 +39,42 @@ def min_vertex_cut(n: int, edges: Iterable[Edge]) -> tuple[int, list[int]]:
     graph; for a complete graph it is every vertex but one, since no vertex
     set disconnects it.
 
-    Pair schedule (Esfahanian and Hakimi, 1984): fix a minimum-degree vertex
-    s and start from best = deg(s), which bounds kappa from above.  Run a
-    flow from s to every non-neighbour t of s outside a greedy maximal
-    independent set I of G - N[s], then between every nonadjacent pair of
-    neighbours of s.  Each flow stops at the running best.  Skipping I is
-    exact: if kappa < deg(s) and some minimum cut C misses s, a component T
-    of G - C away from s avoids N[s], and each of its vertices has at most
-    kappa neighbours outside T, so |T| >= deg(s) + 1 - kappa >= 2.  T is
-    connected, so it holds an edge, and an endpoint of that edge is a
-    target that C separates from s.  Cuts that contain s separate two
-    nonadjacent neighbours of s.
+    Pair schedule (Even, 1975): let s be a minimum-degree vertex, lowest id
+    first, and start from best = delta = deg(s), which bounds kappa from
+    above, with cut N(s).  Order the vertices v_1 = s, then breadth-first
+    from s with neighbours ascending, then the unreached ones by id.  Run one
+    flow between each nonadjacent pair among v_1..v_delta; then, for each
+    later v_j, one fan flow from v_j to its prefix P = {v_1..v_(j-1)}, whose
+    paths share only v_j and end at distinct vertices of P.  Each flow stops
+    at the running best.  Two facts make this exact:
 
-    A flow counts internally vertex-disjoint s-t paths on split vertices: v
-    becomes an arc 2v -> 2v + 1 of capacity 1 (INF for s and t), and an edge
-    uv the arcs 2u + 1 -> 2v and 2v + 1 -> 2u of capacity INF.  Arcs are
-    stored in pairs, arc a ^ 1 being the residual of arc a.  The arcs are
-    built once; each flow starts from a copy of the base capacities with the
-    split arcs of s and t set to INF.  It is seeded with greedy disjoint
-    paths, each a breadth-first search of the graph that avoids the interior
-    vertices of the earlier ones, and then augmented along residual paths.
-    Augmenting from any feasible flow reaches the maximum, so the seed
-    changes the work and not the value.  The cut is N(s) when no flow lowers
-    deg(s); otherwise it is read from the last flow that lowered best: the
-    vertices whose in-node the final residual search reached and whose
-    out-node it did not.
+    - Every lowered best is a real separator.  A fan has |P| >= delta >=
+      best > flow, so some vertex of P lies outside the flow's cut, and the
+      cut separates v_j from it.
+    - Every separator S with |S| < best is found.  Some vertex of
+      v_1..v_delta lies outside S.  If two of them lie in different
+      components of G - S, their pair flow is at most |S|.  Otherwise let A
+      be the component that holds them and v_j the first vertex outside A and
+      S.  Its prefix lies in A and S, so every path of its fan meets S, and
+      its fan flow is at most |S|.
+
+    A flow counts disjoint paths on split vertices: v becomes an arc 2v ->
+    2v + 1 of capacity 1, and an edge uv the arcs 2u + 1 -> 2v and 2v + 1 ->
+    2u of capacity INF.  Arcs are stored in pairs, arc a ^ 1 being the
+    residual of arc a, and built once.  A flow runs from the out-node of its
+    source to the out-node of any sink vertex: the prefix of a fan, or the
+    other end of a pair, whose split arc is then INF.  It is seeded with
+    greedy disjoint paths, each a breadth-first search of the graph that
+    avoids vertices with a full split arc and stops at the first sink it
+    meets, and then augmented along residual paths.  Augmenting from any
+    feasible flow reaches the maximum, so the seed changes the work and not
+    the value.  A flow touches only what its searches reach: parents live in
+    dicts, and its capacity changes are undone from a log.  In breadth-first
+    order most neighbours of a late vertex precede it, so a fan's greedy
+    search usually stops within a few vertices.  The cut is N(s) when no flow
+    goes below delta; otherwise it is read from the last flow that lowered
+    best: the vertices whose in-node the final residual search reached and
+    whose out-node it did not.
     """
     if n < 2:
         raise PreconditionError("vertex connectivity needs n >= 2")
@@ -71,13 +82,13 @@ def min_vertex_cut(n: int, edges: Iterable[Edge]) -> tuple[int, list[int]]:
     nbrs = [sorted(a) for a in adj]
     head: list[list[int]] = [[] for _ in range(2 * n)]
     to: list[int] = []
-    base: list[int] = []
+    cap: list[int] = []
     edge_arc: list[dict[int, int]] = [{} for _ in range(n)]
 
     def arc(u: int, v: int, c: int) -> None:
         head[u].append(len(to))
         to.extend((v, u))
-        base.extend((c, 0))
+        cap.extend((c, 0))
         head[v].append(len(to) - 1)
 
     for v in range(n):
@@ -86,84 +97,100 @@ def min_vertex_cut(n: int, edges: Iterable[Edge]) -> tuple[int, list[int]]:
         for v in nbrs[u]:
             edge_arc[u][v] = len(to)
             arc(2 * u + 1, 2 * v, INF)
+    sink = [False] * n
 
-    def max_flow(s: int, t: int, limit: int) -> tuple[int, list[int]]:
-        """Flow value, at most limit; below limit, also the minimum cut that
-        the final, failed residual search leaves."""
-        cap = base[:]
-        cap[2 * s] = cap[2 * t] = INF
+    def max_flow(src: int, limit: int) -> tuple[int, list[int]]:
+        """Flow value from src to the sinks, at most limit; below limit, also
+        the minimum cut that the final, failed residual search leaves."""
+        log: list[int] = []  # arcs whose capacity fell by one, in order
         flow = 0
-        used = [False] * n  # interior vertices of the greedy paths so far
         while flow < limit:
-            parent = [-1] * n
-            parent[s] = s
-            queue = [s]
+            parent = {src: src}
+            queue = [src]
+            end = -1
             for u in queue:
                 for v in nbrs[u]:
-                    if parent[v] == -1 and not used[v]:
+                    if v not in parent and cap[2 * v]:
                         parent[v] = u
+                        if sink[v]:
+                            end = v
+                            break
                         queue.append(v)
-                if parent[t] != -1:
+                if end != -1:
                     break
-            if parent[t] == -1:
+            if end == -1:
                 break
-            v = t
-            while v != s:
+            v = end
+            while v != src:
                 u = parent[v]
-                a = edge_arc[u][v]
-                cap[a] -= 1
-                cap[a ^ 1] += 1
-                if u != s:
-                    used[u] = True
-                    cap[2 * u] -= 1
-                    cap[2 * u + 1] += 1
+                for a in (edge_arc[u][v], 2 * v):
+                    cap[a] -= 1
+                    cap[a ^ 1] += 1
+                    log.append(a)
                 v = u
             flow += 1
-        src, sink = 2 * s + 1, 2 * t
+        side: list[int] = []
+        root = 2 * src + 1
         while flow < limit:
-            parent_arc = [-1] * (2 * n)
-            parent_arc[src] = -2
-            queue = [src]
+            parent_arc = {root: -1}
+            queue = [root]
+            end = -1
             for u in queue:
                 for a in head[u]:
                     v = to[a]
-                    if parent_arc[v] == -1 and cap[a] > 0:
+                    if cap[a] and v not in parent_arc:
                         parent_arc[v] = a
+                        if v & 1 and sink[v >> 1]:
+                            end = v
+                            break
                         queue.append(v)
-                if parent_arc[sink] != -1:
+                if end != -1:
                     break
-            if parent_arc[sink] == -1:
-                return flow, [v for v in range(n)
-                              if parent_arc[2 * v] != -1 and parent_arc[2 * v + 1] == -1]
-            v = sink
-            while v != src:
+            if end == -1:
+                side = sorted(v >> 1 for v in parent_arc if not v & 1 and v + 1 not in parent_arc)
+                break
+            v = end
+            while v != root:
                 a = parent_arc[v]
                 cap[a] -= 1
                 cap[a ^ 1] += 1
+                log.append(a)
                 v = to[a ^ 1]
             flow += 1
-        return flow, []
+        for a in log:
+            cap[a] += 1
+            cap[a ^ 1] -= 1
+        return flow, side
 
-    def lower(s: int, t: int) -> None:
+    def lower(src: int) -> None:
         nonlocal best, cut
-        flow, side = max_flow(s, t, best)
+        flow, side = max_flow(src, best)
         if flow < best:
             best, cut = flow, side
 
     s = min(range(n), key=lambda v: (len(adj[v]), v))
     best, cut = len(adj[s]), nbrs[s]
-    independent = [False] * n
-    for t in range(n):
-        if t == s or t in adj[s]:
-            continue
-        if not any(independent[w] for w in nbrs[t]):
-            independent[t] = True
-            continue
-        lower(s, t)
-    for i, u in enumerate(nbrs[s]):
-        for v in nbrs[s][i + 1:]:
+    order = [s]
+    reached = [False] * n
+    reached[s] = True
+    for u in order:
+        for v in nbrs[u]:
+            if not reached[v]:
+                reached[v] = True
+                order.append(v)
+    order += [v for v in range(n) if not reached[v]]
+    first = order[:best]
+    for i, u in enumerate(first):
+        for v in first[i + 1:]:
             if v not in adj[u]:
-                lower(u, v)
+                sink[v], cap[2 * v] = True, INF
+                lower(u)
+                sink[v], cap[2 * v] = False, 1
+    for v in first:
+        sink[v] = True
+    for v in order[len(first):]:
+        lower(v)
+        sink[v] = True
     return best, cut
 
 

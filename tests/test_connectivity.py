@@ -58,7 +58,7 @@ class TestVertexConnectivity:
 def kappa_inputs():
     """(name, n, edges) for the flow differential: graphs past the reach of
     the subset enumeration, with kappa from 0 to n - 1."""
-    for n in (30, 60, 120):
+    for n in (30, 60, 120, 200):
         ps = regular_polygon_points(n)
         yield f"convex5-{n}", n, build_5conn_convex(ps).edges()
         yield f"convex4-{n}", n, build_4conn_convex(ps).edges()
@@ -189,8 +189,8 @@ class TestVertexConnectivityFuzz:
     def test_pocket_family_reaches_the_tight_case(self):
         """Some pocket graphs have kappa < delta, a minimum-degree vertex s
         outside the pocket and a pocket of exactly delta + 1 - kappa = 2
-        vertices: the smallest side that skipping independent targets must
-        still reach."""
+        vertices: the smallest side that a minimum cut can leave away from
+        s, which only a fan flow from a pocket vertex finds."""
         tight = 0
         for seed in range(300):
             n, edges, pocket = pocket_graph(seed)
