@@ -59,15 +59,26 @@ def random_general_position(n: int, seed: int, span: int = 10 ** 4) -> PointSet:
 
 def random_triangulation(n: int, seed: int, flips: int | None = None) -> Triangulation:
     """Random triangulation: deterministic scan triangulation diversified by a
-    seeded walk in the flip graph."""
+    seeded walk in the flip graph.  Each step flips a uniformly drawn edge of
+    the sorted flippable edges.  Flipping (u, v) to (a, b) changes the
+    triangles on the quadrilateral's sides only, so only (a, b), (u, a),
+    (a, v), (v, b) and (b, u) are re-tested."""
     ps = random_general_position(n, seed)
     t = triangulate(ps)
     rng = random.Random(seed ^ 0x5EED)
+    candidates = {e for e in t.edges if is_flippable(t, e)}
     for _ in range(flips if flips is not None else 3 * n):
-        candidates = sorted(e for e in t.edges if is_flippable(t, e))
         if not candidates:
             break
-        t = flip(t, candidates[rng.randrange(len(candidates))])
+        e = sorted(candidates)[rng.randrange(len(candidates))]
+        (u, v), (a, b) = e, t.opposites(e)
+        t = flip(t, e)
+        candidates.discard(e)
+        for f in (edge_key(a, b), edge_key(u, a), edge_key(a, v), edge_key(v, b), edge_key(b, u)):
+            if is_flippable(t, f):
+                candidates.add(f)
+            else:
+                candidates.discard(f)
     return t
 
 

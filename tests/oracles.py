@@ -2,6 +2,7 @@
 deliberately separate from the library's algorithms."""
 from __future__ import annotations
 
+import random
 from collections import Counter, deque
 from functools import cmp_to_key
 from itertools import combinations
@@ -9,10 +10,11 @@ from typing import Sequence
 
 from biplane.connectivity import Bichord, CutReport, SeparatingTriangle
 from biplane.errors import InternalInvariantError, PreconditionError
+from biplane.generators import random_general_position
 from biplane.geometry import (Point, PointSet, cross, point_in_triangle,
                               segments_properly_cross, visible_hull_edges)
 from biplane.insertion import check_property_maxi
-from biplane.triangulation import edge_key
+from biplane.triangulation import edge_key, flip, is_flippable, triangulate
 
 
 def bf_vertex_connectivity(n: int, edges) -> int:
@@ -118,6 +120,19 @@ def ref_vertex_connectivity(n: int, edges) -> int:
             if v not in adj[u]:
                 best = _local_vertex_connectivity(n, adj, u, v, best)
     return best
+
+
+def ref_random_triangulation(n: int, seed: int, flips: int | None = None):
+    """`random_triangulation` re-testing every edge for flippability before
+    each flip."""
+    t = triangulate(random_general_position(n, seed))
+    rng = random.Random(seed ^ 0x5EED)
+    for _ in range(flips if flips is not None else 3 * n):
+        candidates = sorted(e for e in t.edges if is_flippable(t, e))
+        if not candidates:
+            break
+        t = flip(t, candidates[rng.randrange(len(candidates))])
+    return t
 
 
 def ref_hamiltonian_cycle(n: int, edges) -> list[int]:

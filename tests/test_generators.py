@@ -1,8 +1,12 @@
 import random
 
+import pytest
+
 from biplane.errors import PreconditionError
-from biplane.generators import random_general_position
+from biplane.generators import random_general_position, random_triangulation
 from biplane.geometry import PointSet
+
+from oracles import ref_random_triangulation
 
 
 def widening_draws(n, seed, span):
@@ -37,3 +41,18 @@ class TestRandomGeneralPosition:
         want, spans = widening_draws(12, 3, 10 ** 4)
         assert spans == [10 ** 4]
         assert random_general_position(12, 3).points == want.points
+
+
+class TestRandomTriangulation:
+    """Re-testing only the flipped quadrilateral's edges draws the same walk
+    as re-testing every edge."""
+
+    @pytest.mark.parametrize("n,seed", [(n, 1000 + n) for n in range(6, 61)]
+                             + [(n, seed) for n in (7, 12, 25, 48) for seed in range(5)])
+    def test_same_walk_as_full_rescan(self, n, seed):
+        got, want = random_triangulation(n, seed), ref_random_triangulation(n, seed)
+        assert got.triangles == want.triangles
+
+    def test_explicit_flip_count(self):
+        got = random_triangulation(20, 5, flips=200)
+        assert got.triangles == ref_random_triangulation(20, 5, flips=200).triangles
