@@ -169,7 +169,8 @@ def min_vertex_cut(n: int, edges: Iterable[Edge]) -> tuple[int, list[int]]:
             best, cut = flow, side
 
     s = min(range(n), key=lambda v: (len(adj[v]), v))
-    best, cut = len(adj[s]), nbrs[s]
+    delta = len(adj[s])
+    best, cut = delta, nbrs[s]
     order = [s]
     reached = [False] * n
     reached[s] = True
@@ -179,7 +180,7 @@ def min_vertex_cut(n: int, edges: Iterable[Edge]) -> tuple[int, list[int]]:
                 reached[v] = True
                 order.append(v)
     order += [v for v in range(n) if not reached[v]]
-    first = order[:best]
+    first = order[:delta]
     for i, u in enumerate(first):
         for v in first[i + 1:]:
             if v not in adj[u]:
@@ -188,7 +189,7 @@ def min_vertex_cut(n: int, edges: Iterable[Edge]) -> tuple[int, list[int]]:
                 sink[v], cap[2 * v] = False, 1
     for v in first:
         sink[v] = True
-    for v in order[len(first):]:
+    for v in order[delta:]:
         lower(v)
         sink[v] = True
     return best, cut
