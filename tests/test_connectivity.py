@@ -229,7 +229,7 @@ class TestVertexConnectivityFuzz:
             assert bf_vertex_connectivity(n, edges) == kappa < degree[s]
             # N(s) meets both sides: one neighbour of s, with the hubs and s
             # removed, does not reach another
-            nbrs = [v for (u, w) in edges for x, v in ((u, w), (w, u)) if x == s]
+            nbrs = [v for e in edges if s in e for v in e if v != s]
             side = reachable(n, edges, nbrs[0], hubs | {s})
             assert any(v not in side for v in nbrs)
 
@@ -428,20 +428,7 @@ def reachable(n, edges, root, removed) -> set[int]:
 def disconnected_after_removal(n, edges, removed) -> bool:
     removed = set(removed)
     alive = [v for v in range(n) if v not in removed]
-    adj = {v: set() for v in alive}
-    for (u, v) in edges:
-        if u in adj and v in adj:
-            adj[u].add(v)
-            adj[v].add(u)
-    seen = {alive[0]}
-    stack = [alive[0]]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) < len(alive)
+    return len(reachable(n, edges, alive[0], removed)) < len(alive)
 
 
 class TestCheck4Conn:
