@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .connectivity import check_4conn_augmentation, cut_structures, vertex_connectivity
+from .connectivity import (CutReport, augmentation_violations, cut_structures,
+                           vertex_connectivity)
 from .errors import ImpossibleError, InternalInvariantError, PreconditionError
 from .geometry import (Point, PointSet, cross, first_crossing, polygon_doubled_area,
                        segments_properly_cross)
@@ -101,9 +102,8 @@ def _closer_to_first_ray(center: Point, p1: Point, p2: Point, q: Point) -> bool:
 # Case 1: 3-connected triangulations (no chords)
 # ----------------------------------------------------------------------
 
-def _augment_3connected(t: Triangulation) -> set[Edge]:
+def _augment_3connected(t: Triangulation, report: CutReport) -> set[Edge]:
     n = len(t.ps)
-    report = cut_structures(t)
     in_cut = {v for triple in report.cut_triples() for v in triple}
     free = [v for v in range(n) if v not in in_cut]
     if free:
@@ -369,14 +369,15 @@ def _wheel_remainder_wiring(t: Triangulation, chord: Edge, members: frozenset[in
     raise InternalInvariantError("wheel-remainder wiring crosses itself in both sweeps")
 
 
-def _plane_partner(t: Triangulation) -> set[Edge]:
+def _plane_partner(t: Triangulation, report: CutReport | None = None) -> set[Edge]:
     """Plane edge set (possibly sharing edges with t) whose union with t is
-    4-connected; the recursion backbone."""
+    4-connected; the recursion backbone.  `report` is cut_structures(t) when
+    the caller has it."""
     n = len(t.ps)
     convex = len(t.hull) == n
     chords = t.chords()
     if not chords:
-        return _augment_3connected(t)
+        return _augment_3connected(t, report if report is not None else cut_structures(t))
     if n == 5:
         return _k5_base(t)
     if convex and n == 6:
@@ -401,12 +402,13 @@ def augment_to_4conn(t: Triangulation) -> frozenset[Edge]:
             raise ImpossibleError("a fan plus any second layer stays at most 3-connected")
     if (convex and n < 6) or n < 5:
         raise PreconditionError("need n >= 6 in convex position or n >= 5 otherwise")
-    partner = _plane_partner(t)
+    report = cut_structures(t)
+    partner = _plane_partner(t, report)
     new_edges = frozenset(e for e in partner if e not in t.edges)
     if first_crossing(t.ps, sorted(new_edges)) is not None:
         raise InternalInvariantError("augmentation edges cross each other")
-    ok, violations = check_4conn_augmentation(t, new_edges)
-    if not ok:
+    violations = augmentation_violations(t, new_edges, report)
+    if violations:
         raise InternalInvariantError("augmentation violates crossing conditions: "
                                      + "; ".join(violations))
     return new_edges

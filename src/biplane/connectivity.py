@@ -438,9 +438,16 @@ def check_4conn_augmentation(t: Triangulation, added: Iterable[Edge]) -> tuple[b
     new edges; (iii) a chord with at least two points on each side must be
     crossed by two nonadjacent new edges.  Returns all violations.
     """
+    violations = augmentation_violations(t, added, cut_structures(t))
+    return not violations, violations
+
+
+def augmentation_violations(t: Triangulation, added: Iterable[Edge],
+                            report: CutReport) -> list[str]:
+    """The violations check_4conn_augmentation reports, given
+    report = cut_structures(t)."""
     new_edges = sorted(edge_key(*e) for e in added)
     ps = t.ps
-    report = cut_structures(t)
     violations: list[str] = []
 
     for chord in report.chords:
@@ -465,4 +472,4 @@ def check_4conn_augmentation(t: Triangulation, added: Iterable[Edge]) -> tuple[b
         if not any(_crossings_with_path(ps, e, s.sides()) == 1 for e in new_edges):
             violations.append(f"separating triangle {s.vertices} not properly crossed")
 
-    return not violations, violations
+    return violations

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import biplane.augment as augment_module
+import biplane.connectivity as connectivity_module
 from biplane.augment import augment_to_4conn, flip_pair_helper
 from biplane.connectivity import (check_4conn_augmentation, kappa_of,
                                   vertex_connectivity)
@@ -152,6 +153,16 @@ class TestAugmentTo4Conn:
             assert bf_vertex_connectivity(n, union) >= 4
         ok, violations = check_4conn_augmentation(t, extra)
         assert ok, violations
+
+    def test_one_cut_report_per_chordless_input(self, monkeypatch):
+        # the star construction and the final crossing check share one report
+        t = random_triangulation(30, 3)
+        assert not t.chords()
+        calls = _count_calls(monkeypatch, "cut_structures")
+        monkeypatch.setattr(connectivity_module, "cut_structures", augment_module.cut_structures)
+        extra = augment_to_4conn(t)
+        assert calls == [(t,)]
+        assert check_4conn_augmentation(t, extra) == (True, [])
 
 
 def _grid_draws(rng: random.Random, span: int, count: int):
