@@ -146,7 +146,13 @@ def first_crossing(ps: PointSet, edges: Sequence[tuple[int, int]]) -> tuple[int,
     and only the new neighbour pairs are tested.  The leftmost crossing pair
     becomes adjacent at an earlier vertex and is tested there.  Once any
     crossing shows, the full scan names the nested-loop witness.
+
+    On a set in convex position the edges are chords of a strictly convex
+    polygon, and `_chords_interleave` accepts a plane set from hull positions
+    alone; a set it rejects goes through the sweep for its witness.
     """
+    if len(ps) >= 3 and len(ps.hull()) == len(ps) and not _chords_interleave(ps, edges):
+        return None
     xs, ys = ps.xs, ps.ys
     starts: dict[int, list[tuple[int, int, int, int]]] = {}
     ends: dict[int, int] = {}
@@ -187,6 +193,29 @@ def first_crossing(ps: PointSet, edges: Sequence[tuple[int, int]]) -> tuple[int,
     return pairs[0] if pairs else None
 
 
+def _chords_interleave(ps: PointSet, edges: Sequence[tuple[int, int]]) -> bool:
+    """True iff two `edges` have hull positions a < c < b < d, on a set in
+    convex position: the one way two chords of a strictly convex polygon
+    properly cross.
+
+    Taken by left end, and by right end descending on ties, each span first
+    drops the spans on the stack that end at or before its left end; the
+    rest contain its left end, and nest, so the top ends first.  The span
+    interleaves with one of them exactly when it ends after the top; else it
+    nests inside the top and is pushed."""
+    pos = [0] * len(ps)
+    for i, v in enumerate(ps.hull()):
+        pos[v] = i
+    stack: list[int] = []
+    for a, b in sorted((min(pos[u], pos[v]), -max(pos[u], pos[v])) for u, v in edges):
+        while stack and stack[-1] <= a:
+            stack.pop()
+        if stack and stack[-1] < -b:
+            return True
+        stack.append(-b)
+    return False
+
+
 def crosses_any(ps: PointSet, edge: tuple[int, int], edges: Iterable[tuple[int, int]]) -> bool:
     """True iff `edge` properly crosses at least one of `edges`."""
     s = _x_sorted_segment(ps, edge)
@@ -213,11 +242,20 @@ class PointSet:
     """
 
     def __init__(self, points: Sequence[Point] | Sequence[tuple[int, int]]):
-        self._init(_checked_points(points, 0), 0)
+        """Accepts n >= 3 points at once when all of them are hull vertices:
+        convex_hull pops every point that is not a corner of the hull, and no
+        corner lies between two other points, so no three are collinear.
+        Any other set goes through the bucket scan of `_init`."""
+        pts = _checked_points(points, 0)
+        _check_distinct(pts, 0)
+        hull = tuple(convex_hull(pts)) if len(pts) >= 3 else None
+        self._init(pts, len(pts) if hull is not None and len(hull) == len(pts) else 0, hull)
 
-    def _init(self, pts: Sequence[Point], known: int) -> None:
-        """Validate the points from index `known` on against all others; the
-        first `known` points are already distinct and in general position.
+    def _init(self, pts: Sequence[Point], known: int,
+              hull: tuple[int, ...] | None = None) -> None:
+        """Validate the distinct points from index `known` on against all
+        others; the first `known` points are already in general position.
+        `hull` is the hull of `pts` when the caller has it.
 
         A collinear triple (i, j, k), i < j < k, is two earlier points i and
         j in one reduced, sign-fixed direction from k.  So each k >= known
@@ -225,11 +263,6 @@ class PointSet:
         the first two members of a bucket are its smallest pair.  The error
         names the lexicographically smallest collinear triple whose largest
         index is at least `known`, the one a full scan meets first."""
-        seen = {p.coords() for p in pts[:known]}
-        for p in pts[known:]:
-            if p.coords() in seen:
-                raise PreconditionError(f"duplicate point {p.coords()}")
-            seen.add(p.coords())
         xs = tuple(p.x for p in pts)
         ys = tuple(p.y for p in pts)
         first: tuple[int, int, int] | None = None
@@ -249,7 +282,7 @@ class PointSet:
                 "points {}, {}, {} are collinear (general position required)".format(*first))
         self.points: tuple[Point, ...] = tuple(pts)
         self.xs, self.ys = xs, ys
-        self._hull: tuple[int, ...] | None = None
+        self._hull: tuple[int, ...] | None = hull
 
     def __len__(self) -> int:
         return len(self.points)
@@ -290,6 +323,7 @@ class PointSet:
 
     @staticmethod
     def _derived(pts: Sequence[Point], known: int) -> "PointSet":
+        _check_distinct(pts, known)
         out = PointSet.__new__(PointSet)
         out._init(pts, known)
         return out
@@ -309,6 +343,16 @@ def _checked_points(points: Sequence[Point] | Sequence[tuple[int, int]], start: 
             raise PreconditionError(f"point {i}: coordinate exceeds COORD_LIMIT={COORD_LIMIT}")
         pts.append(Point(x, y, i))
     return pts
+
+
+def _check_distinct(pts: Sequence[Point], known: int) -> None:
+    """Raise on the first point from index `known` on that repeats an
+    earlier one; the first `known` points are already distinct."""
+    seen = {p.coords() for p in pts[:known]}
+    for p in pts[known:]:
+        if p.coords() in seen:
+            raise PreconditionError(f"duplicate point {p.coords()}")
+        seen.add(p.coords())
 
 
 def convex_hull(ps: PointSet | Sequence[Point]) -> list[int]:

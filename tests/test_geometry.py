@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import biplane.geometry as geometry_module
 from biplane.errors import PreconditionError
-from biplane.geometry import (COORD_LIMIT, Orientation, Point, PointSet,
+from biplane.geometry import (COORD_LIMIT, Orientation, Point, PointSet, convex_hull,
                               cross, crosses_any, crossing_pairs, first_crossing,
                               is_convex_position, max_convex_subset,
                               max_convex_subset_indices, orientation,
@@ -116,12 +117,15 @@ class TestPointSet:
         with pytest.raises(PreconditionError, match=r"^points 0, 5, 6 are collinear"):
             PointSet(coords)
 
-    @pytest.mark.parametrize("family", ["grid", "quarter_turn", "duplicates"])
+    @pytest.mark.parametrize("family", ["grid", "quarter_turn", "duplicates", "convex"])
     def test_matches_the_triple_scan_at_every_known(self, family):
         """For every prefix in general position, extending it by the rest
-        raises what the duplicate check and the triple scan name."""
+        raises what the duplicate check and the triple scan name.  A set the
+        constructor accepts has the hull that convex_hull and the brute force
+        give, whether all its points are hull vertices or not."""
         rng = random.Random(family)
         duplicate = collinear = middle = 0
+        accepted = {True: 0, False: 0}  # by "every point is a hull vertex"
         for _ in range(150):
             coords = raw_coords(rng, family)
             for known in range(len(coords) + 1):
@@ -132,7 +136,10 @@ class TestPointSet:
                     if known:
                         PointSet(coords[:known]).extended(coords[known:])
                     else:
-                        PointSet(coords)
+                        ps = PointSet(coords)
+                        assert list(ps.hull()) == convex_hull(ps)
+                        assert set(ps.hull()) == bf_hull_ids(ps)
+                        accepted[len(ps.hull()) == len(ps)] += 1
                     got = None
                 except PreconditionError as exc:
                     got = str(exc)
@@ -146,8 +153,33 @@ class TestPointSet:
                     middle += min(coords[i], coords[j]) < coords[k] < max(coords[i], coords[j])
         if family == "duplicates":
             assert duplicate >= 150
+        elif family == "convex":
+            assert duplicate >= 20 and collinear >= 50 and middle >= 20, \
+                (duplicate, collinear, middle)
+            assert accepted[True] >= 50, accepted
         else:
             assert collinear >= 100 and middle >= 20, (collinear, middle)
+            assert accepted[False] >= 10, accepted
+
+    def test_fewer_than_three_points_construct(self):
+        for coords in ([], [(0, 0)], [(0, 0), (3, -1)]):
+            ps = PointSet(coords)
+            assert ps.xs == tuple(x for x, _ in coords)
+            with pytest.raises(PreconditionError, match="at least 3 points"):
+                ps.hull()
+
+    @pytest.mark.parametrize("interior", [False, True])
+    def test_the_hull_is_computed_once(self, monkeypatch, interior):
+        # the constructor's hull is kept, on the certified path and on the
+        # bucket scan alike
+        coords = [p.coords() for p in regular_polygon_points(12)] + [(1, 2)] * interior
+        calls = []
+        monkeypatch.setattr(geometry_module, "convex_hull",
+                            lambda pts: calls.append(1) or convex_hull(pts))
+        ps = PointSet(coords)
+        assert is_convex_position(ps) is not interior
+        assert first_crossing(ps, [(0, 6), (3, 9)]) == (0, 1)
+        assert len(calls) == 1
 
 
 def general_position_error(coords, known):
@@ -168,7 +200,23 @@ def general_position_error(coords, known):
 def raw_coords(rng, family):
     """Unchecked coordinates in [-4, 4]^2: distinct grid points, a set closed
     under the quarter turn (x, y) -> (-y, x) (shuffled, sometimes with the
-    origin), or grid points with one repeated."""
+    origin), or grid points with one repeated.  The convex family is shuffled
+    points (x, x^2), x in [-6, 6], in strictly convex position; half the sets
+    then get the midpoint of two of them (a hull edge or a chord), a repeat
+    of one of them, or are moved onto one line."""
+    if family == "convex":
+        xs = rng.sample(range(-6, 7), rng.randint(3, 9))
+        out = [(x, x * x) for x in xs]
+        kind = rng.choice(["none", "none", "none", "midpoint", "repeat", "line"])
+        if kind == "midpoint":
+            # x and x' of one parity make the midpoint integral
+            a, b = rng.choice([(a, b) for a in out for b in out if a < b and (a[0] - b[0]) % 2 == 0])
+            out.insert(rng.randint(0, len(out)), ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2))
+        elif kind == "repeat":
+            out.insert(rng.randint(0, len(out)), rng.choice(out))
+        elif kind == "line":
+            out = [(x, 2 * x + 1) for x in xs]
+        return out
     if family == "quarter_turn":
         coords = set()
         for _ in range(rng.randint(1, 3)):
@@ -265,14 +313,57 @@ def star_cases(rng):
     yield ps, one + [(v, b) for v in rng.sample(range(n), 3) if v != b]
 
 
+def jittered_convex_polygon(rng, n):
+    """n points near a circle of radius 10^4 in strictly convex position,
+    listed in a random order."""
+    while True:
+        coords = []
+        for j in range(n):
+            a = 2 * math.pi * (j + rng.uniform(-0.3, 0.3)) / n
+            coords.append((round(10 ** 4 * math.cos(a)), round(10 ** 4 * math.sin(a))))
+        rng.shuffle(coords)
+        try:
+            ps = PointSet(coords)
+        except PreconditionError:
+            continue
+        if is_convex_position(ps):
+            return ps
+
+
 def chord_cases(rng):
-    # chords of a convex polygon, crossing exactly when their ends interleave
+    # chords of a convex polygon, crossing exactly when their ends interleave;
+    # the labels are shuffled, so hull order is not id order
     n = rng.randint(5, 16)
-    ps = regular_polygon_points(n)
+    coords = [p.coords() for p in regular_polygon_points(n)]
+    rng.shuffle(coords)
+    ps = PointSet(coords)
+    h = ps.hull()
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+    def oriented(edges):
+        return [e if rng.random() < 0.5 else e[::-1] for e in edges]
+
     yield ps, sorted(triangulate(ps).edges)
     for k in (2, rng.randint(3, 2 * n)):
         yield ps, rng.sample(pairs, k)
+    # plane sets: nested chords, a star (shared ends) with the hull edges,
+    # a jittered polygon's triangulation and a subset of it, then that
+    # subset with one or two more chords
+    s = rng.randrange(n)
+    nested = [(h[(s - i) % n], h[(s + 1 + i) % n]) for i in range(n // 2)]
+    yield ps, oriented(rng.sample(nested, len(nested)))
+    star = [(h[s], v) for v in h if v != h[s]] + [(h[i], h[(i + 1) % n]) for i in range(n)]
+    yield ps, oriented(rng.sample(star, len(star)))
+    jittered = jittered_convex_polygon(rng, n)
+    tri = sorted(triangulate(jittered).edges)
+    yield jittered, oriented(tri)
+    sub = rng.sample(tri, rng.randint(1, len(tri)))
+    yield jittered, oriented(sub)
+    others = [e for e in pairs if e not in set(tri)]
+    yield jittered, oriented(sub + rng.sample(others, rng.randint(1, 2)))
+    # fewer than three points: no hull, so only the sweep can answer
+    few = PointSet([(0, 0), (5, 2)][:rng.randint(0, 2)])
+    yield few, oriented([(0, 1)] * rng.randint(0, 2) if len(few) == 2 else [])
 
 
 FIRST_CROSSING_FAMILIES = {"grid": grid_cases, "triangulation": triangulation_cases,
@@ -302,6 +393,30 @@ class TestFirstCrossing:
         for family in FIRST_CROSSING_FAMILIES:
             kinds = {want is None for fam, _, want in outcomes if fam == family}
             assert kinds == {True, False}, family
+
+    def test_interleaving_in_hull_order_is_crossing(self):
+        tested = {True: 0, False: 0}
+        for seed in range(150):
+            for ps, edges in chord_cases(random.Random(f"chords:{seed}")):
+                if len(ps) >= 3:
+                    got = geometry_module._chords_interleave(ps, edges)
+                    assert got == (bf_first_crossing(ps, edges) is not None), (ps.points, edges)
+                    tested[got] += 1
+        assert min(tested.values()) >= 300, tested
+
+    def test_plane_chords_skip_the_sweep(self, monkeypatch):
+        coords = [p.coords() for p in regular_polygon_points(10)]
+        random.Random(3).shuffle(coords)
+        ps = PointSet(coords)
+        edges = sorted(triangulate(ps).edges)
+
+        def unused(s, t):
+            raise AssertionError("the sweep ran")
+        monkeypatch.setattr(geometry_module, "_open_segments_cross", unused)
+        assert first_crossing(ps, edges) is None
+        with pytest.raises(AssertionError, match="the sweep ran"):
+            first_crossing(ps, edges + [edge_key(ps.hull()[0], ps.hull()[5]),
+                                        edge_key(ps.hull()[2], ps.hull()[7])])
 
     def test_crossing_is_the_nested_loop_witness(self):
         ps = PointSet([(0, 0), (10, 1), (6, -3), (7, 4), (2, 3), (8, -2)])
