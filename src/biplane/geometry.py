@@ -249,13 +249,12 @@ class PointSet:
         pts = _checked_points(points, 0)
         _check_distinct(pts, 0)
         hull = tuple(convex_hull(pts)) if len(pts) >= 3 else None
-        self._init(pts, len(pts) if hull is not None and len(hull) == len(pts) else 0, hull)
+        self._init(pts, len(pts) if hull is not None and len(hull) == len(pts) else 0)
+        self._hull = hull
 
-    def _init(self, pts: Sequence[Point], known: int,
-              hull: tuple[int, ...] | None = None) -> None:
+    def _init(self, pts: Sequence[Point], known: int) -> None:
         """Validate the distinct points from index `known` on against all
         others; the first `known` points are already in general position.
-        `hull` is the hull of `pts` when the caller has it.
 
         A collinear triple (i, j, k), i < j < k, is two earlier points i and
         j in one reduced, sign-fixed direction from k.  So each k >= known
@@ -282,7 +281,7 @@ class PointSet:
                 "points {}, {}, {} are collinear (general position required)".format(*first))
         self.points: tuple[Point, ...] = tuple(pts)
         self.xs, self.ys = xs, ys
-        self._hull: tuple[int, ...] | None = hull
+        self._hull: tuple[int, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.points)

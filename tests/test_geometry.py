@@ -200,10 +200,10 @@ def general_position_error(coords, known):
 def raw_coords(rng, family):
     """Unchecked coordinates in [-4, 4]^2: distinct grid points, a set closed
     under the quarter turn (x, y) -> (-y, x) (shuffled, sometimes with the
-    origin), or grid points with one repeated.  The convex family is shuffled
-    points (x, x^2), x in [-6, 6], in strictly convex position; half the sets
-    then get the midpoint of two of them (a hull edge or a chord), a repeat
-    of one of them, or are moved onto one line."""
+    origin), or grid points with one repeated.  The convex family instead
+    takes shuffled points (x, x^2), x in [-6, 6], in strictly convex
+    position; half the sets then get the midpoint of two of them (a hull
+    edge or a chord), a repeat of one of them, or are moved onto one line."""
     if family == "convex":
         xs = rng.sample(range(-6, 7), rng.randint(3, 9))
         out = [(x, x * x) for x in xs]
