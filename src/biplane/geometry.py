@@ -151,7 +151,7 @@ def first_crossing(ps: PointSet, edges: Sequence[tuple[int, int]]) -> tuple[int,
     polygon, and `_chords_interleave` accepts a plane set from hull positions
     alone; a set it rejects goes through the sweep for its witness.
     """
-    if len(ps) >= 3 and len(ps.hull()) == len(ps) and not _chords_interleave(ps, edges):
+    if len(ps) >= 3 and is_convex_position(ps) and not _chords_interleave(ps, edges):
         return None
     xs, ys = ps.xs, ps.ys
     starts: dict[int, list[tuple[int, int, int, int]]] = {}
