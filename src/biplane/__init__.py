@@ -3,16 +3,13 @@ and independent verification."""
 
 from .errors import (BiplaneError, ImpossibleError, InternalInvariantError,
                      PreconditionError)
-from .geometry import (COORD_LIMIT, Orientation, Point, PointSet, convex_hull,
-                       is_convex_position, max_convex_subset,
-                       max_convex_subset_indices, orientation,
-                       point_sees_hull_edge, segment_sees_hull_edge,
+from .geometry import (COORD_LIMIT, Point, PointSet, convex_hull,
+                       is_convex_position, max_convex_subset_indices,
                        segments_properly_cross)
-from .layered import (BOTH, LAYER1, LAYER2, LayeredGraph,
-                      saturate_to_maximal_biplane, union_of_triangulations)
-from .triangulation import (Quad, Triangulation, TriangulationClass, classify,
+from .layered import BOTH, LAYER1, LAYER2, LayeredGraph
+from .triangulation import (Triangulation, TriangulationClass, classify,
                             complete_to_triangulation, flip, is_flippable,
-                            quad_of_edge, triangulate)
+                            triangulate)
 from .connectivity import (Bichord, CutReport, SeparatingTriangle,
                            check_4conn_augmentation, compute_layering,
                            crossing_conflict_graph, cut_structures,
@@ -27,8 +24,7 @@ from .insertion import (MIN_POINTS_GUARANTEEING_14_CONVEX, InsertionState,
                         insert_interior_point)
 from .augment import augment_to_4conn, flip_pair_helper
 from .treeaug import (CellTree, LeafCell, RootedTreeIndex, augment_tree_2edge,
-                      biplane_after_3conn_augment, build_cell_tree,
-                      min_augment_3conn)
+                      build_cell_tree, min_augment_3conn)
 from .generators import (generate_fan, generate_no5conn_counterexample,
                          generate_wheel, random_general_position,
                          random_plane_tree, random_triangulation,

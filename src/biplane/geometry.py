@@ -7,7 +7,6 @@ portable and accidental floats are rejected early.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cmp_to_key
 from math import gcd
 from typing import Iterable, Sequence
@@ -15,15 +14,9 @@ from typing import Iterable, Sequence
 from .errors import PreconditionError
 
 #: Coordinates must satisfy |x|, |y| <= COORD_LIMIT.  At this bound every
-#: 3-point orientation determinant and every doubled polygon area used in the
+#: 3-point cross determinant and every doubled polygon area used in the
 #: library is below 2**66, exactly representable by Python integers.
 COORD_LIMIT = 2 ** 30
-
-
-class Orientation(Enum):
-    CCW = 1
-    COLLINEAR = 0
-    CW = -1
 
 
 @dataclass(frozen=True)
@@ -48,16 +41,6 @@ class Point:
 def cross(o: Point, a: Point, b: Point) -> int:
     """Exact cross product (a - o) x (b - o); twice the signed triangle area."""
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
-
-
-def orientation(p: Point, q: Point, r: Point) -> Orientation:
-    """Sign of the exact 3x3 orientation determinant of (p, q, r)."""
-    d = cross(p, q, r)
-    if d > 0:
-        return Orientation.CCW
-    if d < 0:
-        return Orientation.CW
-    return Orientation.COLLINEAR
 
 
 def segments_properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
@@ -140,7 +123,7 @@ def first_crossing(ps: PointSet, edges: Sequence[tuple[int, int]]) -> tuple[int,
     The sweep visits the endpoints in lexicographic (x, y) order, a sweep
     line tilted slightly off vertical, so that a vertical edge needs no
     special case.  The active segments are kept bottom to top, and a vertex
-    p finds its place by bisection with the exact orientation test.  Segments
+    p finds its place by bisection with the exact sign of `cross`.  Segments
     ending at p form one contiguous block unless a crossing lies left of p;
     the block is replaced by the segments starting at p, sorted around p,
     and only the new neighbour pairs are tested.  The leftmost crossing pair
@@ -298,11 +281,8 @@ class PointSet:
             self._hull = tuple(convex_hull(self))
         return self._hull
 
-    def hull_set(self) -> frozenset[int]:
-        return frozenset(self.hull())
-
     def interior_ids(self) -> tuple[int, ...]:
-        h = self.hull_set()
+        h = set(self.hull())
         return tuple(p.id for p in self.points if p.id not in h)
 
     def subset(self, ids: Iterable[int]) -> "PointSet":
@@ -398,32 +378,6 @@ def point_in_triangle(a: Point, b: Point, c: Point, s: Point) -> bool:
     for distinct set members, but the test is strict regardless)."""
     d1, d2, d3 = cross(a, b, s), cross(b, c, s), cross(c, a, s)
     return (d1 > 0 and d2 > 0 and d3 > 0) or (d1 < 0 and d2 < 0 and d3 < 0)
-
-
-def _hull_edge_index(ps: PointSet, edge: tuple[int, int]) -> int:
-    h = ps.hull()
-    u, v = edge
-    for i in range(len(h)):
-        a, b = h[i], h[(i + 1) % len(h)]
-        if {a, b} == {u, v}:
-            return i
-    raise PreconditionError(f"({u}, {v}) is not a hull edge")
-
-
-def point_sees_hull_edge(s: Point, ps: PointSet, edge: tuple[int, int]) -> bool:
-    """True iff exterior point s sees hull edge (u, v): triangle s,u,v lies
-    outside ch(ps), i.e. s is strictly on the outer side of the edge line."""
-    if point_strictly_inside_hull(ps, s) or any(p.coords() == s.coords() for p in ps):
-        raise PreconditionError("point must be strictly exterior to the hull")
-    i = _hull_edge_index(ps, edge)
-    h = ps.hull()
-    a, b = ps[h[i]], ps[h[(i + 1) % len(h)]]
-    return cross(a, b, s) < 0
-
-
-def segment_sees_hull_edge(s: Point, t: Point, ps: PointSet, edge: tuple[int, int]) -> bool:
-    """Both endpoints of st see the hull edge."""
-    return point_sees_hull_edge(s, ps, edge) and point_sees_hull_edge(t, ps, edge)
 
 
 def visible_hull_edges(s: Point, ps: PointSet) -> list[int]:
@@ -527,7 +481,3 @@ def max_convex_subset_indices(ps: PointSet) -> tuple[int, ...]:
     mask = top[2]
     return tuple(i for i in range(n) if mask >> (n - 1 - i) & 1)
 
-
-def max_convex_subset(ps: PointSet) -> PointSet:
-    """Maximum convex-position subset as a fresh PointSet (original order)."""
-    return ps.subset(max_convex_subset_indices(ps))

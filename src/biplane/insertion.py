@@ -203,8 +203,9 @@ def insert_interior_point(state: InsertionState, coords: tuple[int, int]) -> Ins
     if len(lost) > 1:
         raise InternalInvariantError(f"insertion deleted {len(lost)} original edges: {sorted(lost)}")
     result = LayeredGraph.from_layers(new_ps, t1.edges & final_edges, t2.edges & final_edges)
-    if result.degree(s) < 5:
-        raise InternalInvariantError(f"inserted vertex has degree {result.degree(s)} < 5")
+    degree = len(result.adjacency()[s])
+    if degree < 5:
+        raise InternalInvariantError(f"inserted vertex has degree {degree} < 5")
     # each layer is a subset of a validated triangulation, so it is plane
     return InsertionState(result, t1, t2)
 
@@ -601,9 +602,10 @@ def insert_hull_points(state: InsertionState, sb: Sequence[tuple[int, int]]) -> 
     lost = g.edges() - result.edges()
     if not lost <= deleted:
         raise InternalInvariantError(f"hull insertion lost unexpected edges {sorted(lost - deleted)}")
+    adj = result.adjacency()
     for b in sorted(b_ids):
-        if result.degree(b) < 5:
-            raise InternalInvariantError(f"new hull vertex {b} has degree {result.degree(b)} < 5")
+        if len(adj[b]) < 5:
+            raise InternalInvariantError(f"new hull vertex {b} has degree {len(adj[b])} < 5")
     if not verify_layering(result):
         layer, e, f = layer_crossing(result)
         raise InternalInvariantError(

@@ -5,8 +5,7 @@ from typing import Iterable, Mapping
 
 from .errors import PreconditionError
 from .geometry import PointSet
-from .triangulation import (Edge, Triangulation, complete_to_triangulation,
-                            edge_key, triangulate)
+from .triangulation import Edge, edge_key
 
 LAYER1 = 1
 LAYER2 = 2
@@ -70,28 +69,3 @@ class LayeredGraph:
             adj[u].add(v)
             adj[v].add(u)
         return adj
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.layers if v in e)
-
-
-def union_of_triangulations(t1: Triangulation, t2: Triangulation) -> LayeredGraph:
-    """Tag edges by membership in the two triangulations (shared -> both)."""
-    if t1.ps is not t2.ps and t1.ps.points != t2.ps.points:
-        raise PreconditionError("triangulations live on different point sets")
-    return LayeredGraph.from_layers(t1.ps, t1.edges, t2.edges)
-
-
-def saturate_to_maximal_biplane(ps: PointSet, seed: Triangulation | None = None) -> LayeredGraph:
-    """Union of two triangulations, greedily edge-maximal.
-
-    Layer 1 is the seed (or the deterministic triangulation of ps); layer 2 is
-    completed greedily preferring candidate edges absent from layer 1.
-    """
-    if len(ps) < 3:
-        raise PreconditionError("need at least 3 points")
-    t1 = seed if seed is not None else triangulate(ps)
-    if seed is not None and (t1.ps.points != ps.points):
-        raise PreconditionError("seed triangulation is not on the given point set")
-    t2 = complete_to_triangulation(ps, required=(), avoid=t1.edges)
-    return union_of_triangulations(t1, t2)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .connectivity import is_connected, is_two_edge_connected
 from .errors import InternalInvariantError, PreconditionError
@@ -276,9 +276,3 @@ def min_augment_3conn(t: Triangulation) -> frozenset[Edge]:
         raise InternalInvariantError("augmentation edge already present")
     return out
 
-
-def biplane_after_3conn_augment(t: Triangulation, added: Iterable[Edge] | None = None) -> LayeredGraph:
-    """Package the triangulation as layer 1 and the added edges as layer 2;
-    an added edge that t already has is in both layers, tagged BOTH."""
-    extra = frozenset(edge_key(*e) for e in added) if added is not None else min_augment_3conn(t)
-    return LayeredGraph.from_layers(t.ps, t.edges, extra)

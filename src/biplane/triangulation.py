@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -25,25 +24,6 @@ class TriangulationClass(Enum):
     WHEEL = "wheel"
     FAN = "fan"
     OTHER = "other"
-
-
-@dataclass(frozen=True)
-class Quad:
-    """Quadrilateral formed by the two triangles adjacent to a non-hull edge.
-
-    cycle lists the four vertices in boundary order (u, a, v, b) where (u, v)
-    is the shared edge and a, b are the two opposite vertices.
-    """
-
-    cycle: tuple[int, int, int, int]
-
-    @property
-    def diagonal(self) -> Edge:
-        return edge_key(self.cycle[0], self.cycle[2])
-
-    @property
-    def opposite(self) -> Edge:
-        return edge_key(self.cycle[1], self.cycle[3])
 
 
 class Triangulation:
@@ -272,18 +252,6 @@ def triangulate(ps: PointSet) -> Triangulation:
             i = (i + 1) % m
         hull = new_hull
     return Triangulation(ps, tris)
-
-
-def quad_of_edge(t: Triangulation, e: Edge) -> Quad:
-    """Quadrilateral of the two triangles adjacent to non-hull edge e."""
-    e = edge_key(*e)
-    if e not in t.edges:
-        raise PreconditionError(f"{e} is not an edge")
-    if e in t.hull_edges():
-        raise PreconditionError(f"{e} is a hull edge; its quadrilateral is undefined")
-    a, b = t.opposites(e)
-    u, v = e
-    return Quad((u, a, v, b))
 
 
 def is_flippable(t: Triangulation, e: Edge) -> bool:

@@ -9,7 +9,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 from biplane.errors import PreconditionError
 from biplane.generators import regular_polygon_points
 from biplane.geometry import PointSet
-from biplane.triangulation import flip, is_flippable, triangulate
+from biplane.layered import LayeredGraph
+from biplane.triangulation import (complete_to_triangulation, flip, is_flippable,
+                                   triangulate)
 
 
 def mixed_pipeline_instance(seed: int) -> PointSet:
@@ -45,6 +47,14 @@ def mixed_pipeline_instance(seed: int) -> PointSet:
         except PreconditionError:
             continue
     raise AssertionError(f"no valid mixed instance for seed {seed}")
+
+
+def greedy_biplane(ps: PointSet) -> LayeredGraph:
+    """Layer 1 is triangulate(ps); layer 2 is the greedy completion that
+    prefers edges absent from layer 1."""
+    t1 = triangulate(ps)
+    t2 = complete_to_triangulation(ps, avoid=t1.edges)
+    return LayeredGraph.from_layers(ps, t1.edges, t2.edges)
 
 
 def chordful_triangulation(n: int, seed: int):

@@ -19,13 +19,12 @@ from biplane.generators import (generate_no5conn_counterexample,
                                 random_general_position, random_plane_tree,
                                 random_triangulation, regular_polygon_points)
 from biplane.insertion import build_5conn_general
-from biplane.layered import saturate_to_maximal_biplane
 from biplane.treeaug import build_cell_tree, min_augment_3conn
 from biplane.triangulation import (TriangulationClass, classify, edge_key,
                                    flip, is_flippable, triangulate)
 from biplane.geometry import max_convex_subset_indices, segments_properly_cross
 
-from conftest import mixed_pipeline_instance
+from conftest import greedy_biplane, mixed_pipeline_instance
 from oracles import bf_max_convex_subset, bf_vertex_connectivity
 
 
@@ -66,7 +65,7 @@ def test_criterion_2_edge_upper_bounds():
     for seed in range(10):
         n = 8 + seed
         ps = random_general_position(n, seed=seed)
-        g = saturate_to_maximal_biplane(ps)
+        g = greedy_biplane(ps)
         assert g.edge_count() <= 6 * n - 18
         checked += 1
     for seed in range(6):

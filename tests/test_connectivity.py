@@ -19,7 +19,7 @@ from biplane.layered import BOTH, LAYER1, LAYER2, LayeredGraph
 from biplane.treeaug import min_augment_3conn
 from biplane.triangulation import edge_key, triangulate
 
-from conftest import chordful_triangulation
+from conftest import chordful_triangulation, greedy_biplane
 from oracles import (bf_two_edge_connected, bf_vertex_connectivity, ref_cut_structures,
                      ref_vertex_connectivity)
 
@@ -299,9 +299,8 @@ class TestComputeLayering:
             assert segments_properly_cross(ps[e[0]], ps[e[1]], ps[f[0]], ps[f[1]])
 
     def test_library_biplane_outputs_layerable(self):
-        from biplane.layered import saturate_to_maximal_biplane
         ps = random_general_position(9, seed=3)
-        g = saturate_to_maximal_biplane(ps)
+        g = greedy_biplane(ps)
         layers, odd = compute_layering(ps, sorted(g.edges()))
         assert odd is None and layers is not None
 

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 import biplane.geometry as geometry_module
 from biplane.errors import PreconditionError
-from biplane.geometry import (COORD_LIMIT, Orientation, Point, PointSet, convex_hull,
+from biplane.geometry import (COORD_LIMIT, Point, PointSet, convex_hull,
                               cross, crosses_any, crossing_pairs, first_crossing,
-                              is_convex_position, max_convex_subset,
-                              max_convex_subset_indices, orientation,
-                              point_sees_hull_edge, polygon_doubled_area,
-                              segment_sees_hull_edge, segments_properly_cross,
+                              is_convex_position, max_convex_subset_indices,
+                              polygon_doubled_area, segments_properly_cross,
                               visible_hull_edges)
 from biplane.generators import random_general_position, regular_polygon_points
 from biplane.triangulation import edge_key, triangulate
@@ -27,13 +25,13 @@ def P(x, y):
 
 class TestOrientation:
     def test_unit_right_triangle_ccw(self):
-        assert orientation(P(0, 0), P(1, 0), P(0, 1)) is Orientation.CCW
+        assert cross(P(0, 0), P(1, 0), P(0, 1)) > 0
 
     def test_collinear(self):
-        assert orientation(P(0, 0), P(1, 1), P(2, 2)) is Orientation.COLLINEAR
+        assert cross(P(0, 0), P(1, 1), P(2, 2)) == 0
 
     def test_mirror_cw(self):
-        assert orientation(P(0, 0), P(0, 1), P(1, 0)) is Orientation.CW
+        assert cross(P(0, 0), P(0, 1), P(1, 0)) < 0
 
     @given(st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
                     min_size=3, max_size=3))
@@ -449,7 +447,7 @@ class TestConvexHull:
         h = ps.hull()
         for i in range(len(h)):
             a, b, c = ps[h[i]], ps[h[(i + 1) % len(h)]], ps[h[(i + 2) % len(h)]]
-            assert orientation(a, b, c) is Orientation.CCW
+            assert cross(a, b, c) > 0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_against_bruteforce(self, seed):
@@ -487,16 +485,11 @@ class TestVisibility:
 
     def test_facing_edge_visible(self):
         ps = self.square()
-        assert point_sees_hull_edge(P(5, 1), ps, (1, 2))
+        assert ps.hull().index(1) in visible_hull_edges(P(5, 1), ps)
 
     def test_opposite_edge_hidden(self):
         ps = self.square()
-        assert not point_sees_hull_edge(P(5, 1), ps, (0, 3))
-
-    def test_interior_point_rejected(self):
-        ps = PointSet([(0, 0), (4, 0), (4, 4), (0, 4)])
-        with pytest.raises(PreconditionError):
-            point_sees_hull_edge(P(2, 1), ps, (0, 1))
+        assert ps.hull().index(3) not in visible_hull_edges(P(5, 1), ps)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_visible_edges_form_one_arc_never_all(self, seed):
@@ -513,13 +506,6 @@ class TestVisibility:
         runs = sum(1 for i in vis if (i - 1) % h not in vis_set)
         assert runs == 1
 
-    def test_segment_visibility_is_conjunction(self):
-        ps = self.square()
-        s, t = P(5, 1), P(6, 0)
-        for e in ((0, 1), (1, 2), (2, 3), (3, 0)):
-            expected = point_sees_hull_edge(s, ps, e) and point_sees_hull_edge(t, ps, e)
-            assert segment_sees_hull_edge(s, t, ps, e) == expected
-
 
 class TestMaxConvexSubset:
     def test_circle_points_dominate(self):
@@ -533,7 +519,7 @@ class TestMaxConvexSubset:
 
     def test_result_is_convex_position(self):
         ps = random_general_position(11, seed=5)
-        assert is_convex_position(max_convex_subset(ps))
+        assert is_convex_position(ps.subset(max_convex_subset_indices(ps)))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_against_exhaustive(self, seed):

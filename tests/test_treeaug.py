@@ -9,8 +9,7 @@ from biplane.generators import (generate_fan, random_plane_tree,
                                 random_triangulation, regular_polygon_points)
 from biplane.geometry import PointSet, segments_properly_cross
 from biplane.layered import BOTH, LAYER1, LAYER2, LayeredGraph
-from biplane.treeaug import (RootedTreeIndex, augment_tree_2edge,
-                             biplane_after_3conn_augment, build_cell_tree,
+from biplane.treeaug import (RootedTreeIndex, augment_tree_2edge, build_cell_tree,
                              min_augment_3conn)
 from biplane.triangulation import edge_key
 
@@ -144,7 +143,7 @@ class TestMinAugment3Conn:
     def test_added_edge_already_in_t_is_in_both_layers(self):
         t = generate_fan(6)
         assert (0, 1) in t.edges
-        g = biplane_after_3conn_augment(t, [(1, 0)])
+        g = LayeredGraph.from_layers(t.ps, t.edges, [(1, 0)])
         assert g.layers[(0, 1)] == BOTH
         assert g.layer_edges(LAYER1) == t.edges
         assert g.layer_edges(LAYER2) == {(0, 1)}
@@ -166,7 +165,7 @@ class TestMinAugment3Conn:
         m = ct.leaf_count()
         assert len(extra) == math.ceil(m / 2)
         assert len(extra) <= (n + 2) // 4
-        g = biplane_after_3conn_augment(t, extra)
+        g = LayeredGraph.from_layers(t.ps, t.edges, extra)
         assert verify_layering(g)
         assert kappa_of(g) >= 3
         ps = t.ps

@@ -9,14 +9,14 @@ from biplane.geometry import PointSet, point_in_triangle
 from biplane.generators import (generate_fan, generate_no5conn_counterexample,
                                 generate_wheel, random_general_position,
                                 random_triangulation, regular_polygon_points)
-from biplane.layered import saturate_to_maximal_biplane
 from biplane.connectivity import verify_layering
 from biplane.triangulation import (Triangulation, TriangulationClass,
                                    classify, complete_to_triangulation,
-                                   edge_key, flip, is_flippable, quad_of_edge,
+                                   edge_key, flip, is_flippable,
                                    triangle_key, triangulate,
                                    triangulation_from_edges)
 
+from conftest import greedy_biplane
 from oracles import bf_faces_of, bf_triangulation_ok
 
 
@@ -43,30 +43,6 @@ class TestTriangulate:
     def test_deterministic(self):
         ps = random_general_position(10, seed=3)
         assert triangulate(ps).triangles == triangulate(ps).triangles
-
-
-class TestQuad:
-    def square_with_diagonal(self):
-        ps = PointSet([(0, 0), (2, 0), (2, 2), (0, 3)])
-        return triangulate(ps)
-
-    def test_diagonal_quad_is_all_four(self):
-        t = self.square_with_diagonal()
-        diag = next(iter(t.edges - t.hull_edges()))
-        q = quad_of_edge(t, diag)
-        assert set(q.cycle) == {0, 1, 2, 3}
-
-    def test_hull_edge_rejected(self):
-        t = self.square_with_diagonal()
-        with pytest.raises(PreconditionError):
-            quad_of_edge(t, next(iter(t.hull_edges())))
-
-    def test_quad_triangles_partition(self):
-        t = self.square_with_diagonal()
-        diag = next(iter(t.edges - t.hull_edges()))
-        q = quad_of_edge(t, diag)
-        assert q.diagonal == diag
-        assert set(q.opposite) == set(q.cycle) - set(diag)
 
 
 class TestFlip:
@@ -128,35 +104,29 @@ class TestClassify:
 
 class TestSaturate:
     def test_triangle_both_layers_identical(self):
-        g = saturate_to_maximal_biplane(PointSet([(0, 0), (3, 1), (1, 3)]))
+        g = greedy_biplane(PointSet([(0, 0), (3, 1), (1, 3)]))
         assert g.edge_count() == 3
         assert g.layer_edges(1) == g.layer_edges(2)
 
     def test_convex_position_union_planar_size(self):
         for n in (6, 10, 14):
             ps = regular_polygon_points(n)
-            g = saturate_to_maximal_biplane(ps)
+            g = greedy_biplane(ps)
             assert g.edge_count() <= 3 * n - 6
 
     @pytest.mark.parametrize("n,seed", [(8, 0), (9, 1), (10, 2), (12, 3)])
     def test_hutchinson_bound_and_layering(self, n, seed):
         ps = random_general_position(n, seed=seed)
-        g = saturate_to_maximal_biplane(ps)
+        g = greedy_biplane(ps)
         assert g.edge_count() <= 6 * n - 18
         assert verify_layering(g)
 
     def test_layers_are_full_triangulations(self):
         ps = random_general_position(9, seed=7)
-        g = saturate_to_maximal_biplane(ps)
+        g = greedy_biplane(ps)
         for layer in (1, 2):
             t = triangulation_from_edges(ps, g.layer_edges(layer))
             assert euler_count(t)
-
-    def test_seeded(self):
-        ps = random_general_position(8, seed=9)
-        seed_t = triangulate(ps)
-        g = saturate_to_maximal_biplane(ps, seed=seed_t)
-        assert seed_t.edges <= g.layer_edges(1)
 
 
 class TestCompletion:
@@ -195,7 +165,7 @@ class TestFromEdges:
         t = random_triangulation(10, 1)
         e = next(e for e in sorted(t.edges) if is_flippable(t, e))
         other = next(f for f in sorted(t.edges) if f != e)
-        edges = (t.edges - {other}) | {quad_of_edge(t, e).opposite}
+        edges = (t.edges - {other}) | {edge_key(*t.opposites(e))}
         with pytest.raises(PreconditionError, match=r"^edges \(\d+, \d+\) and \(\d+, \d+\) cross$"):
             triangulation_from_edges(t.ps, edges)
 
