@@ -37,25 +37,32 @@ def dumps_layered(g: LayeredGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(lineno: int, row: str) -> list[int]:
+    try:
+        return [int(part) for part in row.split()]
+    except ValueError as exc:
+        raise PreconditionError(f"line {lineno}: non-integer field in {row!r}") from exc
+
+
 def loads_layered(text: str, ps: PointSet) -> LayeredGraph:
-    rows = [r.split("#", 1)[0].strip() for r in text.splitlines()]
-    rows = [r for r in rows if r]
+    rows = [(lineno, r.split("#", 1)[0].strip())
+            for lineno, r in enumerate(text.splitlines(), start=1)]
+    rows = [(lineno, r) for lineno, r in rows if r]
     if not rows:
         raise PreconditionError("empty edge list")
-    head = rows[0].split()
+    head = rows[0][1].split()
     if len(head) != 2:
         raise PreconditionError("header must be 'n m'")
-    n, m = int(head[0]), int(head[1])
+    n, m = _ints(*rows[0])
     if n != len(ps):
         raise PreconditionError(f"edge list is for {n} points, point set has {len(ps)}")
     if len(rows) - 1 != m:
         raise PreconditionError(f"header promises {m} edges, found {len(rows) - 1}")
     layers: dict[Edge, int] = {}
-    for row in rows[1:]:
-        parts = row.split()
-        if len(parts) != 3:
+    for lineno, row in rows[1:]:
+        if len(row.split()) != 3:
             raise PreconditionError(f"expected 'u v layer', got {row!r}")
-        u, v, tag = int(parts[0]), int(parts[1]), int(parts[2])
+        u, v, tag = _ints(lineno, row)
         if tag not in (LAYER1, LAYER2, BOTH):
             raise PreconditionError(f"layer must be 1, 2 or 3, got {tag}")
         e = edge_key(u, v)

@@ -12,8 +12,8 @@ def render_svg(g: LayeredGraph) -> str:
     pts = list(g.ps)
     xs = [p.x for p in pts]
     ys = [p.y for p in pts]
-    lo_x, hi_x = min(xs), max(xs)
-    lo_y, hi_y = min(ys), max(ys)
+    lo_x, hi_x = min(xs, default=0), max(xs, default=0)
+    lo_y, hi_y = min(ys, default=0), max(ys, default=0)
     span = max(hi_x - lo_x, hi_y - lo_y, 1)
     scale = _SIZE * (1 - 2 * _MARGIN) / span
     off = _SIZE * _MARGIN

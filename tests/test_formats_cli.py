@@ -218,6 +218,26 @@ class TestCli:
                         "--out", str(svg)) == 0
         ET.fromstring(svg.read_text())
 
+    def test_render_empty_point_file(self, tmp_path):
+        pts, svg = tmp_path / "empty.pts", tmp_path / "e.svg"
+        pts.write_text("")
+        assert self.run("render", "--points", str(pts), "--out", str(svg)) == 0
+        text = svg.read_text()
+        ET.fromstring(text)
+        assert "<circle" not in text
+
+    @pytest.mark.parametrize("text,reason", [
+        ("3 x\n", "line 1: non-integer field in '3 x'"),
+        ("# header\n3 1\n0 a 1\n", "line 3: non-integer field in '0 a 1'"),
+    ])
+    def test_malformed_edge_list_exit_3(self, tmp_path, capsys, text, reason):
+        pts, edges = tmp_path / "p.pts", tmp_path / "g.edges"
+        pts.write_text("0 0\n4 1\n1 4\n")
+        edges.write_text(text)
+        capsys.readouterr()
+        assert self.run("verify", "--points", str(pts), "--edges", str(edges)) == 3
+        assert capsys.readouterr().err.strip() == f"error: {reason}"
+
     def test_byte_identical_build_outputs(self, tmp_path):
         pts = tmp_path / "p.pts"
         self.run("gen", "--shape", "regular", "--n", "16", "--out", str(pts))
