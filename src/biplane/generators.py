@@ -6,7 +6,8 @@ import math
 import random
 
 from .errors import InternalInvariantError, PreconditionError
-from .geometry import PointSet, crosses_any, is_convex_position, segments_properly_cross
+from .geometry import (Point, PointSet, convex_hull, crosses_any, is_convex_position,
+                       segments_properly_cross)
 from .triangulation import Edge, Triangulation, edge_key, flip, is_flippable, triangulate
 from .layered import LAYER1, LayeredGraph
 
@@ -172,23 +173,26 @@ def generate_no5conn_counterexample(k: int) -> Triangulation:
         coords += [(-8, -depth), (0, -depth - 8), (8, -depth)]      # c_1, c_2, c_3
         coords += [(-6, -depth + 8), (-2, -depth + 6),
                    (2, -depth + 6), (6, -depth + 8)]                # uL, z1, z2, uR
-        ps = _try_pointset(coords)
-        if ps is None:
-            return None
         x = list(range(m))
         y = [m + i for i in range(m - 3)]
         c1, c2, c3 = 2 * m - 3, 2 * m - 2, 2 * m - 1
         ul, z1, z2, ur = 2 * m, 2 * m + 1, 2 * m + 2, 2 * m + 3
         expected_hull = {x[0], x[-1], c1, c2, c3, *y}
-        if set(ps.hull()) != expected_hull:
+        # the hull and crossing checks run on the raw points, so that only a
+        # candidate passing both pays for the O(n^2) general-position scan
+        pts = [Point(cx, cy, i) for i, (cx, cy) in enumerate(coords)]
+        if set(convex_hull(pts)) != expected_hull:
             return None
         # required crossing property: y_i to any bottom point crosses x_{i+1} x_{i+2}
         bottom = [c1, c2, c3, ul, z1, z2, ur]
         for i in range(m - 3):
-            a, b = ps[x[i + 1]], ps[x[i + 2]]
+            a, b = pts[x[i + 1]], pts[x[i + 2]]
             for w in bottom:
-                if not segments_properly_cross(ps[y[i]], ps[w], a, b):
+                if not segments_properly_cross(pts[y[i]], pts[w], a, b):
                     return None
+        ps = _try_pointset(coords)
+        if ps is None:
+            return None
         tris: list[tuple[int, int, int]] = []
         tris.append((x[0], x[1], y[0]))
         tris += [(y[i], x[i + 1], x[i + 2]) for i in range(m - 3)]

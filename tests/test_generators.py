@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from biplane.errors import PreconditionError
-from biplane.generators import random_general_position, random_triangulation
+from biplane.generators import (generate_no5conn_counterexample, random_general_position,
+                                random_triangulation)
 from biplane.geometry import PointSet
 
 from oracles import ref_random_triangulation
@@ -56,3 +58,21 @@ class TestRandomTriangulation:
     def test_explicit_flip_count(self):
         got = random_triangulation(20, 5, flips=200)
         assert got.triangles == ref_random_triangulation(20, 5, flips=200).triangles
+
+
+# sha256 of repr((ps.points, sorted(triangles))); the candidate checks may be
+# reordered for speed, but every k must keep its triangulation
+NO5CONN_DIGESTS = {
+    2: "396108b0948fcdfb59fae5c74ec442c04a52e7875aa48559e95e5c5ed2441c50",
+    3: "2afbb8ae87781d95c1d3dfe2fcfd61627b245a9547144700fba25455395a9948",
+    5: "9fc68d22c4238d51af02802a9ea4333c41bd59f4e5b3ea7c6c66521a5df537f0",
+    10: "64eb544eb1fc99b07f436183178e61a40a5547deb9a9b650032b293918893021",
+    12: "71e859b8266d54f1095a5d620344bb3be395f9a0f39b16b78a68c9994a753f2a",
+}
+
+
+@pytest.mark.parametrize("k", sorted(NO5CONN_DIGESTS))
+def test_no5conn_counterexample_is_pinned(k):
+    t = generate_no5conn_counterexample(k)
+    got = hashlib.sha256(repr((t.ps.points, sorted(t.triangles))).encode()).hexdigest()
+    assert got == NO5CONN_DIGESTS[k]
