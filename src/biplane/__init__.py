@@ -16,8 +16,7 @@ from .connectivity import (Bichord, CutReport, SeparatingTriangle,
                            is_two_edge_connected, kappa_of, min_vertex_cut,
                            verify_layering, vertex_connectivity)
 from .convex import (build_4conn_convex, build_5conn_convex,
-                     find_hamiltonian_cycle, grow_4conn_planar, octahedron,
-                     realize_hamiltonian_on_convex, vertex_split)
+                     find_hamiltonian_cycle)
 from .insertion import (MIN_POINTS_GUARANTEEING_14_CONVEX, InsertionState,
                         build_5conn_general, check_property_maxi,
                         find_flippable_opposite, insert_hull_points,

@@ -18,6 +18,11 @@ from .errors import PreconditionError
 #: library is below 2**66, exactly representable by Python integers.
 COORD_LIMIT = 2 ** 30
 
+#: Above floor(dy / dx * 2^64) for every coordinate difference within the
+#: limit, where |dy / dx| <= 2^31: the angular keys of `_ccw_ring` and
+#: `triangulation._ccw_around` use it (negated there) for a vertical direction.
+_ABOVE_EVERY_SLOPE = 1 << 96
+
 
 @dataclass(frozen=True)
 class Point:
@@ -393,16 +398,19 @@ def _ccw_ring(xs: Sequence[int], ys: Sequence[int], v: int) -> tuple[list[int], 
 
     A ring entry is p for the direction p - v and ~p for v - p.  The first
     half lists, for every p, whichever of the two points into the half-plane
-    dx > 0 or (dx == 0, dy > 0); the second half is the first negated.
-    at[p] is the index of p's entry in the first half."""
+    dx > 0 or (dx == 0, dy > 0), sorted by the exact key floor(dy / dx * 2^64)
+    and the upward vertical last (see README, Verification); the second half
+    is the first negated.  at[p] is the index of p's entry in the first half."""
     vx, vy = xs[v], ys[v]
-    dirs: list[tuple[int, int, int]] = []
+    dirs: list[tuple[int, int]] = []
     for p in range(len(xs)):
         if p != v:
-            dx, dy = xs[p] - vx, ys[p] - vy
-            dirs.append((dx, dy, p) if (dx, dy) > (0, 0) else (-dx, -dy, ~p))
-    dirs.sort(key=cmp_to_key(lambda d, f: -1 if d[0] * f[1] > d[1] * f[0] else 1))
-    half = [e for _, _, e in dirs]
+            dx, dy, e = xs[p] - vx, ys[p] - vy, p
+            if (dx, dy) < (0, 0):
+                dx, dy, e = -dx, -dy, ~p
+            dirs.append(((dy << 64) // dx if dx else _ABOVE_EVERY_SLOPE, e))
+    dirs.sort()
+    half = [e for _, e in dirs]
     at = [0] * len(xs)
     for i, e in enumerate(half):
         at[e if e >= 0 else ~e] = i

@@ -1,13 +1,12 @@
 """Plane triangulations with face adjacency, edge flips and classification."""
 from __future__ import annotations
 
-import functools
 from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
-from .geometry import (Point, PointSet, crossing_pairs, crosses_any, cross, first_crossing,
-                       point_in_triangle, segments_properly_cross)
+from .geometry import (_ABOVE_EVERY_SLOPE, Point, PointSet, crossing_pairs, crosses_any,
+                       cross, first_crossing, point_in_triangle, segments_properly_cross)
 
 Edge = tuple[int, int]
 
@@ -170,8 +169,10 @@ class Triangulation:
         return self._opposites[edge_key(*e)]
 
     def locate(self, s: Point) -> tuple[int, int, int]:
-        """Triangle strictly containing s (linear scan, desk scale)."""
-        for (a, b, c) in sorted(self.triangles):
+        """Triangle strictly containing s, by one scan in O(m).  The faces of
+        a valid triangulation have disjoint interiors, so at most one
+        triangle contains s and the scan order does not matter."""
+        for (a, b, c) in self.triangles:
             if point_in_triangle(self.ps[a], self.ps[b], self.ps[c], s):
                 return (a, b, c)
         raise PreconditionError(f"point {s.coords()} lies in no triangle")
@@ -199,22 +200,17 @@ class Triangulation:
 
 def _ccw_around(ps: PointSet, v: int, nbrs: Iterable[int]) -> list[int]:
     """`nbrs` in counterclockwise angular order around v, starting at the
-    direction of +x."""
-    center = ps[v]
+    direction of +x.  The key is the half-plane (0 for the angles [0, pi)),
+    then the exact floor(-dx / dy * 2^64), lowest for dy = 0 (see README,
+    Verification)."""
+    xs, ys, cx, cy = ps.xs, ps.ys, ps.xs[v], ps.ys[v]
 
-    def half(p: Point) -> int:
-        dx, dy = p.x - center.x, p.y - center.y
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+    def key(p: int) -> tuple[int, int]:
+        dx, dy = xs[p] - cx, ys[p] - cy
+        half = 0 if dy > 0 or (dy == 0 and dx > 0) else 1
+        return half, ((-dx << 64) // dy if dy else -_ABOVE_EVERY_SLOPE)
 
-    def cmp(i: int, j: int) -> int:
-        pi, pj = ps[i], ps[j]
-        hi, hj = half(pi), half(pj)
-        if hi != hj:
-            return hi - hj
-        c = cross(center, pi, pj)
-        return -1 if c > 0 else 1
-
-    return sorted(nbrs, key=functools.cmp_to_key(cmp))
+    return sorted(nbrs, key=key)
 
 
 def triangulate(ps: PointSet) -> Triangulation:

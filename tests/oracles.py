@@ -3,18 +3,21 @@ deliberately separate from the library's algorithms."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter, deque
 from functools import cmp_to_key
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from biplane.connectivity import Bichord, CutReport, SeparatingTriangle
-from biplane.errors import InternalInvariantError, PreconditionError
+from biplane.connectivity import (Bichord, CutReport, SeparatingTriangle,
+                                  layers_from_conflicts)
+from biplane.errors import ImpossibleError, InternalInvariantError, PreconditionError
 from biplane.generators import random_general_position
-from biplane.geometry import (Point, PointSet, cross, point_in_triangle,
+from biplane.geometry import (Point, PointSet, cross, is_convex_position, point_in_triangle,
                               segments_properly_cross, visible_hull_edges)
 from biplane.insertion import check_property_maxi
-from biplane.triangulation import edge_key, flip, is_flippable, triangulate
+from biplane.layered import LAYER1, LayeredGraph
+from biplane.triangulation import Edge, edge_key, flip, is_flippable, triangulate
 
 
 def bf_vertex_connectivity(n: int, edges) -> int:
@@ -307,6 +310,42 @@ def _angular_ccw_key(anchor: Point):
     return cmp_to_key(cmp)
 
 
+def ref_ccw_ring(xs: Sequence[int], ys: Sequence[int], v: int) -> tuple[list[int], list[int]]:
+    """geometry._ccw_ring by a cross-product comparator: entries in the
+    half-plane dx > 0 or (dx == 0, dy > 0), counterclockwise, then negated."""
+    vx, vy = xs[v], ys[v]
+    dirs: list[tuple[int, int, int]] = []
+    for p in range(len(xs)):
+        if p != v:
+            dx, dy = xs[p] - vx, ys[p] - vy
+            dirs.append((dx, dy, p) if (dx, dy) > (0, 0) else (-dx, -dy, ~p))
+    dirs.sort(key=cmp_to_key(lambda d, f: -1 if d[0] * f[1] > d[1] * f[0] else 1))
+    half = [e for _, _, e in dirs]
+    at = [0] * len(xs)
+    for i, e in enumerate(half):
+        at[e if e >= 0 else ~e] = i
+    return half + [~e for e in half], at
+
+
+def ref_ccw_around(ps: PointSet, v: int, nbrs) -> list[int]:
+    """triangulation._ccw_around by a comparator: half-plane first (angles
+    [0, pi) before [pi, 2 pi)), then the sign of the cross product."""
+    center = ps[v]
+
+    def half(p: Point) -> int:
+        dx, dy = p.x - center.x, p.y - center.y
+        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+
+    def cmp(i: int, j: int) -> int:
+        pi, pj = ps[i], ps[j]
+        hi, hj = half(pi), half(pj)
+        if hi != hj:
+            return hi - hj
+        return -1 if cross(center, pi, pj) > 0 else 1
+
+    return sorted(nbrs, key=cmp_to_key(cmp))
+
+
 def dp_max_convex_subset(ps: PointSet) -> tuple[int, ...]:
     """Ids of a maximum-cardinality convex-position subset.
 
@@ -570,3 +609,142 @@ def ref_cut_structures(t) -> CutReport:
             if inside and outside:
                 report.separating_triangles.append(SeparatingTriangle(tri, inside[0], outside[0]))
     return report
+
+
+# Reference for convex.build_4conn_convex, which writes the result down in
+# closed form: the octahedron split chain, realized on a convex set through a
+# Hamiltonian cycle and a breadth-first two-page coloring of the chord
+# conflicts.
+
+class PlanarTriangulatedGraph:
+    """Abstract triangulation of the sphere: every edge bounds two faces.
+
+    Supports the vertex split used to grow 4-connected planar graphs.
+    """
+
+    def __init__(self, n: int, faces: Iterable[Sequence[int]]):
+        self.n = n
+        self.faces: frozenset[tuple[int, int, int]] = frozenset(
+            tuple(sorted(f)) for f in faces)  # type: ignore[arg-type]
+        edge_faces: dict[Edge, list[tuple[int, int, int]]] = {}
+        for f in self.faces:
+            a, b, c = f
+            for e in (edge_key(a, b), edge_key(b, c), edge_key(a, c)):
+                edge_faces.setdefault(e, []).append(f)
+        for e, fs in edge_faces.items():
+            if len(fs) != 2:
+                raise InternalInvariantError(f"edge {e} bounds {len(fs)} faces, expected 2")
+        self.edge_faces = edge_faces
+        self.edges: frozenset[Edge] = frozenset(edge_faces)
+
+    @classmethod
+    def _from_maps(cls, n: int, faces: frozenset[tuple[int, int, int]],
+                   edge_faces: dict[Edge, list[tuple[int, int, int]]]) -> PlanarTriangulatedGraph:
+        """A graph from face and edge-face maps that are already consistent."""
+        g = cls.__new__(cls)
+        g.n, g.faces, g.edge_faces = n, faces, edge_faces
+        g.edges = frozenset(edge_faces)
+        return g
+
+
+def octahedron() -> PlanarTriangulatedGraph:
+    """The 1-skeleton of the octahedron: 4-connected, planar, 6 vertices."""
+    equator = [1, 2, 4, 3]
+    faces = []
+    for i in range(4):
+        a, b = equator[i], equator[(i + 1) % 4]
+        faces.append((0, a, b))
+        faces.append((5, a, b))
+    return PlanarTriangulatedGraph(6, faces)
+
+
+def vertex_split(g: PlanarTriangulatedGraph, e: Edge) -> PlanarTriangulatedGraph:
+    """Remove edge (u, v) and add a new vertex joined to all vertices of the
+    two faces adjacent to (u, v); preserves planarity and 4-connectivity."""
+    e = edge_key(*e)
+    if e not in g.edges:
+        raise PreconditionError(f"{e} is not an edge")
+    f1, f2 = g.edge_faces[e]
+    u, v = e
+    a = next(x for x in f1 if x not in e)
+    b = next(x for x in f2 if x not in e)
+    z = g.n
+    # patch the parent's edge-face map: (u, v) goes, the sides of the
+    # quadrilateral u a v b now bound faces through z, and z gets four edges;
+    # the other face lists are shared with the parent, and neither mutates them
+    quad = (u, a, v, b)
+    new = [tuple(sorted((quad[i], quad[(i + 1) % 4], z))) for i in range(4)]
+    edge_faces = dict(g.edge_faces)
+    del edge_faces[e]
+    for i, x in enumerate(quad):
+        side = edge_key(x, quad[(i + 1) % 4])
+        old = f1 if i < 2 else f2
+        edge_faces[side] = [new[i] if f == old else f for f in edge_faces[side]]
+        edge_faces[(x, z)] = [new[i - 1], new[i]]
+    faces = (g.faces - {f1, f2}) | set(new)
+    return PlanarTriangulatedGraph._from_maps(z + 1, faces, edge_faces)  # type: ignore[arg-type]
+
+
+def grow_4conn_planar(n: int) -> PlanarTriangulatedGraph:
+    """Octahedron plus n - 6 deterministic vertex splits: each split uses the
+    smallest edge incident to the most recently added vertex."""
+    if n < 6:
+        raise ImpossibleError("every 4-connected planar graph has at least 6 vertices")
+    g = octahedron()
+    last_nbrs = {x for e in g.edges if g.n - 1 in e for x in e} - {g.n - 1}
+    while g.n < n:
+        e = (min(last_nbrs), g.n - 1)
+        f1, f2 = g.edge_faces[e]
+        last_nbrs = set(f1) | set(f2)
+        g = vertex_split(g, e)
+    return g
+
+
+def _hull_chord_conflicts(ps: PointSet, chords: Sequence[Edge]) -> list[set[int]]:
+    """crossing_conflict_graph(ps, chords)[1] for a point set in strictly
+    convex position, read off the hull order: with hull positions a < b and
+    c < d, chords (a, b) and (c, d) cross exactly when a < c < b < d or
+    c < a < d < b.  With the chords sorted by their left end, each chord is
+    tested only against the later ones whose left end lies below its right
+    end."""
+    pos = {v: i for i, v in enumerate(ps.hull())}
+    spans = sorted((min(pos[u], pos[v]), max(pos[u], pos[v]), i) for i, (u, v) in enumerate(chords))
+    conflicts: list[set[int]] = [set() for _ in chords]
+    for k, (a, b, i) in enumerate(spans):
+        for c, d, j in spans[k + 1:bisect_left(spans, (b,))]:
+            if a < c and b < d:
+                conflicts[i].add(j)
+                conflicts[j].add(i)
+    return conflicts
+
+
+def realize_hamiltonian_on_convex(g_edges: Iterable[Edge], ham: Sequence[int],
+                                  ps: PointSet) -> LayeredGraph:
+    """Realize a Hamiltonian planar graph on a convex point set.
+
+    The cycle is mapped to the hull in order; the remaining edges become hull
+    chords, two-colored through the crossing-conflict graph (bipartite for
+    planar inputs, the two-page book embedding argument), whose arcs are
+    read off the hull order.
+    """
+    n = len(ps)
+    if not is_convex_position(ps):
+        raise PreconditionError("points must be in convex position")
+    if len(ham) != n or set(ham) != set(range(n)):
+        raise PreconditionError("ham must be a cycle through all vertices")
+    edges = {edge_key(*e) for e in g_edges}
+    for a, b in zip(ham, list(ham[1:]) + [ham[0]]):
+        if edge_key(a, b) not in edges:
+            raise PreconditionError("ham is not a cycle of the graph")
+    hull = ps.hull()
+    place = {ham[i]: hull[i] for i in range(n)}
+    cycle_edges = {edge_key(place[ham[i]], place[ham[(i + 1) % n]]) for i in range(n)}
+    chords = sorted(edge_key(place[u], place[v]) for (u, v) in edges)
+    chords = [e for e in chords if e not in cycle_edges]
+    coloring, odd = layers_from_conflicts(chords, _hull_chord_conflicts(ps, chords))
+    if coloring is None:
+        raise PreconditionError(
+            f"chord conflict graph is not bipartite (non-planar input); odd cycle: {odd}")
+    layers: dict[Edge, int] = {e: LAYER1 for e in cycle_edges}
+    layers.update(coloring)
+    return LayeredGraph(ps, layers)

@@ -7,17 +7,16 @@ import pytest
 from biplane.connectivity import (compute_layering, crossing_conflict_graph, kappa_of,
                                   layers_from_conflicts, verify_layering,
                                   vertex_connectivity)
-from biplane.convex import (PlanarTriangulatedGraph, _fig1_trees, _hull_chord_conflicts,
-                            build_4conn_convex, build_5conn_convex,
-                            find_hamiltonian_cycle, grow_4conn_planar,
-                            octahedron, realize_hamiltonian_on_convex,
-                            vertex_split)
+from biplane.convex import (_fig1_trees, build_4conn_convex, build_5conn_convex,
+                            find_hamiltonian_cycle)
 from biplane.errors import ImpossibleError, PreconditionError
 from biplane.generators import regular_polygon_points
 from biplane.geometry import PointSet, is_convex_position, segments_properly_cross
 from biplane.triangulation import edge_key
 
-from oracles import ref_hamiltonian_cycle
+from oracles import (PlanarTriangulatedGraph, _hull_chord_conflicts, grow_4conn_planar,
+                     octahedron, realize_hamiltonian_on_convex, ref_hamiltonian_cycle,
+                     vertex_split)
 
 
 class TestFig1Trees:
@@ -191,6 +190,14 @@ def jittered_circle(n: int, seed: int) -> PointSet:
             return ps
 
 
+def shuffled_jittered_circle(n: int, seed: int) -> PointSet:
+    """jittered_circle(n, seed) with its point ids shuffled, so that hull
+    positions and ids no longer agree."""
+    coords = [p.coords() for p in jittered_circle(n, seed)]
+    random.Random(seed).shuffle(coords)
+    return PointSet(coords)
+
+
 class TestHullChordConflicts:
     """Chords of a strictly convex set cross exactly when their ends
     interleave along the hull."""
@@ -244,12 +251,26 @@ class TestBuild4ConnConvex:
         assert verify_layering(g)
         assert g.edge_count() <= 3 * n - 6
 
-    @pytest.mark.parametrize("n", [6, 7, 8, 13, 40, 120, 200])
+    @pytest.mark.parametrize("n", range(6, 201))
     def test_same_graph_as_the_searched_cycle(self, n):
-        ps = regular_polygon_points(n)
+        # the closed form against the split chain, realized through the
+        # searched cycle and the breadth-first chord coloring
         g = grow_4conn_planar(n)
-        searched = realize_hamiltonian_on_convex(g.edges, find_hamiltonian_cycle(n, g.edges), ps)
-        assert build_4conn_convex(ps).layers == searched.layers
+        cycle = find_hamiltonian_cycle(n, g.edges)
+        for ps in (regular_polygon_points(n), shuffled_jittered_circle(n, n)):
+            searched = realize_hamiltonian_on_convex(g.edges, cycle, ps)
+            assert build_4conn_convex(ps).layers == searched.layers
+
+    def test_both_layer_assignments_occur(self):
+        # the chord at hull positions (0, 2) lies in layer 2 exactly when the
+        # smallest chord by point ids is in the other fan pair, so both
+        # outcomes of that choice are reached by the shuffled sets above
+        outcomes = set()
+        for n in range(6, 201):
+            ps = shuffled_jittered_circle(n, n)
+            hull = ps.hull()
+            outcomes.add(build_4conn_convex(ps).layers[edge_key(hull[0], hull[2])])
+        assert outcomes == {1, 2}
 
     def test_rejects_5(self):
         with pytest.raises(ImpossibleError):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -10,13 +11,15 @@ from biplane.errors import PreconditionError
 from biplane.geometry import (COORD_LIMIT, Point, PointSet, convex_hull,
                               cross, crosses_any, crossing_pairs, first_crossing,
                               is_convex_position, max_convex_subset_indices,
-                              polygon_doubled_area, segments_properly_cross,
-                              visible_hull_edges)
+                              point_strictly_inside_hull, polygon_doubled_area,
+                              segments_properly_cross, visible_hull_edges)
 from biplane.generators import random_general_position, regular_polygon_points
-from biplane.triangulation import edge_key, triangulate
+from biplane.geometry import _ccw_ring
+from biplane.triangulation import _ccw_around, edge_key, triangulate
 
 from oracles import (bf_first_collinear, bf_first_crossing, bf_hull_ids, bf_max_convex_subset,
-                     bf_optimal_convex_subsets, dp_max_convex_subset)
+                     bf_optimal_convex_subsets, dp_max_convex_subset, ref_ccw_around,
+                     ref_ccw_ring)
 
 
 def P(x, y):
@@ -494,17 +497,21 @@ class TestVisibility:
     @pytest.mark.parametrize("seed", range(6))
     def test_visible_edges_form_one_arc_never_all(self, seed):
         ps = regular_polygon_points(9)
-        ext = random_general_position(1, seed=seed + 40, span=10 ** 7)
-        s = ext[0]
-        try:
-            vis = visible_hull_edges(s, ps)
-        except PreconditionError:
-            pytest.skip("sampled point not exterior")
+        draws = (random_general_position(1, seed=seed + 40 + 100 * k, span=10 ** 7)[0]
+                 for k in itertools.count())
+        s = next(p for p in draws if not point_strictly_inside_hull(ps, p))
+        vis = visible_hull_edges(s, ps)
         h = len(ps.hull())
         assert 1 <= len(vis) <= h - 1
         vis_set = set(vis)
         runs = sum(1 for i in vis if (i - 1) % h not in vis_set)
         assert runs == 1
+
+    def test_interior_point_sees_no_edge(self):
+        ps = regular_polygon_points(9)
+        s = P(1000, -2000)
+        assert point_strictly_inside_hull(ps, s)
+        assert visible_hull_edges(s, ps) == []
 
 
 class TestMaxConvexSubset:
@@ -548,6 +555,56 @@ class TestMaxConvexSubset:
             ties += len(optimal) > 1
             assert max_convex_subset_indices(ps) == optimal[0]
         assert ties >= 1
+
+
+class TestAngularKeys:
+    """The integer slope keys of the angular sorts order every direction as
+    the exact cross-product comparators do."""
+
+    @staticmethod
+    def near_limit_set(rng, n):
+        # points up to 1000 inside the four corners and the axes' ends at
+        # +-COORD_LIMIT: coordinate differences near 2^31, with directions
+        # that differ by about 2^-31 of a radian
+        ends = [(sx, sy) for sx in (-1, 0, 1) for sy in (-1, 0, 1) if sx or sy]
+
+        def near(sign):
+            return sign * (COORD_LIMIT - rng.randint(0, 1000)) if sign else rng.randint(-1000, 1000)
+
+        while True:
+            coords = set()
+            while len(coords) < n:
+                sx, sy = rng.choice(ends)
+                coords.add((near(sx), near(sy)))
+            try:
+                return PointSet(sorted(coords))
+            except PreconditionError:
+                continue
+
+    def cases(self):
+        rng = random.Random(2030)
+        for i in range(40):
+            yield self.near_limit_set(rng, rng.randint(3, 14))
+            yield grid_set(rng, rng.randint(3, 9), rng.choice((3, 5)))
+        # from the first point, directions (2L, 2L - 1) and (2L - 1, 2L - 2)
+        # whose slopes differ by about 2^-62, the least possible gap; and a
+        # slope of 2^31 - 1 between the second and the fourth point
+        lim = COORD_LIMIT
+        yield PointSet([(-lim, -lim), (lim, lim - 1), (lim - 1, lim - 2), (lim - 1, -lim),
+                        (-lim, lim)])
+
+    def test_rings_match_the_comparator(self):
+        for ps in self.cases():
+            for v in range(len(ps)):
+                assert _ccw_ring(ps.xs, ps.ys, v) == ref_ccw_ring(ps.xs, ps.ys, v)
+
+    def test_neighbour_orders_match_the_comparator(self):
+        rng = random.Random(2031)
+        for ps in self.cases():
+            for v in range(len(ps)):
+                others = [p for p in range(len(ps)) if p != v]
+                rng.shuffle(others)
+                assert _ccw_around(ps, v, others) == ref_ccw_around(ps, v, others)
 
 
 def grid_set(rng, n, span):
