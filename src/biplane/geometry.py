@@ -18,9 +18,9 @@ from .errors import PreconditionError
 #: library is below 2**66, exactly representable by Python integers.
 COORD_LIMIT = 2 ** 30
 
-#: Above floor(dy / dx * 2^64) for every coordinate difference within the
-#: limit, where |dy / dx| <= 2^31: the angular keys of `_ccw_ring` and
-#: `triangulation._ccw_around` use it (negated there) for a vertical direction.
+#: Above every angular sort key floor(dy / dx * 2^64), dx != 0, of coordinate
+#: differences within the limit, where |dy / dx| <= 2^31.  `_ccw_ring` gives
+#: it to dx = 0, and `triangulation._ccw_around` gives its negation to dy = 0.
 _ABOVE_EVERY_SLOPE = 1 << 96
 
 
