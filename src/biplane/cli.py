@@ -122,22 +122,20 @@ def _cmd_build(args) -> int:
         g = build_4conn_convex(ps)
     elif args.mode == "convex5":
         g = build_5conn_convex(ps)
-    else:
-        trace_dir = Path(args.trace) if args.trace else None
-        if trace_dir:
-            trace_dir.mkdir(parents=True, exist_ok=True)
+    elif args.trace:
+        trace_dir = Path(args.trace)
+        trace_dir.mkdir(parents=True, exist_ok=True)
 
         def on_step(label: str, snapshot: LayeredGraph) -> None:
-            if trace_dir:
-                path = trace_dir / f"step_{len(checkpoints):03d}_{label.replace(':', '_')}.edges"
-                path.write_text(dumps_layered(snapshot))
-                checkpoints.append(str(path))
-            else:
-                checkpoints.append(label)
+            path = trace_dir / f"step_{len(checkpoints):03d}_{label.replace(':', '_')}.edges"
+            path.write_text(dumps_layered(snapshot))
+            checkpoints.append(str(path))
 
         g = build_5conn_general(ps, on_step)
+    else:
+        g = build_5conn_general(ps)
     report = _report_for(g)
-    report.phase_checkpoints = checkpoints if args.trace else []
+    report.phase_checkpoints = checkpoints
     _emit(args, report, g)
     return 0
 

@@ -302,8 +302,14 @@ class PointSet:
 
         Raises the error `PointSet` would raise on the concatenated list, but
         tests only the triples that contain a new point: O(n) per point.
+        When this set's hull is cached and every new point lies strictly
+        inside it, the new set keeps that hull (see README, Verification).
         """
-        return self._derived(self.points + tuple(_checked_points(coords, len(self))), len(self))
+        out = self._derived(self.points + tuple(_checked_points(coords, len(self))), len(self))
+        if self._hull is not None and all(point_strictly_inside_hull(self, p)
+                                          for p in out.points[len(self):]):
+            out._hull = self._hull
+        return out
 
     @staticmethod
     def _derived(pts: Sequence[Point], known: int) -> "PointSet":

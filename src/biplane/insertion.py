@@ -10,7 +10,6 @@ dummy edge was left.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .connectivity import layer_crossing, verify_layering
@@ -29,25 +28,50 @@ from .triangulation import (Edge, Triangulation, complete_to_triangulation,
 MIN_POINTS_GUARANTEEING_14_CONVEX = 1352079
 
 
-@dataclass
 class InsertionState:
     """The current verified biplane graph, carried from one insertion to the
-    next.
+    next as its point set `ps` and its two layer edge sets.
 
     After an interior insertion, t1 and t2 are the two validated layer
-    triangulations of `current`: each layer is a subset of its triangulation,
-    and only the saturation's dummy edges are missing from it.  No two edges
-    of a validated triangulation cross, so that inclusion alone shows both
-    layers plane.  When no dummy edge is left, both layers are complete, and
-    the next step starts from t1 and t2 instead of saturating again.  Greedy
+    triangulations: each layer is a subset of its triangulation, and only
+    the saturation's dummy edges are missing from it.  No two edges of a
+    validated triangulation cross, so that inclusion alone shows both layers
+    plane.  When no dummy edge is left, both layers are complete, and the
+    next step starts from t1 and t2 instead of saturating again.  Greedy
     completion of a complete layer returns that same triangulation, so the
     result does not change.  Other states (the convex core, after hull
     insertion) carry None.
+
+    `current`, the graph as a LayeredGraph, is built on first use and kept;
+    the insertion steps read and write only the edge sets.
     """
 
-    current: LayeredGraph
-    t1: Triangulation | None = None
-    t2: Triangulation | None = None
+    def __init__(self, current: LayeredGraph, t1: Triangulation | None = None,
+                 t2: Triangulation | None = None):
+        self.ps = current.ps
+        self.layer1 = current.layer_edges(LAYER1)
+        self.layer2 = current.layer_edges(LAYER2)
+        self.t1, self.t2 = t1, t2
+        self._current: LayeredGraph | None = current
+
+    @classmethod
+    def of_layers(cls, ps: PointSet, layer1: frozenset[Edge], layer2: frozenset[Edge],
+                  t1: Triangulation, t2: Triangulation) -> "InsertionState":
+        """The state with these layer edge sets; `current` is not built yet."""
+        state = cls.__new__(cls)
+        state.ps, state.layer1, state.layer2 = ps, layer1, layer2
+        state.t1, state.t2 = t1, t2
+        state._current = None
+        return state
+
+    @property
+    def current(self) -> LayeredGraph:
+        if self._current is None:
+            self._current = LayeredGraph.from_layers(self.ps, self.layer1, self.layer2)
+        return self._current
+
+    def edges(self) -> frozenset[Edge]:
+        return self.layer1 | self.layer2
 
 
 def _saturate(state: InsertionState) -> tuple[Triangulation, Triangulation, frozenset[Edge]]:
@@ -55,13 +79,12 @@ def _saturate(state: InsertionState) -> tuple[Triangulation, Triangulation, froz
 
     Returns the carried t1 and t2 when their edge sets equal the two layers.
     """
-    g, t1, t2 = state.current, state.t1, state.t2
-    if (t1 is not None and t2 is not None and t1.edges == g.layer_edges(LAYER1)
-            and t2.edges == g.layer_edges(LAYER2)):
+    one, two, t1, t2 = state.layer1, state.layer2, state.t1, state.t2
+    if t1 is not None and t2 is not None and t1.edges == one and t2.edges == two:
         return t1, t2, frozenset()
-    t1 = complete_to_triangulation(g.ps, required=g.layer_edges(LAYER1))
-    t2 = complete_to_triangulation(g.ps, required=g.layer_edges(LAYER2), avoid=t1.edges)
-    dummies = frozenset((t1.edges | t2.edges) - g.edges())
+    t1 = complete_to_triangulation(state.ps, required=one)
+    t2 = complete_to_triangulation(state.ps, required=two, avoid=t1.edges)
+    dummies = frozenset((t1.edges | t2.edges) - one - two)
     return t1, t2, dummies
 
 
@@ -181,8 +204,7 @@ def _raise_degree_to_five(t1: Triangulation, t2: Triangulation, s: int) -> tuple
 def insert_interior_point(state: InsertionState, coords: tuple[int, int]) -> InsertionState:
     """Insert one point lying inside ch(S) but outside the hull of the current
     interior vertices, keeping the graph 5-connected and biplane."""
-    g = state.current
-    ps_a = g.ps
+    ps_a = state.ps
     n = len(ps_a)
     new_ps = ps_a.extended([coords])
     s = n
@@ -198,16 +220,16 @@ def insert_interior_point(state: InsertionState, coords: tuple[int, int]) -> Ins
     t1, t2 = _raise_degree_to_five(t1.split(new_ps, s), t2.split(new_ps, s), s)
 
     union = t1.edges | t2.edges
-    final_edges = union - (dummies & union)
-    lost = g.edges() - final_edges
+    final_edges = union - dummies
+    lost = state.edges() - final_edges
     if len(lost) > 1:
         raise InternalInvariantError(f"insertion deleted {len(lost)} original edges: {sorted(lost)}")
-    result = LayeredGraph.from_layers(new_ps, t1.edges & final_edges, t2.edges & final_edges)
-    degree = len(result.adjacency()[s])
+    degree = sum((v, s) in final_edges for v in t1.neighbors(s) | t2.neighbors(s))
     if degree < 5:
         raise InternalInvariantError(f"inserted vertex has degree {degree} < 5")
     # each layer is a subset of a validated triangulation, so it is plane
-    return InsertionState(result, t1, t2)
+    return InsertionState.of_layers(new_ps, t1.edges & final_edges, t2.edges & final_edges,
+                                    t1, t2)
 
 
 # ----------------------------------------------------------------------
@@ -564,8 +586,7 @@ def _wire_single_point_p4(w: _HullWiring, sa: PointSet, t1: Triangulation,
 def insert_hull_points(state: InsertionState, sb: Sequence[tuple[int, int]]) -> InsertionState:
     """Insert a batch of exterior points that all become hull vertices,
     keeping 5-connectivity; requires the visibility property to hold."""
-    g = state.current
-    ps_a = g.ps
+    ps_a = state.ps
     ok, why = check_property_maxi(ps_a, sb)
     if not ok:
         raise PreconditionError(f"hull-insertion property violated: {why}")
@@ -599,7 +620,7 @@ def insert_hull_points(state: InsertionState, sb: Sequence[tuple[int, int]]) -> 
     for d in dummies:
         w.delete(d)
     result = LayeredGraph.from_layers(new_ps, w.layers[LAYER1], w.layers[LAYER2])
-    lost = g.edges() - result.edges()
+    lost = state.edges() - result.edges()
     if not lost <= deleted:
         raise InternalInvariantError(f"hull insertion lost unexpected edges {sorted(lost - deleted)}")
     adj = result.adjacency()

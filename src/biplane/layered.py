@@ -24,6 +24,8 @@ class LayeredGraph:
     def __init__(self, ps: PointSet, layers: Mapping[Edge, int]):
         self.ps = ps
         norm: dict[Edge, int] = {}
+        one: list[Edge] = []
+        two: list[Edge] = []
         n = len(ps)
         for e, tag in layers.items():
             u, v = e
@@ -31,14 +33,15 @@ class LayeredGraph:
                 raise PreconditionError(f"bad edge {e}")
             if tag not in (LAYER1, LAYER2, BOTH):
                 raise PreconditionError(f"bad layer tag {tag} for edge {e}")
-            k = edge_key(u, v)
-            if k in norm and norm[k] != tag:
+            k = e if u < v else (v, u)
+            if norm.setdefault(k, tag) != tag:
                 raise PreconditionError(f"conflicting tags for edge {k}")
-            norm[k] = tag
+            if tag != LAYER2:
+                one.append(k)
+            if tag != LAYER1:
+                two.append(k)
         self.layers: dict[Edge, int] = dict(sorted(norm.items()))
-        self._layer_edges = {
-            layer: frozenset(e for e, tag in self.layers.items() if tag in (layer, BOTH))
-            for layer in (LAYER1, LAYER2)}
+        self._layer_edges = {LAYER1: frozenset(one), LAYER2: frozenset(two)}
 
     @classmethod
     def from_layers(cls, ps: PointSet, layer1: Iterable[Edge],
@@ -46,9 +49,10 @@ class LayeredGraph:
         """The graph with the given layer edge sets; an edge in both is
         stored once, tagged BOTH."""
         one = {edge_key(*e) for e in layer1}
-        two = {edge_key(*e) for e in layer2}
-        tags = {e: LAYER1 for e in one}
-        tags.update({e: BOTH if e in one else LAYER2 for e in two})
+        tags = dict.fromkeys(one, LAYER1)
+        for e in layer2:
+            k = edge_key(*e)
+            tags[k] = BOTH if k in one else LAYER2
         return cls(ps, tags)
 
     # ------------------------------------------------------------------

@@ -169,13 +169,52 @@ class Triangulation:
         return self._opposites[edge_key(*e)]
 
     def locate(self, s: Point) -> tuple[int, int, int]:
-        """Triangle strictly containing s, by one scan in O(m).  The faces of
-        a valid triangulation have disjoint interiors, so at most one
-        triangle contains s and the scan order does not matter."""
-        for (a, b, c) in self.triangles:
-            if point_in_triangle(self.ps[a], self.ps[b], self.ps[c], s):
-                return (a, b, c)
-        raise PreconditionError(f"point {s.coords()} lies in no triangle")
+        """Triangle strictly containing s, by a straight walk from vertex
+        n - 1 to s (Devillers, Pion and Teillaud, *Walking in a
+        triangulation*, 2002): the walk crosses only the edges that the
+        segment crosses, each further along it (see README, Verification).
+
+        s must be in general position with the vertices, as a point that
+        `PointSet.extended` accepted is; a collinear triple met on the way
+        is a PreconditionError.
+        """
+        pts = self.ps.points
+        q = len(pts) - 1
+        pq = pts[q]
+
+        def side(v: int) -> int:
+            """Positive when v is left of the directed line from q to s."""
+            c = cross(pq, s, pts[v])
+            if c == 0:
+                raise PreconditionError(
+                    f"point {s.coords()} is collinear with vertices {q} and {v}")
+            return c
+
+        # the triangle at q that the segment enters: right corner r, left l
+        left = {v: side(v) > 0 for v in self._adj[q]}
+        start = next(((r, l) for r, is_left in left.items() if not is_left
+                      for l in self._opposites[edge_key(q, r)]
+                      if left[l] and cross(pq, pts[r], pts[l]) > 0), None)
+        if start is None:
+            raise PreconditionError(f"point {s.coords()} lies in no triangle")
+        (r, l), far = start, q
+        while True:
+            # the segment leaves the counterclockwise triangle (far, r, l) by
+            # its side (r, l), and s lies beyond the side it entered by
+            c = cross(pts[r], pts[l], s)
+            if c > 0:
+                return triangle_key(far, r, l)
+            if c == 0:
+                raise PreconditionError(
+                    f"point {s.coords()} is collinear with vertices {r} and {l}")
+            ws = self._opposites[edge_key(r, l)]
+            if len(ws) == 1:
+                raise PreconditionError(f"point {s.coords()} lies in no triangle")
+            z = ws[1] if ws[0] == far else ws[0]
+            if side(z) > 0:
+                far, l = l, z
+            else:
+                far, r = r, z
 
     def link_cycle(self, v: int) -> list[int]:
         """Neighbors of interior vertex v in counterclockwise angular order."""
@@ -262,18 +301,41 @@ def is_flippable(t: Triangulation, e: Edge) -> bool:
 
 
 def flip(t: Triangulation, e: Edge) -> Triangulation:
-    """Replace e by the opposite diagonal of its quadrilateral."""
+    """Replace e by the opposite diagonal of its quadrilateral.
+
+    The face, apex and adjacency maps are copied and changed on the
+    quadrilateral only, as in `Triangulation.split`.  The edge count and the
+    hull stay, so the certificate of `_locally_valid` is re-checked on the
+    five edges whose apexes changed: the new diagonal and the four sides (see
+    README, Verification).
+    """
     e = edge_key(*e)
     if not is_flippable(t, e):
         raise PreconditionError(f"edge {e} is not flippable")
     a, b = t.opposites(e)
     u, v = e
-    tris = set(t.triangles)
-    tris.discard(triangle_key(u, v, a))
-    tris.discard(triangle_key(u, v, b))
-    tris.add(triangle_key(a, b, u))
-    tris.add(triangle_key(a, b, v))
-    return Triangulation(t.ps, tris)
+    out = Triangulation.__new__(Triangulation)
+    out.ps = t.ps
+    out.triangles = ((t.triangles - {triangle_key(u, v, a), triangle_key(u, v, b)})
+                     | {triangle_key(a, b, u), triangle_key(a, b, v)})
+    out.edges = (t.edges - {e}) | {(a, b)}
+    opposites = dict(t._opposites)
+    del opposites[e]
+    opposites[(a, b)] = e
+    sides = ((edge_key(u, a), v, b), (edge_key(a, v), u, b),
+             (edge_key(v, b), u, a), (edge_key(b, u), v, a))
+    for side, old, new in sides:
+        opposites[side] = tuple(sorted(new if w == old else w for w in opposites[side]))
+    out._opposites = opposites
+    out.hull, out._hull_edges = t.hull, t._hull_edges
+    adj = dict(t._adj)
+    adj[u], adj[v] = adj[u] - {v}, adj[v] - {u}
+    adj[a], adj[b] = adj[a] | {b}, adj[b] | {a}
+    out._adj = adj
+    changed = [(a, b)] + [side for side, _, _ in sides]
+    if not out._apexes_separated((f, opposites[f]) for f in changed):
+        raise InternalInvariantError(f"flipping {e} to {(a, b)} broke the local certificate")
+    return out
 
 
 def classify(t: Triangulation) -> TriangulationClass:

@@ -17,7 +17,8 @@ from biplane.geometry import (Point, PointSet, cross, is_convex_position, point_
                               segments_properly_cross, visible_hull_edges)
 from biplane.insertion import check_property_maxi
 from biplane.layered import LAYER1, LayeredGraph
-from biplane.triangulation import Edge, edge_key, flip, is_flippable, triangulate
+from biplane.triangulation import (Edge, Triangulation, edge_key, is_flippable,
+                                  triangle_key, triangulate)
 
 
 def bf_vertex_connectivity(n: int, edges) -> int:
@@ -125,16 +126,41 @@ def ref_vertex_connectivity(n: int, edges) -> int:
     return best
 
 
+def ref_flip(t: Triangulation, e: Edge) -> Triangulation:
+    """Replace e by the opposite diagonal of its quadrilateral."""
+    e = edge_key(*e)
+    if not is_flippable(t, e):
+        raise PreconditionError(f"edge {e} is not flippable")
+    a, b = t.opposites(e)
+    u, v = e
+    tris = set(t.triangles)
+    tris.discard(triangle_key(u, v, a))
+    tris.discard(triangle_key(u, v, b))
+    tris.add(triangle_key(a, b, u))
+    tris.add(triangle_key(a, b, v))
+    return Triangulation(t.ps, tris)
+
+
+def ref_locate(t: Triangulation, s: Point) -> tuple[int, int, int]:
+    """Triangle strictly containing s, by one scan in O(m).  The faces of
+    a valid triangulation have disjoint interiors, so at most one
+    triangle contains s and the scan order does not matter."""
+    for (a, b, c) in t.triangles:
+        if point_in_triangle(t.ps[a], t.ps[b], t.ps[c], s):
+            return (a, b, c)
+    raise PreconditionError(f"point {s.coords()} lies in no triangle")
+
+
 def ref_random_triangulation(n: int, seed: int, flips: int | None = None):
     """`random_triangulation` re-testing every edge for flippability before
-    each flip."""
+    each flip, with the rebuilding `ref_flip`."""
     t = triangulate(random_general_position(n, seed))
     rng = random.Random(seed ^ 0x5EED)
     for _ in range(flips if flips is not None else 3 * n):
         candidates = sorted(e for e in t.edges if is_flippable(t, e))
         if not candidates:
             break
-        t = flip(t, candidates[rng.randrange(len(candidates))])
+        t = ref_flip(t, candidates[rng.randrange(len(candidates))])
     return t
 
 

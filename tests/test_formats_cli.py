@@ -12,7 +12,7 @@ from biplane.generators import random_triangulation, regular_polygon_points
 from biplane.layered import BOTH, LAYER1, LAYER2, LayeredGraph
 from biplane.render import render_svg
 
-from conftest import chordful_triangulation
+from conftest import chordful_triangulation, mixed_pipeline_instance
 
 
 class TestPointFormat:
@@ -56,6 +56,29 @@ class TestLayeredFormat:
         text = "4 1\n0 1 9\n"
         with pytest.raises(PreconditionError):
             loads_layered(text, g.ps)
+
+
+class TestLayeredGraph:
+    @pytest.mark.parametrize("layers,reason", [
+        ({(1, 1): LAYER1}, "bad edge (1, 1)"),
+        ({(0, 5): LAYER1}, "bad edge (0, 5)"),
+        ({(-1, 2): LAYER2}, "bad edge (-1, 2)"),
+        ({(2, 0): 4}, "bad layer tag 4 for edge (2, 0)"),
+        ({(0, 1): LAYER1, (1, 0): BOTH}, "conflicting tags for edge (0, 1)"),
+    ])
+    def test_rejects_bad_edges_tags_and_conflicts(self, layers, reason):
+        with pytest.raises(PreconditionError) as err:
+            LayeredGraph(regular_polygon_points(5), layers)
+        assert str(err.value) == reason
+
+    def test_from_layers_keys_and_tags_each_edge_once(self):
+        ps = regular_polygon_points(5)
+        g = LayeredGraph.from_layers(ps, [(1, 0), (0, 2), (2, 0)], [(2, 0), (3, 4), (4, 3)])
+        assert list(g.layers.items()) == [((0, 1), LAYER1), ((0, 2), BOTH), ((3, 4), LAYER2)]
+        assert g.layer_edges(LAYER1) == {(0, 1), (0, 2)}
+        assert g.layer_edges(LAYER2) == {(0, 2), (3, 4)}
+        same = LayeredGraph(ps, {(4, 3): LAYER2, (1, 0): LAYER1, (0, 1): LAYER1, (2, 0): BOTH})
+        assert dumps_layered(same) == dumps_layered(g) == "5 3\n0 1 1\n0 2 3\n3 4 2\n"
 
 
 class TestRender:
@@ -285,6 +308,26 @@ class TestCliGolden:
         "convex5": "1cd5b20a6812afae0899eed4dd30529344877ccc4de20a8e006aa65c42b09d5c",
         "no5conn": "e1da8b8e6a88817351da12627000f2889ce67753d5cbf7c82a5271b7ae80d441",
     }
+
+    #: sha256 over the step files of `build --mode general5 --trace` on
+    #: mixed_pipeline_instance(3), each as its name, a newline and its text:
+    #: core, four interior steps, boundary, one exterior step
+    TRACE = "dc34be412b7b118454d5bce66a312bee1adf181464b077d48adfe5e53cfa36dd"
+
+    def test_general5_trace_steps(self, tmp_path, capsys):
+        pts, trace = tmp_path / "p.pts", tmp_path / "tr"
+        pts.write_text(dumps_points(mixed_pipeline_instance(3)))
+        capsys.readouterr()
+        assert main(["--format", "json", "build", "--mode", "general5", "--points", str(pts),
+                     "--trace", str(trace)]) == 0
+        files = sorted(trace.iterdir())
+        assert json.loads(capsys.readouterr().out)["phase_checkpoints"] == [str(f) for f in files]
+        digest = hashlib.sha256()
+        for f in files:
+            digest.update(f.name.encode() + b"\n" + f.read_bytes())
+        assert (len(files), digest.hexdigest()) == (7, self.TRACE)
+        assert main(["--format", "json", "build", "--mode", "general5", "--points", str(pts)]) == 0
+        assert "phase_checkpoints" not in json.loads(capsys.readouterr().out)
 
     @pytest.mark.parametrize("mode,n", sorted(BUILD))
     def test_build(self, tmp_path, capsys, mode, n):

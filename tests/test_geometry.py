@@ -104,6 +104,28 @@ class TestPointSet:
         coords = [p.coords() for p in base] + new
         assert build(lambda: base.extended(new)) == build(lambda: PointSet(coords))
 
+    @pytest.mark.parametrize("case", ["inside", "outside", "mixed", "uncached"])
+    def test_extended_hull_is_the_hull_of_the_concatenation(self, monkeypatch, case):
+        """The hull of an extended set equals convex_hull of the whole list;
+        it is carried over, with no new hull computed, exactly when the
+        parent's hull is cached and every new point is strictly inside it."""
+        base = random_general_position(20, 4, span=1000)
+        rng = random.Random(case)
+        inside, outside = [], []
+        while len(inside) < 4 or len(outside) < 4:
+            c = (rng.randint(-1500, 1500), rng.randint(-1500, 1500))
+            (inside if point_strictly_inside_hull(base, Point(*c)) else outside).append(c)
+        new = {"inside": inside, "outside": outside, "uncached": inside,
+               "mixed": [inside[0], outside[0], inside[1]]}[case]
+        if case == "uncached":
+            base = base.subset(range(len(base)))
+        calls = []
+        real = geometry_module.convex_hull
+        monkeypatch.setattr(geometry_module, "convex_hull", lambda ps: calls.append(1) or real(ps))
+        out = base.extended(new)
+        assert out.hull() == tuple(real(out.points))
+        assert len(calls) == (case != "inside")
+
     def test_extended_reports_the_first_collinear_triple(self):
         base = PointSet([(0, 0), (4, 1), (1, 4), (9, 3)])
         with pytest.raises(PreconditionError, match=r"^points 0, 1, 4 are collinear"):

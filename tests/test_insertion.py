@@ -97,6 +97,20 @@ class TestInsertInteriorPoint:
             assert verify_layering(st.current)
         assert done == 6
 
+    def test_steps_build_the_graph_on_demand(self, monkeypatch):
+        st = fresh_core()
+        built = []
+        real = LayeredGraph.from_layers.__func__
+        monkeypatch.setattr(LayeredGraph, "from_layers", classmethod(
+            lambda cls, *args: built.append(args) or real(cls, *args)))
+        for pt in ((103, 57), (-211, 101), (97, -305), (-40, -380)):
+            st = insert_interior_point(st, pt)
+        assert not built
+        g = st.current
+        assert st.current is g and len(built) == 1
+        assert (g.ps, g.layer_edges(LAYER1), g.layer_edges(LAYER2)) == (st.ps, st.layer1, st.layer2)
+        assert kappa_of(g) >= 5 and verify_layering(g)
+
     def test_rejects_exterior_point(self):
         st = fresh_core()
         with pytest.raises(PreconditionError):

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -5,7 +6,7 @@ import pytest
 
 from biplane import geometry, triangulation
 from biplane.errors import InternalInvariantError, PreconditionError
-from biplane.geometry import PointSet, point_in_triangle
+from biplane.geometry import Point, PointSet, point_in_triangle
 from biplane.generators import (generate_fan, generate_no5conn_counterexample,
                                 generate_wheel, random_general_position,
                                 random_triangulation, regular_polygon_points)
@@ -17,7 +18,7 @@ from biplane.triangulation import (Triangulation, TriangulationClass,
                                    triangulation_from_edges)
 
 from conftest import greedy_biplane
-from oracles import bf_faces_of, bf_triangulation_ok
+from oracles import bf_faces_of, bf_triangulation_ok, ref_flip, ref_locate
 
 
 def euler_count(t: Triangulation) -> bool:
@@ -177,12 +178,17 @@ def flipped(t: Triangulation, e) -> frozenset:
         | {triangle_key(a, b, u), triangle_key(a, b, v)}
 
 
+def reflex_diagonal(t: Triangulation):
+    """An interior edge whose quadrilateral is reflex and whose other
+    diagonal is not an edge yet."""
+    return next(e for e in sorted(t.edges - t.hull_edges())
+                if not is_flippable(t, e) and edge_key(*t.opposites(e)) not in t.edges)
+
+
 def illegal_flip() -> tuple[PointSet, frozenset]:
     """A reflex quadrilateral's diagonal flipped to a new edge: the counts stay right."""
     t = random_triangulation(9, seed=2)
-    e = next(e for e in sorted(t.edges - t.hull_edges())
-             if not is_flippable(t, e) and edge_key(*t.opposites(e)) not in t.edges)
-    return t.ps, flipped(t, e)
+    return t.ps, flipped(t, reflex_diagonal(t))
 
 
 def near_triangulations(t: Triangulation, rng: random.Random):
@@ -260,6 +266,15 @@ class TestValidationCertificate:
         assert calls[0] <= 2 * len(t.edges) + 4 * len(ps)
 
 
+def assert_same_triangulation(got: Triangulation, want: Triangulation) -> None:
+    """Equal faces, edges, apexes, adjacency and hull."""
+    assert got.triangles == want.triangles and got.edges == want.edges
+    assert got.hull == want.hull and got.hull_edges() == want.hull_edges()
+    assert {e: got.opposites(e) for e in got.edges} == {e: want.opposites(e) for e in want.edges}
+    n = len(want.ps)
+    assert [got.neighbors(v) for v in range(n)] == [want.neighbors(v) for v in range(n)]
+
+
 def scaled(t: Triangulation, k: int) -> Triangulation:
     return Triangulation(PointSet([(k * p.x, k * p.y) for p in t.ps]), t.triangles)
 
@@ -291,10 +306,7 @@ class TestSplit:
             a, b, c = tri
             want = Triangulation(new_ps, (t.triangles - {tri})
                                  | {triangle_key(s, a, b), triangle_key(s, b, c), triangle_key(s, a, c)})
-            assert got.triangles == want.triangles and got.edges == want.edges
-            assert got.hull == want.hull
-            assert {e: got.opposites(e) for e in got.edges} == {e: want.opposites(e) for e in want.edges}
-            assert [got.neighbors(v) for v in range(s + 1)] == [want.neighbors(v) for v in range(s + 1)]
+            assert_same_triangulation(got, want)
             # the original is left as it was
             assert len(t.ps) == s and s not in set().union(*(t.neighbors(v) for v in tri))
             split_faces += 1
@@ -317,3 +329,122 @@ class TestSplit:
         for new_ps, s in cases:
             with pytest.raises(PreconditionError, match="does not extend"):
                 t.split(new_ps, s)
+
+
+def shuffled(t: Triangulation, seed: int, k: int = 30) -> Triangulation:
+    """t scaled by k, with its vertex ids permuted by a seeded shuffle."""
+    order = list(range(len(t.ps)))
+    random.Random(seed).shuffle(order)
+    new_id = {old: new for new, old in enumerate(order)}
+    ps = PointSet([(k * t.ps[old].x, k * t.ps[old].y) for old in order])
+    return Triangulation(ps, [[new_id[v] for v in tri] for tri in t.triangles])
+
+
+def located(locate, t: Triangulation, s) -> tuple[int, int, int] | str:
+    try:
+        return locate(t, s)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def exterior_points(t: Triangulation):
+    """Points in general position with t's vertices, outside its hull: each
+    hull edge's apex reflected through the edge's midpoint, and points on a
+    wide circle."""
+    ps, pts = t.ps, []
+    for (a, b) in sorted(t.hull_edges()):
+        (c,) = t.opposites((a, b))
+        pts.append((ps[a].x + ps[b].x - ps[c].x, ps[a].y + ps[b].y - ps[c].y))
+    far = 3 * max(max(abs(p.x), abs(p.y)) for p in ps)
+    pts += [(round(far * math.cos(k)), round(far * math.sin(k))) for k in range(8)]
+    for coords in pts:
+        try:
+            yield ps.extended([coords])[len(ps)]
+        except PreconditionError:
+            continue
+
+
+class TestLocate:
+    """The straight walk from vertex n - 1 returns the triangle that the scan
+    of every triangle finds, or raises what it raises."""
+
+    SEEDS = range(10)
+
+    @staticmethod
+    def case(seed: int) -> Triangulation:
+        return shuffled(random_triangulation(random.Random(seed).randint(10, 60), seed), seed)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_the_scan_inside_every_triangle_and_outside(self, seed):
+        t = self.case(seed)
+        n = len(t.ps)
+        inside = 0
+        for tri in sorted(t.triangles):
+            new_ps = point_in_face(t.ps, tri)
+            if new_ps is None:
+                continue
+            s = new_ps[n]
+            assert located(Triangulation.locate, t, s) == ref_locate(t, s) == tri
+            inside += 1
+        assert inside >= len(t.triangles) - 2
+        outside = [located(Triangulation.locate, t, s) for s in exterior_points(t)]
+        assert len(outside) >= len(t.hull)
+        assert outside == [located(ref_locate, t, s) for s in exterior_points(t)]
+        assert set(outside) == {f"point {s.coords()} lies in no triangle"
+                                for s in exterior_points(t)}
+
+    def test_walks_start_at_interior_and_hull_vertices(self):
+        starts = [len(t.ps) - 1 in set(t.hull) for t in map(self.case, self.SEEDS)]
+        assert True in starts and False in starts
+
+    def test_collinear_query_is_a_precondition(self):
+        t = shuffled(random_triangulation(12, 3), 3, k=2)
+        ps, q = t.ps, len(t.ps) - 1
+        e = next(e for e in sorted(t.edges - t.hull_edges()) if q not in e)
+        v = min(t.neighbors(q))
+        on_edge = Point((ps[e[0]].x + ps[e[1]].x) // 2, (ps[e[0]].y + ps[e[1]].y) // 2)
+        # q's neighbour v on the segment from q to the query
+        behind_v = Point(2 * ps[v].x - ps[q].x, 2 * ps[v].y - ps[q].y)
+        for s in (ps[q], ps[v], on_edge, behind_v):
+            with pytest.raises(PreconditionError, match=r"is collinear with vertices \d+ and \d+$"):
+                t.locate(s)
+
+
+class TestLocalFlip:
+    """`flip` patches the maps in place of `ref_flip`'s full rebuild."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_edge_matches_the_rebuild(self, seed):
+        t = shuffled(random_triangulation(random.Random(seed).randint(10, 40), seed), seed)
+        before = Triangulation(t.ps, t.triangles)
+        n = len(t.ps)
+        flipped_edges = refused = 0
+        for e in sorted(t.edges) + [(0, v) for v in range(1, n) if (0, v) not in t.edges]:
+            if is_flippable(t, e):
+                assert_same_triangulation(flip(t, e), ref_flip(t, e))
+                flipped_edges += 1
+                continue
+            with pytest.raises(PreconditionError) as got:
+                flip(t, e)
+            with pytest.raises(PreconditionError) as want:
+                ref_flip(t, e)
+            assert str(got.value) == str(want.value) == f"edge {e} is not flippable"
+            refused += 1
+        assert flipped_edges and refused > len(t.hull)
+        assert_same_triangulation(t, before)
+
+    def test_flip_sequences_match_the_rebuild(self):
+        for seed in range(4):
+            t = want = shuffled(random_triangulation(20, seed), seed)
+            rng = random.Random(seed)
+            for _ in range(60):
+                e = rng.choice(sorted(f for f in t.edges if is_flippable(t, f)))
+                t, want = flip(t, e), ref_flip(want, e)
+            assert_same_triangulation(t, want)
+
+    def test_broken_certificate_is_an_internal_error(self, monkeypatch):
+        t = random_triangulation(9, seed=2)
+        e = reflex_diagonal(t)
+        monkeypatch.setattr(triangulation, "is_flippable", lambda *args: True)
+        with pytest.raises(InternalInvariantError, match=r"broke the local certificate$"):
+            flip(t, e)
