@@ -4,6 +4,7 @@ violations, 4 internal invariant failures."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -13,7 +14,7 @@ from .augment import augment_to_4conn
 from .connectivity import (compute_layering, cut_structures, kappa_of,
                            verify_layering)
 from .convex import build_4conn_convex, build_5conn_convex
-from .errors import BiplaneError
+from .errors import BiplaneError, InternalInvariantError
 from .formats import (dumps_layered, dumps_points, edges_as_layered,
                       loads_layered, loads_points)
 from .generators import (generate_fan, generate_no5conn_counterexample,
@@ -154,6 +155,9 @@ def _cmd_augment(args) -> int:
         added = min_augment_3conn(t)
     g = LayeredGraph.from_layers(t.ps, t.edges, added)
     report = _report_for(g)
+    if report.kappa < args.target:
+        raise InternalInvariantError(
+            f"augmented graph has kappa {report.kappa}, below the target {args.target}")
     report.extras["added_edges"] = sorted(map(list, added))
     _emit(args, report, g)
     return 0
@@ -186,6 +190,7 @@ def _cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="biplane",
                                 description="Highly connected biplane geometric graphs")

@@ -260,7 +260,11 @@ def build_cell_tree(t: Triangulation) -> CellTree:
 def min_augment_3conn(t: Triangulation) -> frozenset[Edge]:
     """Minimum set of new edges whose addition makes the triangulation a
     3-connected biplane graph: one noncrossing leaf-to-leaf connection per
-    two leaf cells of the chord decomposition (ceil(m/2) edges)."""
+    two leaf cells of the chord decomposition (ceil(m/2) edges).  A
+    3-connected graph has at least 4 vertices, so n = 3 is a precondition
+    violation."""
+    if len(t.ps) < 4:
+        raise PreconditionError("3-connectivity needs at least 4 points")
     cell_tree = build_cell_tree(t)
     m = cell_tree.leaf_count()
     if m == 0:

@@ -16,7 +16,9 @@ def edge_key(u: int, v: int) -> Edge:
 
 
 def triangle_key(a: int, b: int, c: int) -> tuple[int, int, int]:
-    return tuple(sorted((a, b, c)))  # type: ignore[return-value]
+    if a > b:
+        a, b = b, a
+    return (c, a, b) if c < a else (a, c, b) if c < b else (a, b, c)
 
 
 class TriangulationClass(Enum):
@@ -52,27 +54,40 @@ class Triangulation:
             adj[u].add(v)
             adj[v].add(u)
         self._adj = adj
-        self._validate()
+        if len(ps) < 3:
+            raise PreconditionError("triangulation needs at least 3 points")
+        self._check(self._opposites, self.triangles)
 
     # ------------------------------------------------------------------
-    def _validate(self) -> None:
-        ps, n, h = self.ps, len(self.ps), len(self.hull)
-        if n < 3:
-            raise PreconditionError("triangulation needs at least 3 points")
-        expected = 3 * n - 3 - h
+    def _check(self, edges: Iterable[Edge], faces: Iterable[tuple[int, int, int]]) -> None:
+        """Raise InternalInvariantError unless the faces form a triangulation,
+        given that they did outside `edges` and `faces`: the edge count and the
+        hull edges over the whole set, then one face per given hull edge, two
+        per other given edge with their apexes strictly on opposite sides, and
+        three distinct corners per given face (see README, Verification).  A
+        failed certificate runs the emptiness and crossing scans for a witness."""
+        ps = self.ps
+        expected = 3 * len(ps) - 3 - len(self.hull)
         if len(self.edges) != expected:
-            raise InternalInvariantError(
-                f"edge count {len(self.edges)} != 3n-3-h = {expected}")
-        hull_edges = self.hull_edges()
-        for e, ws in self._opposites.items():
+            raise InternalInvariantError(f"edge count {len(self.edges)} != 3n-3-h = {expected}")
+        hull_edges, opposites, pts = self._hull_edges, self._opposites, ps.points
+        failed = None
+        for (a, b, c) in faces:
+            if a == b or b == c:
+                failed = f"triangle {(a, b, c)} repeats a corner"
+        for e in edges:
+            ws = opposites[e]
             want = 1 if e in hull_edges else 2
             if len(ws) != want:
                 raise InternalInvariantError(f"edge {e} lies in {len(ws)} triangles, expected {want}")
+            if want == 2 and failed is None:
+                pu, pv = pts[e[0]], pts[e[1]]
+                if cross(pu, pv, pts[ws[0]]) * cross(pu, pv, pts[ws[1]]) >= 0:
+                    failed = f"the apexes {ws} of edge {e} lie on one side of it"
         if not hull_edges <= self.edges:
             raise InternalInvariantError("hull edge missing from triangulation")
-        if self._locally_valid():
+        if failed is None:
             return
-        # only an invalid face set gets here: the full scans name the witness
         for (a, b, c) in self.triangles:
             pa, pb, pc = ps[a], ps[b], ps[c]
             for p in ps:
@@ -83,70 +98,56 @@ class Triangulation:
         if pairs:
             i, j = pairs[0]
             raise InternalInvariantError(f"edges {es[i]} and {es[j]} cross")
+        raise InternalInvariantError(failed)
 
-    def _locally_valid(self) -> bool:
-        """O(m) certificate: every triangle has three distinct corners and the
-        two apexes of every interior edge lie strictly on opposite sides of it.
-
-        Given the edge count and the 1-or-2 incidences checked before, this
-        holds exactly when the triangles are empty and the edges pairwise
-        noncrossing: every generic point inside the hull then lies in exactly
-        one triangle (see README, Verification).
-        """
-        if any(a == b or b == c for (a, b, c) in self.triangles):
-            return False
-        return self._apexes_separated(self._opposites.items())
-
-    def _apexes_separated(self, opposites: Iterable[tuple[Edge, tuple[int, ...]]]) -> bool:
-        """For every (edge, apexes) pair of an interior edge, the two apexes
-        lie strictly on opposite sides of the edge."""
-        pts = self.ps.points
-        for (u, v), ws in opposites:
-            if len(ws) == 2:
-                pu, pv = pts[u], pts[v]
-                if cross(pu, pv, pts[ws[0]]) * cross(pu, pv, pts[ws[1]]) >= 0:
-                    return False
-        return True
+    def _replaced(self, ps: PointSet, gone: set[tuple[int, int, int]],
+                  new: set[tuple[int, int, int]]) -> "Triangulation":
+        """This triangulation on `ps`, which may append points, with its faces
+        `gone` replaced by `new` (sorted corner triples).  The maps are copied
+        and changed on the edges of those faces only, and `_check` re-checks
+        just those edges (see README, Verification)."""
+        out = Triangulation.__new__(Triangulation)
+        out.ps, out.hull, out._hull_edges = ps, ps.hull(), self._hull_edges
+        if out.hull != self.hull:
+            raise InternalInvariantError(f"replacing {sorted(gone)} by {sorted(new)} changed the hull")
+        out.triangles = (self.triangles - gone) | new
+        opposites = out._opposites = dict(self._opposites)
+        adj = out._adj = dict(self._adj)
+        for v in range(len(self.ps), len(ps)):
+            adj[v] = set()
+        changed, added = {}, []
+        for (a, b, c) in gone:
+            for e, w in (((a, b), c), ((b, c), a), ((a, c), b)):
+                ws = opposites[e]
+                opposites[e] = ws[:-1] if ws[-1] == w else ws[1:]
+                changed[e] = None
+        for (a, b, c) in new:
+            for e, w in (((a, b), c), ((b, c), a), ((a, c), b)):
+                ws = opposites.get(e, ())
+                if not ws and e not in opposites:
+                    added.append(e)
+                # apexes stay sorted; a third one fails the incidence check
+                opposites[e] = ws + (w,) if not ws or ws[-1] < w else (w,) + ws
+                changed[e] = None
+        for (u, v) in added:
+            adj[u], adj[v] = adj[u] | {v}, adj[v] | {u}
+        dropped = [e for e in changed if not opposites[e]]
+        for (u, v) in dropped:
+            adj[u], adj[v] = adj[u] - {v}, adj[v] - {u}
+            del opposites[u, v], changed[u, v]
+        edges = self.edges.union(added)
+        out.edges = edges.difference(dropped) if dropped else edges
+        out._check(changed, new)
+        return out
 
     def split(self, new_ps: PointSet, s: int) -> "Triangulation":
         """This triangulation on `new_ps`, which appends the one point s,
-        with the triangle containing s replaced by the three around s.
-
-        The face, apex and adjacency maps are copied and changed around the
-        split triangle only.  The certificate of `_locally_valid` already
-        holds on every edge whose apexes stayed the same, so it is re-checked
-        on the six edges whose apexes changed, together with the edge count
-        and the hull (see README, Verification).
-        """
+        with the triangle containing s replaced by the three around s."""
         ps, n = self.ps, len(self.ps)
         if s != n or len(new_ps) != n + 1 or new_ps.xs[:n] != ps.xs or new_ps.ys[:n] != ps.ys:
             raise PreconditionError(f"the new point set does not extend this one by point {s}")
         a, b, c = tri = self.locate(new_ps[s])
-        out = Triangulation.__new__(Triangulation)
-        out.ps = new_ps
-        out.triangles = (self.triangles - {tri}) | {(a, b, s), (b, c, s), (a, c, s)}
-        out.edges = self.edges | {(a, s), (b, s), (c, s)}
-        opposites = dict(self._opposites)
-        for e, old in (((a, b), c), ((b, c), a), ((a, c), b)):
-            opposites[e] = tuple(sorted(s if w == old else w for w in opposites[e]))
-        opposites[(a, s)], opposites[(b, s)], opposites[(c, s)] = (b, c), (a, c), (a, b)
-        out._opposites = opposites
-        out.hull = new_ps.hull()
-        out._hull_edges = self._hull_edges
-        adj = dict(self._adj)
-        for v in tri:
-            adj[v] = adj[v] | {s}
-        adj[s] = {a, b, c}
-        out._adj = adj
-        if out.hull != self.hull:
-            raise InternalInvariantError(f"splitting {tri} at {s} changed the hull")
-        if len(out.edges) != 3 * n - len(out.hull):
-            raise InternalInvariantError(
-                f"edge count {len(out.edges)} != 3n-3-h = {3 * n - len(out.hull)}")
-        changed = ((a, b), (b, c), (a, c), (a, s), (b, s), (c, s))
-        if not out._apexes_separated((e, opposites[e]) for e in changed):
-            raise InternalInvariantError(f"splitting {tri} at {s} broke the local certificate")
-        return out
+        return self._replaced(new_ps, {tri}, {(a, b, s), (b, c, s), (a, c, s)})
 
     # ------------------------------------------------------------------
     def hull_edges(self) -> frozenset[Edge]:
@@ -301,41 +302,14 @@ def is_flippable(t: Triangulation, e: Edge) -> bool:
 
 
 def flip(t: Triangulation, e: Edge) -> Triangulation:
-    """Replace e by the opposite diagonal of its quadrilateral.
-
-    The face, apex and adjacency maps are copied and changed on the
-    quadrilateral only, as in `Triangulation.split`.  The edge count and the
-    hull stay, so the certificate of `_locally_valid` is re-checked on the
-    five edges whose apexes changed: the new diagonal and the four sides (see
-    README, Verification).
-    """
+    """Replace e by the opposite diagonal of its quadrilateral."""
     e = edge_key(*e)
     if not is_flippable(t, e):
         raise PreconditionError(f"edge {e} is not flippable")
     a, b = t.opposites(e)
     u, v = e
-    out = Triangulation.__new__(Triangulation)
-    out.ps = t.ps
-    out.triangles = ((t.triangles - {triangle_key(u, v, a), triangle_key(u, v, b)})
-                     | {triangle_key(a, b, u), triangle_key(a, b, v)})
-    out.edges = (t.edges - {e}) | {(a, b)}
-    opposites = dict(t._opposites)
-    del opposites[e]
-    opposites[(a, b)] = e
-    sides = ((edge_key(u, a), v, b), (edge_key(a, v), u, b),
-             (edge_key(v, b), u, a), (edge_key(b, u), v, a))
-    for side, old, new in sides:
-        opposites[side] = tuple(sorted(new if w == old else w for w in opposites[side]))
-    out._opposites = opposites
-    out.hull, out._hull_edges = t.hull, t._hull_edges
-    adj = dict(t._adj)
-    adj[u], adj[v] = adj[u] - {v}, adj[v] - {u}
-    adj[a], adj[b] = adj[a] | {b}, adj[b] | {a}
-    out._adj = adj
-    changed = [(a, b)] + [side for side, _, _ in sides]
-    if not out._apexes_separated((f, opposites[f]) for f in changed):
-        raise InternalInvariantError(f"flipping {e} to {(a, b)} broke the local certificate")
-    return out
+    return t._replaced(t.ps, {triangle_key(u, v, a), triangle_key(u, v, b)},
+                       {triangle_key(a, b, u), triangle_key(a, b, v)})
 
 
 def classify(t: Triangulation) -> TriangulationClass:

@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from biplane import cli
 from biplane.cli import main
 from biplane.errors import PreconditionError
 from biplane.formats import (dumps_layered, dumps_points, edges_as_layered,
@@ -149,6 +150,26 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["kappa"] >= 3
         assert payload["added_edges"]
+
+    def test_augment_3_on_a_triangle_exit_3(self, tmp_path, capsys):
+        t = random_triangulation(3, 0)
+        pts, path = _write_input(tmp_path, t.ps, t.edges)
+        capsys.readouterr()
+        assert self.run("augment", "--target", "3", "--points", pts, "--edges", path) == 3
+        assert capsys.readouterr().err.strip() == "error: 3-connectivity needs at least 4 points"
+
+    def test_augment_below_the_target_exit_4(self, tmp_path, capsys, monkeypatch):
+        t = chordful_triangulation(10, 1)
+        assert t.chords()
+        pts, path = _write_input(tmp_path, t.ps, t.edges)
+        monkeypatch.setattr(cli, "min_augment_3conn", lambda t: frozenset())
+        capsys.readouterr()
+        assert self.run("augment", "--target", "3", "--points", pts, "--edges", path) == 4
+        assert capsys.readouterr().err.strip() == (
+            "error: augmented graph has kappa 2, below the target 3")
+
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
 
     def test_augment_4_random_triangulation(self, tmp_path, capsys):
         pts, edges = tmp_path / "t.pts", tmp_path / "t.edges"

@@ -148,6 +148,14 @@ class TestMinAugment3Conn:
         assert g.layer_edges(LAYER1) == t.edges
         assert g.layer_edges(LAYER2) == {(0, 1)}
 
+    def test_three_points_are_a_precondition(self):
+        # a triangle is at most 2-connected, and no edge can be added to it
+        for seed in range(30):
+            t = random_triangulation(3, seed)
+            assert kappa_of(t) == 2
+            with pytest.raises(PreconditionError, match="^3-connectivity needs at least 4 points$"):
+                min_augment_3conn(t)
+
     def test_already_3_connected_yields_empty(self):
         for seed in range(30):
             t = random_triangulation(8, seed)

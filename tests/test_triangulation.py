@@ -318,6 +318,21 @@ class TestSplit:
         with pytest.raises(PreconditionError, match="lies in no triangle"):
             t.split(t.ps.extended([(far, far + 1)]), len(t.ps))
 
+    def test_wrong_face_is_an_internal_error(self, monkeypatch):
+        # splitting a face that does not hold s leaves s inside the face that
+        # does, and the scans name a vertex inside a triangle of the result
+        t = scaled(random_triangulation(9, 2), 30)
+        s = len(t.ps)
+        tri = min(t.triangles)
+        new_ps = point_in_face(t.ps, tri)
+        for wrong in sorted(t.triangles - {tri}):
+            monkeypatch.setattr(Triangulation, "locate", lambda self, p: wrong)
+            with pytest.raises(InternalInvariantError,
+                               match=r"^triangle \(\d+, \d+, \d+\) contains vertex \d+$") as err:
+                t.split(new_ps, s)
+            *corners, w = map(int, re.findall(r"\d+", str(err.value)))
+            assert point_in_triangle(*(new_ps[c] for c in corners), new_ps[w])
+
     def test_point_set_must_extend_by_one_point(self):
         t = scaled(random_triangulation(8, 4), 30)
         tri = min(t.triangles)
@@ -446,5 +461,5 @@ class TestLocalFlip:
         t = random_triangulation(9, seed=2)
         e = reflex_diagonal(t)
         monkeypatch.setattr(triangulation, "is_flippable", lambda *args: True)
-        with pytest.raises(InternalInvariantError, match=r"broke the local certificate$"):
+        with pytest.raises(InternalInvariantError, match=r"^triangle \(\d+, \d+, \d+\) contains vertex \d+$"):
             flip(t, e)
