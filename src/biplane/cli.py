@@ -14,7 +14,7 @@ from .augment import augment_to_4conn
 from .connectivity import (compute_layering, cut_structures, kappa_of,
                            verify_layering)
 from .convex import build_4conn_convex, build_5conn_convex
-from .errors import BiplaneError, InternalInvariantError
+from .errors import BiplaneError, InternalInvariantError, PreconditionError
 from .formats import (dumps_layered, dumps_points, edges_as_layered,
                       loads_layered, loads_points)
 from .generators import (generate_fan, generate_no5conn_counterexample,
@@ -169,12 +169,15 @@ def _cmd_verify(args) -> int:
     report = _report_for(g)
     try:
         t = triangulation_from_edges(ps, g.edges())
+    except PreconditionError:
+        t = None  # the union is not a triangulation; cut structures do not apply
+    if t is not None and len(ps) < 5:
+        report.extras["cut_structures"] = "not reported: defined for n >= 5"
+    elif t is not None:
         rep = cut_structures(t)
         report.extras["chords"] = len(rep.chords)
         report.extras["bichords"] = len(rep.bichords)
         report.extras["separating_triangles"] = len(rep.separating_triangles)
-    except BiplaneError:
-        pass  # the union is not a triangulation; cut structures do not apply
     _emit(args, report, None)
     return 0
 

@@ -19,7 +19,7 @@ from .errors import PreconditionError
 COORD_LIMIT = 2 ** 30
 
 #: Above every angular sort key floor(dy / dx * 2^64), dx != 0, of coordinate
-#: differences within the limit, where |dy / dx| <= 2^31.  `_ccw_ring` gives
+#: differences within the limit, where |dy / dx| <= 2^31.  `_ccw_rings` gives
 #: it to dx = 0, and `triangulation._ccw_around` gives its negation to dy = 0.
 _ABOVE_EVERY_SLOPE = 1 << 96
 
@@ -398,29 +398,41 @@ def visible_hull_edges(s: Point, ps: PointSet) -> list[int]:
             if cross(ps[h[i]], ps[h[(i + 1) % len(h)]], s) < 0]
 
 
-def _ccw_ring(xs: Sequence[int], ys: Sequence[int], v: int) -> tuple[list[int], list[int]]:
-    """The 2(n-1) directions +-(p - v), p != v, counterclockwise from just
-    above the downward vertical, as (ring, at).
+def _ccw_rings(xs: Sequence[int], ys: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
+    """For every vertex v, the 2(n-1) directions +-(p - v), p != v,
+    counterclockwise from just above the downward vertical, as (rings, ats).
 
     A ring entry is p for the direction p - v and ~p for v - p.  The first
     half lists, for every p, whichever of the two points into the half-plane
     dx > 0 or (dx == 0, dy > 0), sorted by the exact key floor(dy / dx * 2^64)
     and the upward vertical last (see README, Verification); the second half
-    is the first negated.  at[p] is the index of p's entry in the first half."""
-    vx, vy = xs[v], ys[v]
-    dirs: list[tuple[int, int]] = []
-    for p in range(len(xs)):
-        if p != v:
-            dx, dy, e = xs[p] - vx, ys[p] - vy, p
-            if (dx, dy) < (0, 0):
-                dx, dy, e = -dx, -dy, ~p
-            dirs.append(((dy << 64) // dx if dx else _ABOVE_EVERY_SLOPE, e))
-    dirs.sort()
-    half = [e for _, e in dirs]
-    at = [0] * len(xs)
-    for i, e in enumerate(half):
-        at[e if e >= 0 else ~e] = i
-    return half + [~e for e in half], at
+    is the first negated.  ats[v][p] is the index of p's entry in the first
+    half of v's ring.  p - v and v - p normalise to one direction, so each
+    unordered pair's key is computed once and filed in both rings."""
+    n = len(xs)
+    dirs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for v in range(n):
+        vx, vy, into_v = xs[v], ys[v], dirs[v]
+        for p in range(v + 1, n):
+            dx, dy = xs[p] - vx, ys[p] - vy
+            if (dx, dy) > (0, 0):
+                e, f = p, ~v
+            else:
+                dx, dy, e, f = -dx, -dy, ~p, v
+            key = (dy << 64) // dx if dx else _ABOVE_EVERY_SLOPE
+            into_v.append((key, e))
+            dirs[p].append((key, f))
+    rings: list[list[int]] = []
+    ats: list[list[int]] = []
+    for ring_dirs in dirs:
+        ring_dirs.sort()
+        half = [e for _, e in ring_dirs]
+        at = [0] * n
+        for i, e in enumerate(half):
+            at[e if e >= 0 else ~e] = i
+        rings.append(half + [~e for e in half])
+        ats.append(at)
+    return rings, ats
 
 
 def max_convex_subset_indices(ps: PointSet) -> tuple[int, ...]:
@@ -457,6 +469,17 @@ def max_convex_subset_indices(ps: PointSet) -> tuple[int, ...]:
     and folding each edge into v into a running best gives every edge out
     of v its best allowed predecessor.  The rings are sorted once, in
     O(n^2 log n); the walks cost O(n) per pair (a, v).
+
+    The sweep runs in two passes.  Values compare size first, so the size
+    part of the dominating value on an edge is the largest chain size on
+    that edge, and a first pass that keeps sizes alone, as small ints, finds
+    each anchor's best size reach[a] and the maximum K.  It stops at the
+    first anchor with fewer than K points from it on, which cannot hold a
+    K-point polygon.  The second pass runs the exact (size, area, mask)
+    sweep on the anchors with reach[a] == K only: the optimum is anchored at
+    one of them, and no other anchor has a K-point chain.  An anchor's
+    sweep reads only values written by the same anchor, so skipping the
+    others changes nothing.
     """
     n = len(ps)
     if n < 3:
@@ -466,15 +489,44 @@ def max_convex_subset_indices(ps: PointSet) -> tuple[int, ...]:
     xs = [ps.xs[i] for i in order]
     ys = [ps.ys[i] for i in order]
     bit = [1 << (n - 1 - i) for i in order]
-    rings, ats = zip(*(_ccw_ring(xs, ys, v) for v in range(n)))
-    # state[v][w] = best chain a -> ... -> v -> w for the current anchor a;
-    # it is written while v is visited, before any later v reads it.
+    rings, ats = _ccw_rings(xs, ys)
+
+    def chain_ends(a: int) -> list[int]:
+        # the first half of a's ring lists the lex-greater points counterclockwise
+        return [e for e in rings[a][:n - 1] if e > a]
+
+    # pass 1: sizes[v][w] = largest chain a -> ... -> v -> w for anchor a
+    sizes = [[0] * n for _ in range(n)]
+    reach = [0] * n
+    most = 0
+    for a in range(n - 2):
+        if n - a < most:
+            break
+        top_a = 0
+        for v in chain_ends(a):
+            out = sizes[v]
+            best = 2
+            k = ats[v][a]
+            for e in rings[v][k + 1:k + n - 1]:
+                if e >= 0:
+                    if e > a:
+                        out[e] = best + 1
+                        if best >= top_a:
+                            top_a = best + 1
+                elif ~e > a:
+                    s = sizes[~e][v]
+                    if s > best:
+                        best = s
+        reach[a] = top_a
+        most = max(most, top_a)
+
+    # pass 2: state[v][w] = best chain a -> ... -> v -> w for the current
+    # anchor a; it is written while v is visited, before any later v reads it.
     state: list[list[tuple[int, int, int]]] = [[(0, 0, 0)] * n for _ in range(n)]
     top = (0, 0, 0)
-    for a in range(n - 2):
+    for a in [a for a in range(n - 2) if reach[a] == most]:
         ax, ay = xs[a], ys[a]
-        # the first half of a's ring lists the lex-greater points counterclockwise
-        for v in [e for e in rings[a][:n - 1] if e > a]:
+        for v in chain_ends(a):
             vx, vy = xs[v] - ax, ys[v] - ay
             out = state[v]
             best = (2, 0, bit[a] | bit[v])

@@ -44,6 +44,15 @@ class InsertionState:
 
     `current`, the graph as a LayeredGraph, is built on first use and kept;
     the insertion steps read and write only the edge sets.
+
+    `interior_hull` holds the vertices of the convex hull of the interior
+    vertices (those not on the hull of `ps`), counterclockwise; with fewer
+    than three interior vertices it holds all of them.  An interior step's
+    point lies strictly inside the hull of `ps`, so that hull stays the same
+    and the interior set grows by exactly the new point: the step splices
+    the point into the carried hull (`_interior_hull_with`) instead of
+    computing it again.  States built from a LayeredGraph (the convex core,
+    after hull insertion) compute it on first use.
     """
 
     def __init__(self, current: LayeredGraph, t1: Triangulation | None = None,
@@ -53,15 +62,18 @@ class InsertionState:
         self.layer2 = current.layer_edges(LAYER2)
         self.t1, self.t2 = t1, t2
         self._current: LayeredGraph | None = current
+        self._interior_hull: tuple[int, ...] | None = None
 
     @classmethod
     def of_layers(cls, ps: PointSet, layer1: frozenset[Edge], layer2: frozenset[Edge],
-                  t1: Triangulation, t2: Triangulation) -> "InsertionState":
+                  t1: Triangulation, t2: Triangulation,
+                  interior_hull: tuple[int, ...]) -> "InsertionState":
         """The state with these layer edge sets; `current` is not built yet."""
         state = cls.__new__(cls)
         state.ps, state.layer1, state.layer2 = ps, layer1, layer2
         state.t1, state.t2 = t1, t2
         state._current = None
+        state._interior_hull = interior_hull
         return state
 
     @property
@@ -69,6 +81,14 @@ class InsertionState:
         if self._current is None:
             self._current = LayeredGraph.from_layers(self.ps, self.layer1, self.layer2)
         return self._current
+
+    @property
+    def interior_hull(self) -> tuple[int, ...]:
+        if self._interior_hull is None:
+            inner = self.ps.interior_ids()
+            self._interior_hull = (tuple(convex_hull([self.ps[i] for i in inner]))
+                                   if len(inner) >= 3 else inner)
+        return self._interior_hull
 
     def edges(self) -> frozenset[Edge]:
         return self.layer1 | self.layer2
@@ -201,6 +221,32 @@ def _raise_degree_to_five(t1: Triangulation, t2: Triangulation, s: int) -> tuple
     raise InternalInvariantError("no flippable 4-cycle edge in either triangulation")
 
 
+def _interior_hull_with(ps: PointSet, hull: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """The counterclockwise hull of the vertices `hull` and s, as carried in
+    `InsertionState.interior_hull`; raises PreconditionError when s lies
+    strictly inside a hull of three or more vertices.
+
+    A point outside a convex polygon sees (cross < 0) a nonempty contiguous
+    chain of its edges, so one pass of `cross` over the edges decides the
+    precondition and finds the chain, and s replaces the vertices strictly
+    inside it.  Two vertices u, v count as the edges (u, v) and (v, u), of
+    which s sees exactly one."""
+    m = len(hull)
+    if m < 2:
+        return hull + (s,)
+    sp = ps[s]
+    pts = [ps[i] for i in hull]
+    sees = [cross(p, q, sp) < 0 for p, q in zip(pts, pts[1:] + pts[:1])]
+    if not any(sees):
+        raise PreconditionError("point must lie outside the hull of the interior vertices")
+    # the chain starts at edge i (hull[i], hull[i + 1]) and has k edges
+    i = next(i for i in range(m) if sees[i] and not sees[i - 1])
+    k = 1
+    while sees[(i + k) % m]:
+        k += 1
+    return tuple(hull[(i + k + j) % m] for j in range(m - k + 1)) + (s,)
+
+
 def insert_interior_point(state: InsertionState, coords: tuple[int, int]) -> InsertionState:
     """Insert one point lying inside ch(S) but outside the hull of the current
     interior vertices, keeping the graph 5-connected and biplane."""
@@ -208,14 +254,9 @@ def insert_interior_point(state: InsertionState, coords: tuple[int, int]) -> Ins
     n = len(ps_a)
     new_ps = ps_a.extended([coords])
     s = n
-    sp = new_ps[s]
-    if not point_strictly_inside_hull(ps_a, sp):
+    if not point_strictly_inside_hull(ps_a, new_ps[s]):
         raise PreconditionError("point must lie strictly inside the current hull")
-    interior = ps_a.interior_ids()
-    if len(interior) >= 3:
-        inner = ps_a.subset(interior)
-        if point_strictly_inside_hull(inner, sp):
-            raise PreconditionError("point must lie outside the hull of the interior vertices")
+    interior_hull = _interior_hull_with(new_ps, state.interior_hull, s)
     t1, t2, dummies = _saturate(state)
     t1, t2 = _raise_degree_to_five(t1.split(new_ps, s), t2.split(new_ps, s), s)
 
@@ -229,7 +270,7 @@ def insert_interior_point(state: InsertionState, coords: tuple[int, int]) -> Ins
         raise InternalInvariantError(f"inserted vertex has degree {degree} < 5")
     # each layer is a subset of a validated triangulation, so it is plane
     return InsertionState.of_layers(new_ps, t1.edges & final_edges, t2.edges & final_edges,
-                                    t1, t2)
+                                    t1, t2, interior_hull)
 
 
 # ----------------------------------------------------------------------

@@ -49,6 +49,27 @@ def mixed_pipeline_instance(seed: int) -> PointSet:
     raise AssertionError(f"no valid mixed instance for seed {seed}")
 
 
+def core_plus_interior(n, seed, radius=10 ** 5, outer=0):
+    """14 jittered points on a circle plus n - 14 - outer points inside it and
+    `outer` points at 1.05-3 times its radius, shuffled, in general position."""
+    rng = random.Random(seed)
+    while True:
+        coords = []
+        for j in range(14):
+            a = 2 * math.pi * (j + rng.uniform(-0.3, 0.3)) / 14
+            r = radius * rng.uniform(0.95, 1.05)
+            coords.append((round(r * math.cos(a)), round(r * math.sin(a))))
+        for lo, hi, k in ((0.02, 0.9, n - 14 - outer), (1.05, 3.0, outer)):
+            for _ in range(k):
+                a, r = rng.uniform(0, 2 * math.pi), radius * rng.uniform(lo, hi)
+                coords.append((round(r * math.cos(a)), round(r * math.sin(a))))
+        rng.shuffle(coords)
+        try:
+            return PointSet(coords)
+        except PreconditionError:
+            continue
+
+
 def greedy_biplane(ps: PointSet) -> LayeredGraph:
     """Layer 1 is triangulate(ps); layer 2 is the greedy completion that
     prefers edges absent from layer 1."""

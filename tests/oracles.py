@@ -337,7 +337,7 @@ def _angular_ccw_key(anchor: Point):
 
 
 def ref_ccw_ring(xs: Sequence[int], ys: Sequence[int], v: int) -> tuple[list[int], list[int]]:
-    """geometry._ccw_ring by a cross-product comparator: entries in the
+    """v's ring of geometry._ccw_rings by a cross-product comparator: entries in the
     half-plane dx > 0 or (dx == 0, dy > 0), counterclockwise, then negated."""
     vx, vy = xs[v], ys[v]
     dirs: list[tuple[int, int, int]] = []

@@ -10,8 +10,10 @@ from biplane.errors import PreconditionError
 from biplane.formats import (dumps_layered, dumps_points, edges_as_layered,
                              loads_layered, loads_points)
 from biplane.generators import random_triangulation, regular_polygon_points
+from biplane.geometry import PointSet
 from biplane.layered import BOTH, LAYER1, LAYER2, LayeredGraph
 from biplane.render import render_svg
+from biplane.triangulation import triangulate
 
 from conftest import chordful_triangulation, mixed_pipeline_instance
 
@@ -199,6 +201,24 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["kappa"] == 3
         assert payload["chords"] == 0 and payload["bichords"] > 0
+
+    @pytest.mark.parametrize("coords,kappa", [
+        ([(0, 0), (10, 0), (0, 10)], 2),
+        ([(0, 0), (10, 0), (0, 10), (2, 3)], 3),
+        ([(0, 0), (10, 0), (11, 9), (0, 10)], 2),
+    ])
+    def test_verify_small_triangulation_names_why_cut_counts_are_missing(
+            self, tmp_path, capsys, coords, kappa):
+        # n = 3 and n = 4 triangulations are valid input, but cut structures
+        # are defined for n >= 5; the report says so instead of dropping them
+        ps = PointSet(coords)
+        t = triangulate(ps)
+        pts, path = _write_input(tmp_path, ps, sorted(t.edges))
+        capsys.readouterr()
+        assert self.run("--format", "json", "verify", "--points", pts, "--edges", path) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "kappa": kappa, "biplane": True, "edge_count": len(t.edges),
+            "cut_structures": "not reported: defined for n >= 5"}
 
     def test_no5conn_gen_and_verify(self, tmp_path, capsys):
         pts, edges = tmp_path / "c.pts", tmp_path / "c.edges"

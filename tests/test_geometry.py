@@ -14,12 +14,13 @@ from biplane.geometry import (COORD_LIMIT, Point, PointSet, convex_hull,
                               point_strictly_inside_hull, polygon_doubled_area,
                               segments_properly_cross, visible_hull_edges)
 from biplane.generators import random_general_position, regular_polygon_points
-from biplane.geometry import _ccw_ring
+from biplane.geometry import _ccw_rings
 from biplane.triangulation import _ccw_around, edge_key, triangulate
 
 from oracles import (bf_first_collinear, bf_first_crossing, bf_hull_ids, bf_max_convex_subset,
                      bf_optimal_convex_subsets, dp_max_convex_subset, ref_ccw_around,
                      ref_ccw_ring)
+from conftest import core_plus_interior
 
 
 def P(x, y):
@@ -565,6 +566,44 @@ class TestMaxConvexSubset:
         ps = core_plus_interior(n, seed=n)
         assert max_convex_subset_indices(ps) == dp_max_convex_subset(ps)
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_against_chain_dp_with_outer_points(self, seed):
+        ps = core_plus_interior(22 + seed % 12, seed=300 + seed, outer=seed % 6)
+        assert max_convex_subset_indices(ps) == dp_max_convex_subset(ps)
+
+    def test_convex_set_found_before_the_later_anchors(self):
+        # the 16-gon's leftmost point is among the first anchors, so the
+        # size pass stops once fewer than 16 points are left from an anchor on
+        ring = regular_polygon_points(16, 10 ** 5)
+        rng = random.Random(16)
+        while True:
+            inner = [(rng.randint(-50000, 50000), rng.randint(-50000, 50000)) for _ in range(30)]
+            try:
+                ps = PointSet([p.coords() for p in ring] + inner)
+                break
+            except PreconditionError:
+                continue
+        assert max_convex_subset_indices(ps) == tuple(range(16)) == dp_max_convex_subset(ps)
+
+    @pytest.mark.parametrize("k", [5, 8])
+    def test_lex_later_anchor_with_larger_area_wins(self, k):
+        # a small cap and, far above it and to its right, a large cup: each
+        # is a convex k-gon, and a convex subset with points of both has at
+        # most four, so both anchors reach size k.  The cup's anchor comes
+        # later in lexicographic order; only the second pass compares areas.
+        rng = random.Random(k)
+        while True:
+            cap = [(x, -(x + 900) ** 2) for x in rng.sample(range(-1000, -799), k)]
+            cup = [(x, 10 ** 7 + (x - 500) ** 2) for x in rng.sample(range(-500, 1501), k)]
+            try:
+                ps = PointSet(cap + cup)
+                break
+            except PreconditionError:
+                continue
+        assert min(cup) > min(cap)
+        assert is_convex_position(ps.subset(range(k))) and is_convex_position(ps.subset(range(k, 2 * k)))
+        assert max_convex_subset_indices(ps) == tuple(range(k, 2 * k)) == dp_max_convex_subset(ps)
+
     def test_ties_on_small_grids(self):
         # On a 9 x 9 grid, sets that a quarter turn maps onto themselves have
         # many optimal subsets of equal size and equal area, so the
@@ -617,8 +656,9 @@ class TestAngularKeys:
 
     def test_rings_match_the_comparator(self):
         for ps in self.cases():
+            rings, ats = _ccw_rings(ps.xs, ps.ys)
             for v in range(len(ps)):
-                assert _ccw_ring(ps.xs, ps.ys, v) == ref_ccw_ring(ps.xs, ps.ys, v)
+                assert (rings[v], ats[v]) == ref_ccw_ring(ps.xs, ps.ys, v)
 
     def test_neighbour_orders_match_the_comparator(self):
         rng = random.Random(2031)
@@ -655,26 +695,6 @@ def quarter_turn_set(rng, orbits, span):
         rng.shuffle(order)
         try:
             return PointSet(order)
-        except PreconditionError:
-            continue
-
-
-def core_plus_interior(n, seed, radius=10 ** 5):
-    """14 jittered points on a circle plus n - 14 points inside it, shuffled,
-    in general position."""
-    rng = random.Random(seed)
-    while True:
-        coords = []
-        for j in range(14):
-            a = 2 * math.pi * (j + rng.uniform(-0.3, 0.3)) / 14
-            r = radius * rng.uniform(0.95, 1.05)
-            coords.append((round(r * math.cos(a)), round(r * math.sin(a))))
-        for _ in range(n - 14):
-            a, r = rng.uniform(0, 2 * math.pi), radius * rng.uniform(0.02, 0.9)
-            coords.append((round(r * math.cos(a)), round(r * math.sin(a))))
-        rng.shuffle(coords)
-        try:
-            return PointSet(coords)
         except PreconditionError:
             continue
 

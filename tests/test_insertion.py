@@ -11,7 +11,8 @@ from biplane.convex import build_5conn_convex
 from biplane.errors import InternalInvariantError, PreconditionError
 from biplane.generators import (random_general_position, random_triangulation,
                                 regular_polygon_points)
-from biplane.geometry import PointSet, segments_properly_cross, visible_hull_edges
+from biplane.geometry import (PointSet, convex_hull, segments_properly_cross,
+                              visible_hull_edges)
 from biplane.layered import LAYER1, LAYER2, LayeredGraph
 from biplane.insertion import (InsertionState, build_5conn_general,
                                check_property_maxi, find_flippable_opposite,
@@ -19,7 +20,7 @@ from biplane.insertion import (InsertionState, build_5conn_general,
 from biplane.triangulation import complete_to_triangulation, edge_key, is_flippable
 from biplane.generators import generate_wheel
 
-from conftest import mixed_pipeline_instance
+from conftest import core_plus_interior, mixed_pipeline_instance
 from oracles import edge_visibility_hall_holds
 
 
@@ -133,6 +134,66 @@ class TestInsertInteriorPoint:
                 return
             st = nxt
         pytest.skip("no deletion-free insertion sampled")
+
+
+class TestInteriorHull:
+    """The hull of the interior vertices that a state carries is the hull
+    `convex_hull` computes from scratch."""
+
+    @staticmethod
+    def fresh_hull(ps):
+        inner = ps.interior_ids()
+        return convex_hull([ps[i] for i in inner]) if len(inner) >= 3 else list(inner)
+
+    def assert_same_up_to_rotation(self, got, want):
+        got = list(got)
+        assert len(got) == len(want) and set(got) == set(want)
+        if len(want) >= 3:
+            k = want.index(got[0])
+            assert got == want[k:] + want[:k]
+
+    def test_carried_hull_after_every_step(self, monkeypatch):
+        real = insertion.insert_interior_point
+        spliced = []
+
+        def checked(state, coords):
+            nxt = real(state, coords)
+            self.assert_same_up_to_rotation(nxt.interior_hull, self.fresh_hull(nxt.ps))
+            spliced.append(len(nxt.interior_hull))
+            return nxt
+
+        labels = []
+        monkeypatch.setattr(insertion, "insert_interior_point", checked)
+        for seed in range(8):
+            build_5conn_general(core_plus_interior(22 + 2 * seed, seed=500 + seed))
+        for seed in range(10):
+            build_5conn_general(mixed_pipeline_instance(seed), lambda label, g: labels.append(label))
+        assert len(spliced) > 100 and max(spliced) >= 6
+        assert sum(label.startswith("exterior:") for label in labels) >= 3
+
+    @staticmethod
+    def four_steps():
+        st = fresh_core()
+        for pt in ((103, 57), (-211, 101), (97, -305), (-40, -380)):
+            st = insert_interior_point(st, pt)
+        return st
+
+    def test_point_inside_the_interior_hull_rejected(self):
+        st = self.four_steps()
+        assert len(st.interior_hull) == 4
+        with pytest.raises(PreconditionError,
+                           match="^point must lie outside the hull of the interior vertices$"):
+            insert_interior_point(st, (-3, -49))
+
+    def test_state_from_a_graph_computes_the_hull_on_first_use(self, monkeypatch):
+        st = self.four_steps()
+        calls = []
+        monkeypatch.setattr(insertion, "convex_hull", lambda pts: calls.append(1) or convex_hull(pts))
+        rebuilt = InsertionState(st.current)
+        assert not calls
+        self.assert_same_up_to_rotation(rebuilt.interior_hull, list(st.interior_hull))
+        self.assert_same_up_to_rotation(rebuilt.interior_hull, list(st.interior_hull))
+        assert len(calls) == 1
 
 
 class TestPropertyMaxi:
