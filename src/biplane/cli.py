@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .augment import augment_to_4conn
-from .connectivity import (compute_layering, cut_structures, kappa_of,
-                           verify_layering)
+from .connectivity import compute_layering, cut_structures, kappa_of, layer_crossing
 from .convex import build_4conn_convex, build_5conn_convex
 from .errors import BiplaneError, InternalInvariantError, PreconditionError
 from .formats import (dumps_layered, dumps_points, edges_as_layered,
@@ -61,13 +60,9 @@ class RunReport:
 
 
 def _report_for(g: LayeredGraph) -> RunReport:
-    layering_ok = verify_layering(g)
-    if layering_ok:
-        biplane = True
-    else:
-        layers, _ = compute_layering(g.ps, sorted(g.edges()))
-        biplane = layers is not None
-    violations = [] if layering_ok else ["stored layer tags contain a same-layer crossing"]
+    crossing = layer_crossing(g)
+    biplane = crossing is None or compute_layering(g.ps, sorted(g.edges()))[0] is not None
+    violations = [] if crossing is None else ["layer {} edges {} and {} cross".format(*crossing)]
     return RunReport(kappa=kappa_of(g), biplane=biplane,
                      edge_count=g.edge_count(), violations=violations)
 

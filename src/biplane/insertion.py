@@ -1,9 +1,11 @@
 """Growing a 5-connected biplane graph from a convex core.
 
 Interior points enter through a triangle split plus at most two degree-raising
-edge flips; hull points enter through visibility assignment (Hall matching on
-hull edges in the surrounding case, treatable chains otherwise); exterior
-points are inserted in reverse hull-peeling order.  Saturation to a union of
+edge flips; hull points enter through visibility assignment, read from one
+table of the S_a hull edges that each new point sees (Hall matching on hull
+edges when every two consecutive hull vertices are new and see a common edge,
+treatable chains cut in one pass round the hull otherwise); exterior points
+are inserted in reverse hull-peeling order.  Saturation to a union of
 two triangulations uses tracked dummy edges that are deleted afterwards; the
 two triangulations are carried to the next step, which reuses them when no
 dummy edge was left.
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .connectivity import layer_crossing, verify_layering
+from .connectivity import layer_crossing
 from .convex import build_5conn_convex
 from .errors import InternalInvariantError, PreconditionError
 from .geometry import (Point, PointSet, convex_hull, cross,
@@ -350,10 +352,6 @@ def check_property_maxi(sa: PointSet, sb: Sequence[tuple[int, int]]) -> tuple[bo
     return True, None
 
 
-def _common_visible(combined: PointSet, sa: PointSet, u: int, v: int) -> set[int]:
-    return set(visible_hull_edges(combined[u], sa)) & set(visible_hull_edges(combined[v], sa))
-
-
 def _bipartite_match(vis: list[set[int]]) -> list[int] | None:
     """Assign each left node a distinct right node from its set (augmenting
     paths); None when no perfect matching exists."""
@@ -423,7 +421,8 @@ class _HullWiring:
             es.discard(e)
 
 
-def _wire_surrounding(w: _HullWiring, sa: PointSet, b_cycle: list[int]) -> None:
+def _wire_surrounding(w: _HullWiring, sa: PointSet, b_cycle: list[int],
+                      vis_of: dict[int, frozenset[int]]) -> None:
     """All new points surround S_a: Hall-match each outer hull edge to a
     visible inner hull edge, uncross the assignment, then wire the two-layer
     pattern (outer cycle + three spokes per quadrilateral)."""
@@ -434,7 +433,7 @@ def _wire_surrounding(w: _HullWiring, sa: PointSet, b_cycle: list[int]) -> None:
     vis = []
     for i in range(q):
         u, v = b_cycle[i], b_cycle[(i + 1) % q]
-        common = _common_visible(ps, sa, u, v)
+        common = vis_of[u] & vis_of[v]
         if not common:
             raise InternalInvariantError("consecutive outer vertices without a common visible edge")
         vis.append(common)
@@ -476,17 +475,15 @@ def _wire_surrounding(w: _HullWiring, sa: PointSet, b_cycle: list[int]) -> None:
         w.add(b_cycle[(i + 1) % q], a_hull[j], LAYER2)
 
 
-def _arc_of_chain(sa: PointSet, ps: PointSet, chain: list[int]) -> list[int]:
-    """Counterclockwise hull-edge indices jointly visible from the chain."""
-    p = len(sa.hull())
-    joint: set[int] = set()
-    for b in chain:
-        joint |= set(visible_hull_edges(ps[b], sa))
-    if len(joint) >= p:
-        raise InternalInvariantError("chain sees every hull edge; no linear arc")
-    start = next(i for i in sorted(joint) if (i - 1) % p not in joint)
-    arc = [start]
-    while (arc[-1] + 1) % p in joint:
+def _arc_of_chain(p: int, vis_of: dict[int, frozenset[int]], chain: list[int]) -> list[int]:
+    """The arc a chain is wired along, as counterclockwise S_a hull-edge
+    indices: it starts at the first edge the head sees, the start of the
+    head's contiguous visible interval, and extends while the chain jointly
+    sees the next edge, up to all p edges (see README, Verification)."""
+    head = vis_of[chain[0]]
+    joint = frozenset().union(*(vis_of[b] for b in chain))
+    arc = [next(i for i in head if (i - 1) % p not in head)]
+    while len(arc) < p and (arc[-1] + 1) % p in joint:
         arc.append((arc[-1] + 1) % p)
     if len(arc) != len(joint):
         raise InternalInvariantError("visible edges of a treatable chain are not consecutive")
@@ -494,18 +491,17 @@ def _arc_of_chain(sa: PointSet, ps: PointSet, chain: list[int]) -> list[int]:
 
 
 def _wire_chain(w: _HullWiring, sa: PointSet, t1: Triangulation, t2: Triangulation,
-                chain: list[int], deleted: set[Edge]) -> None:
+                chain: list[int], vis_of: dict[int, frozenset[int]], deleted: set[Edge]) -> None:
     """Attach one treatable chain per the length-q case analysis."""
-    ps = w.ps
     a_hull = list(sa.hull())
     p = len(a_hull)
-    arc = _arc_of_chain(sa, ps, chain)
+    arc = _arc_of_chain(p, vis_of, chain)
     averts = [a_hull[arc[0]]] + [a_hull[(j + 1) % p] for j in arc]
     num_v = len(averts)
     q = len(chain)
 
     def sees(bi: int, local_edge: int) -> bool:
-        return arc[local_edge] in set(visible_hull_edges(ps[chain[bi]], sa))
+        return arc[local_edge] in vis_of[chain[bi]]
 
     if q == 1:
         if num_v >= 5:
@@ -640,23 +636,24 @@ def insert_hull_points(state: InsertionState, sb: Sequence[tuple[int, int]]) -> 
     w = _HullWiring(new_ps, t1, t2)
     deleted: set[Edge] = set()
     hull = list(new_ps.hull())
-
-    if all(v in b_ids for v in hull) and all(
-            _common_visible(new_ps, ps_a, hull[i], hull[(i + 1) % len(hull)])
-            for i in range(len(hull))):
-        _wire_surrounding(w, ps_a, hull)
+    h = len(hull)
+    vis_of = {b: frozenset(visible_hull_edges(new_ps[b], ps_a)) for b in b_ids}
+    # position i is linked when hull[i] and hull[i + 1] are new and share a
+    # visible S_a edge; a chain is a maximal run of new vertices joined by links
+    linked = [hull[i] in b_ids and hull[(i + 1) % h] in b_ids
+              and bool(vis_of[hull[i]] & vis_of[hull[(i + 1) % h]]) for i in range(h)]
+    if all(linked):
+        _wire_surrounding(w, ps_a, hull, vis_of)
     else:
-        flags = [v in b_ids for v in hull]
-        for run in _circular_runs(flags):
-            verts = [hull[i] for i in run]
-            chain: list[int] = [verts[0]]
-            for v in verts[1:]:
-                if _common_visible(new_ps, ps_a, chain[-1], v):
-                    chain.append(v)
-                else:
-                    _wire_chain(w, ps_a, t1, t2, chain, deleted)
-                    chain = [v]
-            _wire_chain(w, ps_a, t1, t2, chain, deleted)
+        # one pass from just after an unlinked position splits no chain
+        start = linked.index(False)
+        chain: list[int] = []
+        for i in range(start + 1, start + h + 1):
+            if hull[i % h] in b_ids:
+                chain.append(hull[i % h])
+            if chain and not linked[i % h]:
+                _wire_chain(w, ps_a, t1, t2, chain, vis_of, deleted)
+                chain = []
 
     for d in dummies:
         w.delete(d)
@@ -668,8 +665,9 @@ def insert_hull_points(state: InsertionState, sb: Sequence[tuple[int, int]]) -> 
     for b in sorted(b_ids):
         if len(adj[b]) < 5:
             raise InternalInvariantError(f"new hull vertex {b} has degree {len(adj[b])} < 5")
-    if not verify_layering(result):
-        layer, e, f = layer_crossing(result)
+    crossing = layer_crossing(result)
+    if crossing:
+        layer, e, f = crossing
         raise InternalInvariantError(
             f"layer separation broken by hull insertion: layer {layer} edges {e} and {f} cross")
     return InsertionState(result)

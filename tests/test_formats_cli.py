@@ -1,16 +1,18 @@
 import hashlib
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from biplane import cli
 from biplane.cli import main
+from biplane.convex import build_5conn_convex
 from biplane.errors import PreconditionError
 from biplane.formats import (dumps_layered, dumps_points, edges_as_layered,
                              loads_layered, loads_points)
 from biplane.generators import random_triangulation, regular_polygon_points
-from biplane.geometry import PointSet
+from biplane.geometry import PointSet, segments_properly_cross
 from biplane.layered import BOTH, LAYER1, LAYER2, LayeredGraph
 from biplane.render import render_svg
 from biplane.triangulation import triangulate
@@ -219,6 +221,31 @@ class TestCli:
         assert json.loads(capsys.readouterr().out) == {
             "kappa": kappa, "biplane": True, "edge_count": len(t.edges),
             "cut_structures": "not reported: defined for n >= 5"}
+
+    def test_verify_names_the_crossing_pair(self, tmp_path, capsys):
+        # retag one layer-2 edge of a convex5 output so that it crosses a
+        # layer-1 edge; the violation names the layer and the pair
+        ps = regular_polygon_points(14)
+        g = build_5conn_convex(ps)
+        one = g.layer_edges(LAYER1)
+        e = next(e for e in sorted(g.layer_edges(LAYER2) - one)
+                 if any(segments_properly_cross(ps[e[0]], ps[e[1]], ps[f[0]], ps[f[1]])
+                        for f in one))
+        layers = dict(g.layers)
+        layers[e] = LAYER1
+        pts, path = tmp_path / "x.pts", tmp_path / "x.edges"
+        pts.write_text(dumps_points(ps))
+        path.write_text(dumps_layered(LayeredGraph(ps, layers)))
+        capsys.readouterr()
+        assert self.run("--format", "json", "verify", "--points", str(pts),
+                        "--edges", str(path)) == 0
+        payload = json.loads(capsys.readouterr().out)
+        (violation,) = payload["violations"]
+        a, b, c, d = map(int, re.fullmatch(
+            r"layer 1 edges \((\d+), (\d+)\) and \((\d+), (\d+)\) cross", violation).groups())
+        assert e in ((a, b), (c, d)) and (a, b) < (c, d)
+        assert segments_properly_cross(ps[a], ps[b], ps[c], ps[d])
+        assert payload["biplane"] is True
 
     def test_no5conn_gen_and_verify(self, tmp_path, capsys):
         pts, edges = tmp_path / "c.pts", tmp_path / "c.edges"

@@ -399,9 +399,13 @@ def test_carried_triangulations_equal_a_fresh_saturation(monkeypatch):
     assert all(paths.values()), paths
 
 
-# Valid inputs (a 14-point convex core plus far points) on which hull
-# insertion breaks today.  Each must build once hull insertion is repaired;
-# strict xfail makes that day fail loudly so the marker comes off.
+# Valid inputs (a 14-point convex core plus far points) whose hull insertion
+# wires a chain along all S_a hull edges.  n17: one chain holds every new
+# point, and its arc is the whole circle, starting at the outgoing edge of
+# the one S_a vertex on the final hull.
+# n18: every final-hull vertex is new but one consecutive pair shares no
+# visible edge, so the one chain starts just after that pair, and its arc too
+# is the whole circle.
 HULL_INSERTION_REPROS = [
     pytest.param(
         [(99871, 17354), (83594, 63888), (41696, 90314), (-3359, 97670),
@@ -409,8 +413,6 @@ HULL_INSERTION_REPROS = [
          (-81257, -51547), (-42048, -79989), (-10283, -99920), (33589, -96059),
          (63885, -62344), (95724, -22890), (221170, 81764), (-321623, -229129),
          (-325199, 185112)],
-        marks=pytest.mark.xfail(strict=True, raises=InternalInvariantError,
-                                reason="chain sees every hull edge; no linear arc"),
         id="n17-chain-wraps"),
     pytest.param(
         [(99885, 3137), (87790, 45435), (53198, 83683), (-3350, 99983),
@@ -418,9 +420,6 @@ HULL_INSERTION_REPROS = [
          (-82407, -53909), (-41751, -81976), (-9680, -99984), (34390, -92993),
          (73999, -78035), (91014, -34262), (-14634, -311645), (294800, -237369),
          (-62518, 341267), (-353854, -29514)],
-        marks=pytest.mark.xfail(strict=True, raises=InternalInvariantError,
-                                reason="layer separation broken by hull insertion: "
-                                       "layer 1 edges (4, 17) and (5, 16) cross"),
         id="n18-surrounding"),
 ]
 
@@ -429,6 +428,25 @@ HULL_INSERTION_REPROS = [
 def test_hull_insertion_repro_builds(coords):
     g = build_5conn_general(PointSet(coords))
     assert kappa_of(g) >= 5 and verify_layering(g)
+
+
+def test_general5_builds_or_rejects_on_500_seeds():
+    """A 14-point ring plus 0-16 interior and 0-8 outer points per seed: the
+    build is 5-connected and biplane, or raises PreconditionError; it never
+    raises InternalInvariantError."""
+    broken = []
+    for seed in range(500):
+        rng = random.Random(seed)
+        inner, outer = rng.randint(0, 16), rng.randint(0, 8)
+        try:
+            g = build_5conn_general(core_plus_interior(14 + inner + outer, seed, outer=outer))
+        except PreconditionError:
+            continue
+        except InternalInvariantError as exc:
+            broken.append((seed, str(exc)))
+            continue
+        assert kappa_of(g) >= 5 and verify_layering(g), seed
+    assert not broken, broken
 
 
 class TestLayeringFailureWitness:
