@@ -7,7 +7,6 @@ portable and accidental floats are rejected early.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -18,9 +17,8 @@ from .errors import PreconditionError
 #: library is below 2**66, exactly representable by Python integers.
 COORD_LIMIT = 2 ** 30
 
-#: Above every angular sort key floor(dy / dx * 2^64), dx != 0, of coordinate
-#: differences within the limit, where |dy / dx| <= 2^31.  `_ccw_rings` gives
-#: it to dx = 0, and `triangulation._ccw_around` gives its negation to dy = 0.
+#: The `_slope` of dx = 0: above every floor(dy / dx * 2^64), dx != 0, of
+#: coordinate differences within the limit, where |dy / dx| <= 2^31.
 _ABOVE_EVERY_SLOPE = 1 << 96
 
 
@@ -54,24 +52,18 @@ def segments_properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     Segments that share an endpoint never properly cross (general position
     rules out overlap along a line).
     """
-    if a.coords() in (c.coords(), d.coords()) or b.coords() in (c.coords(), d.coords()):
-        return False
-    d1 = cross(a, b, c)
-    d2 = cross(a, b, d)
-    d3 = cross(c, d, a)
-    d4 = cross(c, d, b)
-    return (d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0 \
-        and (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0
+    return _open_segments_cross((a.x, a.y, b.x, b.y), (c.x, c.y, d.x, d.y))
 
 
 # ----------------------------------------------------------------------
-# Crossing kernel: the same test as segments_properly_cross, on flat integer
-# coordinates, with a bounding-box reject in front of the determinants.
+# Crossing kernel: segments_properly_cross on flat integer coordinates; the
+# scans put a bounding-box reject in front of it.
 # ----------------------------------------------------------------------
 
 def _open_segments_cross(s: tuple[int, int, int, int], t: tuple[int, int, int, int]) -> bool:
-    """segments_properly_cross for segments given as (x1, y1, x2, y2): a
-    shared endpoint makes one of the four determinants zero."""
+    """True iff the open segments (x1, y1, x2, y2) `s` and `t` cross: both
+    pairs of determinants have strictly opposite signs, and a shared
+    endpoint makes one of the four zero."""
     ax, ay, bx, by = s
     cx, cy, dx, dy = t
     ex, ey = bx - ax, by - ay
@@ -167,9 +159,8 @@ def first_crossing(ps: PointSet, edges: Sequence[tuple[int, int]]) -> tuple[int,
             hi += 1
         if hi - lo != ends.get(p, 0):
             break
-        # bottom to top around p: s comes before t when t is left of p -> s
-        new = sorted(starts[p], key=cmp_to_key(
-            lambda s, t: -1 if (s[2] - px) * (t[3] - py) > (s[3] - py) * (t[2] - px) else 1))
+        # bottom to top around p: every far end is lexicographically greater
+        new = sorted(starts[p], key=lambda s: _slope(s[2] - px, s[3] - py))
         active[lo:hi] = new
         hi = lo + len(new)
         if (0 < lo < len(active) and _open_segments_cross(active[lo - 1], active[lo])) \
@@ -398,28 +389,60 @@ def visible_hull_edges(s: Point, ps: PointSet) -> list[int]:
             if cross(ps[h[i]], ps[h[(i + 1) % len(h)]], s) < 0]
 
 
+def visible_chain(pts: Sequence[Point], s: Point) -> tuple[int, int]:
+    """The edges of the counterclockwise convex polygon `pts` that s sees
+    (cross < 0), as (i, k): s sees edges i, ..., i + k - 1 (mod m), edge j
+    joining pts[j] and pts[j + 1]; (0, 0) when it sees none.
+
+    A point outside a convex polygon sees a nonempty contiguous chain of its
+    edges (see README, Verification), so one pass of `cross` finds it.  Two
+    points u, v count as the edges (u, v) and (v, u), of which s sees one."""
+    m = len(pts)
+    sees = [cross(pts[j], pts[(j + 1) % m], s) < 0 for j in range(m)]
+    k = sum(sees)
+    if not k:
+        return 0, 0
+    return next(i for i in range(m) if sees[i] and not sees[i - 1]), k
+
+
+def _slope(dx: int, dy: int) -> int:
+    """The angular sort key of direction (dx, dy): floor(dy / dx * 2^64),
+    above every slope for dx = 0.  In either half-plane (dx, dy) > (0, 0) or
+    < (0, 0) it grows counterclockwise (see README, Verification)."""
+    return (dy << 64) // dx if dx else _ABOVE_EVERY_SLOPE
+
+
+def ccw_order(ps: PointSet, v: int, nbrs: Iterable[int]) -> list[int]:
+    """`nbrs` in counterclockwise angular order around v, from just after the
+    downward vertical: the half-plane (dx, dy) > (0, 0) first, each half
+    sorted by `_slope`."""
+    xs, ys, vx, vy = ps.xs, ps.ys, ps.xs[v], ps.ys[v]
+
+    def key(p: int) -> tuple[bool, int]:
+        dx, dy = xs[p] - vx, ys[p] - vy
+        return (dx, dy) < (0, 0), _slope(dx, dy)
+
+    return sorted(nbrs, key=key)
+
+
 def _ccw_rings(xs: Sequence[int], ys: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
     """For every vertex v, the 2(n-1) directions +-(p - v), p != v,
     counterclockwise from just above the downward vertical, as (rings, ats).
 
     A ring entry is p for the direction p - v and ~p for v - p.  The first
     half lists, for every p, whichever of the two points into the half-plane
-    dx > 0 or (dx == 0, dy > 0), sorted by the exact key floor(dy / dx * 2^64)
-    and the upward vertical last (see README, Verification); the second half
-    is the first negated.  ats[v][p] is the index of p's entry in the first
-    half of v's ring.  p - v and v - p normalise to one direction, so each
-    unordered pair's key is computed once and filed in both rings."""
+    dx > 0 or (dx == 0, dy > 0), sorted by `_slope`, and the second half is
+    the first negated.  ats[v][p] is the index of p's entry in the first half
+    of v's ring.  p - v and v - p have one `_slope`, so each unordered pair's
+    key is computed once and filed in both rings."""
     n = len(xs)
     dirs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for v in range(n):
         vx, vy, into_v = xs[v], ys[v], dirs[v]
         for p in range(v + 1, n):
             dx, dy = xs[p] - vx, ys[p] - vy
-            if (dx, dy) > (0, 0):
-                e, f = p, ~v
-            else:
-                dx, dy, e, f = -dx, -dy, ~p, v
-            key = (dy << 64) // dx if dx else _ABOVE_EVERY_SLOPE
+            e, f = (p, ~v) if (dx, dy) > (0, 0) else (~p, v)
+            key = _slope(dx, dy)
             into_v.append((key, e))
             dirs[p].append((key, f))
     rings: list[list[int]] = []

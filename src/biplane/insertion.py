@@ -20,7 +20,7 @@ from .errors import InternalInvariantError, PreconditionError
 from .geometry import (Point, PointSet, convex_hull, cross,
                        max_convex_subset_indices, point_strictly_inside_hull,
                        polygon_doubled_area, segments_properly_cross,
-                       visible_hull_edges)
+                       visible_chain, visible_hull_edges)
 from .layered import LAYER1, LAYER2, LayeredGraph
 from .triangulation import (Edge, Triangulation, complete_to_triangulation,
                             edge_key, flip, is_flippable, triangle_key)
@@ -228,24 +228,14 @@ def _interior_hull_with(ps: PointSet, hull: tuple[int, ...], s: int) -> tuple[in
     `InsertionState.interior_hull`; raises PreconditionError when s lies
     strictly inside a hull of three or more vertices.
 
-    A point outside a convex polygon sees (cross < 0) a nonempty contiguous
-    chain of its edges, so one pass of `cross` over the edges decides the
-    precondition and finds the chain, and s replaces the vertices strictly
-    inside it.  Two vertices u, v count as the edges (u, v) and (v, u), of
-    which s sees exactly one."""
+    s sees a chain of the hull's edges unless it lies inside (`visible_chain`),
+    and replaces the vertices strictly inside that chain."""
     m = len(hull)
     if m < 2:
         return hull + (s,)
-    sp = ps[s]
-    pts = [ps[i] for i in hull]
-    sees = [cross(p, q, sp) < 0 for p, q in zip(pts, pts[1:] + pts[:1])]
-    if not any(sees):
+    i, k = visible_chain([ps[v] for v in hull], ps[s])
+    if not k:
         raise PreconditionError("point must lie outside the hull of the interior vertices")
-    # the chain starts at edge i (hull[i], hull[i + 1]) and has k edges
-    i = next(i for i in range(m) if sees[i] and not sees[i - 1])
-    k = 1
-    while sees[(i + k) % m]:
-        k += 1
     return tuple(hull[(i + k + j) % m] for j in range(m - k + 1)) + (s,)
 
 
@@ -253,10 +243,12 @@ def insert_interior_point(state: InsertionState, coords: tuple[int, int]) -> Ins
     """Insert one point lying inside ch(S) but outside the hull of the current
     interior vertices, keeping the graph 5-connected and biplane."""
     ps_a = state.ps
-    n = len(ps_a)
+    s = len(ps_a)
+    # with the hull of ps_a cached, `extended` keeps it exactly when the new
+    # point lies strictly inside it
+    hull = ps_a.hull()
     new_ps = ps_a.extended([coords])
-    s = n
-    if not point_strictly_inside_hull(ps_a, new_ps[s]):
+    if new_ps.hull() != hull:
         raise PreconditionError("point must lie strictly inside the current hull")
     interior_hull = _interior_hull_with(new_ps, state.interior_hull, s)
     t1, t2, dummies = _saturate(state)
@@ -314,42 +306,52 @@ def _has_consecutive_run(present: set[int], size: int, needed: int) -> bool:
     return best >= needed
 
 
+_VIOLATED = "hull-insertion property violated: "
+
+
 def check_property_maxi(sa: PointSet, sb: Sequence[tuple[int, int]]) -> tuple[bool, str | None]:
     """Verify the hull-insertion property: |ch(S_a)| >= 4, every new point is
     a hull vertex of the union, and every k consecutive new hull vertices
     jointly see at least k + 2 consecutive hull edges of S_a (k < |ch(S_a)|)."""
+    try:
+        _property_union(sa, sb)
+    except PreconditionError as exc:
+        return False, str(exc).removeprefix(_VIOLATED)
+    return True, None
+
+
+def _property_union(sa: PointSet, sb: Sequence[tuple[int, int]]
+                    ) -> tuple[PointSet, dict[int, frozenset[int]]]:
+    """S_a extended by S_b, and the S_a hull edges each new point sees, when
+    the hull-insertion property holds; otherwise a PreconditionError whose
+    message is `_VIOLATED` and the reason `check_property_maxi` returns."""
     p = len(sa.hull())
     if p < 4:
-        return False, f"|ch(S_a)| = {p} < 4"
-    if not sb:
-        return True, None
+        raise PreconditionError(f"{_VIOLATED}|ch(S_a)| = {p} < 4")
     try:
         combined = sa.extended(sb)
     except PreconditionError as exc:
-        return False, f"S_a and S_b do not combine to a general-position set: {exc}"
+        raise PreconditionError(
+            f"{_VIOLATED}S_a and S_b do not combine to a general-position set: {exc}") from exc
     na = len(sa)
     b_ids = set(range(na, len(combined)))
     hull = combined.hull()
     missing = sorted(b_ids - set(hull))
     if missing:
-        return False, f"new points {missing} are not hull vertices of the union"
-    vis: dict[int, set[int]] = {}
-    for v in hull:
-        if v in b_ids:
-            vis[v] = set(visible_hull_edges(combined[v], sa))
+        raise PreconditionError(f"{_VIOLATED}new points {missing} are not hull vertices of the union")
+    vis_of = {b: frozenset(visible_hull_edges(combined[b], sa)) for b in b_ids}
     flags = [v in b_ids for v in hull]
     for run in _circular_runs(flags):
         for k in range(1, min(len(run), p - 1) + 1):
             for off in range(len(run) - k + 1):
                 window = run[off:off + k]
-                joint: set[int] = set()
-                for idx in window:
-                    joint |= vis[hull[idx]]
+                joint = frozenset().union(*(vis_of[hull[idx]] for idx in window))
                 if not _has_consecutive_run(joint, p, k + 2):
                     pts = [hull[idx] - na for idx in window]
-                    return False, (f"{k} consecutive new points (indices {pts}) see only "
-                                   f"{sorted(joint)} of {p} hull edges; {k + 2} consecutive needed")
-    return True, None
+                    raise PreconditionError(
+                        f"{_VIOLATED}{k} consecutive new points (indices {pts}) see only "
+                        f"{sorted(joint)} of {p} hull edges; {k + 2} consecutive needed")
+    return combined, vis_of
 
 
 def _bipartite_match(vis: list[set[int]]) -> list[int] | None:
@@ -421,13 +423,12 @@ class _HullWiring:
             es.discard(e)
 
 
-def _wire_surrounding(w: _HullWiring, sa: PointSet, b_cycle: list[int],
+def _wire_surrounding(w: _HullWiring, a_hull: tuple[int, ...], b_cycle: tuple[int, ...],
                       vis_of: dict[int, frozenset[int]]) -> None:
-    """All new points surround S_a: Hall-match each outer hull edge to a
-    visible inner hull edge, uncross the assignment, then wire the two-layer
-    pattern (outer cycle + three spokes per quadrilateral)."""
+    """All new points surround S_a (hull `a_hull`): Hall-match each outer hull
+    edge to a visible inner hull edge, uncross the assignment, then wire the
+    two-layer pattern (outer cycle + three spokes per quadrilateral)."""
     ps = w.ps
-    a_hull = list(sa.hull())
     p = len(a_hull)
     q = len(b_cycle)
     vis = []
@@ -490,10 +491,9 @@ def _arc_of_chain(p: int, vis_of: dict[int, frozenset[int]], chain: list[int]) -
     return arc
 
 
-def _wire_chain(w: _HullWiring, sa: PointSet, t1: Triangulation, t2: Triangulation,
+def _wire_chain(w: _HullWiring, a_hull: tuple[int, ...], t1: Triangulation, t2: Triangulation,
                 chain: list[int], vis_of: dict[int, frozenset[int]], deleted: set[Edge]) -> None:
-    """Attach one treatable chain per the length-q case analysis."""
-    a_hull = list(sa.hull())
+    """Attach one treatable chain to `a_hull` per the length-q case analysis."""
     p = len(a_hull)
     arc = _arc_of_chain(p, vis_of, chain)
     averts = [a_hull[arc[0]]] + [a_hull[(j + 1) % p] for j in arc]
@@ -510,7 +510,7 @@ def _wire_chain(w: _HullWiring, sa: PointSet, t1: Triangulation, t2: Triangulati
             return
         if num_v != 4:
             raise InternalInvariantError(f"single point sees {num_v} hull vertices < 4")
-        _wire_single_point_p4(w, sa, t1, t2, chain[0], averts, deleted)
+        _wire_single_point_p4(w, t1, t2, chain[0], averts, deleted)
         return
 
     if not (sees(0, 0) and sees(0, 1)):
@@ -566,9 +566,8 @@ def _wire_chain(w: _HullWiring, sa: PointSet, t1: Triangulation, t2: Triangulati
         w.add(chain[i], averts[first + 1], LAYER2)
 
 
-def _wire_single_point_p4(w: _HullWiring, sa: PointSet, t1: Triangulation,
-                          t2: Triangulation, b: int, averts: list[int],
-                          deleted: set[Edge]) -> None:
+def _wire_single_point_p4(w: _HullWiring, t1: Triangulation, t2: Triangulation,
+                          b: int, averts: list[int], deleted: set[Edge]) -> None:
     """A single new point seeing exactly three hull edges: join the four
     visible vertices plus a fifth neighbor found in one layer triangulation,
     freeing the crossed edge to the other layer (an implicit flip)."""
@@ -624,26 +623,22 @@ def insert_hull_points(state: InsertionState, sb: Sequence[tuple[int, int]]) -> 
     """Insert a batch of exterior points that all become hull vertices,
     keeping 5-connectivity; requires the visibility property to hold."""
     ps_a = state.ps
-    ok, why = check_property_maxi(ps_a, sb)
-    if not ok:
-        raise PreconditionError(f"hull-insertion property violated: {why}")
+    new_ps, vis_of = _property_union(ps_a, sb)
     if not sb:
         return state
     t1, t2, dummies = _saturate(state)
-    na = len(ps_a)
-    new_ps = ps_a.extended(sb)
-    b_ids = set(range(na, len(new_ps)))
+    b_ids = set(vis_of)
+    a_hull = ps_a.hull()
     w = _HullWiring(new_ps, t1, t2)
     deleted: set[Edge] = set()
-    hull = list(new_ps.hull())
+    hull = new_ps.hull()
     h = len(hull)
-    vis_of = {b: frozenset(visible_hull_edges(new_ps[b], ps_a)) for b in b_ids}
     # position i is linked when hull[i] and hull[i + 1] are new and share a
     # visible S_a edge; a chain is a maximal run of new vertices joined by links
     linked = [hull[i] in b_ids and hull[(i + 1) % h] in b_ids
               and bool(vis_of[hull[i]] & vis_of[hull[(i + 1) % h]]) for i in range(h)]
     if all(linked):
-        _wire_surrounding(w, ps_a, hull, vis_of)
+        _wire_surrounding(w, a_hull, hull, vis_of)
     else:
         # one pass from just after an unlinked position splits no chain
         start = linked.index(False)
@@ -652,7 +647,7 @@ def insert_hull_points(state: InsertionState, sb: Sequence[tuple[int, int]]) -> 
             if hull[i % h] in b_ids:
                 chain.append(hull[i % h])
             if chain and not linked[i % h]:
-                _wire_chain(w, ps_a, t1, t2, chain, vis_of, deleted)
+                _wire_chain(w, a_hull, t1, t2, chain, vis_of, deleted)
                 chain = []
 
     for d in dummies:

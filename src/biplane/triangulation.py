@@ -5,8 +5,9 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
-from .geometry import (_ABOVE_EVERY_SLOPE, Point, PointSet, crossing_pairs, crosses_any,
-                       cross, first_crossing, point_in_triangle, segments_properly_cross)
+from .geometry import (Point, PointSet, ccw_order, crossing_pairs, crosses_any, cross,
+                       first_crossing, point_in_triangle, segments_properly_cross,
+                       visible_chain)
 
 Edge = tuple[int, int]
 
@@ -218,10 +219,11 @@ class Triangulation:
                 far, r = r, z
 
     def link_cycle(self, v: int) -> list[int]:
-        """Neighbors of interior vertex v in counterclockwise angular order."""
+        """Neighbors of interior vertex v in counterclockwise angular order,
+        from just after the downward vertical (`geometry.ccw_order`)."""
         if not self._adj[v]:
             raise PreconditionError(f"vertex {v} is isolated")
-        return _ccw_around(self.ps, v, self._adj[v])
+        return ccw_order(self.ps, v, self._adj[v])
 
     def link_is_cycle(self, v: int) -> bool:
         """True iff the neighbors of v induce exactly their angular cycle
@@ -238,26 +240,12 @@ class Triangulation:
         return induced == ring_edges
 
 
-def _ccw_around(ps: PointSet, v: int, nbrs: Iterable[int]) -> list[int]:
-    """`nbrs` in counterclockwise angular order around v, starting at the
-    direction of +x.  The key is the half-plane (0 for the angles [0, pi)),
-    then the exact floor(-dx / dy * 2^64), lowest for dy = 0 (see README,
-    Verification)."""
-    xs, ys, cx, cy = ps.xs, ps.ys, ps.xs[v], ps.ys[v]
-
-    def key(p: int) -> tuple[int, int]:
-        dx, dy = xs[p] - cx, ys[p] - cy
-        half = 0 if dy > 0 or (dy == 0 and dx > 0) else 1
-        return half, ((-dx << 64) // dy if dy else -_ABOVE_EVERY_SLOPE)
-
-    return sorted(nbrs, key=key)
-
-
 def triangulate(ps: PointSet) -> Triangulation:
     """Deterministic triangulation by incremental lexicographic insertion.
 
     Each point in (x, y) order lies outside the hull of its predecessors, so
-    it is joined to every hull edge it sees; the hull is repaired in place.
+    it is joined to the chain of hull edges it sees (`visible_chain`), and
+    replaces the hull vertices strictly inside that chain.
     """
     if len(ps) < 3:
         raise PreconditionError("need at least 3 points")
@@ -271,22 +259,12 @@ def triangulate(ps: PointSet) -> Triangulation:
         hull = [a.id, c.id, b.id]
     for p in order[3:]:
         m = len(hull)
-        visible = [i for i in range(m)
-                   if cross(ps[hull[i]], ps[hull[(i + 1) % m]], p) < 0]
-        if not visible:
+        i, k = visible_chain([ps[v] for v in hull], p)
+        if not k:
             raise InternalInvariantError("new lexicographic point sees no hull edge")
-        for i in visible:
-            tris.append(triangle_key(hull[i], hull[(i + 1) % m], p.id))
-        vis = set(visible)
-        # the visible edges form one contiguous arc; splice p in its place
-        start = next(i for i in range(m) if i in vis and (i - 1) % m not in vis)
-        run = len(visible)
-        new_hull = [hull[start]] + [p.id]
-        i = (start + run) % m
-        while i != start:
-            new_hull.append(hull[i])
-            i = (i + 1) % m
-        hull = new_hull
+        for j in range(i, i + k):
+            tris.append(triangle_key(hull[j % m], hull[(j + 1) % m], p.id))
+        hull = [hull[(i + k + j) % m] for j in range(m - k + 1)] + [p.id]
     return Triangulation(ps, tris)
 
 
@@ -391,7 +369,7 @@ def _read_faces(ps: PointSet, edges: Iterable[Edge]) -> Triangulation:
         adj[v].append(u)
     tris = set()
     for v in range(len(ps)):
-        ring = _ccw_around(ps, v, adj[v])
+        ring = ccw_order(ps, v, adj[v])
         for a, b in zip(ring, ring[1:] + ring[:1]):
             if cross(pts[v], pts[a], pts[b]) > 0:
                 tris.add(triangle_key(v, a, b))

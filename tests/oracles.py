@@ -353,25 +353,6 @@ def ref_ccw_ring(xs: Sequence[int], ys: Sequence[int], v: int) -> tuple[list[int
     return half + [~e for e in half], at
 
 
-def ref_ccw_around(ps: PointSet, v: int, nbrs) -> list[int]:
-    """triangulation._ccw_around by a comparator: half-plane first (angles
-    [0, pi) before [pi, 2 pi)), then the sign of the cross product."""
-    center = ps[v]
-
-    def half(p: Point) -> int:
-        dx, dy = p.x - center.x, p.y - center.y
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    def cmp(i: int, j: int) -> int:
-        pi, pj = ps[i], ps[j]
-        hi, hj = half(pi), half(pj)
-        if hi != hj:
-            return hi - hj
-        return -1 if cross(center, pi, pj) > 0 else 1
-
-    return sorted(nbrs, key=cmp_to_key(cmp))
-
-
 def dp_max_convex_subset(ps: PointSet) -> tuple[int, ...]:
     """Ids of a maximum-cardinality convex-position subset.
 

@@ -8,18 +8,17 @@ from hypothesis import strategies as st
 
 import biplane.geometry as geometry_module
 from biplane.errors import PreconditionError
-from biplane.geometry import (COORD_LIMIT, Point, PointSet, convex_hull,
+from biplane.geometry import (COORD_LIMIT, Point, PointSet, ccw_order, convex_hull,
                               cross, crosses_any, crossing_pairs, first_crossing,
                               is_convex_position, max_convex_subset_indices,
                               point_strictly_inside_hull, polygon_doubled_area,
-                              segments_properly_cross, visible_hull_edges)
+                              segments_properly_cross, visible_chain, visible_hull_edges)
 from biplane.generators import random_general_position, regular_polygon_points
 from biplane.geometry import _ccw_rings
-from biplane.triangulation import _ccw_around, edge_key, triangulate
+from biplane.triangulation import edge_key, triangulate
 
 from oracles import (bf_first_collinear, bf_first_crossing, bf_hull_ids, bf_max_convex_subset,
-                     bf_optimal_convex_subsets, dp_max_convex_subset, ref_ccw_around,
-                     ref_ccw_ring)
+                     bf_optimal_convex_subsets, dp_max_convex_subset, ref_ccw_ring)
 from conftest import core_plus_interior
 
 
@@ -535,6 +534,35 @@ class TestVisibility:
         s = P(1000, -2000)
         assert point_strictly_inside_hull(ps, s)
         assert visible_hull_edges(s, ps) == []
+        assert visible_chain(list(ps), s) == (0, 0)
+
+
+class TestVisibleChain:
+    """visible_chain(pts, s) = (i, k): s sees the counterclockwise edges
+    i, ..., i + k - 1 (mod m) of the polygon `pts`."""
+
+    def test_chain_wraps_past_index_zero(self):
+        square = [P(0, 0), P(4, 0), P(4, 4), P(0, 4)]
+        # below and left of the square: it sees edges 3 (left) and 0 (bottom)
+        assert visible_chain(square, P(-1, -2)) == (3, 2)
+
+    def test_two_vertices_count_as_two_edges(self):
+        u, v = P(0, 0), P(4, 0)
+        assert visible_chain([u, v], P(1, -3)) == (0, 1)
+        assert visible_chain([u, v], P(1, 3)) == (1, 1)
+
+    def test_inside_point_sees_nothing(self):
+        assert visible_chain([P(0, 0), P(4, 0), P(0, 4)], P(1, 1)) == (0, 0)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_agrees_with_visible_hull_edges(self, seed):
+        rng = random.Random(seed)
+        ps = random_general_position(rng.randint(3, 12), seed=seed, span=50)
+        pts = [ps[v] for v in ps.hull()]
+        for _ in range(10):
+            s = P(rng.randint(-200, 200), rng.randint(-200, 200))
+            i, k = visible_chain(pts, s)
+            assert sorted((i + j) % len(pts) for j in range(k)) == visible_hull_edges(s, ps)
 
 
 class TestMaxConvexSubset:
@@ -661,12 +689,15 @@ class TestAngularKeys:
                 assert (rings[v], ats[v]) == ref_ccw_ring(ps.xs, ps.ys, v)
 
     def test_neighbour_orders_match_the_comparator(self):
+        # ccw_order lists a subset of v's neighbours as the comparator ring
+        # lists their directions p - v, the entries p >= 0
         rng = random.Random(2031)
         for ps in self.cases():
             for v in range(len(ps)):
                 others = [p for p in range(len(ps)) if p != v]
-                rng.shuffle(others)
-                assert _ccw_around(ps, v, others) == ref_ccw_around(ps, v, others)
+                nbrs = rng.sample(others, rng.randint(1, len(others)))
+                ring = ref_ccw_ring(ps.xs, ps.ys, v)[0]
+                assert ccw_order(ps, v, nbrs) == [e for e in ring if e >= 0 and e in nbrs]
 
 
 def grid_set(rng, n, span):

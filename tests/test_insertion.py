@@ -11,8 +11,8 @@ from biplane.convex import build_5conn_convex
 from biplane.errors import InternalInvariantError, PreconditionError
 from biplane.generators import (random_general_position, random_triangulation,
                                 regular_polygon_points)
-from biplane.geometry import (PointSet, convex_hull, segments_properly_cross,
-                              visible_hull_edges)
+from biplane.geometry import (PointSet, convex_hull, is_convex_position,
+                              segments_properly_cross, visible_hull_edges)
 from biplane.layered import LAYER1, LAYER2, LayeredGraph
 from biplane.insertion import (InsertionState, build_5conn_general,
                                check_property_maxi, find_flippable_opposite,
@@ -116,6 +116,14 @@ class TestInsertInteriorPoint:
         st = fresh_core()
         with pytest.raises(PreconditionError):
             insert_interior_point(st, (10 ** 6, 10 ** 6))
+
+    @pytest.mark.parametrize("pt", [(10 ** 6, 10 ** 6), (1001, 3), (-990, -150)])
+    def test_point_off_the_hull_interior_named(self, pt):
+        # beyond the 14-gon of radius 1000: far away, and just outside an edge
+        for st in (fresh_core(), InsertionState(insert_interior_point(fresh_core(), (103, 57)).current)):
+            with pytest.raises(PreconditionError,
+                               match=r"^point must lie strictly inside the current hull$"):
+                insert_interior_point(st, pt)
 
     def test_case1_disjoint_triangles_no_deletion(self):
         # run insertions until a case-1 (no edge removed) instance appears
@@ -314,6 +322,41 @@ class TestInsertHullPoints:
         st = fresh_core()
         with pytest.raises(PreconditionError):
             insert_hull_points(st, [(1010, 1)])
+
+    def test_rejection_gives_the_reason_check_property_maxi_returns(self):
+        # S_a is a 14-point ring, when convex, with 0-2 points inside and 2-8
+        # outside it; the batch is every other point on odd seeds, and the
+        # outer points on the hull of the whole set on even ones
+        reasons = set()
+        for seed in range(40):
+            rng = random.Random(seed)
+            inner, outer = rng.randint(0, 2), rng.randint(2, 8)
+            ps = core_plus_interior(14 + inner + outer, seed, outer=outer)
+            by_norm = sorted(range(len(ps)), key=lambda i: ps.xs[i] ** 2 + ps.ys[i] ** 2)
+            ring = set(by_norm[inner:inner + 14])
+            if not is_convex_position(ps.subset(ring)):
+                continue
+            st = InsertionState(build_5conn_convex(ps.subset(ring)))
+            hull = set(ps.hull())
+            sb = [ps[i].coords() for i in range(len(ps))
+                  if i not in ring and (seed % 2 or i in hull)]
+            ok, why = check_property_maxi(st.ps, sb)
+            if ok:
+                continue
+            with pytest.raises(PreconditionError) as err:
+                insert_hull_points(st, sb)
+            assert str(err.value) == "hull-insertion property violated: " + why
+            reasons.add(why.split()[1])
+        # "new points [...] are not hull vertices" and "k consecutive new points"
+        assert {"points", "consecutive"} <= reasons, reasons
+
+    def test_builds_the_union_once(self, monkeypatch):
+        real = PointSet.extended
+        calls = []
+        monkeypatch.setattr(PointSet, "extended",
+                            lambda ps, coords: calls.append(len(coords)) or real(ps, coords))
+        insert_hull_points(fresh_core(), ring_points(6, 3000, 0.2))
+        assert calls == [6]
 
 
 class TestBuildGeneral:
