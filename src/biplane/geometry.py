@@ -382,11 +382,22 @@ def point_in_triangle(a: Point, b: Point, c: Point, s: Point) -> bool:
     return (d1 > 0 and d2 > 0 and d3 > 0) or (d1 < 0 and d2 < 0 and d3 < 0)
 
 
-def visible_hull_edges(s: Point, ps: PointSet) -> list[int]:
-    """Indices i of hull edges (hull[i], hull[i+1]) visible from exterior s."""
-    h = ps.hull()
-    return [i for i in range(len(h))
-            if cross(ps[h[i]], ps[h[(i + 1) % len(h)]], s) < 0]
+def circular_runs(flags: Sequence[bool]) -> list[tuple[int, int]]:
+    """The maximal runs of True in the cyclic sequence `flags`, as
+    (start, length) in order of start; a run that wraps past the last index
+    is reported once, from its start.  All True is [(0, m)]; empty or all
+    False is []."""
+    m = len(flags)
+    if m and all(flags):
+        return [(0, m)]
+    runs = []
+    for i in range(m):
+        if flags[i] and not flags[i - 1]:
+            k = 1
+            while flags[(i + k) % m]:
+                k += 1
+            runs.append((i, k))
+    return runs
 
 
 def visible_chain(pts: Sequence[Point], s: Point) -> tuple[int, int]:
@@ -395,14 +406,12 @@ def visible_chain(pts: Sequence[Point], s: Point) -> tuple[int, int]:
     joining pts[j] and pts[j + 1]; (0, 0) when it sees none.
 
     A point outside a convex polygon sees a nonempty contiguous chain of its
-    edges (see README, Verification), so one pass of `cross` finds it.  Two
-    points u, v count as the edges (u, v) and (v, u), of which s sees one."""
+    edges (see README, Verification), so the one run that `circular_runs`
+    finds in one pass of `cross` is the chain.  Two points u, v count as the
+    edges (u, v) and (v, u), of which s sees one."""
     m = len(pts)
-    sees = [cross(pts[j], pts[(j + 1) % m], s) < 0 for j in range(m)]
-    k = sum(sees)
-    if not k:
-        return 0, 0
-    return next(i for i in range(m) if sees[i] and not sees[i - 1]), k
+    runs = circular_runs([cross(pts[j], pts[(j + 1) % m], s) < 0 for j in range(m)])
+    return runs[0] if runs else (0, 0)
 
 
 def _slope(dx: int, dy: int) -> int:

@@ -17,13 +17,14 @@ from typing import Callable, Sequence
 from .connectivity import layer_crossing
 from .convex import build_5conn_convex
 from .errors import InternalInvariantError, PreconditionError
-from .geometry import (Point, PointSet, convex_hull, cross,
+from .geometry import (Point, PointSet, circular_runs, convex_hull, cross,
                        max_convex_subset_indices, point_strictly_inside_hull,
                        polygon_doubled_area, segments_properly_cross,
-                       visible_chain, visible_hull_edges)
+                       visible_chain)
 from .layered import LAYER1, LAYER2, LayeredGraph
-from .triangulation import (Edge, Triangulation, complete_to_triangulation,
-                            edge_key, flip, is_flippable, triangle_key)
+from .triangulation import (Edge, Triangulation, TriangulationClass, classify,
+                            complete_to_triangulation, edge_key, flip, is_flippable,
+                            triangle_key)
 
 #: Every point set at least this large contains 14 points in convex position,
 #: so the general construction below always applies (binomial(23, 12) + 1).
@@ -117,14 +118,12 @@ def find_flippable_opposite(t: Triangulation, s: int) -> tuple[tuple[int, int, i
     link edge is interior, advancing past reflex quadrilaterals; the first
     flippable opposite edge is returned (exists for every non-wheel input).
     """
-    n = len(t.ps)
     hullset = set(t.hull)
     if s in hullset:
         raise PreconditionError("s must be an interior vertex")
-    if n >= 4:
-        interior = [v for v in range(n) if v not in hullset]
-        if interior == [s] and t.degree(s) == n - 1:
-            raise PreconditionError("the wheel admits no flippable opposite edge")
+    # an interior vertex leaves at least four points, as classify requires
+    if classify(t) is TriangulationClass.WHEEL:
+        raise PreconditionError("the wheel admits no flippable opposite edge")
     if not t.link_is_cycle(s):
         raise PreconditionError("the neighbors of s must induce a cycle")
     ring = t.link_cycle(s)
@@ -166,38 +165,23 @@ def _cycle_flip(ta: Triangulation, tb: Triangulation, s: int) -> Edge | None:
 
 def _raise_degree_to_five(t1: Triangulation, t2: Triangulation, s: int) -> tuple[Triangulation, Triangulation]:
     """Case analysis on the distinct corner count of the two triangles that
-    received s; after it the union degree of s is at least 5."""
-
-    def union_nbrs() -> frozenset[int]:
-        return t1.neighbors(s) | t2.neighbors(s)
-
-    corners = len(union_nbrs())
+    received s; after it the union degree of s is at least 5 (see README,
+    Verification, *Degree raising*)."""
+    union_nbrs = t1.neighbors(s) | t2.neighbors(s)
+    corners = len(union_nbrs)
     if corners >= 5:
         return t1, t2
-    if corners == 4:
-        _, e1 = find_flippable_opposite(t1, s)
-        _, e2 = find_flippable_opposite(t2, s)
-        if _far_apex(t1, e1, s) not in union_nbrs():
-            return flip(t1, e1), t2
-        if _far_apex(t2, e2, s) not in union_nbrs():
-            return t1, flip(t2, e2)
-        # the shared 4-cycle case: one flip frees a flippable cycle edge that
-        # stays present in the other triangulation
-        t1b = flip(t1, e1)
-        e_hat = _cycle_flip(t1b, t2, s)
-        if e_hat is None:
-            t2b = flip(t2, e2)
-            e_hat = _cycle_flip(t2b, t1, s)
-            if e_hat is None:
-                raise InternalInvariantError("no flippable edge on the shared 4-cycle")
-            return t1, flip(t2b, e_hat)
-        return flip(t1b, e_hat), t2
-    if corners != 3:
+    if corners not in (3, 4):
         raise InternalInvariantError(f"unexpected corner count {corners}")
     _, e1 = find_flippable_opposite(t1, s)
     _, e2 = find_flippable_opposite(t2, s)
     x1, x2 = _far_apex(t1, e1, s), _far_apex(t2, e2, s)
-    if e1 != e2:
+    if corners == 4:
+        if x1 not in union_nbrs:
+            return flip(t1, e1), t2
+        if x2 not in union_nbrs:
+            return t1, flip(t2, e2)
+    elif e1 != e2:
         t1b, t2b = flip(t1, e1), flip(t2, e2)
         if len(t1b.neighbors(s) | t2b.neighbors(s)) >= 5:
             return t1b, t2b
@@ -209,18 +193,20 @@ def _raise_degree_to_five(t1: Triangulation, t2: Triangulation, s: int) -> tuple
         if e_hat is not None:
             return t1b, flip(t2b, e_hat)
         raise InternalInvariantError("degree rescue failed after twin flips")
-    if x1 != x2:
+    elif x1 != x2:
         return flip(t1, e1), flip(t2, e2)
-    # same edge, same far apex: the adjacent triangle is shared; one of the two
-    # triangulations has the 4-cycle without external chords
-    for first in (True, False):
-        ta, tb = (t1, t2) if first else (t2, t1)
-        ta_b = flip(ta, e1)
-        e_hat = _cycle_flip(ta_b, tb, s)
-        if e_hat is not None:
-            ta_c = flip(ta_b, e_hat)
-            return (ta_c, tb) if first else (tb, ta_c)
-    raise InternalInvariantError("no flippable 4-cycle edge in either triangulation")
+    # four corners whose far apexes are both neighbours already, or three
+    # corners with one shared edge e1 == e2 and far apex: one flip frees a
+    # flippable cycle edge that stays present in the other triangulation
+    t1b = flip(t1, e1)
+    e_hat = _cycle_flip(t1b, t2, s)
+    if e_hat is not None:
+        return flip(t1b, e_hat), t2
+    t2b = flip(t2, e2)
+    e_hat = _cycle_flip(t2b, t1, s)
+    if e_hat is None:
+        raise InternalInvariantError("no flippable 4-cycle edge in either triangulation")
+    return t1, flip(t2b, e_hat)
 
 
 def _interior_hull_with(ps: PointSet, hull: tuple[int, ...], s: int) -> tuple[int, ...]:
@@ -271,41 +257,6 @@ def insert_interior_point(state: InsertionState, coords: tuple[int, int]) -> Ins
 # Hull-point insertion
 # ----------------------------------------------------------------------
 
-def _circular_runs(flags: Sequence[bool]) -> list[list[int]]:
-    """Maximal circular runs of True positions."""
-    n = len(flags)
-    if all(flags):
-        return [list(range(n))]
-    runs = []
-    for i in range(n):
-        if flags[i] and not flags[(i - 1) % n]:
-            run = []
-            j = i
-            while flags[j % n]:
-                run.append(j % n)
-                j += 1
-            runs.append(run)
-    return runs
-
-
-def _has_consecutive_run(present: set[int], size: int, needed: int) -> bool:
-    """Does `present` (subset of Z_size) contain `needed` consecutive values?"""
-    if needed <= 0:
-        return True
-    if len(present) >= size:
-        return size >= needed
-    best = run = 0
-    # scan twice around the circle starting after a gap
-    start = next(i for i in range(size) if i not in present)
-    for k in range(1, 2 * size + 1):
-        if (start + k) % size in present:
-            run += 1
-            best = max(best, run)
-        else:
-            run = 0
-    return best >= needed
-
-
 _VIOLATED = "hull-insertion property violated: "
 
 
@@ -339,14 +290,19 @@ def _property_union(sa: PointSet, sb: Sequence[tuple[int, int]]
     missing = sorted(b_ids - set(hull))
     if missing:
         raise PreconditionError(f"{_VIOLATED}new points {missing} are not hull vertices of the union")
-    vis_of = {b: frozenset(visible_hull_edges(combined[b], sa)) for b in b_ids}
-    flags = [v in b_ids for v in hull]
-    for run in _circular_runs(flags):
-        for k in range(1, min(len(run), p - 1) + 1):
-            for off in range(len(run) - k + 1):
+    a_pts = [sa[v] for v in sa.hull()]
+    vis_of = {}
+    for b in b_ids:
+        i, k = visible_chain(a_pts, combined[b])
+        vis_of[b] = frozenset((i + j) % p for j in range(k))
+    h = len(hull)
+    for start, length in circular_runs([v in b_ids for v in hull]):
+        run = [(start + j) % h for j in range(length)]
+        for k in range(1, min(length, p - 1) + 1):
+            for off in range(length - k + 1):
                 window = run[off:off + k]
                 joint = frozenset().union(*(vis_of[hull[idx]] for idx in window))
-                if not _has_consecutive_run(joint, p, k + 2):
+                if not any(n >= k + 2 for _, n in circular_runs([e in joint for e in range(p)])):
                     pts = [hull[idx] - na for idx in window]
                     raise PreconditionError(
                         f"{_VIOLATED}{k} consecutive new points (indices {pts}) see only "
@@ -479,16 +435,15 @@ def _wire_surrounding(w: _HullWiring, a_hull: tuple[int, ...], b_cycle: tuple[in
 def _arc_of_chain(p: int, vis_of: dict[int, frozenset[int]], chain: list[int]) -> list[int]:
     """The arc a chain is wired along, as counterclockwise S_a hull-edge
     indices: it starts at the first edge the head sees, the start of the
-    head's contiguous visible interval, and extends while the chain jointly
-    sees the next edge, up to all p edges (see README, Verification)."""
+    head's contiguous visible interval, and holds every edge the chain
+    jointly sees, which must be one run from there or all p edges (see
+    README, Verification)."""
     head = vis_of[chain[0]]
     joint = frozenset().union(*(vis_of[b] for b in chain))
-    arc = [next(i for i in head if (i - 1) % p not in head)]
-    while len(arc) < p and (arc[-1] + 1) % p in joint:
-        arc.append((arc[-1] + 1) % p)
-    if len(arc) != len(joint):
+    start = circular_runs([i in head for i in range(p)])[0][0]
+    if circular_runs([i in joint for i in range(p)]) not in ([(0, p)], [(start, len(joint))]):
         raise InternalInvariantError("visible edges of a treatable chain are not consecutive")
-    return arc
+    return [(start + j) % p for j in range(len(joint))]
 
 
 def _wire_chain(w: _HullWiring, a_hull: tuple[int, ...], t1: Triangulation, t2: Triangulation,

@@ -14,7 +14,7 @@ from biplane.connectivity import (Bichord, CutReport, SeparatingTriangle,
 from biplane.errors import ImpossibleError, InternalInvariantError, PreconditionError
 from biplane.generators import random_general_position
 from biplane.geometry import (Point, PointSet, cross, is_convex_position, point_in_triangle,
-                              segments_properly_cross, visible_hull_edges)
+                              segments_properly_cross)
 from biplane.insertion import check_property_maxi
 from biplane.layered import LAYER1, LayeredGraph
 from biplane.triangulation import (Edge, Triangulation, edge_key, is_flippable,
@@ -476,6 +476,31 @@ def bf_faces_of(ps: PointSet, edges) -> set[tuple[int, int, int]]:
                        for w in range(len(pts)) if w not in (a, b, c)):
                 faces.add((a, b, c))
     return faces
+
+
+def bf_circular_runs(flags: Sequence[bool]) -> list[tuple[int, int]]:
+    """Every (start, length) window of the cycle that is all True and cannot
+    grow: both neighbours False, or the whole cycle from index 0."""
+    m = len(flags)
+    out = []
+    for start in range(m):
+        for length in range(1, m + 1):
+            if not all(flags[(start + j) % m] for j in range(length)):
+                break
+            whole = length == m and start == 0
+            if whole or (length < m and not flags[start - 1]
+                         and not flags[(start + length) % m]):
+                out.append((start, length))
+    return sorted(out)
+
+
+def visible_hull_edges(s: Point, ps: PointSet) -> list[int]:
+    """Indices i of hull edges (hull[i], hull[i+1]) visible from exterior s:
+    the reference, one `cross` per edge, for `geometry.visible_chain` and the
+    visibility table of hull insertion."""
+    h = ps.hull()
+    return [i for i in range(len(h))
+            if cross(ps[h[i]], ps[h[(i + 1) % len(h)]], s) < 0]
 
 
 def edge_visibility_hall_holds(sa: PointSet, sb: Sequence[tuple[int, int]]) -> bool:

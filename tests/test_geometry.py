@@ -8,17 +8,18 @@ from hypothesis import strategies as st
 
 import biplane.geometry as geometry_module
 from biplane.errors import PreconditionError
-from biplane.geometry import (COORD_LIMIT, Point, PointSet, ccw_order, convex_hull,
-                              cross, crosses_any, crossing_pairs, first_crossing,
-                              is_convex_position, max_convex_subset_indices,
-                              point_strictly_inside_hull, polygon_doubled_area,
-                              segments_properly_cross, visible_chain, visible_hull_edges)
+from biplane.geometry import (COORD_LIMIT, Point, PointSet, ccw_order, circular_runs,
+                              convex_hull, cross, crosses_any, crossing_pairs,
+                              first_crossing, is_convex_position,
+                              max_convex_subset_indices, point_strictly_inside_hull,
+                              polygon_doubled_area, segments_properly_cross, visible_chain)
 from biplane.generators import random_general_position, regular_polygon_points
 from biplane.geometry import _ccw_rings
 from biplane.triangulation import edge_key, triangulate
 
-from oracles import (bf_first_collinear, bf_first_crossing, bf_hull_ids, bf_max_convex_subset,
-                     bf_optimal_convex_subsets, dp_max_convex_subset, ref_ccw_ring)
+from oracles import (bf_circular_runs, bf_first_collinear, bf_first_crossing, bf_hull_ids,
+                     bf_max_convex_subset, bf_optimal_convex_subsets, dp_max_convex_subset,
+                     ref_ccw_ring, visible_hull_edges)
 from conftest import core_plus_interior
 
 
@@ -563,6 +564,38 @@ class TestVisibleChain:
             s = P(rng.randint(-200, 200), rng.randint(-200, 200))
             i, k = visible_chain(pts, s)
             assert sorted((i + j) % len(pts) for j in range(k)) == visible_hull_edges(s, ps)
+
+
+class TestCircularRuns:
+    """circular_runs(flags): the maximal True runs of a cyclic sequence, as
+    (start, length) in order of start."""
+
+    @pytest.mark.parametrize("flags,runs", [
+        ([], []),
+        ([False] * 5, []),
+        ([True], [(0, 1)]),
+        ([True] * 6, [(0, 6)]),
+    ])
+    def test_empty_none_and_all(self, flags, runs):
+        assert circular_runs(flags) == runs
+
+    def test_run_wrapping_past_zero_is_reported_once_from_its_start(self):
+        T, F = True, False
+        assert circular_runs([T, T, F, F, T, T, T]) == [(4, 5)]
+        assert circular_runs([T, F, F, F, F, F, T]) == [(6, 2)]
+
+    def test_several_runs_in_order_of_start(self):
+        T, F = True, False
+        assert circular_runs([F, T, T, F, T, F, F, T, T, T]) == [(1, 2), (4, 1), (7, 3)]
+        assert circular_runs([T, F, T, F, T, F]) == [(0, 1), (2, 1), (4, 1)]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_agrees_with_brute_force(self, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            flags = [rng.random() < rng.choice((0.2, 0.5, 0.8, 0.95))
+                     for _ in range(rng.randint(0, 12))]
+            assert circular_runs(flags) == bf_circular_runs(flags), flags
 
 
 class TestMaxConvexSubset:

@@ -12,7 +12,7 @@ from biplane.errors import InternalInvariantError, PreconditionError
 from biplane.generators import (random_general_position, random_triangulation,
                                 regular_polygon_points)
 from biplane.geometry import (PointSet, convex_hull, is_convex_position,
-                              segments_properly_cross, visible_hull_edges)
+                              segments_properly_cross)
 from biplane.layered import LAYER1, LAYER2, LayeredGraph
 from biplane.insertion import (InsertionState, build_5conn_general,
                                check_property_maxi, find_flippable_opposite,
@@ -21,7 +21,7 @@ from biplane.triangulation import complete_to_triangulation, edge_key, is_flippa
 from biplane.generators import generate_wheel
 
 from conftest import core_plus_interior, mixed_pipeline_instance
-from oracles import edge_visibility_hall_holds
+from oracles import edge_visibility_hall_holds, visible_hull_edges
 
 
 def fresh_core(n=14, radius=1000):
