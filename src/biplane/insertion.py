@@ -630,12 +630,15 @@ def insert_hull_points(state: InsertionState, sb: Sequence[tuple[int, int]]) -> 
 def build_5conn_general(ps: PointSet,
                         on_step: Callable[[str, LayeredGraph], None] | None = None) -> LayeredGraph:
     """5-connected biplane graph on any point set containing at least 14
-    points in convex position.
+    points in convex position, on `ps` with its ids.
 
     Starts from the convex construction on a largest convex-position subset,
     then inserts interior points in lexicographic order, hull points of the
     full set in one batch, and the remaining exterior points in reverse
-    hull-peeling order.
+    hull-peeling order.  The steps number the points in that construction
+    order (the core in ascending id order, then each point as it is
+    inserted), and so do the graphs passed to `on_step`; the result is
+    relabelled to the ids of `ps`.
     """
     core = sorted(max_convex_subset_indices(ps))
     if len(core) < 14:
@@ -649,15 +652,19 @@ def build_5conn_general(ps: PointSet,
     s_bou = [i for i in rest if i not in s_int and i in hull_of_all]
     s_ext = [i for i in rest if i not in s_int and i not in hull_of_all]
 
+    # order[k] is the id in ps of the point at construction position k
+    order = list(core)
     state = InsertionState(build_5conn_convex(ps0))
     if on_step:
         on_step("core", state.current)
     for i in sorted(s_int, key=lambda i: (ps[i].x, ps[i].y)):
         state = insert_interior_point(state, ps[i].coords())
+        order.append(i)
         if on_step:
             on_step(f"interior:{i}", state.current)
     if s_bou:
         state = insert_hull_points(state, [ps[i].coords() for i in s_bou])
+        order.extend(s_bou)
         if on_step:
             on_step("boundary", state.current)
     remaining = set(s_ext)
@@ -672,6 +679,8 @@ def build_5conn_general(ps: PointSet,
         remaining.remove(pick)
     for i in reversed(removal):
         state = insert_interior_point(state, ps[i].coords())
+        order.append(i)
         if on_step:
             on_step(f"exterior:{i}", state.current)
-    return state.current
+    return LayeredGraph(ps, {(order[u], order[v]): tag
+                             for (u, v), tag in state.current.layers.items()})

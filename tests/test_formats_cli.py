@@ -17,7 +17,7 @@ from biplane.layered import BOTH, LAYER1, LAYER2, LayeredGraph
 from biplane.render import render_svg
 from biplane.triangulation import triangulate
 
-from conftest import chordful_triangulation, mixed_pipeline_instance
+from conftest import chordful_triangulation, core_plus_interior, mixed_pipeline_instance
 
 
 class TestPointFormat:
@@ -300,6 +300,20 @@ class TestCli:
         assert self.run("build", "--mode", "general5", "--points", str(pts),
                         "--out", str(tmp_path / "g.edges"), "--trace", str(trace)) == 0
         assert list(trace.glob("*.edges"))
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_general5_out_round_trips_through_verify(self, tmp_path, capsys, seed):
+        pts, edges = tmp_path / "p.pts", tmp_path / "g.edges"
+        pts.write_text(dumps_points(core_plus_interior(24, seed, outer=2)))
+        capsys.readouterr()
+        assert main(["--format", "json", "build", "--mode", "general5", "--points", str(pts),
+                     "--out", str(edges)]) == 0
+        built = json.loads(capsys.readouterr().out)
+        assert main(["--format", "json", "verify", "--points", str(pts),
+                     "--edges", str(edges)]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got["kappa"] == built["kappa"] >= 5
+        assert got["biplane"] is True and "violations" not in got, got
 
     def test_render_cli(self, tmp_path):
         pts, edges, svg = tmp_path / "p.pts", tmp_path / "g.edges", tmp_path / "g.svg"

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from biplane import insertion
-from biplane.connectivity import kappa_of, verify_layering
+from biplane.connectivity import kappa_of, layer_crossing, verify_layering
 from biplane.convex import build_5conn_convex
 from biplane.errors import InternalInvariantError, PreconditionError
 from biplane.generators import (random_general_position, random_triangulation,
@@ -383,6 +383,16 @@ class TestBuildGeneral:
         labels = [s[0] for s in steps]
         assert labels[0] == "core"
 
+    # seed 2 has no 14 points in convex position
+    @pytest.mark.parametrize("seed", [0, 1, 3, 4])
+    def test_result_is_on_the_input_ids(self, seed):
+        # the shuffled core and the interior and outer points enter in an
+        # order of their own; the result names every point by its input id
+        ps = core_plus_interior(24, seed, outer=2)
+        g = build_5conn_general(ps)
+        assert [p.coords() for p in g.ps] == [p.coords() for p in ps]
+        assert layer_crossing(g) is None
+
     @pytest.mark.parametrize("seed", range(1, 6))
     def test_more_seeds(self, seed):
         ps = mixed_pipeline_instance(seed)
@@ -390,19 +400,20 @@ class TestBuildGeneral:
         assert kappa_of(g) >= 5 and verify_layering(g)
 
 
-# sha256 of repr(sorted(g.layers.items())) for mixed_pipeline_instance(seed):
-# any change to what an insertion step builds shows up here
+# sha256 of repr(sorted(g.layers.items())) for mixed_pipeline_instance(seed),
+# edges in the input's ids: any change to what an insertion step builds shows
+# up here
 GOLDEN_LAYER_DIGESTS = [
-    "01cfd4f8e66de9e694ad725168cbe4545ca00151ccd718306c0ea17bc1cfe81f",
+    "2d01f13f2a633be70e28f415beee8fb385e05ff63268af23b6602572c57662f1",
     "351cbac9000ac738a7d0d58f5b7d2b7e2c200e904c8fec011d2fe42154a3ffb4",
-    "48239be53f2cd8d09e28c5558573465b055dae46104d5c484c71940fe42c27c9",
-    "1490272d274ae097bb2fe2fe4bf05554337577139c61d245c7e74d6a44c1f807",
-    "4e10568d0258b6ff9953e4c9294e1ee9a24b9d3664b89ff4ad69bd4076897ec5",
+    "7646a5f4759f120767db56cc4ad7888fbaae72250f4efb8a82d34d1e5b79a6f5",
+    "3d96aad87bb92455ff2e7d12c66339eea876714f3ab1f7b7f95e2c2f7c137da0",
+    "b94b6dd26877eee1aee828b79d872c8206f2c7c8caa5080e61203c441abd279e",
     "eff737b8cfb6e09fd314fb420021136d58043728378edf385989cb8816c48590",
     "1e15879350d6e69be14bffe0ce7cdd1291ffd36d7357fe3ca6dc8f269ea49b39",
-    "6bda617444c55ea39b5dbe3c613380c999fbf74cabecd179b062cd4447f7d0d0",
+    "c78b1d48a44e71c71da045b0e25285ef50b550b7bb8a93e97acccdc84c2c558f",
     "bd755961a53a4591f7367b828146600391390250cda05bae80c67da217975695",
-    "55bad816f50d2eedb5bcb6aecf98706ac641a86818547f68339f9eac72fff7e4",
+    "991bd7c564b8d9182aebb57638321ccbf1c386ad85dd7568da1e8002e20a337c",
 ]
 
 
