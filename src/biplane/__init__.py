@@ -28,8 +28,7 @@ from .generators import (generate_fan, generate_no5conn_counterexample,
                          generate_wheel, random_general_position,
                          random_plane_tree, random_triangulation,
                          regular_polygon_points)
-from .formats import (dumps_layered, dumps_points, edges_as_layered,
-                      loads_layered, loads_points)
+from .formats import dumps_layered, dumps_points, loads_layered, loads_points
 from .render import render_svg
 
 __all__ = [name for name in dir() if not name.startswith("_")]

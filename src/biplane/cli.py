@@ -14,13 +14,12 @@ from .augment import augment_to_4conn
 from .connectivity import compute_layering, cut_structures, kappa_of, layer_crossing
 from .convex import build_4conn_convex, build_5conn_convex
 from .errors import BiplaneError, InternalInvariantError, PreconditionError
-from .formats import (dumps_layered, dumps_points, edges_as_layered,
-                      loads_layered, loads_points)
+from .formats import dumps_layered, dumps_points, loads_layered, loads_points
 from .generators import (generate_fan, generate_no5conn_counterexample,
                          generate_wheel, random_general_position,
                          regular_polygon_points)
 from .insertion import build_5conn_general
-from .layered import LAYER1, LayeredGraph
+from .layered import LayeredGraph
 from .render import render_svg
 from .treeaug import min_augment_3conn
 from .triangulation import Triangulation, triangulation_from_edges
@@ -74,7 +73,7 @@ def _emit(args, report: RunReport, graph: LayeredGraph | None) -> None:
         payload["out"] = args.out
     if args.format == "json":
         if graph is not None and not args.out:
-            payload["edges"] = [[u, v, tag] for (u, v), tag in sorted(graph.layers.items())]
+            payload["edges"] = [[u, v, tag] for (u, v), tag in graph.layers.items()]
         print(json.dumps(payload, sort_keys=True))
     else:
         print(report.text())
@@ -105,7 +104,7 @@ def _cmd_gen(args) -> int:
     else:
         sys.stdout.write(text)
     if tri is not None and args.edges_out:
-        g = edges_as_layered(ps, tri.edges, LAYER1)
+        g = LayeredGraph(ps, tri.edges, ())
         Path(args.edges_out).write_text(dumps_layered(g))
         print(f"written: {args.edges_out}")
     return 0
@@ -148,7 +147,7 @@ def _cmd_augment(args) -> int:
         added = augment_to_4conn(t)
     else:
         added = min_augment_3conn(t)
-    g = LayeredGraph.from_layers(t.ps, t.edges, added)
+    g = LayeredGraph(t.ps, t.edges, added)
     report = _report_for(g)
     if report.kappa < args.target:
         raise InternalInvariantError(
@@ -182,7 +181,7 @@ def _cmd_render(args) -> int:
     if args.edges:
         g = loads_layered(Path(args.edges).read_text(), ps)
     else:
-        g = LayeredGraph(ps, {})
+        g = LayeredGraph(ps, (), ())
     Path(args.out).write_text(render_svg(g))
     print(f"written: {args.out}")
     return 0

@@ -13,7 +13,7 @@ from typing import Iterable
 from .errors import (ImpossibleError, InternalInvariantError,
                      PreconditionError)
 from .geometry import PointSet, is_convex_position
-from .layered import LAYER1, LAYER2, LayeredGraph
+from .layered import LayeredGraph
 from .triangulation import Edge, edge_key
 
 
@@ -62,7 +62,7 @@ def build_5conn_convex(ps: PointSet) -> LayeredGraph:
     if len(t1) != n - 1 or len(t2) != n - 1:
         raise InternalInvariantError("spanning tree has wrong edge count")
     hull_edges = {edge_key(hull[i], hull[(i + 1) % n]) for i in range(n)}
-    return LayeredGraph.from_layers(ps, t1 | hull_edges, t2)
+    return LayeredGraph(ps, t1 | hull_edges, t2)
 
 
 def find_hamiltonian_cycle(n: int, edges: Iterable[Edge]) -> list[int]:
@@ -146,7 +146,4 @@ def build_4conn_convex(ps: PointSet) -> LayeredGraph:
     two = lift([(1, n - 1), (1, n - 2), *((2, k) for k in range(4, n - 1))])
     if min(two) < min(one):
         one, two = two, one
-    # sorted edges, so that the sort in LayeredGraph meets one ascending run
-    layers = dict.fromkeys(sorted(lift((i - 1, i) for i in range(n)) + one + two), LAYER1)
-    layers.update(dict.fromkeys(two, LAYER2))
-    return LayeredGraph(ps, layers)
+    return LayeredGraph(ps, lift((i - 1, i) for i in range(n)) + one, two)

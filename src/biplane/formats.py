@@ -2,8 +2,6 @@
 lists (header "n m", then "u v layer" with layer in {1, 2, 3})."""
 from __future__ import annotations
 
-from typing import Iterable
-
 from .errors import PreconditionError
 from .geometry import PointSet
 from .layered import BOTH, LAYER1, LAYER2, LayeredGraph
@@ -32,7 +30,7 @@ def loads_points(text: str) -> PointSet:
 
 def dumps_layered(g: LayeredGraph) -> str:
     lines = [f"{len(g.ps)} {g.edge_count()}"]
-    for (u, v), tag in sorted(g.layers.items()):
+    for (u, v), tag in g.layers.items():
         lines.append(f"{u} {v} {tag}")
     return "\n".join(lines) + "\n"
 
@@ -45,6 +43,9 @@ def _ints(lineno: int, row: str) -> list[int]:
 
 
 def loads_layered(text: str, ps: PointSet) -> LayeredGraph:
+    """The graph of an edge list on `ps`.  Each line's tag is decoded here
+    into the two layer edge sets (3 puts the edge in both); a bad tag or an
+    edge listed twice, in either orientation, is rejected."""
     rows = [(lineno, r.split("#", 1)[0].strip())
             for lineno, r in enumerate(text.splitlines(), start=1)]
     rows = [(lineno, r) for lineno, r in rows if r]
@@ -58,7 +59,9 @@ def loads_layered(text: str, ps: PointSet) -> LayeredGraph:
         raise PreconditionError(f"edge list is for {n} points, point set has {len(ps)}")
     if len(rows) - 1 != m:
         raise PreconditionError(f"header promises {m} edges, found {len(rows) - 1}")
-    layers: dict[Edge, int] = {}
+    seen: set[Edge] = set()
+    one: list[Edge] = []
+    two: list[Edge] = []
     for lineno, row in rows[1:]:
         if len(row.split()) != 3:
             raise PreconditionError(f"expected 'u v layer', got {row!r}")
@@ -66,11 +69,11 @@ def loads_layered(text: str, ps: PointSet) -> LayeredGraph:
         if tag not in (LAYER1, LAYER2, BOTH):
             raise PreconditionError(f"layer must be 1, 2 or 3, got {tag}")
         e = edge_key(u, v)
-        if e in layers:
+        if e in seen:
             raise PreconditionError(f"duplicate edge {e}")
-        layers[e] = tag
-    return LayeredGraph(ps, layers)
-
-
-def edges_as_layered(ps: PointSet, edges: Iterable[Edge], layer: int = LAYER1) -> LayeredGraph:
-    return LayeredGraph(ps, {edge_key(*e): layer for e in edges})
+        seen.add(e)
+        if tag != LAYER2:
+            one.append(e)
+        if tag != LAYER1:
+            two.append(e)
+    return LayeredGraph(ps, one, two)

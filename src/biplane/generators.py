@@ -9,7 +9,7 @@ from .errors import InternalInvariantError, PreconditionError
 from .geometry import (Point, PointSet, convex_hull, crosses_any, is_convex_position,
                        segments_properly_cross)
 from .triangulation import Edge, Triangulation, edge_key, flip, is_flippable, triangulate
-from .layered import LAYER1, LayeredGraph
+from .layered import LayeredGraph
 
 
 def _try_pointset(coords: list[tuple[int, int]]) -> PointSet | None:
@@ -104,7 +104,7 @@ def random_plane_tree(n: int, seed: int) -> LayeredGraph:
         else:
             raise InternalInvariantError("no visible vertex for tree growth")
         placed.append(v)
-    return LayeredGraph(ps, {e: LAYER1 for e in edges})
+    return LayeredGraph(ps, edges, ())
 
 
 def generate_wheel(n: int) -> Triangulation:

@@ -82,7 +82,7 @@ class InsertionState:
     @property
     def current(self) -> LayeredGraph:
         if self._current is None:
-            self._current = LayeredGraph.from_layers(self.ps, self.layer1, self.layer2)
+            self._current = LayeredGraph(self.ps, self.layer1, self.layer2)
         return self._current
 
     @property
@@ -607,7 +607,7 @@ def insert_hull_points(state: InsertionState, sb: Sequence[tuple[int, int]]) -> 
 
     for d in dummies:
         w.delete(d)
-    result = LayeredGraph.from_layers(new_ps, w.layers[LAYER1], w.layers[LAYER2])
+    result = LayeredGraph(new_ps, w.layers[LAYER1], w.layers[LAYER2])
     lost = state.edges() - result.edges()
     if not lost <= deleted:
         raise InternalInvariantError(f"hull insertion lost unexpected edges {sorted(lost - deleted)}")
@@ -682,5 +682,5 @@ def build_5conn_general(ps: PointSet,
         order.append(i)
         if on_step:
             on_step(f"exterior:{i}", state.current)
-    return LayeredGraph(ps, {(order[u], order[v]): tag
-                             for (u, v), tag in state.current.layers.items()})
+    return LayeredGraph(ps, [(order[u], order[v]) for (u, v) in state.layer1],
+                        [(order[u], order[v]) for (u, v) in state.layer2])

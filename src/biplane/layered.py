@@ -1,11 +1,11 @@
-"""Geometric graphs with a two-layer edge tagging (the biplane artifact)."""
+"""Geometric graphs as two layer edge sets (the biplane artifact)."""
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import PreconditionError
 from .geometry import PointSet
-from .triangulation import Edge, edge_key
+from .triangulation import Edge
 
 LAYER1 = 1
 LAYER2 = 2
@@ -13,47 +13,39 @@ BOTH = 3  # edge present in both layers, stored once
 
 
 class LayeredGraph:
-    """Geometric graph whose edges carry a layer tag in {1, 2, 3 = both}.
+    """Geometric graph stored as its two layer edge sets.
 
-    Edges shared by both layers are stored once with the both-layers flag;
-    layer queries report membership per layer.  A LayeredGraph is not
-    mutated after construction: the layer edge sets are computed once, from
-    the tags given to the constructor.
+    Each edge is keyed (min, max); an edge may lie in both layers.  A
+    LayeredGraph is not mutated after construction.  Layer tags in
+    {1, 2, 3 = both} exist only in the `layers` view, for the file, JSON and
+    SVG writers.
     """
 
-    def __init__(self, ps: PointSet, layers: Mapping[Edge, int]):
+    def __init__(self, ps: PointSet, layer1: Iterable[Edge], layer2: Iterable[Edge]):
         self.ps = ps
-        norm: dict[Edge, int] = {}
-        one: list[Edge] = []
-        two: list[Edge] = []
         n = len(ps)
-        for e, tag in layers.items():
-            u, v = e
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise PreconditionError(f"bad edge {e}")
-            if tag not in (LAYER1, LAYER2, BOTH):
-                raise PreconditionError(f"bad layer tag {tag} for edge {e}")
-            k = e if u < v else (v, u)
-            if norm.setdefault(k, tag) != tag:
-                raise PreconditionError(f"conflicting tags for edge {k}")
-            if tag != LAYER2:
-                one.append(k)
-            if tag != LAYER1:
-                two.append(k)
-        self.layers: dict[Edge, int] = dict(sorted(norm.items()))
-        self._layer_edges = {LAYER1: frozenset(one), LAYER2: frozenset(two)}
 
-    @classmethod
-    def from_layers(cls, ps: PointSet, layer1: Iterable[Edge],
-                    layer2: Iterable[Edge]) -> "LayeredGraph":
-        """The graph with the given layer edge sets; an edge in both is
-        stored once, tagged BOTH."""
-        one = {edge_key(*e) for e in layer1}
-        tags = dict.fromkeys(one, LAYER1)
-        for e in layer2:
-            k = edge_key(*e)
-            tags[k] = BOTH if k in one else LAYER2
-        return cls(ps, tags)
+        def keyed(es: Iterable[Edge]) -> frozenset[Edge]:
+            out: list[Edge] = []
+            for e in es:
+                u, v = e
+                if u == v or not (0 <= u < n and 0 <= v < n):
+                    raise PreconditionError(f"bad edge {e}")
+                out.append(e if u < v else (v, u))
+            return frozenset(out)
+
+        self._layer_edges = {LAYER1: keyed(layer1), LAYER2: keyed(layer2)}
+        self._layers: dict[Edge, int] | None = None
+
+    @property
+    def layers(self) -> dict[Edge, int]:
+        """Every edge with its layer tag (BOTH for an edge in both layers),
+        in edge order; computed on first use and kept."""
+        if self._layers is None:
+            one, two = self._layer_edges[LAYER1], self._layer_edges[LAYER2]
+            self._layers = {e: (BOTH if e in two else LAYER1) if e in one else LAYER2
+                            for e in sorted(one | two)}
+        return self._layers
 
     # ------------------------------------------------------------------
     def edges(self) -> frozenset[Edge]:

@@ -35,7 +35,7 @@ def render_svg(g: LayeredGraph) -> str:
         f'viewBox="0 0 {_SIZE} {_SIZE}">',
         f'  <rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
     ]
-    for (u, v), tag in sorted(g.layers.items()):
+    for (u, v), tag in g.layers.items():
         pu, pv = pts[u], pts[v]
         out.append(f'  <line x1="{sx(pu.x):.2f}" y1="{sy(pu.y):.2f}" '
                    f'x2="{sx(pv.x):.2f}" y2="{sy(pv.y):.2f}" {styles[tag]}/>')

@@ -75,7 +75,7 @@ def greedy_biplane(ps: PointSet) -> LayeredGraph:
     prefers edges absent from layer 1."""
     t1 = triangulate(ps)
     t2 = complete_to_triangulation(ps, avoid=t1.edges)
-    return LayeredGraph.from_layers(ps, t1.edges, t2.edges)
+    return LayeredGraph(ps, t1.edges, t2.edges)
 
 
 def chordful_triangulation(n: int, seed: int):

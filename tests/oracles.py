@@ -16,7 +16,7 @@ from biplane.generators import random_general_position
 from biplane.geometry import (Point, PointSet, cross, is_convex_position, point_in_triangle,
                               segments_properly_cross)
 from biplane.insertion import check_property_maxi
-from biplane.layered import LAYER1, LayeredGraph
+from biplane.layered import LAYER1, LAYER2, LayeredGraph
 from biplane.triangulation import (Edge, Triangulation, edge_key, is_flippable,
                                   triangle_key, triangulate)
 
@@ -777,6 +777,5 @@ def realize_hamiltonian_on_convex(g_edges: Iterable[Edge], ham: Sequence[int],
     if coloring is None:
         raise PreconditionError(
             f"chord conflict graph is not bipartite (non-planar input); odd cycle: {odd}")
-    layers: dict[Edge, int] = {e: LAYER1 for e in cycle_edges}
-    layers.update(coloring)
-    return LayeredGraph(ps, layers)
+    return LayeredGraph(ps, cycle_edges | {e for e, c in coloring.items() if c == LAYER1},
+                        [e for e, c in coloring.items() if c == LAYER2])

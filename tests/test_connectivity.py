@@ -15,7 +15,7 @@ from biplane.geometry import PointSet, segments_properly_cross
 from biplane.generators import (generate_fan, generate_no5conn_counterexample,
                                 generate_wheel, random_general_position,
                                 random_triangulation, regular_polygon_points)
-from biplane.layered import BOTH, LAYER1, LAYER2, LayeredGraph
+from biplane.layered import LAYER1, LAYER2, LayeredGraph
 from biplane.treeaug import min_augment_3conn
 from biplane.triangulation import edge_key, triangulate
 
@@ -308,27 +308,27 @@ class TestComputeLayering:
 class TestVerifyLayering:
     def test_plane_all_layer1(self):
         t = triangulate(random_general_position(7, seed=2))
-        g = LayeredGraph(t.ps, {e: LAYER1 for e in t.edges})
+        g = LayeredGraph(t.ps, t.edges, ())
         assert verify_layering(g)
 
     def test_crossing_same_layer(self):
         ps = PointSet([(0, 0), (2, 0), (2, 2), (0, 2)])
-        g = LayeredGraph(ps, {(0, 2): LAYER1, (1, 3): LAYER1})
+        g = LayeredGraph(ps, [(0, 2), (1, 3)], ())
         assert not verify_layering(g)
 
     def test_crossing_split_layers(self):
         ps = PointSet([(0, 0), (2, 0), (2, 2), (0, 2)])
-        g = LayeredGraph(ps, {(0, 2): LAYER1, (1, 3): LAYER2})
+        g = LayeredGraph(ps, [(0, 2)], [(1, 3)])
         assert verify_layering(g)
 
     def test_both_flag_counts_in_each_layer(self):
         ps = PointSet([(0, 0), (2, 0), (2, 2), (0, 2)])
-        g = LayeredGraph(ps, {(0, 2): BOTH, (1, 3): LAYER2})
+        g = LayeredGraph(ps, [(0, 2)], [(0, 2), (1, 3)])
         assert not verify_layering(g)
 
     def test_layer_edge_sets_are_computed_once(self):
         ps = PointSet([(0, 0), (2, 0), (2, 2), (0, 2)])
-        g = LayeredGraph(ps, {(0, 1): LAYER1, (0, 2): BOTH, (3, 1): LAYER2})
+        g = LayeredGraph(ps, [(0, 1), (0, 2)], [(0, 2), (3, 1)])
         assert g.layer_edges(LAYER1) == {(0, 1), (0, 2)}
         assert g.layer_edges(LAYER2) == {(0, 2), (1, 3)}
         assert g.layer_edges(LAYER1) is g.layer_edges(LAYER1)

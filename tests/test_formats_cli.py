@@ -9,8 +9,7 @@ from biplane import cli
 from biplane.cli import main
 from biplane.convex import build_5conn_convex
 from biplane.errors import PreconditionError
-from biplane.formats import (dumps_layered, dumps_points, edges_as_layered,
-                             loads_layered, loads_points)
+from biplane.formats import dumps_layered, dumps_points, loads_layered, loads_points
 from biplane.generators import random_triangulation, regular_polygon_points
 from biplane.geometry import PointSet, segments_properly_cross
 from biplane.layered import BOTH, LAYER1, LAYER2, LayeredGraph
@@ -43,7 +42,7 @@ class TestPointFormat:
 class TestLayeredFormat:
     def graph(self):
         ps = regular_polygon_points(4)
-        return LayeredGraph(ps, {(0, 1): LAYER1, (1, 2): LAYER2, (0, 2): BOTH})
+        return LayeredGraph(ps, [(0, 1), (0, 2)], [(1, 2), (0, 2)])
 
     def test_round_trip(self):
         g = self.graph()
@@ -62,34 +61,56 @@ class TestLayeredFormat:
         with pytest.raises(PreconditionError):
             loads_layered(text, g.ps)
 
+    def test_tag_3_reads_into_both_layers(self):
+        g = loads_layered("4 3\n1 0 1\n2 0 3\n2 1 2\n", self.graph().ps)
+        assert g.layer_edges(LAYER1) == {(0, 1), (0, 2)}
+        assert g.layer_edges(LAYER2) == {(0, 2), (1, 2)}
+        assert g.layers == self.graph().layers
+
+    def test_edge_listed_twice_with_other_tags_rejected(self):
+        # the two orientations of one edge cannot carry two tags
+        with pytest.raises(PreconditionError, match=r"^duplicate edge \(0, 1\)$"):
+            loads_layered("4 2\n0 1 1\n1 0 3\n", self.graph().ps)
+
 
 class TestLayeredGraph:
+    # layers = (layer 1, layer 2); bad and conflicting tags can come only
+    # from an edge file, and TestLayeredFormat rejects them there
     @pytest.mark.parametrize("layers,reason", [
-        ({(1, 1): LAYER1}, "bad edge (1, 1)"),
-        ({(0, 5): LAYER1}, "bad edge (0, 5)"),
-        ({(-1, 2): LAYER2}, "bad edge (-1, 2)"),
-        ({(2, 0): 4}, "bad layer tag 4 for edge (2, 0)"),
-        ({(0, 1): LAYER1, (1, 0): BOTH}, "conflicting tags for edge (0, 1)"),
+        (([(1, 1)], []), "bad edge (1, 1)"),
+        (([(0, 1)], [(0, 5)]), "bad edge (0, 5)"),
+        (([], [(2, 3), (-1, 2)]), "bad edge (-1, 2)"),
     ])
     def test_rejects_bad_edges_tags_and_conflicts(self, layers, reason):
         with pytest.raises(PreconditionError) as err:
-            LayeredGraph(regular_polygon_points(5), layers)
+            LayeredGraph(regular_polygon_points(5), *layers)
         assert str(err.value) == reason
 
-    def test_from_layers_keys_and_tags_each_edge_once(self):
+    def test_constructor_keys_and_tags_each_edge_once(self):
         ps = regular_polygon_points(5)
-        g = LayeredGraph.from_layers(ps, [(1, 0), (0, 2), (2, 0)], [(2, 0), (3, 4), (4, 3)])
+        g = LayeredGraph(ps, [(1, 0), (0, 2), (2, 0)], [(2, 0), (3, 4), (4, 3)])
         assert list(g.layers.items()) == [((0, 1), LAYER1), ((0, 2), BOTH), ((3, 4), LAYER2)]
+        assert g.layers is g.layers
         assert g.layer_edges(LAYER1) == {(0, 1), (0, 2)}
         assert g.layer_edges(LAYER2) == {(0, 2), (3, 4)}
-        same = LayeredGraph(ps, {(4, 3): LAYER2, (1, 0): LAYER1, (0, 1): LAYER1, (2, 0): BOTH})
+        assert g.edges() == {(0, 1), (0, 2), (3, 4)} and g.edge_count() == 3
+        same = LayeredGraph(ps, ((0, 1), (0, 2), (1, 0)), {(2, 0), (4, 3)})
         assert dumps_layered(same) == dumps_layered(g) == "5 3\n0 1 1\n0 2 3\n3 4 2\n"
 
 
 class TestRender:
+    #: sha256 of render_svg(g) for the graph of `test_golden_digest`
+    SVG = "a2566370303d74f7b61c8498304c8b2f24aeb6fa5e37f068f4e63628de626222"
+
+    def test_golden_digest(self):
+        # tags 1 (0, 1), (0, 5), (1, 2); 2 (2, 4), (4, 5); 3 (0, 3), (1, 3)
+        g = LayeredGraph(regular_polygon_points(6), [(1, 0), (0, 3), (1, 2), (1, 3), (5, 0)],
+                         [(5, 4), (0, 3), (2, 4), (3, 1)])
+        assert set(g.layers.values()) == {LAYER1, LAYER2, BOTH}
+        assert hashlib.sha256(render_svg(g).encode()).hexdigest() == self.SVG
+
     def test_svg_well_formed_and_styled(self):
-        g = LayeredGraph(regular_polygon_points(5),
-                         {(0, 1): LAYER1, (1, 3): LAYER2, (0, 2): BOTH})
+        g = LayeredGraph(regular_polygon_points(5), [(0, 1), (0, 2)], [(1, 3), (0, 2)])
         svg = render_svg(g)
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
@@ -97,7 +118,7 @@ class TestRender:
         assert svg.count("<line") == 3
 
     def test_points_only(self):
-        svg = render_svg(LayeredGraph(regular_polygon_points(4), {}))
+        svg = render_svg(LayeredGraph(regular_polygon_points(4), (), ()))
         assert "<line" not in svg and svg.count("<circle") == 4
 
 
@@ -105,7 +126,7 @@ def _write_input(tmp_path, ps, edges):
     """Point and layer-1 edge files for `augment` or `verify`."""
     pts, path = tmp_path / "t.pts", tmp_path / "t.edges"
     pts.write_text(dumps_points(ps))
-    path.write_text(dumps_layered(edges_as_layered(ps, edges)))
+    path.write_text(dumps_layered(LayeredGraph(ps, edges, ())))
     return str(pts), str(path)
 
 
@@ -178,7 +199,6 @@ class TestCli:
     def test_augment_4_random_triangulation(self, tmp_path, capsys):
         pts, edges = tmp_path / "t.pts", tmp_path / "t.edges"
         from biplane.generators import random_triangulation
-        from biplane.formats import edges_as_layered, dumps_points
         from biplane.triangulation import TriangulationClass, classify
         seed = 0
         while True:
@@ -187,7 +207,7 @@ class TestCli:
                 break
             seed += 1
         pts.write_text(dumps_points(t.ps))
-        edges.write_text(dumps_layered(edges_as_layered(t.ps, t.edges)))
+        edges.write_text(dumps_layered(LayeredGraph(t.ps, t.edges, ())))
         assert self.run("--format", "json", "augment", "--target", "4",
                         "--points", str(pts), "--edges", str(edges)) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -231,11 +251,9 @@ class TestCli:
         e = next(e for e in sorted(g.layer_edges(LAYER2) - one)
                  if any(segments_properly_cross(ps[e[0]], ps[e[1]], ps[f[0]], ps[f[1]])
                         for f in one))
-        layers = dict(g.layers)
-        layers[e] = LAYER1
         pts, path = tmp_path / "x.pts", tmp_path / "x.edges"
         pts.write_text(dumps_points(ps))
-        path.write_text(dumps_layered(LayeredGraph(ps, layers)))
+        path.write_text(dumps_layered(LayeredGraph(ps, one | {e}, g.layer_edges(LAYER2) - {e})))
         capsys.readouterr()
         assert self.run("--format", "json", "verify", "--points", str(pts),
                         "--edges", str(path)) == 0

@@ -101,9 +101,8 @@ class TestInsertInteriorPoint:
     def test_steps_build_the_graph_on_demand(self, monkeypatch):
         st = fresh_core()
         built = []
-        real = LayeredGraph.from_layers.__func__
-        monkeypatch.setattr(LayeredGraph, "from_layers", classmethod(
-            lambda cls, *args: built.append(args) or real(cls, *args)))
+        monkeypatch.setattr(insertion, "LayeredGraph",
+                            lambda *args: built.append(args) or LayeredGraph(*args))
         for pt in ((103, 57), (-211, 101), (97, -305), (-40, -380)):
             st = insert_interior_point(st, pt)
         assert not built
@@ -513,9 +512,9 @@ class TestLayeringFailureWitness:
     ])
     def test_message_names_the_crossing(self, monkeypatch, step, insert, point):
         st = fresh_core()
-        # from here on, tag the union of both layers as layer 1, which must cross
-        monkeypatch.setattr(LayeredGraph, "from_layers", classmethod(
-            lambda cls, ps, one, two: cls(ps, {e: LAYER1 for e in set(one) | set(two)})))
+        # from here on, put the union of both layers into layer 1, which must cross
+        monkeypatch.setattr(insertion, "LayeredGraph",
+                            lambda ps, one, two: LayeredGraph(ps, set(one) | set(two), ()))
         with pytest.raises(InternalInvariantError,
                            match=rf"^layer separation broken by {step}: layer 1 edges "
                                  r"\(\d+, \d+\) and \(\d+, \d+\) cross$") as err:

@@ -54,27 +54,27 @@ class TestLca:
 class TestTree2Edge:
     def test_path_two_leaves(self):
         ps = PointSet([(0, 0), (10, 1), (20, 0), (30, 2)])
-        tree = LayeredGraph(ps, {(0, 1): LAYER1, (1, 2): LAYER1, (2, 3): LAYER1})
+        tree = LayeredGraph(ps, [(0, 1), (1, 2), (2, 3)], ())
         extra = augment_tree_2edge(tree)
         assert extra == frozenset({(0, 3)})
 
     def test_star_with_five_convex_leaves(self):
         base = regular_polygon_points(5, 1000)
         ps = PointSet([p.coords() for p in base] + [(1, 2)])
-        tree = LayeredGraph(ps, {(5, i): LAYER1 for i in range(5)})
+        tree = LayeredGraph(ps, [(5, i) for i in range(5)], ())
         extra = augment_tree_2edge(tree)
         assert len(extra) == 3
         assert is_two_edge_connected(6, set(tree.edges()) | set(extra))
 
     def test_not_a_tree_rejected(self):
         ps = PointSet([(0, 0), (10, 1), (5, 9)])
-        cyc = LayeredGraph(ps, {(0, 1): LAYER1, (1, 2): LAYER1, (0, 2): LAYER1})
+        cyc = LayeredGraph(ps, [(0, 1), (1, 2), (0, 2)], ())
         with pytest.raises(PreconditionError):
             augment_tree_2edge(cyc)
 
     def test_crossing_tree_rejected(self):
         ps = PointSet([(0, 0), (10, 0), (5, 5), (5, -5)])
-        bad = LayeredGraph(ps, {(0, 1): LAYER1, (2, 3): LAYER1, (1, 2): LAYER1})
+        bad = LayeredGraph(ps, [(0, 1), (2, 3), (1, 2)], ())
         with pytest.raises(PreconditionError):
             augment_tree_2edge(bad)
 
@@ -143,7 +143,7 @@ class TestMinAugment3Conn:
     def test_added_edge_already_in_t_is_in_both_layers(self):
         t = generate_fan(6)
         assert (0, 1) in t.edges
-        g = LayeredGraph.from_layers(t.ps, t.edges, [(1, 0)])
+        g = LayeredGraph(t.ps, t.edges, [(1, 0)])
         assert g.layers[(0, 1)] == BOTH
         assert g.layer_edges(LAYER1) == t.edges
         assert g.layer_edges(LAYER2) == {(0, 1)}
@@ -173,7 +173,7 @@ class TestMinAugment3Conn:
         m = ct.leaf_count()
         assert len(extra) == math.ceil(m / 2)
         assert len(extra) <= (n + 2) // 4
-        g = LayeredGraph.from_layers(t.ps, t.edges, extra)
+        g = LayeredGraph(t.ps, t.edges, extra)
         assert verify_layering(g)
         assert kappa_of(g) >= 3
         ps = t.ps
