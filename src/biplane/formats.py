@@ -1,5 +1,6 @@
 """Text formats: point sets ("x y" per line, '#' comments) and layered edge
-lists (header "n m", then "u v layer" with layer in {1, 2, 3})."""
+lists (header "n m", then "u v layer" with layer in {1, 2, 3}).  Integer
+fields are ASCII digits with an optional sign."""
 from __future__ import annotations
 
 from .errors import PreconditionError
@@ -22,9 +23,10 @@ def loads_points(text: str) -> PointSet:
         if len(parts) != 2:
             raise PreconditionError(f"line {lineno}: expected 'x y', got {raw!r}")
         try:
-            coords.append((int(parts[0]), int(parts[1])))
+            x, y = _plain_ints(line)
         except ValueError as exc:
             raise PreconditionError(f"line {lineno}: non-integer coordinate in {raw!r}") from exc
+        coords.append((x, y))
     return PointSet(coords)
 
 
@@ -35,9 +37,18 @@ def dumps_layered(g: LayeredGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _plain_ints(row: str) -> list[int]:
+    """The whitespace-separated integers of `row`.  Raises ValueError unless
+    each is ASCII digits with an optional sign: int() alone also takes '_'
+    separators and non-ASCII digits."""
+    if not row.isascii() or "_" in row:
+        raise ValueError(f"not plain decimal integers: {row!r}")
+    return [int(part) for part in row.split()]
+
+
 def _ints(lineno: int, row: str) -> list[int]:
     try:
-        return [int(part) for part in row.split()]
+        return _plain_ints(row)
     except ValueError as exc:
         raise PreconditionError(f"line {lineno}: non-integer field in {row!r}") from exc
 

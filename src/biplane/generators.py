@@ -6,7 +6,7 @@ import math
 import random
 
 from .errors import InternalInvariantError, PreconditionError
-from .geometry import (Point, PointSet, convex_hull, crosses_any, is_convex_position,
+from .geometry import (Point, PointSet, convex_hull, crosses_any,
                        segments_properly_cross)
 from .triangulation import Edge, Triangulation, edge_key, flip, is_flippable, triangulate
 from .layered import LayeredGraph
@@ -21,7 +21,11 @@ def _try_pointset(coords: list[tuple[int, int]]) -> PointSet | None:
 
 def regular_polygon_points(n: int, radius: int = 10 ** 6) -> PointSet:
     """n points in convex position on a rounded circle, validated; the radius
-    is doubled until rounding artifacts disappear."""
+    is doubled until rounding artifacts disappear.
+
+    A radius is tested on the raw points first: their hull holds all n
+    exactly when `PointSet` accepts them on its hull certificate, so a
+    rejected radius never pays for the O(n^2) general-position scan."""
     if n < 3:
         raise PreconditionError("polygon needs n >= 3")
     r = radius
@@ -31,9 +35,10 @@ def regular_polygon_points(n: int, radius: int = 10 ** 6) -> PointSet:
             # fixed angular offset avoids axis-aligned rounding collisions
             a = 2.0 * math.pi * (j + 0.37) / n
             coords.append((round(r * math.cos(a)), round(r * math.sin(a))))
-        ps = _try_pointset(coords)
-        if ps is not None and is_convex_position(ps):
-            return ps
+        if len(convex_hull([Point(x, y, i) for i, (x, y) in enumerate(coords)])) == n:
+            ps = _try_pointset(coords)
+            if ps is not None:
+                return ps
         r *= 2
     raise InternalInvariantError(f"no valid regular polygon found for n={n}")
 
@@ -46,6 +51,8 @@ def random_general_position(n: int, seed: int, span: int = 10 ** 4) -> PointSet:
     span + span // 2 + 1) before the next one, so small spans can return
     coordinates well beyond the span asked for.
     """
+    if n < 0:
+        raise PreconditionError(f"random point set needs n >= 0, got {n}")
     rng = random.Random(seed)
     for _ in range(200):
         coords = {(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(n)}

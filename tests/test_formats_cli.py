@@ -38,6 +38,18 @@ class TestPointFormat:
         with pytest.raises(PreconditionError):
             loads_points("0 0\n1.5 2\n5 5\n")
 
+    @pytest.mark.parametrize("line", ["1_000 0", "0 1_0", "\u0665 \u0663", "7 \uff17"])
+    def test_only_ascii_digits_and_a_sign(self, line):
+        # int() alone reads '1_000' as 1000 and Arabic-Indic or fullwidth
+        # digits as their values
+        with pytest.raises(PreconditionError) as err:
+            loads_points(f"0 0\n{line}  # x\n5 1\n")
+        assert str(err.value) == f"line 2: non-integer coordinate in {line + '  # x'!r}"
+
+    def test_signs_and_non_ascii_comments_accepted(self):
+        ps = loads_points("+3 -4  # \u00e9t\u00e9\n-7 +0\n0 9\n")
+        assert [p.coords() for p in ps] == [(3, -4), (-7, 0), (0, 9)]
+
 
 class TestLayeredFormat:
     def graph(self):
@@ -352,6 +364,10 @@ class TestCli:
     @pytest.mark.parametrize("text,reason", [
         ("3 x\n", "line 1: non-integer field in '3 x'"),
         ("# header\n3 1\n0 a 1\n", "line 3: non-integer field in '0 a 1'"),
+        # int() alone also reads '1_0' and non-ASCII digits such as '\u0662'
+        ("3 1\n0 \u0662 1\n", "line 2: non-integer field in '0 \u0662 1'"),
+        ("3 1\n0 1_0 1\n", "line 2: non-integer field in '0 1_0 1'"),
+        ("3 1_0\n0 1 1\n", "line 1: non-integer field in '3 1_0'"),
     ])
     def test_malformed_edge_list_exit_3(self, tmp_path, capsys, text, reason):
         pts, edges = tmp_path / "p.pts", tmp_path / "g.edges"
@@ -360,6 +376,23 @@ class TestCli:
         capsys.readouterr()
         assert self.run("verify", "--points", str(pts), "--edges", str(edges)) == 3
         assert capsys.readouterr().err.strip() == f"error: {reason}"
+
+    def test_verify_rejects_underscored_coordinates_exit_3(self, tmp_path, capsys):
+        pts, edges = tmp_path / "p.pts", tmp_path / "g.edges"
+        pts.write_text("0 0\n4 1\n1_0 4\n")
+        edges.write_text("3 1\n0 1 1\n")
+        capsys.readouterr()
+        assert self.run("verify", "--points", str(pts), "--edges", str(edges)) == 3
+        assert capsys.readouterr().err.strip() == (
+            "error: line 3: non-integer coordinate in '1_0 4'")
+
+    def test_gen_random_negative_n_exit_3(self, tmp_path, capsys):
+        pts = tmp_path / "r.pts"
+        capsys.readouterr()
+        assert self.run("gen", "--shape", "random", "--n", "-3", "--out", str(pts)) == 3
+        assert capsys.readouterr().err.strip() == (
+            "error: random point set needs n >= 0, got -3")
+        assert not pts.exists()
 
     def test_byte_identical_build_outputs(self, tmp_path):
         pts = tmp_path / "p.pts"

@@ -5,7 +5,7 @@ import pytest
 
 from biplane.errors import PreconditionError
 from biplane.generators import (generate_no5conn_counterexample, random_general_position,
-                                random_triangulation)
+                                random_triangulation, regular_polygon_points)
 from biplane.geometry import PointSet
 
 from oracles import ref_random_triangulation
@@ -43,6 +43,33 @@ class TestRandomGeneralPosition:
         want, spans = widening_draws(12, 3, 10 ** 4)
         assert spans == [10 ** 4]
         assert random_general_position(12, 3).points == want.points
+
+    def test_negative_n_is_a_precondition(self):
+        assert len(random_general_position(0, 1)) == 0
+        with pytest.raises(PreconditionError, match=r"^random point set needs n >= 0, got -1$"):
+            random_general_position(-1, 1)
+
+
+class TestRegularPolygon:
+    #: sha256 of the "x y" lines of regular_polygon_points(5000), whose first
+    #: radius (10^6) rounds some points off the hull
+    DIGEST_5000 = "5e8a4aca0ffd595514c6ae587454064a14bca618aeaa83559fa182e8c6ad4aa1"
+
+    def test_rejected_radius_skips_the_general_position_scan(self, monkeypatch):
+        # PointSet._init with known == 0 is the O(n^2) scan; an accepted
+        # radius passes the hull certificate (known == n) instead
+        real = PointSet._init
+
+        def init(self, pts, known):
+            if known == 0:
+                raise AssertionError("general-position scan of the whole set")
+            real(self, pts, known)
+
+        monkeypatch.setattr(PointSet, "_init", init)
+        ps = regular_polygon_points(5000)
+        text = "".join(f"{p.x} {p.y}\n" for p in ps)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST_5000
+        assert len(ps.hull()) == 5000
 
 
 class TestRandomTriangulation:
