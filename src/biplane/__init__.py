@@ -22,12 +22,11 @@ from .insertion import (MIN_POINTS_GUARANTEEING_14_CONVEX, InsertionState,
                         find_flippable_opposite, insert_hull_points,
                         insert_interior_point)
 from .augment import augment_to_4conn, flip_pair_helper
-from .treeaug import (CellTree, LeafCell, RootedTreeIndex, augment_tree_2edge,
-                      build_cell_tree, min_augment_3conn)
+from .treeaug import (CellTree, LeafCell, RootedTreeIndex, build_cell_tree,
+                      min_augment_3conn)
 from .generators import (generate_fan, generate_no5conn_counterexample,
                          generate_wheel, random_general_position,
-                         random_plane_tree, random_triangulation,
-                         regular_polygon_points)
+                         random_triangulation, regular_polygon_points)
 from .formats import dumps_layered, dumps_points, loads_layered, loads_points
 from .render import render_svg
 

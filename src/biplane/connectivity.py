@@ -202,19 +202,6 @@ def kappa_of(g: LayeredGraph | Triangulation) -> int:
     return vertex_connectivity(len(g.ps), g.edges)
 
 
-def is_connected(n: int, edges: Iterable[Edge]) -> bool:
-    adj = _adjacency(n, edges)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == n
-
-
 def is_two_edge_connected(n: int, edges: Iterable[Edge]) -> bool:
     """Connected with no bridge (linear-time lowpoint search).  Parallel
     edges count once, so a doubled edge is still a bridge."""

@@ -1,15 +1,14 @@
 """Deterministic instance generators: polygons, random point sets, random
-triangulations and plane trees (seeded), used by the CLI and the test suite."""
+triangulations (seeded), wheels, fans and the two-cluster no-5-connectivity
+fixture, used by the CLI and the test suite."""
 from __future__ import annotations
 
 import math
 import random
 
 from .errors import InternalInvariantError, PreconditionError
-from .geometry import (Point, PointSet, convex_hull, crosses_any,
-                       segments_properly_cross)
-from .triangulation import Edge, Triangulation, edge_key, flip, is_flippable, triangulate
-from .layered import LayeredGraph
+from .geometry import Point, PointSet, convex_hull, segments_properly_cross
+from .triangulation import Triangulation, edge_key, flip, is_flippable, triangulate
 
 
 def _try_pointset(coords: list[tuple[int, int]]) -> PointSet | None:
@@ -88,30 +87,6 @@ def random_triangulation(n: int, seed: int, flips: int | None = None) -> Triangu
             else:
                 candidates.discard(f)
     return t
-
-
-def random_plane_tree(n: int, seed: int) -> LayeredGraph:
-    """Random noncrossing spanning tree: each point links to the nearest
-    visible earlier point."""
-    if n < 2:
-        raise PreconditionError("tree needs n >= 2")
-    ps = random_general_position(n, seed)
-    rng = random.Random(seed ^ 0x7EEE)
-    order = list(range(n))
-    rng.shuffle(order)
-    edges: list[Edge] = []
-    placed = [order[0]]
-    for v in order[1:]:
-        pv = ps[v]
-        ranked = sorted(placed, key=lambda u: ((ps[u].x - pv.x) ** 2 + (ps[u].y - pv.y) ** 2, u))
-        for u in ranked:
-            if not crosses_any(ps, (v, u), edges):
-                edges.append(edge_key(u, v))
-                break
-        else:
-            raise InternalInvariantError("no visible vertex for tree growth")
-        placed.append(v)
-    return LayeredGraph(ps, edges, ())
 
 
 def generate_wheel(n: int) -> Triangulation:

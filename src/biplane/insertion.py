@@ -42,8 +42,8 @@ class InsertionState:
     plane.  When no dummy edge is left, both layers are complete, and the
     next step starts from t1 and t2 instead of saturating again.  Greedy
     completion of a complete layer returns that same triangulation, so the
-    result does not change.  Other states (the convex core, after hull
-    insertion) carry None.
+    result does not change.  Only `of_layers` sets them; states built from
+    a LayeredGraph (the convex core, after hull insertion) carry None.
 
     `current`, the graph as a LayeredGraph, is built on first use and kept;
     the insertion steps read and write only the edge sets.
@@ -58,12 +58,12 @@ class InsertionState:
     after hull insertion) compute it on first use.
     """
 
-    def __init__(self, current: LayeredGraph, t1: Triangulation | None = None,
-                 t2: Triangulation | None = None):
+    def __init__(self, current: LayeredGraph):
         self.ps = current.ps
         self.layer1 = current.layer_edges(LAYER1)
         self.layer2 = current.layer_edges(LAYER2)
-        self.t1, self.t2 = t1, t2
+        self.t1: Triangulation | None = None
+        self.t2: Triangulation | None = None
         self._current: LayeredGraph | None = current
         self._interior_hull: tuple[int, ...] | None = None
 

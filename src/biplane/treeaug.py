@@ -1,15 +1,14 @@
-"""Tree augmentation to 2-edge-connectivity and minimal 3-connectivity
-augmentation of triangulations via the cell tree of hull chords."""
+"""Minimal 3-connectivity augmentation of triangulations via the cell tree
+of hull chords: leaf cells are paired by noncrossing connections so that
+the cell tree plus the pairs is 2-edge-connected."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .connectivity import is_connected, is_two_edge_connected
+from .connectivity import is_two_edge_connected
 from .errors import InternalInvariantError, PreconditionError
-from .geometry import Point, convex_hull, first_crossing
-from .layered import LayeredGraph
 from .triangulation import Edge, Triangulation, edge_key
 
 
@@ -47,12 +46,14 @@ class RootedTreeIndex:
 
 
 def _pairing_for_root(adjacency: Mapping[int, set], root: int,
-                      leaf_points: Mapping[int, Point]) -> list[tuple[int, int]]:
+                      cyclic: Sequence[int]) -> list[tuple[int, int]]:
     """One leaf-pairing run: while more than 3 leaves remain, a hull vertex v
     of the leaf set (not the root) is joined to the hull neighbor whose lowest
     common ancestor with v is the higher of the two; the terminal 2 or 3
-    leaves get a spanning path.  Every selected pair is a hull edge of the
-    shrinking leaf set, so the connections never cross.
+    leaves get a spanning path.  `cyclic` lists the leaves in counterclockwise
+    order of their points, which are in convex position, so the hull of the
+    live leaves is `cyclic` without the paired ones.  Every selected pair is a
+    hull edge of the shrinking leaf set, so the connections never cross.
 
     Two guards close gaps the bare rule leaves open: the root never gets
     consumed as a partner (so the terminal set always contains it), and a pair
@@ -60,9 +61,8 @@ def _pairing_for_root(adjacency: Mapping[int, set], root: int,
     skipped when a safe alternative exists (detected through live-leaf counts
     at the pair's lowest common ancestor)."""
     index = RootedTreeIndex(adjacency, root)
-    leaves = sorted(u for u in adjacency if len(adjacency[u]) == 1)
     pairs: list[tuple[int, int]] = []
-    live = set(leaves)
+    live = set(cyclic)
 
     def live_count_at(node: int) -> int:
         total = 0
@@ -80,10 +80,7 @@ def _pairing_for_root(adjacency: Mapping[int, set], root: int,
         return c == root or live_count_at(c) > 2
 
     while len(live) > 3:
-        pts = sorted(live)
-        hull_ids = convex_hull([Point(leaf_points[u].x, leaf_points[u].y, i)
-                                for i, u in enumerate(pts)])
-        ring = [pts[i] for i in hull_ids]
+        ring = [u for u in cyclic if u in live]
         moves: list[tuple[int, int]] = []
         for v in sorted(x for x in ring if x != root):
             i = ring.index(v)
@@ -110,65 +107,35 @@ def _pairing_for_root(adjacency: Mapping[int, set], root: int,
     return pairs
 
 
-def _noncrossing_leaf_pairing(adjacency: Mapping[int, set], leaf_points: Mapping[int, Point]) -> list[tuple[int, int]]:
-    """Pair up tree leaves with ceil(m/2) pairwise-noncrossing connections so
-    that the tree plus the pairs is 2-edge-connected.
+def _noncrossing_leaf_pairing(adjacency: Mapping[int, set],
+                              cyclic: Sequence[int]) -> list[tuple[int, int]]:
+    """Pair up the leaves `cyclic` of the tree on nodes 0..k-1 with ceil(m/2)
+    pairwise-noncrossing connections so that the tree plus the pairs is
+    2-edge-connected.
 
     The hull-plus-lca loop leaves the root and a tie in the ancestor
     comparison unspecified; a bad resolution can strand the last leaves of a
     subtree, so every candidate root is tried in deterministic order (leaves
     first) and the first pairing that verifies 2-edge-connected is returned.
     """
-    leaves = sorted(u for u in adjacency if len(adjacency[u]) == 1)
+    k = len(adjacency)
     internal = sorted(u for u in adjacency if len(adjacency[u]) > 1)
-    nodes = sorted(adjacency)
-    idx = {u: i for i, u in enumerate(nodes)}
-    tree_edges = [(idx[u], idx[v]) for u in nodes for v in adjacency[u] if idx[u] < idx[v]]
-    k = len(nodes)
+    tree_edges = [(u, v) for u in adjacency for v in adjacency[u] if u < v]
     last_error: InternalInvariantError | None = None
-    for root in leaves + internal:
+    for root in sorted(cyclic) + internal:
         try:
-            pairs = _pairing_for_root(adjacency, root, leaf_points)
+            pairs = _pairing_for_root(adjacency, root, cyclic)
         except InternalInvariantError as exc:
             last_error = exc
             continue
         # pair i runs through its own virtual node k + i: a pair parallel to
         # a tree edge (one chord, two leaf cells) must still close a cycle
-        paths = [e for i, (a, b) in enumerate(pairs) for e in ((idx[a], k + i), (k + i, idx[b]))]
+        paths = [e for i, (a, b) in enumerate(pairs) for e in ((a, k + i), (k + i, b))]
         if is_two_edge_connected(k + len(pairs), tree_edges + paths):
             return pairs
     if last_error is not None:
         raise last_error
     raise InternalInvariantError("no root produced a 2-edge-connecting pairing")
-
-
-def augment_tree_2edge(tree: LayeredGraph) -> frozenset[Edge]:
-    """ceil(m/2) pairwise-noncrossing leaf-to-leaf edges whose addition makes
-    the plane tree 2-edge-connected."""
-    ps = tree.ps
-    n = len(ps)
-    edges = sorted(tree.edges())
-    if len(edges) != n - 1:
-        raise PreconditionError("input is not a tree (edge count)")
-    adjacency: dict[int, set[int]] = {v: set() for v in range(n)}
-    for (u, v) in edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    if not is_connected(n, edges):
-        raise PreconditionError("input is not a tree (disconnected)")
-    pair = first_crossing(ps, edges)
-    if pair:
-        i, j = pair
-        raise PreconditionError(f"tree edges {edges[i]} and {edges[j]} cross")
-    leaves = [v for v in range(n) if len(adjacency[v]) == 1]
-    m = len(leaves)
-    if m < 2:
-        raise PreconditionError("tree must have at least 2 leaves")
-    pairs = _noncrossing_leaf_pairing(adjacency, {v: ps[v] for v in leaves})
-    out = frozenset(edge_key(a, b) for (a, b) in pairs)
-    if len(out) != math.ceil(m / 2):
-        raise InternalInvariantError(f"selected {len(out)} edges, expected ceil({m}/2)")
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -188,13 +155,8 @@ class LeafCell:
 class CellTree:
     """Dual tree of the convex cells cut out by the hull chords."""
 
-    cells: list[frozenset[int]]
     adjacency: dict[int, set[int]]
-    chord_of: dict[tuple[int, int], Edge]
     leaves: list[LeafCell]
-
-    def leaf_count(self) -> int:
-        return len(self.leaves)
 
 
 def build_cell_tree(t: Triangulation) -> CellTree:
@@ -204,7 +166,6 @@ def build_cell_tree(t: Triangulation) -> CellTree:
     chords = t.chords()
     chord_set = set(chords)
     tris = sorted(t.triangles)
-    tri_index = {tri: i for i, tri in enumerate(tris)}
     comp = list(range(len(tris)))
 
     def find(i: int) -> int:
@@ -241,7 +202,6 @@ def build_cell_tree(t: Triangulation) -> CellTree:
     if len(roots) != len(chords) + 1:
         raise InternalInvariantError("cell dual graph is not a tree")
     leaves = []
-    hull_order = list(t.hull)
     for k in range(len(roots)):
         if len(adjacency[k]) == 1:
             other = next(iter(adjacency[k]))
@@ -251,10 +211,10 @@ def build_cell_tree(t: Triangulation) -> CellTree:
             if not on_hull:
                 raise InternalInvariantError("leaf cell without a hull representative")
             leaves.append(LeafCell(k, chord, frozenset(members[k]), inner, on_hull[0]))
-    if leaves and any(l1.inner_members & l2.inner_members
-                      for i, l1 in enumerate(leaves) for l2 in leaves[i + 1:]):
+    if any(l1.inner_members & l2.inner_members
+           for i, l1 in enumerate(leaves) for l2 in leaves[i + 1:]):
         raise InternalInvariantError("leaf cells share inner members")
-    return CellTree([frozenset(mm) for mm in members], adjacency, chord_of, leaves)
+    return CellTree(adjacency, leaves)
 
 
 def min_augment_3conn(t: Triangulation) -> frozenset[Edge]:
@@ -262,17 +222,22 @@ def min_augment_3conn(t: Triangulation) -> frozenset[Edge]:
     3-connected biplane graph: one noncrossing leaf-to-leaf connection per
     two leaf cells of the chord decomposition (ceil(m/2) edges).  A
     3-connected graph has at least 4 vertices, so n = 3 is a precondition
-    violation."""
+    violation.
+
+    The representatives of the leaf cells are distinct hull vertices of S
+    (inner members of different leaves are disjoint), so they are in convex
+    position, and the hull of any subset of them is that subset in the
+    counterclockwise order of `t.hull`."""
     if len(t.ps) < 4:
         raise PreconditionError("3-connectivity needs at least 4 points")
     cell_tree = build_cell_tree(t)
-    m = cell_tree.leaf_count()
+    m = len(cell_tree.leaves)
     if m == 0:
         return frozenset()
     reps = {leaf.cell: leaf.representative for leaf in cell_tree.leaves}
-    pairs = _noncrossing_leaf_pairing(
-        cell_tree.adjacency,
-        {cell: t.ps[rep] for cell, rep in reps.items()})
+    position = {v: i for i, v in enumerate(t.hull)}
+    cyclic = sorted(reps, key=lambda cell: position[reps[cell]])
+    pairs = _noncrossing_leaf_pairing(cell_tree.adjacency, cyclic)
     out = frozenset(edge_key(reps[a], reps[b]) for (a, b) in pairs)
     if len(out) != math.ceil(m / 2):
         raise InternalInvariantError("wrong number of augmentation edges")

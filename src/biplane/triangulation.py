@@ -295,9 +295,10 @@ def classify(t: Triangulation) -> TriangulationClass:
     n = len(t.ps)
     if n < 4:
         raise PreconditionError("classification requires n >= 4")
-    h = len(t.hull)
+    hullset = set(t.hull)
+    h = len(hullset)
     if h == n - 1:
-        center = next(i for i in range(n) if i not in set(t.hull))
+        center = next(i for i in range(n) if i not in hullset)
         if t.degree(center) == n - 1:
             return TriangulationClass.WHEEL
     if h == n and any(t.degree(v) == n - 1 for v in range(n)):

@@ -10,22 +10,21 @@ import pytest
 from biplane.augment import augment_to_4conn
 from biplane.cli import main as cli_main
 from biplane.connectivity import (check_4conn_augmentation, compute_layering,
-                                  cut_structures, is_two_edge_connected,
-                                  kappa_of, verify_layering,
+                                  cut_structures, kappa_of, verify_layering,
                                   vertex_connectivity)
 from biplane.convex import build_5conn_convex
 from biplane.errors import ImpossibleError
 from biplane.generators import (generate_no5conn_counterexample,
-                                random_general_position, random_plane_tree,
-                                random_triangulation, regular_polygon_points)
+                                random_general_position, random_triangulation,
+                                regular_polygon_points)
 from biplane.insertion import build_5conn_general
 from biplane.treeaug import build_cell_tree, min_augment_3conn
-from biplane.triangulation import (TriangulationClass, classify, edge_key,
-                                   flip, is_flippable, triangulate)
+from biplane.triangulation import TriangulationClass, classify, edge_key
 from biplane.geometry import max_convex_subset_indices, segments_properly_cross
 
-from conftest import greedy_biplane, mixed_pipeline_instance
-from oracles import bf_max_convex_subset, bf_vertex_connectivity
+from conftest import chordful_triangulation, greedy_biplane, mixed_pipeline_instance
+from oracles import (bf_max_convex_subset, bf_vertex_connectivity,
+                     ref_vertex_connectivity)
 
 
 def _noncrossing(ps, edges):
@@ -145,36 +144,22 @@ def test_criterion_4_augment_to_4conn():
           f"conditions; n=5 base is K5; wheel/fan exit 2")
 
 
-def test_criterion_5_tree_augmentation():
-    done = 0
-    seed = 0
-    while done < 100:
-        n = 5 + (seed * 7) % 36
-        tree = random_plane_tree(n, seed)
-        seed += 1
-        adjacency = tree.adjacency()
-        m = sum(1 for v in adjacency if len(adjacency[v]) == 1)
-        from biplane.treeaug import augment_tree_2edge
-        extra = augment_tree_2edge(tree)
-        assert len(extra) == math.ceil(m / 2), f"seed {seed - 1}"
-        assert all(len(adjacency[u]) == 1 and len(adjacency[v]) == 1 for (u, v) in extra)
-        assert _noncrossing(tree.ps, extra)
-        assert is_two_edge_connected(n, set(tree.edges()) | set(extra))
-        done += 1
-    print(f"\nACCEPTANCE 5 PASS: {done} plane trees augmented with exactly "
-          f"ceil(m/2) noncrossing leaf edges to 2-edge-connectivity")
-
-
-def _chordful_triangulation(n, seed):
-    ps = regular_polygon_points(n)
-    t = triangulate(ps)
-    rng = random.Random(seed)
-    for _ in range(3 * n):
-        cands = sorted(e for e in t.edges if is_flippable(t, e))
-        if not cands:
-            break
-        t = flip(t, cands[rng.randrange(len(cands))])
-    return t
+def test_criterion_5_leaf_pairing():
+    start = time.time()
+    done, most = 0, 0
+    for n in range(24, 65, 8):
+        for seed in range(3):
+            t = chordful_triangulation(n, seed)
+            reps = {leaf.representative for leaf in build_cell_tree(t).leaves}
+            extra = min_augment_3conn(t)
+            assert len(extra) == math.ceil(len(reps) / 2), f"n={n} seed={seed}"
+            assert {v for e in extra for v in e} == reps, f"n={n} seed={seed}"
+            assert _noncrossing(t.ps, extra), f"n={n} seed={seed}"
+            assert ref_vertex_connectivity(n, set(t.edges) | extra) >= 3, f"n={n} seed={seed}"
+            done, most = done + 1, max(most, len(reps))
+    print(f"\nACCEPTANCE 5 PASS: {done} chordful triangulations (n 24-64, up to "
+          f"{most} leaf cells) 3-connected by ceil(m/2) noncrossing edges between "
+          f"leaf representatives ({time.time() - start:.1f}s)")
 
 
 def _has_cut_below(n, edges, k):
@@ -205,10 +190,10 @@ def test_criterion_6_minimal_3conn():
     seed = 0
     while done < 50:
         n = 6 + seed % 9  # up to 14
-        t = _chordful_triangulation(n, seed)
+        t = chordful_triangulation(n, seed)
         seed += 1
         extra = min_augment_3conn(t)
-        m = build_cell_tree(t).leaf_count()
+        m = len(build_cell_tree(t).leaves)
         if m == 0:
             continue
         assert len(extra) == math.ceil(m / 2)

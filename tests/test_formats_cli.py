@@ -428,6 +428,8 @@ class TestCliGolden:
         (3, "chordful", 8, 0): (0, "aee132135114f0420080efa47c5fe965b676776f4723fdb03e18cb920504d25d"),
         (3, "chordful", 11, 3): (0, "49dc977af176e35c21dff9662f80525af1de6d58fc15d95ca7681dbaec6e34ee"),
         (3, "chordful", 16, 6): (0, "59d1f641ff822f6ffb749f2259a7158c56468b077c6c4575d6a5aa60716e212c"),
+        (3, "chordful", 40, 0): (0, "0d11ea02eae9547ad8fb17ee04e761caa3c563928909f7b277c24c0b82b4cb12"),
+        (3, "chordful", 64, 0): (0, "8341a227accff1c5389c6bfe7a90a5a8bd420fb811e87e76f71321c03cb3dfa5"),
         (4, "random", 10, 1): (0, "6ae33658302c45dd58742b53d4c20fad2ba0455f1cf2c5ac06b9b80e8680aee0"),
         (4, "random", 14, 0): (0, "dac4931dca7796a93e327f55a8e5f5780932d7196126f46480116f6cd0bdbf1a"),
         (4, "random", 20, 5): (0, "4d87a545c997a8659679f20c6e6ede767822325ed2e0bc06276aa706df1c8685"),

@@ -3,18 +3,16 @@ import random
 
 import pytest
 
-from biplane.connectivity import is_two_edge_connected, kappa_of, verify_layering
+from biplane.connectivity import kappa_of, verify_layering
 from biplane.errors import PreconditionError
-from biplane.generators import (generate_fan, random_plane_tree,
-                                random_triangulation, regular_polygon_points)
-from biplane.geometry import PointSet, segments_properly_cross
+from biplane.generators import generate_fan, random_triangulation
+from biplane.geometry import segments_properly_cross
 from biplane.layered import BOTH, LAYER1, LAYER2, LayeredGraph
-from biplane.treeaug import (RootedTreeIndex, augment_tree_2edge, build_cell_tree,
-                             min_augment_3conn)
+from biplane.treeaug import RootedTreeIndex, build_cell_tree, min_augment_3conn
 from biplane.triangulation import edge_key
 
 from conftest import chordful_triangulation
-from oracles import bf_two_edge_connected, bf_vertex_connectivity
+from oracles import bf_vertex_connectivity
 
 
 def naive_lca(index: RootedTreeIndex, u: int, v: int) -> int:
@@ -51,79 +49,18 @@ class TestLca:
         assert index.is_ancestor(1, 4) and not index.is_ancestor(2, 4)
 
 
-class TestTree2Edge:
-    def test_path_two_leaves(self):
-        ps = PointSet([(0, 0), (10, 1), (20, 0), (30, 2)])
-        tree = LayeredGraph(ps, [(0, 1), (1, 2), (2, 3)], ())
-        extra = augment_tree_2edge(tree)
-        assert extra == frozenset({(0, 3)})
-
-    def test_star_with_five_convex_leaves(self):
-        base = regular_polygon_points(5, 1000)
-        ps = PointSet([p.coords() for p in base] + [(1, 2)])
-        tree = LayeredGraph(ps, [(5, i) for i in range(5)], ())
-        extra = augment_tree_2edge(tree)
-        assert len(extra) == 3
-        assert is_two_edge_connected(6, set(tree.edges()) | set(extra))
-
-    def test_not_a_tree_rejected(self):
-        ps = PointSet([(0, 0), (10, 1), (5, 9)])
-        cyc = LayeredGraph(ps, [(0, 1), (1, 2), (0, 2)], ())
-        with pytest.raises(PreconditionError):
-            augment_tree_2edge(cyc)
-
-    def test_crossing_tree_rejected(self):
-        ps = PointSet([(0, 0), (10, 0), (5, 5), (5, -5)])
-        bad = LayeredGraph(ps, [(0, 1), (2, 3), (1, 2)], ())
-        with pytest.raises(PreconditionError):
-            augment_tree_2edge(bad)
-
-    @pytest.mark.parametrize("seed", range(30))
-    def test_random_trees_count_noncrossing_bridgeless(self, seed):
-        n = 5 + (seed * 7) % 36
-        tree = random_plane_tree(n, seed)
-        adjacency = tree.adjacency()
-        m = sum(1 for v in adjacency if len(adjacency[v]) == 1)
-        extra = augment_tree_2edge(tree)
-        assert len(extra) == math.ceil(m / 2)
-        for (u, v) in extra:
-            assert len(adjacency[u]) == 1 and len(adjacency[v]) == 1
-        union = set(tree.edges()) | set(extra)
-        assert is_two_edge_connected(n, union)
-        if n <= 12:
-            assert bf_two_edge_connected(n, union)
-        ps = tree.ps
-        ee = sorted(extra)
-        for i in range(len(ee)):
-            for j in range(i + 1, len(ee)):
-                a, b = ee[i]
-                c, d = ee[j]
-                assert not segments_properly_cross(ps[a], ps[b], ps[c], ps[d])
-
-    @pytest.mark.parametrize("seed", [0, 3, 6])
-    def test_per_edge_cycle_witness(self, seed):
-        n = 14
-        tree = random_plane_tree(n, seed)
-        extra = augment_tree_2edge(tree)
-        union = sorted(set(tree.edges()) | set(extra))
-        for e in sorted(tree.edges()):
-            rest = [x for x in union if x != e]
-            from biplane.connectivity import is_connected
-            assert is_connected(n, rest), f"no cycle through {e}"
-
-
 class TestCellTree:
     def test_no_chords_single_cell(self):
         t = random_triangulation(7, 1)
         if t.chords():
             pytest.skip("sampled triangulation has chords")
         ct = build_cell_tree(t)
-        assert len(ct.cells) == 1 and ct.leaf_count() == 0
+        assert len(ct.adjacency) == 1 and not ct.leaves
 
     def test_fan_triangulation_has_two_ear_leaves(self):
         t = generate_fan(7)
         ct = build_cell_tree(t)
-        assert ct.leaf_count() == 2
+        assert len(ct.leaves) == 2
         for leaf in ct.leaves:
             assert len(leaf.members) == 3
 
@@ -132,7 +69,7 @@ class TestCellTree:
         n = 7 + seed % 7
         t = chordful_triangulation(n, seed)
         ct = build_cell_tree(t)
-        assert ct.leaf_count() <= n // 2
+        assert len(ct.leaves) <= n // 2
         inner_sets = [leaf.inner_members for leaf in ct.leaves]
         for i in range(len(inner_sets)):
             for j in range(i + 1, len(inner_sets)):
@@ -170,7 +107,7 @@ class TestMinAugment3Conn:
         t = chordful_triangulation(n, seed)
         ct = build_cell_tree(t)
         extra = min_augment_3conn(t)
-        m = ct.leaf_count()
+        m = len(ct.leaves)
         assert len(extra) == math.ceil(m / 2)
         assert len(extra) <= (n + 2) // 4
         g = LayeredGraph(t.ps, t.edges, extra)
