@@ -12,9 +12,8 @@ from .triangulation import (Triangulation, TriangulationClass, classify,
                             triangulate)
 from .connectivity import (Bichord, CutReport, SeparatingTriangle,
                            check_4conn_augmentation, compute_layering,
-                           crossing_conflict_graph, cut_structures,
-                           is_two_edge_connected, kappa_of, min_vertex_cut,
-                           verify_layering, vertex_connectivity)
+                           crossing_conflict_graph, cut_structures, kappa_of,
+                           min_vertex_cut, verify_layering, vertex_connectivity)
 from .convex import (build_4conn_convex, build_5conn_convex,
                      find_hamiltonian_cycle)
 from .insertion import (MIN_POINTS_GUARANTEEING_14_CONVEX, InsertionState,

@@ -202,42 +202,6 @@ def kappa_of(g: LayeredGraph | Triangulation) -> int:
     return vertex_connectivity(len(g.ps), g.edges)
 
 
-def is_two_edge_connected(n: int, edges: Iterable[Edge]) -> bool:
-    """Connected with no bridge (linear-time lowpoint search).  Parallel
-    edges count once, so a doubled edge is still a bridge."""
-    adj = _adjacency(n, edges)
-    if n == 0:
-        return False
-    disc = [-1] * n
-    low = [0] * n
-    timer = 0
-    stack: list[tuple[int, int, Iterable[int]]] = [(0, -1, iter(sorted(adj[0])))]
-    disc[0] = low[0] = timer
-    timer += 1
-    parent_skipped = [False] * n
-    while stack:
-        u, parent, it = stack[-1]
-        advanced = False
-        for v in it:
-            if v == parent and not parent_skipped[u]:
-                parent_skipped[u] = True
-                continue
-            if disc[v] == -1:
-                disc[v] = low[v] = timer
-                timer += 1
-                stack.append((v, u, iter(sorted(adj[v]))))
-                advanced = True
-                break
-            low[u] = min(low[u], disc[v])
-        if not advanced:
-            stack.pop()
-            if parent != -1:
-                low[parent] = min(low[parent], low[u])
-                if low[u] > disc[parent]:
-                    return False
-    return timer == n
-
-
 def crossing_conflict_graph(ps: PointSet, edges: Sequence[Edge]) -> tuple[list[Edge], list[set[int]]]:
     """Graph over edge indices with an arc per properly crossing pair."""
     es = [edge_key(*e) for e in edges]
@@ -253,16 +217,11 @@ def compute_layering(ps: PointSet, edges: Sequence[Edge]) -> tuple[dict[Edge, in
 
     Returns (layers, None) on success and (None, odd_cycle) otherwise, where
     odd_cycle is a cyclic list of edges that pairwise-consecutively cross and
-    has odd length.
+    has odd length.  The coloring is breadth-first over the crossing
+    conflict graph, from each uncolored edge index in turn, neighbours in
+    ascending order; the odd cycle is the first one it closes.
     """
-    return layers_from_conflicts(*crossing_conflict_graph(ps, edges))
-
-
-def layers_from_conflicts(es: Sequence[Edge], conflicts: Sequence[set[int]]
-                          ) -> tuple[dict[Edge, int] | None, list[Edge] | None]:
-    """compute_layering on a given conflict graph over the indices of `es`:
-    a breadth-first 2-coloring from each uncolored index in turn, neighbours
-    in ascending order, which names the first odd cycle it closes."""
+    es, conflicts = crossing_conflict_graph(ps, edges)
     color = [-1] * len(es)
     parent = [-1] * len(es)
     for root in range(len(es)):

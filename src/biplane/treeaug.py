@@ -1,20 +1,21 @@
 """Minimal 3-connectivity augmentation of triangulations via the cell tree
-of hull chords: leaf cells are paired by noncrossing connections so that
-the cell tree plus the pairs is 2-edge-connected."""
+of hull chords: leaf cells are paired by noncrossing connections, with the
+cell tree hung from one root, so that the tree plus the pairs is
+2-edge-connected."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .connectivity import is_two_edge_connected
 from .errors import InternalInvariantError, PreconditionError
 from .triangulation import Edge, Triangulation, edge_key
 
 
 class RootedTreeIndex:
     """Parents and depths of a tree hung from `root`; lowest common
-    ancestors by walking up from the deeper node, then from both."""
+    ancestors by walking up from the deeper node, then from both.
+    PreconditionError unless `adjacency` is a connected tree."""
 
     def __init__(self, adjacency: Mapping[int, set], root: int):
         self.root = root
@@ -25,6 +26,8 @@ class RootedTreeIndex:
             u = stack.pop()
             for v in adjacency[u]:
                 if v != self.parent[u]:
+                    if v in self.parent:
+                        raise PreconditionError("adjacency is not a connected tree")
                     self.parent[v] = u
                     self.depth[v] = self.depth[u] + 1
                     stack.append(v)
@@ -41,25 +44,27 @@ class RootedTreeIndex:
             u, v = parent[u], parent[v]
         return u
 
-    def is_ancestor(self, a: int, b: int) -> bool:
-        return self.lca(a, b) == a
 
+def _leaf_pairing(adjacency: Mapping[int, set],
+                  cyclic: Sequence[int]) -> list[tuple[int, int]]:
+    """Pair up the leaves `cyclic` of the tree on nodes 0..k-1 with ceil(m/2)
+    pairwise-noncrossing connections so that the tree plus the pairs is
+    2-edge-connected.  `cyclic` lists the leaves in counterclockwise order
+    of their points, which are in convex position, so the hull of the live
+    leaves is `cyclic` without the paired ones.
 
-def _pairing_for_root(adjacency: Mapping[int, set], root: int,
-                      cyclic: Sequence[int]) -> list[tuple[int, int]]:
-    """One leaf-pairing run: while more than 3 leaves remain, a hull vertex v
-    of the leaf set (not the root) is joined to the hull neighbor whose lowest
-    common ancestor with v is the higher of the two; the terminal 2 or 3
-    leaves get a spanning path.  `cyclic` lists the leaves in counterclockwise
-    order of their points, which are in convex position, so the hull of the
-    live leaves is `cyclic` without the paired ones.  Every selected pair is a
-    hull edge of the shrinking leaf set, so the connections never cross.
-
-    Two guards close gaps the bare rule leaves open: the root never gets
-    consumed as a partner (so the terminal set always contains it), and a pair
-    that would remove the last two live leaves below a single tree edge is
-    skipped when a safe alternative exists (detected through live-leaf counts
-    at the pair's lowest common ancestor)."""
+    The tree hangs from the smallest leaf.  While more than 3 leaves remain,
+    a live leaf v other than the root is joined to a ring neighbour p: moves
+    are taken by v ascending, the neighbour whose lowest common ancestor with
+    v is the higher one first (ties: the counterclockwise-previous one), a
+    root neighbour never, and the first safe move is chosen.  A pair is safe
+    when its lowest common ancestor is the root or has another live leaf
+    below it.
+    The terminal 2 or 3 leaves get a spanning path.  Every pair is a hull
+    edge of the shrinking leaf set, so the connections never cross; README
+    (Verification) proves that a safe move always exists and that every tree
+    edge ends up on a cycle."""
+    root = min(cyclic)
     index = RootedTreeIndex(adjacency, root)
     pairs: list[tuple[int, int]] = []
     live = set(cyclic)
@@ -92,50 +97,15 @@ def _pairing_for_root(adjacency: Mapping[int, set], root: int,
                 ordered = [u]
             else:
                 a, b = index.lca(u, v), index.lca(v, w2)
-                if not (index.is_ancestor(a, b) or index.is_ancestor(b, a)):
-                    raise InternalInvariantError("lca candidates are incomparable")
                 ordered = [u, w2] if index.depth[a] <= index.depth[b] else [w2, u]
             moves.extend((v, p) for p in ordered)
-        if not moves:
-            raise InternalInvariantError("no selectable hull pair")
-        chosen = next((mv for mv in moves if safe(*mv)), moves[0])
+        chosen = next(mv for mv in moves if safe(*mv))
         pairs.append(chosen)
         live -= set(chosen)
     rest = sorted(live)
     for a, b in zip(rest, rest[1:]):
         pairs.append((a, b))
     return pairs
-
-
-def _noncrossing_leaf_pairing(adjacency: Mapping[int, set],
-                              cyclic: Sequence[int]) -> list[tuple[int, int]]:
-    """Pair up the leaves `cyclic` of the tree on nodes 0..k-1 with ceil(m/2)
-    pairwise-noncrossing connections so that the tree plus the pairs is
-    2-edge-connected.
-
-    The hull-plus-lca loop leaves the root and a tie in the ancestor
-    comparison unspecified; a bad resolution can strand the last leaves of a
-    subtree, so every candidate root is tried in deterministic order (leaves
-    first) and the first pairing that verifies 2-edge-connected is returned.
-    """
-    k = len(adjacency)
-    internal = sorted(u for u in adjacency if len(adjacency[u]) > 1)
-    tree_edges = [(u, v) for u in adjacency for v in adjacency[u] if u < v]
-    last_error: InternalInvariantError | None = None
-    for root in sorted(cyclic) + internal:
-        try:
-            pairs = _pairing_for_root(adjacency, root, cyclic)
-        except InternalInvariantError as exc:
-            last_error = exc
-            continue
-        # pair i runs through its own virtual node k + i: a pair parallel to
-        # a tree edge (one chord, two leaf cells) must still close a cycle
-        paths = [e for i, (a, b) in enumerate(pairs) for e in ((a, k + i), (k + i, b))]
-        if is_two_edge_connected(k + len(pairs), tree_edges + paths):
-            return pairs
-    if last_error is not None:
-        raise last_error
-    raise InternalInvariantError("no root produced a 2-edge-connecting pairing")
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +207,7 @@ def min_augment_3conn(t: Triangulation) -> frozenset[Edge]:
     reps = {leaf.cell: leaf.representative for leaf in cell_tree.leaves}
     position = {v: i for i, v in enumerate(t.hull)}
     cyclic = sorted(reps, key=lambda cell: position[reps[cell]])
-    pairs = _noncrossing_leaf_pairing(cell_tree.adjacency, cyclic)
+    pairs = _leaf_pairing(cell_tree.adjacency, cyclic)
     out = frozenset(edge_key(reps[a], reps[b]) for (a, b) in pairs)
     if len(out) != math.ceil(m / 2):
         raise InternalInvariantError("wrong number of augmentation edges")

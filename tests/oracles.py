@@ -9,8 +9,7 @@ from functools import cmp_to_key
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from biplane.connectivity import (Bichord, CutReport, SeparatingTriangle,
-                                  layers_from_conflicts)
+from biplane.connectivity import Bichord, CutReport, SeparatingTriangle
 from biplane.errors import ImpossibleError, InternalInvariantError, PreconditionError
 from biplane.generators import random_general_position
 from biplane.geometry import (Point, PointSet, cross, is_convex_position, point_in_triangle,
@@ -750,6 +749,31 @@ def _hull_chord_conflicts(ps: PointSet, chords: Sequence[Edge]) -> list[set[int]
     return conflicts
 
 
+def bfs_two_coloring(es: Sequence[Edge], conflicts: Sequence[set[int]]) -> dict[Edge, int]:
+    """Layer 1 or 2 for each of `es` such that no conflict arc joins two
+    edges of one layer: breadth-first from each uncolored index in ascending
+    order, neighbours ascending.  PreconditionError on an odd cycle."""
+    layer: dict[int, int] = {}
+    for root in range(len(es)):
+        if root in layer:
+            continue
+        layer[root] = LAYER1
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in sorted(conflicts[u]):
+                    if v not in layer:
+                        layer[v] = LAYER1 + LAYER2 - layer[u]
+                        nxt.append(v)
+                    elif layer[v] == layer[u]:
+                        raise PreconditionError(
+                            f"conflict graph is not bipartite: {es[u]} and {es[v]} "
+                            "close an odd cycle")
+            frontier = nxt
+    return {es[i]: layer[i] for i in range(len(es))}
+
+
 def realize_hamiltonian_on_convex(g_edges: Iterable[Edge], ham: Sequence[int],
                                   ps: PointSet) -> LayeredGraph:
     """Realize a Hamiltonian planar graph on a convex point set.
@@ -773,9 +797,6 @@ def realize_hamiltonian_on_convex(g_edges: Iterable[Edge], ham: Sequence[int],
     cycle_edges = {edge_key(place[ham[i]], place[ham[(i + 1) % n]]) for i in range(n)}
     chords = sorted(edge_key(place[u], place[v]) for (u, v) in edges)
     chords = [e for e in chords if e not in cycle_edges]
-    coloring, odd = layers_from_conflicts(chords, _hull_chord_conflicts(ps, chords))
-    if coloring is None:
-        raise PreconditionError(
-            f"chord conflict graph is not bipartite (non-planar input); odd cycle: {odd}")
+    coloring = bfs_two_coloring(chords, _hull_chord_conflicts(ps, chords))
     return LayeredGraph(ps, cycle_edges | {e for e, c in coloring.items() if c == LAYER1},
                         [e for e, c in coloring.items() if c == LAYER2])

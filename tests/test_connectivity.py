@@ -5,10 +5,8 @@ import pytest
 
 from biplane.augment import augment_to_4conn
 from biplane.connectivity import (check_4conn_augmentation, compute_layering,
-                                  crossing_conflict_graph, cut_structures,
-                                  is_two_edge_connected, kappa_of,
-                                  min_vertex_cut, verify_layering,
-                                  vertex_connectivity)
+                                  crossing_conflict_graph, cut_structures, kappa_of,
+                                  min_vertex_cut, verify_layering, vertex_connectivity)
 from biplane.convex import build_4conn_convex, build_5conn_convex
 from biplane.errors import PreconditionError
 from biplane.geometry import PointSet, segments_properly_cross
@@ -20,8 +18,7 @@ from biplane.treeaug import min_augment_3conn
 from biplane.triangulation import edge_key, triangulate
 
 from conftest import chordful_triangulation, greedy_biplane
-from oracles import (bf_two_edge_connected, bf_vertex_connectivity, ref_cut_structures,
-                     ref_vertex_connectivity)
+from oracles import bf_vertex_connectivity, ref_cut_structures, ref_vertex_connectivity
 
 
 def random_graph(n, seed, p=0.5):
@@ -241,23 +238,6 @@ class TestVertexConnectivityFuzz:
     def test_cut_is_the_neighbourhood_when_kappa_is_the_minimum_degree(self):
         t = generate_wheel(7)
         assert min_vertex_cut(7, t.edges) == (3, sorted(t.neighbors(0)))
-
-
-class TestTwoEdgeConnected:
-    def test_cycle(self):
-        assert is_two_edge_connected(5, [(i, (i + 1) % 5) for i in range(5)])
-
-    def test_tree(self):
-        assert not is_two_edge_connected(4, [(0, 1), (1, 2), (1, 3)])
-
-    def test_disconnected(self):
-        assert not is_two_edge_connected(4, [(0, 1), (2, 3)])
-
-    @pytest.mark.parametrize("seed", range(25))
-    def test_matches_edge_removal_oracle(self, seed):
-        n = 4 + seed % 5
-        edges = random_graph(n, seed + 100, p=0.5)
-        assert is_two_edge_connected(n, edges) == bf_two_edge_connected(n, edges)
 
 
 class TestConflictGraph:

@@ -5,8 +5,7 @@ import sys
 import pytest
 
 from biplane.connectivity import (compute_layering, crossing_conflict_graph, kappa_of,
-                                  layers_from_conflicts, verify_layering,
-                                  vertex_connectivity)
+                                  verify_layering, vertex_connectivity)
 from biplane.convex import (_fig1_trees, build_4conn_convex, build_5conn_convex,
                             find_hamiltonian_cycle)
 from biplane.errors import ImpossibleError, PreconditionError
@@ -14,9 +13,9 @@ from biplane.generators import regular_polygon_points
 from biplane.geometry import PointSet, is_convex_position, segments_properly_cross
 from biplane.triangulation import edge_key
 
-from oracles import (PlanarTriangulatedGraph, _hull_chord_conflicts, grow_4conn_planar,
-                     octahedron, realize_hamiltonian_on_convex, ref_hamiltonian_cycle,
-                     vertex_split)
+from oracles import (PlanarTriangulatedGraph, _hull_chord_conflicts, bfs_two_coloring,
+                     grow_4conn_planar, octahedron, realize_hamiltonian_on_convex,
+                     ref_hamiltonian_cycle, vertex_split)
 
 
 class TestFig1Trees:
@@ -218,7 +217,7 @@ class TestHullChordConflicts:
         chords = sorted(set(build_4conn_convex(ps).edges()) - cycle)
         conflicts = _hull_chord_conflicts(ps, chords)
         assert conflicts == crossing_conflict_graph(ps, chords)[1]
-        assert layers_from_conflicts(chords, conflicts) == compute_layering(ps, chords)
+        assert compute_layering(ps, chords) == (bfs_two_coloring(chords, conflicts), None)
 
 
 class TestRealize:

@@ -8,11 +8,11 @@ from biplane.errors import PreconditionError
 from biplane.generators import generate_fan, random_triangulation
 from biplane.geometry import segments_properly_cross
 from biplane.layered import BOTH, LAYER1, LAYER2, LayeredGraph
-from biplane.treeaug import RootedTreeIndex, build_cell_tree, min_augment_3conn
+from biplane.treeaug import RootedTreeIndex, _leaf_pairing, build_cell_tree, min_augment_3conn
 from biplane.triangulation import edge_key
 
 from conftest import chordful_triangulation
-from oracles import bf_vertex_connectivity
+from oracles import bf_two_edge_connected, bf_vertex_connectivity
 
 
 def naive_lca(index: RootedTreeIndex, u: int, v: int) -> int:
@@ -46,7 +46,62 @@ class TestLca:
         adjacency = {0: {1}, 1: {0, 2, 3}, 2: {1}, 3: {1, 4}, 4: {3}}
         index = RootedTreeIndex(adjacency, 0)
         assert index.depth[4] == 3
-        assert index.is_ancestor(1, 4) and not index.is_ancestor(2, 4)
+
+    @pytest.mark.parametrize("adjacency", [
+        {0: {1, 2}, 1: {0, 2}, 2: {0, 1}},
+        {0: {1}, 1: {0, 1}},
+        {0: {1}, 1: {0}, 2: {3}, 3: {2}},
+    ], ids=["triangle", "self-loop", "disconnected"])
+    def test_rejects_a_graph_that_is_not_a_tree(self, adjacency):
+        with pytest.raises(PreconditionError, match="^adjacency is not a connected tree$"):
+            RootedTreeIndex(adjacency, 0)
+
+
+def random_tree(rng: random.Random, k: int) -> dict[int, set[int]]:
+    """Tree on 0..k-1 in which node v hangs from one of the `span` nodes
+    before it: span 2 gives long paths, a large span a bushy tree."""
+    span = rng.choice([2, 3, 5, k])
+    adjacency: dict[int, set[int]] = {v: set() for v in range(k)}
+    for v in range(1, k):
+        p = rng.randrange(max(0, v - span), v)
+        adjacency[v].add(p)
+        adjacency[p].add(v)
+    return adjacency
+
+
+def interleave(pos: dict[int, int], e: tuple[int, int], f: tuple[int, int]) -> bool:
+    if set(e) & set(f):
+        return False
+    lo, hi = sorted((pos[e[0]], pos[e[1]]))
+    return (lo < pos[f[0]] < hi) != (lo < pos[f[1]] < hi)
+
+
+class TestLeafPairing:
+    def test_random_trees_in_random_leaf_order(self):
+        """One root, the smallest leaf, always pairs the leaves: whatever
+        the tree and the ring order, ceil(m/2) pairwise noncrossing pairs
+        put every tree edge on a cycle."""
+        rng = random.Random(22)
+        sizes = []
+        while len(sizes) < 240:
+            adjacency = random_tree(rng, rng.randint(2, 70))
+            cyclic = [v for v in adjacency if len(adjacency[v]) == 1]
+            if len(cyclic) > 40:
+                continue
+            rng.shuffle(cyclic)
+            m, k = len(cyclic), len(adjacency)
+            pairs = _leaf_pairing(adjacency, cyclic)
+            assert len(pairs) == math.ceil(m / 2)
+            assert {v for pair in pairs for v in pair} == set(cyclic)
+            pos = {v: i for i, v in enumerate(cyclic)}
+            assert not any(interleave(pos, e, f) for i, e in enumerate(pairs) for f in pairs[i + 1:])
+            # pair i runs through its own virtual node k + i, so a pair
+            # parallel to a tree edge still closes a cycle
+            tree_edges = [(u, v) for u in adjacency for v in adjacency[u] if u < v]
+            paths = [e for i, (a, b) in enumerate(pairs) for e in ((a, k + i), (k + i, b))]
+            assert bf_two_edge_connected(k + len(pairs), tree_edges + paths), (adjacency, cyclic)
+            sizes.append(m)
+        assert min(sizes) == 2 and max(sizes) >= 35
 
 
 class TestCellTree:
