@@ -14,8 +14,10 @@ from biplane.generators import (generate_fan, generate_no5conn_counterexample,
                                 regular_polygon_points)
 from biplane.geometry import Point, PointSet, segments_properly_cross
 from biplane.connectivity import cut_structures
-from biplane.triangulation import (TriangulationClass, classify, edge_key,
-                                   flip, is_flippable, triangulate)
+from biplane.treeaug import build_cell_tree
+from biplane.triangulation import (Triangulation, TriangulationClass, classify,
+                                   edge_key, flip, is_flippable, triangulate,
+                                   triangulation_from_edges)
 
 from oracles import bf_vertex_connectivity, ref_closer_to_first_ray
 
@@ -298,6 +300,113 @@ class TestWheelRemainder:
         extra = augment_to_4conn(t)
         assert calls, "the wheel-remainder wiring did not run"
         _assert_plane_4conn_with_digest(t, extra, digest)
+
+
+def _polygon_with_chords(n: int, chords) -> Triangulation:
+    """`gen --shape regular --n n` triangulated by its hull and `chords`."""
+    hull = [edge_key(i, (i + 1) % n) for i in range(n)]
+    return triangulation_from_edges(regular_polygon_points(n),
+                                    hull + [edge_key(*c) for c in chords])
+
+
+def _two_interior(pts) -> Triangulation:
+    """Six points: chord 0-1, hull vertices 2 and 3 on its two sides, and
+    interior points 4 (in triangle 0, 1, 2) and 5 (in triangle 0, 1, 3)."""
+    return triangulation_from_edges(PointSet(pts), [
+        (0, 1), (0, 2), (1, 2), (0, 3), (1, 3),
+        (0, 4), (1, 4), (2, 4), (0, 5), (1, 5), (3, 5)])
+
+
+def _without(t: Triangulation, v: int) -> Triangulation:
+    """The triangulation that t induces on its vertices other than v."""
+    keep = [x for x in range(len(t.ps)) if x != v]
+    to_sub = {old: new for new, old in enumerate(keep)}
+    return Triangulation(t.ps.subset(keep), [[to_sub[q] for q in tri]
+                                             for tri in t.triangles if v not in tri])
+
+
+def _first_size3_private_vertex(t: Triangulation) -> int:
+    """The private vertex of the size-3 leaf cell that the peel tries first."""
+    return min((min(leaf.inner_members), leaf.chord)
+               for leaf in build_cell_tree(t).leaves if len(leaf.members) == 3)[0]
+
+
+class TestLeafPeelGolden:
+    """sha256 of `augment_to_4conn` on one input per branch of the leaf-cell
+    recursion and its small bases: a restructuring must leave each as it is."""
+
+    CASES = {
+        # the first size-3 cell (private vertex 0) leaves a fan and is skipped
+        "fan-skip-octagon": (
+            lambda: _polygon_with_chords(8, [(1, 7), (1, 4), (2, 4), (4, 6), (4, 7)]),
+            "c35079d85d7684fb4d969aba3de690a61e14627c4811f5b136efbf569766142b"),
+        # a size-3 peel whose remainder is a wheel: the star from the vertex
+        "size3-wheel-star": (
+            lambda: random_triangulation(6, 1),
+            "2e71143efab6c15f2f3093c1e0fdcd677f68684108249f7145d04da34410097b"),
+        # a size-3 peel, then a size-4 cell on six points: the two-interior base
+        "random-7-3": (
+            lambda: random_triangulation(7, 3),
+            "598ca20d2cf163118af8378abe541ff8e2d9157195e07936ce9ed74e4a19800e"),
+        # a size-3 peel, then a peel of a larger cell with a bisector split
+        "random-8-4": (
+            lambda: random_triangulation(8, 4),
+            "7130f99392da0bbb3151b9c48d5362f14b0587df2316741f83f7be437da0d986"),
+        "random-8-35": (
+            lambda: random_triangulation(8, 35),
+            "7b2b849b7aeb8ab16fc5a152a859104ac53dfb7914aa51ed2f922dae6330a589"),
+        "k5-base": (
+            lambda: triangulate(PointSet([(0, 0), (4, 0), (4, 4), (0, 4), (2, 1)])),
+            "35fe791437979f6de92aa20d3bacaaa7e041dd36e994d0b661e37befdb13d603"),
+        "convex6-triangle": (
+            lambda: _polygon_with_chords(6, [(0, 2), (2, 4), (0, 4)]),
+            "2af3bd55395f8c2ef25273f1558c28442d5bc9b6110405940015633bef802fb5"),
+        "convex6-zigzag": (
+            lambda: _polygon_with_chords(6, [(0, 2), (2, 5), (3, 5)]),
+            "352a159bbbd2f8a7b3b628997cbe3df4c9129c389295c8334859bc01e7d675fc"),
+        # the first matching across the chord crosses, the second does not
+        "two-interior-second": (
+            lambda: _two_interior([(0, 0), (20, 0), (10, -10), (10, 10), (8, -3), (12, 4)]),
+            "f2ce893e1bfdf9fb85c2b3b3163791705d27295b36f3a61ba99bd8ac52982a3c"),
+        "two-interior-first": (
+            lambda: _two_interior([(0, 0), (20, 0), (10, -10), (10, 10), (9, -3), (9, 4)]),
+            "f750274601b023497a6ba96dccfa0eacd7093517004d0fdd5bcfba508e2ea6cf"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_output_is_fixed(self, name):
+        build, digest = self.CASES[name]
+        t = build()
+        _assert_plane_4conn_with_digest(t, augment_to_4conn(t), digest)
+
+    def test_fan_skip_octagon(self):
+        t = self.CASES["fan-skip-octagon"][0]()
+        v = _first_size3_private_vertex(t)
+        assert v == 0 and classify(_without(t, v)) is TriangulationClass.FAN
+        assert sorted(augment_to_4conn(t)) == [(0, 2), (0, 3), (0, 5), (0, 6), (3, 5)]
+
+    def test_size3_wheel_star(self):
+        t = self.CASES["size3-wheel-star"][0]()
+        v = _first_size3_private_vertex(t)
+        assert classify(_without(t, v)) is TriangulationClass.WHEEL
+        assert all(v in e for e in augment_to_4conn(t))
+
+    @pytest.mark.parametrize("name", ["random-8-4", "random-8-35"])
+    def test_large_peel_runs_the_bisector_split(self, monkeypatch, name):
+        t = self.CASES[name][0]()
+        split = _count_calls(monkeypatch, "_closer_to_first_ray")
+        wheel = _count_calls(monkeypatch, "_wheel_remainder_wiring")
+        flips = _count_calls(monkeypatch, "flip_pair_helper")
+        augment_to_4conn(t)
+        assert split and not wheel and len(flips) == 2
+
+    @pytest.mark.parametrize("name", ["k5-base", "convex6-triangle", "convex6-zigzag",
+                                      "two-interior-first", "two-interior-second"])
+    def test_bases_peel_nothing(self, monkeypatch, name):
+        t = self.CASES[name][0]()
+        flips = _count_calls(monkeypatch, "flip_pair_helper")
+        extra = augment_to_4conn(t)
+        assert not flips and len(extra) == (3 if len(t.hull) == 6 else 2)
 
 
 class TestNo5ConnCounterexample:
