@@ -1,10 +1,12 @@
 """Augmenting a triangulation with a plane graph to reach 4-connectivity.
 
 Wheels and fans are provably non-augmentable and rejected.  3-connected
-inputs get a star or the bichord-star construction; inputs with chords are
-handled by induction over leaf cells of the chord decomposition, with a
-double-flip reinsertion for size-3 leaf cells and a bisector-split attachment
-for larger ones.
+inputs get a star or the bichord-star construction.  Inputs with chords are
+handled by induction over leaf cells of the chord decomposition: one peel
+drops a cell's inner vertices, recurses on the rest, reinserts the cell
+triangle's apex by a double flip and hangs the other inner vertices off a
+bisector split.  Five and six points end in a small base, the first
+noncrossing set of absent edges that makes the union 4-connected.
 """
 from __future__ import annotations
 
@@ -13,8 +15,7 @@ from itertools import combinations
 from .connectivity import (CutReport, augmentation_violations, cut_structures,
                            vertex_connectivity)
 from .errors import ImpossibleError, InternalInvariantError, PreconditionError
-from .geometry import (Point, PointSet, cross, first_crossing, polygon_doubled_area,
-                       segments_properly_cross)
+from .geometry import Point, cross, first_crossing, polygon_doubled_area
 from .treeaug import build_cell_tree
 from .triangulation import (Edge, Triangulation, TriangulationClass, classify,
                             complete_to_triangulation, edge_key, flip,
@@ -49,12 +50,6 @@ def flip_pair_helper(t: Triangulation, u: int, v: int, w: int, v2: int) -> tuple
             t2 = flip(t1, cand)
             return t2, [first, (cand, edge_key(a, b))]
     raise InternalInvariantError("neither u-v2 nor v2-w is flippable after the first flip")
-
-
-def _non_edges(t: Triangulation) -> list[Edge]:
-    n = len(t.ps)
-    return [edge_key(u, v) for u in range(n) for v in range(u + 1, n)
-            if edge_key(u, v) not in t.edges]
 
 
 # ----------------------------------------------------------------------
@@ -189,130 +184,83 @@ def _sub_triangulation(t: Triangulation, keep: list[int]) -> tuple[Triangulation
     return Triangulation(ps, tris), keep
 
 
-def _k5_base(t: Triangulation) -> set[Edge]:
-    missing = _non_edges(t)
-    if len(missing) != 2:
-        raise InternalInvariantError("the 5-point base case must miss exactly 2 edges")
-    return set(missing)
-
-
-def _convex6_base(t: Triangulation) -> set[Edge]:
-    """Try the (few) noncrossing 3-subsets of absent edges; the chord triangle
-    and chord path patterns always admit one making the union 4-connected."""
-    for trio in combinations(_non_edges(t), 3):
-        if first_crossing(t.ps, trio) is not None:
-            continue
-        if vertex_connectivity(6, set(t.edges) | set(trio)) >= 4:
-            return set(trio)
-    raise InternalInvariantError("no 3-edge completion found for the 6-point convex base")
-
-
-def _two_interior_base(t: Triangulation) -> set[Edge]:
-    """Six points, a unique chord, one interior point each side: two disjoint
-    noncrossing edges across the chord."""
-    chords = t.chords()
-    if len(chords) != 1:
-        raise InternalInvariantError("the 6-point two-interior base needs a unique chord")
-    chord = chords[0]
-    ps = t.ps
-    a, b = ps[chord[0]], ps[chord[1]]
-    side1 = [v for v in range(6) if v not in chord and cross(a, b, ps[v]) > 0]
-    side2 = [v for v in range(6) if v not in chord and cross(a, b, ps[v]) < 0]
-    if len(side1) != 2 or len(side2) != 2:
-        raise InternalInvariantError("expected two vertices on each side of the chord")
-    for pairing in (((side1[0], side2[0]), (side1[1], side2[1])),
-                    ((side1[0], side2[1]), (side1[1], side2[0]))):
-        (x1, y1), (x2, y2) = pairing
-        if not segments_properly_cross(ps[x1], ps[y1], ps[x2], ps[y2]):
-            return {edge_key(x1, y1), edge_key(x2, y2)}
-    raise InternalInvariantError("both pairings of the cross-chord edges cross")
-
-
-def _leaf_cells(t: Triangulation) -> list[tuple[Edge, frozenset[int]]]:
-    ct = build_cell_tree(t)
-    return sorted(((leaf.chord, leaf.members) for leaf in ct.leaves),
-                  key=lambda item: item[0])
-
-
-def _reinsert_double_flip(ps: PointSet, sub_tris: list[tuple[int, int, int]],
-                          u: int, w: int, v: int) -> tuple[set[Edge], int, int]:
-    """Add the outer triangle (u, v, w) to the partner triangulation of
-    ps-minus-v, run the double flip, and return (edges, v_prime, x) where
-    v_prime and x are v's two new neighbors."""
-    tris = set(sub_tris) | {triangle_key(u, v, w)}
-    t_full = Triangulation(ps, tris)
-    v_prime = next(q for q in t_full.opposites(edge_key(u, w)) if q != v)
-    flipped, moves = flip_pair_helper(t_full, u, v, w, v_prime)
-    (_, added1), (_, added2) = moves
-    if added1 != edge_key(v, v_prime):
-        raise InternalInvariantError("first flip did not create the spoke to the apex")
-    x = next(q for q in added2 if q != v)
-    return set(flipped.edges), v_prime, x
-
-
-def _case_leaf_triangle(t: Triangulation, size3: list[tuple[Edge, frozenset[int]]]) -> set[Edge]:
-    """A leaf cell of size 3: remove its private degree-2 vertex, recurse, and
-    stitch the vertex back with the double-flip reinsertion.  A removal that
-    leaves a wheel is answered with a star; one that leaves a fan is skipped
-    in favor of a different degree-2 vertex."""
+def _small_base(t: Triangulation, size: int) -> set[Edge]:
+    """The first `size` absent edges, in sorted order, that are pairwise
+    noncrossing and make the union 4-connected: two on five points and on six
+    points with two interior ones, three on a convex hexagon (see README,
+    Verification)."""
     n = len(t.ps)
-    candidates = sorted((next(x for x in members if x not in chord), chord)
-                        for chord, members in size3)
-    for v, chord in candidates:
-        keep = [x for x in range(n) if x != v]
-        t1, idmap = _sub_triangulation(t, keep)
-        cls = classify(t1) if len(keep) >= 4 else TriangulationClass.OTHER
-        if cls is TriangulationClass.WHEEL:
-            return {edge_key(v, q) for q in range(n) if q != v} - set(t.edges)
-        if cls is TriangulationClass.FAN:
-            continue
-        partner_sub = _plane_partner(t1)
-        t2_sub = complete_to_triangulation(t1.ps, required=partner_sub)
-        lifted = [tuple(idmap[q] for q in tri) for tri in t2_sub.triangles]
-        edges, _, _ = _reinsert_double_flip(t.ps, lifted, chord[0], chord[1], v)
-        return edges - set(t.edges)
-    raise InternalInvariantError(
-        "every size-3 leaf removal yields a fan; the input should have been a fan")
+    absent = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in t.edges]
+    for combo in combinations(absent, size):
+        if (first_crossing(t.ps, combo) is None
+                and vertex_connectivity(n, set(t.edges) | set(combo)) >= 4):
+            return set(combo)
+    raise InternalInvariantError(f"no {size} absent edges complete the {n}-point base")
 
 
-def _case_leaf_large(t: Triangulation, cells: list[tuple[Edge, frozenset[int]]]) -> set[Edge]:
-    """No size-3 leaf cell: peel a minimal leaf cell of size >= 4, recurse on
-    the remainder, reinsert the cell triangle apex by the double flip, and
-    hang the other cell vertices off the bisector split of its two new
-    neighbors."""
+def _peel_leaf(t: Triangulation, chord: Edge, members: frozenset[int]) -> set[Edge] | None:
+    """Peel a leaf cell: drop its inner vertices, recurse on the remainder,
+    reinsert the cell triangle's apex v by the double flip, and hang the
+    other inner vertices off the bisector split of v's two new neighbors.
+    None when the remainder is a fan; a wheel remainder gets the star from v
+    (one inner vertex) or the wheel-remainder wiring."""
     n = len(t.ps)
-    if n == 6:
-        return _two_interior_base(t)
-    chord, members = min(cells, key=lambda item: (len(item[1]), item[0]))
     u, w = chord
     inner = sorted(members - {u, w})
     keep = [x for x in range(n) if x not in inner]
     t1, idmap = _sub_triangulation(t, keep)
     cls = classify(t1) if len(keep) >= 4 else TriangulationClass.OTHER
     if cls is TriangulationClass.FAN:
-        raise InternalInvariantError("the peeled remainder cannot be a fan")
-    if cls is TriangulationClass.WHEEL:
-        return _wheel_remainder_wiring(t, chord, members, t1, idmap)
-    partner_sub = _plane_partner(t1)
-    t2_sub = complete_to_triangulation(t1.ps, required=partner_sub)
+        return None
     v = next(x for x in t.opposites(chord) if x in members and x not in chord)
+    if cls is TriangulationClass.WHEEL:
+        if len(inner) == 1:
+            return {edge_key(v, q) for q in range(n) if q != v} - set(t.edges)
+        return _wheel_remainder_wiring(t, chord, members, t1, idmap)
+    t2 = complete_to_triangulation(t1.ps, required=_plane_partner(t1))
     local_ids = sorted(keep + [v])
     to_local = {old: i for i, old in enumerate(local_ids)}
-    ps_local = t.ps.subset(local_ids)
-    tris_local = [tuple(to_local[idmap[q]] for q in tri) for tri in t2_sub.triangles]
-    edges_local, vp_local, x_local = _reinsert_double_flip(
-        ps_local, tris_local, to_local[u], to_local[w], to_local[v])
-    edges = {edge_key(local_ids[a], local_ids[b]) for (a, b) in edges_local}
-    v_prime, x = local_ids[vp_local], local_ids[x_local]
-    ps = t.ps
+    # one inner vertex: the remainder plus v is all of t, so reuse its points
+    # and their cached hull instead of building and checking a subset
+    ps = t.ps if len(inner) == 1 else t.ps.subset(local_ids)
+    lu, lv, lw = to_local[u], to_local[v], to_local[w]
+    tris = {tuple(to_local[idmap[q]] for q in tri) for tri in t2.triangles}
+    t_full = Triangulation(ps, tris | {triangle_key(lu, lv, lw)})
+    vp = next(q for q in t_full.opposites(edge_key(lu, lw)) if q != lv)
+    flipped, ((_, added1), (_, added2)) = flip_pair_helper(t_full, lu, lv, lw, vp)
+    if added1 != edge_key(lv, vp):
+        raise InternalInvariantError("first flip did not create the spoke to the apex")
+    v_prime, x = local_ids[vp], local_ids[next(q for q in added2 if q != lv)]
+    edges = {edge_key(local_ids[a], local_ids[b]) for (a, b) in flipped.edges}
+    pts = t.ps
     for q in inner:
-        if q == v:
-            continue
-        if _closer_to_first_ray(ps[v], ps[x], ps[v_prime], ps[q]):
-            edges.add(edge_key(q, x))
-        else:
-            edges.add(edge_key(q, v_prime))
+        if q != v:
+            near = x if _closer_to_first_ray(pts[v], pts[x], pts[v_prime], pts[q]) else v_prime
+            edges.add(edge_key(q, near))
     return edges - set(t.edges)
+
+
+def _case_leaf(t: Triangulation) -> set[Edge]:
+    """Peel the size-3 leaf cells by (private vertex, chord), skipping those
+    whose removal leaves a fan; without one, six points are a small base and
+    larger inputs peel their smallest leaf cell by (size, chord)."""
+    leaves = build_cell_tree(t).leaves
+    size3 = sorted((min(leaf.inner_members), leaf.chord, leaf.members)
+                   for leaf in leaves if len(leaf.members) == 3)
+    for _, chord, members in size3:
+        edges = _peel_leaf(t, chord, members)
+        if edges is not None:
+            return edges
+    if size3:
+        raise InternalInvariantError(
+            "every size-3 leaf removal yields a fan; the input should have been a fan")
+    if len(t.ps) == 6:
+        return _small_base(t, 2)
+    leaf = min(leaves, key=lambda c: (len(c.members), c.chord))
+    edges = _peel_leaf(t, leaf.chord, leaf.members)
+    if edges is None:
+        raise InternalInvariantError("the peeled remainder cannot be a fan")
+    return edges
 
 
 def _wheel_remainder_wiring(t: Triangulation, chord: Edge, members: frozenset[int],
@@ -379,14 +327,10 @@ def _plane_partner(t: Triangulation, report: CutReport | None = None) -> set[Edg
     if not chords:
         return _augment_3connected(t, report if report is not None else cut_structures(t))
     if n == 5:
-        return _k5_base(t)
+        return _small_base(t, 2)
     if convex and n == 6:
-        return _convex6_base(t)
-    cells = _leaf_cells(t)
-    size3 = [(chord, mem) for chord, mem in cells if len(mem) == 3]
-    if size3:
-        return _case_leaf_triangle(t, size3)
-    return _case_leaf_large(t, cells)
+        return _small_base(t, 3)
+    return _case_leaf(t)
 
 
 def augment_to_4conn(t: Triangulation) -> frozenset[Edge]:

@@ -1,6 +1,7 @@
 """Command-line front end: generators, builders, augmenters, verifier and SVG
-rendering.  Exit codes: 0 success, 2 impossibility rejections, 3 precondition
-violations, 4 internal invariant failures."""
+rendering.  Exit codes: 0 success, 1 unreadable or unwritable files, 2
+impossibility rejections, 3 precondition violations and usage errors, 4
+internal invariant failures."""
 from __future__ import annotations
 
 import argparse
@@ -232,7 +233,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message and exits 2 on a usage error, the
+        # code of an impossibility rejection; --help exits 0
+        return 3 if exc.code else 0
     try:
         return args.func(args)
     except BiplaneError as exc:

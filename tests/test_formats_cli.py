@@ -394,6 +394,31 @@ class TestCli:
             "error: random point set needs n >= 0, got -3")
         assert not pts.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (("build", "--mode", "bogus", "--points", "p.txt"), "argument --mode: invalid choice: 'bogus'"),
+        (("gen", "--shape", "regular", "--n", "abc"), "argument --n: invalid int value: 'abc'"),
+        (("augment", "--target", "4", "--points", "p.txt"), "the following arguments are required: --edges"),
+        (("--format", "xml", "verify"), "argument --format: invalid choice: 'xml'"),
+        (("frobnicate",), "argument command: invalid choice: 'frobnicate'"),
+    ])
+    def test_usage_error_exit_3(self, capsys, argv, message):
+        # argparse would exit 2, the code of an impossibility rejection
+        capsys.readouterr()
+        assert self.run(*argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage: biplane" in captured.err
+        assert f"error: {message}" in captured.err
+
+    @pytest.mark.parametrize("argv", [("--help",), ("augment", "--help")])
+    def test_help_exit_0(self, capsys, argv):
+        assert self.run(*argv) == 0
+        assert "usage: biplane" in capsys.readouterr().out
+
+    def test_missing_points_file_exit_1(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert self.run("build", "--mode", "convex5", "--points", str(tmp_path / "none.txt")) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file")
+
     def test_byte_identical_build_outputs(self, tmp_path):
         pts = tmp_path / "p.pts"
         self.run("gen", "--shape", "regular", "--n", "16", "--out", str(pts))
