@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -52,19 +53,31 @@ class TestVertexConnectivity:
         assert vertex_connectivity(n, edges) == bf_vertex_connectivity(n, edges)
 
 
+def relabelled(n, edges, seed):
+    """The same graph under a seeded random permutation of its labels."""
+    label = list(range(n))
+    random.Random(seed).shuffle(label)
+    return [(label[u], label[v]) for u, v in edges]
+
+
 def kappa_inputs():
     """(name, n, edges) for the flow differential: graphs past the reach of
-    the subset enumeration, with kappa from 0 to n - 1."""
+    the subset enumeration, with kappa from 0 to n - 1.  The convex builds
+    come in hull order, where breadth-first order follows the hull cycle,
+    and at n >= 120 also with shuffled labels."""
     for n in (30, 60, 120, 200):
         ps = regular_polygon_points(n)
-        yield f"convex5-{n}", n, build_5conn_convex(ps).edges()
-        yield f"convex4-{n}", n, build_4conn_convex(ps).edges()
+        for name, g in (("convex5", build_5conn_convex(ps)), ("convex4", build_4conn_convex(ps))):
+            yield f"{name}-{n}", n, g.edges()
+            if n >= 120:
+                yield f"{name}-{n}-shuffled", n, relabelled(n, g.edges(), n)
     for n, seed in ((10, 0), (16, 1), (24, 2), (32, 3), (40, 4)):
         t = random_triangulation(n, seed)
         yield f"random-{n}", n, t.edges
         yield f"random-{n}+3", n, t.edges | min_augment_3conn(t)
         yield f"random-{n}+4", n, t.edges | augment_to_4conn(t)
-    for k in (2, 3, 4):
+        yield f"union-{n}", n, t.edges | random_triangulation(n, seed + 100).edges
+    for k in range(2, 13):
         t = generate_no5conn_counterexample(k)
         yield f"no5conn-{k}", len(t.ps), t.edges
     for n in (5, 9, 16):
@@ -238,6 +251,31 @@ class TestVertexConnectivityFuzz:
     def test_cut_is_the_neighbourhood_when_kappa_is_the_minimum_degree(self):
         t = generate_wheel(7)
         assert min_vertex_cut(7, t.edges) == (3, sorted(t.neighbors(0)))
+
+
+class TestMinVertexCutGolden:
+    """sha256 of repr([min_vertex_cut(n, edges), ...]) over fixed corpora: a
+    change to how the flows run must return the same kappa and the same cut.
+    The pocket and hub graphs have kappa < delta, so their cuts come from the
+    residual search."""
+
+    CORPORA = {
+        "kappa-inputs": (
+            lambda: [(n, edges) for _, n, edges in KAPPA_INPUTS],
+            "ec43cf55c29d87b05b98423ea4a9a3691e1ae6e8624c0dfe9b5dfdd7e08b7f05"),
+        "pocket": (
+            lambda: [pocket_graph(seed)[:2] for seed in range(300)],
+            "b5693debb6332ff5ebf889b420223960b6c0c47b58dc69082c4229495c15d029"),
+        "hub": (
+            lambda: [hub_graph(seed)[:2] for seed in range(40)],
+            "799be2d079d22cca0eac3fa70f4152aed5286f89307060f1808228ab82cbb44a"),
+    }
+
+    @pytest.mark.parametrize("corpus", sorted(CORPORA))
+    def test_digest(self, corpus):
+        graphs, digest = self.CORPORA[corpus]
+        got = repr([min_vertex_cut(n, edges) for n, edges in graphs()])
+        assert hashlib.sha256(got.encode()).hexdigest() == digest
 
 
 class TestConflictGraph:
