@@ -1,6 +1,6 @@
 """Independent verification: vertex connectivity via unit-capacity max-flow,
-2-edge-connectivity, biplanarity via crossing-conflict coloring, and the
-chord / bichord / separating-triangle cut structure of triangulations."""
+biplanarity via crossing-conflict coloring, and the chord / bichord /
+separating-triangle cut structure of triangulations."""
 from __future__ import annotations
 
 from collections import deque
@@ -61,56 +61,82 @@ def min_vertex_cut(n: int, edges: Iterable[Edge]) -> tuple[int, list[int]]:
     A flow counts disjoint paths on split vertices: v becomes an arc 2v ->
     2v + 1 of capacity 1, and an edge uv the arcs 2u + 1 -> 2v and 2v + 1 ->
     2u of capacity INF.  Arcs are stored in pairs, arc a ^ 1 being the
-    residual of arc a, and built once.  A flow runs from the out-node of its
-    source to the out-node of any sink vertex: the prefix of a fan, or the
-    other end of a pair, whose split arc is then INF.  It is seeded with
-    greedy disjoint paths, each a breadth-first search of the graph that
-    avoids vertices with a full split arc and stops at the first sink it
-    meets, and then augmented along residual paths.  Augmenting from any
-    feasible flow reaches the maximum, so the seed changes the work and not
-    the value.  A flow touches only what its searches reach: parents live in
-    dicts, and its capacity changes are undone from a log.  In breadth-first
-    order most neighbours of a late vertex precede it, so a fan's greedy
-    search usually stops within a few vertices.  The cut is N(s) when no flow
-    goes below delta; otherwise it is read from the last flow that lowered
-    best: the vertices whose in-node the final residual search reached and
-    whose out-node it did not.
+    residual of arc a.  A flow runs from the out-node of its source to the
+    out-node of any sink vertex: the prefix of a fan, or the other end of a
+    pair, whose split arc is then INF.  It is seeded on the plain graph, with
+    one split capacity per vertex (`room`): first a direct path to each sink
+    neighbour of the source with room, in `nbrs` order, then greedy disjoint
+    paths, each a breadth-first search that avoids vertices without room and
+    stops at the first sink it meets.  The search scans every neighbour of
+    the source before any other vertex and a direct path uses only its sink's
+    room, so the direct paths are the ones the search would return first.
+    Augmenting from any feasible flow reaches the maximum, so the seed
+    changes the work and not the value.  Only a seed below the limit needs
+    the network: the first one builds it, once per call, writes its paths
+    into the capacities and augments along residual paths.  The seeded
+    paths, the capacities and the order of each node's arcs are those of a
+    network built up front, so kappa and the cut are too.  A flow touches
+    only what its searches reach: parents live in dicts, the seed gives its
+    room back when it ends, and capacity changes are undone from a log.  In
+    breadth-first order most neighbours of a late vertex precede it, so most
+    fan paths are direct and a fan's searches usually stop within a few
+    vertices.  The cut is N(s) when no flow goes below delta; otherwise it is
+    read from the last flow that lowered best: the vertices whose in-node
+    the final residual search reached and whose out-node it did not.
     """
     if n < 2:
         raise PreconditionError("vertex connectivity needs n >= 2")
     adj = _adjacency(n, edges)
     nbrs = [sorted(a) for a in adj]
-    head: list[list[int]] = [[] for _ in range(2 * n)]
+    sink = [False] * n
+    room = [1] * n  # split capacity of each vertex: INF for a pair's sink
+    # the split-vertex network, built by the first flow whose seed falls short
+    head: list[list[int]] = []
     to: list[int] = []
     cap: list[int] = []
-    edge_arc: list[dict[int, int]] = [{} for _ in range(n)]
+    edge_arc: list[dict[int, int]] = []
 
-    def arc(u: int, v: int, c: int) -> None:
-        head[u].append(len(to))
-        to.extend((v, u))
-        cap.extend((c, 0))
-        head[v].append(len(to) - 1)
+    def build() -> None:
+        """The split arc of v is arc 2v, from node 2v to node 2v + 1, and its
+        residual is arc 2v + 1; the arcs of each edge follow, u by u."""
+        head.extend([a] for a in range(2 * n))
+        for v in range(n):
+            to.extend((2 * v + 1, 2 * v))
+            cap.extend((room[v], 0))
+        for u in range(n):
+            arcs = {}
+            for v in nbrs[u]:
+                a = arcs[v] = len(to)
+                head[2 * u + 1].append(a)
+                head[2 * v].append(a + 1)
+                to.extend((2 * v, 2 * u + 1))
+                cap.extend((INF, 0))
+            edge_arc.append(arcs)
 
-    for v in range(n):
-        arc(2 * v, 2 * v + 1, 1)  # split arc of v: index 2v
-    for u in range(n):
-        for v in nbrs[u]:
-            edge_arc[u][v] = len(to)
-            arc(2 * u + 1, 2 * v, INF)
-    sink = [False] * n
+    def set_room(v: int, c: int) -> None:
+        room[v] = c
+        if cap:
+            cap[2 * v] = c
 
     def max_flow(src: int, limit: int) -> tuple[int, list[int]]:
         """Flow value from src to the sinks, at most limit; below limit, also
         the minimum cut that the final, failed residual search leaves."""
-        log: list[int] = []  # arcs whose capacity fell by one, in order
         flow = 0
+        trail: list[int] = []  # each seeded path, from its sink back to src
+        for v in nbrs[src]:
+            if flow == limit:
+                break
+            if sink[v] and room[v]:
+                room[v] -= 1
+                trail += (v, src)
+                flow += 1
         while flow < limit:
             parent = {src: src}
             queue = [src]
             end = -1
             for u in queue:
                 for v in nbrs[u]:
-                    if v not in parent and cap[2 * v]:
+                    if v not in parent and room[v]:
                         parent[v] = u
                         if sink[v]:
                             end = v
@@ -122,13 +148,25 @@ def min_vertex_cut(n: int, edges: Iterable[Edge]) -> tuple[int, list[int]]:
                 break
             v = end
             while v != src:
-                u = parent[v]
-                for a in (edge_arc[u][v], 2 * v):
+                room[v] -= 1
+                trail.append(v)
+                v = parent[v]
+            trail.append(src)
+            flow += 1
+        for v in trail:
+            if v != src:
+                room[v] += 1
+        if flow == limit:
+            return flow, []
+        if not cap:
+            build()
+        log: list[int] = []  # arcs whose capacity fell by one, in order
+        for i, v in enumerate(trail):
+            if v != src:
+                for a in (edge_arc[trail[i + 1]][v], 2 * v):
                     cap[a] -= 1
                     cap[a ^ 1] += 1
                     log.append(a)
-                v = u
-            flow += 1
         side: list[int] = []
         root = 2 * src + 1
         while flow < limit:
@@ -184,9 +222,11 @@ def min_vertex_cut(n: int, edges: Iterable[Edge]) -> tuple[int, list[int]]:
     for i, u in enumerate(first):
         for v in first[i + 1:]:
             if v not in adj[u]:
-                sink[v], cap[2 * v] = True, INF
+                sink[v] = True
+                set_room(v, INF)
                 lower(u)
-                sink[v], cap[2 * v] = False, 1
+                sink[v] = False
+                set_room(v, 1)
     for v in first:
         sink[v] = True
     for v in order[delta:]:
