@@ -256,8 +256,8 @@ class TestVertexConnectivityFuzz:
 class TestMinVertexCutGolden:
     """sha256 of repr([min_vertex_cut(n, edges), ...]) over fixed corpora: a
     change to how the flows run must return the same kappa and the same cut.
-    The pocket and hub graphs have kappa < delta, so their cuts come from the
-    residual search."""
+    Every hub graph and most pocket graphs have kappa < delta, so their cuts
+    come from the residual search."""
 
     CORPORA = {
         "kappa-inputs": (
