@@ -72,17 +72,18 @@ def min_vertex_cut(n: int, edges: Iterable[Edge]) -> tuple[int, list[int]]:
     room, so the direct paths are the ones the search would return first.
     Augmenting from any feasible flow reaches the maximum, so the seed
     changes the work and not the value.  Only a seed below the limit needs
-    the network: the first one builds it, once per call, writes its paths
-    into the capacities and augments along residual paths.  The seeded
-    paths, the capacities and the order of each node's arcs are those of a
-    network built up front, so kappa and the cut are too.  A flow touches
-    only what its searches reach: parents live in dicts, the seed gives its
-    room back when it ends, and capacity changes are undone from a log.  In
-    breadth-first order most neighbours of a late vertex precede it, so most
-    fan paths are direct and a fan's searches usually stop within a few
-    vertices.  The cut is N(s) when no flow goes below delta; otherwise it is
-    read from the last flow that lowered best: the vertices whose in-node
-    the final residual search reached and whose out-node it did not.
+    the network: the first such seed in a call builds it, and each writes
+    its paths into the capacities and augments along residual paths.  The
+    seeded paths, the capacities and the order of each node's arcs are
+    those of a network built up front, so kappa and the cut are too.  A flow
+    touches only what its searches reach: parents live in dicts, the seed
+    gives its room back when it ends, and capacity changes are undone from
+    a log.  In breadth-first order most neighbours of a late vertex precede
+    it, so most fan paths are direct and a fan's searches usually stop
+    within a few vertices.  The cut is N(s) when no flow goes below delta;
+    otherwise it is read from the last flow that lowered best: the vertices
+    whose in-node the final residual search reached and whose out-node it
+    did not.
     """
     if n < 2:
         raise PreconditionError("vertex connectivity needs n >= 2")
