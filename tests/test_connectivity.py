@@ -168,6 +168,52 @@ def hub_graph(seed):
     return n, [(label[u], label[v]) for u, v in edges], label[0], {label[c] for c in range(1, h + 1)}
 
 
+def random_regular_graph(n, d, seed, drop=0.0):
+    """A seeded random d-regular simple graph on n vertices (n * d even),
+    each edge then dropped with probability drop.  Stubs are paired at
+    random, a pair that makes a loop or a repeated edge is redrawn, and a
+    pairing that gets stuck starts over."""
+    rng = random.Random(seed)
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        edges = set()
+        while stubs:
+            for _ in range(50):
+                i, j = rng.sample(range(len(stubs)), 2)
+                e = (min(stubs[i], stubs[j]), max(stubs[i], stubs[j]))
+                if e[0] != e[1] and e not in edges:
+                    break
+            else:
+                break
+            edges.add(e)
+            for k in sorted((i, j), reverse=True):
+                stubs[k] = stubs[-1]
+                stubs.pop()
+        if not stubs:
+            return [e for e in sorted(edges) if rng.random() >= drop]
+
+
+# 3-regular; its last fan flow augments through a saturated vertex backwards
+# (out-node to in-node), which the random corpora almost never do
+REVERSE_SPLIT_GRAPH = (14, [(0, 1), (0, 8), (0, 10), (1, 3), (1, 5), (2, 3), (2, 9), (2, 10),
+                            (3, 6), (4, 7), (4, 9), (4, 13), (5, 7), (5, 13), (6, 11), (6, 12),
+                            (7, 13), (8, 9), (8, 12), (10, 11), (11, 12)])
+
+
+def regular_graphs():
+    """(n, edges): 200 seeded random d-regular graphs on 8-40 vertices for
+    each d in 3, 4, 5, every third with about 10% of its edges dropped.  Some
+    of their flows augment along residual paths that undo flow on an edge."""
+    for d in (3, 4, 5):
+        for seed in range(200):
+            n = random.Random(seed * 7 + d).randrange(8, 41)
+            n += n * d % 2
+            yield n, random_regular_graph(n, d, seed, 0.1 if seed % 3 == 2 else 0.0)
+
+
+REGULAR_GRAPHS = list(regular_graphs()) + [REVERSE_SPLIT_GRAPH]
+
+
 def assert_cut_certifies(n, edges, kappa, cut):
     """|cut| = kappa and removing it disconnects the graph, or, for a
     complete graph, leaves a single vertex."""
@@ -248,6 +294,18 @@ class TestVertexConnectivityFuzz:
     def test_cut_certifies_kappa(self, name, n, edges):
         assert_cut_certifies(n, edges, *min_vertex_cut(n, edges))
 
+    @pytest.mark.parametrize("d", (3, 4, 5))
+    def test_regular_graphs_match_reference(self, d):
+        for n, edges in REGULAR_GRAPHS[(d - 3) * 200:(d - 2) * 200]:
+            kappa, cut = min_vertex_cut(n, edges)
+            assert kappa == ref_vertex_connectivity(n, edges), (n, edges)
+            assert_cut_certifies(n, edges, kappa, cut)
+
+    def test_reverse_split_graph(self):
+        n, edges = REVERSE_SPLIT_GRAPH
+        assert min_vertex_cut(n, edges) == (2, [1, 4])
+        assert bf_vertex_connectivity(n, edges) == 2
+
     def test_cut_is_the_neighbourhood_when_kappa_is_the_minimum_degree(self):
         t = generate_wheel(7)
         assert min_vertex_cut(7, t.edges) == (3, sorted(t.neighbors(0)))
@@ -257,7 +315,9 @@ class TestMinVertexCutGolden:
     """sha256 of repr([min_vertex_cut(n, edges), ...]) over fixed corpora: a
     change to how the flows run must return the same kappa and the same cut.
     Every hub graph and most pocket graphs have kappa < delta, so their cuts
-    come from the residual search."""
+    come from the residual search.  The regular graphs are the corpus whose
+    residual searches undo flow on an edge, and the last one undoes flow
+    through a vertex."""
 
     CORPORA = {
         "kappa-inputs": (
@@ -269,6 +329,9 @@ class TestMinVertexCutGolden:
         "hub": (
             lambda: [hub_graph(seed)[:2] for seed in range(40)],
             "799be2d079d22cca0eac3fa70f4152aed5286f89307060f1808228ab82cbb44a"),
+        "regular": (
+            lambda: REGULAR_GRAPHS,
+            "569c58d144efd0c632340bedcf9b7a5e344f6ef5109d5ed7bd7e6bb1d4a158ca"),
     }
 
     @pytest.mark.parametrize("corpus", sorted(CORPORA))
