@@ -58,78 +58,53 @@ def min_vertex_cut(n: int, edges: Iterable[Edge]) -> tuple[int, list[int]]:
       S.  Its prefix lies in A and S, so every path of its fan meets S, and
       its fan flow is at most |S|.
 
-    A flow counts disjoint paths on split vertices: v becomes an arc 2v ->
-    2v + 1 of capacity 1, and an edge uv the arcs 2u + 1 -> 2v and 2v + 1 ->
-    2u of capacity INF.  Arcs are stored in pairs, arc a ^ 1 being the
-    residual of arc a.  A flow runs from the out-node of its source to the
+    A flow counts disjoint paths on split vertices: v has an in-node 2v and
+    an out-node 2v + 1.  It runs from the out-node of its source to the
     out-node of any sink vertex: the prefix of a fan, or the other end of a
-    pair, whose split arc is then INF.  It is seeded on the plain graph, with
-    one split capacity per vertex (`room`): first a direct path to each sink
-    neighbour of the source with room, in `nbrs` order, then greedy disjoint
-    paths, each a breadth-first search that avoids vertices without room and
-    stops at the first sink it meets.  The search scans every neighbour of
-    the source before any other vertex and a direct path uses only its sink's
-    room, so the direct paths are the ones the search would return first.
-    Augmenting from any feasible flow reaches the maximum, so the seed
-    changes the work and not the value.  Only a seed below the limit needs
-    the network: the first such seed in a call builds it, and each writes
-    its paths into the capacities and augments along residual paths.  The
-    seeded paths, the capacities and the order of each node's arcs are
-    those of a network built up front, so kappa and the cut are too.  A flow
-    touches only what its searches reach: parents live in dicts, the seed
-    gives its room back when it ends, and capacity changes are undone from
-    a log.  In breadth-first order most neighbours of a late vertex precede
-    it, so most fan paths are direct and a fan's searches usually stop
-    within a few vertices.  The cut is N(s) when no flow goes below delta;
-    otherwise it is read from the last flow that lowered best: the vertices
-    whose in-node the final residual search reached and whose out-node it
-    did not.
+    pair.  Its state is the capacity left at each vertex (`room`: 1, or INF
+    for a pair's sink) and, for each vertex that carries flow, the vertex
+    that its flow comes from (`pred`).  It is seeded on the plain graph:
+    first a direct path to each sink neighbour of the source with room, in
+    `nbrs` order, then greedy disjoint paths, each a breadth-first search
+    that avoids vertices without room and stops at the first sink it meets.
+    The search scans every neighbour of the source before any other vertex
+    and a direct path uses only its sink's room, so the direct paths are the
+    ones the search would return first.  A seed below the limit is augmented
+    along residual paths, found by breadth-first search over arcs that the
+    state implies: out(v) -> in(w) for each neighbour w, in(v) -> out(v)
+    while v has room, and out(v) -> in(v) and in(v) -> out(pred[v]) once it
+    has none.  A sink's out-node ends the search, the source keeps its room
+    and a vertex with room carries no flow unless it is a sink, so no other
+    residual arc is ever taken.  Augmenting from any feasible flow reaches
+    the maximum, and the set that a failed search reaches is the same for
+    every maximum flow, so neither the seed nor the search order changes
+    kappa or the cut.  A flow touches only what its searches reach: parents
+    and pred live in dicts, and each vertex in pred gets its room of 1 back
+    when the flow ends.  In breadth-first order most neighbours of a late
+    vertex precede it, so most fan paths are direct and a fan's searches
+    usually stop within a few vertices.  The cut is N(s) when no flow goes
+    below delta; otherwise it is read from the last flow that lowered best:
+    the vertices whose in-node the final residual search reached and whose
+    out-node it did not.
     """
     if n < 2:
         raise PreconditionError("vertex connectivity needs n >= 2")
     adj = _adjacency(n, edges)
     nbrs = [sorted(a) for a in adj]
     sink = [False] * n
-    room = [1] * n  # split capacity of each vertex: INF for a pair's sink
-    # the split-vertex network, built by the first flow whose seed falls short
-    head: list[list[int]] = []
-    to: list[int] = []
-    cap: list[int] = []
-    edge_arc: list[dict[int, int]] = []
-
-    def build() -> None:
-        """The split arc of v is arc 2v, from node 2v to node 2v + 1, and its
-        residual is arc 2v + 1; the arcs of each edge follow, u by u."""
-        head.extend([a] for a in range(2 * n))
-        for v in range(n):
-            to.extend((2 * v + 1, 2 * v))
-            cap.extend((room[v], 0))
-        for u in range(n):
-            arcs = {}
-            for v in nbrs[u]:
-                a = arcs[v] = len(to)
-                head[2 * u + 1].append(a)
-                head[2 * v].append(a + 1)
-                to.extend((2 * v, 2 * u + 1))
-                cap.extend((INF, 0))
-            edge_arc.append(arcs)
-
-    def set_room(v: int, c: int) -> None:
-        room[v] = c
-        if cap:
-            cap[2 * v] = c
+    room = [1] * n  # split capacity left at each vertex: INF for a pair's sink
 
     def max_flow(src: int, limit: int) -> tuple[int, list[int]]:
         """Flow value from src to the sinks, at most limit; below limit, also
         the minimum cut that the final, failed residual search leaves."""
         flow = 0
-        trail: list[int] = []  # each seeded path, from its sink back to src
+        pred: dict[int, int] = {}  # v: the vertex whose flow enters v
         for v in nbrs[src]:
             if flow == limit:
                 break
             if sink[v] and room[v]:
                 room[v] -= 1
-                trail += (v, src)
+                pred[v] = src
                 flow += 1
         while flow < limit:
             parent = {src: src}
@@ -150,55 +125,52 @@ def min_vertex_cut(n: int, edges: Iterable[Edge]) -> tuple[int, list[int]]:
             v = end
             while v != src:
                 room[v] -= 1
-                trail.append(v)
-                v = parent[v]
-            trail.append(src)
+                pred[v] = u = parent[v]
+                v = u
             flow += 1
-        for v in trail:
-            if v != src:
-                room[v] += 1
-        if flow == limit:
-            return flow, []
-        if not cap:
-            build()
-        log: list[int] = []  # arcs whose capacity fell by one, in order
-        for i, v in enumerate(trail):
-            if v != src:
-                for a in (edge_arc[trail[i + 1]][v], 2 * v):
-                    cap[a] -= 1
-                    cap[a ^ 1] += 1
-                    log.append(a)
         side: list[int] = []
         root = 2 * src + 1
         while flow < limit:
-            parent_arc = {root: -1}
+            parent = {root: root}
             queue = [root]
             end = -1
-            for u in queue:
-                for a in head[u]:
-                    v = to[a]
-                    if cap[a] and v not in parent_arc:
-                        parent_arc[v] = a
-                        if v & 1 and sink[v >> 1]:
-                            end = v
+            for x in queue:
+                v = x >> 1
+                if x & 1:
+                    if not room[v] and x - 1 not in parent:
+                        parent[x - 1] = x
+                        queue.append(x - 1)
+                    for w in nbrs[v]:
+                        if 2 * w not in parent:
+                            parent[2 * w] = x
+                            queue.append(2 * w)
+                elif room[v]:
+                    if x + 1 not in parent:
+                        parent[x + 1] = x
+                        if sink[v]:
+                            end = x + 1
                             break
-                        queue.append(v)
-                if end != -1:
-                    break
+                        queue.append(x + 1)
+                else:
+                    y = 2 * pred[v] + 1
+                    if y not in parent:
+                        parent[y] = x
+                        queue.append(y)
             if end == -1:
-                side = sorted(v >> 1 for v in parent_arc if not v & 1 and v + 1 not in parent_arc)
+                side = sorted(x >> 1 for x in parent if not x & 1 and x + 1 not in parent)
                 break
-            v = end
-            while v != root:
-                a = parent_arc[v]
-                cap[a] -= 1
-                cap[a ^ 1] += 1
-                log.append(a)
-                v = to[a ^ 1]
+            x = end
+            while x != root:
+                p = parent[x]
+                u, v = p >> 1, x >> 1
+                if u == v:
+                    room[v] += 1 if p & 1 else -1
+                elif p & 1:
+                    pred[v] = u
+                x = p
             flow += 1
-        for a in log:
-            cap[a] += 1
-            cap[a ^ 1] -= 1
+        for v in pred:
+            room[v] = 1
         return flow, side
 
     def lower(src: int) -> None:
@@ -224,10 +196,10 @@ def min_vertex_cut(n: int, edges: Iterable[Edge]) -> tuple[int, list[int]]:
         for v in first[i + 1:]:
             if v not in adj[u]:
                 sink[v] = True
-                set_room(v, INF)
+                room[v] = INF
                 lower(u)
                 sink[v] = False
-                set_room(v, 1)
+                room[v] = 1
     for v in first:
         sink[v] = True
     for v in order[delta:]:
