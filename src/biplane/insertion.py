@@ -181,19 +181,8 @@ def _raise_degree_to_five(t1: Triangulation, t2: Triangulation, s: int) -> tuple
             return flip(t1, e1), t2
         if x2 not in union_nbrs:
             return t1, flip(t2, e2)
-    elif e1 != e2:
-        t1b, t2b = flip(t1, e1), flip(t2, e2)
-        if len(t1b.neighbors(s) | t2b.neighbors(s)) >= 5:
-            return t1b, t2b
-        # both flips produced the same new neighbor; rescue via a cycle flip
-        e_hat = _cycle_flip(t1b, t2b, s)
-        if e_hat is not None:
-            return flip(t1b, e_hat), t2b
-        e_hat = _cycle_flip(t2b, t1b, s)
-        if e_hat is not None:
-            return t1b, flip(t2b, e_hat)
-        raise InternalInvariantError("degree rescue failed after twin flips")
     elif x1 != x2:
+        # three corners: e1 != e2 implies x1 != x2, so this covers it too
         return flip(t1, e1), flip(t2, e2)
     # four corners whose far apexes are both neighbours already, or three
     # corners with one shared edge e1 == e2 and far apex: one flip frees a

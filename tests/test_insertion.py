@@ -143,6 +143,41 @@ class TestInsertInteriorPoint:
         pytest.skip("no deletion-free insertion sampled")
 
 
+class TestDegreeRaising:
+    def test_three_corners_two_edges_have_two_far_apexes(self):
+        """When s splits the same triangle abc in both triangulations and
+        the flippable opposite edges differ, so do their far apexes: the
+        segment from s to a far apex crosses its edge, and it leaves abc
+        through one side only.  So flipping both gives s degree 5."""
+        checked = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(6, 12)
+            t1 = random_triangulation(n, seed)
+            t2 = random_triangulation(n, seed, flips=rng.randint(0, 2 * n))
+            ps = t1.ps
+            for _ in range(20):
+                coords = (rng.randint(min(ps.xs), max(ps.xs)), rng.randint(min(ps.ys), max(ps.ys)))
+                try:
+                    new_ps = ps.extended([coords])
+                except PreconditionError:
+                    continue
+                if new_ps.hull() != ps.hull():
+                    continue
+                a, b = t1.split(new_ps, n), t2.split(new_ps, n)
+                if a.neighbors(n) != b.neighbors(n):
+                    continue
+                try:
+                    _, e1 = find_flippable_opposite(a, n)
+                    _, e2 = find_flippable_opposite(b, n)
+                except PreconditionError:
+                    continue
+                if e1 != e2:
+                    checked += 1
+                    assert insertion._far_apex(a, e1, n) != insertion._far_apex(b, e2, n)
+        assert checked >= 50
+
+
 class TestInteriorHull:
     """The hull of the interior vertices that a state carries is the hull
     `convex_hull` computes from scratch."""
@@ -293,6 +328,19 @@ class TestInsertHullPoints:
         st = insert_hull_points(st, [(4000, 100)])
         assert kappa_of(st.current) >= 5
         assert len(st.current.adjacency()[14]) >= 5
+
+    def test_second_batch_deletes_the_dummy_edge(self):
+        """After one hull point, the layers are no longer both complete, so
+        a second batch saturates them with a dummy edge; the result must
+        leave it out.  build_5conn_general inserts one batch on full layers,
+        so only a public caller reaches this."""
+        st = insert_hull_points(fresh_core(), [(1202, 495)])
+        _, _, dummies = insertion._saturate(st)
+        assert dummies == {(1, 3)}
+        g = insert_hull_points(st, [(-1665, -685)]).current
+        assert kappa_of(g) >= 5
+        assert layer_crossing(g) is None
+        assert not dummies & g.edges()
 
     def test_single_point_seeing_three_edges_p4_branch(self):
         st = fresh_core()
