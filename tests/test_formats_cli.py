@@ -276,6 +276,9 @@ class TestCli:
         assert e in ((a, b), (c, d)) and (a, b) < (c, d)
         assert segments_properly_cross(ps[a], ps[b], ps[c], ps[d])
         assert payload["biplane"] is True
+        # the text report prints the same violation on its own line
+        assert self.run("verify", "--points", str(pts), "--edges", str(path)) == 0
+        assert f"violation: {violation}" in capsys.readouterr().out.splitlines()
 
     def test_no5conn_gen_and_verify(self, tmp_path, capsys):
         pts, edges = tmp_path / "c.pts", tmp_path / "c.edges"
@@ -316,11 +319,15 @@ class TestCli:
         pts.write_text(body)
         assert self.run("build", "--mode", "convex5", "--points", str(pts)) == 3
 
-    def test_gen_random_deterministic(self, tmp_path):
+    def test_gen_random_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.pts", tmp_path / "b.pts"
         self.run("gen", "--shape", "random", "--n", "20", "--seed", "7", "--out", str(a))
         self.run("gen", "--shape", "random", "--n", "20", "--seed", "7", "--out", str(b))
         assert a.read_text() == b.read_text()
+        # without --out the same points go to stdout
+        capsys.readouterr()
+        assert self.run("gen", "--shape", "random", "--n", "20", "--seed", "7") == 0
+        assert capsys.readouterr().out == a.read_text()
 
     def test_build_general_with_trace(self, tmp_path, capsys):
         pts = tmp_path / "g.pts"
