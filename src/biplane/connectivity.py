@@ -167,6 +167,8 @@ def min_vertex_cut(n: int, edges: Iterable[Edge]) -> tuple[int, list[int]]:
                     room[v] += 1 if p & 1 else -1
                 elif p & 1:
                     pred[v] = u
+                # an edge taken backwards leaves pred as it is: the step into
+                # its in-node rewrites pred there or gives that vertex room
                 x = p
             flow += 1
         for v in pred:

@@ -99,7 +99,7 @@ KAPPA_INPUTS = list(kappa_inputs())
 
 
 class TestVertexConnectivityAgainstReference:
-    """The shared flow network against a fresh network per vertex pair."""
+    """Even's schedule of seeded flows against a fresh network per vertex pair."""
 
     @pytest.mark.parametrize("name,n,edges", KAPPA_INPUTS,
                              ids=[name for name, _, _ in KAPPA_INPUTS])
