@@ -2,11 +2,12 @@
 
 Wheels and fans are provably non-augmentable and rejected.  3-connected
 inputs get a star or the bichord-star construction.  Inputs with chords are
-handled by induction over leaf cells of the chord decomposition: one peel
-drops a cell's inner vertices, recurses on the rest, reinserts the cell
-triangle's apex by a double flip and hangs the other inner vertices off a
-bisector split.  Five and six points end in a small base, the first
-noncrossing set of absent edges that makes the union 4-connected.
+handled by one loop over leaf cells of the chord decomposition.  Walking
+down, each step peels a leaf cell, dropping its inner vertices, until the
+remainder is chordless, a wheel or a small base (five and six points: the
+first noncrossing set of absent edges that makes the union 4-connected).
+Walking back up, each peeled cell is hung on again: its triangle's apex by a
+double flip, its other inner vertices off a bisector split.
 """
 from __future__ import annotations
 
@@ -198,31 +199,20 @@ def _small_base(t: Triangulation, size: int) -> set[Edge]:
     raise InternalInvariantError(f"no {size} absent edges complete the {n}-point base")
 
 
-def _peel_leaf(t: Triangulation, chord: Edge, members: frozenset[int]) -> set[Edge] | None:
-    """Peel a leaf cell: drop its inner vertices, recurse on the remainder,
-    reinsert the cell triangle's apex v by the double flip, and hang the
-    other inner vertices off the bisector split of v's two new neighbors.
-    None when the remainder is a fan; a wheel remainder gets the star from v
-    (one inner vertex) or the wheel-remainder wiring."""
-    n = len(t.ps)
+def _hang_cell(t: Triangulation, chord: Edge, members: frozenset[int], t1: Triangulation,
+               idmap: list[int], partner: set[Edge]) -> set[Edge]:
+    """Put a peeled leaf cell back: complete the remainder t1's partner to a
+    triangulation, add the cell triangle (u, v, w) on the chord, reinsert its
+    apex v by the double flip, and hang the other inner vertices off the
+    bisector split of v's two new neighbors."""
     u, w = chord
-    inner = sorted(members - {u, w})
-    keep = [x for x in range(n) if x not in inner]
-    t1, idmap = _sub_triangulation(t, keep)
-    cls = classify(t1) if len(keep) >= 4 else TriangulationClass.OTHER
-    if cls is TriangulationClass.FAN:
-        return None
     v = next(x for x in t.opposites(chord) if x in members and x not in chord)
-    if cls is TriangulationClass.WHEEL:
-        if len(inner) == 1:
-            return {edge_key(v, q) for q in range(n) if q != v} - set(t.edges)
-        return _wheel_remainder_wiring(t, chord, members, t1, idmap)
-    t2 = complete_to_triangulation(t1.ps, required=_plane_partner(t1))
-    local_ids = sorted(keep + [v])
+    t2 = complete_to_triangulation(t1.ps, required=partner)
+    local_ids = sorted(idmap + [v])
     to_local = {old: i for i, old in enumerate(local_ids)}
     # one inner vertex: the remainder plus v is all of t, so reuse its points
     # and their cached hull instead of building and checking a subset
-    ps = t.ps if len(inner) == 1 else t.ps.subset(local_ids)
+    ps = t.ps if len(members) == 3 else t.ps.subset(local_ids)
     lu, lv, lw = to_local[u], to_local[v], to_local[w]
     tris = {tuple(to_local[idmap[q]] for q in tri) for tri in t2.triangles}
     t_full = Triangulation(ps, tris | {triangle_key(lu, lv, lw)})
@@ -233,42 +223,23 @@ def _peel_leaf(t: Triangulation, chord: Edge, members: frozenset[int]) -> set[Ed
     v_prime, x = local_ids[vp], local_ids[next(q for q in added2 if q != lv)]
     edges = {edge_key(local_ids[a], local_ids[b]) for (a, b) in flipped.edges}
     pts = t.ps
-    for q in inner:
-        if q != v:
-            near = x if _closer_to_first_ray(pts[v], pts[x], pts[v_prime], pts[q]) else v_prime
-            edges.add(edge_key(q, near))
+    for q in sorted(members - {u, v, w}):
+        near = x if _closer_to_first_ray(pts[v], pts[x], pts[v_prime], pts[q]) else v_prime
+        edges.add(edge_key(q, near))
     return edges - set(t.edges)
-
-
-def _case_leaf(t: Triangulation) -> set[Edge]:
-    """Peel the size-3 leaf cells by (private vertex, chord), skipping those
-    whose removal leaves a fan; without one, six points are a small base and
-    larger inputs peel their smallest leaf cell by (size, chord)."""
-    leaves = build_cell_tree(t).leaves
-    size3 = sorted((min(leaf.inner_members), leaf.chord, leaf.members)
-                   for leaf in leaves if len(leaf.members) == 3)
-    for _, chord, members in size3:
-        edges = _peel_leaf(t, chord, members)
-        if edges is not None:
-            return edges
-    if size3:
-        raise InternalInvariantError(
-            "every size-3 leaf removal yields a fan; the input should have been a fan")
-    if len(t.ps) == 6:
-        return _small_base(t, 2)
-    leaf = min(leaves, key=lambda c: (len(c.members), c.chord))
-    edges = _peel_leaf(t, leaf.chord, leaf.members)
-    if edges is None:
-        raise InternalInvariantError("the peeled remainder cannot be a fan")
-    return edges
 
 
 def _wheel_remainder_wiring(t: Triangulation, chord: Edge, members: frozenset[int],
                             t1: Triangulation, idmap: list[int]) -> set[Edge]:
-    """The peeled remainder is a wheel: join a rotated-first cell point to the
+    """The peeled remainder is a wheel.  A single inner vertex gets the star
+    to every other vertex.  Otherwise join a rotated-first cell point to the
     rim vertices between the chord ends and join the rim vertex next to one
     chord end to the whole cell interior."""
     u, w = chord
+    cell_inner = sorted(members - {u, w})
+    if len(cell_inner) == 1:
+        v = cell_inner[0]
+        return {edge_key(v, q) for q in range(len(t.ps)) if q != v} - set(t.edges)
     rim_sub = list(t1.hull)
     rim = [idmap[i] for i in rim_sub]
     iw = rim.index(w)
@@ -282,7 +253,6 @@ def _wheel_remainder_wiring(t: Triangulation, chord: Edge, members: frozenset[in
     if len(vs) < 2:
         raise InternalInvariantError("wheel rim too short")
     v1 = vs[0]
-    cell_inner = sorted(members - {u, w})
     ps = t.ps
 
     def first_hit(pivot: int, toward: int, sweep_ccw: bool) -> int:
@@ -319,18 +289,47 @@ def _wheel_remainder_wiring(t: Triangulation, chord: Edge, members: frozenset[in
 
 def _plane_partner(t: Triangulation, report: CutReport | None = None) -> set[Edge]:
     """Plane edge set (possibly sharing edges with t) whose union with t is
-    4-connected; the recursion backbone.  `report` is cut_structures(t) when
-    the caller has it."""
-    n = len(t.ps)
-    convex = len(t.hull) == n
-    chords = t.chords()
-    if not chords:
-        return _augment_3connected(t, report if report is not None else cut_structures(t))
-    if n == 5:
-        return _small_base(t, 2)
-    if convex and n == 6:
-        return _small_base(t, 3)
-    return _case_leaf(t)
+    4-connected.  `report` is cut_structures(t) when the caller has it.
+
+    Walks down: while t has chords and is no small base, peel a leaf cell
+    (the size-3 cells by (private vertex, chord), else the smallest cell by
+    (size, chord)), skipping cells whose removal leaves a fan, and go on with
+    the remainder.  A chordless remainder, a small base or a wheel remainder
+    ends the walk; the peeled cells are then hung back on, last peel first."""
+    levels = []
+    while True:
+        n = len(t.ps)
+        if not t.chords():
+            partner = _augment_3connected(t, report if report is not None else cut_structures(t))
+            break
+        if n == 5 or (n == 6 and len(t.hull) == 6):
+            partner = _small_base(t, n - 3)
+            break
+        leaves = build_cell_tree(t).leaves
+        cands = sorted((min(leaf.inner_members), leaf.chord, leaf.members)
+                       for leaf in leaves if len(leaf.members) == 3)
+        if not cands and n == 6:
+            partner = _small_base(t, 2)
+            break
+        if not cands:
+            leaf = min(leaves, key=lambda c: (len(c.members), c.chord))
+            cands = [(0, leaf.chord, leaf.members)]
+        # a remainder keeps four points or more: a leftover triangle is a size-3 leaf
+        for _, chord, members in cands:
+            t1, idmap = _sub_triangulation(t, [x for x in range(n) if x in chord or x not in members])
+            cls = classify(t1)
+            if cls is not TriangulationClass.FAN:
+                break
+        else:
+            raise InternalInvariantError("every leaf removal yields a fan; the input should have been a fan")
+        if cls is TriangulationClass.WHEEL:
+            partner = _wheel_remainder_wiring(t, chord, members, t1, idmap)
+            break
+        levels.append((t, chord, members, t1, idmap))
+        t, report = t1, None
+    for level in reversed(levels):
+        partner = _hang_cell(*level, partner)
+    return partner
 
 
 def augment_to_4conn(t: Triangulation) -> frozenset[Edge]:

@@ -301,7 +301,14 @@ def _property_union(sa: PointSet, sb: Sequence[tuple[int, int]]
 
 def _bipartite_match(vis: list[set[int]]) -> list[int] | None:
     """Assign each left node a distinct right node from its set (augmenting
-    paths); None when no perfect matching exists."""
+    paths); None when no perfect matching exists.
+
+    Each nested `try_assign` call first claims a right node that no call of
+    the same search has claimed and then moves to the left node matched to
+    it, so the recursion is at most as deep as the number of left nodes.
+    Its caller passes one left node per new hull point of one batch; such a
+    surrounding batch is in convex position, so it has no more points than
+    the convex core, the largest convex subset of the input."""
     match_right: dict[int, int] = {}
 
     def try_assign(i: int, seen: set[int]) -> bool:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -12,14 +13,15 @@ from biplane.errors import ImpossibleError, InternalInvariantError, Precondition
 from biplane.generators import (generate_fan, generate_no5conn_counterexample,
                                 generate_wheel, random_triangulation,
                                 regular_polygon_points)
-from biplane.geometry import Point, PointSet, segments_properly_cross
+from biplane.geometry import Point, PointSet, cross, segments_properly_cross
 from biplane.connectivity import cut_structures
 from biplane.treeaug import build_cell_tree
 from biplane.triangulation import (Triangulation, TriangulationClass, classify,
                                    edge_key, flip, is_flippable, triangulate,
                                    triangulation_from_edges)
 
-from oracles import bf_vertex_connectivity, ref_closer_to_first_ray
+from conftest import chordful_triangulation
+from oracles import bf_vertex_connectivity, ref_closer_to_first_ray, ref_vertex_connectivity
 
 
 class TestGenerators:
@@ -166,6 +168,22 @@ class TestAugmentTo4Conn:
         assert calls == [(t,)]
         assert check_4conn_augmentation(t, extra) == (True, [])
 
+    def test_deep_peel_is_not_bounded_by_the_recursion_limit(self):
+        # a convex-position triangulation peels about one vertex per level:
+        # 97 levels here, and about 330 reach the default limit of 1000
+        t = chordful_triangulation(100, 1)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            extra = augment_to_4conn(t)
+        finally:
+            sys.setrecursionlimit(limit)
+        ee = sorted(extra)
+        assert len(ee) == 97
+        assert hashlib.sha256(repr(ee).encode()).hexdigest() == (
+            "a4fa124d1f741ccc14fb04ddeba22a755028582d41e55a0552b5bedb584ec64c")
+        assert ref_vertex_connectivity(100, set(t.edges) | set(ee)) >= 4
+
 
 def _grid_draws(rng: random.Random, span: int, count: int):
     """(center, p1, p2, q) uniform on the integer grid [-span, span]^2."""
@@ -275,6 +293,42 @@ class TestBichordStar:
         calls = _count_calls(monkeypatch, "_closer_to_first_ray")
         extra = augment_to_4conn(t)
         assert calls, "the bisector split of the bichord star did not run"
+        _assert_plane_4conn_with_digest(t, extra, digest)
+
+
+def _two_centres(h: int) -> Triangulation:
+    """A regular h-gon of radius 100 around centres h = (-60, -60) and
+    h + 1 = (-60, -40): centre h is joined to hull vertices 3, ..., h - 1, 0
+    and centre h + 1 to 0, ..., 3.  It has no chord, and every vertex lies
+    in a bichord."""
+    hull = [(q.x, q.y) for q in regular_polygon_points(h, 100)]
+    edges = [edge_key(j, (j + 1) % h) for j in range(h)] + [(h, h + 1)]
+    edges += [edge_key(h, j % h) for j in range(3, h + 1)]
+    edges += [edge_key(h + 1, j) for j in range(4)]
+    return triangulation_from_edges(PointSet(hull + [(-60, -60), (-60, -40)]), edges)
+
+
+class TestBichordStarSweep:
+    """The bichord star joins a hull vertex to v2 or v_{k-1} only when it lies
+    on v_k's side of the sweep from v2 to v_{k-1} around the anchor; on these
+    inputs some hull vertex lies on the other side and gets no edge.  On the
+    octagon the sweep is under a half turn."""
+
+    CASES = [
+        (7, 1, False, "235cbc631d6d1a4700af2d900a4b357f9961e9aa3050a0cc3a2a4d3b26263329"),
+        (8, 2, True, "73d2fadaa71f0964403d14a160820774906f5e66a72e12cbf627ba823ff56d4b"),
+    ]
+
+    @pytest.mark.parametrize("h,skipped,under_half_turn,digest", CASES)
+    def test_branch_runs_and_output_is_fixed(self, monkeypatch, h, skipped, under_half_turn, digest):
+        t = _two_centres(h)
+        sweep = augment_module._in_ccw_sweep
+        calls = _count_calls(monkeypatch, "_in_ccw_sweep")
+        extra = augment_to_4conn(t)
+        # the calls come in pairs: a hull vertex, then v_k
+        inside = [sweep(*args) for args in calls]
+        assert sum(inside[i] != inside[i + 1] for i in range(0, len(inside), 2)) == skipped
+        assert {cross(*args[:3]) > 0 for args in calls} == {under_half_turn}
         _assert_plane_4conn_with_digest(t, extra, digest)
 
 

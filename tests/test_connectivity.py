@@ -16,7 +16,7 @@ from biplane.generators import (generate_fan, generate_no5conn_counterexample,
                                 random_triangulation, regular_polygon_points)
 from biplane.layered import LAYER1, LAYER2, LayeredGraph
 from biplane.treeaug import min_augment_3conn
-from biplane.triangulation import edge_key, triangulate
+from biplane.triangulation import edge_key, triangulate, triangulation_from_edges
 
 from conftest import chordful_triangulation, greedy_biplane
 from oracles import bf_vertex_connectivity, ref_cut_structures, ref_vertex_connectivity
@@ -526,3 +526,21 @@ class TestCheck4Conn:
         t = triangulate(regular_polygon_points(8))
         ok, violations = check_4conn_augmentation(t, [])
         assert not ok and any("chord" in v for v in violations)
+
+    def test_empty_addition_names_every_structure(self):
+        # two chords, a bichord and a separating triangle, none crossed
+        t = random_triangulation(6, 3)
+        assert check_4conn_augmentation(t, []) == (False, [
+            "chord (0, 3) crossed by 0 < 2 new edges",
+            "chord (0, 4) crossed by 0 < 2 new edges",
+            "bichord (0, 2, 3) not properly crossed",
+            "separating triangle (0, 1, 3) not properly crossed"])
+
+    def test_crossing_edges_that_share_a_vertex(self):
+        # chord (0, 3) has two points on each side; both new edges cross it,
+        # but they meet at 1, so removing 0, 3 and 1 still splits the union
+        hull = [edge_key(i, (i + 1) % 6) for i in range(6)]
+        t = triangulation_from_edges(regular_polygon_points(6), hull + [(0, 2), (0, 3), (3, 5)])
+        assert check_4conn_augmentation(t, [(1, 4), (1, 5)]) == (False, [
+            "chord (0, 3): no two nonadjacent crossing edges",
+            "chord (3, 5) crossed by 1 < 2 new edges"])
