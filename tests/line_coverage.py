@@ -1,23 +1,28 @@
-"""Line-coverage guard for src/biplane: run tier-1 in-process under a line
-tracer and compare the lines that never ran with a committed allowlist.
+"""Line-coverage guard for src/biplane: run the whole tier-1 suite
+in-process under a line tracer and compare the lines that never ran with a
+committed allowlist.
 
-    python tests/line_coverage.py [pytest arguments]
+    python tests/line_coverage.py
 
-Without arguments it runs the whole tier-1 suite.  A line counts when some
-code object of its module has an instruction on it and it is not part of a
-`raise` statement.  `line_coverage_allowlist.txt` names each line that may
-stay unrun by its file and its stripped source text, not by its number, so
-edits elsewhere in the file leave the entry valid.  The script exits 1 when
-a counted line never ran and is not listed, or when a listed line matches no
-unrun line (it now runs, or it is gone): so the list can only shrink.  It
-also exits 1 when the tests fail.  Stdlib and pytest only; the traced run
-took 7.5-10 minutes on a 2-vCPU VM (Python 3.11), against 36 s untraced.
+A line counts when some code object of its module has an instruction on it
+and it is not part of a `raise` statement.  `line_coverage_allowlist.txt`
+names each line that may stay unrun by its file, the qualified name of the
+innermost function that holds it, and its stripped source text, not by its
+number, so edits elsewhere in the file leave the entry valid.  An entry
+allows one unrun line; two unrun lines with the same key need the entry
+twice.  The script exits 1 when a counted line never ran and is not listed,
+or when a listed line has no unrun line to match (it now runs, or it is
+gone): so the list can only shrink.  It also exits 1 when the tests fail.
+Stdlib and pytest only; needs Python 3.11 or later (`co_qualname`).  The
+traced run took 7.5-10 minutes on a 2-vCPU VM (Python 3.11), against 36 s
+untraced.
 """
 from __future__ import annotations
 
 import ast
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,25 +30,34 @@ SRC = ROOT / "src" / "biplane"
 ALLOWLIST = Path(__file__).with_name("line_coverage_allowlist.txt")
 
 
-def counted_lines(path: Path) -> set[int]:
-    """Lines with an instruction in some code object of the module, minus
-    the lines of every `raise` statement."""
+def counted_lines(path: Path) -> dict[int, str]:
+    """Each line with an instruction in some code object of the module,
+    minus the lines of every `raise` statement, mapped to the qualified name
+    of the innermost function or class that holds it (`<module>` at the top
+    level); a line that a lambda or comprehension shares with the code
+    around it keeps the name of that code."""
     source = path.read_text()
-    lines: set[int] = set()
+    lines: dict[int, str] = {}
     stack = [compile(source, str(path), "exec")]
     while stack:
+        # a nested code object is popped after its parent, so it overwrites
+        # the parent's name, except on the line where a lambda or
+        # comprehension (`<lambda>`, `<genexpr>`, ...) is written
         code = stack.pop()
-        lines.update(line for _, _, line in code.co_lines() if line)
+        anonymous = code.co_name.startswith("<")
+        lines.update((line, code.co_qualname) for _, _, line in code.co_lines()
+                     if line and not (anonymous and line in lines))
         stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Raise):
-            lines.difference_update(range(node.lineno, node.end_lineno + 1))
+            for line in range(node.lineno, node.end_lineno + 1):
+                lines.pop(line, None)
     return lines
 
 
-def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """Run pytest in this process; return its exit code and, per file of
-    src/biplane, the line numbers that ran."""
+def run_traced() -> tuple[int, dict[str, set[int]]]:
+    """Run tier-1 in this process; return pytest's exit code and, per file
+    of src/biplane, the line numbers that ran."""
     import pytest
 
     ran: dict[str, set[int]] = {}
@@ -66,44 +80,46 @@ def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
 
     sys.settrace(start)
     try:
-        status = pytest.main(pytest_args or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
     finally:
         sys.settrace(None)
     return int(status), ran
 
 
-def read_allowlist() -> set[tuple[str, str]]:
-    """(file name, stripped source text) per entry; `#` starts a comment line."""
-    entries = set()
+def read_allowlist() -> Counter[tuple[str, str, str]]:
+    """How often each (file name, function, stripped source text) is
+    listed; `#` starts a comment line."""
+    entries: Counter[tuple[str, str, str]] = Counter()
     for row in ALLOWLIST.read_text().splitlines():
         if row.strip() and not row.startswith("#"):
-            name, _, text = row.partition(": ")
-            entries.add((name.strip(), text.strip()))
+            name, _, rest = row.partition(": ")
+            function, _, text = rest.partition(": ")
+            entries[name.strip(), function.strip(), text.strip()] += 1
     return entries
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     # read the sources before the run imports them, so that an edit during
     # the run cannot shift the line numbers
     sources = {path.name: (counted_lines(path), path.read_text().splitlines())
                for path in sorted(SRC.glob("*.py"))}
-    status, ran = run_traced(argv)
-    unrun: dict[tuple[str, str], list[int]] = {}
+    status, ran = run_traced()
+    unrun: dict[tuple[str, str, str], list[int]] = {}
     for name, (counted, text) in sources.items():
-        for line in sorted(counted - ran.get(name, set())):
-            unrun.setdefault((name, text[line - 1].strip()), []).append(line)
+        for line in sorted(set(counted) - ran.get(name, set())):
+            unrun.setdefault((name, counted[line], text[line - 1].strip()), []).append(line)
+    found = Counter({key: len(lines) for key, lines in unrun.items()})
     allowed = read_allowlist()
+    new, stale = found - allowed, allowed - found
     for key in sorted(unrun):
-        mark = "allowed" if key in allowed else "NOT LISTED"
-        print(f"unrun {key[0]}:{','.join(map(str, unrun[key]))}: {key[1]}  [{mark}]")
-    new = sorted(set(unrun) - allowed)
-    stale = sorted(allowed - set(unrun))
-    for name, text in stale:
-        print(f"listed but not unrun (delete the entry): {name}: {text}")
-    print(f"{sum(map(len, unrun.values()))} unrun lines, {len(new)} not listed, "
-          f"{len(stale)} stale entries; pytest exit {status}")
+        mark = "NOT LISTED" if key in new else "allowed"
+        print(f"unrun {key[0]}:{','.join(map(str, unrun[key]))}: {key[1]}: {key[2]}  [{mark}]")
+    for key in sorted(stale.elements()):
+        print(f"listed but not unrun (delete the entry): {': '.join(key)}")
+    print(f"{sum(map(len, unrun.values()))} unrun lines, {new.total()} not listed, "
+          f"{stale.total()} stale entries; pytest exit {status}")
     return 1 if new or stale or status else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
