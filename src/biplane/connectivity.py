@@ -322,9 +322,6 @@ class CutReport:
     bichords: list[Bichord] = field(default_factory=list)
     separating_triangles: list[SeparatingTriangle] = field(default_factory=list)
 
-    def is_empty(self) -> bool:
-        return not (self.chords or self.bichords or self.separating_triangles)
-
     def cut_triples(self) -> set[tuple[int, ...]]:
         out: set[tuple[int, ...]] = set()
         for b in self.bichords:

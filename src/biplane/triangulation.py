@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 from enum import Enum
+from itertools import combinations, repeat
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
 from .geometry import (Point, PointSet, ccw_order, crossing_pairs, crosses_any, cross,
-                       first_crossing, point_in_triangle, segments_properly_cross,
-                       visible_chain)
+                       first_crossing, point_in_triangle, polygon_doubled_area,
+                       segments_properly_cross, visible_chain)
 
 Edge = tuple[int, int]
 
@@ -230,14 +231,10 @@ class Triangulation:
         (all ring edges present, no chords between nonconsecutive ones)."""
         ring = self.link_cycle(v)
         k = len(ring)
-        if k < 3:
-            return False
         ring_edges = {edge_key(ring[i], ring[(i + 1) % k]) for i in range(k)}
-        if not ring_edges <= self.edges:
-            return False
         induced = {edge_key(a, b) for i, a in enumerate(ring) for b in ring[i + 1:]
                    if edge_key(a, b) in self.edges}
-        return induced == ring_edges
+        return k >= 3 and induced == ring_edges
 
 
 def triangulate(ps: PointSet) -> Triangulation:
@@ -312,6 +309,10 @@ def complete_to_triangulation(ps: PointSet, required: Iterable[Edge] = (),
 
     Candidates outside `required` are tried with edges in `avoid` last, then
     by squared length, then by id order, which makes the result deterministic.
+    A hull edge crosses no segment, so the hull edges are taken at once and
+    never tested against; only the pairs of `_open_pairs` are tried, since
+    every other pair crosses an edge taken before it (see README,
+    Verification).
     """
     req = {edge_key(*e) for e in required}
     avoid_set = {edge_key(*e) for e in avoid}
@@ -321,17 +322,18 @@ def complete_to_triangulation(ps: PointSet, required: Iterable[Edge] = (),
     if pair:
         i, j = pair
         raise PreconditionError(f"required edges {chosen[i]} and {chosen[j]} cross")
-    n = len(ps)
-    target = 3 * n - 3 - len(ps.hull())
+    hull = ps.hull()
+    hull_edges = {edge_key(hull[i - 1], hull[i]) for i in range(len(hull))} - req
+    # `chosen` ends with every edge but the hull edges outside `required`
+    target = 3 * len(ps) - 3 - len(hull) - len(hull_edges)
 
     def sqlen(e: Edge) -> int:
         p, q = pts[e[0]], pts[e[1]]
         return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
 
     if len(chosen) < target:
-        candidates = [edge_key(u, v) for u in range(n) for v in range(u + 1, n)
-                      if edge_key(u, v) not in req]
-        candidates.sort(key=lambda e: (e in avoid_set, sqlen(e), e))
+        candidates = sorted(_open_pairs(ps, req | hull_edges),
+                            key=lambda e: (e in avoid_set, sqlen(e), e))
         for e in candidates:
             if not crosses_any(ps, e, chosen):
                 chosen.append(e)
@@ -339,7 +341,46 @@ def complete_to_triangulation(ps: PointSet, required: Iterable[Edge] = (),
                     break
     if len(chosen) != target:
         raise InternalInvariantError("greedy completion failed to reach a triangulation")
-    return _read_faces(ps, chosen)
+    return _read_faces(ps, chosen + list(hull_edges))
+
+
+def _open_pairs(ps: PointSet, edges: set[Edge]) -> set[Edge]:
+    """The vertex pairs outside the plane edge set `edges`, which holds every
+    hull edge, that can lie inside one of its faces: the pairs of each
+    bounded face walk longer than a triangle, and every pair with a hole
+    vertex, one that no edge joins to the hull.  A face walk follows each
+    directed edge (a, b) by the neighbour just before a in b's
+    counterclockwise ring; bounded faces wind counterclockwise, and a walk of
+    no positive area off the hull goes around a hole (see README,
+    Verification)."""
+    n, pts, hullset = len(ps), ps.points, set(ps.hull())
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for (u, v) in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    rings = [ccw_order(ps, v, adj[v]) for v in range(n)]
+    holes = {v for v in range(n) if not adj[v]}
+    pairs: set[Edge] = set()
+    seen: set[Edge] = set()
+    for a in range(n):
+        for b in rings[a]:
+            if (a, b) in seen:
+                continue
+            walk, x, y = [], a, b
+            while (x, y) not in seen:
+                seen.add((x, y))
+                walk.append(x)
+                x, y = y, rings[y][rings[y].index(x) - 1]
+            if polygon_doubled_area([pts[v] for v in walk]) > 0:
+                if len(walk) > 3:
+                    pairs.update(combinations(sorted(set(walk)), 2))
+            elif walk[0] not in hullset:
+                holes.update(walk)
+    for u in holes:
+        pairs.update(zip(range(u), repeat(u)))
+        pairs.update(zip(repeat(u), range(u + 1, n)))
+    pairs.difference_update(edges)
+    return pairs
 
 
 def triangulation_from_edges(ps: PointSet, edges: Iterable[Edge]) -> Triangulation:

@@ -477,6 +477,55 @@ def bf_faces_of(ps: PointSet, edges) -> set[tuple[int, int, int]]:
     return faces
 
 
+def ref_greedy_completion(ps: PointSet, required=(), avoid=()) -> frozenset[Edge]:
+    """Edges of the greedy completion of `required`: every other vertex pair,
+    in the order (in `avoid`, squared length, ids), is taken unless it
+    properly crosses an edge taken before it.  All pairs, one nested scan and
+    an orientation test of its own."""
+    pts = [p.coords() for p in ps]
+    taken = sorted({(min(e), max(e)) for e in required})
+    avoid = {(min(e), max(e)) for e in avoid}
+
+    def key(e):
+        (ax, ay), (bx, by) = pts[e[0]], pts[e[1]]
+        return e in avoid, (ax - bx) ** 2 + (ay - by) ** 2, e
+
+    def crosses(a, b, c, d) -> bool:
+        """Segments ab and cd with four distinct ends cross iff each
+        separates the ends of the other (inlined: this is the inner loop)."""
+        (ax, ay), (bx, by), (cx, cy), (dx, dy) = pts[a], pts[b], pts[c], pts[d]
+        ux, uy, vx, vy = bx - ax, by - ay, dx - cx, dy - cy
+        return ((ux * (cy - ay) - uy * (cx - ax) > 0) != (ux * (dy - ay) - uy * (dx - ax) > 0)
+                and (vx * (ay - cy) - vy * (ax - cx) > 0) != (vx * (by - cy) - vy * (bx - cx) > 0))
+
+    # a plane set of 3n - 3 - h edges is a triangulation: nothing more fits
+    full = 3 * len(pts) - 3 - _ref_hull_size(pts)
+    have = set(taken)
+    for a, b in sorted(combinations(range(len(pts)), 2), key=key):
+        if len(taken) >= full:
+            break
+        if (a, b) not in have and not any(
+                crosses(a, b, c, d) for c, d in taken if c != a and c != b and d != a and d != b):
+            taken.append((a, b))
+            have.add((a, b))
+    return frozenset(taken)
+
+
+def _ref_hull_size(pts: Sequence[tuple[int, int]]) -> int:
+    """Hull vertex count of distinct points, no three collinear, by the
+    monotone chain."""
+    order = sorted(pts)
+    size = 0
+    for seq in (order, order[::-1]):
+        out: list[tuple[int, int]] = []
+        for p in seq:
+            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        size += len(out) - 1
+    return size
+
+
 def bf_circular_runs(flags: Sequence[bool]) -> list[tuple[int, int]]:
     """Every (start, length) window of the cycle that is all True and cannot
     grow: both neighbours False, or the whole cycle from index 0."""

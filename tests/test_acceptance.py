@@ -220,7 +220,8 @@ def test_criterion_7_negative_fixtures():
         kappa = kappa_of(t)
         rep = cut_structures(t)
         assert kappa == 4, f"k={k}: kappa {kappa}"
-        assert rep.is_empty(), f"k={k}: cut report not empty"
+        assert not (rep.chords or rep.bichords or rep.separating_triangles), \
+            f"k={k}: cut report not empty"
     print("\nACCEPTANCE 7 PASS: no-5-connectable fixtures k=2,3,4 have kappa=4 "
           "and empty cut reports")
 

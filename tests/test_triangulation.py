@@ -4,21 +4,25 @@ import re
 
 import pytest
 
-from biplane import geometry, triangulation
+from biplane import augment, geometry, insertion, triangulation
+from biplane.augment import augment_to_4conn
 from biplane.errors import InternalInvariantError, PreconditionError
 from biplane.geometry import Point, PointSet, point_in_triangle
 from biplane.generators import (generate_fan, generate_no5conn_counterexample,
                                 generate_wheel, random_general_position,
                                 random_triangulation, regular_polygon_points)
 from biplane.connectivity import verify_layering
+from biplane.insertion import build_5conn_general
 from biplane.triangulation import (Triangulation, TriangulationClass,
                                    classify, complete_to_triangulation,
                                    edge_key, flip, is_flippable,
                                    triangle_key, triangulate,
                                    triangulation_from_edges)
 
-from conftest import greedy_biplane
-from oracles import bf_faces_of, bf_triangulation_ok, ref_flip, ref_locate
+from conftest import (chordful_triangulation, core_plus_interior, greedy_biplane,
+                      mixed_pipeline_instance)
+from oracles import (bf_faces_of, bf_triangulation_ok, ref_flip, ref_greedy_completion,
+                     ref_locate)
 
 
 def euler_count(t: Triangulation) -> bool:
@@ -142,6 +146,65 @@ class TestCompletion:
         ps = PointSet([(0, 0), (2, 0), (2, 2), (0, 2)])
         with pytest.raises(PreconditionError):
             complete_to_triangulation(ps, required=[(0, 2), (1, 3)])
+
+
+def joins_every_vertex_to_the_hull(ps: PointSet, edges) -> bool:
+    """Whether `edges` plus the hull edges form a connected graph, that is,
+    leave no hole in any face."""
+    adj: dict[int, set[int]] = {v: set() for v in range(len(ps))}
+    h = ps.hull()
+    for u, v in list(edges) + [(h[i - 1], h[i]) for i in range(len(h))]:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen, stack = {h[0]}, [h[0]]
+    while stack:
+        for w in adj[stack.pop()] - seen:
+            seen.add(w)
+            stack.append(w)
+    return len(seen) == len(ps)
+
+
+class TestGreedyCompletionDifferential:
+    """complete_to_triangulation tries only the pairs inside the faces that
+    its required edges leave open; the all-pairs greedy of
+    oracles.ref_greedy_completion must give the same edges."""
+
+    @pytest.mark.parametrize("chunk", range(6))
+    def test_plane_subsets_of_random_triangulations(self, chunk):
+        connected = []
+        for seed in range(250 * chunk, 250 * (chunk + 1)):
+            rng = random.Random(seed)
+            t = random_triangulation(rng.randint(4, 16), seed)
+            n, keep, shun = len(t.ps), rng.randint(0, 10) / 10, rng.random() / 2
+            required = [e for e in sorted(t.edges) if rng.random() < keep]
+            avoid = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < shun]
+            got = complete_to_triangulation(t.ps, required, avoid).edges
+            assert got == ref_greedy_completion(t.ps, required, avoid), seed
+            connected.append(joins_every_vertex_to_the_hull(t.ps, required))
+        assert any(connected) and not all(connected)
+
+    def test_every_completion_of_seeded_builds(self, monkeypatch):
+        calls = []
+
+        def recording(ps, required=(), avoid=()):
+            required, avoid = list(required), list(avoid)
+            t = complete_to_triangulation(ps, required, avoid)
+            calls.append((ps, required, avoid, t.edges))
+            return t
+
+        monkeypatch.setattr(insertion, "complete_to_triangulation", recording)
+        monkeypatch.setattr(augment, "complete_to_triangulation", recording)
+        for n, seed, outer in ((70, 2, 0), (80, 5, 0), (80, 6, 4), (100, 1, 0)):
+            build_5conn_general(core_plus_interior(n, seed, outer=outer))
+        for seed in range(4):
+            build_5conn_general(mixed_pipeline_instance(seed))
+        built = len(calls)
+        for n, seed in ((20, 1), (40, 2), (60, 3)):
+            augment_to_4conn(chordful_triangulation(n, seed))
+            augment_to_4conn(random_triangulation(n, seed))
+        assert built > 100 and len(calls) - built > 50
+        for ps, required, avoid, edges in calls:
+            assert edges == ref_greedy_completion(ps, required, avoid)
 
 
 FROM_EDGES_CASES = ([random_triangulation(n, seed) for n, seed in
