@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import PreconditionError
 
@@ -20,6 +20,10 @@ COORD_LIMIT = 2 ** 30
 #: The `_slope` of dx = 0: above every floor(dy / dx * 2^64), dx != 0, of
 #: coordinate differences within the limit, where |dy / dx| <= 2^31.
 _ABOVE_EVERY_SLOPE = 1 << 96
+
+#: Added to the `_slope` of a direction in the half-plane (dx, dy) < (0, 0),
+#: so that one int orders a whole turn: every `_slope` is below it in size.
+_HALF_TURN = 1 << 98
 
 
 @dataclass(frozen=True)
@@ -115,17 +119,19 @@ def crossing_pairs(ps: PointSet, edges: Sequence[tuple[int, int]]) -> list[tuple
 def first_crossing(ps: PointSet, edges: Sequence[tuple[int, int]]) -> tuple[int, int] | None:
     """crossing_pairs(ps, edges)[0], or None when no two `edges` properly
     cross, in O(m log m) comparisons when they do not (Shamos and Hoey,
-    1976).
+    1976).  Each edge joins two distinct points.
 
     The sweep visits the endpoints in lexicographic (x, y) order, a sweep
     line tilted slightly off vertical, so that a vertical edge needs no
     special case.  The active segments are kept bottom to top, and a vertex
-    p finds its place by bisection with the exact sign of `cross`.  Segments
-    ending at p form one contiguous block unless a crossing lies left of p;
-    the block is replaced by the segments starting at p, sorted around p,
-    and only the new neighbour pairs are tested.  The leftmost crossing pair
-    becomes adjacent at an earlier vertex and is tested there.  Once any
-    crossing shows, the full scan names the nested-loop witness.
+    p finds its place by bisection with the exact sign of `cross`.  The
+    block of segments ending at p is replaced by the segments starting at p,
+    sorted around p, and only the new neighbour pairs are tested.  The
+    leftmost crossing pair becomes adjacent at an earlier vertex and is
+    tested there, so the sweep stops before any vertex right of a crossing;
+    left of every crossing the list is in true order, and the segments
+    ending at p are the first ones from p's place.  Once any crossing shows,
+    the full scan names the nested-loop witness.
 
     On a set in convex position the edges are chords of a strictly convex
     polygon, and `_chords_interleave` accepts a plane set from hull positions
@@ -154,11 +160,8 @@ def first_crossing(ps: PointSet, edges: Sequence[tuple[int, int]]) -> tuple[int,
                 lo = mid + 1
             else:
                 hi = mid
-        hi = lo
-        while hi < len(active) and active[hi][2] == px and active[hi][3] == py:
-            hi += 1
-        if hi - lo != ends.get(p, 0):
-            break
+        # no crossing lies left of p, so the segments ending at p come first
+        hi = lo + ends.get(p, 0)
         # bottom to top around p: every far end is lexicographically greater
         new = sorted(starts[p], key=lambda s: _slope(s[2] - px, s[3] - py))
         active[lo:hi] = new
@@ -421,17 +424,48 @@ def _slope(dx: int, dy: int) -> int:
     return (dy << 64) // dx if dx else _ABOVE_EVERY_SLOPE
 
 
-def ccw_order(ps: PointSet, v: int, nbrs: Iterable[int]) -> list[int]:
-    """`nbrs` in counterclockwise angular order around v, from just after the
-    downward vertical: the half-plane (dx, dy) > (0, 0) first, each half
-    sorted by `_slope`."""
+def _ccw_key(ps: PointSet, v: int) -> Callable[[int], int]:
+    """The sort key of `ccw_order` around v, as a function of the neighbour:
+    the `_slope` of its direction, plus `_HALF_TURN` in the half-plane
+    (dx, dy) < (0, 0)."""
     xs, ys, vx, vy = ps.xs, ps.ys, ps.xs[v], ps.ys[v]
 
-    def key(p: int) -> tuple[bool, int]:
+    def key(p: int) -> int:
         dx, dy = xs[p] - vx, ys[p] - vy
-        return (dx, dy) < (0, 0), _slope(dx, dy)
+        return _slope(dx, dy) + (_HALF_TURN if (dx, dy) < (0, 0) else 0)
 
-    return sorted(nbrs, key=key)
+    return key
+
+
+def ccw_order(ps: PointSet, v: int, nbrs: Iterable[int]) -> list[int]:
+    """`nbrs` in counterclockwise angular order around v, from just after the
+    downward vertical (`_ccw_key`)."""
+    return sorted(nbrs, key=_ccw_key(ps, v))
+
+
+def _edge_rings(ps: PointSet, edges: Iterable[tuple[int, int]]
+                ) -> tuple[list[list[int]], list[list[int]]]:
+    """Every vertex's neighbours under `edges` in `ccw_order`, as (rings,
+    keys), with keys[v] the `_ccw_key`s of rings[v].  p - v and v - p have
+    one `_slope` and lie in opposite half-planes, so each edge's slope is
+    computed once and filed in both rings."""
+    xs, ys = ps.xs, ps.ys
+    dirs: list[list[tuple[int, int]]] = [[] for _ in range(len(ps))]
+    for u, v in edges:
+        dx, dy = xs[v] - xs[u], ys[v] - ys[u]
+        slope = _slope(dx, dy)
+        if (dx, dy) < (0, 0):
+            dirs[u].append((slope + _HALF_TURN, v))
+            dirs[v].append((slope, u))
+        else:
+            dirs[u].append((slope, v))
+            dirs[v].append((slope + _HALF_TURN, u))
+    rings, keys = [], []
+    for ring_dirs in dirs:
+        ring_dirs.sort()
+        keys.append([key for key, _ in ring_dirs])
+        rings.append([p for _, p in ring_dirs])
+    return rings, keys
 
 
 def _ccw_rings(xs: Sequence[int], ys: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:

@@ -1,13 +1,15 @@
 """Plane triangulations with face adjacency, edge flips and classification."""
 from __future__ import annotations
 
+from bisect import bisect
+from collections import defaultdict
 from enum import Enum
-from itertools import combinations, repeat
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
-from .geometry import (Point, PointSet, ccw_order, crossing_pairs, crosses_any, cross,
-                       first_crossing, point_in_triangle, polygon_doubled_area,
+from .geometry import (Point, PointSet, _ccw_key, _edge_rings, ccw_order, crossing_pairs, crosses_any,
+                       cross, first_crossing, point_in_triangle,
                        segments_properly_cross, visible_chain)
 
 Edge = tuple[int, int]
@@ -40,13 +42,12 @@ class Triangulation:
         self.ps = ps
         self.triangles: frozenset[tuple[int, int, int]] = frozenset(
             triangle_key(*t) for t in triangles)
-        edges: set[Edge] = set()
         opposites: dict[Edge, list[int]] = {}
         for (a, b, c) in self.triangles:
-            for e, w in ((edge_key(a, b), c), (edge_key(b, c), a), (edge_key(a, c), b)):
-                edges.add(e)
+            # a < b < c, so each side is its own edge key
+            for e, w in (((a, b), c), ((b, c), a), ((a, c), b)):
                 opposites.setdefault(e, []).append(w)
-        self.edges: frozenset[Edge] = frozenset(edges)
+        self.edges: frozenset[Edge] = frozenset(opposites)
         self._opposites = {e: tuple(sorted(ws)) for e, ws in opposites.items()}
         self.hull: tuple[int, ...] = ps.hull()
         h = self.hull
@@ -309,110 +310,166 @@ def complete_to_triangulation(ps: PointSet, required: Iterable[Edge] = (),
 
     Candidates outside `required` are tried with edges in `avoid` last, then
     by squared length, then by id order, which makes the result deterministic.
-    A hull edge crosses no segment, so the hull edges are taken at once and
-    never tested against; only the pairs of `_open_pairs` are tried, since
-    every other pair crosses an edge taken before it (see README,
-    Verification).
+    Each face that the required edges and the hull edges leave is filled on
+    its own (`_fill_faces`).  Crossing required edges are a PreconditionError
+    that names their first crossing pair.
     """
-    req = {edge_key(*e) for e in required}
-    avoid_set = {edge_key(*e) for e in avoid}
-    pts = ps.points
-    chosen: list[Edge] = sorted(req)
-    pair = first_crossing(ps, chosen)
-    if pair:
-        i, j = pair
-        raise PreconditionError(f"required edges {chosen[i]} and {chosen[j]} cross")
-    hull = ps.hull()
-    hull_edges = {edge_key(hull[i - 1], hull[i]) for i in range(len(hull))} - req
-    # `chosen` ends with every edge but the hull edges outside `required`
-    target = 3 * len(ps) - 3 - len(hull) - len(hull_edges)
-
-    def sqlen(e: Edge) -> int:
-        p, q = pts[e[0]], pts[e[1]]
-        return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
-
-    if len(chosen) < target:
-        candidates = sorted(_open_pairs(ps, req | hull_edges),
-                            key=lambda e: (e in avoid_set, sqlen(e), e))
-        for e in candidates:
-            if not crosses_any(ps, e, chosen):
-                chosen.append(e)
-                if len(chosen) == target:
-                    break
-    if len(chosen) != target:
-        raise InternalInvariantError("greedy completion failed to reach a triangulation")
-    return _read_faces(ps, chosen + list(hull_edges))
-
-
-def _open_pairs(ps: PointSet, edges: set[Edge]) -> set[Edge]:
-    """The vertex pairs outside the plane edge set `edges`, which holds every
-    hull edge, that can lie inside one of its faces: the pairs of each
-    bounded face walk longer than a triangle, and every pair with a hole
-    vertex, one that no edge joins to the hull.  A face walk follows each
-    directed edge (a, b) by the neighbour just before a in b's
-    counterclockwise ring; bounded faces wind counterclockwise, and a walk of
-    no positive area off the hull goes around a hole (see README,
-    Verification)."""
-    n, pts, hullset = len(ps), ps.points, set(ps.hull())
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for (u, v) in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    rings = [ccw_order(ps, v, adj[v]) for v in range(n)]
-    holes = {v for v in range(n) if not adj[v]}
-    pairs: set[Edge] = set()
-    seen: set[Edge] = set()
-    for a in range(n):
-        for b in rings[a]:
-            if (a, b) in seen:
-                continue
-            walk, x, y = [], a, b
-            while (x, y) not in seen:
-                seen.add((x, y))
-                walk.append(x)
-                x, y = y, rings[y][rings[y].index(x) - 1]
-            if polygon_doubled_area([pts[v] for v in walk]) > 0:
-                if len(walk) > 3:
-                    pairs.update(combinations(sorted(set(walk)), 2))
-            elif walk[0] not in hullset:
-                holes.update(walk)
-    for u in holes:
-        pairs.update(zip(range(u), repeat(u)))
-        pairs.update(zip(repeat(u), range(u + 1, n)))
-    pairs.difference_update(edges)
-    return pairs
+    return _certified(ps, sorted({edge_key(*e) for e in required}),
+                      {edge_key(*e) for e in avoid}, "required edges")
 
 
 def triangulation_from_edges(ps: PointSet, edges: Iterable[Edge]) -> Triangulation:
     """The triangulation whose edge set is `edges`.
 
     Raises PreconditionError unless the edges are exactly 3n - 3 - h pairwise
-    noncrossing segments, that is, a full triangulation.
+    noncrossing segments, that is, a full triangulation.  Such a set leaves
+    only triangle faces, and `_fill_faces` reads them as they are.
     """
     es = sorted({edge_key(*e) for e in edges})
     expected = 3 * len(ps) - 3 - len(ps.hull())
     if len(es) != expected:
         raise PreconditionError(f"edge count {len(es)} != 3n-3-h = {expected}")
-    pair = first_crossing(ps, es)
-    if pair:
+    return _certified(ps, es, set(), "edges")
+
+
+def _certified(ps: PointSet, es: list[Edge], avoid: set[Edge], what: str) -> Triangulation:
+    """`_fill_faces(ps, es, avoid)`.  Its certificate fails whenever two of
+    the sorted edges `es` cross, and only then does the sweep run, to name
+    their first crossing pair as "{what} X and Y cross"."""
+    try:
+        return _fill_faces(ps, es, avoid)
+    except InternalInvariantError:
+        pair = first_crossing(ps, es)
+        if pair is None:
+            raise
         i, j = pair
-        raise PreconditionError(f"edges {es[i]} and {es[j]} cross")
-    return _read_faces(ps, es)
+        raise PreconditionError(f"{what} {es[i]} and {es[j]} cross") from None
 
 
-def _read_faces(ps: PointSet, edges: Iterable[Edge]) -> Triangulation:
-    """The triangulation of a plane edge set of exactly 3n - 3 - h edges: its
-    bounded faces are the angularly consecutive neighbor pairs that turn left
-    (see README, Verification)."""
-    pts = ps.points
-    adj: dict[int, list[int]] = {p.id: [] for p in ps}
-    for (u, v) in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    tris = set()
-    for v in range(len(ps)):
-        ring = ccw_order(ps, v, adj[v])
-        for a, b in zip(ring, ring[1:] + ring[:1]):
-            if cross(pts[v], pts[a], pts[b]) > 0:
-                tris.add(triangle_key(v, a, b))
-    return Triangulation(ps, tris)
+def _fill_faces(ps: PointSet, required: list[Edge], avoid: set[Edge]) -> Triangulation:
+    """The greedy completion of the plane edge set R', `required` plus the
+    hull edges, one face of R' at a time (see README, Verification).
+
+    The faces of R' are read once from its rotation system: each ring is
+    `ccw_order`, and the walk after the directed edge (a, b) goes on to the
+    neighbour just before a in b's ring, so it keeps its face on the left.
+    A bounded face's outer walk winds counterclockwise, of positive area.
+    Any other walk off the hull goes around a hole, a part of R' that no
+    edge joins to the hull (a vertex with no edge is the walk of itself);
+    the hole lies in the innermost outer walk that winds around it.  A
+    candidate pair gets the face of the corner it leaves at each end, is
+    rejected when the two differ, and is otherwise tested against the edges
+    of that face only.  The triangles are the closed triangle faces of R'
+    and the two on each taken edge; `Triangulation` certifies them, and
+    their edges must be R' and the taken ones."""
+    n, pts = len(ps), ps.points
+    xs, ys = ps.xs, ps.ys
+    hull = ps.hull()
+    hull_edges = {edge_key(hull[i - 1], hull[i]) for i in range(len(hull))}
+    plane = hull_edges.union(required)
+    rings, keys = _edge_rings(ps, plane)
+    pos = [dict(zip(ring, range(len(ring)))) for ring in rings]
+    # at[v][i] is the walk of the corner at v from rings[v][i] on,
+    # counterclockwise: the walk left of the edge from v to rings[v][i]
+    at = [[-1] * len(ring) for ring in rings]
+    walks: list[list[int]] = []
+    area: list[int] = []
+    for v, ring in enumerate(rings):
+        if not ring:
+            at[v] = [len(walks)]
+            walks.append([v])
+            area.append(0)
+        for i, f in enumerate(at[v]):
+            if f < 0:
+                f, x, j, row, walk, twice = len(walks), v, i, at[v], [], 0
+                while row[j] < 0:
+                    row[j] = f
+                    walk.append(x)
+                    y = rings[x][j]
+                    twice += xs[x] * ys[y] - xs[y] * ys[x]
+                    x, j, row = y, pos[y][x] - 1, at[y]
+                walks.append(walk)
+                area.append(twice)
+    bounded = [f for f, twice in enumerate(area) if twice > 0]
+    # the walks around each face that is not a closed triangle: its outer
+    # walk is longer, or it holds a hole
+    rims = {f: [walks[f]] for f in bounded if len(walks[f]) > 3}
+    canon = list(range(len(walks)))
+    hullset = set(hull)
+    for f, walk in enumerate(walks):
+        if area[f] <= 0 and walk[0] not in hullset:
+            r = walk[0]
+            home = min((g for g in bounded if r not in walks[g] and _winding(ps, walks[g], r)),
+                       key=area.__getitem__, default=None)
+            if home is None:
+                raise InternalInvariantError(f"vertex {r} lies in no face")
+            canon[f] = home
+            rims.setdefault(home, [walks[home]]).append(walk)
+    pairs: set[Edge] = set()
+    # a crossing R' may send a pair into some other face: it starts empty
+    inside: defaultdict[int, list[Edge]] = defaultdict(list)
+    for f, rim in rims.items():
+        pairs.update(combinations(sorted(set().union(*rim)), 2))
+        # (the walk of a vertex with no edge gives the pair (v, v), not in R')
+        inside[f] = [e for e in {edge_key(a, b) for w in rim for a, b in zip(w, w[1:] + w[:1])}
+                     if e in plane and e not in hull_edges]
+    pairs -= plane
+
+    def corner(u: int, w: int) -> int:
+        """The face that the segment from u to w leaves u into."""
+        fs = at[u]
+        if len(fs) == 1:
+            return canon[fs[0]]
+        return canon[fs[bisect(keys[u], _ccw_key(ps, u)(w)) - 1]]
+
+    def sqlen(e: Edge) -> int:
+        p, q = pts[e[0]], pts[e[1]]
+        return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
+
+    room = 3 * n - 3 - len(hull) - len(plane)
+    taken: list[Edge] = []
+    for e in sorted(pairs, key=lambda e: (e in avoid, sqlen(e), e)):
+        if len(taken) >= room:
+            break
+        u, v = e
+        f = corner(u, v)
+        if f == corner(v, u) and not crosses_any(ps, e, inside[f]):
+            inside[f].append(e)
+            taken.append(e)
+    if len(taken) != room:
+        raise InternalInvariantError("greedy completion failed to reach a triangulation")
+    # `Triangulation` keys and deduplicates the corner triples
+    tris = [walks[f] for f in bounded if f not in rims]
+    for (u, v) in taken:
+        for a, b in ((u, v), (v, u)):
+            k = _ccw_key(ps, a)(b)
+            i = bisect(keys[a], k)
+            keys[a].insert(i, k)
+            rings[a].insert(i, b)
+    for a in {a for e in taken for a in e}:
+        pos[a] = dict(zip(rings[a], range(len(rings[a]))))
+    for (u, v) in taken:
+        tris.append((u, v, rings[v][pos[v][u] - 1]))
+        tris.append((u, v, rings[u][pos[u][v] - 1]))
+    t = Triangulation(ps, tris)
+    plane.update(taken)
+    if t.edges != plane:
+        raise InternalInvariantError("the completed faces do not have the chosen edges")
+    return t
+
+
+def _winding(ps: PointSet, walk: list[int], r: int) -> int:
+    """The winding number of the closed walk around vertex r, which lies on
+    none of its edges: each edge that crosses the rightward ray from r counts
+    +1 upward and -1 downward (ends half-open in y)."""
+    xs, ys, px, py = ps.xs, ps.ys, ps.xs[r], ps.ys[r]
+    w = 0
+    for a, b in zip(walk, walk[1:] + walk[:1]):
+        ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
+        if (ay <= py) != (by <= py):
+            side = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+            if ay <= py < by and side > 0:
+                w += 1
+            elif by <= py < ay and side < 0:
+                w -= 1
+    return w

@@ -732,6 +732,20 @@ class TestAngularKeys:
                 ring = ref_ccw_ring(ps.xs, ps.ys, v)[0]
                 assert ccw_order(ps, v, nbrs) == [e for e in ring if e >= 0 and e in nbrs]
 
+    def test_edge_rings_match_the_comparator(self):
+        # _edge_rings files one slope per edge in both rings; each ring is
+        # the comparator's order of the neighbours, keyed as ccw_order keys
+        rng = random.Random(2032)
+        for ps in self.cases():
+            n = len(ps)
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+            rings, keys = geometry_module._edge_rings(ps, edges)
+            for v in range(n):
+                nbrs = {u for e in edges for u in e if v in e and u != v}
+                ring = ref_ccw_ring(ps.xs, ps.ys, v)[0]
+                assert rings[v] == [e for e in ring if e >= 0 and e in nbrs]
+                assert keys[v] == [geometry_module._ccw_key(ps, v)(p) for p in rings[v]]
+
 
 def grid_set(rng, n, span):
     """n points with coordinates in [-span, span], in general position."""

@@ -134,18 +134,63 @@ class TestSaturate:
             assert euler_count(t)
 
 
+def with_a_crossing_edge(seed: int) -> tuple[PointSet, list]:
+    """The points of random_triangulation(n, seed), n 5-30, and its edges,
+    sorted, with one edge swapped for a vertex pair that crosses another of
+    them, so that the count stays 3n - 3 - h."""
+    rng = random.Random(seed)
+    t = random_triangulation(rng.randint(5, 30), seed)
+    es = sorted(t.edges)
+    n, pts = len(t.ps), t.ps
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in t.edges]
+    while True:
+        kept = set(es) - {rng.choice(es)}
+        e = rng.choice(pairs)
+        if any(geometry.segments_properly_cross(pts[e[0]], pts[e[1]], pts[u], pts[v])
+               for u, v in kept):
+            return t.ps, sorted(kept | {e})
+
+
 class TestCompletion:
     def test_required_edges_preserved(self):
         ps = random_general_position(9, seed=11)
-        required = [sorted(ps.hull())[:2]]
         required = [edge_key(ps.hull()[0], ps.hull()[1])]
         t = complete_to_triangulation(ps, required=required)
         assert set(required) <= set(t.edges)
 
     def test_crossing_required_rejected(self):
         ps = PointSet([(0, 0), (2, 0), (2, 2), (0, 2)])
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=r"^required edges \(0, 2\) and \(1, 3\) cross$"):
             complete_to_triangulation(ps, required=[(0, 2), (1, 3)])
+
+    def test_crossing_required_names_the_first_crossing_pair(self, monkeypatch):
+        """Every crossing set is rejected with the pair that first_crossing
+        names, also when the greedy still reaches 3n - 3 - h edges, so that
+        only the certificate or the edge check can catch it."""
+        cases = []
+        for seed in range(300):
+            ps, edges = with_a_crossing_edge(seed)
+            rng = random.Random(seed)
+            keep = rng.choice([1, 1, rng.random()])
+            required = [e for e in edges if rng.random() < keep]
+            pair = geometry.first_crossing(ps, required)
+            if pair is not None:
+                cases.append((seed, ps, required, edges[::3], pair))
+        built = []
+
+        def recording(ps, tris):
+            built.append(len(ps))
+            return Triangulation(ps, tris)
+
+        monkeypatch.setattr(triangulation, "Triangulation", recording)
+        full = 0
+        for seed, ps, required, avoid, (i, j) in cases:
+            built.clear()
+            with pytest.raises(PreconditionError) as err:
+                complete_to_triangulation(ps, required, avoid)
+            assert str(err.value) == f"required edges {required[i]} and {required[j]} cross", seed
+            full += bool(built)
+        assert full >= 100 and len(cases) - full >= 20, (full, len(cases))
 
 
 def joins_every_vertex_to_the_hull(ps: PointSet, edges) -> bool:
@@ -164,24 +209,101 @@ def joins_every_vertex_to_the_hull(ps: PointSet, edges) -> bool:
     return len(seen) == len(ps)
 
 
+def subset_cases(seeds):
+    """(seed, points, required, avoid): a random plane subset of the edges of
+    random_triangulation(n, seed), n 4-16, and random pairs to avoid."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        t = random_triangulation(rng.randint(4, 16), seed)
+        n, keep, shun = len(t.ps), rng.randint(0, 10) / 10, rng.random() / 2
+        required = [e for e in sorted(t.edges) if rng.random() < keep]
+        avoid = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < shun]
+        yield seed, t.ps, required, avoid
+
+
+def nested_cases(seeds):
+    """(seed, points, required, avoid): three nested triangles, turned and
+    jittered by the seed, around a centre point 9, and up to three more
+    points anywhere.  The middle and inner triangles are required, so each
+    is a hole in the face around it, and the inner one holds the centre;
+    odd seeds join the centre to an inner corner, a dangling edge."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        coords = []
+        for radius in (1000, 300, 90):
+            turn = rng.random() * 2 * math.pi
+            coords += [(round(radius * math.cos(turn + 2 * math.pi * k / 3)) + rng.randint(-5, 5),
+                        round(radius * math.sin(turn + 2 * math.pi * k / 3)) + rng.randint(-5, 5))
+                       for k in range(3)]
+        coords.append((rng.randint(-9, 9), rng.randint(-9, 9)))
+        coords += [(rng.randint(-600, 600), rng.randint(-600, 600)) for _ in range(rng.randint(0, 3))]
+        try:
+            ps = PointSet(coords)
+        except PreconditionError:
+            continue
+        required = [(3, 4), (4, 5), (3, 5), (6, 7), (7, 8), (6, 8)] + [(6, 9)] * (seed % 2)
+        n = len(ps)
+        avoid = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2]
+        yield seed, ps, required, avoid
+
+
+def hole_shapes(ps: PointSet, required) -> set[str]:
+    """The face shapes that R', `required` plus the hull edges, shows:
+    "isolated vertex in a triangle face" (a triangle of R' that holds
+    vertices, none of them with an edge), "nested hole" (a triangle of a
+    component off the hull that holds a vertex) and "dangling edge" (a
+    vertex of degree 1)."""
+    h, n = ps.hull(), len(ps)
+    adj: dict[int, set[int]] = {v: set() for v in range(n)}
+    for u, v in list(required) + [(h[i - 1], h[i]) for i in range(len(h))]:
+        adj[u].add(v)
+        adj[v].add(u)
+    on_hull, stack = {h[0]}, [h[0]]
+    while stack:
+        for w in adj[stack.pop()] - on_hull:
+            on_hull.add(w)
+            stack.append(w)
+    shapes = {"dangling edge"} if any(len(adj[v]) == 1 for v in range(n)) else set()
+    for a in range(n):
+        for b in adj[a]:
+            for c in adj[a] & adj[b]:
+                if a < b < c:
+                    inside = [v for v in range(n)
+                              if v not in (a, b, c) and point_in_triangle(ps[a], ps[b], ps[c], ps[v])]
+                    if inside and not any(adj[v] for v in inside):
+                        shapes.add("isolated vertex in a triangle face")
+                    if inside and a not in on_hull:
+                        shapes.add("nested hole")
+    return shapes
+
+
 class TestGreedyCompletionDifferential:
-    """complete_to_triangulation tries only the pairs inside the faces that
-    its required edges leave open; the all-pairs greedy of
-    oracles.ref_greedy_completion must give the same edges."""
+    """complete_to_triangulation fills each face of its required edges on
+    its own; the all-pairs greedy of oracles.ref_greedy_completion must give
+    the same edges."""
 
     @pytest.mark.parametrize("chunk", range(6))
     def test_plane_subsets_of_random_triangulations(self, chunk):
         connected = []
-        for seed in range(250 * chunk, 250 * (chunk + 1)):
-            rng = random.Random(seed)
-            t = random_triangulation(rng.randint(4, 16), seed)
-            n, keep, shun = len(t.ps), rng.randint(0, 10) / 10, rng.random() / 2
-            required = [e for e in sorted(t.edges) if rng.random() < keep]
-            avoid = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < shun]
-            got = complete_to_triangulation(t.ps, required, avoid).edges
-            assert got == ref_greedy_completion(t.ps, required, avoid), seed
-            connected.append(joins_every_vertex_to_the_hull(t.ps, required))
+        for seed, ps, required, avoid in subset_cases(range(250 * chunk, 250 * (chunk + 1))):
+            got = complete_to_triangulation(ps, required, avoid).edges
+            assert got == ref_greedy_completion(ps, required, avoid), seed
+            connected.append(joins_every_vertex_to_the_hull(ps, required))
         assert any(connected) and not all(connected)
+
+    def test_nested_holes(self):
+        for seed, ps, required, avoid in nested_cases(range(40)):
+            got = complete_to_triangulation(ps, required, avoid).edges
+            assert got == ref_greedy_completion(ps, required, avoid), seed
+
+    def test_corpus_has_every_hole_shape(self):
+        found: dict[str, list] = {}
+        for kind, cases in (("subset", subset_cases(range(1500))), ("nested", nested_cases(range(40)))):
+            for seed, ps, required, _ in cases:
+                for shape in hole_shapes(ps, required):
+                    found.setdefault(shape, []).append((kind, seed))
+        assert sorted(found) == ["dangling edge", "isolated vertex in a triangle face", "nested hole"]
+        assert len(found["nested hole"]) >= 20
 
     def test_every_completion_of_seeded_builds(self, monkeypatch):
         calls = []
@@ -232,6 +354,34 @@ class TestFromEdges:
         edges = (t.edges - {other}) | {edge_key(*t.opposites(e))}
         with pytest.raises(PreconditionError, match=r"^edges \(\d+, \d+\) and \(\d+, \d+\) cross$"):
             triangulation_from_edges(t.ps, edges)
+
+    @pytest.mark.parametrize("chunk", range(5))
+    def test_crossing_edge_names_the_first_crossing_pair(self, chunk):
+        for seed in range(120 * chunk, 120 * (chunk + 1)):
+            ps, edges = with_a_crossing_edge(seed)
+            i, j = geometry.first_crossing(ps, edges)
+            with pytest.raises(PreconditionError) as err:
+                triangulation_from_edges(ps, reversed(edges))
+            assert str(err.value) == f"edges {edges[i]} and {edges[j]} cross", seed
+
+
+class TestFirstCrossingOnlyOnFailure:
+    """A valid input is certified by its faces alone: neither reader nor
+    completion runs the crossing sweep."""
+
+    def test_valid_input_runs_no_sweep(self, monkeypatch):
+        def sweep(*args):
+            raise AssertionError("first_crossing ran on valid input")
+
+        monkeypatch.setattr(triangulation, "first_crossing", sweep)
+        for t in FROM_EDGES_CASES:
+            triangulation_from_edges(t.ps, t.edges)
+        for seed in range(30):
+            rng = random.Random(seed)
+            t = random_triangulation(rng.randint(4, 20), seed)
+            required = [e for e in sorted(t.edges) if rng.random() < 0.6]
+            complete_to_triangulation(t.ps, required, avoid=sorted(t.edges)[::2])
+        complete_to_triangulation(random_general_position(60, seed=3))
 
 
 def flipped(t: Triangulation, e) -> frozenset:
