@@ -7,7 +7,6 @@ portable and accidental floats are rejected early.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .errors import PreconditionError
@@ -216,11 +215,30 @@ def crosses_any(ps: PointSet, edge: tuple[int, int], edges: Iterable[tuple[int, 
     return False
 
 
+class _BuiltOnFirstUse:
+    """A value computed from the instance on its first read and then stored
+    as a plain instance attribute of the same name, which shadows this
+    descriptor from then on.  functools.cached_property writes through the
+    instance `__dict__` instead, and that slows every later attribute read
+    on the instance in CPython."""
+
+    def __init__(self, build: Callable):
+        self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = self.build(obj)
+        setattr(obj, self.name, value)
+        return value
+
+
 class PointSet:
     """Ordered, validated point set: distinct points, no three collinear.
 
     Vertex ids are assigned by position.  Immutable after construction; `xs`
-    and `ys` hold the coordinates as flat integer tuples for the kernels below.
+    and `ys` hold the coordinates as flat integer tuples for the kernels below,
+    and `points` (or `ps[i]`) as `Point`s, built on first use.
     """
 
     def __init__(self, points: Sequence[Point] | Sequence[tuple[int, int]]):
@@ -228,45 +246,47 @@ class PointSet:
         convex_hull pops every point that is not a corner of the hull, and no
         corner lies between two other points, so no three are collinear.
         Any other set goes through the bucket scan of `_init`."""
-        pts = _checked_points(points, 0)
-        _check_distinct(pts, 0)
-        hull = tuple(convex_hull(pts)) if len(pts) >= 3 else None
-        self._init(pts, len(pts) if hull is not None and len(hull) == len(pts) else 0)
+        self.xs, self.ys = _checked_points(points, 0)
+        _check_distinct(self.xs, self.ys, 0)
+        n = len(self.xs)
+        hull = tuple(convex_hull(self)) if n >= 3 else None
+        self._init(n if hull is not None and len(hull) == n else 0)
         self._hull = hull
 
-    def _init(self, pts: Sequence[Point], known: int) -> None:
+    def _init(self, known: int) -> None:
         """Validate the distinct points from index `known` on against all
         others; the first `known` points are already in general position.
 
         A collinear triple (i, j, k), i < j < k, is two earlier points i and
-        j in one reduced, sign-fixed direction from k.  So each k >= known
-        buckets the points before it by direction, O(k) time per point, and
-        the first two members of a bucket are its smallest pair.  The error
-        names the lexicographically smallest collinear triple whose largest
-        index is at least `known`, the one a full scan meets first."""
-        xs = tuple(p.x for p in pts)
-        ys = tuple(p.y for p in pts)
+        j on one line through k: their differences from k have one `_slope`
+        (written out below), a key that tells lines through a point apart
+        (see README, Verification).  So each k >= known buckets the points
+        before it by that key, O(k) time per point, and the first two
+        members of a bucket are its smallest pair.  The error names the
+        lexicographically smallest collinear triple whose largest index is
+        at least `known`, the one a full scan meets first."""
+        xs, ys = self.xs, self.ys
         first: tuple[int, int, int] | None = None
-        for k in range(max(known, 2), len(pts)):
+        for k in range(max(known, 2), len(xs)):
             xk, yk = xs[k], ys[k]
-            bucket: dict[tuple[int, int], int] = {}
+            bucket: dict[int, int] = {}
             for i in range(k):
-                dx, dy = xs[i] - xk, ys[i] - yk
-                if dx < 0 or (dx == 0 and dy < 0):
-                    dx, dy = -dx, -dy
-                g = gcd(dx, dy)
-                i0 = bucket.setdefault((dx // g, dy // g), i)
+                dx = xs[i] - xk
+                i0 = bucket.setdefault(((ys[i] - yk) << 64) // dx if dx else _ABOVE_EVERY_SLOPE, i)
                 if i0 != i and (first is None or (i0, i, k) < first):
                     first = (i0, i, k)
         if first is not None:
             raise PreconditionError(
                 "points {}, {}, {} are collinear (general position required)".format(*first))
-        self.points: tuple[Point, ...] = tuple(pts)
-        self.xs, self.ys = xs, ys
         self._hull: tuple[int, ...] | None = None
 
+    @_BuiltOnFirstUse
+    def points(self) -> tuple[Point, ...]:
+        """The points as `Point`s, built on first use."""
+        return tuple(map(Point, self.xs, self.ys, range(len(self.xs))))
+
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.xs)
 
     def __iter__(self):
         return iter(self.points)
@@ -282,14 +302,14 @@ class PointSet:
 
     def interior_ids(self) -> tuple[int, ...]:
         h = set(self.hull())
-        return tuple(p.id for p in self.points if p.id not in h)
+        return tuple(i for i in range(len(self)) if i not in h)
 
     def subset(self, ids: Iterable[int]) -> "PointSet":
         """New PointSet of the given vertices, kept in original order (a
         subset is in general position already, so nothing is re-checked)."""
         keep = sorted(set(ids))
-        return self._derived([Point(self.points[i].x, self.points[i].y, k)
-                              for k, i in enumerate(keep)], len(keep))
+        return self._derived(tuple(self.xs[i] for i in keep), tuple(self.ys[i] for i in keep),
+                             len(keep))
 
     def extended(self, coords: Sequence[tuple[int, int]]) -> "PointSet":
         """This set with `coords` appended (ids continue from len(self)).
@@ -299,23 +319,30 @@ class PointSet:
         When this set's hull is cached and every new point lies strictly
         inside it, the new set keeps that hull (see README, Verification).
         """
-        out = self._derived(self.points + tuple(_checked_points(coords, len(self))), len(self))
+        xs, ys = _checked_points(coords, len(self))
+        out = self._derived(self.xs + xs, self.ys + ys, len(self))
+        # the old points keep their Point objects: only the new ones are built
+        out.points = self.points + tuple(map(Point, xs, ys, range(len(self), len(out))))
         if self._hull is not None and all(point_strictly_inside_hull(self, p)
                                           for p in out.points[len(self):]):
             out._hull = self._hull
         return out
 
     @staticmethod
-    def _derived(pts: Sequence[Point], known: int) -> "PointSet":
-        _check_distinct(pts, known)
+    def _derived(xs: tuple[int, ...], ys: tuple[int, ...], known: int) -> "PointSet":
+        _check_distinct(xs, ys, known)
         out = PointSet.__new__(PointSet)
-        out._init(pts, known)
+        out.xs, out.ys = xs, ys
+        out._init(known)
         return out
 
 
-def _checked_points(points: Sequence[Point] | Sequence[tuple[int, int]], start: int) -> list[Point]:
-    """Integer, in-range points with ids from `start` on."""
-    pts: list[Point] = []
+def _checked_points(points: Sequence[Point] | Sequence[tuple[int, int]], start: int
+                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The coordinates (xs, ys) of integer, in-range points with ids from
+    `start` on."""
+    xs: list[int] = []
+    ys: list[int] = []
     for i, p in enumerate(points, start):
         if isinstance(p, Point):
             x, y = p.x, p.y
@@ -325,38 +352,60 @@ def _checked_points(points: Sequence[Point] | Sequence[tuple[int, int]], start: 
             raise PreconditionError(f"point {i}: coordinates must be integers, got ({x!r}, {y!r})")
         if abs(x) > COORD_LIMIT or abs(y) > COORD_LIMIT:
             raise PreconditionError(f"point {i}: coordinate exceeds COORD_LIMIT={COORD_LIMIT}")
-        pts.append(Point(x, y, i))
-    return pts
+        xs.append(x)
+        ys.append(y)
+    return tuple(xs), tuple(ys)
 
 
-def _check_distinct(pts: Sequence[Point], known: int) -> None:
+def _check_distinct(xs: Sequence[int], ys: Sequence[int], known: int) -> None:
     """Raise on the first point from index `known` on that repeats an
     earlier one; the first `known` points are already distinct."""
-    seen = {p.coords() for p in pts[:known]}
-    for p in pts[known:]:
-        if p.coords() in seen:
-            raise PreconditionError(f"duplicate point {p.coords()}")
-        seen.add(p.coords())
+    seen = set(zip(xs[:known], ys[:known]))
+    for p in zip(xs[known:], ys[known:]):
+        if p in seen:
+            raise PreconditionError(f"duplicate point {p}")
+        seen.add(p)
 
 
 def convex_hull(ps: PointSet | Sequence[Point]) -> list[int]:
-    """Counterclockwise hull vertex ids via Andrew's monotone chain."""
-    pts = list(ps.points if isinstance(ps, PointSet) else ps)
-    if len(pts) < 3:
+    """Counterclockwise hull vertex ids via Andrew's monotone chain (1979),
+    on (x, y, id) tuples.  The line from the lexicographically smallest point
+    to the largest splits the others: a point strictly below it can only be
+    a lower hull vertex, one strictly above it an upper one, and one on it
+    neither, so each chain runs on its own side."""
+    if len(ps) < 3:
         raise PreconditionError("convex hull needs at least 3 points")
-    order = sorted(pts, key=lambda p: (p.x, p.y))
+    if isinstance(ps, PointSet):
+        order = sorted(zip(ps.xs, ps.ys, range(len(ps))))
+    else:
+        order = sorted([(p.x, p.y, p.id) for p in ps])
+    first, last = order[0], order[-1]
+    lx, ly, _ = first
+    ex, ey = last[0] - lx, last[1] - ly
+    below: list[tuple[int, int, int]] = []
+    above: list[tuple[int, int, int]] = []
+    for p in order[1:-1]:
+        side = ex * (p[1] - ly) - ey * (p[0] - lx)
+        if side < 0:
+            below.append(p)
+        elif side > 0:
+            above.append(p)
 
-    def half(seq: list[Point]) -> list[Point]:
-        out: list[Point] = []
+    def half(seq: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+        out: list[tuple[int, int, int]] = []
         for p in seq:
-            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
+            x, y, _ = p
+            while len(out) >= 2:
+                (ax, ay, _), (bx, by, _) = out[-2], out[-1]
+                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0:
+                    break
                 out.pop()
             out.append(p)
         return out
 
-    lower = half(order)
-    upper = half(order[::-1])
-    return [p.id for p in lower[:-1] + upper[:-1]]
+    lower = half([first] + below + [last])
+    upper = half([last] + above[::-1] + [first])
+    return [i for _, _, i in lower[:-1] + upper[:-1]]
 
 
 def is_convex_position(ps: PointSet) -> bool:

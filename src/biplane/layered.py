@@ -40,7 +40,7 @@ class LayeredGraph:
     @property
     def layers(self) -> dict[Edge, int]:
         """Every edge with its layer tag (BOTH for an edge in both layers),
-        in edge order; computed on first use and kept."""
+        in edge order, for the writers; computed on first use and kept."""
         if self._layers is None:
             one, two = self._layer_edges[LAYER1], self._layer_edges[LAYER2]
             self._layers = {e: (BOTH if e in two else LAYER1) if e in one else LAYER2
@@ -49,10 +49,10 @@ class LayeredGraph:
 
     # ------------------------------------------------------------------
     def edges(self) -> frozenset[Edge]:
-        return frozenset(self.layers)
+        return self._layer_edges[LAYER1] | self._layer_edges[LAYER2]
 
     def edge_count(self) -> int:
-        return len(self.layers)
+        return len(self.edges())
 
     def layer_edges(self, layer: int) -> frozenset[Edge]:
         if layer not in (LAYER1, LAYER2):
@@ -60,8 +60,8 @@ class LayeredGraph:
         return self._layer_edges[layer]
 
     def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {p.id: set() for p in self.ps}
-        for (u, v) in self.layers:
+        adj: dict[int, set[int]] = {v: set() for v in range(len(self.ps))}
+        for (u, v) in self.edges():
             adj[u].add(v)
             adj[v].add(u)
         return adj

@@ -312,7 +312,8 @@ def complete_to_triangulation(ps: PointSet, required: Iterable[Edge] = (),
     by squared length, then by id order, which makes the result deterministic.
     Each face that the required edges and the hull edges leave is filled on
     its own (`_fill_faces`).  Crossing required edges are a PreconditionError
-    that names their first crossing pair.
+    that names their first crossing pair, and so is a required edge that
+    joins a point to itself or names no point.
     """
     return _certified(ps, sorted({edge_key(*e) for e in required}),
                       {edge_key(*e) for e in avoid}, "required edges")
@@ -325,17 +326,22 @@ def triangulation_from_edges(ps: PointSet, edges: Iterable[Edge]) -> Triangulati
     noncrossing segments, that is, a full triangulation.  Such a set leaves
     only triangle faces, and `_fill_faces` reads them as they are.
     """
-    es = sorted({edge_key(*e) for e in edges})
+    keyed = {(u, v) if u < v else (v, u) for u, v in edges}
     expected = 3 * len(ps) - 3 - len(ps.hull())
-    if len(es) != expected:
-        raise PreconditionError(f"edge count {len(es)} != 3n-3-h = {expected}")
-    return _certified(ps, es, set(), "edges")
+    if len(keyed) != expected:
+        raise PreconditionError(f"edge count {len(keyed)} != 3n-3-h = {expected}")
+    return _certified(ps, sorted(keyed), set(), "edges")
 
 
 def _certified(ps: PointSet, es: list[Edge], avoid: set[Edge], what: str) -> Triangulation:
-    """`_fill_faces(ps, es, avoid)`.  Its certificate fails whenever two of
-    the sorted edges `es` cross, and only then does the sweep run, to name
-    their first crossing pair as "{what} X and Y cross"."""
+    """`_fill_faces(ps, es, avoid)`, once every edge of `es` joins two
+    distinct points of `ps`.  The certificate fails whenever two of the
+    sorted edges `es` cross, and only then does the sweep run, to name their
+    first crossing pair as "{what} X and Y cross"."""
+    n = len(ps)
+    for u, v in es:
+        if not 0 <= u < v < n:
+            raise PreconditionError(f"bad edge {(u, v)}")
     try:
         return _fill_faces(ps, es, avoid)
     except InternalInvariantError:

@@ -849,3 +849,74 @@ def realize_hamiltonian_on_convex(g_edges: Iterable[Edge], ham: Sequence[int],
     coloring = bfs_two_coloring(chords, _hull_chord_conflicts(ps, chords))
     return LayeredGraph(ps, cycle_edges | {e for e, c in coloring.items() if c == LAYER1},
                         [e for e, c in coloring.items() if c == LAYER2])
+
+
+# ----------------------------------------------------------------------
+# Reference parsers: the line-by-line readers of point files and edge lists
+# that formats.loads_points and loads_layered replaced, kept as they were.
+# ----------------------------------------------------------------------
+
+def _ref_plain_ints(row: str) -> list[int]:
+    if not row.isascii() or "_" in row:
+        raise ValueError(f"not plain decimal integers: {row!r}")
+    return [int(part) for part in row.split()]
+
+
+def _ref_ints(lineno: int, row: str) -> list[int]:
+    try:
+        return _ref_plain_ints(row)
+    except ValueError as exc:
+        raise PreconditionError(f"line {lineno}: non-integer field in {row!r}") from exc
+
+
+def ref_loads_points(text: str) -> list[tuple[int, int]]:
+    """The coordinates of a point file, which loads_points hands to
+    PointSet, or the PreconditionError it raises on a malformed line."""
+    coords: list[tuple[int, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise PreconditionError(f"line {lineno}: expected 'x y', got {raw!r}")
+        try:
+            x, y = _ref_plain_ints(line)
+        except ValueError as exc:
+            raise PreconditionError(f"line {lineno}: non-integer coordinate in {raw!r}") from exc
+        coords.append((x, y))
+    return coords
+
+
+def ref_loads_layered(text: str, n: int) -> dict[tuple[int, int], int]:
+    """Every edge of an edge list on n points with its layer tag, in edge
+    order, or the PreconditionError that loads_layered raises: a parse
+    error first, then the first bad edge of layer 1, then of layer 2."""
+    rows = [(lineno, r.split("#", 1)[0].strip())
+            for lineno, r in enumerate(text.splitlines(), start=1)]
+    rows = [(lineno, r) for lineno, r in rows if r]
+    if not rows:
+        raise PreconditionError("empty edge list")
+    if len(rows[0][1].split()) != 2:
+        raise PreconditionError("header must be 'n m'")
+    count, m = _ref_ints(*rows[0])
+    if count != n:
+        raise PreconditionError(f"edge list is for {count} points, point set has {n}")
+    if len(rows) - 1 != m:
+        raise PreconditionError(f"header promises {m} edges, found {len(rows) - 1}")
+    tags: dict[tuple[int, int], int] = {}
+    for lineno, row in rows[1:]:
+        if len(row.split()) != 3:
+            raise PreconditionError(f"expected 'u v layer', got {row!r}")
+        u, v, tag = _ref_ints(lineno, row)
+        if tag not in (1, 2, 3):
+            raise PreconditionError(f"layer must be 1, 2 or 3, got {tag}")
+        e = (min(u, v), max(u, v))
+        if e in tags:
+            raise PreconditionError(f"duplicate edge {e}")
+        tags[e] = tag
+    for layer in (1, 2):
+        for e, tag in tags.items():
+            if tag != 3 - layer and (e[0] == e[1] or not (0 <= e[0] < n and 0 <= e[1] < n)):
+                raise PreconditionError(f"bad edge {e}")
+    return {e: tags[e] for e in sorted(tags)}

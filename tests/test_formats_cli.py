@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import re
 import xml.etree.ElementTree as ET
 
@@ -10,13 +11,15 @@ from biplane.cli import main
 from biplane.convex import build_5conn_convex
 from biplane.errors import PreconditionError
 from biplane.formats import dumps_layered, dumps_points, loads_layered, loads_points
-from biplane.generators import random_triangulation, regular_polygon_points
+from biplane.generators import (random_general_position, random_triangulation,
+                                regular_polygon_points)
 from biplane.geometry import PointSet, segments_properly_cross
 from biplane.layered import BOTH, LAYER1, LAYER2, LayeredGraph
 from biplane.render import render_svg
 from biplane.triangulation import triangulate
 
 from conftest import chordful_triangulation, core_plus_interior, mixed_pipeline_instance
+from oracles import ref_loads_layered, ref_loads_points
 
 
 class TestPointFormat:
@@ -83,6 +86,141 @@ class TestLayeredFormat:
         # the two orientations of one edge cannot carry two tags
         with pytest.raises(PreconditionError, match=r"^duplicate edge \(0, 1\)$"):
             loads_layered("4 2\n0 1 1\n1 0 3\n", self.graph().ps)
+
+
+#: line breaks that str.splitlines honours, whitespace that str.split and
+#: str.strip honour inside a line (two of them non-ASCII), and fields that
+#: int() reads or rejects: signs, leading zeros, '_', non-ASCII digits
+FUZZ_BREAKS = ["\n"] * 6 + ["\r\n"] * 3 + ["\r", "\x0b", "\u2028", "\x0c", "\x85"]
+FUZZ_SPACES = [" "] * 8 + ["  ", "\t", " \t", "\xa0", "\u3000"]
+FUZZ_COMMENTS = ["# note", "#", "#1 2", "# \u00e9t\u00e9", "# a_b", "#\t3"]
+
+
+def fuzz_field(rng: random.Random, value: int) -> str:
+    if rng.random() < 0.8:
+        sign = "-" if value < 0 else rng.choice(["", "", "", "+"])
+        return sign + "0" * (rng.random() < 0.05) + str(abs(value))
+    return rng.choice([f"{value}_0", f"1_{abs(value)}", "\u0665", "\uff17", f"{value}.5",
+                       "x", "--1", "+-2", "", f"{value}{value}"])
+
+
+def fuzz_file(rng: random.Random, rows: list[list[int]]) -> str:
+    """`rows` written with fuzzed fields, separators, comments, blank lines
+    and, now and then, a field too many or too few."""
+    lines = []
+    for row in rows:
+        while rng.random() < 0.1:
+            lines.append(rng.choice(["", " ", "\t", rng.choice(FUZZ_COMMENTS)]))
+        fields = [fuzz_field(rng, v) if rng.random() < 0.2 else str(v) for v in row]
+        if rng.random() < 0.04:
+            fields.append(str(rng.randint(0, 3)))
+        elif rng.random() < 0.04:
+            fields.pop()
+        line = rng.choice(FUZZ_SPACES).join(fields)
+        if rng.random() < 0.1:
+            line = rng.choice(FUZZ_SPACES) + line + rng.choice(FUZZ_SPACES)
+        if rng.random() < 0.15:
+            line += rng.choice(FUZZ_SPACES) + rng.choice(FUZZ_COMMENTS)
+        lines.append(line)
+    breaks = [rng.choice(FUZZ_BREAKS) if rng.random() < 0.3 else "\n" for _ in lines]
+    return "".join(line + brk for line, brk in zip(lines, breaks))
+
+
+def outcome(read):
+    try:
+        return read()
+    except PreconditionError as exc:
+        return f"error: {exc}"
+
+
+def ok_kind(text: str) -> str:
+    """A read file: one whose every field is plain ASCII without '_' as a
+    whole, or one that needs the check line by line (a comment or a
+    separator that is not)."""
+    return "ok" if text.isascii() and "_" not in text else "ok, checked by line"
+
+
+def error_kind(message: str) -> str:
+    """The words of an error message before its first number, sign, tuple
+    or quoted line."""
+    return re.match(r"error: (?:line \d+: )?(.*?)\s*(?:[\d(']|[+-]\d|$)", message).group(1)
+
+
+class TestParserDifferential:
+    """loads_points and loads_layered against the line-by-line readers they
+    replaced (tests/oracles.py), on seeded fuzzed files: the same value or
+    the same message on each."""
+
+    @staticmethod
+    def point_case(seed: int) -> str:
+        rng = random.Random(seed)
+        if rng.random() < 0.5:
+            coords = [(p.x, p.y) for p in random_general_position(rng.randint(3, 9), seed)]
+        else:
+            coords = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.randint(2, 7))]
+            if rng.random() < 0.05:
+                coords.append((2 ** 31, 0))
+        return fuzz_file(rng, [list(c) for c in coords]) if rng.random() < 0.9 else "# none\n\n"
+
+    @staticmethod
+    def edge_case(seed: int) -> tuple[str, PointSet]:
+        rng = random.Random(seed)
+        ps = random_general_position(rng.randint(4, 7), seed % 7)
+        n = len(ps)
+        edges = sorted(triangulate(ps).edges)
+        edges = rng.sample(edges, rng.randint(0, len(edges)))
+        rows = []
+        for u, v in edges:
+            tag = rng.choice([1, 1, 2, 3]) if rng.random() < 0.95 else rng.choice([0, 4, -1])
+            if rng.random() < 0.1:
+                u, v = rng.randint(-1, n), rng.randint(-1, n)
+            rows.append([v, u, tag] if rng.random() < 0.5 else [u, v, tag])
+            if rng.random() < 0.05:
+                rows.append([v, u, rng.randint(1, 3)])
+        head = [n + (rng.random() < 0.05), len(rows) + rng.choice([0] * 18 + [-1, 1])]
+        return fuzz_file(rng, [head] + rows) if rng.random() < 0.97 else "\n# none\n", ps
+
+    def test_point_files(self):
+        seen = set()
+        for seed in range(1200):
+            text = self.point_case(seed)
+            want = outcome(lambda: ref_loads_points(text))
+            if not isinstance(want, str):
+                want = outcome(lambda: PointSet(want))
+            got = outcome(lambda: loads_points(text))
+            if isinstance(want, PointSet):
+                assert not isinstance(got, str), (seed, text, got)
+                assert (got.xs, got.ys) == (want.xs, want.ys), (seed, text)
+                assert len(got) < 3 or got.hull() == want.hull(), (seed, text)
+                seen.add(ok_kind(text))
+            else:
+                assert got == want, (seed, text)
+                seen.add(error_kind(want))
+        assert seen == {"ok", "ok, checked by line", "expected", "non-integer coordinate in",
+                        "duplicate point",
+                        "points", "point"}, seen
+
+    def test_edge_lists(self):
+        seen = set()
+        for seed in range(1200):
+            text, ps = self.edge_case(seed)
+            want = outcome(lambda: ref_loads_layered(text, len(ps)))
+            got = outcome(lambda: loads_layered(text, ps))
+            if isinstance(want, dict):
+                assert not isinstance(got, str), (seed, text, got)
+                assert list(got.layers.items()) == list(want.items()), (seed, text)
+                assert got.edges() == set(want) and got.edge_count() == len(want)
+                for layer in (LAYER1, LAYER2):
+                    assert got.layer_edges(layer) == {e for e, tag in want.items()
+                                                      if tag in (layer, BOTH)}
+                seen.add(ok_kind(text))
+            else:
+                assert got == want, (seed, text)
+                seen.add(error_kind(want))
+        assert seen == {"ok", "ok, checked by line", "empty edge list", "header must be",
+                        "non-integer field in",
+                        "edge list is for", "header promises", "expected", "layer must be",
+                        "duplicate edge", "bad edge"}, seen
 
 
 class TestLayeredGraph:

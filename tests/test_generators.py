@@ -60,10 +60,10 @@ class TestRegularPolygon:
         # radius passes the hull certificate (known == n) instead
         real = PointSet._init
 
-        def init(self, pts, known):
+        def init(self, known):
             if known == 0:
                 raise AssertionError("general-position scan of the whole set")
-            real(self, pts, known)
+            real(self, known)
 
         monkeypatch.setattr(PointSet, "_init", init)
         ps = regular_polygon_points(5000)

@@ -83,6 +83,42 @@ class TestPointSet:
             PointSet([(0, 0), (1.5, 3), (1, 5)])
 
 
+    def test_points_are_built_on_first_use_and_kept(self):
+        ps = PointSet([(0, 0), (5, 1), (2, 7)])
+        assert "points" not in vars(ps)
+        p = ps[1]
+        assert p == Point(5, 1, 1) and ps.points[1] is p and ps.points is ps.points
+        assert list(ps) == [Point(0, 0, 0), p, Point(2, 7, 2)]
+        assert PointSet.points.__doc__ == "The points as `Point`s, built on first use."
+
+    def test_points_build_what_their_coordinates_build(self):
+        """Point input is read by its coordinates alone: another set's
+        Points, in any order and with their old ids, give the set and the
+        error that their coordinates give."""
+        def build(make):
+            try:
+                ps = make()
+            except PreconditionError as exc:
+                return str(exc)
+            return ps.xs, ps.ys, ps.hull()
+
+        for seed in range(8):
+            other = random_general_position(25, seed) if seed % 2 else regular_polygon_points(25)
+            pts = list(other.points)
+            random.Random(seed).shuffle(pts)
+            coords = [p.coords() for p in pts]
+            assert build(lambda: PointSet(pts)) == build(lambda: PointSet(coords))
+            assert build(lambda: PointSet(other)) == build(lambda: PointSet(list(zip(other.xs, other.ys))))
+        for coords, message in [
+            ([(0, 0), (1.5, 3), (1, 5)], "point 1: coordinates must be integers, got (1.5, 3)"),
+            ([(0, 0), (1, 5), (3, COORD_LIMIT + 1)], "point 2: coordinate exceeds COORD_LIMIT="),
+            ([(0, 0), (4, 1), (2, 7), (4, 1)], "duplicate point (4, 1)"),
+            ([(0, 0), (4, 1), (2, 7), (8, 2)], "points 0, 1, 3 are collinear (general position"),
+        ]:
+            assert build(lambda: PointSet(coords)).startswith(message)
+            assert build(lambda: PointSet([Point(x, y, 9) for x, y in coords])) == \
+                build(lambda: PointSet(coords))
+
     @pytest.mark.parametrize("seed", range(12))
     def test_extended_raises_or_builds_like_a_full_construction(self, seed):
         rng = random.Random(seed)

@@ -21,7 +21,7 @@ from biplane.triangulation import complete_to_triangulation, edge_key, is_flippa
 from biplane.generators import generate_wheel
 
 from conftest import core_plus_interior, mixed_pipeline_instance
-from oracles import edge_visibility_hall_holds, visible_hull_edges
+from oracles import bf_first_collinear, edge_visibility_hall_holds, visible_hull_edges
 
 
 def fresh_core(n=14, radius=1000):
@@ -369,6 +369,25 @@ class TestInsertHullPoints:
         st = fresh_core()
         with pytest.raises(PreconditionError):
             insert_hull_points(st, [(1010, 1)])
+
+    def test_collinear_union_names_the_first_collinear_triple(self):
+        # each batch has a point on the line of two S_a points, beyond the
+        # hull edge or the chord between them, and the triple named is the
+        # first one of a full scan that contains a new point
+        st = fresh_core()
+        xs, ys = st.ps.xs, st.ps.ys
+        for a, b, t, before in [(0, 1, 2, []), (3, 4, -3, [(5000, 4000)]), (0, 7, 3, []),
+                                (9, 12, 4, [(-6000, 100), (100, -7000)])]:
+            c = (xs[a] + t * (xs[b] - xs[a]), ys[a] + t * (ys[b] - ys[a]))
+            sb = before + [c]
+            triple = bf_first_collinear(xs + tuple(x for x, _ in sb), ys + tuple(y for _, y in sb),
+                                        len(xs))
+            with pytest.raises(PreconditionError) as err:
+                insert_hull_points(st, sb)
+            assert str(err.value) == (
+                "hull-insertion property violated: S_a and S_b do not combine to a "
+                "general-position set: points {}, {}, {} are collinear "
+                "(general position required)".format(*triple))
 
     def test_rejection_gives_the_reason_check_property_maxi_returns(self):
         # S_a is a 14-point ring, when convex, with 0-2 points inside and 2-8

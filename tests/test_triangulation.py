@@ -365,6 +365,27 @@ class TestFromEdges:
             assert str(err.value) == f"edges {edges[i]} and {edges[j]} cross", seed
 
 
+class TestBadEdges:
+    """An edge that is a self-loop or names no point is a precondition, the
+    message that LayeredGraph gives, before any face is read."""
+
+    @pytest.mark.parametrize("bad", [(2, 2), (2, 9), (-1, 3)])
+    def test_required_edge(self, bad):
+        ps = random_general_position(8, 1)
+        with pytest.raises(PreconditionError) as err:
+            complete_to_triangulation(ps, required=[bad])
+        assert str(err.value) == f"bad edge {bad}"
+
+    @pytest.mark.parametrize("bad", [(2, 2), (2, 9), (-1, 3)])
+    def test_listed_edge(self, bad):
+        # one edge of a triangulation swapped, so the count check passes
+        ps = random_general_position(8, 1)
+        edges = sorted(triangulate(ps).edges)[1:] + [bad[::-1]]
+        with pytest.raises(PreconditionError) as err:
+            triangulation_from_edges(ps, edges)
+        assert str(err.value) == f"bad edge {bad}"
+
+
 class TestFirstCrossingOnlyOnFailure:
     """A valid input is certified by its faces alone: neither reader nor
     completion runs the crossing sweep."""
