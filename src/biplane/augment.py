@@ -16,7 +16,7 @@ from itertools import combinations
 from .connectivity import (CutReport, augmentation_violations, cut_structures,
                            vertex_connectivity)
 from .errors import ImpossibleError, InternalInvariantError, PreconditionError
-from .geometry import Point, cross, first_crossing, polygon_doubled_area
+from .geometry import PointSet, cross, first_crossing, polygon_doubled_area
 from .treeaug import build_cell_tree
 from .triangulation import (Edge, Triangulation, TriangulationClass, classify,
                             complete_to_triangulation, edge_key, flip,
@@ -57,31 +57,36 @@ def flip_pair_helper(t: Triangulation, u: int, v: int, w: int, v2: int) -> tuple
 # Exact wedge tests (for the bisector splits)
 # ----------------------------------------------------------------------
 
-def _in_ccw_sweep(center: Point, a: Point, b: Point, q: Point) -> bool:
+def _in_ccw_sweep(ps: PointSet, center: int, a: int, b: int, q: int) -> bool:
     """Is direction center->q strictly inside the ccw sweep from center->a to
     center->b?"""
-    ca = cross(center, a, q)
-    cb = cross(center, q, b)
-    if cross(center, a, b) > 0:
+    ca = cross(ps, center, a, q)
+    cb = cross(ps, center, q, b)
+    if cross(ps, center, a, b) > 0:
         return ca > 0 and cb > 0
     return ca > 0 or cb > 0
 
 
-def _closer_to_first_ray(center: Point, p1: Point, p2: Point, q: Point) -> bool:
-    """For q inside one of the wedges bounded by rays center->p1, center->p2:
-    is q's rotation distance from p1 at most its distance from p2 (the angle
-    bisector side test; ties go to the p1 side)?
+def _rays(ps: PointSet, center: int, p1: int, p2: int, q: int) -> tuple[int, ...]:
+    """The vectors from vertex `center` to p1, p2 and q, flattened, as
+    `_closer_to_first_ray` takes them."""
+    xs, ys = ps.xs, ps.ys
+    cx, cy = xs[center], ys[center]
+    return (xs[p1] - cx, ys[p1] - cy, xs[p2] - cx, ys[p2] - cy, xs[q] - cx, ys[q] - cy)
 
-    With a = p1 - center, b = p2 - center and d = q - center, both wedges are
-    bisected by the line through center along a/|a| + b/|b|, and q lies on
-    p1's side of it exactly when cross(a, b) * (cross(d, a) |b| +
+
+def _closer_to_first_ray(ax: int, ay: int, bx: int, by: int, dx: int, dy: int) -> bool:
+    """For a direction d = (dx, dy) inside one of the wedges bounded by the
+    rays along a = (ax, ay) and b = (bx, by): is d's rotation distance from a
+    at most its distance from b (the angle bisector side test; ties go to the
+    a side)?
+
+    Both wedges are bisected by the line along a/|a| + b/|b|, and d lies on
+    a's side of it exactly when cross(a, b) * (cross(d, a) |b| +
     cross(d, b) |a|) >= 0.  The sign of the bracket is exact: it is the
     common sign of its terms, or else the sign of the term whose square is
     larger (see README, Verification).
     """
-    ax, ay = p1.x - center.x, p1.y - center.y
-    bx, by = p2.x - center.x, p2.y - center.y
-    dx, dy = q.x - center.x, q.y - center.y
     da, db = dx * ay - dy * ax, dx * by - dy * bx
     if da == 0 or db == 0:
         raise InternalInvariantError("query direction coincides with a wedge boundary")
@@ -133,8 +138,7 @@ def _augment_3connected(t: Triangulation, report: CutReport) -> set[Edge]:
                 pos = (pos + 1) % h
                 span.append(pos)
             if iu in span and iv in span:
-                pts = [t.ps[center]] + [t.ps[hull[p]] for p in span]
-                area = abs(polygon_doubled_area(pts))
+                area = abs(polygon_doubled_area(t.ps, [center] + [hull[p] for p in span]))
                 labels = [hull[arm_pos[(j - i) % k]] for i in range(k)]
                 return area, labels
         raise InternalInvariantError("hull edge lies in no sector")
@@ -152,14 +156,14 @@ def _augment_3connected(t: Triangulation, report: CutReport) -> set[Edge]:
     last_bad: set[Edge] | None = None
     for v_prime in interior:
         new_edges: set[Edge] = {edge_key(v_prime, lab) for lab in labels[1:k - 1]}
-        c, p2, pk1, pk = ps[v_prime], ps[v2], ps[vk1], ps[vk]
         for hv in hull:
             if hv in (v2, vk1):
                 continue
-            ok_side = (_in_ccw_sweep(c, p2, pk1, ps[hv]) == _in_ccw_sweep(c, p2, pk1, pk))
+            ok_side = (_in_ccw_sweep(ps, v_prime, v2, vk1, hv)
+                       == _in_ccw_sweep(ps, v_prime, v2, vk1, vk))
             if not ok_side:
                 continue
-            if _closer_to_first_ray(c, p2, pk1, ps[hv]):
+            if _closer_to_first_ray(*_rays(ps, v_prime, v2, vk1, hv)):
                 new_edges.add(edge_key(v2, hv))
             else:
                 new_edges.add(edge_key(vk1, hv))
@@ -222,9 +226,8 @@ def _hang_cell(t: Triangulation, chord: Edge, members: frozenset[int], t1: Trian
         raise InternalInvariantError("first flip did not create the spoke to the apex")
     v_prime, x = local_ids[vp], local_ids[next(q for q in added2 if q != lv)]
     edges = {edge_key(local_ids[a], local_ids[b]) for (a, b) in flipped.edges}
-    pts = t.ps
     for q in sorted(members - {u, v, w}):
-        near = x if _closer_to_first_ray(pts[v], pts[x], pts[v_prime], pts[q]) else v_prime
+        near = x if _closer_to_first_ray(*_rays(t.ps, v, x, v_prime, q)) else v_prime
         edges.add(edge_key(q, near))
     return edges - set(t.edges)
 
@@ -253,18 +256,18 @@ def _wheel_remainder_wiring(t: Triangulation, chord: Edge, members: frozenset[in
     if len(vs) < 2:
         raise InternalInvariantError("wheel rim too short")
     v1 = vs[0]
-    ps = t.ps
+    xs, ys = t.ps.xs, t.ps.ys
 
     def first_hit(pivot: int, toward: int, sweep_ccw: bool) -> int:
         """Cell point first hit when rotating the line pivot-toward: each
         direction is flipped to the swept side of the line, and the first one
         in the sweep wins."""
-        c0, base = ps[pivot], ps[toward]
-        bx, by = base.x - c0.x, base.y - c0.y
+        cx, cy = xs[pivot], ys[pivot]
+        bx, by = xs[toward] - cx, ys[toward] - cy
         turn = 1 if sweep_ccw else -1
         best, best_x, best_y = -1, 0, 0
         for p in cell_inner:
-            dx, dy = ps[p].x - c0.x, ps[p].y - c0.y
+            dx, dy = xs[p] - cx, ys[p] - cy
             cr = bx * dy - by * dx
             if cr == 0:
                 raise InternalInvariantError("cell point collinear with the rotation line")

@@ -373,9 +373,8 @@ def cut_structures(t: Triangulation) -> CutReport:
             if tri in seen or tri in t.triangles:
                 continue
             seen.add(tri)
-            pa, pb, pc = t.ps[tri[0]], t.ps[tri[1]], t.ps[tri[2]]
-            inside = [p.id for p in t.ps if p.id not in tri and point_in_triangle(pa, pb, pc, p)]
-            outside = [p.id for p in t.ps if p.id not in tri and p.id not in inside]
+            inside = [p for p in range(len(t.ps)) if p not in tri and point_in_triangle(t.ps, *tri, p)]
+            outside = [p for p in range(len(t.ps)) if p not in tri and p not in inside]
             if inside and outside:
                 report.separating_triangles.append(
                     SeparatingTriangle(tri, inside[0], outside[0]))
@@ -383,9 +382,8 @@ def cut_structures(t: Triangulation) -> CutReport:
 
 
 def _crossings_with_path(ps: PointSet, e: Edge, path_edges: Sequence[Edge]) -> int:
-    a, b = ps[e[0]], ps[e[1]]
-    return sum(1 for (u, v) in path_edges
-               if segments_properly_cross(a, b, ps[u], ps[v]))
+    a, b = e
+    return sum(1 for (u, v) in path_edges if segments_properly_cross(ps, a, b, u, v))
 
 
 def check_4conn_augmentation(t: Triangulation, added: Iterable[Edge]) -> tuple[bool, list[str]]:
@@ -409,14 +407,13 @@ def augmentation_violations(t: Triangulation, added: Iterable[Edge],
     violations: list[str] = []
 
     for chord in report.chords:
-        crossers = [e for e in new_edges
-                    if segments_properly_cross(ps[e[0]], ps[e[1]], ps[chord[0]], ps[chord[1]])]
+        a, b = chord
+        crossers = [e for e in new_edges if segments_properly_cross(ps, e[0], e[1], a, b)]
         if len(crossers) < 2:
             violations.append(f"chord {chord} crossed by {len(crossers)} < 2 new edges")
             continue
-        a, b = ps[chord[0]], ps[chord[1]]
-        side1 = sum(1 for p in ps if p.id not in chord and cross(a, b, p) > 0)
-        side2 = sum(1 for p in ps if p.id not in chord and cross(a, b, p) < 0)
+        side1 = sum(1 for p in range(len(ps)) if p not in chord and cross(ps, a, b, p) > 0)
+        side2 = sum(1 for p in range(len(ps)) if p not in chord and cross(ps, a, b, p) < 0)
         if side1 >= 2 and side2 >= 2:
             if not any(not set(e1) & set(e2)
                        for i, e1 in enumerate(crossers) for e2 in crossers[i + 1:]):

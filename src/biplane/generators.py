@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Sequence
 
 from .errors import InternalInvariantError, PreconditionError
-from .geometry import Point, PointSet, convex_hull, segments_properly_cross
+from .geometry import PointSet, _open_segments_cross, convex_hull
 from .triangulation import Triangulation, edge_key, flip, is_flippable, triangulate
 
 
@@ -28,14 +29,13 @@ def regular_polygon_points(n: int, radius: int = 10 ** 6) -> PointSet:
     if n < 3:
         raise PreconditionError("polygon needs n >= 3")
     r = radius
+    # fixed angular offset avoids axis-aligned rounding collisions
+    angles = [2.0 * math.pi * (j + 0.37) / n for j in range(n)]
     for _ in range(20):
-        coords = []
-        for j in range(n):
-            # fixed angular offset avoids axis-aligned rounding collisions
-            a = 2.0 * math.pi * (j + 0.37) / n
-            coords.append((round(r * math.cos(a)), round(r * math.sin(a))))
-        if len(convex_hull([Point(x, y, i) for i, (x, y) in enumerate(coords)])) == n:
-            ps = _try_pointset(coords)
+        xs = [round(r * math.cos(a)) for a in angles]
+        ys = [round(r * math.sin(a)) for a in angles]
+        if len(convex_hull(xs, ys)) == n:
+            ps = _try_pointset(list(zip(xs, ys)))
             if ps is not None:
                 return ps
         r *= 2
@@ -97,7 +97,7 @@ def generate_wheel(n: int) -> Triangulation:
     m = n - 1
     base = regular_polygon_points(m)
     for cx, cy in ((0, 0), (1, 2), (2, 1), (3, 5), (5, 3), (7, 11)):
-        ps = _try_pointset([p.coords() for p in base.points] + [(cx, cy)])
+        ps = _try_pointset([*zip(base.xs, base.ys), (cx, cy)])
         if ps is None or len(ps.hull()) != m:
             continue
         hull = ps.hull()
@@ -118,7 +118,7 @@ def generate_fan(n: int) -> Triangulation:
     return Triangulation(ps, tris)
 
 
-def _strip_triangles(top: list[int], bottom: list[int], xs: dict[int, int]) -> list[tuple[int, int, int]]:
+def _strip_triangles(top: list[int], bottom: list[int], xs: Sequence[int]) -> list[tuple[int, int, int]]:
     """Triangulate the x-monotone strip between two disjoint chains; the
     implied side edges are (top[0], bottom[0]) and (top[-1], bottom[-1])."""
     tris = []
@@ -162,15 +162,16 @@ def generate_no5conn_counterexample(k: int) -> Triangulation:
         expected_hull = {x[0], x[-1], c1, c2, c3, *y}
         # the hull and crossing checks run on the raw points, so that only a
         # candidate passing both pays for the O(n^2) general-position scan
-        pts = [Point(cx, cy, i) for i, (cx, cy) in enumerate(coords)]
-        if set(convex_hull(pts)) != expected_hull:
+        xs, ys = [cx for cx, _ in coords], [cy for _, cy in coords]
+        if set(convex_hull(xs, ys)) != expected_hull:
             return None
         # required crossing property: y_i to any bottom point crosses x_{i+1} x_{i+2}
         bottom = [c1, c2, c3, ul, z1, z2, ur]
         for i in range(m - 3):
-            a, b = pts[x[i + 1]], pts[x[i + 2]]
+            a, b = x[i + 1], x[i + 2]
             for w in bottom:
-                if not segments_properly_cross(pts[y[i]], pts[w], a, b):
+                if not _open_segments_cross((xs[y[i]], ys[y[i]], xs[w], ys[w]),
+                                            (xs[a], ys[a], xs[b], ys[b])):
                     return None
         ps = _try_pointset(coords)
         if ps is None:
@@ -180,8 +181,7 @@ def generate_no5conn_counterexample(k: int) -> Triangulation:
         tris += [(y[i], x[i + 1], x[i + 2]) for i in range(m - 3)]
         tris += [(y[i], y[i + 1], x[i + 2]) for i in range(m - 4)]
         tris.append((y[-1], x[-2], x[-1]))
-        tris += _strip_triangles(x, [ul, z1, z2, ur],
-                                 {v: ps[v].x for v in range(len(ps))})
+        tris += _strip_triangles(x, [ul, z1, z2, ur], xs)
         tris += [(x[0], c1, ul), (ul, c1, z1), (z1, c1, c2), (z1, c2, z2),
                  (z2, c2, c3), (z2, c3, ur), (ur, c3, x[-1])]
         try:

@@ -44,18 +44,23 @@ class Point:
         return f"Point({self.x}, {self.y}, id={self.id})"
 
 
-def cross(o: Point, a: Point, b: Point) -> int:
-    """Exact cross product (a - o) x (b - o); twice the signed triangle area."""
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+def cross(ps: PointSet, o: int, a: int, b: int) -> int:
+    """Exact cross product (a - o) x (b - o) of three points of `ps`; twice
+    the signed triangle area."""
+    xs, ys = ps.xs, ps.ys
+    ox, oy = xs[o], ys[o]
+    return (xs[a] - ox) * (ys[b] - oy) - (ys[a] - oy) * (xs[b] - ox)
 
 
-def segments_properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """True iff open segments ab and cd share exactly one interior point.
+def segments_properly_cross(ps: PointSet, a: int, b: int, c: int, d: int) -> bool:
+    """True iff the open segments ab and cd of points of `ps` share exactly
+    one interior point.
 
     Segments that share an endpoint never properly cross (general position
     rules out overlap along a line).
     """
-    return _open_segments_cross((a.x, a.y, b.x, b.y), (c.x, c.y, d.x, d.y))
+    xs, ys = ps.xs, ps.ys
+    return _open_segments_cross((xs[a], ys[a], xs[b], ys[b]), (xs[c], ys[c], xs[d], ys[d]))
 
 
 # ----------------------------------------------------------------------
@@ -215,30 +220,13 @@ def crosses_any(ps: PointSet, edge: tuple[int, int], edges: Iterable[tuple[int, 
     return False
 
 
-class _BuiltOnFirstUse:
-    """A value computed from the instance on its first read and then stored
-    as a plain instance attribute of the same name, which shadows this
-    descriptor from then on.  functools.cached_property writes through the
-    instance `__dict__` instead, and that slows every later attribute read
-    on the instance in CPython."""
-
-    def __init__(self, build: Callable):
-        self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = self.build(obj)
-        setattr(obj, self.name, value)
-        return value
-
-
 class PointSet:
     """Ordered, validated point set: distinct points, no three collinear.
 
     Vertex ids are assigned by position.  Immutable after construction; `xs`
-    and `ys` hold the coordinates as flat integer tuples for the kernels below,
-    and `points` (or `ps[i]`) as `Point`s, built on first use.
+    and `ys` hold the coordinates as flat integer tuples, which every
+    predicate reads by vertex id.  `points`, `ps[i]` and iteration hand out
+    new `Point`s on each read.
     """
 
     def __init__(self, points: Sequence[Point] | Sequence[tuple[int, int]]):
@@ -249,7 +237,7 @@ class PointSet:
         self.xs, self.ys = _checked_points(points, 0)
         _check_distinct(self.xs, self.ys, 0)
         n = len(self.xs)
-        hull = tuple(convex_hull(self)) if n >= 3 else None
+        hull = tuple(convex_hull(self.xs, self.ys)) if n >= 3 else None
         self._init(n if hull is not None and len(hull) == n else 0)
         self._hull = hull
 
@@ -280,24 +268,25 @@ class PointSet:
                 "points {}, {}, {} are collinear (general position required)".format(*first))
         self._hull: tuple[int, ...] | None = None
 
-    @_BuiltOnFirstUse
+    @property
     def points(self) -> tuple[Point, ...]:
-        """The points as `Point`s, built on first use."""
-        return tuple(map(Point, self.xs, self.ys, range(len(self.xs))))
+        """The points as `Point`s."""
+        return tuple(self)
 
     def __len__(self) -> int:
         return len(self.xs)
 
     def __iter__(self):
-        return iter(self.points)
+        return map(Point, self.xs, self.ys, range(len(self.xs)))
 
     def __getitem__(self, i: int) -> Point:
-        return self.points[i]
+        i = range(len(self.xs))[i]
+        return Point(self.xs[i], self.ys[i], i)
 
     def hull(self) -> tuple[int, ...]:
         """Counterclockwise convex hull as a tuple of vertex ids (cached)."""
         if self._hull is None:
-            self._hull = tuple(convex_hull(self))
+            self._hull = tuple(convex_hull(self.xs, self.ys))
         return self._hull
 
     def interior_ids(self) -> tuple[int, ...]:
@@ -321,10 +310,8 @@ class PointSet:
         """
         xs, ys = _checked_points(coords, len(self))
         out = self._derived(self.xs + xs, self.ys + ys, len(self))
-        # the old points keep their Point objects: only the new ones are built
-        out.points = self.points + tuple(map(Point, xs, ys, range(len(self), len(out))))
-        if self._hull is not None and all(point_strictly_inside_hull(self, p)
-                                          for p in out.points[len(self):]):
+        if self._hull is not None and all(strictly_inside(out, self._hull, s)
+                                          for s in range(len(self), len(out))):
             out._hull = self._hull
         return out
 
@@ -367,18 +354,16 @@ def _check_distinct(xs: Sequence[int], ys: Sequence[int], known: int) -> None:
         seen.add(p)
 
 
-def convex_hull(ps: PointSet | Sequence[Point]) -> list[int]:
-    """Counterclockwise hull vertex ids via Andrew's monotone chain (1979),
-    on (x, y, id) tuples.  The line from the lexicographically smallest point
-    to the largest splits the others: a point strictly below it can only be
-    a lower hull vertex, one strictly above it an upper one, and one on it
-    neither, so each chain runs on its own side."""
-    if len(ps) < 3:
+def convex_hull(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """Counterclockwise hull vertices of the distinct points (xs[i], ys[i]),
+    as positions i, via Andrew's monotone chain (1979) on (x, y, i) tuples.
+    The line from the lexicographically smallest point to the largest splits
+    the others: a point strictly below it can only be a lower hull vertex,
+    one strictly above it an upper one, and one on it neither, so each chain
+    runs on its own side."""
+    if len(xs) < 3:
         raise PreconditionError("convex hull needs at least 3 points")
-    if isinstance(ps, PointSet):
-        order = sorted(zip(ps.xs, ps.ys, range(len(ps))))
-    else:
-        order = sorted([(p.x, p.y, p.id) for p in ps])
+    order = sorted(zip(xs, ys, range(len(xs))))
     first, last = order[0], order[-1]
     lx, ly, _ = first
     ex, ey = last[0] - lx, last[1] - ly
@@ -413,24 +398,25 @@ def is_convex_position(ps: PointSet) -> bool:
     return len(ps.hull()) == len(ps)
 
 
-def polygon_doubled_area(pts: Sequence[Point]) -> int:
-    """Exact doubled (shoelace) area; positive for counterclockwise order."""
-    total = 0
-    for a, b in zip(pts, pts[1:] + list(pts[:1])):
-        total += a.x * b.y - b.x * a.y
-    return total
+def polygon_doubled_area(ps: PointSet, cycle: Sequence[int]) -> int:
+    """Exact doubled (shoelace) area of the polygon of the vertices `cycle`;
+    positive for counterclockwise order."""
+    xs, ys = ps.xs, ps.ys
+    return sum(xs[a] * ys[b] - xs[b] * ys[a] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
 
-def point_strictly_inside_hull(ps: PointSet, s: Point) -> bool:
-    h = ps.hull()
-    pts = ps.points
-    return all(cross(pts[h[i]], pts[h[(i + 1) % len(h)]], s) > 0 for i in range(len(h)))
+def strictly_inside(ps: PointSet, polygon: Sequence[int], s: int) -> bool:
+    """True iff vertex s lies strictly inside the counterclockwise convex
+    polygon of the vertices `polygon`."""
+    m = len(polygon)
+    return all(cross(ps, polygon[i], polygon[(i + 1) % m], s) > 0 for i in range(m))
 
 
-def point_in_triangle(a: Point, b: Point, c: Point, s: Point) -> bool:
-    """Strict interior test (general position: boundary cases cannot occur
-    for distinct set members, but the test is strict regardless)."""
-    d1, d2, d3 = cross(a, b, s), cross(b, c, s), cross(c, a, s)
+def point_in_triangle(ps: PointSet, a: int, b: int, c: int, s: int) -> bool:
+    """Strict interior test of vertex s in triangle abc (general position:
+    boundary cases cannot occur for distinct set members, but the test is
+    strict regardless)."""
+    d1, d2, d3 = cross(ps, a, b, s), cross(ps, b, c, s), cross(ps, c, a, s)
     return (d1 > 0 and d2 > 0 and d3 > 0) or (d1 < 0 and d2 < 0 and d3 < 0)
 
 
@@ -452,17 +438,18 @@ def circular_runs(flags: Sequence[bool]) -> list[tuple[int, int]]:
     return runs
 
 
-def visible_chain(pts: Sequence[Point], s: Point) -> tuple[int, int]:
-    """The edges of the counterclockwise convex polygon `pts` that s sees
-    (cross < 0), as (i, k): s sees edges i, ..., i + k - 1 (mod m), edge j
-    joining pts[j] and pts[j + 1]; (0, 0) when it sees none.
+def visible_chain(ps: PointSet, cycle: Sequence[int], s: int) -> tuple[int, int]:
+    """The edges of the counterclockwise convex polygon of the vertices
+    `cycle` that vertex s sees (cross < 0), as (i, k): s sees edges i, ...,
+    i + k - 1 (mod m), edge j joining cycle[j] and cycle[j + 1]; (0, 0) when
+    it sees none.
 
     A point outside a convex polygon sees a nonempty contiguous chain of its
     edges (see README, Verification), so the one run that `circular_runs`
     finds in one pass of `cross` is the chain.  Two points u, v count as the
     edges (u, v) and (v, u), of which s sees one."""
-    m = len(pts)
-    runs = circular_runs([cross(pts[j], pts[(j + 1) % m], s) < 0 for j in range(m)])
+    m = len(cycle)
+    runs = circular_runs([cross(ps, cycle[j], cycle[(j + 1) % m], s) < 0 for j in range(m)])
     return runs[0] if runs else (0, 0)
 
 

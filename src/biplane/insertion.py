@@ -17,9 +17,8 @@ from typing import Callable, Sequence
 from .connectivity import layer_crossing
 from .convex import build_5conn_convex
 from .errors import InternalInvariantError, PreconditionError
-from .geometry import (Point, PointSet, circular_runs, convex_hull, cross,
-                       max_convex_subset_indices, point_strictly_inside_hull,
-                       polygon_doubled_area, segments_properly_cross,
+from .geometry import (PointSet, circular_runs, convex_hull, max_convex_subset_indices,
+                       polygon_doubled_area, segments_properly_cross, strictly_inside,
                        visible_chain)
 from .layered import LAYER1, LAYER2, LayeredGraph
 from .triangulation import (Edge, Triangulation, TriangulationClass, classify,
@@ -89,12 +88,16 @@ class InsertionState:
     def interior_hull(self) -> tuple[int, ...]:
         if self._interior_hull is None:
             inner = self.ps.interior_ids()
-            self._interior_hull = (tuple(convex_hull([self.ps[i] for i in inner]))
-                                   if len(inner) >= 3 else inner)
+            self._interior_hull = _hull_of(self.ps, inner) if len(inner) >= 3 else inner
         return self._interior_hull
 
     def edges(self) -> frozenset[Edge]:
         return self.layer1 | self.layer2
+
+
+def _hull_of(ps: PointSet, ids: Sequence[int]) -> tuple[int, ...]:
+    """The counterclockwise hull of the vertices `ids` of `ps`, as ids."""
+    return tuple(ids[i] for i in convex_hull([ps.xs[v] for v in ids], [ps.ys[v] for v in ids]))
 
 
 def _saturate(state: InsertionState) -> tuple[Triangulation, Triangulation, frozenset[Edge]]:
@@ -208,7 +211,7 @@ def _interior_hull_with(ps: PointSet, hull: tuple[int, ...], s: int) -> tuple[in
     m = len(hull)
     if m < 2:
         return hull + (s,)
-    i, k = visible_chain([ps[v] for v in hull], ps[s])
+    i, k = visible_chain(ps, hull, s)
     if not k:
         raise PreconditionError("point must lie outside the hull of the interior vertices")
     return tuple(hull[(i + k + j) % m] for j in range(m - k + 1)) + (s,)
@@ -279,10 +282,10 @@ def _property_union(sa: PointSet, sb: Sequence[tuple[int, int]]
     missing = sorted(b_ids - set(hull))
     if missing:
         raise PreconditionError(f"{_VIOLATED}new points {missing} are not hull vertices of the union")
-    a_pts = [sa[v] for v in sa.hull()]
+    a_hull = sa.hull()
     vis_of = {}
     for b in b_ids:
-        i, k = visible_chain(a_pts, combined[b])
+        i, k = visible_chain(combined, a_hull, b)
         vis_of[b] = frozenset((i + j) % p for j in range(k))
     h = len(hull)
     for start, length in circular_runs([v in b_ids for v in hull]):
@@ -330,24 +333,16 @@ def _bipartite_match(vis: list[set[int]]) -> list[int] | None:
     return out
 
 
-def _quad_points(ps: PointSet, cycle: Sequence[int]) -> list[Point]:
-    pts = [ps[v] for v in cycle]
-    return pts if polygon_doubled_area(pts) > 0 else pts[::-1]
-
-
-def _convex_polys_overlap(p1: list[Point], p2: list[Point]) -> bool:
-    """Interior overlap of two convex polygons (shared corners allowed)."""
-
-    def strictly_inside(poly: list[Point], s: Point) -> bool:
-        return all(cross(poly[i], poly[(i + 1) % len(poly)], s) > 0 for i in range(len(poly)))
-
+def _convex_polys_overlap(ps: PointSet, p1: Sequence[int], p2: Sequence[int]) -> bool:
+    """Interior overlap of two counterclockwise convex polygons of vertices
+    of `ps` (shared corners allowed)."""
     for i in range(len(p1)):
         a, b = p1[i], p1[(i + 1) % len(p1)]
         for j in range(len(p2)):
             c, d = p2[j], p2[(j + 1) % len(p2)]
-            if segments_properly_cross(a, b, c, d):
+            if segments_properly_cross(ps, a, b, c, d):
                 return True
-    return any(strictly_inside(p2, s) for s in p1) or any(strictly_inside(p1, s) for s in p2)
+    return any(strictly_inside(ps, p2, s) for s in p1) or any(strictly_inside(ps, p1, s) for s in p2)
 
 
 class _HullWiring:
@@ -394,15 +389,17 @@ def _wire_surrounding(w: _HullWiring, a_hull: tuple[int, ...], b_cycle: tuple[in
     if assign is None:
         raise InternalInvariantError("Hall matching of hull edges failed")
 
-    def quad(i: int) -> list[Point]:
+    def quad(i: int) -> tuple[int, ...]:
+        """The quadrilateral of outer edge i and its assigned inner edge,
+        counterclockwise."""
         j = assign[i]
-        return _quad_points(ps, (b_cycle[i], b_cycle[(i + 1) % q],
-                                 a_hull[(j + 1) % p], a_hull[j]))
+        cycle = (b_cycle[i], b_cycle[(i + 1) % q], a_hull[(j + 1) % p], a_hull[j])
+        return cycle if polygon_doubled_area(ps, cycle) > 0 else cycle[::-1]
 
     def overlap_pairs() -> list[tuple[int, int]]:
         quads = [quad(i) for i in range(q)]
         return [(i, j) for i in range(q) for j in range(i + 1, q)
-                if _convex_polys_overlap(quads[i], quads[j])]
+                if _convex_polys_overlap(ps, quads[i], quads[j])]
 
     pairs = overlap_pairs()
     guard = 0
@@ -540,7 +537,7 @@ def _wire_single_point_p4(w: _HullWiring, t1: Triangulation, t2: Triangulation,
     distinct = len({triangle_key(*tri1), triangle_key(*tri2), triangle_key(*tri3)})
     if distinct == 3:
         for (u, v, apex) in (tri1, tri2, tri3):
-            if segments_properly_cross(ps[b], ps[apex], ps[u], ps[v]):
+            if segments_properly_cross(ps, b, apex, u, v):
                 w.demote(edge_key(u, v), other_layer)
                 w.add(b, apex, own_layer)
                 return
@@ -548,7 +545,7 @@ def _wire_single_point_p4(w: _HullWiring, t1: Triangulation, t2: Triangulation,
     if triangle_key(*tri2) != triangle_key(*tri3):
         raise InternalInvariantError("unexpected coincidence pattern of boundary triangles")
     apex1 = tri1[2]
-    if segments_properly_cross(ps[b], ps[apex1], ps[a1], ps[a2]):
+    if segments_properly_cross(ps, b, apex1, a1, a2):
         w.demote(edge_key(a1, a2), other_layer)
         w.add(b, apex1, own_layer)
         return
@@ -557,13 +554,13 @@ def _wire_single_point_p4(w: _HullWiring, t1: Triangulation, t2: Triangulation,
     if len(ws) != 1:
         raise InternalInvariantError("missing second triangle behind the boundary chord")
     v_far = ws[0]
-    if not segments_properly_cross(ps[b], ps[v_far], ps[a2], ps[a4]):
+    if not segments_properly_cross(ps, b, v_far, a2, a4):
         raise InternalInvariantError("neither candidate quadrilateral is convex")
     if chord in w.layers[LAYER1] or chord in w.layers[LAYER2]:
         deleted.add(chord)
         w.delete(chord)
     crossed = [e for e in (edge_key(a2, a3), edge_key(a3, a4))
-               if segments_properly_cross(ps[b], ps[v_far], ps[e[0]], ps[e[1]])]
+               if segments_properly_cross(ps, b, v_far, *e)]
     if len(crossed) != 1:
         raise InternalInvariantError("the far connection must cross exactly one boundary edge")
     w.demote(crossed[0], other_layer)
@@ -644,7 +641,8 @@ def build_5conn_general(ps: PointSet,
     ps0 = ps.subset(core)
     hull_of_all = set(ps.hull())
     rest = [i for i in range(len(ps)) if i not in core_set]
-    s_int = [i for i in rest if point_strictly_inside_hull(ps0, ps[i])]
+    core_hull = [core[j] for j in ps0.hull()]
+    s_int = [i for i in rest if strictly_inside(ps, core_hull, i)]
     s_bou = [i for i in rest if i not in s_int and i in hull_of_all]
     s_ext = [i for i in rest if i not in s_int and i not in hull_of_all]
 
@@ -653,28 +651,27 @@ def build_5conn_general(ps: PointSet,
     state = InsertionState(build_5conn_convex(ps0))
     if on_step:
         on_step("core", state.current)
-    for i in sorted(s_int, key=lambda i: (ps[i].x, ps[i].y)):
-        state = insert_interior_point(state, ps[i].coords())
+    for i in sorted(s_int, key=lambda i: (ps.xs[i], ps.ys[i])):
+        state = insert_interior_point(state, (ps.xs[i], ps.ys[i]))
         order.append(i)
         if on_step:
             on_step(f"interior:{i}", state.current)
     if s_bou:
-        state = insert_hull_points(state, [ps[i].coords() for i in s_bou])
+        state = insert_hull_points(state, [(ps.xs[i], ps.ys[i]) for i in s_bou])
         order.extend(s_bou)
         if on_step:
             on_step("boundary", state.current)
     remaining = set(s_ext)
     removal: list[int] = []
     while remaining:
-        pts = [ps[i] for i in sorted(core_set | remaining)]
-        on_hull = set(convex_hull(pts)) & remaining
+        on_hull = set(_hull_of(ps, sorted(core_set | remaining))) & remaining
         if not on_hull:
             raise InternalInvariantError("hull peeling found no removable exterior point")
         pick = min(on_hull)
         removal.append(pick)
         remaining.remove(pick)
     for i in reversed(removal):
-        state = insert_interior_point(state, ps[i].coords())
+        state = insert_interior_point(state, (ps.xs[i], ps.ys[i]))
         order.append(i)
         if on_step:
             on_step(f"exterior:{i}", state.current)

@@ -9,9 +9,7 @@ _MARGIN = 0.05
 
 
 def render_svg(g: LayeredGraph) -> str:
-    pts = list(g.ps)
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
+    xs, ys = g.ps.xs, g.ps.ys
     lo_x, hi_x = min(xs, default=0), max(xs, default=0)
     lo_y, hi_y = min(ys, default=0), max(ys, default=0)
     span = max(hi_x - lo_x, hi_y - lo_y, 1)
@@ -36,13 +34,12 @@ def render_svg(g: LayeredGraph) -> str:
         f'  <rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
     ]
     for (u, v), tag in g.layers.items():
-        pu, pv = pts[u], pts[v]
-        out.append(f'  <line x1="{sx(pu.x):.2f}" y1="{sy(pu.y):.2f}" '
-                   f'x2="{sx(pv.x):.2f}" y2="{sy(pv.y):.2f}" {styles[tag]}/>')
-    for p in pts:
-        out.append(f'  <circle cx="{sx(p.x):.2f}" cy="{sy(p.y):.2f}" r="5" '
+        out.append(f'  <line x1="{sx(xs[u]):.2f}" y1="{sy(ys[u]):.2f}" '
+                   f'x2="{sx(xs[v]):.2f}" y2="{sy(ys[v]):.2f}" {styles[tag]}/>')
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        out.append(f'  <circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="5" '
                    'fill="#d03020" stroke="black" stroke-width="1"/>')
-        out.append(f'  <text x="{sx(p.x) + 8:.2f}" y="{sy(p.y) - 8:.2f}" '
-                   f'font-family="monospace" font-size="14">{p.id}</text>')
+        out.append(f'  <text x="{sx(x) + 8:.2f}" y="{sy(y) - 8:.2f}" '
+                   f'font-family="monospace" font-size="14">{i}</text>')
     out.append('</svg>')
     return "\n".join(out) + "\n"

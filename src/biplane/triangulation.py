@@ -8,7 +8,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
-from .geometry import (Point, PointSet, _ccw_key, _edge_rings, ccw_order, crossing_pairs, crosses_any,
+from .geometry import (PointSet, _ccw_key, _edge_rings, ccw_order, crossing_pairs, crosses_any,
                        cross, first_crossing, point_in_triangle,
                        segments_properly_cross, visible_chain)
 
@@ -52,7 +52,7 @@ class Triangulation:
         self.hull: tuple[int, ...] = ps.hull()
         h = self.hull
         self._hull_edges = frozenset(edge_key(h[i], h[(i + 1) % len(h)]) for i in range(len(h)))
-        adj: dict[int, set[int]] = {p.id: set() for p in ps}
+        adj: dict[int, set[int]] = {v: set() for v in range(len(ps))}
         for (u, v) in self.edges:
             adj[u].add(v)
             adj[v].add(u)
@@ -73,7 +73,7 @@ class Triangulation:
         expected = 3 * len(ps) - 3 - len(self.hull)
         if len(self.edges) != expected:
             raise InternalInvariantError(f"edge count {len(self.edges)} != 3n-3-h = {expected}")
-        hull_edges, opposites, pts = self._hull_edges, self._opposites, ps.points
+        hull_edges, opposites = self._hull_edges, self._opposites
         failed = None
         for (a, b, c) in faces:
             if a == b or b == c:
@@ -84,18 +84,17 @@ class Triangulation:
             if len(ws) != want:
                 raise InternalInvariantError(f"edge {e} lies in {len(ws)} triangles, expected {want}")
             if want == 2 and failed is None:
-                pu, pv = pts[e[0]], pts[e[1]]
-                if cross(pu, pv, pts[ws[0]]) * cross(pu, pv, pts[ws[1]]) >= 0:
+                u, v = e
+                if cross(ps, u, v, ws[0]) * cross(ps, u, v, ws[1]) >= 0:
                     failed = f"the apexes {ws} of edge {e} lie on one side of it"
         if not hull_edges <= self.edges:
             raise InternalInvariantError("hull edge missing from triangulation")
         if failed is None:
             return
         for (a, b, c) in self.triangles:
-            pa, pb, pc = ps[a], ps[b], ps[c]
-            for p in ps:
-                if p.id not in (a, b, c) and point_in_triangle(pa, pb, pc, p):
-                    raise InternalInvariantError(f"triangle {(a, b, c)} contains vertex {p.id}")
+            for p in range(len(ps)):
+                if p not in (a, b, c) and point_in_triangle(ps, a, b, c, p):
+                    raise InternalInvariantError(f"triangle {(a, b, c)} contains vertex {p}")
         es = sorted(self.edges)
         pairs = crossing_pairs(ps, es)
         if pairs:
@@ -149,7 +148,7 @@ class Triangulation:
         ps, n = self.ps, len(self.ps)
         if s != n or len(new_ps) != n + 1 or new_ps.xs[:n] != ps.xs or new_ps.ys[:n] != ps.ys:
             raise PreconditionError(f"the new point set does not extend this one by point {s}")
-        a, b, c = tri = self.locate(new_ps[s])
+        a, b, c = tri = self.locate((new_ps.xs[s], new_ps.ys[s]))
         return self._replaced(new_ps, {tri}, {(a, b, s), (b, c, s), (a, c, s)})
 
     # ------------------------------------------------------------------
@@ -172,48 +171,48 @@ class Triangulation:
     def opposites(self, e: Edge) -> tuple[int, ...]:
         return self._opposites[edge_key(*e)]
 
-    def locate(self, s: Point) -> tuple[int, int, int]:
-        """Triangle strictly containing s, by a straight walk from vertex
-        n - 1 to s (Devillers, Pion and Teillaud, *Walking in a
-        triangulation*, 2002): the walk crosses only the edges that the
+    def locate(self, s: tuple[int, int]) -> tuple[int, int, int]:
+        """Triangle strictly containing the point s = (x, y), by a straight
+        walk from vertex n - 1 to s (Devillers, Pion and Teillaud, *Walking
+        in a triangulation*, 2002): the walk crosses only the edges that the
         segment crosses, each further along it (see README, Verification).
 
         s must be in general position with the vertices, as a point that
         `PointSet.extended` accepted is; a collinear triple met on the way
         is a PreconditionError.
         """
-        pts = self.ps.points
-        q = len(pts) - 1
-        pq = pts[q]
+        ps = self.ps
+        xs, ys = ps.xs, ps.ys
+        sx, sy = s
+        q = len(ps) - 1
+        qx, qy = xs[q], ys[q]
 
         def side(v: int) -> int:
             """Positive when v is left of the directed line from q to s."""
-            c = cross(pq, s, pts[v])
+            c = (sx - qx) * (ys[v] - qy) - (sy - qy) * (xs[v] - qx)
             if c == 0:
-                raise PreconditionError(
-                    f"point {s.coords()} is collinear with vertices {q} and {v}")
+                raise PreconditionError(f"point {(sx, sy)} is collinear with vertices {q} and {v}")
             return c
 
         # the triangle at q that the segment enters: right corner r, left l
         left = {v: side(v) > 0 for v in self._adj[q]}
         start = next(((r, l) for r, is_left in left.items() if not is_left
                       for l in self._opposites[edge_key(q, r)]
-                      if left[l] and cross(pq, pts[r], pts[l]) > 0), None)
+                      if left[l] and cross(ps, q, r, l) > 0), None)
         if start is None:
-            raise PreconditionError(f"point {s.coords()} lies in no triangle")
+            raise PreconditionError(f"point {(sx, sy)} lies in no triangle")
         (r, l), far = start, q
         while True:
             # the segment leaves the counterclockwise triangle (far, r, l) by
             # its side (r, l), and s lies beyond the side it entered by
-            c = cross(pts[r], pts[l], s)
+            c = (xs[l] - xs[r]) * (sy - ys[r]) - (ys[l] - ys[r]) * (sx - xs[r])
             if c > 0:
                 return triangle_key(far, r, l)
             if c == 0:
-                raise PreconditionError(
-                    f"point {s.coords()} is collinear with vertices {r} and {l}")
+                raise PreconditionError(f"point {(sx, sy)} is collinear with vertices {r} and {l}")
             ws = self._opposites[edge_key(r, l)]
             if len(ws) == 1:
-                raise PreconditionError(f"point {s.coords()} lies in no triangle")
+                raise PreconditionError(f"point {(sx, sy)} lies in no triangle")
             z = ws[1] if ws[0] == far else ws[0]
             if side(z) > 0:
                 far, l = l, z
@@ -247,22 +246,18 @@ def triangulate(ps: PointSet) -> Triangulation:
     """
     if len(ps) < 3:
         raise PreconditionError("need at least 3 points")
-    order = sorted(ps.points, key=lambda p: (p.x, p.y))
-    tris: list[tuple[int, int, int]] = []
-    a, b, c = order[0], order[1], order[2]
-    tris.append(triangle_key(a.id, b.id, c.id))
-    if cross(a, b, c) > 0:
-        hull = [a.id, b.id, c.id]
-    else:
-        hull = [a.id, c.id, b.id]
+    order = sorted(range(len(ps)), key=lambda v: (ps.xs[v], ps.ys[v]))
+    a, b, c = order[:3]
+    tris = [triangle_key(a, b, c)]
+    hull = [a, b, c] if cross(ps, a, b, c) > 0 else [a, c, b]
     for p in order[3:]:
         m = len(hull)
-        i, k = visible_chain([ps[v] for v in hull], p)
+        i, k = visible_chain(ps, hull, p)
         if not k:
             raise InternalInvariantError("new lexicographic point sees no hull edge")
         for j in range(i, i + k):
-            tris.append(triangle_key(hull[j % m], hull[(j + 1) % m], p.id))
-        hull = [hull[(i + k + j) % m] for j in range(m - k + 1)] + [p.id]
+            tris.append(triangle_key(hull[j % m], hull[(j + 1) % m], p))
+        hull = [hull[(i + k + j) % m] for j in range(m - k + 1)] + [p]
     return Triangulation(ps, tris)
 
 
@@ -274,7 +269,7 @@ def is_flippable(t: Triangulation, e: Edge) -> bool:
         return False
     a, b = t.opposites(e)
     u, v = e
-    return segments_properly_cross(t.ps[u], t.ps[v], t.ps[a], t.ps[b])
+    return segments_properly_cross(t.ps, u, v, a, b)
 
 
 def flip(t: Triangulation, e: Edge) -> Triangulation:
@@ -368,8 +363,7 @@ def _fill_faces(ps: PointSet, required: list[Edge], avoid: set[Edge]) -> Triangu
     of that face only.  The triangles are the closed triangle faces of R'
     and the two on each taken edge; `Triangulation` certifies them, and
     their edges must be R' and the taken ones."""
-    n, pts = len(ps), ps.points
-    xs, ys = ps.xs, ps.ys
+    n, xs, ys = len(ps), ps.xs, ps.ys
     hull = ps.hull()
     hull_edges = {edge_key(hull[i - 1], hull[i]) for i in range(len(hull))}
     plane = hull_edges.union(required)
@@ -429,8 +423,8 @@ def _fill_faces(ps: PointSet, required: list[Edge], avoid: set[Edge]) -> Triangu
         return canon[fs[bisect(keys[u], _ccw_key(ps, u)(w)) - 1]]
 
     def sqlen(e: Edge) -> int:
-        p, q = pts[e[0]], pts[e[1]]
-        return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
+        u, v = e
+        return (xs[u] - xs[v]) ** 2 + (ys[u] - ys[v]) ** 2
 
     room = 3 * n - 3 - len(hull) - len(plane)
     taken: list[Edge] = []

@@ -12,12 +12,30 @@ from typing import Iterable, Sequence
 from biplane.connectivity import Bichord, CutReport, SeparatingTriangle
 from biplane.errors import ImpossibleError, InternalInvariantError, PreconditionError
 from biplane.generators import random_general_position
-from biplane.geometry import (Point, PointSet, cross, is_convex_position, point_in_triangle,
-                              segments_properly_cross)
+from biplane.geometry import Point, PointSet
 from biplane.insertion import check_property_maxi
 from biplane.layered import LAYER1, LAYER2, LayeredGraph
 from biplane.triangulation import (Edge, Triangulation, edge_key, is_flippable,
                                   triangle_key, triangulate)
+
+
+def ref_cross(o: Point, a: Point, b: Point) -> int:
+    """(a - o) x (b - o), twice the signed area of the triangle oab."""
+    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+
+
+def ref_segments_properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
+    """Open segments ab and cd cross iff each one's ends lie strictly on
+    opposite sides of the other's line."""
+    return (ref_cross(a, b, c) * ref_cross(a, b, d) < 0
+            and ref_cross(c, d, a) * ref_cross(c, d, b) < 0)
+
+
+def ref_point_in_triangle(a: Point, b: Point, c: Point, s: Point) -> bool:
+    """s strictly inside triangle abc: the triangles that s makes with the
+    three edges have nonzero areas of one sign."""
+    d = (ref_cross(a, b, s), ref_cross(b, c, s), ref_cross(c, a, s))
+    return min(d) > 0 or max(d) < 0
 
 
 def bf_vertex_connectivity(n: int, edges) -> int:
@@ -140,14 +158,15 @@ def ref_flip(t: Triangulation, e: Edge) -> Triangulation:
     return Triangulation(t.ps, tris)
 
 
-def ref_locate(t: Triangulation, s: Point) -> tuple[int, int, int]:
-    """Triangle strictly containing s, by one scan in O(m).  The faces of
-    a valid triangulation have disjoint interiors, so at most one
-    triangle contains s and the scan order does not matter."""
+def ref_locate(t: Triangulation, s: tuple[int, int]) -> tuple[int, int, int]:
+    """Triangle strictly containing the point s = (x, y), by one scan in
+    O(m).  The faces of a valid triangulation have disjoint interiors, so at
+    most one triangle contains s and the scan order does not matter."""
+    pts, q = t.ps.points, Point(*s)
     for (a, b, c) in t.triangles:
-        if point_in_triangle(t.ps[a], t.ps[b], t.ps[c], s):
+        if ref_point_in_triangle(pts[a], pts[b], pts[c], q):
             return (a, b, c)
-    raise PreconditionError(f"point {s.coords()} lies in no triangle")
+    raise PreconditionError(f"point {q.coords()} lies in no triangle")
 
 
 def ref_random_triangulation(n: int, seed: int, flips: int | None = None):
@@ -209,10 +228,11 @@ def ref_hamiltonian_cycle(n: int, edges) -> list[int]:
 def bf_first_crossing(ps: PointSet, edges) -> tuple[int, int] | None:
     """First index pair (i, j), i < j, of properly crossing `edges` met by a
     nested loop; None when the edges are pairwise noncrossing."""
+    pts = ps.points
     for i, (a, b) in enumerate(edges):
         for j in range(i + 1, len(edges)):
             c, d = edges[j]
-            if segments_properly_cross(ps[a], ps[b], ps[c], ps[d]):
+            if ref_segments_properly_cross(pts[a], pts[b], pts[c], pts[d]):
                 return i, j
     return None
 
@@ -259,12 +279,12 @@ def bf_two_edge_connected(n: int, edges) -> bool:
 def bf_hull_ids(ps: PointSet) -> set[int]:
     """A point is on the hull iff it is outside some triangle-free halfplane:
     brute force via all point triples."""
-    n = len(ps)
+    n, pts = len(ps), ps.points
     inside = set()
     for i in range(n):
         for tri in combinations((j for j in range(n) if j != i), 3):
-            a, b, c = (ps[t] for t in tri)
-            d1, d2, d3 = cross(a, b, ps[i]), cross(b, c, ps[i]), cross(c, a, ps[i])
+            a, b, c = (pts[t] for t in tri)
+            d1, d2, d3 = ref_cross(a, b, pts[i]), ref_cross(b, c, pts[i]), ref_cross(c, a, pts[i])
             if (d1 > 0 and d2 > 0 and d3 > 0) or (d1 < 0 and d2 < 0 and d3 < 0):
                 inside.add(i)
                 break
@@ -279,7 +299,7 @@ def _subset_convex(ps: PointSet, ids: tuple[int, ...]) -> tuple[bool, int]:
     def half(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
+            while len(out) >= 2 and ref_cross(out[-2], out[-1], p) <= 0:
                 out.pop()
             out.append(p)
         return out
@@ -325,7 +345,7 @@ def _angular_ccw_key(anchor: Point):
     just above the downward vertical.  Exact, comparison based."""
 
     def cmp(p: Point, q: Point) -> int:
-        c = cross(anchor, p, q)
+        c = ref_cross(anchor, p, q)
         if c > 0:
             return -1
         if c < 0:
@@ -397,8 +417,8 @@ def dp_max_convex_subset(ps: PointSet) -> tuple[int, ...]:
                 prev = anchor if ui == -1 else cand_pts[ui]
                 for wi in range(vi + 1, m):
                     w = cand_pts[wi]
-                    if cross(prev, v, w) > 0:
-                        nxt = (size + 1, area + cross(anchor, v, w),
+                    if ref_cross(prev, v, w) > 0:
+                        nxt = (size + 1, area + ref_cross(anchor, v, w),
                                tuple(sorted(ids + (w.id,))))
                         cur = state.get((vi, wi))
                         if cur is None or nxt[0] > cur[0] or (
@@ -409,7 +429,7 @@ def dp_max_convex_subset(ps: PointSet) -> tuple[int, ...]:
         # toward the anchor is convex; the turn at the anchor itself is
         # automatic because candidates span less than a half turn.
         for (ui, vi), (size, area, ids) in state.items():
-            if ui >= 0 and cross(cand_pts[ui], cand_pts[vi], anchor) > 0:
+            if ui >= 0 and ref_cross(cand_pts[ui], cand_pts[vi], anchor) > 0:
                 cand = (size, area, ids)
                 if better(cand):
                     best = cand
@@ -546,9 +566,9 @@ def visible_hull_edges(s: Point, ps: PointSet) -> list[int]:
     """Indices i of hull edges (hull[i], hull[i+1]) visible from exterior s:
     the reference, one `cross` per edge, for `geometry.visible_chain` and the
     visibility table of hull insertion."""
-    h = ps.hull()
+    h, pts = ps.hull(), ps.points
     return [i for i in range(len(h))
-            if cross(ps[h[i]], ps[h[(i + 1) % len(h)]], s) < 0]
+            if ref_cross(pts[h[i]], pts[h[(i + 1) % len(h)]], s) < 0]
 
 
 def edge_visibility_hall_holds(sa: PointSet, sb: Sequence[tuple[int, int]]) -> bool:
@@ -620,9 +640,9 @@ def _ref_angle_cmp(center: Point, a: tuple[Point, Point], b: tuple[Point, Point]
 
 
 def _ref_in_ccw_sweep(center: Point, a: Point, b: Point, q: Point) -> bool:
-    ca = cross(center, a, q)
-    cb = cross(center, q, b)
-    if cross(center, a, b) > 0:
+    ca = ref_cross(center, a, q)
+    cb = ref_cross(center, q, b)
+    if ref_cross(center, a, b) > 0:
         return ca > 0 and cb > 0
     return ca > 0 or cb > 0
 
@@ -677,15 +697,16 @@ def ref_cut_structures(t) -> CutReport:
                     if arc1 and arc2:
                         report.bichords.append(Bichord(u, m, w, (arc1[0], arc2[0])))
     seen: set[tuple[int, ...]] = set()
+    pts = t.ps.points
     for u, v in sorted(t.edges):
         for w in sorted(adj[u] & adj[v]):
             tri = tuple(sorted((u, v, w)))
             if tri in seen:
                 continue
             seen.add(tri)
-            pa, pb, pc = (t.ps[x] for x in tri)
-            inside = [p.id for p in t.ps if p.id not in tri and point_in_triangle(pa, pb, pc, p)]
-            outside = [p.id for p in t.ps if p.id not in tri and p.id not in inside]
+            pa, pb, pc = (pts[x] for x in tri)
+            inside = [p.id for p in pts if p.id not in tri and ref_point_in_triangle(pa, pb, pc, p)]
+            outside = [p.id for p in pts if p.id not in tri and p.id not in inside]
             if inside and outside:
                 report.separating_triangles.append(SeparatingTriangle(tri, inside[0], outside[0]))
     return report
@@ -833,7 +854,7 @@ def realize_hamiltonian_on_convex(g_edges: Iterable[Edge], ham: Sequence[int],
     read off the hull order.
     """
     n = len(ps)
-    if not is_convex_position(ps):
+    if len(ps.hull()) != n:
         raise PreconditionError("points must be in convex position")
     if len(ham) != n or set(ham) != set(range(n)):
         raise PreconditionError("ham must be a cycle through all vertices")

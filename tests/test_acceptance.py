@@ -29,7 +29,7 @@ from oracles import (bf_max_convex_subset, bf_vertex_connectivity,
 
 def _noncrossing(ps, edges):
     edges = sorted(edges)
-    return all(not segments_properly_cross(ps[a], ps[b], ps[c], ps[d])
+    return all(not segments_properly_cross(ps, a, b, c, d)
                for i, (a, b) in enumerate(edges) for (c, d) in edges[i + 1:])
 
 

@@ -147,8 +147,7 @@ class TestAugmentTo4Conn:
         ee = sorted(extra)
         for i in range(len(ee)):
             for j in range(i + 1, len(ee)):
-                assert not segments_properly_cross(ps[ee[i][0]], ps[ee[i][1]],
-                                                   ps[ee[j][0]], ps[ee[j][1]])
+                assert not segments_properly_cross(ps, *ee[i], *ee[j])
         assert not set(extra) & set(t.edges)
         union = set(t.edges) | set(extra)
         kappa = vertex_connectivity(n, union)
@@ -232,7 +231,7 @@ class TestBisectorSign:
             ax, ay, bx, by = p1.x - c.x, p1.y - c.y, p2.x - c.x, p2.y - c.y
             dx, dy = q.x - c.x, q.y - c.y
             da, db = dx * ay - dy * ax, dx * by - dy * bx
-            new = _outcome(augment_module._closer_to_first_ray, draw)
+            new = _outcome(augment_module._closer_to_first_ray, (ax, ay, bx, by, dx, dy))
             if da == 0 or db == 0:
                 assert new is _outcome(ref_closer_to_first_ray, draw) is InternalInvariantError
                 raised += 1
@@ -266,8 +265,7 @@ def _assert_plane_4conn_with_digest(t, extra, digest: str) -> None:
     ps = t.ps
     for i in range(len(ee)):
         for j in range(i + 1, len(ee)):
-            assert not segments_properly_cross(ps[ee[i][0]], ps[ee[i][1]],
-                                               ps[ee[j][0]], ps[ee[j][1]])
+            assert not segments_properly_cross(ps, *ee[i], *ee[j])
     assert bf_vertex_connectivity(len(ps), set(t.edges) | set(extra)) >= 4
     assert hashlib.sha256(repr(ee).encode()).hexdigest() == digest
 
@@ -328,7 +326,7 @@ class TestBichordStarSweep:
         # the calls come in pairs: a hull vertex, then v_k
         inside = [sweep(*args) for args in calls]
         assert sum(inside[i] != inside[i + 1] for i in range(0, len(inside), 2)) == skipped
-        assert {cross(*args[:3]) > 0 for args in calls} == {under_half_turn}
+        assert {cross(*args[:4]) > 0 for args in calls} == {under_half_turn}
         _assert_plane_4conn_with_digest(t, extra, digest)
 
 
@@ -484,9 +482,8 @@ class TestNo5ConnCounterexample:
         ys = [m + i for i in range(m - 3)]
         bottom = list(range(2 * m - 3, 2 * m + 4))
         for i, y in enumerate(ys):
-            a, b = ps[xs[i + 1]], ps[xs[i + 2]]
             for w in bottom:
-                assert segments_properly_cross(ps[y], ps[w], a, b)
+                assert segments_properly_cross(ps, y, w, xs[i + 1], xs[i + 2])
 
     def test_k1_rejected(self):
         with pytest.raises(PreconditionError):

@@ -377,7 +377,7 @@ class TestComputeLayering:
         # certificate: consecutive edges of the cycle properly cross
         for i, e in enumerate(odd):
             f = odd[(i + 1) % len(odd)]
-            assert segments_properly_cross(ps[e[0]], ps[e[1]], ps[f[0]], ps[f[1]])
+            assert segments_properly_cross(ps, *e, *f)
 
     def test_library_biplane_outputs_layerable(self):
         ps = random_general_position(9, seed=3)

@@ -32,7 +32,7 @@ class TestFig1Trees:
                 a, b = lifted[i]
                 for j in range(i + 1, len(lifted)):
                     c, d = lifted[j]
-                    assert not segments_properly_cross(ps[a], ps[b], ps[c], ps[d])
+                    assert not segments_properly_cross(ps, a, b, c, d)
 
     @pytest.mark.parametrize("n", [12, 14, 15, 18, 21])
     def test_exactly_two_shared_edges(self, n):

@@ -13,7 +13,7 @@ from biplane.errors import PreconditionError
 from biplane.formats import dumps_layered, dumps_points, loads_layered, loads_points
 from biplane.generators import (random_general_position, random_triangulation,
                                 regular_polygon_points)
-from biplane.geometry import PointSet, segments_properly_cross
+from biplane.geometry import Point, PointSet, segments_properly_cross
 from biplane.layered import BOTH, LAYER1, LAYER2, LayeredGraph
 from biplane.render import render_svg
 from biplane.triangulation import triangulate
@@ -399,7 +399,7 @@ class TestCli:
         g = build_5conn_convex(ps)
         one = g.layer_edges(LAYER1)
         e = next(e for e in sorted(g.layer_edges(LAYER2) - one)
-                 if any(segments_properly_cross(ps[e[0]], ps[e[1]], ps[f[0]], ps[f[1]])
+                 if any(segments_properly_cross(ps, *e, *f)
                         for f in one))
         pts, path = tmp_path / "x.pts", tmp_path / "x.edges"
         pts.write_text(dumps_points(ps))
@@ -412,7 +412,7 @@ class TestCli:
         a, b, c, d = map(int, re.fullmatch(
             r"layer 1 edges \((\d+), (\d+)\) and \((\d+), (\d+)\) cross", violation).groups())
         assert e in ((a, b), (c, d)) and (a, b) < (c, d)
-        assert segments_properly_cross(ps[a], ps[b], ps[c], ps[d])
+        assert segments_properly_cross(ps, a, b, c, d)
         assert payload["biplane"] is True
         # the text report prints the same violation on its own line
         assert self.run("verify", "--points", str(pts), "--edges", str(path)) == 0
@@ -662,3 +662,65 @@ class TestCliGolden:
         got = _exit_and_digest(capsys, "--format", "json", "verify",
                                "--points", str(pts), "--edges", str(edges))
         assert got == (0, self.VERIFY[source])
+
+
+class TestNoPointBuiltInside:
+    """The library reads coordinates by vertex id: with `Point` unbuildable,
+    every command prints, writes and exits as it does otherwise."""
+
+    @staticmethod
+    def inputs(root):
+        (root / "g.txt").write_text(dumps_points(mixed_pipeline_instance(3)))
+        for name, t in (("r", random_triangulation(12, 352)), ("h", chordful_triangulation(16, 6))):
+            (root / f"{name}.txt").write_text(dumps_points(t.ps))
+            (root / f"{name}.edges").write_text(dumps_layered(LayeredGraph(t.ps, t.edges, ())))
+
+    RUNS = [
+        ["gen", "--shape", "regular", "--n", "14", "--out", "p.txt"],
+        ["gen", "--shape", "random", "--n", "30", "--seed", "3"],
+        ["gen", "--shape", "wheel", "--n", "9", "--out", "w.txt", "--edges-out", "w.edges"],
+        ["gen", "--shape", "fan", "--n", "8", "--out", "f.txt", "--edges-out", "f.edges"],
+        ["gen", "--shape", "no5conn", "--k", "3", "--out", "c.txt", "--edges-out", "c.edges"],
+        ["build", "--mode", "convex4", "--points", "p.txt"],
+        ["build", "--mode", "convex5", "--points", "p.txt", "--out", "c5.edges"],
+        ["--format", "json", "build", "--mode", "general5", "--points", "g.txt",
+         "--out", "g5.edges", "--trace", "tr"],
+        ["--format", "json", "augment", "--target", "3", "--points", "f.txt", "--edges", "f.edges"],
+        ["augment", "--target", "3", "--points", "h.txt", "--edges", "h.edges"],
+        ["augment", "--target", "4", "--points", "w.txt", "--edges", "w.edges"],
+        ["--format", "json", "augment", "--target", "4", "--points", "c.txt", "--edges", "c.edges"],
+        ["augment", "--target", "4", "--points", "r.txt", "--edges", "r.edges"],
+        ["augment", "--target", "4", "--points", "h.txt", "--edges", "h.edges"],
+        ["--format", "json", "verify", "--points", "p.txt", "--edges", "c5.edges"],
+        ["verify", "--points", "c.txt", "--edges", "c.edges"],
+        ["verify", "--points", "g.txt", "--edges", "g5.edges"],
+        ["render", "--points", "g.txt", "--edges", "g5.edges", "--out", "g.svg"],
+    ]
+
+    def run_all(self, root, monkeypatch, capsys):
+        root.mkdir()
+        self.inputs(root)
+        monkeypatch.chdir(root)
+        capsys.readouterr()
+        runs = []
+        for argv in self.RUNS:
+            code = main(list(argv))
+            runs.append((argv, code, *capsys.readouterr()))
+        files = {p.relative_to(root).as_posix(): p.read_bytes()
+                 for p in sorted(root.rglob("*")) if p.is_file()}
+        return runs, files
+
+    def test_every_command_runs_without_building_a_point(self, tmp_path, monkeypatch, capsys):
+        want = self.run_all(tmp_path / "plain", monkeypatch, capsys)
+
+        def unbuildable(self, *args, **kwargs):
+            raise AssertionError("a Point was built")
+
+        monkeypatch.setattr(Point, "__init__", unbuildable)
+        with pytest.raises(AssertionError, match="a Point was built"):
+            Point(0, 0)
+        got = self.run_all(tmp_path / "patched", monkeypatch, capsys)
+        assert got == want
+        runs, files = want
+        assert [code for _, code, _, _ in runs] == [0] * 10 + [2] + [0] * 7
+        assert len(files) == 22 and "tr/step_006_exterior_21.edges" in files

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -11,58 +13,152 @@ from biplane.errors import PreconditionError
 from biplane.geometry import (COORD_LIMIT, Point, PointSet, ccw_order, circular_runs,
                               convex_hull, cross, crosses_any, crossing_pairs,
                               first_crossing, is_convex_position,
-                              max_convex_subset_indices, point_strictly_inside_hull,
-                              polygon_doubled_area, segments_properly_cross, visible_chain)
+                              max_convex_subset_indices, point_in_triangle,
+                              polygon_doubled_area, segments_properly_cross, strictly_inside,
+                              visible_chain)
 from biplane.generators import random_general_position, regular_polygon_points
-from biplane.geometry import _ccw_rings
+from biplane.geometry import _ccw_rings, _open_segments_cross
 from biplane.triangulation import edge_key, triangulate
 
 from oracles import (bf_circular_runs, bf_first_collinear, bf_first_crossing, bf_hull_ids,
                      bf_max_convex_subset, bf_optimal_convex_subsets, dp_max_convex_subset,
-                     ref_ccw_ring, visible_hull_edges)
+                     ref_ccw_ring, ref_cross, ref_point_in_triangle,
+                     ref_segments_properly_cross, visible_hull_edges)
 from conftest import core_plus_interior
 
 
-def P(x, y):
-    return Point(x, y)
+def segment(*coords):
+    return tuple(c for p in coords for c in p)
 
 
 class TestOrientation:
     def test_unit_right_triangle_ccw(self):
-        assert cross(P(0, 0), P(1, 0), P(0, 1)) > 0
+        assert cross(PointSet([(0, 0), (1, 0), (0, 1)]), 0, 1, 2) > 0
 
     def test_collinear(self):
-        assert cross(P(0, 0), P(1, 1), P(2, 2)) == 0
+        # a repeated vertex is the one collinear triple a PointSet holds;
+        # free collinear points are on the kernel, in TestProperCrossing
+        ps = PointSet([(0, 0), (1, 1), (2, 5)])
+        assert cross(ps, 0, 1, 1) == cross(ps, 2, 2, 0) == cross(ps, 1, 0, 1) == 0
 
     def test_mirror_cw(self):
-        assert cross(P(0, 0), P(0, 1), P(1, 0)) < 0
+        assert cross(PointSet([(0, 0), (0, 1), (1, 0)]), 0, 1, 2) < 0
 
     @given(st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
-                    min_size=3, max_size=3))
+                    min_size=3, max_size=3, unique=True))
     def test_antisymmetry(self, coords):
-        p, q, r = (P(*c) for c in coords)
-        assert cross(p, q, r) == -cross(p, r, q)
+        try:
+            ps = PointSet(coords)
+        except PreconditionError:
+            return
+        assert cross(ps, 0, 1, 2) == -cross(ps, 0, 2, 1) == ref_cross(*ps.points)
 
     @given(st.lists(st.tuples(st.integers(-10**4, 10**4), st.integers(-10**4, 10**4)),
                     min_size=4, max_size=4, unique=True))
     def test_crossing_is_symmetric(self, coords):
-        a, b, c, d = (P(*x) for x in coords)
-        assert segments_properly_cross(a, b, c, d) == segments_properly_cross(c, d, a, b)
-        assert segments_properly_cross(a, b, c, d) == segments_properly_cross(b, a, d, c)
+        try:
+            ps = PointSet(coords)
+        except PreconditionError:
+            return
+        assert segments_properly_cross(ps, 0, 1, 2, 3) == segments_properly_cross(ps, 2, 3, 0, 1)
+        assert segments_properly_cross(ps, 0, 1, 2, 3) == segments_properly_cross(ps, 1, 0, 3, 2)
+
+
+def segment(p, q):
+    """The flat (x1, y1, x2, y2) form of the segment pq."""
+    return (*p, *q)
+
+
+def kernel_crosses(s, t):
+    """`_open_segments_cross` on two segments given by their ends, the same
+    in every order of the segments and of their ends."""
+    got = {_open_segments_cross(segment(*u), segment(*v))
+           for u, v in ((s, t), (t, s), (s[::-1], t), (s, t[::-1]))}
+    assert len(got) == 1, (s, t)
+    return got.pop()
 
 
 class TestProperCrossing:
+    """Free segments that no PointSet can hold (collinear triples, overlaps)
+    go to the flat kernel that `segments_properly_cross` calls."""
+
     def test_x_crossing(self):
-        assert segments_properly_cross(P(0, 0), P(2, 2), P(0, 2), P(2, 0))
+        assert segments_properly_cross(PointSet([(0, 0), (2, 2), (0, 2), (2, 0)]), 0, 1, 2, 3)
+        assert kernel_crosses(((0, 0), (2, 2)), ((0, 2), (2, 0)))
 
     def test_shared_endpoint(self):
-        assert not segments_properly_cross(P(0, 0), P(1, 0), P(0, 0), P(0, 1))
+        assert not segments_properly_cross(PointSet([(0, 0), (1, 0), (0, 1)]), 0, 1, 0, 2)
+        assert not kernel_crosses(((0, 0), (1, 0)), ((0, 0), (0, 1)))
 
     def test_disjoint(self):
-        assert not segments_properly_cross(P(0, 0), P(1, 0), P(2, 0), P(3, 5))
+        assert not segments_properly_cross(PointSet([(0, 0), (1, 0), (2, 1), (3, 5)]), 0, 1, 2, 3)
+        assert not kernel_crosses(((0, 0), (1, 0)), ((2, 0), (3, 5)))
 
     def test_t_touch_is_not_proper(self):
-        assert not segments_properly_cross(P(0, 0), P(2, 0), P(1, 0), P(1, 5))
+        assert not kernel_crosses(((0, 0), (2, 0)), ((1, 0), (1, 5)))
+
+    def test_segments_on_one_line_do_not_cross(self):
+        for s, t in [
+            (((0, 0), (1, 1)), ((1, 1), (2, 2))),    # end to end
+            (((0, 0), (4, 0)), ((1, 0), (3, 0))),    # one inside the other
+            (((0, 0), (3, 3)), ((1, 1), (5, 5))),    # overlapping
+            (((0, 0), (1, 0)), ((2, 0), (3, 0))),    # apart
+            (((0, 0), (2, 4)), ((0, 0), (2, 4))),    # the same segment
+        ]:
+            assert not kernel_crosses(s, t), (s, t)
+
+
+class TestPredicatesAgainstOracles:
+    """Every predicate that reads coordinates by vertex id against the
+    oracles' own orientation tests on `Point`s, over seeded general-position
+    sets of 4 to 30 points."""
+
+    SETS = 1000
+
+    def test_predicates_match(self):
+        seen = {"cross": set(), "proper": set(), "shared": set(), "triangle": set(),
+                "inside": set(), "chain": set()}
+        for seed in range(self.SETS):
+            rng = random.Random(seed)
+            n = rng.randint(4, 30)
+            ps = random_general_position(n, seed, span=rng.choice((20, 10 ** 4)))
+            pts = ps.points
+            for _ in range(8):
+                a, b, c, d = rng.sample(range(n), 4)
+                want = ref_cross(pts[a], pts[b], pts[c])
+                assert cross(ps, a, b, c) == want and want != 0
+                seen["cross"].add(want > 0)
+                got = segments_properly_cross(ps, a, b, c, d)
+                assert got == ref_segments_properly_cross(pts[a], pts[b], pts[c], pts[d])
+                seen["proper"].add(got)
+                # a shared endpoint, in either role, never crosses
+                for e, f in (((a, b), (a, c)), ((a, b), (c, a)), ((b, a), (c, a)), ((a, b), (b, a))):
+                    assert not segments_properly_cross(ps, *e, *f)
+                    assert not ref_segments_properly_cross(*(pts[v] for v in e + f))
+                seen["shared"].add(True)
+                got = point_in_triangle(ps, a, b, c, d)
+                assert got == ref_point_in_triangle(pts[a], pts[b], pts[c], pts[d])
+                assert not point_in_triangle(ps, a, b, c, a)
+                seen["triangle"].add(got)
+            # any closed polygon: the shoelace sum equals the fan of cross products
+            cycle = rng.sample(range(n), rng.randint(3, n))
+            fan = sum(ref_cross(pts[cycle[0]], pts[u], pts[v]) for u, v in zip(cycle[1:], cycle[2:]))
+            assert polygon_doubled_area(ps, cycle) == fan == -polygon_doubled_area(ps, cycle[::-1])
+            # the hull of a subset, and every other point against it
+            sub = rng.sample(range(n), rng.randint(3, n - 1))
+            hull = [sub[i] for i in convex_hull([ps.xs[v] for v in sub], [ps.ys[v] for v in sub])]
+            m = len(hull)
+            # (a hull vertex is on two edge lines: neither inside nor seeing them)
+            for v in range(n):
+                signs = [ref_cross(pts[hull[j]], pts[hull[(j + 1) % m]], pts[v]) for j in range(m)]
+                inside = all(c > 0 for c in signs)
+                assert strictly_inside(ps, hull, v) is inside
+                i, k = visible_chain(ps, hull, v)
+                assert sorted((i + j) % m for j in range(k)) == [j for j, c in enumerate(signs) if c < 0]
+                seen["inside"].add(inside)
+                seen["chain"].add(k)
+        assert all(len(kinds) >= 2 for name, kinds in seen.items() if name != "shared"), seen
+        assert len(seen["chain"]) >= 5, seen
 
 
 class TestPointSet:
@@ -83,13 +179,18 @@ class TestPointSet:
             PointSet([(0, 0), (1.5, 3), (1, 5)])
 
 
-    def test_points_are_built_on_first_use_and_kept(self):
+    def test_points_are_built_on_each_read(self):
+        """`ps[i]`, iteration and `points` build new `Point`s from `xs` and
+        `ys`; a negative index counts from the end and keeps the id of the
+        point it names."""
         ps = PointSet([(0, 0), (5, 1), (2, 7)])
-        assert "points" not in vars(ps)
-        p = ps[1]
-        assert p == Point(5, 1, 1) and ps.points[1] is p and ps.points is ps.points
-        assert list(ps) == [Point(0, 0, 0), p, Point(2, 7, 2)]
-        assert PointSet.points.__doc__ == "The points as `Point`s, built on first use."
+        assert ps[1] == Point(5, 1, 1) and ps[-1] == ps[2] == Point(2, 7, 2) == ps[-1]
+        assert ps[-3] == Point(0, 0, 0)
+        assert list(ps) == list(ps.points) == [Point(0, 0, 0), Point(5, 1, 1), Point(2, 7, 2)]
+        assert ps.points is not ps.points and vars(ps).keys() == {"xs", "ys", "_hull"}
+        for i in (3, -4):
+            with pytest.raises(IndexError):
+                ps[i]
 
     def test_points_build_what_their_coordinates_build(self):
         """Point input is read by its coordinates alone: another set's
@@ -151,16 +252,17 @@ class TestPointSet:
         inside, outside = [], []
         while len(inside) < 4 or len(outside) < 4:
             c = (rng.randint(-1500, 1500), rng.randint(-1500, 1500))
-            (inside if point_strictly_inside_hull(base, Point(*c)) else outside).append(c)
+            (inside if inside_hull(base, Point(*c)) else outside).append(c)
         new = {"inside": inside, "outside": outside, "uncached": inside,
                "mixed": [inside[0], outside[0], inside[1]]}[case]
         if case == "uncached":
             base = base.subset(range(len(base)))
         calls = []
         real = geometry_module.convex_hull
-        monkeypatch.setattr(geometry_module, "convex_hull", lambda ps: calls.append(1) or real(ps))
+        monkeypatch.setattr(geometry_module, "convex_hull",
+                            lambda xs, ys: calls.append(1) or real(xs, ys))
         out = base.extended(new)
-        assert out.hull() == tuple(real(out.points))
+        assert out.hull() == tuple(real(out.xs, out.ys))
         assert len(calls) == (case != "inside")
 
     def test_extended_reports_the_first_collinear_triple(self):
@@ -197,7 +299,7 @@ class TestPointSet:
                         PointSet(coords[:known]).extended(coords[known:])
                     else:
                         ps = PointSet(coords)
-                        assert list(ps.hull()) == convex_hull(ps)
+                        assert list(ps.hull()) == convex_hull(ps.xs, ps.ys)
                         assert set(ps.hull()) == bf_hull_ids(ps)
                         accepted[len(ps.hull()) == len(ps)] += 1
                     got = None
@@ -235,11 +337,18 @@ class TestPointSet:
         coords = [p.coords() for p in regular_polygon_points(12)] + [(1, 2)] * interior
         calls = []
         monkeypatch.setattr(geometry_module, "convex_hull",
-                            lambda pts: calls.append(1) or convex_hull(pts))
+                            lambda xs, ys: calls.append(1) or convex_hull(xs, ys))
         ps = PointSet(coords)
         assert is_convex_position(ps) is not interior
         assert first_crossing(ps, [(0, 6), (3, 9)]) == (0, 1)
         assert len(calls) == 1
+
+
+def inside_hull(ps, s):
+    """The free point s lies strictly inside the hull of ps, by the oracle's
+    orientation test."""
+    h, pts = ps.hull(), ps.points
+    return all(ref_cross(pts[h[i - 1]], pts[h[i]], s) > 0 for i in range(len(h)))
 
 
 def general_position_error(coords, known):
@@ -295,8 +404,7 @@ def raw_coords(rng, family):
 
 def nested_pairs(ps, edges):
     return [(i, j) for i in range(len(edges)) for j in range(i + 1, len(edges))
-            if segments_properly_cross(ps[edges[i][0]], ps[edges[i][1]],
-                                       ps[edges[j][0]], ps[edges[j][1]])]
+            if segments_properly_cross(ps, *edges[i], *edges[j])]
 
 
 class TestCrossingKernel:
@@ -318,7 +426,7 @@ class TestCrossingKernel:
         assert pairs == nested_pairs(ps, edges)
         for e in edges:
             assert crosses_any(ps, e, edges) == any(
-                segments_properly_cross(ps[e[0]], ps[e[1]], ps[f[0]], ps[f[1]]) for f in edges)
+                segments_properly_cross(ps, *e, *f) for f in edges)
 
     def test_first_pair_is_the_nested_loop_witness(self):
         # all three cross; visited by left x, the pairs turn up in the reverse
@@ -508,8 +616,7 @@ class TestConvexHull:
         ps = random_general_position(9, seed=2)
         h = ps.hull()
         for i in range(len(h)):
-            a, b, c = ps[h[i]], ps[h[(i + 1) % len(h)]], ps[h[(i + 2) % len(h)]]
-            assert cross(a, b, c) > 0
+            assert cross(ps, h[i], h[(i + 1) % len(h)], h[(i + 2) % len(h)]) > 0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_against_bruteforce(self, seed):
@@ -520,12 +627,8 @@ class TestConvexHull:
     def test_every_point_inside_or_on_hull(self, seed):
         ps = random_general_position(8, seed=seed)
         h = ps.hull()
-        hull_pts = [ps[i] for i in h]
-        for p in ps:
-            if p.id in h:
-                continue
-            assert all(cross(hull_pts[i], hull_pts[(i + 1) % len(h)], p) > 0
-                       for i in range(len(h)))
+        for p in range(len(ps)):
+            assert strictly_inside(ps, h, p) is (p not in h)
 
 
 class TestConvexPosition:
@@ -547,18 +650,18 @@ class TestVisibility:
 
     def test_facing_edge_visible(self):
         ps = self.square()
-        assert ps.hull().index(1) in visible_hull_edges(P(5, 1), ps)
+        assert ps.hull().index(1) in visible_hull_edges(Point(5, 1), ps)
 
     def test_opposite_edge_hidden(self):
         ps = self.square()
-        assert ps.hull().index(3) not in visible_hull_edges(P(5, 1), ps)
+        assert ps.hull().index(3) not in visible_hull_edges(Point(5, 1), ps)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_visible_edges_form_one_arc_never_all(self, seed):
         ps = regular_polygon_points(9)
         draws = (random_general_position(1, seed=seed + 40 + 100 * k, span=10 ** 7)[0]
                  for k in itertools.count())
-        s = next(p for p in draws if not point_strictly_inside_hull(ps, p))
+        s = next(p for p in draws if not inside_hull(ps, p))
         vis = visible_hull_edges(s, ps)
         h = len(ps.hull())
         assert 1 <= len(vis) <= h - 1
@@ -568,38 +671,47 @@ class TestVisibility:
 
     def test_interior_point_sees_no_edge(self):
         ps = regular_polygon_points(9)
-        s = P(1000, -2000)
-        assert point_strictly_inside_hull(ps, s)
+        s = Point(1000, -2000)
+        assert inside_hull(ps, s)
         assert visible_hull_edges(s, ps) == []
-        assert visible_chain(list(ps), s) == (0, 0)
+        with_s = ps.extended([s.coords()])
+        assert strictly_inside(with_s, ps.hull(), 9)
+        assert visible_chain(with_s, list(range(9)), 9) == (0, 0)
 
 
 class TestVisibleChain:
-    """visible_chain(pts, s) = (i, k): s sees the counterclockwise edges
-    i, ..., i + k - 1 (mod m) of the polygon `pts`."""
+    """visible_chain(ps, cycle, s) = (i, k): s sees the counterclockwise
+    edges i, ..., i + k - 1 (mod m) of the polygon of the vertices `cycle`."""
 
     def test_chain_wraps_past_index_zero(self):
-        square = [P(0, 0), P(4, 0), P(4, 4), P(0, 4)]
+        ps = PointSet([(0, 0), (4, 0), (4, 4), (0, 4), (-1, -2)])
         # below and left of the square: it sees edges 3 (left) and 0 (bottom)
-        assert visible_chain(square, P(-1, -2)) == (3, 2)
+        assert visible_chain(ps, [0, 1, 2, 3], 4) == (3, 2)
 
     def test_two_vertices_count_as_two_edges(self):
-        u, v = P(0, 0), P(4, 0)
-        assert visible_chain([u, v], P(1, -3)) == (0, 1)
-        assert visible_chain([u, v], P(1, 3)) == (1, 1)
+        ps = PointSet([(0, 0), (4, 0), (1, -3), (1, 3)])
+        assert visible_chain(ps, [0, 1], 2) == (0, 1)
+        assert visible_chain(ps, [0, 1], 3) == (1, 1)
 
     def test_inside_point_sees_nothing(self):
-        assert visible_chain([P(0, 0), P(4, 0), P(0, 4)], P(1, 1)) == (0, 0)
+        assert visible_chain(PointSet([(0, 0), (4, 0), (0, 4), (1, 1)]), [0, 1, 2], 3) == (0, 0)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_agrees_with_visible_hull_edges(self, seed):
+        # draws that are not in general position with ps are drawn again
         rng = random.Random(seed)
         ps = random_general_position(rng.randint(3, 12), seed=seed, span=50)
-        pts = [ps[v] for v in ps.hull()]
-        for _ in range(10):
-            s = P(rng.randint(-200, 200), rng.randint(-200, 200))
-            i, k = visible_chain(pts, s)
-            assert sorted((i + j) % len(pts) for j in range(k)) == visible_hull_edges(s, ps)
+        checked = 0
+        while checked < 10:
+            s = (rng.randint(-200, 200), rng.randint(-200, 200))
+            try:
+                with_s = ps.extended([s])
+            except PreconditionError:
+                continue
+            i, k = visible_chain(with_s, ps.hull(), len(ps))
+            assert sorted((i + j) % len(ps.hull()) for j in range(k)) == \
+                visible_hull_edges(Point(*s), ps)
+            checked += 1
 
 
 class TestCircularRuns:
@@ -814,5 +926,25 @@ def quarter_turn_set(rng, orbits, span):
 
 
 def test_doubled_area_of_ccw_square():
-    pts = [P(0, 0), P(2, 0), P(2, 2), P(0, 2)]
-    assert polygon_doubled_area(pts) == 8
+    ps = PointSet([(0, 0), (2, 0), (2, 2), (0, 2)])
+    assert polygon_doubled_area(ps, [0, 1, 2, 3]) == 8 == -polygon_doubled_area(ps, (3, 2, 1, 0))
+
+
+def test_only_geometry_reads_point_objects():
+    """Outside geometry.py the library names no `Point` and reads no `Point`
+    field or `PointSet.points`.  `__init__` may import `Point` to export it,
+    and the CLI's argparse namespace `args` has an option named `points`."""
+    found = []
+    for path in sorted(Path(geometry_module.__file__).parent.glob("*.py")):
+        if path.name == "geometry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and node.id == "Point":
+                found.append((path.name, node.lineno, "Point"))
+            elif isinstance(node, ast.alias) and node.name == "Point" and path.name != "__init__.py":
+                found.append((path.name, node.lineno, "import Point"))
+            elif (isinstance(node, ast.Attribute)
+                  and node.attr in {"x", "y", "id", "coords", "points"}
+                  and not (isinstance(node.value, ast.Name) and node.value.id == "args")):
+                found.append((path.name, node.lineno, node.attr))
+    assert not found

@@ -21,7 +21,8 @@ from biplane.triangulation import complete_to_triangulation, edge_key, is_flippa
 from biplane.generators import generate_wheel
 
 from conftest import core_plus_interior, mixed_pipeline_instance
-from oracles import bf_first_collinear, edge_visibility_hall_holds, visible_hull_edges
+from oracles import (bf_first_collinear, bf_triangulation_ok, edge_visibility_hall_holds,
+                     visible_hull_edges)
 
 
 def fresh_core(n=14, radius=1000):
@@ -177,6 +178,22 @@ class TestDegreeRaising:
                     assert insertion._far_apex(a, e1, n) != insertion._far_apex(b, e2, n)
         assert checked >= 50
 
+    def test_second_layer_rescue(self, monkeypatch):
+        """Four corners whose far apexes are both neighbours already, and no
+        cycle edge freed in t1 by the first flip: the rescue flips in t2
+        instead, and leaves t1 as it came."""
+        t1 = random_triangulation(7, 15)
+        t2 = random_triangulation(7, 15, flips=42)
+        new_ps = t1.ps.extended([(-6579, -4169)])
+        a, b = t1.split(new_ps, 7), t2.split(new_ps, 7)
+        real, found = insertion._cycle_flip, []
+        monkeypatch.setattr(insertion, "_cycle_flip",
+                            lambda *args: found.append(real(*args)) or found[-1])
+        r1, r2 = insertion._raise_degree_to_five(a, b, 7)
+        assert found == [None, (1, 2)] and r1 is a
+        assert len(r1.neighbors(7) | r2.neighbors(7)) == 5
+        assert bf_triangulation_ok(new_ps, r1.triangles) and bf_triangulation_ok(new_ps, r2.triangles)
+
 
 class TestInteriorHull:
     """The hull of the interior vertices that a state carries is the hull
@@ -185,7 +202,9 @@ class TestInteriorHull:
     @staticmethod
     def fresh_hull(ps):
         inner = ps.interior_ids()
-        return convex_hull([ps[i] for i in inner]) if len(inner) >= 3 else list(inner)
+        if len(inner) < 3:
+            return list(inner)
+        return [inner[i] for i in convex_hull([ps.xs[v] for v in inner], [ps.ys[v] for v in inner])]
 
     def assert_same_up_to_rotation(self, got, want):
         got = list(got)
@@ -230,7 +249,8 @@ class TestInteriorHull:
     def test_state_from_a_graph_computes_the_hull_on_first_use(self, monkeypatch):
         st = self.four_steps()
         calls = []
-        monkeypatch.setattr(insertion, "convex_hull", lambda pts: calls.append(1) or convex_hull(pts))
+        monkeypatch.setattr(insertion, "convex_hull",
+                            lambda xs, ys: calls.append(1) or convex_hull(xs, ys))
         rebuilt = InsertionState(st.current)
         assert not calls
         self.assert_same_up_to_rotation(rebuilt.interior_hull, list(st.interior_hull))
@@ -303,6 +323,10 @@ class TestHallOracle:
 
 
 class TestInsertHullPoints:
+    def test_empty_batch_returns_the_state(self):
+        st = InsertionState(build_5conn_convex(regular_polygon_points(14)))
+        assert insert_hull_points(st, []) is st
+
     def test_surrounding_ring_case(self):
         st = fresh_core()
         ring = ring_points(6, 3000, 0.2)
@@ -588,4 +612,4 @@ class TestLayeringFailureWitness:
             insert(st, point)
         a, b, c, d = map(int, re.findall(r"\d+", str(err.value))[1:])
         ps = st.current.ps.extended([point])
-        assert (a, b) < (c, d) and segments_properly_cross(ps[a], ps[b], ps[c], ps[d])
+        assert (a, b) < (c, d) and segments_properly_cross(ps, a, b, c, d)

@@ -170,7 +170,7 @@ class TestMinAugment3Conn:
         assert kappa_of(g) >= 3
         ps = t.ps
         for chord in t.chords():
-            assert any(segments_properly_cross(ps[chord[0]], ps[chord[1]], ps[u], ps[v])
+            assert any(segments_properly_cross(ps, *chord, u, v)
                        for (u, v) in extra), f"chord {chord} uncrossed"
 
     @pytest.mark.parametrize("t", [generate_fan(4), random_triangulation(7, 0)],

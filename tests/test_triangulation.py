@@ -7,7 +7,7 @@ import pytest
 from biplane import augment, geometry, insertion, triangulation
 from biplane.augment import augment_to_4conn
 from biplane.errors import InternalInvariantError, PreconditionError
-from biplane.geometry import Point, PointSet, point_in_triangle
+from biplane.geometry import PointSet, point_in_triangle
 from biplane.generators import (generate_fan, generate_no5conn_counterexample,
                                 generate_wheel, random_general_position,
                                 random_triangulation, regular_polygon_points)
@@ -146,8 +146,7 @@ def with_a_crossing_edge(seed: int) -> tuple[PointSet, list]:
     while True:
         kept = set(es) - {rng.choice(es)}
         e = rng.choice(pairs)
-        if any(geometry.segments_properly_cross(pts[e[0]], pts[e[1]], pts[u], pts[v])
-               for u, v in kept):
+        if any(geometry.segments_properly_cross(pts, *e, u, v) for u, v in kept):
             return t.ps, sorted(kept | {e})
 
 
@@ -269,7 +268,7 @@ def hole_shapes(ps: PointSet, required) -> set[str]:
             for c in adj[a] & adj[b]:
                 if a < b < c:
                     inside = [v for v in range(n)
-                              if v not in (a, b, c) and point_in_triangle(ps[a], ps[b], ps[c], ps[v])]
+                              if v not in (a, b, c) and point_in_triangle(ps, a, b, c, v)]
                     if inside and not any(adj[v] for v in inside):
                         shapes.add("isolated vertex in a triangle face")
                     if inside and a not in on_hull:
@@ -463,7 +462,7 @@ class TestValidationCertificate:
         with pytest.raises(InternalInvariantError, match=r"triangle \(\d+, \d+, \d+\) contains vertex \d+$") as err:
             Triangulation(ps, tris)
         *corners, w = map(int, re.findall(r"\d+", str(err.value)))
-        assert triangle_key(*corners) in tris and point_in_triangle(*(ps[c] for c in corners), ps[w])
+        assert triangle_key(*corners) in tris and point_in_triangle(ps, *corners, w)
 
     def test_crossing_edges_are_named(self, monkeypatch):
         # with the counts right, a crossing comes with a vertex inside a
@@ -475,7 +474,7 @@ class TestValidationCertificate:
             Triangulation(ps, tris)
         es = sorted({e for (a, b, c) in tris for e in ((a, b), (b, c), (a, c))})
         e, f = next((e, f) for i, e in enumerate(es) for f in es[i + 1:]
-                    if geometry.segments_properly_cross(ps[e[0]], ps[e[1]], ps[f[0]], ps[f[1]]))
+                    if geometry.segments_properly_cross(ps, *e, *f))
         assert str(err.value) == f"edges {e} and {f} cross"
 
     def test_valid_triangulation_costs_linear_orientation_tests(self, monkeypatch):
@@ -485,9 +484,9 @@ class TestValidationCertificate:
         calls = [0]
         real = geometry.cross
 
-        def counting(o, a, b):
+        def counting(*args):
             calls[0] += 1
-            return real(o, a, b)
+            return real(*args)
 
         def full_scan(*args):
             raise AssertionError("a valid triangulation reached the full scan")
@@ -521,7 +520,7 @@ def point_in_face(ps: PointSet, tri) -> PointSet | None:
             new_ps = ps.extended([(cx + dx, cy + dy)])
         except PreconditionError:
             continue
-        if point_in_triangle(*(ps[v] for v in tri), new_ps[len(ps)]):
+        if point_in_triangle(new_ps, *tri, len(ps)):
             return new_ps
     return None
 
@@ -565,7 +564,7 @@ class TestSplit:
                                match=r"^triangle \(\d+, \d+, \d+\) contains vertex \d+$") as err:
                 t.split(new_ps, s)
             *corners, w = map(int, re.findall(r"\d+", str(err.value)))
-            assert point_in_triangle(*(new_ps[c] for c in corners), new_ps[w])
+            assert point_in_triangle(new_ps, *corners, w)
 
     def test_point_set_must_extend_by_one_point(self):
         t = scaled(random_triangulation(8, 4), 30)
@@ -608,9 +607,10 @@ def exterior_points(t: Triangulation):
     pts += [(round(far * math.cos(k)), round(far * math.sin(k))) for k in range(8)]
     for coords in pts:
         try:
-            yield ps.extended([coords])[len(ps)]
+            ps.extended([coords])
         except PreconditionError:
             continue
+        yield coords
 
 
 class TestLocate:
@@ -632,14 +632,14 @@ class TestLocate:
             new_ps = point_in_face(t.ps, tri)
             if new_ps is None:
                 continue
-            s = new_ps[n]
+            s = (new_ps.xs[n], new_ps.ys[n])
             assert located(Triangulation.locate, t, s) == ref_locate(t, s) == tri
             inside += 1
         assert inside >= len(t.triangles) - 2
         outside = [located(Triangulation.locate, t, s) for s in exterior_points(t)]
         assert len(outside) >= len(t.hull)
         assert outside == [located(ref_locate, t, s) for s in exterior_points(t)]
-        assert set(outside) == {f"point {s.coords()} lies in no triangle"
+        assert set(outside) == {f"point {s} lies in no triangle"
                                 for s in exterior_points(t)}
 
     def test_walks_start_at_interior_and_hull_vertices(self):
@@ -651,10 +651,10 @@ class TestLocate:
         ps, q = t.ps, len(t.ps) - 1
         e = next(e for e in sorted(t.edges - t.hull_edges()) if q not in e)
         v = min(t.neighbors(q))
-        on_edge = Point((ps[e[0]].x + ps[e[1]].x) // 2, (ps[e[0]].y + ps[e[1]].y) // 2)
+        on_edge = ((ps[e[0]].x + ps[e[1]].x) // 2, (ps[e[0]].y + ps[e[1]].y) // 2)
         # q's neighbour v on the segment from q to the query
-        behind_v = Point(2 * ps[v].x - ps[q].x, 2 * ps[v].y - ps[q].y)
-        for s in (ps[q], ps[v], on_edge, behind_v):
+        behind_v = (2 * ps[v].x - ps[q].x, 2 * ps[v].y - ps[q].y)
+        for s in (ps[q].coords(), ps[v].coords(), on_edge, behind_v):
             with pytest.raises(PreconditionError, match=r"is collinear with vertices \d+ and \d+$"):
                 t.locate(s)
 
