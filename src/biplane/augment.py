@@ -112,6 +112,22 @@ def _augment_3connected(t: Triangulation, report: CutReport) -> set[Edge]:
         return {edge_key(v, u) for u in range(n) if u != v} - set(t.edges)
     if report.separating_triangles:
         raise InternalInvariantError("every-vertex-in-a-cut inputs cannot have separating triangles")
+    center, labels = _maximal_sector(t, report)
+    anchor = next((x for x in range(n) if x not in t.hull and x != center), None)
+    if anchor is None:
+        raise InternalInvariantError("no second interior vertex available")
+    new_edges = _bichord_star(t, labels, anchor)
+    pair = first_crossing(t.ps, sorted(new_edges))
+    if pair is not None:
+        raise InternalInvariantError(f"the bichord star from anchor {anchor} crosses itself at {pair}")
+    return new_edges
+
+
+def _maximal_sector(t: Triangulation, report: CutReport) -> tuple[int, list[int]]:
+    """The centre of the bichord star, the interior bichord middle whose
+    sector containing the smallest hull edge e0 has the largest area (then
+    the smallest id), and its arm labels v1..vk clockwise from that sector's
+    ccw boundary arm."""
     hull = list(t.hull)
     hullset = set(hull)
     arms: dict[int, set[int]] = {}
@@ -145,34 +161,27 @@ def _augment_3connected(t: Triangulation, report: CutReport) -> set[Edge]:
 
     center = min(arms, key=lambda c: (-sector_labels(c)[0], c))
     _, labels = sector_labels(center)
-    k = len(labels)
-    if k < 4:
-        raise InternalInvariantError(f"maximal sector star has only {k} arms")
-    v2, vk1, vk = labels[1], labels[k - 2], labels[k - 1]
-    interior = [x for x in range(n) if x not in hullset and x != center]
-    if not interior:
-        raise InternalInvariantError("no second interior vertex available")
+    if len(labels) < 4:
+        raise InternalInvariantError(f"maximal sector star has only {len(labels)} arms")
+    return center, labels
+
+
+def _bichord_star(t: Triangulation, labels: list[int], anchor: int) -> set[Edge]:
+    """The edges absent from t that join the interior vertex `anchor` to the
+    arm labels v2..v_{k-1} of the maximal sector, and each hull vertex on
+    v_k's side of the sweep from v2 to v_{k-1} around the anchor to v2 or
+    v_{k-1}, by the bisector test.  They never cross (see README,
+    Verification)."""
     ps = t.ps
-    last_bad: set[Edge] | None = None
-    for v_prime in interior:
-        new_edges: set[Edge] = {edge_key(v_prime, lab) for lab in labels[1:k - 1]}
-        for hv in hull:
-            if hv in (v2, vk1):
-                continue
-            ok_side = (_in_ccw_sweep(ps, v_prime, v2, vk1, hv)
-                       == _in_ccw_sweep(ps, v_prime, v2, vk1, vk))
-            if not ok_side:
-                continue
-            if _closer_to_first_ray(*_rays(ps, v_prime, v2, vk1, hv)):
-                new_edges.add(edge_key(v2, hv))
-            else:
-                new_edges.add(edge_key(vk1, hv))
-        new_edges -= set(t.edges)
-        if first_crossing(ps, sorted(new_edges)) is None:
-            return new_edges
-        last_bad = new_edges
-    raise InternalInvariantError(
-        f"no interior anchor yields a plane star construction (last tried {sorted(last_bad or ())})")
+    k = len(labels)
+    v2, vk1, vk = labels[1], labels[k - 2], labels[k - 1]
+    new_edges: set[Edge] = {edge_key(anchor, lab) for lab in labels[1:k - 1]}
+    for hv in t.hull:
+        if hv not in (v2, vk1) and (_in_ccw_sweep(ps, anchor, v2, vk1, hv)
+                                    == _in_ccw_sweep(ps, anchor, v2, vk1, vk)):
+            near = v2 if _closer_to_first_ray(*_rays(ps, anchor, v2, vk1, hv)) else vk1
+            new_edges.add(edge_key(near, hv))
+    return new_edges - t.edges
 
 
 # ----------------------------------------------------------------------

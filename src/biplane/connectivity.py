@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .geometry import (PointSet, cross, crossing_pairs, first_crossing, point_in_triangle,
-                       segments_properly_cross)
+from .geometry import PointSet, cross, crossing_pairs, first_crossing, segments_properly_cross
 from .layered import LayeredGraph
 from .triangulation import Edge, Triangulation, edge_key
 
@@ -293,13 +292,12 @@ def verify_layering(g: LayeredGraph) -> bool:
 
 @dataclass(frozen=True)
 class Bichord:
-    """Two-edge path (u, m, w) between hull vertices, with one witness vertex
-    recorded per side of the path."""
+    """Two-edge path (u, m, w) between hull vertices with a vertex on every
+    side of it."""
 
     u: int
     m: int
     w: int
-    witnesses: tuple[int, ...]
 
     def path_edges(self) -> tuple[Edge, Edge]:
         return edge_key(self.u, self.m), edge_key(self.m, self.w)
@@ -308,8 +306,6 @@ class Bichord:
 @dataclass(frozen=True)
 class SeparatingTriangle:
     vertices: tuple[int, int, int]
-    inside_witness: int
-    outside_witness: int
 
     def sides(self) -> tuple[Edge, Edge, Edge]:
         a, b, c = self.vertices
@@ -334,13 +330,13 @@ class CutReport:
 def cut_structures(t: Triangulation) -> CutReport:
     """Complete enumeration of chords, bichords and separating triangles.
 
-    Side witnesses for bichords follow the hull cyclic order split at the
-    path's hull vertices (three runs when the middle vertex lies on the hull,
-    taken in hull order; else the runs from u to w and from w to u).  Each
-    run must be non-empty, and its witness is its first vertex.  A pocket
-    with interior-only witnesses always shows up as a separating triangle
-    instead, so the kappa characterizations are preserved.  Faces of t are
-    empty, so they are never separating triangles and are not scanned.
+    A path's sides are the runs of the hull cycle split at its hull vertices
+    (three runs when the middle vertex lies on the hull, taken in hull order;
+    else the runs from u to w and from w to u), and it is a bichord when each
+    run is non-empty.  A pocket with only interior points on one side always
+    shows up as a separating triangle instead, so the kappa characterizations
+    are preserved.  A 3-cycle that is not a face has a point inside, and one
+    outside unless it is the hull triangle (see README, Verification).
     """
     if len(t.ps) < 5:
         raise PreconditionError("cut structures are defined for n >= 5")
@@ -361,11 +357,12 @@ def cut_structures(t: Triangulation) -> CutReport:
                     continue
                 ends = sorted((u, m, w), key=pos.__getitem__) if m in pos else [u, w]
                 # the run from an end a to the next end b is non-empty iff b
-                # does not follow a on the hull; its first vertex follows a
+                # does not follow a on the hull
                 if all((pos[b] - pos[a]) % h > 1 for a, b in zip(ends, ends[1:] + ends[:1])):
-                    report.bichords.append(Bichord(u, m, w, tuple(hull[(pos[a] + 1) % h] for a in ends)))
+                    report.bichords.append(Bichord(u, m, w))
 
-    seen: set[tuple[int, int, int]] = set()
+    # a 3-cycle that is not a face separates unless it is the hull triangle
+    seen: set[tuple[int, int, int]] = {tuple(sorted(hull))} if h == 3 else set()
     for e in sorted(t.edges):
         u, v = e
         for w in sorted(adj[u] & adj[v]):
@@ -373,11 +370,7 @@ def cut_structures(t: Triangulation) -> CutReport:
             if tri in seen or tri in t.triangles:
                 continue
             seen.add(tri)
-            inside = [p for p in range(len(t.ps)) if p not in tri and point_in_triangle(t.ps, *tri, p)]
-            outside = [p for p in range(len(t.ps)) if p not in tri and p not in inside]
-            if inside and outside:
-                report.separating_triangles.append(
-                    SeparatingTriangle(tri, inside[0], outside[0]))
+            report.separating_triangles.append(SeparatingTriangle(tri))
     return report
 
 

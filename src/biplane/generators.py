@@ -184,10 +184,7 @@ def generate_no5conn_counterexample(k: int) -> Triangulation:
         tris += _strip_triangles(x, [ul, z1, z2, ur], xs)
         tris += [(x[0], c1, ul), (ul, c1, z1), (z1, c1, c2), (z1, c2, z2),
                  (z2, c2, c3), (z2, c3, ur), (ur, c3, x[-1])]
-        try:
-            return Triangulation(ps, tris)
-        except InternalInvariantError:
-            return None
+        return Triangulation(ps, tris)
 
     depth = 256
     for _ in range(30):

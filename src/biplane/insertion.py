@@ -302,9 +302,9 @@ def _property_union(sa: PointSet, sb: Sequence[tuple[int, int]]
     return combined, vis_of
 
 
-def _bipartite_match(vis: list[set[int]]) -> list[int] | None:
+def _bipartite_match(vis: list[set[int]]) -> list[int]:
     """Assign each left node a distinct right node from its set (augmenting
-    paths); None when no perfect matching exists.
+    paths); raise when no perfect matching exists.
 
     Each nested `try_assign` call first claims a right node that no call of
     the same search has claimed and then moves to the left node matched to
@@ -326,7 +326,7 @@ def _bipartite_match(vis: list[set[int]]) -> list[int] | None:
 
     for i in range(len(vis)):
         if not try_assign(i, set()):
-            return None
+            raise InternalInvariantError("Hall matching of hull edges failed")
     out = [-1] * len(vis)
     for j, i in match_right.items():
         out[i] = j
@@ -360,8 +360,7 @@ class _HullWiring:
         """Drop e, which must lie in both layers, from the other layer."""
         e = edge_key(*e)
         if not all(e in es for es in self.layers.values()):
-            tag = next((layer for layer, es in self.layers.items() if e in es), None)
-            raise InternalInvariantError(f"cannot demote edge {e} with tag {tag}")
+            raise InternalInvariantError(f"cannot demote edge {e}: not in both layers")
         self.layers[LAYER2 if keep_layer == LAYER1 else LAYER1].remove(e)
 
     def delete(self, e: Edge) -> None:
@@ -386,8 +385,6 @@ def _wire_surrounding(w: _HullWiring, a_hull: tuple[int, ...], b_cycle: tuple[in
             raise InternalInvariantError("consecutive outer vertices without a common visible edge")
         vis.append(common)
     assign = _bipartite_match(vis)
-    if assign is None:
-        raise InternalInvariantError("Hall matching of hull edges failed")
 
     def quad(i: int) -> tuple[int, ...]:
         """The quadrilateral of outer edge i and its assigned inner edge,

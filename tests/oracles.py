@@ -690,12 +690,12 @@ def ref_cut_structures(t) -> CutReport:
                     parts = [_ref_hull_arc(hull, order[k][1], order[(k + 1) % 3][1])
                              for k in range(3)]
                     if all(parts):
-                        report.bichords.append(Bichord(u, m, w, (parts[0][0], parts[1][0], parts[2][0])))
+                        report.bichords.append(Bichord(u, m, w))
                 else:
                     arc1 = _ref_hull_arc(hull, u, w)
                     arc2 = _ref_hull_arc(hull, w, u)
                     if arc1 and arc2:
-                        report.bichords.append(Bichord(u, m, w, (arc1[0], arc2[0])))
+                        report.bichords.append(Bichord(u, m, w))
     seen: set[tuple[int, ...]] = set()
     pts = t.ps.points
     for u, v in sorted(t.edges):
@@ -708,7 +708,7 @@ def ref_cut_structures(t) -> CutReport:
             inside = [p.id for p in pts if p.id not in tri and ref_point_in_triangle(pa, pb, pc, p)]
             outside = [p.id for p in pts if p.id not in tri and p.id not in inside]
             if inside and outside:
-                report.separating_triangles.append(SeparatingTriangle(tri, inside[0], outside[0]))
+                report.separating_triangles.append(SeparatingTriangle(tri))
     return report
 
 

@@ -21,7 +21,8 @@ from biplane.triangulation import (Triangulation, TriangulationClass, classify,
                                    triangulation_from_edges)
 
 from conftest import chordful_triangulation
-from oracles import bf_vertex_connectivity, ref_closer_to_first_ray, ref_vertex_connectivity
+from oracles import (bf_first_crossing, bf_vertex_connectivity, ref_closer_to_first_ray,
+                     ref_vertex_connectivity)
 
 
 class TestGenerators:
@@ -141,7 +142,9 @@ class TestAugmentTo4Conn:
         n = 5 + seed % 8
         t = random_triangulation(n, seed)
         if classify(t) is not TriangulationClass.OTHER:
-            pytest.skip("wheel or fan sampled")
+            with pytest.raises(ImpossibleError):
+                augment_to_4conn(t)
+            return
         extra = augment_to_4conn(t)
         ps = t.ps
         ee = sorted(extra)
@@ -292,6 +295,37 @@ class TestBichordStar:
         extra = augment_to_4conn(t)
         assert calls, "the bisector split of the bichord star did not run"
         _assert_plane_4conn_with_digest(t, extra, digest)
+
+
+# random_triangulation(n, seed) inputs that have no chord, put every vertex in
+# a cut triple, and have two interior vertices or more besides the centre:
+# every one with n = 7-14 and seed < 3000
+STAR_ANCHOR_CASES = [
+    (9, 160), (9, 309), (9, 775), (9, 885), (9, 913), (9, 991), (9, 1283), (9, 1572),
+    (9, 1752), (9, 2212), (9, 2367), (9, 2425), (9, 2520), (9, 2657), (10, 444), (10, 1436),
+    (10, 1439), (10, 1600), (10, 2441), (10, 2469), (10, 2542), (10, 2602), (10, 2706),
+    (11, 893), (11, 1975), (12, 352), (12, 2569), (13, 951), (13, 1593), (14, 764),
+]
+
+
+class TestBichordStarAnchors:
+    """The bichord star is built from the first interior vertex other than
+    the centre, with no retry: README Verification argues that the star from
+    any such anchor is plane.  Here every anchor's star is, by the
+    brute-force crossing oracle."""
+
+    @pytest.mark.parametrize("n,seed", STAR_ANCHOR_CASES)
+    def test_every_anchor_gives_a_plane_star(self, n, seed):
+        t = random_triangulation(n, seed)
+        rep = cut_structures(t)
+        assert t.chords() == []
+        assert {v for triple in rep.cut_triples() for v in triple} == set(range(n))
+        center, labels = augment_module._maximal_sector(t, rep)
+        anchors = [x for x in range(n) if x not in t.hull and x != center]
+        assert len(anchors) >= 2
+        for anchor in anchors:
+            star = sorted(augment_module._bichord_star(t, labels, anchor))
+            assert bf_first_crossing(t.ps, star) is None, anchor
 
 
 def _two_centres(h: int) -> Triangulation:

@@ -456,9 +456,12 @@ class TestCutStructures:
 
 
 def cut_structure_inputs():
-    """Triangulations for the hull-position witness rule: random ones at
-    n = 6-40, chordful convex ones, wheels, fans and the no5conn family."""
+    """Triangulations for the hull-position bichord rule and the 3-cycle
+    rule: random ones at n = 6-40 and with a triangular hull, chordful convex
+    ones, wheels, fans and the no5conn family."""
     cases = [(f"random-{n}", lambda n=n: random_triangulation(n, 1000 + n)) for n in range(6, 41)]
+    cases += [(f"triangle-hull-{n}-{seed}", lambda n=n, seed=seed: random_triangulation(n, seed))
+              for n, seed in ((5, 10), (6, 0), (7, 132), (8, 209), (9, 156), (11, 154))]
     cases += [(f"chordful-{n}-{seed}", lambda n=n, seed=seed: chordful_triangulation(n, seed))
               for n in (6, 9, 13) for seed in range(3)]
     cases += [(f"wheel-{n}", lambda n=n: generate_wheel(n)) for n in (5, 8, 11)]
@@ -475,7 +478,7 @@ class TestCutStructuresAgainstReference:
         assert cut_structures(t) == ref_cut_structures(t)
 
     def test_inputs_reach_every_witness_rule(self):
-        hull_middle = id_order_against_hull = separating = chords = 0
+        hull_middle = id_order_against_hull = separating = chords = triangle_hulls = 0
         for _, build in cut_structure_inputs():
             t = build()
             rep = cut_structures(t)
@@ -486,7 +489,9 @@ class TestCutStructuresAgainstReference:
                                          if b.m not in pos and pos[b.w] < pos[b.u])
             separating += len(rep.separating_triangles)
             chords += len(rep.chords)
-        assert min(hull_middle, id_order_against_hull, separating, chords) > 0
+            # the hull triangle has no point outside, so it never separates
+            triangle_hulls += len(t.hull) == 3
+        assert min(hull_middle, id_order_against_hull, separating, chords, triangle_hulls) > 0
 
 
 def reachable(n, edges, root, removed) -> set[int]:

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
+from biplane import generators
 from biplane.errors import PreconditionError
 from biplane.generators import (generate_no5conn_counterexample, random_general_position,
                                 random_triangulation, regular_polygon_points)
 from biplane.geometry import PointSet
 
-from oracles import ref_random_triangulation
+from oracles import bf_triangulation_ok, ref_random_triangulation, ref_vertex_connectivity
 
 
 def widening_draws(n, seed, span):
@@ -103,3 +104,25 @@ def test_no5conn_counterexample_is_pinned(k):
     t = generate_no5conn_counterexample(k)
     got = hashlib.sha256(repr((t.ps.points, sorted(t.triangles))).encode()).hexdigest()
     assert got == NO5CONN_DIGESTS[k]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_no5conn_search_skips_a_candidate_not_in_general_position(monkeypatch, k):
+    """The doubling search skips a candidate that passes the hull and
+    crossing checks but is not in general position, and goes on: here the
+    first such candidate is refused as if it had three collinear points."""
+    real, refused = generators._try_pointset, []
+
+    def refuse_first(coords):
+        if not refused:
+            refused.append(coords)
+            return None
+        return real(coords)
+
+    monkeypatch.setattr(generators, "_try_pointset", refuse_first)
+    t = generate_no5conn_counterexample(k)
+    n = 4 * k + 4
+    assert len(refused) == 1 and len(t.ps) == n
+    assert list(zip(t.ps.xs, t.ps.ys)) != refused[0]
+    assert bf_triangulation_ok(t.ps, t.triangles)
+    assert ref_vertex_connectivity(n, t.edges) == 4

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 import re
@@ -6,9 +7,11 @@ import re
 import pytest
 
 from biplane import insertion
+from biplane.cli import main
 from biplane.connectivity import kappa_of, layer_crossing, verify_layering
 from biplane.convex import build_5conn_convex
 from biplane.errors import InternalInvariantError, PreconditionError
+from biplane.formats import loads_layered
 from biplane.generators import (random_general_position, random_triangulation,
                                 regular_polygon_points)
 from biplane.geometry import (PointSet, convex_hull, is_convex_position,
@@ -21,8 +24,9 @@ from biplane.triangulation import complete_to_triangulation, edge_key, is_flippa
 from biplane.generators import generate_wheel
 
 from conftest import core_plus_interior, mixed_pipeline_instance
-from oracles import (bf_first_collinear, bf_triangulation_ok, edge_visibility_hall_holds,
-                     visible_hull_edges)
+from oracles import (bf_first_collinear, bf_first_crossing, bf_triangulation_ok,
+                     edge_visibility_hall_holds, ref_segments_properly_cross,
+                     ref_vertex_connectivity, visible_hull_edges)
 
 
 def fresh_core(n=14, radius=1000):
@@ -572,6 +576,66 @@ HULL_INSERTION_REPROS = [
 def test_hull_insertion_repro_builds(coords):
     g = build_5conn_general(PointSet(coords))
     assert kappa_of(g) >= 5 and verify_layering(g)
+
+
+# A 22-point set whose general5 build inserts point 21 alone on the hull.  It
+# sees three S_a hull edges, and in the layer triangulation the wiring picks,
+# the triangles on its second and third edges coincide.  b-apex1 crosses a1-a2,
+# so the first-apex branch of `_wire_single_point_p4` wires it.
+FIRST_APEX_POINTS = [
+    (101669, 5468), (89383, 46620), (67740, 71084), (32407, 93201), (106, 99402),
+    (-41104, 88164), (-75605, 63778), (-99491, 15853), (-96517, -17233),
+    (-84394, -55162), (-53124, -83332), (-17070, -100882), (40637, -89910),
+    (69388, -75774), (93099, -30433), (-59203, -6259), (-25297, -64397),
+    (8390, 56007), (38317, 52963), (52021, 14779), (52401, -69387), (-113392, 30663)]
+FIRST_APEX_EDGES_DIGEST = "b64a49f708879548637eb50dfb4a7e8bba1820add108bca3fbac3a6695faf936"
+
+
+def test_single_point_first_apex_branch(tmp_path, capsys, monkeypatch):
+    wirings, edits = [], []
+    wire, demote, add = (insertion._wire_single_point_p4, insertion._HullWiring.demote,
+                         insertion._HullWiring.add)
+    monkeypatch.setattr(insertion, "_wire_single_point_p4",
+                        lambda w, t1, t2, b, averts, deleted:
+                        wirings.append((w, t1, t2, b, averts, deleted))
+                        or wire(w, t1, t2, b, averts, deleted))
+    monkeypatch.setattr(insertion._HullWiring, "demote",
+                        lambda w, e, keep: edits.append(("demote", e, keep)) or demote(w, e, keep))
+    monkeypatch.setattr(insertion._HullWiring, "add",
+                        lambda w, u, v, layer: edits.append(("add", u, v, layer))
+                        or add(w, u, v, layer))
+    pts, out = tmp_path / "p.pts", tmp_path / "g.edges"
+    pts.write_text("".join(f"{x} {y}\n" for x, y in FIRST_APEX_POINTS))
+    capsys.readouterr()
+    assert main(["--format", "json", "build", "--mode", "general5", "--points", str(pts),
+                 "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["kappa"], report["biplane"]) == (5, True)
+
+    # one single-point wiring, of point 21, whose second and third arc edges
+    # lie on one triangle a2 a3 a4 of its layer: after joining b to the four
+    # arc vertices, it keeps a1-a2 in the other layer only and joins b to the
+    # apex of a1-a2 in its own layer, which b-apex1 crosses
+    (w, t1, t2, b, averts, deleted), = wirings
+    a1, a2, a3, a4 = averts
+    assert (w.ps.xs[b], w.ps.ys[b]) == FIRST_APEX_POINTS[21]
+    i = next(i for i, edit in enumerate(edits) if edit[0] == "demote")
+    other = edits[i][2]
+    own, tp = (LAYER2, t2) if other == LAYER1 else (LAYER1, t1)
+    apex1 = tp.opposites(edge_key(a1, a2))[0]
+    assert (tp.opposites(edge_key(a2, a3)), tp.opposites(edge_key(a3, a4))) == ((a4,), (a2,))
+    assert edits[i - 4:i + 2] == ([("add", b, a, LAYER1) for a in averts]
+                                  + [("demote", edge_key(a1, a2), other), ("add", b, apex1, own)])
+    assert [edit[0] for edit in edits].count("demote") == 1
+    assert ref_segments_properly_cross(*(w.ps[v] for v in (b, apex1, a1, a2)))
+    assert not deleted
+
+    # the written graph: kappa and both layers by the oracles, and its bytes
+    g = loads_layered(out.read_text(), PointSet(FIRST_APEX_POINTS))
+    assert ref_vertex_connectivity(len(FIRST_APEX_POINTS), g.edges()) == 5
+    for layer in (LAYER1, LAYER2):
+        assert bf_first_crossing(g.ps, sorted(g.layer_edges(layer))) is None
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIRST_APEX_EDGES_DIGEST
 
 
 def test_general5_builds_or_rejects_on_500_seeds():

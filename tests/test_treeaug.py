@@ -5,7 +5,7 @@ import pytest
 
 from biplane.connectivity import kappa_of, verify_layering
 from biplane.errors import PreconditionError
-from biplane.generators import generate_fan, random_triangulation
+from biplane.generators import generate_fan, generate_wheel, random_triangulation
 from biplane.geometry import segments_properly_cross
 from biplane.layered import BOTH, LAYER1, LAYER2, LayeredGraph
 from biplane.treeaug import RootedTreeIndex, _leaf_pairing, build_cell_tree, min_augment_3conn
@@ -106,9 +106,8 @@ class TestLeafPairing:
 
 class TestCellTree:
     def test_no_chords_single_cell(self):
-        t = random_triangulation(7, 1)
-        if t.chords():
-            pytest.skip("sampled triangulation has chords")
+        t = generate_wheel(7)
+        assert not t.chords()
         ct = build_cell_tree(t)
         assert len(ct.adjacency) == 1 and not ct.leaves
 

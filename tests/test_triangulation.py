@@ -464,6 +464,16 @@ class TestValidationCertificate:
         *corners, w = map(int, re.findall(r"\d+", str(err.value)))
         assert triangle_key(*corners) in tris and point_in_triangle(ps, *corners, w)
 
+    def test_repeated_corner_is_rejected(self):
+        # (0, 0, 0) in place of the hull face (0, 1, 2) trades the edge (0, 1)
+        # for the loop (0, 0), so the edge count still matches and the face
+        # loop marks the repeated corner; the loop's three apexes raise first
+        t = random_triangulation(7, 2)
+        tris = t.triangles - {(0, 1, 2)} | {(0, 0, 0)}
+        assert len(tris) == len(t.triangles)
+        with pytest.raises(InternalInvariantError, match=r"^edge \(0, 0\) lies in 3 triangles, expected 2$"):
+            Triangulation(t.ps, tris)
+
     def test_crossing_edges_are_named(self, monkeypatch):
         # with the counts right, a crossing comes with a vertex inside a
         # triangle, which the emptiness scan reports first; switch that scan
