@@ -3,6 +3,7 @@ biplanarity via crossing-conflict coloring, and the chord / bichord /
 separating-triangle cut structure of triangulations."""
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -41,11 +42,12 @@ def min_vertex_cut(n: int, edges: Iterable[Edge]) -> tuple[int, list[int]]:
     Pair schedule (Even, 1975): let s be a minimum-degree vertex, lowest id
     first, and start from best = delta = deg(s), which bounds kappa from
     above, with cut N(s).  Order the vertices v_1 = s, then breadth-first
-    from s with neighbours ascending, then the unreached ones by id.  Run one
-    flow between each nonadjacent pair among v_1..v_delta; then, for each
-    later v_j, one fan flow from v_j to its prefix P = {v_1..v_(j-1)}, whose
-    paths share only v_j and end at distinct vertices of P.  Each flow stops
-    at the running best.  Two facts make this exact:
+    from s, taking the new neighbours of a vertex in a fixed scramble of
+    their ids, then the unreached ones by id.  Run one flow between each
+    nonadjacent pair among v_1..v_delta; then, for each later v_j, one fan
+    flow from v_j to its prefix P = {v_1..v_(j-1)}, whose paths share only
+    v_j and end at distinct vertices of P.  Each flow stops at the running
+    best.  Two facts make this exact, for any order of the vertices:
 
     - Every lowered best is a real separator.  A fan has |P| >= delta >=
       best > flow, so some vertex of P lies outside the flow's cut, and the
@@ -57,54 +59,98 @@ def min_vertex_cut(n: int, edges: Iterable[Edge]) -> tuple[int, list[int]]:
       S.  Its prefix lies in A and S, so every path of its fan meets S, and
       its fan flow is at most |S|.
 
-    A flow counts disjoint paths on split vertices: v has an in-node 2v and
-    an out-node 2v + 1.  It runs from the out-node of its source to the
+    The order matters only for the work.  With ties in ascending id, a graph
+    labelled along a long cycle gets the cycle as its order, and each fan's
+    last path walks the rest of the cycle.  The scramble keeps the fans of
+    such a graph local unless the labels follow the scramble along the
+    cycle.
+
+    The flows run in position space: each vertex is renamed by its place in
+    the order, and every neighbour list is sorted.  So a fan's sinks are the
+    positions below its source, and they come first in every list.  A flow
+    counts disjoint paths on split vertices: v has an in-node 2v and an
+    out-node 2v + 1.  It runs from the out-node of its source to the
     out-node of any sink vertex: the prefix of a fan, or the other end of a
     pair.  Its state is the capacity left at each vertex (`room`: 1, or INF
     for a pair's sink) and, for each vertex that carries flow, the vertex
-    that its flow comes from (`pred`).  It is seeded on the plain graph:
-    first a direct path to each sink neighbour of the source with room, in
-    `nbrs` order, then greedy disjoint paths, each a breadth-first search
-    that avoids vertices without room and stops at the first sink it meets.
-    The search scans every neighbour of the source before any other vertex
-    and a direct path uses only its sink's room, so the direct paths are the
-    ones the search would return first.  A seed below the limit is augmented
-    along residual paths, found by breadth-first search over arcs that the
-    state implies: out(v) -> in(w) for each neighbour w, in(v) -> out(v)
-    while v has room, and out(v) -> in(v) and in(v) -> out(pred[v]) once it
-    has none.  A sink's out-node ends the search, the source keeps its room
-    and a vertex with room carries no flow unless it is a sink, so no other
+    that its flow comes from (`pred`).  It is seeded on the plain graph with
+    disjoint paths: a fan takes a direct path to each neighbour below it,
+    then a path v_j -> w -> x for each later neighbour w whose first
+    neighbour with room below v_j is x; then greedy paths, each a
+    breadth-first search that avoids vertices without room and stops at the
+    first sink it meets.  A seed below the limit is augmented along
+    residual paths, found by breadth-first search over arcs that the state
+    implies: out(v) -> in(w) for each neighbour w, in(v) -> out(v) while v
+    has room, and out(v) -> in(v) and in(v) -> out(pred[v]) once it has
+    none.  A sink's out-node ends the search, the source keeps its room and
+    a vertex with room carries no flow unless it is a sink, so no other
     residual arc is ever taken.  Augmenting from any feasible flow reaches
     the maximum, and the set that a failed search reaches is the same for
     every maximum flow, so neither the seed nor the search order changes
     kappa or the cut.  A flow touches only what its searches reach: parents
     and pred live in dicts, and each vertex in pred gets its room of 1 back
-    when the flow ends.  In breadth-first order most neighbours of a late
-    vertex precede it, so most fan paths are direct and a fan's searches
-    usually stop within a few vertices.  The cut is N(s) when no flow goes
-    below delta; otherwise it is read from the last flow that lowered best:
-    the vertices whose in-node the final residual search reached and whose
-    out-node it did not.
+    when the flow ends.  The cut is N(s) when no flow goes below delta;
+    otherwise it is read from the last flow that lowered best: the vertices
+    whose in-node the final residual search reached and whose out-node it
+    did not, mapped back to their ids.
     """
     if n < 2:
         raise PreconditionError("vertex connectivity needs n >= 2")
     adj = _adjacency(n, edges)
-    nbrs = [sorted(a) for a in adj]
+    degree = [len(a) for a in adj]
+    delta = min(degree)
+    s = degree.index(delta)
+    # breadth-first from s, new neighbours in the order of an odd multiple of
+    # their ids mod 2^32, a bijection on ids below 2^32; from here on a
+    # vertex is its position in `order`
+    rank = [(v * 0x9E3779B1) & 0xFFFFFFFF for v in range(n)]
+    order = [s]
+    seen = {s}
+    for u in order:
+        new = adj[u] - seen
+        if new:
+            seen |= new
+            order += sorted(new, key=rank.__getitem__)
+    if len(order) < n:
+        order += [v for v in range(n) if v not in seen]
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for i, u in enumerate(order):
+        for v in adj[u]:
+            nbrs[pos[v]].append(i)
     sink = [False] * n
     room = [1] * n  # split capacity left at each vertex: INF for a pair's sink
 
     def max_flow(src: int, limit: int) -> tuple[int, list[int]]:
         """Flow value from src to the sinks, at most limit; below limit, also
-        the minimum cut that the final, failed residual search leaves."""
+        the minimum cut, in ids, that the final, failed residual search
+        leaves."""
         flow = 0
         pred: dict[int, int] = {}  # v: the vertex whose flow enters v
-        for v in nbrs[src]:
-            if flow == limit:
-                break
-            if sink[v] and room[v]:
-                room[v] -= 1
+        if src >= delta:
+            # a fan: its sinks are the positions below src, first in every list
+            nb = nbrs[src]
+            k = bisect_left(nb, src)
+            for v in nb[:k]:
+                if flow == limit:
+                    break
+                room[v] = 0
                 pred[v] = src
                 flow += 1
+            for w in nb[k:]:
+                if flow == limit:
+                    break
+                for x in nbrs[w]:
+                    if x >= src:
+                        break
+                    if room[x]:
+                        room[w] = room[x] = 0
+                        pred[w] = src
+                        pred[x] = w
+                        flow += 1
+                        break
         while flow < limit:
             parent = {src: src}
             queue = [src]
@@ -156,7 +202,7 @@ def min_vertex_cut(n: int, edges: Iterable[Edge]) -> tuple[int, list[int]]:
                         parent[y] = x
                         queue.append(y)
             if end == -1:
-                side = sorted(x >> 1 for x in parent if not x & 1 and x + 1 not in parent)
+                side = sorted(order[x >> 1] for x in parent if not x & 1 and x + 1 not in parent)
                 break
             x = end
             while x != root:
@@ -180,32 +226,21 @@ def min_vertex_cut(n: int, edges: Iterable[Edge]) -> tuple[int, list[int]]:
         if flow < best:
             best, cut = flow, side
 
-    s = min(range(n), key=lambda v: (len(adj[v]), v))
-    delta = len(adj[s])
-    best, cut = delta, nbrs[s]
-    order = [s]
-    reached = [False] * n
-    reached[s] = True
-    for u in order:
-        for v in nbrs[u]:
-            if not reached[v]:
-                reached[v] = True
-                order.append(v)
-    order += [v for v in range(n) if not reached[v]]
-    first = order[:delta]
-    for i, u in enumerate(first):
-        for v in first[i + 1:]:
-            if v not in adj[u]:
-                sink[v] = True
-                room[v] = INF
-                lower(u)
-                sink[v] = False
-                room[v] = 1
-    for v in first:
-        sink[v] = True
-    for v in order[delta:]:
-        lower(v)
-        sink[v] = True
+    best, cut = delta, sorted(adj[s])
+    for i in range(delta):
+        adj_i = adj[order[i]]
+        for j in range(i + 1, delta):
+            if order[j] not in adj_i:
+                sink[j] = True
+                room[j] = INF
+                lower(i)
+                sink[j] = False
+                room[j] = 1
+    for j in range(delta):
+        sink[j] = True
+    for j in range(delta, n):
+        lower(j)
+        sink[j] = True
     return best, cut
 
 

@@ -140,59 +140,59 @@ def generate_no5conn_counterexample(k: int) -> Triangulation:
     upper chain of 2k - 3 cap points, each above one lower-chain gap).  Bottom
     cluster: 7 points far below, placed so that every segment from an upper
     chain point to the bottom cluster crosses its lower-chain edge; the offset
-    is found by doubling search and the crossings are asserted.
+    is found by doubling search and the crossings are asserted.  A depth's
+    row of heights ends at the first candidate whose hull is right and whose
+    crossings are not: no taller candidate there has them (see README,
+    Verification).
     """
     if k < 2:
         raise PreconditionError("k >= 2 required")
     m = 2 * k
     p = [2 * j - (m + 1) for j in range(1, m + 1)]          # odd, symmetric
     q = [(p[i] + p[i + 1]) // 2 for i in range(1, m - 2)]   # gap midpoints, 2k-3 of them
+    x = list(range(m))
+    y = [m + i for i in range(m - 3)]
+    c1, c2, c3 = 2 * m - 3, 2 * m - 2, 2 * m - 1
+    ul, z1, z2, ur = 2 * m, 2 * m + 1, 2 * m + 2, 2 * m + 3
+    expected_hull = {x[0], x[-1], c1, c2, c3, *y}
+    bottom = [c1, c2, c3, ul, z1, z2, ur]
+    # x_1..x_2k, y_1..y_{2k-3}, c_1, c_2, c_3, uL, z1, z2, uR; only the
+    # y-coordinates depend on the candidate
+    xs = [8 * v for v in p] + [8 * v for v in q] + [-8, 0, 8, -6, -2, 2, 6]
+    tris: list[tuple[int, int, int]] = []
+    tris.append((x[0], x[1], y[0]))
+    tris += [(y[i], x[i + 1], x[i + 2]) for i in range(m - 3)]
+    tris += [(y[i], y[i + 1], x[i + 2]) for i in range(m - 4)]
+    tris.append((y[-1], x[-2], x[-1]))
+    tris += _strip_triangles(x, [ul, z1, z2, ur], xs)
+    tris += [(x[0], c1, ul), (ul, c1, z1), (z1, c1, c2), (z1, c2, z2),
+             (z2, c2, c3), (z2, c3, ur), (ur, c3, x[-1])]
 
-    def build(height: int, depth: int) -> Triangulation | None:
-        coords: list[tuple[int, int]] = []
-        coords += [(8 * v, v * v) for v in p]                       # x_1..x_2k
-        coords += [(8 * v, height - v * v) for v in q]              # y_1..y_{2k-3}
-        coords += [(-8, -depth), (0, -depth - 8), (8, -depth)]      # c_1, c_2, c_3
-        coords += [(-6, -depth + 8), (-2, -depth + 6),
-                   (2, -depth + 6), (6, -depth + 8)]                # uL, z1, z2, uR
-        x = list(range(m))
-        y = [m + i for i in range(m - 3)]
-        c1, c2, c3 = 2 * m - 3, 2 * m - 2, 2 * m - 1
-        ul, z1, z2, ur = 2 * m, 2 * m + 1, 2 * m + 2, 2 * m + 3
-        expected_hull = {x[0], x[-1], c1, c2, c3, *y}
-        # the hull and crossing checks run on the raw points, so that only a
-        # candidate passing both pays for the O(n^2) general-position scan
-        xs, ys = [cx for cx, _ in coords], [cy for _, cy in coords]
-        if set(convex_hull(xs, ys)) != expected_hull:
-            return None
-        # required crossing property: y_i to any bottom point crosses x_{i+1} x_{i+2}
-        bottom = [c1, c2, c3, ul, z1, z2, ur]
+    def crossings_hold(ys: list[int]) -> bool:
+        """The required crossing property: y_i to any bottom point crosses
+        x_{i+1} x_{i+2}."""
         for i in range(m - 3):
             a, b = x[i + 1], x[i + 2]
             for w in bottom:
                 if not _open_segments_cross((xs[y[i]], ys[y[i]], xs[w], ys[w]),
                                             (xs[a], ys[a], xs[b], ys[b])):
-                    return None
-        ps = _try_pointset(coords)
-        if ps is None:
-            return None
-        tris: list[tuple[int, int, int]] = []
-        tris.append((x[0], x[1], y[0]))
-        tris += [(y[i], x[i + 1], x[i + 2]) for i in range(m - 3)]
-        tris += [(y[i], y[i + 1], x[i + 2]) for i in range(m - 4)]
-        tris.append((y[-1], x[-2], x[-1]))
-        tris += _strip_triangles(x, [ul, z1, z2, ur], xs)
-        tris += [(x[0], c1, ul), (ul, c1, z1), (z1, c1, c2), (z1, c2, z2),
-                 (z2, c2, c3), (z2, c3, ur), (ur, c3, x[-1])]
-        return Triangulation(ps, tris)
+                    return False
+        return True
 
     depth = 256
     for _ in range(30):
         height = 64
         for _ in range(20):
-            t = build(height, depth)
-            if t is not None:
-                return t
+            ys = ([v * v for v in p] + [height - v * v for v in q]
+                  + [-depth, -depth - 8, -depth, -depth + 8, -depth + 6, -depth + 6, -depth + 8])
+            # the hull and crossing checks run on the raw points, so that only
+            # a candidate passing both pays for the O(n^2) general-position scan
+            if set(convex_hull(xs, ys)) == expected_hull:
+                if not crossings_hold(ys):
+                    break
+                ps = _try_pointset(list(zip(xs, ys)))
+                if ps is not None:
+                    return Triangulation(ps, tris)
             height *= 2
         depth *= 2
     raise InternalInvariantError("no valid two-cluster construction found")

@@ -184,21 +184,32 @@ def _chords_interleave(ps: PointSet, edges: Sequence[tuple[int, int]]) -> bool:
     convex position: the one way two chords of a strictly convex polygon
     properly cross.
 
-    Taken by left end, and by right end descending on ties, each span first
-    drops the spans on the stack that end at or before its left end; the
-    rest contain its left end, and nest, so the top ends first.  The span
-    interleaves with one of them exactly when it ends after the top; else it
-    nests inside the top and is pushed."""
-    pos = [0] * len(ps)
-    for i, v in enumerate(ps.hull()):
+    Each span's right end is filed under its left end.  At each left end a,
+    in increasing order, the spans on the stack that end at or before a are
+    dropped; the rest contain a, and nest, so the top ends first.  A span
+    from a interleaves with one of them exactly when it ends after the top,
+    so the longest span from a decides.  Else every span from a nests inside
+    the top, and they go on the stack longest first."""
+    hull = ps.hull()
+    pos = [0] * len(hull)
+    for i, v in enumerate(hull):
         pos[v] = i
-    stack: list[int] = []
-    for a, b in sorted((min(pos[u], pos[v]), -max(pos[u], pos[v])) for u, v in edges):
-        while stack and stack[-1] <= a:
-            stack.pop()
-        if stack and stack[-1] < -b:
-            return True
-        stack.append(-b)
+    ends: list[list[int]] = [[] for _ in hull]
+    for u, v in edges:
+        a, b = pos[u], pos[v]
+        if a < b:
+            ends[a].append(b)
+        else:
+            ends[b].append(a)
+    stack = [len(hull)]  # a sentinel above every end
+    for a, bucket in enumerate(ends):
+        if bucket:
+            while stack[-1] <= a:
+                stack.pop()
+            bucket.sort(reverse=True)
+            if bucket[0] > stack[-1]:
+                return True
+            stack += bucket
     return False
 
 

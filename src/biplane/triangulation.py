@@ -59,25 +59,23 @@ class Triangulation:
         self._adj = adj
         if len(ps) < 3:
             raise PreconditionError("triangulation needs at least 3 points")
-        self._check(self._opposites, self.triangles)
+        self._check(self._opposites)
 
     # ------------------------------------------------------------------
-    def _check(self, edges: Iterable[Edge], faces: Iterable[tuple[int, int, int]]) -> None:
+    def _check(self, edges: Iterable[Edge]) -> None:
         """Raise InternalInvariantError unless the faces form a triangulation,
-        given that they did outside `edges` and `faces`: the edge count and the
-        hull edges over the whole set, then one face per given hull edge, two
-        per other given edge with their apexes strictly on opposite sides, and
-        three distinct corners per given face (see README, Verification).  A
-        failed certificate runs the emptiness and crossing scans for a witness."""
+        given that they did outside `edges`: the edge count and the hull edges
+        over the whole set, then one face per given hull edge, and two per
+        other given edge with their apexes strictly on opposite sides; a face
+        that repeats a corner fails one of these (see README, Verification).
+        A failed certificate runs the emptiness and crossing scans for a
+        witness."""
         ps = self.ps
         expected = 3 * len(ps) - 3 - len(self.hull)
         if len(self.edges) != expected:
             raise InternalInvariantError(f"edge count {len(self.edges)} != 3n-3-h = {expected}")
         hull_edges, opposites = self._hull_edges, self._opposites
         failed = None
-        for (a, b, c) in faces:
-            if a == b or b == c:
-                failed = f"triangle {(a, b, c)} repeats a corner"
         for e in edges:
             ws = opposites[e]
             want = 1 if e in hull_edges else 2
@@ -139,7 +137,7 @@ class Triangulation:
             del opposites[u, v], changed[u, v]
         edges = self.edges.union(added)
         out.edges = edges.difference(dropped) if dropped else edges
-        out._check(changed, new)
+        out._check(changed)
         return out
 
     def split(self, new_ps: PointSet, s: int) -> "Triangulation":

@@ -519,7 +519,7 @@ def ref_greedy_completion(ps: PointSet, required=(), avoid=()) -> frozenset[Edge
                 and (vx * (ay - cy) - vy * (ax - cx) > 0) != (vx * (by - cy) - vy * (bx - cx) > 0))
 
     # a plane set of 3n - 3 - h edges is a triangulation: nothing more fits
-    full = 3 * len(pts) - 3 - _ref_hull_size(pts)
+    full = 3 * len(pts) - 3 - len(_ref_hull_corners(pts))
     have = set(taken)
     for a, b in sorted(combinations(range(len(pts)), 2), key=key):
         if len(taken) >= full:
@@ -531,19 +531,50 @@ def ref_greedy_completion(ps: PointSet, required=(), avoid=()) -> frozenset[Edge
     return frozenset(taken)
 
 
-def _ref_hull_size(pts: Sequence[tuple[int, int]]) -> int:
-    """Hull vertex count of distinct points, no three collinear, by the
-    monotone chain."""
+def _ref_hull_corners(pts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Hull corners of distinct points by the monotone chain, each once; a
+    point on a hull edge is not a corner."""
     order = sorted(pts)
-    size = 0
+    corners: list[tuple[int, int]] = []
     for seq in (order, order[::-1]):
         out: list[tuple[int, int]] = []
         for p in seq:
             while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
                 out.pop()
             out.append(p)
-        size += len(out) - 1
-    return size
+        corners += out[:-1]
+    return corners
+
+
+def ref_no5conn_search(k: int) -> tuple[list[tuple[int, int]], int]:
+    """(points, candidates tried) of the two-cluster fixture's doubling search
+    over the full (depth, height) grid: every height of every row is tried
+    until a candidate has the expected hull corners, the crossing property
+    (each cap point y_i to each bottom point crosses x_{i+1} x_{i+2}) and no
+    collinear triple."""
+    m = 2 * k
+    p = [2 * j - (m + 1) for j in range(1, m + 1)]
+    q = [(p[i] + p[i + 1]) // 2 for i in range(1, m - 2)]
+    tried = 0
+    depth = 256
+    for _ in range(30):
+        height = 64
+        for _ in range(20):
+            tried += 1
+            chain = [(8 * v, v * v) for v in p]
+            caps = [(8 * v, height - v * v) for v in q]
+            bottom = [(-8, -depth), (0, -depth - 8), (8, -depth), (-6, -depth + 8),
+                      (-2, -depth + 6), (2, -depth + 6), (6, -depth + 8)]
+            pts = chain + caps + bottom
+            if sorted(_ref_hull_corners(pts)) == sorted([chain[0], chain[-1], *caps, *bottom[:3]]) \
+                    and all(ref_segments_properly_cross(Point(*y), Point(*w), Point(*chain[i + 1]),
+                                                        Point(*chain[i + 2]))
+                            for i, y in enumerate(caps) for w in bottom) \
+                    and bf_first_collinear([x for x, _ in pts], [y for _, y in pts], 0) is None:
+                return pts, tried
+            height *= 2
+        depth *= 2
+    raise AssertionError("no candidate on the grid")
 
 
 def bf_circular_runs(flags: Sequence[bool]) -> list[tuple[int, int]]:

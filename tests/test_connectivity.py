@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -339,6 +340,62 @@ class TestMinVertexCutGolden:
         graphs, digest = self.CORPORA[corpus]
         got = repr([min_vertex_cut(n, edges) for n, edges in graphs()])
         assert hashlib.sha256(got.encode()).hexdigest() == digest
+
+
+def labelling_inputs():
+    """(name, n, edges): convex4, convex5 and no5conn graphs with n <= 60, in
+    their own labels (hull order for the convex builds) and shuffled, and the
+    pocket and hub graphs under a second shuffle.  The breadth-first order
+    of the flows breaks ties by a scramble of the ids, so each labelling
+    gives it another vertex order."""
+    for n in (7, 12, 19, 33, 47, 60):
+        ps = regular_polygon_points(n)
+        for name, build in (("convex5", build_5conn_convex), ("convex4", build_4conn_convex)):
+            if name == "convex5" and n < 14:
+                continue
+            edges = sorted(build(ps).edges())
+            yield f"{name}-{n}", n, edges
+            for seed in range(3):
+                yield f"{name}-{n}-shuffled{seed}", n, relabelled(n, edges, seed)
+    for k in range(2, 15):
+        t = generate_no5conn_counterexample(k)
+        n, edges = len(t.ps), sorted(t.edges)
+        yield f"no5conn-{k}", n, edges
+        yield f"no5conn-{k}-shuffled", n, relabelled(n, edges, k)
+    for seed in range(0, 300, 10):
+        n, edges, _ = pocket_graph(seed)
+        yield f"pocket-{seed}-shuffled", n, relabelled(n, edges, seed)
+    for seed in range(0, 40, 2):
+        n, edges, _, _ = hub_graph(seed)
+        yield f"hub-{seed}-shuffled", n, relabelled(n, edges, seed)
+
+
+LABELLING_INPUTS = list(labelling_inputs())
+
+
+class TestMinVertexCutLabellings:
+    @pytest.mark.parametrize("name,n,edges", LABELLING_INPUTS,
+                             ids=[name for name, _, _ in LABELLING_INPUTS])
+    def test_matches_reference_and_cut_certifies(self, name, n, edges):
+        kappa, cut = min_vertex_cut(n, edges)
+        assert kappa == ref_vertex_connectivity(n, edges)
+        assert_cut_certifies(n, edges, kappa, cut)
+
+    def test_hull_order_costs_about_a_shuffled_order(self):
+        """convex4 on a regular 2000-gon in hull order is a cycle plus two
+        hubs.  With ties taken in ascending id, breadth-first order walks the
+        cycle and each fan's last path walks the rest of it (31 times the
+        shuffled time); scrambled ties keep the fans local."""
+        n = 2000
+        edges = sorted(build_4conn_convex(regular_polygon_points(n)).edges())
+        shuffled = relabelled(n, edges, 1)
+        times = {"hull": [], "shuffled": []}
+        for _ in range(5):
+            for label, es in (("hull", edges), ("shuffled", shuffled)):
+                start = time.perf_counter()
+                assert min_vertex_cut(n, es)[0] == 4
+                times[label].append(time.perf_counter() - start)
+        assert min(times["hull"]) <= 4 * min(times["shuffled"]), times
 
 
 class TestConflictGraph:

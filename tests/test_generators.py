@@ -9,7 +9,8 @@ from biplane.generators import (generate_no5conn_counterexample, random_general_
                                 random_triangulation, regular_polygon_points)
 from biplane.geometry import PointSet
 
-from oracles import bf_triangulation_ok, ref_random_triangulation, ref_vertex_connectivity
+from oracles import (bf_triangulation_ok, ref_no5conn_search, ref_random_triangulation,
+                     ref_vertex_connectivity)
 
 
 def widening_draws(n, seed, span):
@@ -126,3 +127,22 @@ def test_no5conn_search_skips_a_candidate_not_in_general_position(monkeypatch, k
     assert list(zip(t.ps.xs, t.ps.ys)) != refused[0]
     assert bf_triangulation_ok(t.ps, t.triangles)
     assert ref_vertex_connectivity(n, t.edges) == 4
+
+
+class TestNo5connRows:
+    """A row of heights ends at its first candidate with the right hull and
+    without the crossing property: taller candidates at that depth lack the
+    property too (README, Verification)."""
+
+    @pytest.mark.parametrize("k", range(2, 21))
+    def test_same_points_as_the_full_grid(self, k):
+        ps = generate_no5conn_counterexample(k).ps
+        assert list(zip(ps.xs, ps.ys)) == ref_no5conn_search(k)[0]
+
+    @pytest.mark.parametrize("k,rows,grid", [(10, 50, 125), (12, 62, 146)])
+    def test_fewer_candidates(self, monkeypatch, k, rows, grid):
+        tried = []
+        real = generators.convex_hull
+        monkeypatch.setattr(generators, "convex_hull", lambda xs, ys: tried.append(1) or real(xs, ys))
+        generate_no5conn_counterexample(k)
+        assert (len(tried), ref_no5conn_search(k)[1]) == (rows, grid)

@@ -603,6 +603,68 @@ class TestFirstCrossing:
         assert first_crossing(ps, []) is None
 
 
+def shaped_chord_sets(rng):
+    """(shape, ps, edges) on one seeded convex polygon with shuffled labels:
+    the empty set, the hull edges, a star of shared ends, nested spans, one
+    interleaving pair, a plane set with one interleave added, and a random
+    sample of pairs."""
+    n = rng.randint(4, 24)
+    ps = jittered_convex_polygon(rng, n) if rng.random() < 0.5 else \
+        PointSet(rng.sample([p.coords() for p in regular_polygon_points(n)], n))
+    h = ps.hull()
+    s = rng.randrange(n)
+    at = [h[(s + i) % n] for i in range(n)]  # hull order from a random start
+
+    def oriented(edges):
+        edges = [e if rng.random() < 0.5 else e[::-1] for e in edges]
+        rng.shuffle(edges)
+        return edges
+
+    yield "empty", ps, []
+    yield "hull", ps, oriented([(at[i], at[(i + 1) % n]) for i in range(n)])
+    yield "star", ps, oriented([(at[0], v) for v in at[1:]]
+                               + [(at[i], at[i + 1]) for i in range(1, n - 1)])
+    yield "nested", ps, oriented([(at[i], at[n - 1 - i]) for i in range(n // 2)])
+    a, c, b, d = sorted(rng.sample(range(n), 4))
+    yield "interleave", ps, oriented([(at[a], at[b]), (at[c], at[d])])
+    tri = sorted(triangulate(ps).edges)
+    others = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in set(tri)]
+    if others:
+        yield "plane+1", ps, oriented(tri + [rng.choice(others)])
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    yield "sample", ps, oriented(rng.sample(pairs, rng.randint(1, min(len(pairs), 3 * n))))
+
+
+class TestChordsInterleave:
+    @pytest.fixture(scope="class")
+    def outcomes(self):
+        """(shape, ps, edges, _chords_interleave, bf_first_crossing) over 200
+        seeds."""
+        out = []
+        for seed in range(200):
+            for shape, ps, edges in shaped_chord_sets(random.Random(f"interleave:{seed}")):
+                out.append((shape, ps, edges, geometry_module._chords_interleave(ps, edges),
+                            bf_first_crossing(ps, edges)))
+        return out
+
+    def test_matches_the_nested_loop(self, outcomes):
+        for shape, ps, edges, got, want in outcomes:
+            assert got == (want is not None), (shape, ps.points, edges)
+
+    def test_shapes_have_their_answer(self, outcomes):
+        answers = {}
+        for shape, _, _, got, _ in outcomes:
+            answers.setdefault(shape, set()).add(got)
+        assert answers == {"empty": {False}, "hull": {False}, "star": {False}, "nested": {False},
+                           "interleave": {True}, "plane+1": {True}, "sample": {False, True}}
+
+    def test_rejected_sets_name_the_nested_loop_witness(self, outcomes):
+        rejected = [(ps, edges, want) for _, ps, edges, got, want in outcomes if got]
+        assert len(rejected) >= 400
+        for ps, edges, want in rejected:
+            assert first_crossing(ps, edges) == want
+
+
 class TestConvexHull:
     def test_square(self):
         ps = PointSet([(0, 0), (2, 0), (2, 2), (0, 3)])

@@ -466,8 +466,8 @@ class TestValidationCertificate:
 
     def test_repeated_corner_is_rejected(self):
         # (0, 0, 0) in place of the hull face (0, 1, 2) trades the edge (0, 1)
-        # for the loop (0, 0), so the edge count still matches and the face
-        # loop marks the repeated corner; the loop's three apexes raise first
+        # for the loop (0, 0), so the edge count still matches; the loop's
+        # three apexes fail the incidence test
         t = random_triangulation(7, 2)
         tris = t.triangles - {(0, 1, 2)} | {(0, 0, 0)}
         assert len(tris) == len(t.triangles)
