@@ -19,28 +19,25 @@ from .errors import ImpossibleError, InternalInvariantError, PreconditionError
 from .geometry import PointSet, cross, first_crossing, polygon_doubled_area
 from .treeaug import build_cell_tree
 from .triangulation import (Edge, Triangulation, TriangulationClass, classify,
-                            complete_to_triangulation, edge_key, flip,
-                            is_flippable, triangle_key)
+                            complete_to_triangulation, edge_key, flip, is_flippable)
 
 
 def flip_pair_helper(t: Triangulation, u: int, v: int, w: int, v2: int) -> tuple[Triangulation, list[tuple[Edge, Edge]]]:
     """Flip edge uw, then whichever of u-v2, v2-w became flippable.
 
-    Requires u, v, w consecutive hull vertices with empty triangles (u,v,w)
-    and (u,v2,w) present; uw is then always flippable, and after replacing it
-    by v-v2 one of the two candidate edges is flippable (u-v2 preferred when
-    both are).  Returns the new triangulation and both (removed, added) pairs.
+    Requires hull vertices u and w whose edge uw has the faces (u,v,w) and
+    (u,v2,w), and u-v2 and v2-w not both hull edges.  Then uw is flippable,
+    and after it becomes v-v2 so is u-v2 or v2-w (u-v2 preferred when both
+    are; see README, Augmentation by leaf peels).  Returns the new
+    triangulation and both (removed, added) pairs.
     """
-    if len(t.ps) < 5:
-        raise PreconditionError("the double flip requires n >= 5")
-    hull = list(t.hull)
-    h = len(hull)
-    iv = hull.index(v) if v in hull else -1
-    if iv < 0 or {hull[(iv - 1) % h], hull[(iv + 1) % h]} != {u, w}:
-        raise PreconditionError("u, v, w must be consecutive hull vertices")
-    if triangle_key(u, v, w) not in t.triangles or triangle_key(u, v2, w) not in t.triangles:
-        raise PreconditionError("triangles (u,v,w) and (u,v2,w) must be present")
     e_uw = edge_key(u, w)
+    if u not in t.hull or w not in t.hull:
+        raise PreconditionError("u and w must be hull vertices")
+    if e_uw not in t.edges or t.opposites(e_uw) != tuple(sorted((v, v2))):
+        raise PreconditionError("triangles (u,v,w) and (u,v2,w) must be present")
+    if edge_key(u, v2) in t.hull_edges() and edge_key(v2, w) in t.hull_edges():
+        raise PreconditionError("u-v2 and v2-w must not both be hull edges")
     if not is_flippable(t, e_uw):
         raise InternalInvariantError("edge uw is not flippable")
     t1 = flip(t, e_uw)
@@ -198,12 +195,13 @@ def _sub_triangulation(t: Triangulation, keep: list[int]) -> tuple[Triangulation
     return Triangulation(ps, tris), keep
 
 
-def _small_base(t: Triangulation, size: int) -> set[Edge]:
-    """The first `size` absent edges, in sorted order, that are pairwise
-    noncrossing and make the union 4-connected: two on five points and on six
-    points with two interior ones, three on a convex hexagon (see README,
+def _small_base(t: Triangulation) -> set[Edge]:
+    """The first absent edges, in sorted order, that are pairwise noncrossing
+    and make the union 4-connected: three on a convex hexagon, two on five
+    points and on six points with two interior ones (see README,
     Verification)."""
     n = len(t.ps)
+    size = 3 if len(t.hull) == 6 else 2
     absent = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in t.edges]
     for combo in combinations(absent, size):
         if (first_crossing(t.ps, combo) is None
@@ -212,48 +210,44 @@ def _small_base(t: Triangulation, size: int) -> set[Edge]:
     raise InternalInvariantError(f"no {size} absent edges complete the {n}-point base")
 
 
-def _hang_cell(t: Triangulation, chord: Edge, members: frozenset[int], t1: Triangulation,
+def _hang_cell(t: Triangulation, chord: Edge, members: frozenset[int],
                idmap: list[int], partner: set[Edge]) -> set[Edge]:
-    """Put a peeled leaf cell back: complete the remainder t1's partner to a
-    triangulation, add the cell triangle (u, v, w) on the chord, reinsert its
-    apex v by the double flip, and hang the other inner vertices off the
-    bisector split of v's two new neighbors."""
+    """Put a peeled leaf cell back on t: complete the remainder's partner,
+    read into t's ids by `idmap`, on t's own points with the cell's
+    triangles held, so the completion is t's cell glued to the completion
+    the remainder would get.  Then reinsert the apex v of the cell triangle
+    (u, v, w) on the chord by the double flip, and hang the other inner
+    vertices off the bisector split of v's two new neighbors (see README,
+    Augmentation by leaf peels)."""
     u, w = chord
-    v = next(x for x in t.opposites(chord) if x in members and x not in chord)
-    t2 = complete_to_triangulation(t1.ps, required=partner)
-    local_ids = sorted(idmap + [v])
-    to_local = {old: i for i, old in enumerate(local_ids)}
-    # one inner vertex: the remainder plus v is all of t, so reuse its points
-    # and their cached hull instead of building and checking a subset
-    ps = t.ps if len(members) == 3 else t.ps.subset(local_ids)
-    lu, lv, lw = to_local[u], to_local[v], to_local[w]
-    tris = {tuple(to_local[idmap[q]] for q in tri) for tri in t2.triangles}
-    t_full = Triangulation(ps, tris | {triangle_key(lu, lv, lw)})
-    vp = next(q for q in t_full.opposites(edge_key(lu, lw)) if q != lv)
-    flipped, ((_, added1), (_, added2)) = flip_pair_helper(t_full, lu, lv, lw, vp)
-    if added1 != edge_key(lv, vp):
-        raise InternalInvariantError("first flip did not create the spoke to the apex")
-    v_prime, x = local_ids[vp], local_ids[next(q for q in added2 if q != lv)]
-    edges = {edge_key(local_ids[a], local_ids[b]) for (a, b) in flipped.edges}
-    for q in sorted(members - {u, v, w}):
-        near = x if _closer_to_first_ray(*_rays(t.ps, v, x, v_prime, q)) else v_prime
-        edges.add(edge_key(q, near))
-    return edges - set(t.edges)
+    inner = members - set(chord)
+    v = next(x for x in t.opposites(chord) if x in inner)
+    # t's triangles are sorted corner triples, so each side is its edge key
+    cell = {e for a, b, c in t.triangles if inner.intersection((a, b, c))
+            for e in ((a, b), (b, c), (a, c))}
+    t_full = complete_to_triangulation(
+        t.ps, required=cell.union(edge_key(idmap[a], idmap[b]) for a, b in partner))
+    vp = next(q for q in t_full.opposites(chord) if q != v)
+    flipped, (_, (_, added2)) = flip_pair_helper(t_full, u, v, w, vp)
+    x = next(q for q in added2 if q != v)
+    edges = set(flipped.edges)
+    for q in sorted(inner - {v}):
+        edges.add(edge_key(q, x if _closer_to_first_ray(*_rays(t.ps, v, x, vp, q)) else vp))
+    return edges - t.edges
 
 
-def _wheel_remainder_wiring(t: Triangulation, chord: Edge, members: frozenset[int],
-                            t1: Triangulation, idmap: list[int]) -> set[Edge]:
+def _wheel_remainder_wiring(t: Triangulation, chord: Edge, members: frozenset[int]) -> set[Edge]:
     """The peeled remainder is a wheel.  A single inner vertex gets the star
     to every other vertex.  Otherwise join a rotated-first cell point to the
     rim vertices between the chord ends and join the rim vertex next to one
-    chord end to the whole cell interior."""
+    chord end to the whole cell interior.  The rim is the remainder's hull:
+    t's hull with the cell's arc replaced by the chord, read from w on."""
     u, w = chord
     cell_inner = sorted(members - {u, w})
     if len(cell_inner) == 1:
         v = cell_inner[0]
         return {edge_key(v, q) for q in range(len(t.ps)) if q != v} - set(t.edges)
-    rim_sub = list(t1.hull)
-    rim = [idmap[i] for i in rim_sub]
+    rim = [x for x in t.hull if x in chord or x not in members]
     iw = rim.index(w)
     if rim[(iw + 1) % len(rim)] == u:
         order = [rim[(iw - k) % len(rim)] for k in range(len(rim))]
@@ -314,14 +308,11 @@ def _plane_partner(t: Triangulation, report: CutReport | None = None) -> set[Edg
         if not t.chords():
             partner = _augment_3connected(t, report if report is not None else cut_structures(t))
             break
-        if n == 5 or (n == 6 and len(t.hull) == 6):
-            partner = _small_base(t, n - 3)
-            break
         leaves = build_cell_tree(t).leaves
         cands = sorted((min(leaf.inner_members), leaf.chord, leaf.members)
                        for leaf in leaves if len(leaf.members) == 3)
-        if not cands and n == 6:
-            partner = _small_base(t, 2)
+        if n == 5 or (n == 6 and (len(t.hull) == 6 or not cands)):
+            partner = _small_base(t)
             break
         if not cands:
             leaf = min(leaves, key=lambda c: (len(c.members), c.chord))
@@ -335,9 +326,9 @@ def _plane_partner(t: Triangulation, report: CutReport | None = None) -> set[Edg
         else:
             raise InternalInvariantError("every leaf removal yields a fan; the input should have been a fan")
         if cls is TriangulationClass.WHEEL:
-            partner = _wheel_remainder_wiring(t, chord, members, t1, idmap)
+            partner = _wheel_remainder_wiring(t, chord, members)
             break
-        levels.append((t, chord, members, t1, idmap))
+        levels.append((t, chord, members, idmap))
         t, report = t1, None
     for level in reversed(levels):
         partner = _hang_cell(*level, partner)
@@ -347,16 +338,15 @@ def _plane_partner(t: Triangulation, report: CutReport | None = None) -> set[Edg
 def augment_to_4conn(t: Triangulation) -> frozenset[Edge]:
     """Noncrossing new edges E' with kappa(T union E') >= 4; wheels and fans
     are rejected (no plane second layer can 4-connect them)."""
-    n = len(t.ps)
-    convex = len(t.hull) == n
-    if n >= 4:
-        cls = classify(t)
-        if cls is TriangulationClass.WHEEL:
-            raise ImpossibleError("a wheel plus any plane layer stays at most 3-connected")
-        if cls is TriangulationClass.FAN:
-            raise ImpossibleError("a fan plus any second layer stays at most 3-connected")
-    if (convex and n < 6) or n < 5:
+    # every triangulation on four points, and every convex one on five, is
+    # a wheel or a fan, so only a triangle is too small to classify
+    if len(t.ps) < 4:
         raise PreconditionError("need n >= 6 in convex position or n >= 5 otherwise")
+    cls = classify(t)
+    if cls is TriangulationClass.WHEEL:
+        raise ImpossibleError("a wheel plus any plane layer stays at most 3-connected")
+    if cls is TriangulationClass.FAN:
+        raise ImpossibleError("a fan plus any second layer stays at most 3-connected")
     report = cut_structures(t)
     partner = _plane_partner(t, report)
     new_edges = frozenset(e for e in partner if e not in t.edges)

@@ -57,8 +57,6 @@ class Triangulation:
             adj[u].add(v)
             adj[v].add(u)
         self._adj = adj
-        if len(ps) < 3:
-            raise PreconditionError("triangulation needs at least 3 points")
         self._check(self._opposites)
 
     # ------------------------------------------------------------------
@@ -220,8 +218,6 @@ class Triangulation:
     def link_cycle(self, v: int) -> list[int]:
         """Neighbors of interior vertex v in counterclockwise angular order,
         from just after the downward vertical (`geometry.ccw_order`)."""
-        if not self._adj[v]:
-            raise PreconditionError(f"vertex {v} is isolated")
         return ccw_order(self.ps, v, self._adj[v])
 
     def link_is_cycle(self, v: int) -> bool:

@@ -5,7 +5,9 @@ committed allowlist.
     python tests/line_coverage.py
 
 A line counts when some code object of its module has an instruction on it
-and it is not part of a `raise` statement.  `line_coverage_allowlist.txt`
+and it is not part of a bare re-raise or of a `raise InternalInvariantError`
+statement: a rejected precondition must run like any other line.
+`line_coverage_allowlist.txt`
 names each line that may stay unrun by its file, the qualified name of the
 innermost function that holds it, and its stripped source text, not by its
 number, so edits elsewhere in the file leave the entry valid.  An entry
@@ -32,7 +34,7 @@ ALLOWLIST = Path(__file__).with_name("line_coverage_allowlist.txt")
 
 def counted_lines(path: Path) -> dict[int, str]:
     """Each line with an instruction in some code object of the module,
-    minus the lines of every `raise` statement, mapped to the qualified name
+    minus the lines of each exempt `raise` statement, mapped to the qualified name
     of the innermost function or class that holds it (`<module>` at the top
     level); a line that a lambda or comprehension shares with the code
     around it keeps the name of that code."""
@@ -49,10 +51,20 @@ def counted_lines(path: Path) -> dict[int, str]:
                      if line and not (anonymous and line in lines))
         stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Raise):
+        if isinstance(node, ast.Raise) and _exempt(node):
             for line in range(node.lineno, node.end_lineno + 1):
                 lines.pop(line, None)
     return lines
+
+
+def _exempt(node: ast.Raise) -> bool:
+    """A bare re-raise, or `raise InternalInvariantError(...)`: a failure
+    that only a defect can reach, so no test can run it on purpose.  Every
+    other raise, a rejected precondition included, must run like any other
+    line."""
+    exc = node.exc
+    return exc is None or (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
+                           and exc.func.id == "InternalInvariantError")
 
 
 def run_traced() -> tuple[int, dict[str, set[int]]]:

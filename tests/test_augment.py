@@ -9,7 +9,8 @@ import biplane.connectivity as connectivity_module
 from biplane.augment import augment_to_4conn, flip_pair_helper
 from biplane.connectivity import (check_4conn_augmentation, kappa_of,
                                   vertex_connectivity)
-from biplane.errors import ImpossibleError, InternalInvariantError, PreconditionError
+from biplane.errors import (BiplaneError, ImpossibleError, InternalInvariantError,
+                            PreconditionError)
 from biplane.generators import (generate_fan, generate_no5conn_counterexample,
                                 generate_wheel, random_triangulation,
                                 regular_polygon_points)
@@ -22,7 +23,7 @@ from biplane.triangulation import (Triangulation, TriangulationClass, classify,
 
 from conftest import chordful_triangulation
 from oracles import (bf_first_crossing, bf_vertex_connectivity, ref_closer_to_first_ray,
-                     ref_vertex_connectivity)
+                     ref_flip, ref_vertex_connectivity)
 
 
 class TestGenerators:
@@ -84,6 +85,51 @@ class TestFlipPairHelper:
         _, moves = flip_pair_helper(t, u, v, w, v2)
         if both:
             assert moves[1][0] == edge_key(u, v2)
+
+
+    def test_contract_on_every_chord(self):
+        # every chord uw of these inputs, both ways round, with either apex
+        # as v: u and w are hull vertices, so the helper must return exactly
+        # when u-v2 and v2-w are not both hull edges, and then agree with
+        # two reference flips
+        inputs = [random_triangulation(n, seed) for n in range(5, 40) for seed in range(3)]
+        inputs += [chordful_triangulation(n, seed) for n in range(5, 40, 2) for seed in range(2)]
+        accepted = rejected = apex_inside = 0
+        for t in inputs:
+            hull_edges = t.hull_edges()
+            for chord in t.chords():
+                for u, w in (chord, chord[::-1]):
+                    for v, v2 in (t.opposites(chord), t.opposites(chord)[::-1]):
+                        ear = edge_key(u, v2) in hull_edges and edge_key(v2, w) in hull_edges
+                        if ear:
+                            with pytest.raises(PreconditionError, match="both be hull edges"):
+                                flip_pair_helper(t, u, v, w, v2)
+                            rejected += 1
+                            continue
+                        got, moves = flip_pair_helper(t, u, v, w, v2)
+                        t1 = ref_flip(t, chord)
+                        cand = (edge_key(u, v2) if is_flippable(t1, edge_key(u, v2))
+                                else edge_key(v2, w))
+                        assert got.triangles == ref_flip(t1, cand).triangles
+                        assert moves[0] == (chord, edge_key(v, v2)) and moves[1][0] == cand
+                        accepted += 1
+                        apex_inside += v not in t.hull
+        assert (accepted, rejected, apex_inside) == (2684, 544, 128)
+
+    def test_interior_u_rejected(self):
+        t = random_triangulation(12, 0)
+        u = next(x for x in range(12) if x not in t.hull)
+        w = min(t.neighbors(u))
+        v, v2 = t.opposites(edge_key(u, w))
+        with pytest.raises(PreconditionError, match="hull vertices"):
+            flip_pair_helper(t, u, v, w, v2)
+
+    def test_ear_apex_rejected(self):
+        # chord 0-2 has the faces (0, 2, 3) and the ear (0, 1, 2): both
+        # sides at v2 = 1 are hull edges, so no second flip exists
+        t = _polygon_with_chords(5, [(0, 2), (0, 3)])
+        with pytest.raises(PreconditionError, match="both be hull edges"):
+            flip_pair_helper(t, 0, 3, 2, 1)
 
 
 class TestAugmentTo4Conn:
@@ -493,6 +539,25 @@ class TestLeafPeelGolden:
         flips = _count_calls(monkeypatch, "flip_pair_helper")
         extra = augment_to_4conn(t)
         assert not flips and len(extra) == (3 if len(t.hull) == 6 else 2)
+
+
+class TestRandomPeelPin:
+    """sha256 over `augment_to_4conn(random_triangulation(n, seed))` for
+    n = 6-30 and seed = 0-9: the sorted added edges, or the error class.  128
+    of the 250 inputs have a leaf cell of four members or more at the top
+    level, so the peel hangs cells with a bisector split."""
+
+    def test_outputs_are_fixed(self):
+        out = []
+        for n in range(6, 31):
+            for seed in range(10):
+                t = random_triangulation(n, seed)
+                try:
+                    out.append((n, seed, sorted(augment_to_4conn(t))))
+                except BiplaneError as exc:
+                    out.append((n, seed, type(exc).__name__))
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+            "1448b25d75e1a02646300de753e4f1104a7d35144224d4c757001ed62dd08c42")
 
 
 class TestNo5ConnCounterexample:

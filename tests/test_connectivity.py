@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import time
 from itertools import combinations
 
@@ -29,6 +30,11 @@ def random_graph(n, seed, p=0.5):
 
 
 class TestVertexConnectivity:
+    @pytest.mark.parametrize("edge", [(0, 0), (1, 3), (-1, 2)])
+    def test_bad_edge_rejected(self, edge):
+        with pytest.raises(PreconditionError, match=re.escape(f"bad edge {edge}")):
+            vertex_connectivity(3, [(0, 1), edge])
+
     def test_complete_graph(self):
         edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
         assert vertex_connectivity(5, edges) == 4

@@ -118,6 +118,10 @@ class TestOctahedronGrowth:
 
 
 class TestHamiltonian:
+    def test_fewer_than_3_vertices_rejected(self):
+        with pytest.raises(PreconditionError, match="cycle needs n >= 3"):
+            find_hamiltonian_cycle(2, [(0, 1)])
+
     def test_octahedron_has_cycle(self):
         g = octahedron()
         cyc = find_hamiltonian_cycle(6, g.edges)

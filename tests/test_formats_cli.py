@@ -244,6 +244,8 @@ class TestLayeredGraph:
         assert g.layer_edges(LAYER1) == {(0, 1), (0, 2)}
         assert g.layer_edges(LAYER2) == {(0, 2), (3, 4)}
         assert g.edges() == {(0, 1), (0, 2), (3, 4)} and g.edge_count() == 3
+        with pytest.raises(PreconditionError, match="layer must be 1 or 2"):
+            g.layer_edges(0)
         same = LayeredGraph(ps, ((0, 1), (0, 2), (1, 0)), {(2, 0), (4, 3)})
         assert dumps_layered(same) == dumps_layered(g) == "5 3\n0 1 1\n0 2 3\n3 4 2\n"
 
@@ -332,6 +334,27 @@ class TestCli:
         capsys.readouterr()
         assert self.run("augment", "--target", "3", "--points", pts, "--edges", path) == 3
         assert capsys.readouterr().err.strip() == "error: 3-connectivity needs at least 4 points"
+
+    @pytest.mark.parametrize("argv,points,edges,message", [
+        (["gen", "--shape", "regular", "--n", "2"], None, None, "polygon needs n >= 3"),
+        (["gen", "--shape", "wheel", "--n", "3"], None, None, "wheel needs n >= 4"),
+        (["gen", "--shape", "fan", "--n", "2"], None, None, "fan needs n >= 3"),
+        (["build", "--mode", "general5"], "0 0\n5 1\n", None, "need at least 3 points"),
+        (["build", "--mode", "convex4"], "0 0\n10 0\n0 10\n2 2\n", None,
+         "points must be in convex position"),
+        (["verify"], "0 0\n", "1 0\n", "vertex connectivity needs n >= 2"),
+        (["augment", "--target", "4"], "0 0\n10 0\n0 10\n", "3 3\n0 1 1\n0 2 1\n1 2 1\n",
+         "need n >= 6 in convex position or n >= 5 otherwise"),
+    ])
+    def test_precondition_exit_3(self, tmp_path, capsys, argv, points, edges, message):
+        for flag, text in (("--points", points), ("--edges", edges)):
+            if text is not None:
+                path = tmp_path / flag[2:]
+                path.write_text(text)
+                argv = argv + [flag, str(path)]
+        capsys.readouterr()
+        assert self.run(*argv) == 3
+        assert capsys.readouterr().err.strip() == f"error: {message}"
 
     def test_augment_below_the_target_exit_4(self, tmp_path, capsys, monkeypatch):
         t = chordful_triangulation(10, 1)

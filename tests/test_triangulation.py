@@ -49,6 +49,10 @@ class TestTriangulate:
         ps = random_general_position(10, seed=3)
         assert triangulate(ps).triangles == triangulate(ps).triangles
 
+    def test_two_points_rejected(self):
+        with pytest.raises(PreconditionError, match="need at least 3 points"):
+            triangulate(PointSet([(0, 0), (4, 1)]))
+
 
 class TestFlip:
     def test_convex_quad_diagonal_flippable(self):
@@ -96,6 +100,10 @@ class TestClassify:
 
     def test_fan(self):
         assert classify(generate_fan(5)) is TriangulationClass.FAN
+
+    def test_triangle_rejected(self):
+        with pytest.raises(PreconditionError, match="classification requires n >= 4"):
+            classify(triangulate(PointSet([(0, 0), (4, 1), (1, 4)])))
 
     def test_two_interior_points_is_other(self):
         for seed in range(20):
