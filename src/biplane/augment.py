@@ -11,12 +11,13 @@ double flip, its other inner vertices off a bisector split.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import combinations
 
 from .connectivity import (CutReport, augmentation_violations, cut_structures,
                            vertex_connectivity)
 from .errors import ImpossibleError, InternalInvariantError, PreconditionError
-from .geometry import PointSet, cross, first_crossing, polygon_doubled_area
+from .geometry import _HALF_TURN, PointSet, _slope, cross, first_crossing, polygon_doubled_area
 from .treeaug import build_cell_tree
 from .triangulation import (Edge, Triangulation, TriangulationClass, classify,
                             complete_to_triangulation, edge_key, flip, is_flippable)
@@ -32,11 +33,12 @@ def flip_pair_helper(t: Triangulation, u: int, v: int, w: int, v2: int) -> tuple
     triangulation and both (removed, added) pairs.
     """
     e_uw = edge_key(u, w)
-    if u not in t.hull or w not in t.hull:
+    pos, hull_edges = t.ps.hull_positions(), t.ps.hull_edges()
+    if pos[u] < 0 or pos[w] < 0:
         raise PreconditionError("u and w must be hull vertices")
     if e_uw not in t.edges or t.opposites(e_uw) != tuple(sorted((v, v2))):
         raise PreconditionError("triangles (u,v,w) and (u,v2,w) must be present")
-    if edge_key(u, v2) in t.hull_edges() and edge_key(v2, w) in t.hull_edges():
+    if edge_key(u, v2) in hull_edges and edge_key(v2, w) in hull_edges:
         raise PreconditionError("u-v2 and v2-w must not both be hull edges")
     if not is_flippable(t, e_uw):
         raise InternalInvariantError("edge uw is not flippable")
@@ -110,7 +112,8 @@ def _augment_3connected(t: Triangulation, report: CutReport) -> set[Edge]:
     if report.separating_triangles:
         raise InternalInvariantError("every-vertex-in-a-cut inputs cannot have separating triangles")
     center, labels = _maximal_sector(t, report)
-    anchor = next((x for x in range(n) if x not in t.hull and x != center), None)
+    pos = t.ps.hull_positions()
+    anchor = next((x for x in range(n) if pos[x] < 0 and x != center), None)
     if anchor is None:
         raise InternalInvariantError("no second interior vertex available")
     new_edges = _bichord_star(t, labels, anchor)
@@ -124,37 +127,33 @@ def _maximal_sector(t: Triangulation, report: CutReport) -> tuple[int, list[int]
     """The centre of the bichord star, the interior bichord middle whose
     sector containing the smallest hull edge e0 has the largest area (then
     the smallest id), and its arm labels v1..vk clockwise from that sector's
-    ccw boundary arm."""
-    hull = list(t.hull)
-    hullset = set(hull)
+    ccw boundary arm.
+
+    A centre's arms are kept as sorted hull positions.  When e0 runs from
+    position p0 to p0 + 1, its sector runs from the last arm at or before
+    p0, cyclically, to the next arm."""
+    ps, hull = t.ps, t.hull
+    h, pos = len(hull), ps.hull_positions()
     arms: dict[int, set[int]] = {}
     for b in report.bichords:
-        if b.m in hullset:
+        if pos[b.m] >= 0:
             raise InternalInvariantError("hull-middle bichord in a chordless triangulation")
-        arms.setdefault(b.m, set()).update((b.u, b.w))
+        arms.setdefault(b.m, set()).update((pos[b.u], pos[b.w]))
     if not arms:
         raise InternalInvariantError("no bichords although every vertex is in a 3-cut")
-    e0 = min(edge_key(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull)))
+    a, b = min(ps.hull_edges())
+    p0 = pos[a] if (pos[a] + 1) % h == pos[b] else pos[b]
 
     def sector_labels(center: int) -> tuple[int, list[int]]:
         """Area of the sector of `center` containing e0, plus the arm labels
         clockwise starting at the e0 sector's ccw boundary arm."""
-        h = len(hull)
-        arm_pos = sorted(hull.index(a) for a in arms[center])
+        arm_pos = sorted(arms[center])
         k = len(arm_pos)
-        iu, iv = hull.index(e0[0]), hull.index(e0[1])
-        for j in range(k):
-            lo, hi = arm_pos[j], arm_pos[(j + 1) % k]
-            span = [lo]
-            pos = lo
-            while pos != hi:
-                pos = (pos + 1) % h
-                span.append(pos)
-            if iu in span and iv in span:
-                area = abs(polygon_doubled_area(t.ps, [center] + [hull[p] for p in span]))
-                labels = [hull[arm_pos[(j - i) % k]] for i in range(k)]
-                return area, labels
-        raise InternalInvariantError("hull edge lies in no sector")
+        j = bisect_right(arm_pos, p0) - 1
+        lo, hi = arm_pos[j], arm_pos[(j + 1) % k]
+        rim = [hull[(lo + i) % h] for i in range((hi - lo) % h + 1)]
+        area = abs(polygon_doubled_area(ps, [center] + rim))
+        return area, [hull[arm_pos[(j - i) % k]] for i in range(k)]
 
     center = min(arms, key=lambda c: (-sector_labels(c)[0], c))
     _, labels = sector_labels(center)
@@ -236,55 +235,46 @@ def _hang_cell(t: Triangulation, chord: Edge, members: frozenset[int],
     return edges - t.edges
 
 
+def _first_hit(ps: PointSet, pivot: int, toward: int, points: list[int], sweep_ccw: bool) -> int:
+    """The one of `points` that the line through `pivot` and `toward` meets
+    first as it turns about the pivot, counterclockwise or clockwise: the
+    least `_slope` gap from the line's, modulo `_HALF_TURN` and negated for
+    the clockwise turn (see README, Verification)."""
+    xs, ys = ps.xs, ps.ys
+    cx, cy = xs[pivot], ys[pivot]
+    line = _slope(xs[toward] - cx, ys[toward] - cy)
+    turn = 1 if sweep_ccw else -1
+    gaps = [turn * (_slope(xs[p] - cx, ys[p] - cy) - line) % _HALF_TURN for p in points]
+    least = min(gaps)
+    if least == 0:
+        raise InternalInvariantError("cell point collinear with the rotation line")
+    if gaps.count(least) > 1:
+        raise InternalInvariantError("two cell points aligned with the pivot")
+    return points[gaps.index(least)]
+
+
 def _wheel_remainder_wiring(t: Triangulation, chord: Edge, members: frozenset[int]) -> set[Edge]:
     """The peeled remainder is a wheel.  A single inner vertex gets the star
     to every other vertex.  Otherwise join a rotated-first cell point to the
     rim vertices between the chord ends and join the rim vertex next to one
     chord end to the whole cell interior.  The rim is the remainder's hull:
-    t's hull with the cell's arc replaced by the chord, read from w on."""
+    t's hull walked from w, away from the cell's arc, to u.  w's hull
+    neighbour on the cell's side is an inner vertex of the cell, because a
+    chord is never a hull edge."""
     u, w = chord
     cell_inner = sorted(members - {u, w})
     if len(cell_inner) == 1:
         v = cell_inner[0]
         return {edge_key(v, q) for q in range(len(t.ps)) if q != v} - set(t.edges)
-    rim = [x for x in t.hull if x in chord or x not in members]
-    iw = rim.index(w)
-    if rim[(iw + 1) % len(rim)] == u:
-        order = [rim[(iw - k) % len(rim)] for k in range(len(rim))]
-    else:
-        order = [rim[(iw + k) % len(rim)] for k in range(len(rim))]
-    if order[0] != w or order[-1] != u:
-        raise InternalInvariantError("wheel rim does not run from w to u")
-    vs = order[1:-1]
+    hull, pos = t.hull, t.ps.hull_positions()
+    h, iw = len(hull), pos[w]
+    step = -1 if hull[(iw + 1) % h] in members else 1
+    vs = [hull[(iw + step * i) % h] for i in range(1, (step * (pos[u] - iw)) % h)]
     if len(vs) < 2:
         raise InternalInvariantError("wheel rim too short")
     v1 = vs[0]
-    xs, ys = t.ps.xs, t.ps.ys
-
-    def first_hit(pivot: int, toward: int, sweep_ccw: bool) -> int:
-        """Cell point first hit when rotating the line pivot-toward: each
-        direction is flipped to the swept side of the line, and the first one
-        in the sweep wins."""
-        cx, cy = xs[pivot], ys[pivot]
-        bx, by = xs[toward] - cx, ys[toward] - cy
-        turn = 1 if sweep_ccw else -1
-        best, best_x, best_y = -1, 0, 0
-        for p in cell_inner:
-            dx, dy = xs[p] - cx, ys[p] - cy
-            cr = bx * dy - by * dx
-            if cr == 0:
-                raise InternalInvariantError("cell point collinear with the rotation line")
-            if (cr > 0) != sweep_ccw:
-                dx, dy = -dx, -dy
-            order = turn * (dx * best_y - dy * best_x)
-            if best >= 0 and order == 0:
-                raise InternalInvariantError("two cell points aligned with the pivot")
-            if best < 0 or order > 0:
-                best, best_x, best_y = p, dx, dy
-        return best
-
     for sweep_ccw in (False, True):
-        u_prime = first_hit(v1, u, sweep_ccw)
+        u_prime = _first_hit(t.ps, v1, u, cell_inner, sweep_ccw)
         new_edges = {edge_key(u_prime, vj) for vj in vs}
         new_edges |= {edge_key(v1, q) for q in cell_inner}
         new_edges -= set(t.edges)

@@ -377,20 +377,19 @@ def cut_structures(t: Triangulation) -> CutReport:
         raise PreconditionError("cut structures are defined for n >= 5")
     hull = t.hull
     h = len(hull)
-    pos = {v: i for i, v in enumerate(hull)}
-    hull_edges = t.hull_edges()
+    pos, hull_edges = t.ps.hull_positions(), t.ps.hull_edges()
     report = CutReport()
 
     report.chords = t.chords()
 
     adj = {v: t.neighbors(v) for v in range(len(t.ps))}
     for m in range(len(t.ps)):
-        hull_nbrs = sorted(x for x in adj[m] if x in pos)
+        hull_nbrs = sorted(x for x in adj[m] if pos[x] >= 0)
         for i, u in enumerate(hull_nbrs):
             for w in hull_nbrs[i + 1:]:
                 if edge_key(u, m) in hull_edges or edge_key(m, w) in hull_edges:
                     continue
-                ends = sorted((u, m, w), key=pos.__getitem__) if m in pos else [u, w]
+                ends = sorted((u, m, w), key=pos.__getitem__) if pos[m] >= 0 else [u, w]
                 # the run from an end a to the next end b is non-empty iff b
                 # does not follow a on the hull
                 if all((pos[b] - pos[a]) % h > 1 for a, b in zip(ends, ends[1:] + ends[:1])):
@@ -440,8 +439,9 @@ def augmentation_violations(t: Triangulation, added: Iterable[Edge],
         if len(crossers) < 2:
             violations.append(f"chord {chord} crossed by {len(crossers)} < 2 new edges")
             continue
-        side1 = sum(1 for p in range(len(ps)) if p not in chord and cross(ps, a, b, p) > 0)
-        side2 = sum(1 for p in range(len(ps)) if p not in chord and cross(ps, a, b, p) < 0)
+        # general position puts no third point on the chord's line
+        side1 = sum(1 for p in range(len(ps)) if cross(ps, a, b, p) > 0)
+        side2 = len(ps) - 2 - side1
         if side1 >= 2 and side2 >= 2:
             if not any(not set(e1) & set(e2)
                        for i, e1 in enumerate(crossers) for e2 in crossers[i + 1:]):

@@ -61,8 +61,7 @@ def build_5conn_convex(ps: PointSet) -> LayeredGraph:
     t1, t2 = lift(t1_pos), lift(t2_pos)
     if len(t1) != n - 1 or len(t2) != n - 1:
         raise InternalInvariantError("spanning tree has wrong edge count")
-    hull_edges = {edge_key(hull[i], hull[(i + 1) % n]) for i in range(n)}
-    return LayeredGraph(ps, t1 | hull_edges, t2)
+    return LayeredGraph(ps, t1 | ps.hull_edges(), t2)
 
 
 def find_hamiltonian_cycle(n: int, edges: Iterable[Edge]) -> list[int]:

@@ -154,7 +154,7 @@ def generate_no5conn_counterexample(k: int) -> Triangulation:
     y = [m + i for i in range(m - 3)]
     c1, c2, c3 = 2 * m - 3, 2 * m - 2, 2 * m - 1
     ul, z1, z2, ur = 2 * m, 2 * m + 1, 2 * m + 2, 2 * m + 3
-    expected_hull = {x[0], x[-1], c1, c2, c3, *y}
+    expected_hull = sorted((x[0], x[-1], c1, c2, c3, *y))
     bottom = [c1, c2, c3, ul, z1, z2, ur]
     # x_1..x_2k, y_1..y_{2k-3}, c_1, c_2, c_3, uL, z1, z2, uR; only the
     # y-coordinates depend on the candidate
@@ -187,7 +187,7 @@ def generate_no5conn_counterexample(k: int) -> Triangulation:
                   + [-depth, -depth - 8, -depth, -depth + 8, -depth + 6, -depth + 6, -depth + 8])
             # the hull and crossing checks run on the raw points, so that only
             # a candidate passing both pays for the O(n^2) general-position scan
-            if set(convex_hull(xs, ys)) == expected_hull:
+            if sorted(convex_hull(xs, ys)) == expected_hull:
                 if not crossings_hold(ys):
                     break
                 ps = _try_pointset(list(zip(xs, ys)))

@@ -190,18 +190,15 @@ def _chords_interleave(ps: PointSet, edges: Sequence[tuple[int, int]]) -> bool:
     from a interleaves with one of them exactly when it ends after the top,
     so the longest span from a decides.  Else every span from a nests inside
     the top, and they go on the stack longest first."""
-    hull = ps.hull()
-    pos = [0] * len(hull)
-    for i, v in enumerate(hull):
-        pos[v] = i
-    ends: list[list[int]] = [[] for _ in hull]
+    pos = ps.hull_positions()
+    ends: list[list[int]] = [[] for _ in pos]
     for u, v in edges:
         a, b = pos[u], pos[v]
         if a < b:
             ends[a].append(b)
         else:
             ends[b].append(a)
-    stack = [len(hull)]  # a sentinel above every end
+    stack = [len(pos)]  # a sentinel above every end
     for a, bucket in enumerate(ends):
         if bucket:
             while stack[-1] <= a:
@@ -237,7 +234,8 @@ class PointSet:
     Vertex ids are assigned by position.  Immutable after construction; `xs`
     and `ys` hold the coordinates as flat integer tuples, which every
     predicate reads by vertex id.  `points`, `ps[i]` and iteration hand out
-    new `Point`s on each read.
+    new `Point`s on each read.  The hull, its positions and its edges are
+    cached here, and no other module derives them.
     """
 
     def __init__(self, points: Sequence[Point] | Sequence[tuple[int, int]]):
@@ -278,6 +276,8 @@ class PointSet:
             raise PreconditionError(
                 "points {}, {}, {} are collinear (general position required)".format(*first))
         self._hull: tuple[int, ...] | None = None
+        self._hull_pos: tuple[int, ...] | None = None
+        self._hull_edges: frozenset[tuple[int, int]] | None = None
 
     @property
     def points(self) -> tuple[Point, ...]:
@@ -300,9 +300,24 @@ class PointSet:
             self._hull = tuple(convex_hull(self.xs, self.ys))
         return self._hull
 
+    def hull_positions(self) -> tuple[int, ...]:
+        """Each vertex's index in `hull()`, -1 for an interior one (cached)."""
+        if self._hull_pos is None:
+            pos = [-1] * len(self.xs)
+            for i, v in enumerate(self.hull()):
+                pos[v] = i
+            self._hull_pos = tuple(pos)
+        return self._hull_pos
+
+    def hull_edges(self) -> frozenset[tuple[int, int]]:
+        """The hull edges as (min, max) pairs (cached)."""
+        if self._hull_edges is None:
+            h = self.hull()
+            self._hull_edges = frozenset((min(e), max(e)) for e in zip(h, h[1:] + h[:1]))
+        return self._hull_edges
+
     def interior_ids(self) -> tuple[int, ...]:
-        h = set(self.hull())
-        return tuple(i for i in range(len(self)) if i not in h)
+        return tuple(i for i, p in enumerate(self.hull_positions()) if p < 0)
 
     def subset(self, ids: Iterable[int]) -> "PointSet":
         """New PointSet of the given vertices, kept in original order (a
@@ -317,13 +332,16 @@ class PointSet:
         Raises the error `PointSet` would raise on the concatenated list, but
         tests only the triples that contain a new point: O(n) per point.
         When this set's hull is cached and every new point lies strictly
-        inside it, the new set keeps that hull (see README, Verification).
+        inside it, the new set keeps its cached hull views, the new points at
+        position -1 (see README, Verification).
         """
         xs, ys = _checked_points(coords, len(self))
         out = self._derived(self.xs + xs, self.ys + ys, len(self))
         if self._hull is not None and all(strictly_inside(out, self._hull, s)
                                           for s in range(len(self), len(out))):
-            out._hull = self._hull
+            out._hull, out._hull_edges = self._hull, self._hull_edges
+            if self._hull_pos is not None:
+                out._hull_pos = self._hull_pos + (-1,) * len(xs)
         return out
 
     @staticmethod

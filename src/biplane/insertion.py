@@ -121,8 +121,8 @@ def find_flippable_opposite(t: Triangulation, s: int) -> tuple[tuple[int, int, i
     link edge is interior, advancing past reflex quadrilaterals; the first
     flippable opposite edge is returned (exists for every non-wheel input).
     """
-    hullset = set(t.hull)
-    if s in hullset:
+    pos, hull_edges = t.ps.hull_positions(), t.ps.hull_edges()
+    if pos[s] >= 0:
         raise PreconditionError("s must be an interior vertex")
     # an interior vertex leaves at least four points, as classify requires
     if classify(t) is TriangulationClass.WHEEL:
@@ -131,9 +131,8 @@ def find_flippable_opposite(t: Triangulation, s: int) -> tuple[tuple[int, int, i
         raise PreconditionError("the neighbors of s must induce a cycle")
     ring = t.link_cycle(s)
     k = len(ring)
-    hull_edges = t.hull_edges()
     starts = [i for i in range(k)
-              if ring[i] in hullset and edge_key(ring[i], ring[(i + 1) % k]) not in hull_edges]
+              if pos[ring[i]] >= 0 and edge_key(ring[i], ring[(i + 1) % k]) not in hull_edges]
     if not starts:
         raise PreconditionError("s has no hull neighbor starting an interior link edge")
     start = min(starts, key=lambda i: ring[i])
@@ -278,8 +277,8 @@ def _property_union(sa: PointSet, sb: Sequence[tuple[int, int]]
             f"{_VIOLATED}S_a and S_b do not combine to a general-position set: {exc}") from exc
     na = len(sa)
     b_ids = set(range(na, len(combined)))
-    hull = combined.hull()
-    missing = sorted(b_ids - set(hull))
+    hull, pos = combined.hull(), combined.hull_positions()
+    missing = [b for b in range(na, len(combined)) if pos[b] < 0]
     if missing:
         raise PreconditionError(f"{_VIOLATED}new points {missing} are not hull vertices of the union")
     a_hull = sa.hull()
@@ -636,12 +635,12 @@ def build_5conn_general(ps: PointSet,
             f"need 14 points in convex position; largest convex subset has {len(core)}")
     core_set = set(core)
     ps0 = ps.subset(core)
-    hull_of_all = set(ps.hull())
+    pos = ps.hull_positions()
     rest = [i for i in range(len(ps)) if i not in core_set]
     core_hull = [core[j] for j in ps0.hull()]
     s_int = [i for i in rest if strictly_inside(ps, core_hull, i)]
-    s_bou = [i for i in rest if i not in s_int and i in hull_of_all]
-    s_ext = [i for i in rest if i not in s_int and i not in hull_of_all]
+    s_bou = [i for i in rest if i not in s_int and pos[i] >= 0]
+    s_ext = [i for i in rest if i not in s_int and pos[i] < 0]
 
     # order[k] is the id in ps of the point at construction position k
     order = list(core)
@@ -661,10 +660,10 @@ def build_5conn_general(ps: PointSet,
     remaining = set(s_ext)
     removal: list[int] = []
     while remaining:
-        on_hull = set(_hull_of(ps, sorted(core_set | remaining))) & remaining
-        if not on_hull:
+        pick = min((v for v in _hull_of(ps, sorted(core_set | remaining)) if v in remaining),
+                   default=None)
+        if pick is None:
             raise InternalInvariantError("hull peeling found no removable exterior point")
-        pick = min(on_hull)
         removal.append(pick)
         remaining.remove(pick)
     for i in reversed(removal):

@@ -132,7 +132,7 @@ class CellTree:
 def build_cell_tree(t: Triangulation) -> CellTree:
     """Cells are the chord-free connected components of the triangle faces;
     two cells are adjacent when they share a chord."""
-    hullset = set(t.hull)
+    pos = t.ps.hull_positions()
     chords = t.chords()
     chord_set = set(chords)
     tris = sorted(t.triangles)
@@ -177,7 +177,7 @@ def build_cell_tree(t: Triangulation) -> CellTree:
             other = next(iter(adjacency[k]))
             chord = chord_of[(min(k, other), max(k, other))]
             inner = frozenset(members[k] - set(chord))
-            on_hull = sorted(v for v in inner if v in hullset)
+            on_hull = sorted(v for v in inner if pos[v] >= 0)
             if not on_hull:
                 raise InternalInvariantError("leaf cell without a hull representative")
             leaves.append(LeafCell(k, chord, frozenset(members[k]), inner, on_hull[0]))
@@ -205,7 +205,7 @@ def min_augment_3conn(t: Triangulation) -> frozenset[Edge]:
     if m == 0:
         return frozenset()
     reps = {leaf.cell: leaf.representative for leaf in cell_tree.leaves}
-    position = {v: i for i, v in enumerate(t.hull)}
+    position = t.ps.hull_positions()
     cyclic = sorted(reps, key=lambda cell: position[reps[cell]])
     pairs = _leaf_pairing(cell_tree.adjacency, cyclic)
     out = frozenset(edge_key(reps[a], reps[b]) for (a, b) in pairs)

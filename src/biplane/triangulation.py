@@ -50,8 +50,6 @@ class Triangulation:
         self.edges: frozenset[Edge] = frozenset(opposites)
         self._opposites = {e: tuple(sorted(ws)) for e, ws in opposites.items()}
         self.hull: tuple[int, ...] = ps.hull()
-        h = self.hull
-        self._hull_edges = frozenset(edge_key(h[i], h[(i + 1) % len(h)]) for i in range(len(h)))
         adj: dict[int, set[int]] = {v: set() for v in range(len(ps))}
         for (u, v) in self.edges:
             adj[u].add(v)
@@ -72,7 +70,7 @@ class Triangulation:
         expected = 3 * len(ps) - 3 - len(self.hull)
         if len(self.edges) != expected:
             raise InternalInvariantError(f"edge count {len(self.edges)} != 3n-3-h = {expected}")
-        hull_edges, opposites = self._hull_edges, self._opposites
+        hull_edges, opposites = ps.hull_edges(), self._opposites
         failed = None
         for e in edges:
             ws = opposites[e]
@@ -105,7 +103,7 @@ class Triangulation:
         and changed on the edges of those faces only, and `_check` re-checks
         just those edges (see README, Verification)."""
         out = Triangulation.__new__(Triangulation)
-        out.ps, out.hull, out._hull_edges = ps, ps.hull(), self._hull_edges
+        out.ps, out.hull = ps, ps.hull()
         if out.hull != self.hull:
             raise InternalInvariantError(f"replacing {sorted(gone)} by {sorted(new)} changed the hull")
         out.triangles = (self.triangles - gone) | new
@@ -148,15 +146,12 @@ class Triangulation:
         return self._replaced(new_ps, {tri}, {(a, b, s), (b, c, s), (a, c, s)})
 
     # ------------------------------------------------------------------
-    def hull_edges(self) -> frozenset[Edge]:
-        return self._hull_edges
-
     def chords(self) -> list[Edge]:
         """Hull chords, sorted: edges joining two hull vertices that are not
         hull edges."""
-        hullset, hull_edges = set(self.hull), self.hull_edges()
+        pos, hull_edges = self.ps.hull_positions(), self.ps.hull_edges()
         return sorted(e for e in self.edges
-                      if e[0] in hullset and e[1] in hullset and e not in hull_edges)
+                      if pos[e[0]] >= 0 and pos[e[1]] >= 0 and e not in hull_edges)
 
     def neighbors(self, v: int) -> frozenset[int]:
         return frozenset(self._adj[v])
@@ -259,7 +254,7 @@ def is_flippable(t: Triangulation, e: Edge) -> bool:
     """A non-hull edge is flippable iff its quadrilateral is convex, i.e. the
     opposite diagonal properly crosses it."""
     e = edge_key(*e)
-    if e not in t.edges or e in t.hull_edges():
+    if e not in t.edges or e in t.ps.hull_edges():
         return False
     a, b = t.opposites(e)
     u, v = e
@@ -282,10 +277,9 @@ def classify(t: Triangulation) -> TriangulationClass:
     n = len(t.ps)
     if n < 4:
         raise PreconditionError("classification requires n >= 4")
-    hullset = set(t.hull)
-    h = len(hullset)
+    h = len(t.hull)
     if h == n - 1:
-        center = next(i for i in range(n) if i not in hullset)
+        center = t.ps.hull_positions().index(-1)
         if t.degree(center) == n - 1:
             return TriangulationClass.WHEEL
     if h == n and any(t.degree(v) == n - 1 for v in range(n)):
@@ -358,9 +352,8 @@ def _fill_faces(ps: PointSet, required: list[Edge], avoid: set[Edge]) -> Triangu
     and the two on each taken edge; `Triangulation` certifies them, and
     their edges must be R' and the taken ones."""
     n, xs, ys = len(ps), ps.xs, ps.ys
-    hull = ps.hull()
-    hull_edges = {edge_key(hull[i - 1], hull[i]) for i in range(len(hull))}
-    plane = hull_edges.union(required)
+    hull_edges, on_hull = ps.hull_edges(), ps.hull_positions()
+    plane = {*hull_edges, *required}
     rings, keys = _edge_rings(ps, plane)
     pos = [dict(zip(ring, range(len(ring)))) for ring in rings]
     # at[v][i] is the walk of the corner at v from rings[v][i] on,
@@ -389,9 +382,8 @@ def _fill_faces(ps: PointSet, required: list[Edge], avoid: set[Edge]) -> Triangu
     # walk is longer, or it holds a hole
     rims = {f: [walks[f]] for f in bounded if len(walks[f]) > 3}
     canon = list(range(len(walks)))
-    hullset = set(hull)
     for f, walk in enumerate(walks):
-        if area[f] <= 0 and walk[0] not in hullset:
+        if area[f] <= 0 and on_hull[walk[0]] < 0:
             r = walk[0]
             home = min((g for g in bounded if r not in walks[g] and _winding(ps, walks[g], r)),
                        key=area.__getitem__, default=None)
@@ -420,7 +412,7 @@ def _fill_faces(ps: PointSet, required: list[Edge], avoid: set[Edge]) -> Triangu
         u, v = e
         return (xs[u] - xs[v]) ** 2 + (ys[u] - ys[v]) ** 2
 
-    room = 3 * n - 3 - len(hull) - len(plane)
+    room = 3 * n - 3 - len(ps.hull()) - len(plane)
     taken: list[Edge] = []
     for e in sorted(pairs, key=lambda e: (e in avoid, sqlen(e), e)):
         if len(taken) >= room:

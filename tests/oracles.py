@@ -688,6 +688,64 @@ def ref_closer_to_first_ray(center: Point, p1: Point, p2: Point, q: Point) -> bo
     raise InternalInvariantError("query direction coincides with a wedge boundary")
 
 
+def ref_first_hit(ps: PointSet, pivot: int, toward: int, points: Sequence[int],
+                  sweep_ccw: bool) -> int:
+    """augment._first_hit by cross products: each direction from the pivot
+    is flipped to the swept side of the line pivot-toward, and the first one
+    in the sweep wins."""
+    xs, ys = ps.xs, ps.ys
+    cx, cy = xs[pivot], ys[pivot]
+    bx, by = xs[toward] - cx, ys[toward] - cy
+    turn = 1 if sweep_ccw else -1
+    best, best_x, best_y = -1, 0, 0
+    for p in points:
+        dx, dy = xs[p] - cx, ys[p] - cy
+        cr = bx * dy - by * dx
+        if cr == 0:
+            raise InternalInvariantError("cell point collinear with the rotation line")
+        if (cr > 0) != sweep_ccw:
+            dx, dy = -dx, -dy
+        order = turn * (dx * best_y - dy * best_x)
+        if best >= 0 and order == 0:
+            raise InternalInvariantError("two cell points aligned with the pivot")
+        if best < 0 or order > 0:
+            best, best_x, best_y = p, dx, dy
+    return best
+
+
+def ref_maximal_sector(t: Triangulation, report: CutReport) -> tuple[int, list[int]]:
+    """augment._maximal_sector, without its arm count check, by walking
+    every sector of every centre until one holds both ends of the smallest
+    hull edge e0."""
+    hull = list(t.hull)
+    h = len(hull)
+    pts = t.ps.points
+    arms: dict[int, set[int]] = {}
+    for b in report.bichords:
+        arms.setdefault(b.m, set()).update((b.u, b.w))
+    e0 = min(edge_key(hull[i], hull[(i + 1) % h]) for i in range(h))
+
+    def sector_labels(center: int) -> tuple[int, list[int]]:
+        arm_pos = sorted(hull.index(a) for a in arms[center])
+        k = len(arm_pos)
+        iu, iv = hull.index(e0[0]), hull.index(e0[1])
+        for j in range(k):
+            lo, hi = arm_pos[j], arm_pos[(j + 1) % k]
+            span = [lo]
+            pos = lo
+            while pos != hi:
+                pos = (pos + 1) % h
+                span.append(pos)
+            if iu in span and iv in span:
+                cycle = [pts[center]] + [pts[hull[p]] for p in span]
+                area = abs(sum(ref_cross(cycle[0], a, b) for a, b in zip(cycle[1:], cycle[2:])))
+                return area, [hull[arm_pos[(j - i) % k]] for i in range(k)]
+        raise AssertionError("hull edge lies in no sector")
+
+    center = min(arms, key=lambda c: (-sector_labels(c)[0], c))
+    return center, sector_labels(center)[1]
+
+
 def _ref_hull_arc(hull: Sequence[int], a: int, b: int) -> list[int]:
     """Hull vertices strictly between a and b walking forward from a."""
     i = hull.index(a)
@@ -706,7 +764,7 @@ def ref_cut_structures(t) -> CutReport:
         raise PreconditionError("cut structures are defined for n >= 5")
     hull = list(t.hull)
     hullset = set(hull)
-    hull_edges = t.hull_edges()
+    hull_edges = {edge_key(a, b) for a, b in zip(hull, hull[1:] + hull[:1])}
     report = CutReport()
     report.chords = t.chords()
     adj = {v: t.neighbors(v) for v in range(len(t.ps))}

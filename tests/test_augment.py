@@ -12,8 +12,8 @@ from biplane.connectivity import (check_4conn_augmentation, kappa_of,
 from biplane.errors import (BiplaneError, ImpossibleError, InternalInvariantError,
                             PreconditionError)
 from biplane.generators import (generate_fan, generate_no5conn_counterexample,
-                                generate_wheel, random_triangulation,
-                                regular_polygon_points)
+                                generate_wheel, random_general_position,
+                                random_triangulation, regular_polygon_points)
 from biplane.geometry import Point, PointSet, cross, segments_properly_cross
 from biplane.connectivity import cut_structures
 from biplane.treeaug import build_cell_tree
@@ -23,7 +23,7 @@ from biplane.triangulation import (Triangulation, TriangulationClass, classify,
 
 from conftest import chordful_triangulation
 from oracles import (bf_first_crossing, bf_vertex_connectivity, ref_closer_to_first_ray,
-                     ref_flip, ref_vertex_connectivity)
+                     ref_first_hit, ref_flip, ref_maximal_sector, ref_vertex_connectivity)
 
 
 class TestGenerators:
@@ -96,7 +96,7 @@ class TestFlipPairHelper:
         inputs += [chordful_triangulation(n, seed) for n in range(5, 40, 2) for seed in range(2)]
         accepted = rejected = apex_inside = 0
         for t in inputs:
-            hull_edges = t.hull_edges()
+            hull_edges = t.ps.hull_edges()
             for chord in t.chords():
                 for u, w in (chord, chord[::-1]):
                     for v, v2 in (t.opposites(chord), t.opposites(chord)[::-1]):
@@ -432,6 +432,115 @@ class TestWheelRemainder:
         extra = augment_to_4conn(t)
         assert calls, "the wheel-remainder wiring did not run"
         _assert_plane_4conn_with_digest(t, extra, digest)
+
+
+def _unchecked(coords) -> PointSet:
+    """A PointSet of `coords` that skips the general-position check, so that
+    a test can hand a degenerate set to a function that reads coordinates."""
+    ps = PointSet.__new__(PointSet)
+    ps.xs, ps.ys = tuple(x for x, _ in coords), tuple(y for _, y in coords)
+    return ps
+
+
+class TestFirstHit:
+    """`_first_hit` orders the points by their `_slope` gap from the turning
+    line; `ref_first_hit` is the cross-product sweep it replaced.  They agree
+    on seeded general-position sets, small and near the coordinate limit,
+    in both sweeps; on a point added on the line, or on the line through the
+    pivot and the first hit, both raise the same error."""
+
+    def test_agrees_with_the_cross_product_sweep(self):
+        compared = {True: 0, False: 0}
+        for n in range(4, 13):
+            for seed in range(40):
+                span = 2 ** 30 if seed % 2 else 50
+                ps = random_general_position(n, seed, span=span)
+                rng = random.Random(seed)
+                pivot, toward, *points = rng.sample(range(n), n)
+                for sweep_ccw in (False, True):
+                    got = augment_module._first_hit(ps, pivot, toward, points, sweep_ccw)
+                    assert got == ref_first_hit(ps, pivot, toward, points, sweep_ccw)
+                    compared[sweep_ccw] += 1
+        assert compared == {True: 360, False: 360}
+
+    def test_degenerate_points_raise_as_the_sweep_does(self):
+        for seed in range(60):
+            ps = random_general_position(8, seed, span=1000)
+            coords = list(zip(ps.xs, ps.ys))
+            pivot, toward, *points = range(8)
+            sweep_ccw = bool(seed % 2)
+            hit = ref_first_hit(ps, pivot, toward, points, sweep_ccw)
+            scale = (2, -1)[seed // 2 % 2]
+            (px, py), rng = coords[pivot], random.Random(seed)
+            for kind, through in (("collinear", toward), ("aligned", hit)):
+                qx, qy = coords[through]
+                added = _unchecked(coords + [(px + scale * (qx - px), py + scale * (qy - py))])
+                at = points[:]
+                at.insert(rng.randrange(len(at) + 1), 8)
+                for first_hit in (augment_module._first_hit, ref_first_hit):
+                    with pytest.raises(InternalInvariantError, match=kind):
+                        first_hit(added, pivot, toward, at, sweep_ccw)
+
+
+def _flip_walk_chordless(h: int, m: int, steps: int):
+    """The distinct chordless triangulations met on a seeded flip walk from
+    `triangulate` of a regular h-gon with m random points inside it."""
+    rng = random.Random(h * 100 + m)
+    hull = [(q.x, q.y) for q in regular_polygon_points(h, 10 ** 4)]
+    while True:
+        inner = []
+        while len(inner) < m:
+            x, y = rng.randint(-6000, 6000), rng.randint(-6000, 6000)
+            if x * x + y * y < 6000 ** 2:
+                inner.append((x, y))
+        try:
+            t = triangulate(PointSet(hull + inner))
+            break
+        except PreconditionError:
+            continue
+    seen = set()
+    for _ in range(steps):
+        t = flip(t, rng.choice(sorted(e for e in t.edges if is_flippable(t, e))))
+        if not t.chords() and t.triangles not in seen:
+            seen.add(t.triangles)
+            yield t
+
+
+class TestMaximalSectorOracle:
+    """`_maximal_sector` finds e0's sector by one bisection on the arms' hull
+    positions; `ref_maximal_sector` walks every sector.  They name the same
+    centre and labels on every chordless input with a bichord: the star
+    anchor cases, the two-centre polygons and the chordless triangulations
+    met on seeded flip walks of 6-14-gons with 2-8 interior points.  A centre
+    with fewer than four arms raises."""
+
+    @staticmethod
+    def _compare(t) -> str:
+        rep = cut_structures(t)
+        if not rep.bichords:
+            return "no bichord"
+        center, labels = ref_maximal_sector(t, rep)
+        if len(labels) < 4:
+            with pytest.raises(InternalInvariantError, match=f"only {len(labels)} arms"):
+                augment_module._maximal_sector(t, rep)
+            return "raised"
+        assert augment_module._maximal_sector(t, rep) == (center, labels)
+        return "star" if {v for tr in rep.cut_triples() for v in tr} == set(range(len(t.ps))) \
+            else "compared"
+
+    def test_fixed_inputs(self):
+        inputs = [random_triangulation(n, seed) for n, seed in STAR_ANCHOR_CASES]
+        inputs += [_two_centres(h) for h in range(6, 10)]
+        outcomes = [self._compare(t) for t in inputs]
+        assert outcomes == ["star"] * (len(STAR_ANCHOR_CASES) + 4), outcomes
+
+    def test_flip_walks(self):
+        counts = {"no bichord": 0, "raised": 0, "compared": 0, "star": 0}
+        for h in range(6, 15):
+            for m in range(2, 9):
+                for t in _flip_walk_chordless(h, m, 300):
+                    counts[self._compare(t)] += 1
+        assert counts == {"no bichord": 0, "raised": 660, "compared": 296, "star": 11}, counts
 
 
 def _polygon_with_chords(n: int, chords) -> Triangulation:

@@ -496,7 +496,7 @@ class TestCutStructures:
     def test_convex_polygon_every_non_hull_edge_is_chord(self):
         t = triangulate(regular_polygon_points(8))
         rep = cut_structures(t)
-        assert set(rep.chords) == set(t.edges) - t.hull_edges()
+        assert set(rep.chords) == set(t.edges) - t.ps.hull_edges()
 
     def test_too_small_rejected(self):
         t = triangulate(PointSet([(0, 0), (3, 1), (1, 3)]))

@@ -187,7 +187,9 @@ class TestPointSet:
         assert ps[1] == Point(5, 1, 1) and ps[-1] == ps[2] == Point(2, 7, 2) == ps[-1]
         assert ps[-3] == Point(0, 0, 0)
         assert list(ps) == list(ps.points) == [Point(0, 0, 0), Point(5, 1, 1), Point(2, 7, 2)]
-        assert ps.points is not ps.points and vars(ps).keys() == {"xs", "ys", "_hull"}
+        assert ps.points is not ps.points
+        # no Point cache: the fields are the coordinates and the hull views
+        assert vars(ps).keys() == {"xs", "ys", "_hull", "_hull_pos", "_hull_edges"}
         for i in (3, -4):
             with pytest.raises(IndexError):
                 ps[i]
@@ -691,6 +693,60 @@ class TestConvexHull:
         h = ps.hull()
         for p in range(len(ps)):
             assert strictly_inside(ps, h, p) is (p not in h)
+
+
+class TestHullView:
+    """`hull_positions` and `hull_edges` agree with the brute-force hull and
+    with consecutive `hull()` pairs, and are computed once.  An extended set
+    that keeps its parent's hull keeps the parent's cached views, with the
+    new points at position -1."""
+
+    @staticmethod
+    def check(ps):
+        hull, pos = ps.hull(), ps.hull_positions()
+        assert len(pos) == len(ps)
+        assert {v for v, p in enumerate(pos) if p >= 0} == bf_hull_ids(ps)
+        assert all(hull[p] == v for v, p in enumerate(pos) if p >= 0)
+        assert ps.hull_edges() == {edge_key(a, b) for a, b in zip(hull, hull[1:] + hull[:1])}
+        assert ps.hull_positions() is pos and ps.hull_edges() is ps.hull_edges()
+        assert ps.interior_ids() == tuple(v for v, p in enumerate(pos) if p < 0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_general_convex_and_subset(self, seed):
+        rng = random.Random(seed)
+        for n in range(3, 13):
+            ps = random_general_position(n, seed, span=100)
+            self.check(ps)
+            self.check(regular_polygon_points(n, 1000))
+            if n > 3:
+                self.check(ps.subset(rng.sample(range(n), rng.randint(3, n - 1))))
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_extended(self, cached):
+        kept = moved = 0
+        for seed in range(6):
+            base = random_general_position(10, seed, span=1000)
+            rng = random.Random(seed)
+            inside, outside = [], []
+            while len(inside) < 3 or not outside:
+                c = (rng.randint(-1500, 1500), rng.randint(-1500, 1500))
+                (inside if inside_hull(base, Point(*c)) else outside).append(c)
+            if cached:
+                base.hull_positions(), base.hull_edges()
+            for new in (inside[:3], inside[:2] + outside[:1]):
+                try:
+                    out = base.extended(new)
+                except PreconditionError:
+                    continue
+                if out.hull() is base.hull():
+                    assert out.hull_positions()[len(base):] == (-1,) * len(new)
+                    if cached:
+                        assert out.hull_edges() is base.hull_edges()
+                    kept += 1
+                else:
+                    moved += 1
+                self.check(out)
+        assert kept >= 4 and moved >= 4, (kept, moved)
 
 
 class TestConvexPosition:

@@ -57,7 +57,7 @@ class TestTriangulate:
 class TestFlip:
     def test_convex_quad_diagonal_flippable(self):
         t = triangulate(PointSet([(0, 0), (2, 0), (2, 2), (0, 2)]))
-        diag = next(iter(t.edges - t.hull_edges()))
+        diag = next(iter(t.edges - t.ps.hull_edges()))
         assert is_flippable(t, diag)
 
     def test_reflex_quad_not_flippable(self):
@@ -65,20 +65,20 @@ class TestFlip:
         ps = PointSet([(0, 0), (10, 0), (10, 10), (0, 10), (1, 2)])
         t = triangulate(ps)
         flippables = {e for e in t.edges if is_flippable(t, e)}
-        assert flippables < (t.edges - t.hull_edges())
+        assert flippables < (t.edges - t.ps.hull_edges())
 
     def test_flip_square_diagonal(self):
         t = triangulate(PointSet([(0, 0), (2, 0), (2, 2), (0, 2)]))
-        diag = next(iter(t.edges - t.hull_edges()))
+        diag = next(iter(t.edges - t.ps.hull_edges()))
         t2 = flip(t, diag)
-        other = next(iter(t2.edges - t2.hull_edges()))
+        other = next(iter(t2.edges - t2.ps.hull_edges()))
         assert set(diag) | set(other) == {0, 1, 2, 3} and diag != other
 
     def test_flip_is_involution(self):
         t = triangulate(PointSet([(0, 0), (2, 0), (2, 2), (0, 2)]))
-        diag = next(iter(t.edges - t.hull_edges()))
+        diag = next(iter(t.edges - t.ps.hull_edges()))
         t2 = flip(t, diag)
-        new_diag = next(iter(t2.edges - t2.hull_edges()))
+        new_diag = next(iter(t2.edges - t2.ps.hull_edges()))
         assert flip(t2, new_diag).edges == t.edges
 
     def test_flip_changes_exactly_one_edge(self):
@@ -422,7 +422,7 @@ def flipped(t: Triangulation, e) -> frozenset:
 def reflex_diagonal(t: Triangulation):
     """An interior edge whose quadrilateral is reflex and whose other
     diagonal is not an edge yet."""
-    return next(e for e in sorted(t.edges - t.hull_edges())
+    return next(e for e in sorted(t.edges - t.ps.hull_edges())
                 if not is_flippable(t, e) and edge_key(*t.opposites(e)) not in t.edges)
 
 
@@ -437,7 +437,7 @@ def near_triangulations(t: Triangulation, rng: random.Random):
     an interior edge (illegal ones on reflex quadrilaterals included), one
     triangle swapped for another on two of its corners, one triangle dropped."""
     yield t.triangles
-    for e in sorted(t.edges - t.hull_edges()):
+    for e in sorted(t.edges - t.ps.hull_edges()):
         yield flipped(t, e)
     n = len(t.ps)
     for tri in rng.sample(sorted(t.triangles), min(4, len(t.triangles))):
@@ -520,7 +520,7 @@ class TestValidationCertificate:
 def assert_same_triangulation(got: Triangulation, want: Triangulation) -> None:
     """Equal faces, edges, apexes, adjacency and hull."""
     assert got.triangles == want.triangles and got.edges == want.edges
-    assert got.hull == want.hull and got.hull_edges() == want.hull_edges()
+    assert got.hull == want.hull and got.ps.hull_edges() == want.ps.hull_edges()
     assert {e: got.opposites(e) for e in got.edges} == {e: want.opposites(e) for e in want.edges}
     n = len(want.ps)
     assert [got.neighbors(v) for v in range(n)] == [want.neighbors(v) for v in range(n)]
@@ -618,7 +618,7 @@ def exterior_points(t: Triangulation):
     hull edge's apex reflected through the edge's midpoint, and points on a
     wide circle."""
     ps, pts = t.ps, []
-    for (a, b) in sorted(t.hull_edges()):
+    for (a, b) in sorted(t.ps.hull_edges()):
         (c,) = t.opposites((a, b))
         pts.append((ps[a].x + ps[b].x - ps[c].x, ps[a].y + ps[b].y - ps[c].y))
     far = 3 * max(max(abs(p.x), abs(p.y)) for p in ps)
@@ -667,7 +667,7 @@ class TestLocate:
     def test_collinear_query_is_a_precondition(self):
         t = shuffled(random_triangulation(12, 3), 3, k=2)
         ps, q = t.ps, len(t.ps) - 1
-        e = next(e for e in sorted(t.edges - t.hull_edges()) if q not in e)
+        e = next(e for e in sorted(t.edges - t.ps.hull_edges()) if q not in e)
         v = min(t.neighbors(q))
         on_edge = ((ps[e[0]].x + ps[e[1]].x) // 2, (ps[e[0]].y + ps[e[1]].y) // 2)
         # q's neighbour v on the segment from q to the query
