@@ -184,16 +184,6 @@ def _bichord_star(t: Triangulation, labels: list[int], anchor: int) -> set[Edge]
 # Case 2: triangulations with chords (induction over leaf cells)
 # ----------------------------------------------------------------------
 
-def _sub_triangulation(t: Triangulation, keep: list[int]) -> tuple[Triangulation, list[int]]:
-    """Induced triangulation on the kept vertices; sub->parent id map."""
-    keep = sorted(keep)
-    to_sub = {old: new for new, old in enumerate(keep)}
-    ps = t.ps.subset(keep)
-    tris = [tuple(to_sub[x] for x in tri) for tri in t.triangles
-            if all(x in to_sub for x in tri)]
-    return Triangulation(ps, tris), keep
-
-
 def _small_base(t: Triangulation) -> set[Edge]:
     """The first absent edges, in sorted order, that are pairwise noncrossing
     and make the union 4-connected: three on a convex hexagon, two on five
@@ -309,7 +299,8 @@ def _plane_partner(t: Triangulation, report: CutReport | None = None) -> set[Edg
             cands = [(0, leaf.chord, leaf.members)]
         # a remainder keeps four points or more: a leftover triangle is a size-3 leaf
         for _, chord, members in cands:
-            t1, idmap = _sub_triangulation(t, [x for x in range(n) if x in chord or x not in members])
+            idmap = [x for x in range(n) if x in chord or x not in members]
+            t1 = t.restricted(idmap)
             cls = classify(t1)
             if cls is not TriangulationClass.FAN:
                 break

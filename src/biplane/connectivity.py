@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .geometry import PointSet, cross, crossing_pairs, first_crossing, segments_properly_cross
+from .geometry import PointSet, crossing_pairs, first_crossing
 from .layered import LayeredGraph
 from .triangulation import Edge, Triangulation, edge_key
 
@@ -382,11 +382,16 @@ def cut_structures(t: Triangulation) -> CutReport:
 
     report.chords = t.chords()
 
-    adj = {v: t.neighbors(v) for v in range(len(t.ps))}
-    for m in range(len(t.ps)):
-        hull_nbrs = sorted(x for x in adj[m] if pos[x] >= 0)
-        for i, u in enumerate(hull_nbrs):
-            for w in hull_nbrs[i + 1:]:
+    hull_nbrs: list[list[int]] = [[] for _ in range(len(t.ps))]
+    for u, v in t.edges:
+        if pos[v] >= 0:
+            hull_nbrs[u].append(v)
+        if pos[u] >= 0:
+            hull_nbrs[v].append(u)
+    for m, nbrs in enumerate(hull_nbrs):
+        nbrs.sort()
+        for i, u in enumerate(nbrs):
+            for w in nbrs[i + 1:]:
                 if edge_key(u, m) in hull_edges or edge_key(m, w) in hull_edges:
                     continue
                 ends = sorted((u, m, w), key=pos.__getitem__) if pos[m] >= 0 else [u, w]
@@ -395,22 +400,20 @@ def cut_structures(t: Triangulation) -> CutReport:
                 if all((pos[b] - pos[a]) % h > 1 for a, b in zip(ends, ends[1:] + ends[:1])):
                     report.bichords.append(Bichord(u, m, w))
 
-    # a 3-cycle that is not a face separates unless it is the hull triangle
-    seen: set[tuple[int, int, int]] = {tuple(sorted(hull))} if h == 3 else set()
-    for e in sorted(t.edges):
+    # a common neighbour w of an edge uv that is not one of its apexes closes
+    # a 3-cycle that is not a face; each is found on its least edge
+    found = []
+    for e in t.edges:
         u, v = e
-        for w in sorted(adj[u] & adj[v]):
-            tri = tuple(sorted((u, v, w)))
-            if tri in seen or tri in t.triangles:
-                continue
-            seen.add(tri)
-            report.separating_triangles.append(SeparatingTriangle(tri))
+        ws = t.opposites(e)
+        common = t.common_neighbors(u, v)
+        if len(common) > len(ws):
+            found += [(u, v, w) for w in common if w > v and w not in ws]
+    # it separates unless it is the hull triangle
+    hull_triangle = tuple(sorted(hull))
+    report.separating_triangles = [SeparatingTriangle(tri) for tri in sorted(found)
+                                   if tri != hull_triangle]
     return report
-
-
-def _crossings_with_path(ps: PointSet, e: Edge, path_edges: Sequence[Edge]) -> int:
-    a, b = e
-    return sum(1 for (u, v) in path_edges if segments_properly_cross(ps, a, b, u, v))
 
 
 def check_4conn_augmentation(t: Triangulation, added: Iterable[Edge]) -> tuple[bool, list[str]]:
@@ -428,31 +431,49 @@ def check_4conn_augmentation(t: Triangulation, added: Iterable[Edge]) -> tuple[b
 def augmentation_violations(t: Triangulation, added: Iterable[Edge],
                             report: CutReport) -> list[str]:
     """The violations check_4conn_augmentation reports, given
-    report = cut_structures(t)."""
+    report = cut_structures(t).
+
+    Each added edge lists the edges of t that it properly crosses
+    (`Triangulation.crossed_edges`), and an index from each edge of t to the
+    chords, bichord paths and separating-triangle sides that hold it turns
+    those into crossing counts.  A chord has two points or more on each side
+    unless an apex w of it makes a - w - b a hull path (see README,
+    Verification)."""
     new_edges = sorted(edge_key(*e) for e in added)
-    ps = t.ps
+    chords, k, hull_edges = report.chords, len(report.chords), t.ps.hull_edges()
+    paths = [b.path_edges() for b in report.bichords] + [s.sides() for s in report.separating_triangles]
+    owners: dict[Edge, list[int]] = {}
+    for i, path in enumerate([(c,) for c in chords] + paths):
+        for f in path:
+            owners.setdefault(f, []).append(i)
+    crossers: list[list[Edge]] = [[] for _ in chords]
+    crossed_once = [False] * len(paths)
+    for u, v in new_edges:
+        if not 0 <= u < v < len(t.ps):
+            raise PreconditionError(f"bad edge {(u, v)}")
+        hits: dict[int, int] = {}
+        for f in t.crossed_edges(u, v):
+            for i in owners.get(f, ()):
+                hits[i] = hits.get(i, 0) + 1
+        for i, count in hits.items():
+            if i < k:
+                crossers[i].append((u, v))
+            elif count == 1:
+                crossed_once[i - k] = True
+
     violations: list[str] = []
-
-    for chord in report.chords:
-        a, b = chord
-        crossers = [e for e in new_edges if segments_properly_cross(ps, e[0], e[1], a, b)]
-        if len(crossers) < 2:
-            violations.append(f"chord {chord} crossed by {len(crossers)} < 2 new edges")
-            continue
-        # general position puts no third point on the chord's line
-        side1 = sum(1 for p in range(len(ps)) if cross(ps, a, b, p) > 0)
-        side2 = len(ps) - 2 - side1
-        if side1 >= 2 and side2 >= 2:
-            if not any(not set(e1) & set(e2)
-                       for i, e1 in enumerate(crossers) for e2 in crossers[i + 1:]):
-                violations.append(f"chord {chord}: no two nonadjacent crossing edges")
-
-    for b in report.bichords:
-        if not any(_crossings_with_path(ps, e, b.path_edges()) == 1 for e in new_edges):
+    for (a, b), es in zip(chords, crossers):
+        # a side with one point is a face (a, w, b) between two hull edges
+        wide = not any(edge_key(a, w) in hull_edges and edge_key(w, b) in hull_edges
+                       for w in t.opposites((a, b)))
+        if len(es) < 2:
+            violations.append(f"chord {(a, b)} crossed by {len(es)} < 2 new edges")
+        elif wide and not any(not set(e1) & set(e2) for i, e1 in enumerate(es) for e2 in es[i + 1:]):
+            violations.append(f"chord {(a, b)}: no two nonadjacent crossing edges")
+    for b, ok in zip(report.bichords, crossed_once):
+        if not ok:
             violations.append(f"bichord ({b.u}, {b.m}, {b.w}) not properly crossed")
-
-    for s in report.separating_triangles:
-        if not any(_crossings_with_path(ps, e, s.sides()) == 1 for e in new_edges):
+    for s, ok in zip(report.separating_triangles, crossed_once[len(report.bichords):]):
+        if not ok:
             violations.append(f"separating triangle {s.vertices} not properly crossed")
-
     return violations

@@ -42,13 +42,8 @@ class Triangulation:
         self.ps = ps
         self.triangles: frozenset[tuple[int, int, int]] = frozenset(
             triangle_key(*t) for t in triangles)
-        opposites: dict[Edge, list[int]] = {}
-        for (a, b, c) in self.triangles:
-            # a < b < c, so each side is its own edge key
-            for e, w in (((a, b), c), ((b, c), a), ((a, c), b)):
-                opposites.setdefault(e, []).append(w)
-        self.edges: frozenset[Edge] = frozenset(opposites)
-        self._opposites = {e: tuple(sorted(ws)) for e, ws in opposites.items()}
+        self._opposites = _apex_map(self.triangles)
+        self.edges: frozenset[Edge] = frozenset(self._opposites)
         self.hull: tuple[int, ...] = ps.hull()
         adj: dict[int, set[int]] = {v: set() for v in range(len(ps))}
         for (u, v) in self.edges:
@@ -70,7 +65,7 @@ class Triangulation:
         expected = 3 * len(ps) - 3 - len(self.hull)
         if len(self.edges) != expected:
             raise InternalInvariantError(f"edge count {len(self.edges)} != 3n-3-h = {expected}")
-        hull_edges, opposites = ps.hull_edges(), self._opposites
+        hull_edges, opposites, xs, ys = ps.hull_edges(), self._opposites, ps.xs, ps.ys
         failed = None
         for e in edges:
             ws = opposites[e]
@@ -79,7 +74,10 @@ class Triangulation:
                 raise InternalInvariantError(f"edge {e} lies in {len(ws)} triangles, expected {want}")
             if want == 2 and failed is None:
                 u, v = e
-                if cross(ps, u, v, ws[0]) * cross(ps, u, v, ws[1]) >= 0:
+                ux, uy = xs[u], ys[u]
+                dx, dy = xs[v] - ux, ys[v] - uy
+                a, b = ws
+                if (dx * (ys[a] - uy) - dy * (xs[a] - ux)) * (dx * (ys[b] - uy) - dy * (xs[b] - ux)) >= 0:
                     failed = f"the apexes {ws} of edge {e} lie on one side of it"
         if not hull_edges <= self.edges:
             raise InternalInvariantError("hull edge missing from triangulation")
@@ -96,19 +94,28 @@ class Triangulation:
             raise InternalInvariantError(f"edges {es[i]} and {es[j]} cross")
         raise InternalInvariantError(failed)
 
+    @classmethod
+    def _from_maps(cls, ps: PointSet, triangles: frozenset[tuple[int, int, int]],
+                   opposites: dict[Edge, tuple[int, ...]], adj: dict[int, set[int]],
+                   edges: frozenset[Edge], check: Iterable[Edge]) -> "Triangulation":
+        """The triangulation of `ps` with these maps, taken as they are;
+        `_check` runs on the edges `check` (see README, Verification)."""
+        out = cls.__new__(cls)
+        out.ps, out.hull, out.triangles, out.edges = ps, ps.hull(), triangles, edges
+        out._opposites, out._adj = opposites, adj
+        out._check(check)
+        return out
+
     def _replaced(self, ps: PointSet, gone: set[tuple[int, int, int]],
                   new: set[tuple[int, int, int]]) -> "Triangulation":
         """This triangulation on `ps`, which may append points, with its faces
         `gone` replaced by `new` (sorted corner triples).  The maps are copied
         and changed on the edges of those faces only, and `_check` re-checks
         just those edges (see README, Verification)."""
-        out = Triangulation.__new__(Triangulation)
-        out.ps, out.hull = ps, ps.hull()
-        if out.hull != self.hull:
+        if ps.hull() != self.hull:
             raise InternalInvariantError(f"replacing {sorted(gone)} by {sorted(new)} changed the hull")
-        out.triangles = (self.triangles - gone) | new
-        opposites = out._opposites = dict(self._opposites)
-        adj = out._adj = dict(self._adj)
+        opposites = dict(self._opposites)
+        adj = dict(self._adj)
         for v in range(len(self.ps), len(ps)):
             adj[v] = set()
         changed, added = {}, []
@@ -132,9 +139,34 @@ class Triangulation:
             adj[u], adj[v] = adj[u] - {v}, adj[v] - {u}
             del opposites[u, v], changed[u, v]
         edges = self.edges.union(added)
-        out.edges = edges.difference(dropped) if dropped else edges
-        out._check(changed)
-        return out
+        return Triangulation._from_maps(ps, (self.triangles - gone) | new, opposites, adj,
+                                        edges.difference(dropped) if dropped else edges, changed)
+
+    def restricted(self, keep: list[int]) -> "Triangulation":
+        """The faces with every corner in the sorted ids `keep`, on
+        `ps.subset(keep)` with each vertex renamed by its index there.  The
+        maps are relabelled, and `_check` re-checks only the edges that lost
+        a face, which the subset's hull must add to this hull's edges between
+        kept vertices (see README, Augmentation by leaf peels)."""
+        new = [-1] * len(self.ps)
+        for i, v in enumerate(keep):
+            new[v] = i
+        ps = self.ps.subset(keep)
+        opposites: dict[Edge, tuple[int, ...]] = {}
+        lost: list[Edge] = []
+        for (u, v), ws in self._opposites.items():
+            if new[u] >= 0 and new[v] >= 0:
+                # the renaming is increasing, so keys and apexes stay sorted
+                e = (new[u], new[v])
+                kept = opposites[e] = tuple(new[w] for w in ws if new[w] >= 0)
+                if len(kept) < len(ws):
+                    lost.append(e)
+        hull_edges = {(new[u], new[v]) for u, v in self.ps.hull_edges() if new[u] >= 0 and new[v] >= 0}
+        if ps.hull_edges() != hull_edges.union(lost):
+            raise InternalInvariantError(f"keeping {len(keep)} vertices changes the hull beyond {lost}")
+        tris = frozenset(t for a, b, c in self.triangles if -1 not in (t := (new[a], new[b], new[c])))
+        adj = {i: {new[w] for w in self._adj[v] if new[w] >= 0} for i, v in enumerate(keep)}
+        return Triangulation._from_maps(ps, tris, opposites, adj, frozenset(opposites), lost)
 
     def split(self, new_ps: PointSet, s: int) -> "Triangulation":
         """This triangulation on `new_ps`, which appends the one point s,
@@ -156,6 +188,9 @@ class Triangulation:
     def neighbors(self, v: int) -> frozenset[int]:
         return frozenset(self._adj[v])
 
+    def common_neighbors(self, u: int, v: int) -> set[int]:
+        return self._adj[u] & self._adj[v]
+
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
@@ -164,51 +199,82 @@ class Triangulation:
 
     def locate(self, s: tuple[int, int]) -> tuple[int, int, int]:
         """Triangle strictly containing the point s = (x, y), by a straight
-        walk from vertex n - 1 to s (Devillers, Pion and Teillaud, *Walking
-        in a triangulation*, 2002): the walk crosses only the edges that the
-        segment crosses, each further along it (see README, Verification).
+        walk from vertex n - 1 to s (`_walk`).
 
         s must be in general position with the vertices, as a point that
         `PointSet.extended` accepted is; a collinear triple met on the way
         is a PreconditionError.
         """
-        ps = self.ps
-        xs, ys = ps.xs, ps.ys
+        return self._walk(len(self.ps) - 1, s)[0]
+
+    def crossed_edges(self, u: int, v: int) -> list[Edge]:
+        """The edges that the segment between vertices u and v properly
+        crosses, by a straight walk from its end of lower degree (`_walk`);
+        none when uv is an edge."""
+        adj = self._adj
+        if v in adj[u]:
+            return []
+        if len(adj[u]) > len(adj[v]):
+            u, v = v, u
+        return self._walk(u, (self.ps.xs[v], self.ps.ys[v]), v)[1]
+
+    def _walk(self, q: int, s: tuple[int, int], end: int = -1
+              ) -> tuple[tuple[int, int, int] | None, list[Edge]]:
+        """A straight walk from vertex q to the point s (Devillers, Pion and
+        Teillaud, *Walking in a triangulation*, 2002): the triangle that
+        strictly contains s, or None when the walk reaches the vertex `end`
+        at s, and the edges it crossed, in order.  It crosses only the edges
+        that the segment crosses, each further along it (see README,
+        Verification).  A collinear triple met on the way, or an s outside
+        the hull, is a PreconditionError."""
+        xs, ys = self.ps.xs, self.ps.ys
         sx, sy = s
-        q = len(ps) - 1
         qx, qy = xs[q], ys[q]
-
-        def side(v: int) -> int:
-            """Positive when v is left of the directed line from q to s."""
-            c = (sx - qx) * (ys[v] - qy) - (sy - qy) * (xs[v] - qx)
+        dx, dy = sx - qx, sy - qy
+        opposites = self._opposites
+        # the triangle at q that the segment enters: right corner r, left l,
+        # where side c of a neighbour is positive left of the line from q to s
+        start = None
+        for r in self._adj[q]:
+            c = dx * (ys[r] - qy) - dy * (xs[r] - qx)
             if c == 0:
-                raise PreconditionError(f"point {(sx, sy)} is collinear with vertices {q} and {v}")
-            return c
-
-        # the triangle at q that the segment enters: right corner r, left l
-        left = {v: side(v) > 0 for v in self._adj[q]}
-        start = next(((r, l) for r, is_left in left.items() if not is_left
-                      for l in self._opposites[edge_key(q, r)]
-                      if left[l] and cross(ps, q, r, l) > 0), None)
+                raise PreconditionError(f"point {(sx, sy)} is collinear with vertices {q} and {r}")
+            if c < 0 and start is None:
+                rx, ry = xs[r] - qx, ys[r] - qy
+                for l in opposites[edge_key(q, r)]:
+                    lx, ly = xs[l] - qx, ys[l] - qy
+                    if dx * ly > dy * lx and rx * ly > ry * lx:
+                        start = (r, l)
         if start is None:
             raise PreconditionError(f"point {(sx, sy)} lies in no triangle")
         (r, l), far = start, q
+        crossed: list[Edge] = []
         while True:
             # the segment leaves the counterclockwise triangle (far, r, l) by
-            # its side (r, l), and s lies beyond the side it entered by
-            c = (xs[l] - xs[r]) * (sy - ys[r]) - (ys[l] - ys[r]) * (sx - xs[r])
-            if c > 0:
-                return triangle_key(far, r, l)
-            if c == 0:
-                raise PreconditionError(f"point {(sx, sy)} is collinear with vertices {r} and {l}")
-            ws = self._opposites[edge_key(r, l)]
+            # its side (r, l); a point s lies beyond the side it entered by,
+            # and the vertex `end` beyond (r, l) too
+            if end < 0:
+                rx, ry = xs[r], ys[r]
+                c = (xs[l] - rx) * (sy - ry) - (ys[l] - ry) * (sx - rx)
+                if c > 0:
+                    return triangle_key(far, r, l), crossed
+                if c == 0:
+                    raise PreconditionError(f"point {(sx, sy)} is collinear with vertices {r} and {l}")
+            e = (r, l) if r < l else (l, r)
+            crossed.append(e)
+            ws = opposites[e]
             if len(ws) == 1:
                 raise PreconditionError(f"point {(sx, sy)} lies in no triangle")
             z = ws[1] if ws[0] == far else ws[0]
-            if side(z) > 0:
+            if z == end:
+                return None, crossed
+            c = dx * (ys[z] - qy) - dy * (xs[z] - qx)
+            if c > 0:
                 far, l = l, z
-            else:
+            elif c < 0:
                 far, r = r, z
+            else:
+                raise PreconditionError(f"point {(sx, sy)} is collinear with vertices {q} and {z}")
 
     def link_cycle(self, v: int) -> list[int]:
         """Neighbors of interior vertex v in counterclockwise angular order,
@@ -294,7 +360,8 @@ def complete_to_triangulation(ps: PointSet, required: Iterable[Edge] = (),
     Candidates outside `required` are tried with edges in `avoid` last, then
     by squared length, then by id order, which makes the result deterministic.
     Each face that the required edges and the hull edges leave is filled on
-    its own (`_fill_faces`).  Crossing required edges are a PreconditionError
+    its own (`_fill_faces`); when they leave only triangles, those are read
+    off (`_read_faces`).  Crossing required edges are a PreconditionError
     that names their first crossing pair, and so is a required edge that
     joins a point to itself or names no point.
     """
@@ -306,8 +373,8 @@ def triangulation_from_edges(ps: PointSet, edges: Iterable[Edge]) -> Triangulati
     """The triangulation whose edge set is `edges`.
 
     Raises PreconditionError unless the edges are exactly 3n - 3 - h pairwise
-    noncrossing segments, that is, a full triangulation.  Such a set leaves
-    only triangle faces, and `_fill_faces` reads them as they are.
+    noncrossing segments, that is, a full triangulation, whose faces
+    `_read_faces` reads off.
     """
     keyed = {(u, v) if u < v else (v, u) for u, v in edges}
     expected = 3 * len(ps) - 3 - len(ps.hull())
@@ -317,7 +384,8 @@ def triangulation_from_edges(ps: PointSet, edges: Iterable[Edge]) -> Triangulati
 
 
 def _certified(ps: PointSet, es: list[Edge], avoid: set[Edge], what: str) -> Triangulation:
-    """`_fill_faces(ps, es, avoid)`, once every edge of `es` joins two
+    """`_read_faces(ps, es)` when es and the hull edges number 3n - 3 - h,
+    else `_fill_faces(ps, es, avoid)`, once every edge of `es` joins two
     distinct points of `ps`.  The certificate fails whenever two of the
     sorted edges `es` cross, and only then does the sweep run, to name their
     first crossing pair as "{what} X and Y cross"."""
@@ -326,6 +394,8 @@ def _certified(ps: PointSet, es: list[Edge], avoid: set[Edge], what: str) -> Tri
         if not 0 <= u < v < n:
             raise PreconditionError(f"bad edge {(u, v)}")
     try:
+        if len(ps.hull_edges().union(es)) == 3 * n - 3 - len(ps.hull()):
+            return _read_faces(ps, es)
         return _fill_faces(ps, es, avoid)
     except InternalInvariantError:
         pair = first_crossing(ps, es)
@@ -333,6 +403,57 @@ def _certified(ps: PointSet, es: list[Edge], avoid: set[Edge], what: str) -> Tri
             raise
         i, j = pair
         raise PreconditionError(f"{what} {es[i]} and {es[j]} cross") from None
+
+
+def _apex_map(triangles: Iterable[tuple[int, int, int]]) -> dict[Edge, tuple[int, ...]]:
+    """Each side of the sorted corner triples, mapped to its sorted apexes."""
+    opposites: dict[Edge, tuple[int, ...]] = {}
+    for (a, b, c) in triangles:
+        # a < b < c, so each side is its own edge key
+        for e, w in (((a, b), c), ((b, c), a), ((a, c), b)):
+            ws = opposites.get(e, ())
+            # apexes stay sorted; a third one fails the incidence check
+            opposites[e] = ws + (w,) if not ws or ws[-1] < w else (w,) + ws
+    return opposites
+
+
+def _read_faces(ps: PointSet, required: list[Edge]) -> Triangulation:
+    """The triangulation whose edges are R', `required` plus the hull edges,
+    when R' has 3n - 3 - h edges (see README, Verification).  The face on
+    each side of an edge uv is (u, v, w) for the common neighbour w on that
+    side with the least angle at u.  `_check` certifies the faces that these
+    picks give, and their edges must be R'."""
+    xs, ys = ps.xs, ps.ys
+    plane = ps.hull_edges().union(required)
+    adj: dict[int, set[int]] = {v: set() for v in range(len(ps))}
+    for u, v in plane:
+        adj[u].add(v)
+        adj[v].add(u)
+    faces = []
+    for u, v in plane:
+        ux, uy = xs[u], ys[u]
+        dx, dy = xs[v] - ux, ys[v] - uy
+        left = right = -1
+        lx = ly = rx = ry = 0
+        for w in adj[u] & adj[v]:
+            wx, wy = xs[w] - ux, ys[w] - uy
+            # w turns less from v than the pick so far when it lies between them
+            if dx * wy > dy * wx:
+                if left < 0 or lx * wy < ly * wx:
+                    left, lx, ly = w, wx, wy
+            elif right < 0 or rx * wy > ry * wx:
+                right, rx, ry = w, wx, wy
+        # a face is kept from its least edge only, so each is kept once
+        if left > v:
+            faces.append((u, v, left))
+        if right > v:
+            faces.append((u, v, right))
+    opposites = _apex_map(faces)
+    t = Triangulation._from_maps(ps, frozenset(faces), opposites, adj, frozenset(opposites),
+                                 opposites)
+    if t.edges != plane:
+        raise InternalInvariantError("the faces read do not have the given edges")
+    return t
 
 
 def _fill_faces(ps: PointSet, required: list[Edge], avoid: set[Edge]) -> Triangulation:
@@ -424,24 +545,7 @@ def _fill_faces(ps: PointSet, required: list[Edge], avoid: set[Edge]) -> Triangu
             taken.append(e)
     if len(taken) != room:
         raise InternalInvariantError("greedy completion failed to reach a triangulation")
-    # `Triangulation` keys and deduplicates the corner triples
-    tris = [walks[f] for f in bounded if f not in rims]
-    for (u, v) in taken:
-        for a, b in ((u, v), (v, u)):
-            k = _ccw_key(ps, a)(b)
-            i = bisect(keys[a], k)
-            keys[a].insert(i, k)
-            rings[a].insert(i, b)
-    for a in {a for e in taken for a in e}:
-        pos[a] = dict(zip(rings[a], range(len(rings[a]))))
-    for (u, v) in taken:
-        tris.append((u, v, rings[v][pos[v][u] - 1]))
-        tris.append((u, v, rings[u][pos[u][v] - 1]))
-    t = Triangulation(ps, tris)
-    plane.update(taken)
-    if t.edges != plane:
-        raise InternalInvariantError("the completed faces do not have the chosen edges")
-    return t
+    return _read_faces(ps, required + taken)
 
 
 def _winding(ps: PointSet, walk: list[int], r: int) -> int:

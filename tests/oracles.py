@@ -801,6 +801,38 @@ def ref_cut_structures(t) -> CutReport:
     return report
 
 
+def ref_augmentation_violations(t, added, report: CutReport) -> list[str]:
+    """`augmentation_violations` by the pairwise scan: every added edge is
+    tested against every chord, bichord path and separating-triangle side,
+    and each chord's sides are counted over all n points."""
+    new_edges = sorted(edge_key(*e) for e in added)
+    pts = t.ps.points
+
+    def crossings(e, path) -> int:
+        return sum(ref_segments_properly_cross(pts[e[0]], pts[e[1]], pts[a], pts[b])
+                   for a, b in path)
+
+    violations: list[str] = []
+    for chord in report.chords:
+        a, b = chord
+        crossers = [e for e in new_edges if crossings(e, [chord])]
+        if len(crossers) < 2:
+            violations.append(f"chord {chord} crossed by {len(crossers)} < 2 new edges")
+            continue
+        side1 = sum(1 for p in pts if ref_cross(pts[a], pts[b], p) > 0)
+        side2 = len(pts) - 2 - side1
+        if side1 >= 2 and side2 >= 2 and not any(
+                not set(e1) & set(e2) for i, e1 in enumerate(crossers) for e2 in crossers[i + 1:]):
+            violations.append(f"chord {chord}: no two nonadjacent crossing edges")
+    for bc in report.bichords:
+        if not any(crossings(e, bc.path_edges()) == 1 for e in new_edges):
+            violations.append(f"bichord ({bc.u}, {bc.m}, {bc.w}) not properly crossed")
+    for st in report.separating_triangles:
+        if not any(crossings(e, st.sides()) == 1 for e in new_edges):
+            violations.append(f"separating triangle {st.vertices} not properly crossed")
+    return violations
+
+
 # Reference for convex.build_4conn_convex, which writes the result down in
 # closed form: the octahedron split chain, realized on a convex set through a
 # Hamiltonian cycle and a breadth-first two-page coloring of the chord

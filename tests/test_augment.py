@@ -669,6 +669,38 @@ class TestRandomPeelPin:
             "1448b25d75e1a02646300de753e4f1104a7d35144224d4c757001ed62dd08c42")
 
 
+class TestRestrictedPeelLevels:
+    """Every peel level of the `TestRandomPeelPin` inputs, relabelled from
+    its parent's maps, is the triangulation that `Triangulation` builds from
+    the kept faces on `PointSet.subset`."""
+
+    def test_matches_the_rebuild(self, monkeypatch):
+        restricted, levels = Triangulation.restricted, []
+
+        def checked(t, keep):
+            got = restricted(t, keep)
+            new_id = {v: i for i, v in enumerate(keep)}
+            want = Triangulation(t.ps.subset(keep), [[new_id[v] for v in tri] for tri in t.triangles
+                                                     if all(v in new_id for v in tri)])
+            assert (got.ps.xs, got.ps.ys, got.hull) == (want.ps.xs, want.ps.ys, want.hull)
+            assert got.triangles == want.triangles and got.edges == want.edges
+            assert [got.opposites(e) for e in sorted(want.edges)] == \
+                [want.opposites(e) for e in sorted(want.edges)]
+            assert [got.neighbors(v) for v in new_id.values()] == \
+                [want.neighbors(v) for v in new_id.values()]
+            levels.append(len(keep))
+            return got
+
+        monkeypatch.setattr(Triangulation, "restricted", checked)
+        for n in range(6, 31):
+            for seed in range(10):
+                try:
+                    augment_to_4conn(random_triangulation(n, seed))
+                except BiplaneError:
+                    pass
+        assert len(levels) > 250
+
+
 class TestNo5ConnCounterexample:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_kappa_4_and_empty_cut_report(self, k):

@@ -7,11 +7,12 @@ from itertools import combinations
 import pytest
 
 from biplane.augment import augment_to_4conn
-from biplane.connectivity import (check_4conn_augmentation, compute_layering,
-                                  crossing_conflict_graph, cut_structures, kappa_of,
+from biplane.connectivity import (augmentation_violations, check_4conn_augmentation,
+                                  compute_layering, crossing_conflict_graph, cut_structures,
+                                  kappa_of,
                                   min_vertex_cut, verify_layering, vertex_connectivity)
 from biplane.convex import build_4conn_convex, build_5conn_convex
-from biplane.errors import PreconditionError
+from biplane.errors import ImpossibleError, PreconditionError
 from biplane.geometry import PointSet, segments_properly_cross
 from biplane.generators import (generate_fan, generate_no5conn_counterexample,
                                 generate_wheel, random_general_position,
@@ -21,7 +22,8 @@ from biplane.treeaug import min_augment_3conn
 from biplane.triangulation import edge_key, triangulate, triangulation_from_edges
 
 from conftest import chordful_triangulation, greedy_biplane
-from oracles import bf_vertex_connectivity, ref_cut_structures, ref_vertex_connectivity
+from oracles import (bf_vertex_connectivity, ref_augmentation_violations, ref_cut_structures,
+                     ref_segments_properly_cross, ref_vertex_connectivity)
 
 
 def random_graph(n, seed, p=0.5):
@@ -612,3 +614,63 @@ class TestCheck4Conn:
         assert check_4conn_augmentation(t, [(1, 4), (1, 5)]) == (False, [
             "chord (0, 3): no two nonadjacent crossing edges",
             "chord (3, 5) crossed by 1 < 2 new edges"])
+
+    def test_bad_added_edge_is_a_precondition(self):
+        t = random_triangulation(6, 3)
+        for bad in ((2, 2), (1, 6)):
+            with pytest.raises(PreconditionError, match=re.escape(f"bad edge {bad}")):
+                check_4conn_augmentation(t, [(0, 2), bad])
+
+    def test_an_edge_of_t_crosses_nothing(self):
+        t = random_triangulation(6, 3)
+        assert check_4conn_augmentation(t, sorted(t.edges)) == check_4conn_augmentation(t, [])
+
+
+def plane_absent_subset(t, rng) -> list:
+    """A seeded plane set of vertex pairs that are not edges of t: the absent
+    pairs in a shuffled order, each kept unless it crosses one kept before,
+    until a drawn share of them has been tried."""
+    pts = t.ps.points
+    absent = [(u, v) for u, v in combinations(range(len(pts)), 2) if (u, v) not in t.edges]
+    rng.shuffle(absent)
+    kept = []
+    for a, b in absent[:int(len(absent) * rng.random()) + 1]:
+        if not any(ref_segments_properly_cross(pts[a], pts[b], pts[c], pts[d]) for c, d in kept):
+            kept.append((a, b))
+    return kept
+
+
+class TestAugmentationViolationsOracle:
+    """The walking check names the violations of the pairwise scan, in the
+    same order, on augment's own edges (none) and on seeded plane sets of
+    absent edges."""
+
+    @staticmethod
+    def cases():
+        for seed in range(24):
+            n = random.Random(seed).randint(6, 60)
+            yield random_triangulation(n, seed)
+            yield chordful_triangulation(n, seed)
+
+    def test_matches_the_pairwise_scan(self):
+        augmented = 0
+        seen = set()
+        for k, t in enumerate(self.cases()):
+            report = cut_structures(t)
+            try:
+                added = augment_to_4conn(t)
+            except ImpossibleError:
+                added = None
+            if added is not None:
+                assert augmentation_violations(t, added, report) == [] \
+                    == ref_augmentation_violations(t, added, report)
+                augmented += 1
+            rng = random.Random(k)
+            for _ in range(3):
+                extra = plane_absent_subset(t, rng)
+                got = augmentation_violations(t, extra, report)
+                assert got == ref_augmentation_violations(t, extra, report), (k, extra)
+                seen.update(v.split()[0] + (" nonadjacent" if "nonadjacent" in v else "")
+                            for v in got)
+        assert augmented >= 40
+        assert seen == {"chord", "chord nonadjacent", "bichord", "separating"}, seen

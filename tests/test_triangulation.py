@@ -1,6 +1,8 @@
 import math
 import random
 import re
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -21,8 +23,8 @@ from biplane.triangulation import (Triangulation, TriangulationClass,
 
 from conftest import (chordful_triangulation, core_plus_interior, greedy_biplane,
                       mixed_pipeline_instance)
-from oracles import (bf_faces_of, bf_triangulation_ok, ref_flip, ref_greedy_completion,
-                     ref_locate)
+from oracles import (bf_faces_of, bf_first_crossing, bf_triangulation_ok, ref_cross, ref_flip,
+                     ref_greedy_completion, ref_locate, ref_segments_properly_cross)
 
 
 def euler_count(t: Triangulation) -> bool:
@@ -184,12 +186,13 @@ class TestCompletion:
             if pair is not None:
                 cases.append((seed, ps, required, edges[::3], pair))
         built = []
+        check = Triangulation._check
 
-        def recording(ps, tris):
-            built.append(len(ps))
-            return Triangulation(ps, tris)
+        def recording(t, edges):
+            built.append(len(t.ps))
+            return check(t, edges)
 
-        monkeypatch.setattr(triangulation, "Triangulation", recording)
+        monkeypatch.setattr(Triangulation, "_check", recording)
         full = 0
         for seed, ps, required, avoid, (i, j) in cases:
             built.clear()
@@ -370,6 +373,87 @@ class TestFromEdges:
             with pytest.raises(PreconditionError) as err:
                 triangulation_from_edges(ps, reversed(edges))
             assert str(err.value) == f"edges {edges[i]} and {edges[j]} cross", seed
+
+
+def no_face_filling(monkeypatch) -> None:
+    """Fail the test if an edge set is completed instead of read."""
+    def fill(*args):
+        raise AssertionError("a complete edge set went through _fill_faces")
+
+    monkeypatch.setattr(triangulation, "_fill_faces", fill)
+
+
+def swapped_bad_lists(seed: int):
+    """Count-correct edge lists of random_triangulation(n, seed), n 8-30,
+    with every hull edge kept: one non-hull edge swapped for the other
+    diagonal of a flippable edge, which crosses it, and two swapped for a
+    crossing pair of absent vertex pairs."""
+    rng = random.Random(seed)
+    t = random_triangulation(rng.randint(8, 30), seed)
+    pts, inner = t.ps.points, sorted(t.edges - t.ps.hull_edges())
+    e = rng.choice([e for e in inner if is_flippable(t, e)])
+    g = rng.choice([g for g in inner if g != e])
+    yield t.ps, sorted(t.edges - {g} | {edge_key(*t.opposites(e))})
+    absent = [(u, v) for u in range(len(pts)) for v in range(u + 1, len(pts))
+              if (u, v) not in t.edges]
+    pairs = [(p1, p2) for p1, p2 in combinations(absent, 2)
+             if ref_segments_properly_cross(*(pts[v] for v in p1 + p2))]
+    yield t.ps, sorted(t.edges - set(rng.sample(inner, 2)) | set(rng.choice(pairs)))
+
+
+class TestFaceReader:
+    """A complete edge set is read by the common-neighbour reader alone,
+    and a count-correct set with a crossing names its first crossing pair."""
+
+    CASES = ([random_triangulation(n, seed) for n, seed in [(6, 0), (12, 1), (25, 2), (40, 3)]]
+             + [chordful_triangulation(n, seed) for n, seed in [(7, 1), (16, 2), (30, 3)]]
+             + [generate_wheel(n) for n in (5, 12)] + [generate_fan(n) for n in (5, 12)]
+             + [generate_no5conn_counterexample(k) for k in range(2, 7)])
+
+    @pytest.mark.parametrize("t", CASES)
+    def test_faces_are_the_empty_3_cycles(self, monkeypatch, t):
+        no_face_filling(monkeypatch)
+        want = bf_faces_of(t.ps, t.edges)
+        for got in (triangulation_from_edges(t.ps, t.edges),
+                    complete_to_triangulation(t.ps, sorted(t.edges)[::-1])):
+            assert set(got.triangles) == want and got.edges == t.edges
+            assert [got.opposites(e) for e in sorted(t.edges)] == \
+                [t.opposites(e) for e in sorted(t.edges)]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_count_correct_lists_name_their_first_crossing(self, monkeypatch, seed):
+        no_face_filling(monkeypatch)
+        for ps, edges in swapped_bad_lists(seed):
+            i, j = bf_first_crossing(ps, edges)
+            for read, what in ((triangulation_from_edges, "edges"),
+                               (complete_to_triangulation, "required edges")):
+                with pytest.raises(PreconditionError) as err:
+                    read(ps, edges[::-1])
+                assert type(err.value) is PreconditionError
+                assert str(err.value) == f"{what} {edges[i]} and {edges[j]} cross", seed
+
+
+class TestCrossedEdges:
+    """The walk between two vertices lists exactly the edges that the
+    segment properly crosses, in order along it."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_scan_in_order(self, seed):
+        t = shuffled(random_triangulation(random.Random(seed).randint(8, 30), seed), seed)
+        pts, walked = t.ps.points, 0
+        for u, v in combinations(range(len(pts)), 2):
+            got = t.crossed_edges(u, v)
+            want = {f for f in t.edges
+                    if ref_segments_properly_cross(pts[u], pts[v], pts[f[0]], pts[f[1]])}
+            assert len(got) == len(want) and set(got) == want, (u, v)
+            # where each crossed edge meets the line through u and v, as a
+            # fraction of the way from u: increasing or decreasing
+            at = [Fraction(ref_cross(pts[a], pts[b], pts[u]),
+                           ref_cross(pts[a], pts[b], pts[u]) - ref_cross(pts[a], pts[b], pts[v]))
+                  for a, b in got]
+            assert at in (sorted(at), sorted(at, reverse=True)), (u, v)
+            walked += bool(got)
+        assert walked > len(pts)
 
 
 class TestBadEdges:
@@ -675,6 +759,16 @@ class TestLocate:
         for s in (ps[q].coords(), ps[v].coords(), on_edge, behind_v):
             with pytest.raises(PreconditionError, match=r"is collinear with vertices \d+ and \d+$"):
                 t.locate(s)
+
+    def test_vertex_on_the_way_is_a_precondition(self):
+        t = shuffled(random_triangulation(12, 3), 3, k=2)
+        ps, q = t.ps, len(t.ps) - 1
+        for z in sorted(set(range(q)) - t.neighbors(q)):
+            # z lies on the segment from q to s, and the walk meets it there
+            s = (2 * ps[z].x - ps[q].x, 2 * ps[z].y - ps[q].y)
+            with pytest.raises(PreconditionError) as err:
+                t.locate(s)
+            assert str(err.value) == f"point {s} is collinear with vertices {q} and {z}"
 
 
 class TestLocalFlip:
