@@ -211,9 +211,9 @@ def _hang_cell(t: Triangulation, chord: Edge, members: frozenset[int],
     u, w = chord
     inner = members - set(chord)
     v = next(x for x in t.opposites(chord) if x in inner)
-    # t's triangles are sorted corner triples, so each side is its edge key
-    cell = {e for a, b, c in t.triangles if inner.intersection((a, b, c))
-            for e in ((a, b), (b, c), (a, c))}
+    # the sides of the faces (q, r, x) at the inner vertices q
+    cell = {edge_key(*e) for q in inner for r in t.neighbors(q)
+            for e in ((q, r), *((r, x) for x in t.opposites((q, r))))}
     t_full = complete_to_triangulation(
         t.ps, required=cell.union(edge_key(idmap[a], idmap[b]) for a, b in partner))
     vp = next(q for q in t_full.opposites(chord) if q != v)

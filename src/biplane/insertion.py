@@ -167,8 +167,12 @@ def _cycle_flip(ta: Triangulation, tb: Triangulation, s: int) -> Edge | None:
 
 def _raise_degree_to_five(t1: Triangulation, t2: Triangulation, s: int) -> tuple[Triangulation, Triangulation]:
     """Case analysis on the distinct corner count of the two triangles that
-    received s; after it the union degree of s is at least 5 (see README,
-    Verification, *Degree raising*)."""
+    received s, which raises the union degree of s to at least 5 (see
+    README, Verification, *Degree raising*).  The argument covers the
+    pipeline's states only: t2 completed avoiding t1's edges, and s outside
+    the hull of the interior points.  On other pairs the rescue can find no
+    flippable cycle edge in either triangulation and raise
+    InternalInvariantError, and it does on some random pairs."""
     union_nbrs = t1.neighbors(s) | t2.neighbors(s)
     corners = len(union_nbrs)
     if corners >= 5:

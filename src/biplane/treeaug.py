@@ -131,7 +131,15 @@ class CellTree:
 
 def build_cell_tree(t: Triangulation) -> CellTree:
     """Cells are the chord-free connected components of the triangle faces;
-    two cells are adjacent when they share a chord."""
+    two cells are adjacent when they share a chord.
+
+    Each cell is numbered by the rank of its union-find root over the sorted
+    faces, and that number is part of the output: it picks `_leaf_pairing`'s
+    root and orders its moves, and it breaks the tie in `_plane_partner`
+    between the two cells of a one-chord remainder, which share the chord
+    and may have the same size.  A cell tree read from the apex map
+    (`t.opposites`) instead of the sorted faces must keep these numbers
+    (README, *Cell numbering*)."""
     pos = t.ps.hull_positions()
     chords = t.chords()
     chord_set = set(chords)

@@ -4,6 +4,7 @@ from __future__ import annotations
 from bisect import bisect
 from collections import defaultdict
 from enum import Enum
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -32,25 +33,31 @@ class TriangulationClass(Enum):
 
 
 class Triangulation:
-    """Triangulation of a PointSet, stored as its set of triangle faces.
+    """Triangulation of a PointSet, stored as its apex map: each edge, a
+    sorted pair, mapped to the sorted apexes of its one or two faces, with
+    the adjacency of the same edges alongside.  The edge and face sets are
+    views read from the apex map on first use.
 
     Every bounded face is an empty triangle; construction validates the Euler
     edge count 3n - 3 - h, pairwise noncrossing edges and face emptiness.
     """
 
     def __init__(self, ps: PointSet, triangles: Iterable[Sequence[int]]):
-        self.ps = ps
-        self.triangles: frozenset[tuple[int, int, int]] = frozenset(
-            triangle_key(*t) for t in triangles)
-        self._opposites = _apex_map(self.triangles)
-        self.edges: frozenset[Edge] = frozenset(self._opposites)
-        self.hull: tuple[int, ...] = ps.hull()
-        adj: dict[int, set[int]] = {v: set() for v in range(len(ps))}
-        for (u, v) in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = adj
-        self._check(self._opposites)
+        opposites = _apex_map(frozenset(triangle_key(*t) for t in triangles))
+        self.ps, self.hull = ps, ps.hull()
+        self._opposites, self._adj = opposites, _adjacency(len(ps), opposites)
+        self._check(opposites)
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        """The edges, as sorted pairs: the keys of the apex map."""
+        return frozenset(self._opposites)
+
+    @cached_property
+    def triangles(self) -> frozenset[tuple[int, int, int]]:
+        """The faces, as sorted corner triples: each (a, b, c) read once from
+        its side (a, b), whose apex c lies above b."""
+        return frozenset((a, b, c) for (a, b), ws in self._opposites.items() for c in ws if c > b)
 
     # ------------------------------------------------------------------
     def _check(self, edges: Iterable[Edge]) -> None:
@@ -61,11 +68,11 @@ class Triangulation:
         that repeats a corner fails one of these (see README, Verification).
         A failed certificate runs the emptiness and crossing scans for a
         witness."""
-        ps = self.ps
+        ps, opposites = self.ps, self._opposites
         expected = 3 * len(ps) - 3 - len(self.hull)
-        if len(self.edges) != expected:
-            raise InternalInvariantError(f"edge count {len(self.edges)} != 3n-3-h = {expected}")
-        hull_edges, opposites, xs, ys = ps.hull_edges(), self._opposites, ps.xs, ps.ys
+        if len(opposites) != expected:
+            raise InternalInvariantError(f"edge count {len(opposites)} != 3n-3-h = {expected}")
+        hull_edges, xs, ys = ps.hull_edges(), ps.xs, ps.ys
         failed = None
         for e in edges:
             ws = opposites[e]
@@ -79,7 +86,7 @@ class Triangulation:
                 a, b = ws
                 if (dx * (ys[a] - uy) - dy * (xs[a] - ux)) * (dx * (ys[b] - uy) - dy * (xs[b] - ux)) >= 0:
                     failed = f"the apexes {ws} of edge {e} lie on one side of it"
-        if not hull_edges <= self.edges:
+        if not opposites.keys() >= hull_edges:
             raise InternalInvariantError("hull edge missing from triangulation")
         if failed is None:
             return
@@ -95,14 +102,12 @@ class Triangulation:
         raise InternalInvariantError(failed)
 
     @classmethod
-    def _from_maps(cls, ps: PointSet, triangles: frozenset[tuple[int, int, int]],
-                   opposites: dict[Edge, tuple[int, ...]], adj: dict[int, set[int]],
-                   edges: frozenset[Edge], check: Iterable[Edge]) -> "Triangulation":
+    def _from_maps(cls, ps: PointSet, opposites: dict[Edge, tuple[int, ...]],
+                   adj: dict[int, set[int]], check: Iterable[Edge]) -> "Triangulation":
         """The triangulation of `ps` with these maps, taken as they are;
         `_check` runs on the edges `check` (see README, Verification)."""
         out = cls.__new__(cls)
-        out.ps, out.hull, out.triangles, out.edges = ps, ps.hull(), triangles, edges
-        out._opposites, out._adj = opposites, adj
+        out.ps, out.hull, out._opposites, out._adj = ps, ps.hull(), opposites, adj
         out._check(check)
         return out
 
@@ -118,7 +123,7 @@ class Triangulation:
         adj = dict(self._adj)
         for v in range(len(self.ps), len(ps)):
             adj[v] = set()
-        changed, added = {}, []
+        changed = {}
         for (a, b, c) in gone:
             for e, w in (((a, b), c), ((b, c), a), ((a, c), b)):
                 ws = opposites[e]
@@ -126,21 +131,18 @@ class Triangulation:
                 changed[e] = None
         for (a, b, c) in new:
             for e, w in (((a, b), c), ((b, c), a), ((a, c), b)):
+                if e not in opposites:
+                    u, v = e
+                    adj[u], adj[v] = adj[u] | {v}, adj[v] | {u}
                 ws = opposites.get(e, ())
-                if not ws and e not in opposites:
-                    added.append(e)
                 # apexes stay sorted; a third one fails the incidence check
                 opposites[e] = ws + (w,) if not ws or ws[-1] < w else (w,) + ws
                 changed[e] = None
-        for (u, v) in added:
-            adj[u], adj[v] = adj[u] | {v}, adj[v] | {u}
         dropped = [e for e in changed if not opposites[e]]
         for (u, v) in dropped:
             adj[u], adj[v] = adj[u] - {v}, adj[v] - {u}
             del opposites[u, v], changed[u, v]
-        edges = self.edges.union(added)
-        return Triangulation._from_maps(ps, (self.triangles - gone) | new, opposites, adj,
-                                        edges.difference(dropped) if dropped else edges, changed)
+        return Triangulation._from_maps(ps, opposites, adj, changed)
 
     def restricted(self, keep: list[int]) -> "Triangulation":
         """The faces with every corner in the sorted ids `keep`, on
@@ -164,9 +166,8 @@ class Triangulation:
         hull_edges = {(new[u], new[v]) for u, v in self.ps.hull_edges() if new[u] >= 0 and new[v] >= 0}
         if ps.hull_edges() != hull_edges.union(lost):
             raise InternalInvariantError(f"keeping {len(keep)} vertices changes the hull beyond {lost}")
-        tris = frozenset(t for a, b, c in self.triangles if -1 not in (t := (new[a], new[b], new[c])))
         adj = {i: {new[w] for w in self._adj[v] if new[w] >= 0} for i, v in enumerate(keep)}
-        return Triangulation._from_maps(ps, tris, opposites, adj, frozenset(opposites), lost)
+        return Triangulation._from_maps(ps, opposites, adj, lost)
 
     def split(self, new_ps: PointSet, s: int) -> "Triangulation":
         """This triangulation on `new_ps`, which appends the one point s,
@@ -182,7 +183,7 @@ class Triangulation:
         """Hull chords, sorted: edges joining two hull vertices that are not
         hull edges."""
         pos, hull_edges = self.ps.hull_positions(), self.ps.hull_edges()
-        return sorted(e for e in self.edges
+        return sorted(e for e in self._opposites
                       if pos[e[0]] >= 0 and pos[e[1]] >= 0 and e not in hull_edges)
 
     def neighbors(self, v: int) -> frozenset[int]:
@@ -288,7 +289,7 @@ class Triangulation:
         k = len(ring)
         ring_edges = {edge_key(ring[i], ring[(i + 1) % k]) for i in range(k)}
         induced = {edge_key(a, b) for i, a in enumerate(ring) for b in ring[i + 1:]
-                   if edge_key(a, b) in self.edges}
+                   if edge_key(a, b) in self._opposites}
         return k >= 3 and induced == ring_edges
 
 
@@ -320,7 +321,7 @@ def is_flippable(t: Triangulation, e: Edge) -> bool:
     """A non-hull edge is flippable iff its quadrilateral is convex, i.e. the
     opposite diagonal properly crosses it."""
     e = edge_key(*e)
-    if e not in t.edges or e in t.ps.hull_edges():
+    if e not in t._opposites or e in t.ps.hull_edges():
         return False
     a, b = t.opposites(e)
     u, v = e
@@ -417,6 +418,15 @@ def _apex_map(triangles: Iterable[tuple[int, int, int]]) -> dict[Edge, tuple[int
     return opposites
 
 
+def _adjacency(n: int, edges: Iterable[Edge]) -> dict[int, set[int]]:
+    """The neighbours of each of the n vertices along `edges`."""
+    adj: dict[int, set[int]] = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def _read_faces(ps: PointSet, required: list[Edge]) -> Triangulation:
     """The triangulation whose edges are R', `required` plus the hull edges,
     when R' has 3n - 3 - h edges (see README, Verification).  The face on
@@ -425,10 +435,7 @@ def _read_faces(ps: PointSet, required: list[Edge]) -> Triangulation:
     picks give, and their edges must be R'."""
     xs, ys = ps.xs, ps.ys
     plane = ps.hull_edges().union(required)
-    adj: dict[int, set[int]] = {v: set() for v in range(len(ps))}
-    for u, v in plane:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = _adjacency(len(ps), plane)
     faces = []
     for u, v in plane:
         ux, uy = xs[u], ys[u]
@@ -449,9 +456,8 @@ def _read_faces(ps: PointSet, required: list[Edge]) -> Triangulation:
         if right > v:
             faces.append((u, v, right))
     opposites = _apex_map(faces)
-    t = Triangulation._from_maps(ps, frozenset(faces), opposites, adj, frozenset(opposites),
-                                 opposites)
-    if t.edges != plane:
+    t = Triangulation._from_maps(ps, opposites, adj, opposites)
+    if opposites.keys() != plane:
         raise InternalInvariantError("the faces read do not have the given edges")
     return t
 

@@ -16,7 +16,7 @@ from biplane.generators import (generate_fan, generate_no5conn_counterexample,
                                 random_triangulation, regular_polygon_points)
 from biplane.geometry import Point, PointSet, cross, segments_properly_cross
 from biplane.connectivity import cut_structures
-from biplane.treeaug import build_cell_tree
+from biplane.treeaug import build_cell_tree, min_augment_3conn
 from biplane.triangulation import (Triangulation, TriangulationClass, classify,
                                    edge_key, flip, is_flippable, triangulate,
                                    triangulation_from_edges)
@@ -667,6 +667,34 @@ class TestRandomPeelPin:
                     out.append((n, seed, type(exc).__name__))
         assert hashlib.sha256(repr(out).encode()).hexdigest() == (
             "1448b25d75e1a02646300de753e4f1104a7d35144224d4c757001ed62dd08c42")
+
+
+class TestCellNumberingPin:
+    """sha256 over `min_augment_3conn` on the `TestRandomPeelPin` inputs and
+    on `chordful_triangulation(n, seed)` for n = 8-40 in steps of 4 and
+    seed = 0-4 (2-13 leaf cells).  `build_cell_tree`'s cell ids pick
+    `_leaf_pairing`'s root and its move order, so they are part of the
+    output: relabelling the cells at random changes 9 of the 250 random
+    outputs, and reversing the ids changes 17 of the 45 chordful ones but
+    no random one (a path through three leaves reversed is the same path)."""
+
+    def test_random_triangulations(self):
+        out = []
+        for n in range(6, 31):
+            for seed in range(10):
+                t = random_triangulation(n, seed)
+                try:
+                    out.append((n, seed, sorted(min_augment_3conn(t))))
+                except BiplaneError as exc:
+                    out.append((n, seed, type(exc).__name__))
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+            "f6ebf2f4babbe7c0ac95a7cf51cdbcfe8bb745f7792f3d008f8a1a2d882bce8d")
+
+    def test_chordful_triangulations(self):
+        out = [(n, seed, sorted(min_augment_3conn(chordful_triangulation(n, seed))))
+               for n in range(8, 41, 4) for seed in range(5)]
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+            "5b6768620e99c12e32be4ad71e5e81d51f253d60297e096272ac767f5e89b842")
 
 
 class TestRestrictedPeelLevels:

@@ -8,7 +8,7 @@ import pytest
 
 from biplane import augment, geometry, insertion, triangulation
 from biplane.augment import augment_to_4conn
-from biplane.errors import InternalInvariantError, PreconditionError
+from biplane.errors import BiplaneError, InternalInvariantError, PreconditionError
 from biplane.geometry import PointSet, point_in_triangle
 from biplane.generators import (generate_fan, generate_no5conn_counterexample,
                                 generate_wheel, random_general_position,
@@ -809,3 +809,73 @@ class TestLocalFlip:
         monkeypatch.setattr(triangulation, "is_flippable", lambda *args: True)
         with pytest.raises(InternalInvariantError, match=r"^triangle \(\d+, \d+, \d+\) contains vertex \d+$"):
             flip(t, e)
+
+
+VIEWS = {"edges", "triangles"}
+
+
+def assert_views(t: Triangulation) -> None:
+    """t's edge and face views, read now, are the empty 3-cycles of its
+    edges and what `Triangulation` rebuilds from its faces; each is cached."""
+    assert t.triangles == bf_faces_of(t.ps, t.edges)
+    want = Triangulation(t.ps, t.triangles)
+    assert t.edges == want.edges and t.triangles == want.triangles
+    assert vars(t)["edges"] is t.edges and vars(t)["triangles"] is t.triangles
+
+
+class TestLazyViews:
+    """`edges` and `triangles` are read from the apex map on first use.  Each
+    walk derives every value before it reads any view, so the views are read
+    from maps that later flips, splits and restrictions have copied."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flip_and_split_walks(self, seed):
+        t = scaled(shuffled(random_triangulation(12 + 4 * seed, seed), seed), 30)
+        rng = random.Random(seed)
+        walk = [t]
+        splits = 0
+        for _ in range(40):
+            n = len(t.ps)
+            sides = [(u, v) for u in range(n) for v in sorted(t.neighbors(u)) if u < v]
+            u, v = rng.choice(sides)
+            tri = triangle_key(u, v, t.opposites((u, v))[0])
+            new_ps = point_in_face(t.ps, tri) if rng.random() < 0.3 else None
+            if new_ps is not None:
+                t = t.split(new_ps, n)
+                splits += 1
+            else:
+                t = flip(t, rng.choice([e for e in sides if is_flippable(t, e)]))
+            assert not VIEWS & vars(t).keys()
+            walk.append(t)
+        assert splits
+        for t in walk:
+            assert_views(t)
+
+    def test_restricted_peel_levels(self, monkeypatch):
+        # the keep lists of the `TestRandomPeelPin` peels, replayed on fresh
+        # inputs: every level is derived before any view of the chain is read
+        restricted, keeps = Triangulation.restricted, []
+
+        def recorded(t, keep):
+            keeps[-1].append(keep)
+            return restricted(t, keep)
+
+        monkeypatch.setattr(Triangulation, "restricted", recorded)
+        inputs = [(n, seed) for n in range(6, 31) for seed in range(10)]
+        for n, seed in inputs:
+            keeps.append([])
+            try:
+                augment_to_4conn(random_triangulation(n, seed))
+            except BiplaneError:
+                pass
+        monkeypatch.undo()
+        levels = 0
+        for (n, seed), chain in zip(inputs, keeps):
+            walk = [random_triangulation(n, seed)]
+            for keep in chain:
+                walk.append(walk[-1].restricted(keep))
+                assert not VIEWS & vars(walk[-1]).keys()
+            for t in walk:
+                assert_views(t)
+            levels += len(chain)
+        assert levels > 250
