@@ -11,19 +11,9 @@ from typing import Iterable, Sequence
 from .errors import PreconditionError
 from .geometry import PointSet, crossing_pairs, first_crossing
 from .layered import LayeredGraph
-from .triangulation import Edge, Triangulation, edge_key
+from .triangulation import Edge, Triangulation, _adjacency, checked_edges, edge_key
 
 INF = 1 << 30
-
-
-def _adjacency(n: int, edges: Iterable[Edge]) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for (u, v) in edges:
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            raise PreconditionError(f"bad edge ({u}, {v})")
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
 
 
 def vertex_connectivity(n: int, edges: Iterable[Edge]) -> int:
@@ -96,8 +86,8 @@ def min_vertex_cut(n: int, edges: Iterable[Edge]) -> tuple[int, list[int]]:
     """
     if n < 2:
         raise PreconditionError("vertex connectivity needs n >= 2")
-    adj = _adjacency(n, edges)
-    degree = [len(a) for a in adj]
+    adj = _adjacency(n, checked_edges(n, edges))
+    degree = [len(a) for a in adj.values()]
     delta = min(degree)
     s = degree.index(delta)
     # breadth-first from s, new neighbours in the order of an odd multiple of
@@ -254,11 +244,7 @@ def kappa_of(g: LayeredGraph | Triangulation) -> int:
 def crossing_conflict_graph(ps: PointSet, edges: Sequence[Edge]) -> tuple[list[Edge], list[set[int]]]:
     """Graph over edge indices with an arc per properly crossing pair."""
     es = [edge_key(*e) for e in edges]
-    conflicts: list[set[int]] = [set() for _ in es]
-    for i, j in crossing_pairs(ps, es):
-        conflicts[i].add(j)
-        conflicts[j].add(i)
-    return es, conflicts
+    return es, list(_adjacency(len(es), crossing_pairs(ps, es)).values())
 
 
 def compute_layering(ps: PointSet, edges: Sequence[Edge]) -> tuple[dict[Edge, int] | None, list[Edge] | None]:
@@ -273,6 +259,15 @@ def compute_layering(ps: PointSet, edges: Sequence[Edge]) -> tuple[dict[Edge, in
     es, conflicts = crossing_conflict_graph(ps, edges)
     color = [-1] * len(es)
     parent = [-1] * len(es)
+
+    def to_root(x: int) -> list[int]:
+        """The BFS tree path from edge index x up to its root."""
+        path = []
+        while x != -1:
+            path.append(x)
+            x = parent[x]
+        return path
+
     for root in range(len(es)):
         if color[root] != -1:
             continue
@@ -287,16 +282,7 @@ def compute_layering(ps: PointSet, edges: Sequence[Edge]) -> tuple[dict[Edge, in
                     queue.append(v)
                 elif color[v] == color[u]:
                     # reconstruct the odd cycle through the BFS tree
-                    pu = []
-                    x = u
-                    while x != -1:
-                        pu.append(x)
-                        x = parent[x]
-                    pv = []
-                    x = v
-                    while x != -1:
-                        pv.append(x)
-                        x = parent[x]
+                    pu, pv = to_root(u), to_root(v)
                     iv = set(pv)
                     lca = next(x for x in pu if x in iv)
                     cyc = pu[:pu.index(lca) + 1] + pv[:pv.index(lca)][::-1]
@@ -382,14 +368,12 @@ def cut_structures(t: Triangulation) -> CutReport:
 
     report.chords = t.chords()
 
+    # each vertex's hull neighbours, ascending, from the hull vertices' adjacency
     hull_nbrs: list[list[int]] = [[] for _ in range(len(t.ps))]
-    for u, v in t.edges:
-        if pos[v] >= 0:
-            hull_nbrs[u].append(v)
-        if pos[u] >= 0:
-            hull_nbrs[v].append(u)
+    for v in sorted(hull):
+        for m in t.neighbors(v):
+            hull_nbrs[m].append(v)
     for m, nbrs in enumerate(hull_nbrs):
-        nbrs.sort()
         for i, u in enumerate(nbrs):
             for w in nbrs[i + 1:]:
                 if edge_key(u, m) in hull_edges or edge_key(m, w) in hull_edges:
@@ -439,7 +423,7 @@ def augmentation_violations(t: Triangulation, added: Iterable[Edge],
     those into crossing counts.  A chord has two points or more on each side
     unless an apex w of it makes a - w - b a hull path (see README,
     Verification)."""
-    new_edges = sorted(edge_key(*e) for e in added)
+    new_edges = sorted(checked_edges(len(t.ps), added))
     chords, k, hull_edges = report.chords, len(report.chords), t.ps.hull_edges()
     paths = [b.path_edges() for b in report.bichords] + [s.sides() for s in report.separating_triangles]
     owners: dict[Edge, list[int]] = {}
@@ -449,8 +433,6 @@ def augmentation_violations(t: Triangulation, added: Iterable[Edge],
     crossers: list[list[Edge]] = [[] for _ in chords]
     crossed_once = [False] * len(paths)
     for u, v in new_edges:
-        if not 0 <= u < v < len(t.ps):
-            raise PreconditionError(f"bad edge {(u, v)}")
         hits: dict[int, int] = {}
         for f in t.crossed_edges(u, v):
             for i in owners.get(f, ()):

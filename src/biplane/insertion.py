@@ -492,16 +492,12 @@ def _wire_chain(w: _HullWiring, a_hull: tuple[int, ...], t1: Triangulation, t2: 
 
     for i in range(q - 1):
         w.add(chain[i], chain[i + 1], LAYER1)
-    if len(ass[q - 1]) >= 3:
-        for i in range(q):
-            for j in ass[i]:
-                w.add(chain[i], averts[j], LAYER1)
-                w.add(chain[i], averts[j + 1], LAYER1)
-    else:
-        for i in range(q - 2):
-            for j in ass[i]:
-                w.add(chain[i], averts[j], LAYER1)
-                w.add(chain[i], averts[j + 1], LAYER1)
+    wide = len(ass[q - 1]) >= 3
+    for i in range(q if wide else q - 2):
+        for j in ass[i]:
+            w.add(chain[i], averts[j], LAYER1)
+            w.add(chain[i], averts[j + 1], LAYER1)
+    if not wide:
         # the second-to-last vertex stops at the left endpoint of the last
         # vertex's pair of edges; the last vertex reaches one vertex further back
         for j in ass[q - 2]:

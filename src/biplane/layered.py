@@ -5,7 +5,7 @@ from typing import Iterable
 
 from .errors import PreconditionError
 from .geometry import PointSet
-from .triangulation import Edge
+from .triangulation import Edge, _adjacency, checked_edges
 
 LAYER1 = 1
 LAYER2 = 2
@@ -23,18 +23,8 @@ class LayeredGraph:
 
     def __init__(self, ps: PointSet, layer1: Iterable[Edge], layer2: Iterable[Edge]):
         self.ps = ps
-        n = len(ps)
-
-        def keyed(es: Iterable[Edge]) -> frozenset[Edge]:
-            out: list[Edge] = []
-            for e in es:
-                u, v = e
-                if u == v or not (0 <= u < n and 0 <= v < n):
-                    raise PreconditionError(f"bad edge {e}")
-                out.append(e if u < v else (v, u))
-            return frozenset(out)
-
-        self._layer_edges = {LAYER1: keyed(layer1), LAYER2: keyed(layer2)}
+        self._layer_edges = {LAYER1: frozenset(checked_edges(len(ps), layer1)),
+                             LAYER2: frozenset(checked_edges(len(ps), layer2))}
         self._layers: dict[Edge, int] | None = None
 
     @property
@@ -60,8 +50,4 @@ class LayeredGraph:
         return self._layer_edges[layer]
 
     def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in range(len(self.ps))}
-        for (u, v) in self.edges():
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+        return _adjacency(len(self.ps), self.edges())

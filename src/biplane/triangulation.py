@@ -20,6 +20,20 @@ def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def checked_edges(n: int, edges: Iterable[Edge]) -> list[Edge]:
+    """Each edge as a sorted pair, in the given order: the one check of an
+    edge list.  The first edge that joins a point to itself or names no
+    point of 0..n-1 is a PreconditionError that names it as a sorted pair."""
+    out: list[Edge] = []
+    for u, v in edges:
+        if u > v:
+            u, v = v, u
+        if not 0 <= u < v < n:
+            raise PreconditionError(f"bad edge {(u, v)}")
+        out.append((u, v))
+    return out
+
+
 def triangle_key(a: int, b: int, c: int) -> tuple[int, int, int]:
     if a > b:
         a, b = b, a
@@ -362,11 +376,12 @@ def complete_to_triangulation(ps: PointSet, required: Iterable[Edge] = (),
     by squared length, then by id order, which makes the result deterministic.
     Each face that the required edges and the hull edges leave is filled on
     its own (`_fill_faces`); when they leave only triangles, those are read
-    off (`_read_faces`).  Crossing required edges are a PreconditionError
-    that names their first crossing pair, and so is a required edge that
-    joins a point to itself or names no point.
+    off (`_read_faces`).  A required edge that joins a point to itself or
+    names no point is a PreconditionError (`checked_edges`), and so, after
+    that check, are crossing required edges, named by their first crossing
+    pair.
     """
-    return _certified(ps, sorted({edge_key(*e) for e in required}),
+    return _certified(ps, sorted(set(checked_edges(len(ps), required))),
                       {edge_key(*e) for e in avoid}, "required edges")
 
 
@@ -375,9 +390,10 @@ def triangulation_from_edges(ps: PointSet, edges: Iterable[Edge]) -> Triangulati
 
     Raises PreconditionError unless the edges are exactly 3n - 3 - h pairwise
     noncrossing segments, that is, a full triangulation, whose faces
-    `_read_faces` reads off.
+    `_read_faces` reads off.  An edge that `checked_edges` rejects is named
+    first, then a wrong count, then a crossing pair.
     """
-    keyed = {(u, v) if u < v else (v, u) for u, v in edges}
+    keyed = set(checked_edges(len(ps), edges))
     expected = 3 * len(ps) - 3 - len(ps.hull())
     if len(keyed) != expected:
         raise PreconditionError(f"edge count {len(keyed)} != 3n-3-h = {expected}")
@@ -386,14 +402,12 @@ def triangulation_from_edges(ps: PointSet, edges: Iterable[Edge]) -> Triangulati
 
 def _certified(ps: PointSet, es: list[Edge], avoid: set[Edge], what: str) -> Triangulation:
     """`_read_faces(ps, es)` when es and the hull edges number 3n - 3 - h,
-    else `_fill_faces(ps, es, avoid)`, once every edge of `es` joins two
-    distinct points of `ps`.  The certificate fails whenever two of the
-    sorted edges `es` cross, and only then does the sweep run, to name their
-    first crossing pair as "{what} X and Y cross"."""
+    else `_fill_faces(ps, es, avoid)`.  Every edge of `es` is a sorted pair
+    of two distinct points of `ps`, as `checked_edges` gives them; it is not
+    checked again here.  The certificate fails whenever two of the sorted
+    edges `es` cross, and only then does the sweep run, to name their first
+    crossing pair as "{what} X and Y cross"."""
     n = len(ps)
-    for u, v in es:
-        if not 0 <= u < v < n:
-            raise PreconditionError(f"bad edge {(u, v)}")
     try:
         if len(ps.hull_edges().union(es)) == 3 * n - 3 - len(ps.hull()):
             return _read_faces(ps, es)
@@ -419,7 +433,8 @@ def _apex_map(triangles: Iterable[tuple[int, int, int]]) -> dict[Edge, tuple[int
 
 
 def _adjacency(n: int, edges: Iterable[Edge]) -> dict[int, set[int]]:
-    """The neighbours of each of the n vertices along `edges`."""
+    """The neighbours of each of the n vertices along `edges`: the one
+    builder of neighbour sets from an edge list."""
     adj: dict[int, set[int]] = {v: set() for v in range(n)}
     for u, v in edges:
         adj[u].add(v)

@@ -531,6 +531,69 @@ def ref_greedy_completion(ps: PointSet, required=(), avoid=()) -> frozenset[Edge
     return frozenset(taken)
 
 
+def all_triangulations(ps: PointSet) -> list[frozenset[Edge]]:
+    """Every triangulation of ps, each as its set of edges (sorted pairs), in
+    sorted order.
+
+    A depth-first search over flips on plain edge sets, from the greedy
+    completion of no edges.  The faces of a set are its 3-cycles with no
+    point strictly inside, and an edge uv with faces uva and uvb flips to ab
+    when ab properly crosses uv, that is, when the quadrilateral is convex.
+    The flip graph of a point set is connected (Lawson, 1972), so the search
+    reaches every triangulation."""
+    pts = [p.coords() for p in ps]
+    n = len(pts)
+
+    def sides(a: int, b: int, c: int) -> bool:
+        return _cross(pts[a], pts[b], pts[c]) > 0
+
+    def empty(a: int, b: int, c: int) -> bool:
+        return not any(sides(a, b, w) == sides(b, c, w) == sides(c, a, w)
+                       for w in range(n) if w != a and w != b and w != c)
+
+    def flipped(edges: frozenset[Edge]) -> list[frozenset[Edge]]:
+        adj: dict[int, set[int]] = {v: set() for v in range(n)}
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        apexes: dict[Edge, list[int]] = {e: [] for e in edges}
+        for u, v in edges:
+            for w in adj[u] & adj[v]:
+                if w > v and empty(u, v, w):
+                    apexes[u, v].append(w)
+                    apexes[u, w].append(v)
+                    apexes[v, w].append(u)
+        out = []
+        for (u, v), ws in apexes.items():
+            if len(ws) == 2:
+                a, b = ws
+                if sides(u, v, a) != sides(u, v, b) and sides(a, b, u) != sides(a, b, v):
+                    out.append(edges - {(u, v)} | {(min(a, b), max(a, b))})
+        return out
+
+    start = ref_greedy_completion(ps)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for g in flipped(stack.pop()):
+            if g not in seen:
+                seen.add(g)
+                stack.append(g)
+    return sorted(seen, key=sorted)
+
+
+def bf_wheel_or_fan(ps: PointSet, edges) -> bool:
+    """True iff the triangulation with these edges is a wheel, one point
+    inside the hull joined to every other point, or a fan, no point inside
+    the hull and one point joined to every other: by degrees alone."""
+    pts = [p.coords() for p in ps]
+    n = len(pts)
+    inside = set(pts) - set(_ref_hull_corners(pts))
+    degree = Counter(v for e in edges for v in e)
+    hubs = {pts[v] for v in range(n) if degree[v] == n - 1}
+    return (not inside and bool(hubs)) or (len(inside) == 1 and inside <= hubs)
+
+
 def _ref_hull_corners(pts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     """Hull corners of distinct points by the monotone chain, each once; a
     point on a hull edge is not a corner."""

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import sys
 
@@ -22,8 +23,9 @@ from biplane.triangulation import (Triangulation, TriangulationClass, classify,
                                    triangulation_from_edges)
 
 from conftest import chordful_triangulation
-from oracles import (bf_first_crossing, bf_vertex_connectivity, ref_closer_to_first_ray,
-                     ref_first_hit, ref_flip, ref_maximal_sector, ref_vertex_connectivity)
+from oracles import (all_triangulations, bf_first_crossing, bf_vertex_connectivity,
+                     bf_wheel_or_fan, ref_closer_to_first_ray, ref_first_hit, ref_flip,
+                     ref_maximal_sector, ref_vertex_connectivity)
 
 
 class TestGenerators:
@@ -264,6 +266,63 @@ def _outcome(fn, draw):
         return fn(*draw)
     except InternalInvariantError:
         return InternalInvariantError
+
+
+def jittered_wheel_points(n: int) -> PointSet:
+    """A seeded jittered (n - 1)-gon with one point near its centre: the
+    point sets whose triangulations include a wheel."""
+    rng = random.Random(n)
+    while True:
+        coords = [(round(1000 * math.cos(2 * math.pi * j / (n - 1))) + rng.randint(-60, 60),
+                   round(1000 * math.sin(2 * math.pi * j / (n - 1))) + rng.randint(-60, 60))
+                  for j in range(n - 1)]
+        coords.append((rng.randint(-80, 80), rng.randint(-80, 80)))
+        try:
+            return PointSet(coords)
+        except PreconditionError:
+            continue
+
+
+EVERY_TRIANGULATION_SETS = {
+    **{f"convex-{n}": lambda n=n: regular_polygon_points(n) for n in range(6, 10)},
+    **{f"random-{n}-{s}": lambda n=n, s=s: random_general_position(n, s)
+       for n in range(6, 10) for s in range(3)},
+    **{f"wheel-{n}": lambda n=n: jittered_wheel_points(n) for n in range(6, 10)},
+}
+
+
+class TestEveryTriangulation:
+    """augment_to_4conn and min_augment_3conn on every triangulation of small
+    point sets, listed by the oracle's own flip search: wheels and fans, by
+    the oracle's degree rule, are refused at target 4, and every other
+    triangulation gets plane new edges whose union has kappa >= 4, checked
+    by the reference flow; target 3 reaches kappa >= 3 everywhere."""
+
+    @pytest.mark.parametrize("name", EVERY_TRIANGULATION_SETS)
+    def test_augments_every_triangulation(self, name):
+        ps = EVERY_TRIANGULATION_SETS[name]()
+        n = len(ps)
+        refused = 0
+        for edges in all_triangulations(ps):
+            t = triangulation_from_edges(ps, edges)
+            if bf_wheel_or_fan(ps, edges):
+                refused += 1
+                with pytest.raises(ImpossibleError):
+                    augment_to_4conn(t)
+            else:
+                added = augment_to_4conn(t)
+                assert not added & edges, (name, sorted(edges))
+                assert bf_first_crossing(ps, sorted(added)) is None, (name, sorted(edges))
+                assert ref_vertex_connectivity(n, edges | added) >= 4, (name, sorted(edges))
+            added = min_augment_3conn(t)
+            assert not added & edges, (name, sorted(edges))
+            assert bf_first_crossing(ps, sorted(added)) is None, (name, sorted(edges))
+            assert ref_vertex_connectivity(n, edges | added) >= 3, (name, sorted(edges))
+        # a convex n-gon has one fan at each vertex, and the (n - 1)-gon one wheel
+        if name.startswith("convex"):
+            assert refused == n
+        elif name.startswith("wheel"):
+            assert refused == 1
 
 
 class TestBisectorSign:

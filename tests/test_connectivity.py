@@ -32,9 +32,11 @@ def random_graph(n, seed, p=0.5):
 
 
 class TestVertexConnectivity:
-    @pytest.mark.parametrize("edge", [(0, 0), (1, 3), (-1, 2)])
-    def test_bad_edge_rejected(self, edge):
-        with pytest.raises(PreconditionError, match=re.escape(f"bad edge {edge}")):
+    # a bad edge is named as a sorted pair, however it is given
+    @pytest.mark.parametrize("edge,named", [((0, 0), (0, 0)), ((1, 3), (1, 3)), ((3, 1), (1, 3)),
+                                            ((-1, 2), (-1, 2))])
+    def test_bad_edge_rejected(self, edge, named):
+        with pytest.raises(PreconditionError, match=re.escape(f"bad edge {named}")):
             vertex_connectivity(3, [(0, 1), edge])
 
     def test_complete_graph(self):
@@ -617,8 +619,8 @@ class TestCheck4Conn:
 
     def test_bad_added_edge_is_a_precondition(self):
         t = random_triangulation(6, 3)
-        for bad in ((2, 2), (1, 6)):
-            with pytest.raises(PreconditionError, match=re.escape(f"bad edge {bad}")):
+        for bad, named in (((2, 2), (2, 2)), ((1, 6), (1, 6)), ((6, 1), (1, 6))):
+            with pytest.raises(PreconditionError, match=re.escape(f"bad edge {named}")):
                 check_4conn_augmentation(t, [(0, 2), bad])
 
     def test_an_edge_of_t_crosses_nothing(self):

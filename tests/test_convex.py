@@ -122,6 +122,12 @@ class TestHamiltonian:
         with pytest.raises(PreconditionError, match="cycle needs n >= 3"):
             find_hamiltonian_cycle(2, [(0, 1)])
 
+    @pytest.mark.parametrize("edge,named", [((0, 5), (0, 5)), ((2, -1), (-1, 2)), ((1, 1), (1, 1))])
+    def test_bad_edge_rejected(self, edge, named):
+        with pytest.raises(PreconditionError) as err:
+            find_hamiltonian_cycle(3, [(0, 1), (1, 2), (0, 2), edge])
+        assert str(err.value) == f"bad edge {named}"
+
     def test_octahedron_has_cycle(self):
         g = octahedron()
         cyc = find_hamiltonian_cycle(6, g.edges)

@@ -230,6 +230,7 @@ class TestLayeredGraph:
         (([(1, 1)], []), "bad edge (1, 1)"),
         (([(0, 1)], [(0, 5)]), "bad edge (0, 5)"),
         (([], [(2, 3), (-1, 2)]), "bad edge (-1, 2)"),
+        (([(5, 0)], []), "bad edge (0, 5)"),
     ])
     def test_rejects_bad_edges_tags_and_conflicts(self, layers, reason):
         with pytest.raises(PreconditionError) as err:

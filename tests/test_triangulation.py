@@ -460,18 +460,21 @@ class TestBadEdges:
     """An edge that is a self-loop or names no point is a precondition, the
     message that LayeredGraph gives, before any face is read."""
 
-    @pytest.mark.parametrize("bad", [(2, 2), (2, 9), (-1, 3)])
-    def test_required_edge(self, bad):
+    @pytest.mark.parametrize("bad,named", [((2, 2), (2, 2)), ((2, 9), (2, 9)), ((9, 2), (2, 9)),
+                                           ((-1, 3), (-1, 3))])
+    def test_required_edge(self, bad, named):
         ps = random_general_position(8, 1)
         with pytest.raises(PreconditionError) as err:
             complete_to_triangulation(ps, required=[bad])
-        assert str(err.value) == f"bad edge {bad}"
+        assert str(err.value) == f"bad edge {named}"
 
+    # drop 1 swaps one edge of a triangulation, so the count check passes;
+    # drop 2 gets the count wrong too, and the bad edge is still named
+    @pytest.mark.parametrize("drop", [1, 2])
     @pytest.mark.parametrize("bad", [(2, 2), (2, 9), (-1, 3)])
-    def test_listed_edge(self, bad):
-        # one edge of a triangulation swapped, so the count check passes
+    def test_listed_edge(self, bad, drop):
         ps = random_general_position(8, 1)
-        edges = sorted(triangulate(ps).edges)[1:] + [bad[::-1]]
+        edges = sorted(triangulate(ps).edges)[drop:] + [bad[::-1]]
         with pytest.raises(PreconditionError) as err:
             triangulation_from_edges(ps, edges)
         assert str(err.value) == f"bad edge {bad}"
