@@ -249,6 +249,8 @@ class PointSet:
         hull = tuple(convex_hull(self.xs, self.ys)) if n >= 3 else None
         self._init(n if hull is not None and len(hull) == n else 0)
         self._hull = hull
+        self._hull_pos: tuple[int, ...] | None = None
+        self._hull_edges: frozenset[tuple[int, int]] | None = None
 
     def _init(self, known: int) -> None:
         """Validate the distinct points from index `known` on against all
@@ -275,9 +277,6 @@ class PointSet:
         if first is not None:
             raise PreconditionError(
                 "points {}, {}, {} are collinear (general position required)".format(*first))
-        self._hull: tuple[int, ...] | None = None
-        self._hull_pos: tuple[int, ...] | None = None
-        self._hull_edges: frozenset[tuple[int, int]] | None = None
 
     @property
     def points(self) -> tuple[Point, ...]:
@@ -320,11 +319,28 @@ class PointSet:
         return tuple(i for i, p in enumerate(self.hull_positions()) if p < 0)
 
     def subset(self, ids: Iterable[int]) -> "PointSet":
-        """New PointSet of the given vertices, kept in original order (a
-        subset is in general position already, so nothing is re-checked)."""
-        keep = sorted(set(ids))
-        return self._derived(tuple(self.xs[i] for i in keep), tuple(self.ys[i] for i in keep),
-                             len(keep))
+        """New PointSet of the given vertices, kept in original order (see
+        `reordered`)."""
+        return self.reordered(sorted(set(ids)))
+
+    def reordered(self, ids: Sequence[int]) -> "PointSet":
+        """New PointSet of the distinct vertices `ids`, in that order.  Points
+        of a set in general position are distinct and in general position in
+        any order, so nothing is re-checked."""
+        if len(set(ids)) != len(ids):
+            raise PreconditionError("ids repeat a vertex")
+        return PointSet._trusted(tuple(self.xs[i] for i in ids), tuple(self.ys[i] for i in ids))
+
+    def next_prefix(self, before: "PointSet") -> "PointSet":
+        """The prefix of this set one point longer than `before`, which must
+        be a shorter prefix of it, as a new PointSet: not re-checked, as in
+        `reordered`, and with `before`'s cached hull views carried over as
+        `extended` carries them (see README, Verification)."""
+        m = len(before)
+        out = PointSet._trusted(self.xs[:m + 1], self.ys[:m + 1])
+        if m >= len(self) or out.xs[:m] != before.xs or out.ys[:m] != before.ys:
+            raise PreconditionError(f"a set of {m} points is no shorter prefix of this one")
+        return before._carried(out)
 
     def extended(self, coords: Sequence[tuple[int, int]]) -> "PointSet":
         """This set with `coords` appended (ids continue from len(self)).
@@ -336,20 +352,28 @@ class PointSet:
         position -1 (see README, Verification).
         """
         xs, ys = _checked_points(coords, len(self))
-        out = self._derived(self.xs + xs, self.ys + ys, len(self))
+        out = PointSet._trusted(self.xs + xs, self.ys + ys)
+        _check_distinct(out.xs, out.ys, len(self))
+        out._init(len(self))
+        return self._carried(out)
+
+    def _carried(self, out: "PointSet") -> "PointSet":
+        """`out`, which extends this set, with this set's cached hull views
+        when every new point lies strictly inside that hull."""
         if self._hull is not None and all(strictly_inside(out, self._hull, s)
                                           for s in range(len(self), len(out))):
             out._hull, out._hull_edges = self._hull, self._hull_edges
             if self._hull_pos is not None:
-                out._hull_pos = self._hull_pos + (-1,) * len(xs)
+                out._hull_pos = self._hull_pos + (-1,) * (len(out) - len(self))
         return out
 
     @staticmethod
-    def _derived(xs: tuple[int, ...], ys: tuple[int, ...], known: int) -> "PointSet":
-        _check_distinct(xs, ys, known)
+    def _trusted(xs: tuple[int, ...], ys: tuple[int, ...]) -> "PointSet":
+        """The PointSet of coordinates already known to be distinct and in
+        general position, with no hull view cached."""
         out = PointSet.__new__(PointSet)
         out.xs, out.ys = xs, ys
-        out._init(known)
+        out._hull = out._hull_pos = out._hull_edges = None
         return out
 
 
@@ -436,9 +460,17 @@ def polygon_doubled_area(ps: PointSet, cycle: Sequence[int]) -> int:
 
 def strictly_inside(ps: PointSet, polygon: Sequence[int], s: int) -> bool:
     """True iff vertex s lies strictly inside the counterclockwise convex
-    polygon of the vertices `polygon`."""
-    m = len(polygon)
-    return all(cross(ps, polygon[i], polygon[(i + 1) % m], s) > 0 for i in range(m))
+    polygon of the vertices `polygon`: strictly left of each edge, from the
+    closing one on (`cross`, written out)."""
+    xs, ys = ps.xs, ps.ys
+    sx, sy = xs[s], ys[s]
+    ax, ay = xs[polygon[-1]], ys[polygon[-1]]
+    for v in polygon:
+        bx, by = xs[v], ys[v]
+        if (bx - ax) * (sy - ay) - (by - ay) * (sx - ax) <= 0:
+            return False
+        ax, ay = bx, by
+    return True
 
 
 def point_in_triangle(ps: PointSet, a: int, b: int, c: int, s: int) -> bool:
@@ -550,7 +582,8 @@ def _ccw_rings(xs: Sequence[int], ys: Sequence[int]) -> tuple[list[list[int]], l
         for p in range(v + 1, n):
             dx, dy = xs[p] - vx, ys[p] - vy
             e, f = (p, ~v) if (dx, dy) > (0, 0) else (~p, v)
-            key = _slope(dx, dy)
+            # `_slope`, written out: this loop runs n^2 / 2 times
+            key = (dy << 64) // dx if dx else _ABOVE_EVERY_SLOPE
             into_v.append((key, e))
             dirs[p].append((key, f))
     rings: list[list[int]] = []

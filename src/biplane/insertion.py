@@ -7,8 +7,8 @@ edges when every two consecutive hull vertices are new and see a common edge,
 treatable chains cut in one pass round the hull otherwise); exterior points
 are inserted in reverse hull-peeling order.  Saturation to a union of
 two triangulations uses tracked dummy edges that are deleted afterwards; the
-two triangulations are carried to the next step, which reuses them when no
-dummy edge was left.
+two triangulations are carried to the next step, which refills them only
+around the dummy edges that were left.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .geometry import (PointSet, circular_runs, convex_hull, max_convex_subset_i
 from .layered import LAYER1, LAYER2, LayeredGraph
 from .triangulation import (Edge, Triangulation, TriangulationClass, classify,
                             complete_to_triangulation, edge_key, flip, is_flippable,
-                            triangle_key)
+                            refilled, triangle_key)
 
 #: Every point set at least this large contains 14 points in convex position,
 #: so the general construction below always applies (binomial(23, 12) + 1).
@@ -38,11 +38,13 @@ class InsertionState:
     triangulations: each layer is a subset of its triangulation, and only
     the saturation's dummy edges are missing from it.  No two edges of a
     validated triangulation cross, so that inclusion alone shows both layers
-    plane.  When no dummy edge is left, both layers are complete, and the
-    next step starts from t1 and t2 instead of saturating again.  Greedy
-    completion of a complete layer returns that same triangulation, so the
-    result does not change.  Only `of_layers` sets them; states built from
-    a LayeredGraph (the convex core, after hull insertion) carry None.
+    plane.  `missing` holds the edges of t1 and t2 that neither layer has,
+    so t_i less layer i is `missing` within t_i.  The next step starts from
+    t1 and t2 and refills only the faces around the missing edges, which
+    gives what completing the layers from scratch would give (`refilled`);
+    with none missing off the hull it takes them as they are.  Only
+    `of_layers` sets them; states built from a LayeredGraph (the convex
+    core, after hull insertion) carry None and no missing edge.
 
     `current`, the graph as a LayeredGraph, is built on first use and kept;
     the insertion steps read and write only the edge sets.
@@ -63,17 +65,18 @@ class InsertionState:
         self.layer2 = current.layer_edges(LAYER2)
         self.t1: Triangulation | None = None
         self.t2: Triangulation | None = None
+        self.missing: frozenset[Edge] = frozenset()
         self._current: LayeredGraph | None = current
         self._interior_hull: tuple[int, ...] | None = None
 
     @classmethod
     def of_layers(cls, ps: PointSet, layer1: frozenset[Edge], layer2: frozenset[Edge],
-                  t1: Triangulation, t2: Triangulation,
+                  t1: Triangulation, t2: Triangulation, missing: frozenset[Edge],
                   interior_hull: tuple[int, ...]) -> "InsertionState":
         """The state with these layer edge sets; `current` is not built yet."""
         state = cls.__new__(cls)
         state.ps, state.layer1, state.layer2 = ps, layer1, layer2
-        state.t1, state.t2 = t1, t2
+        state.t1, state.t2, state.missing = t1, t2, missing
         state._current = None
         state._interior_hull = interior_hull
         return state
@@ -101,17 +104,25 @@ def _hull_of(ps: PointSet, ids: Sequence[int]) -> tuple[int, ...]:
 
 
 def _saturate(state: InsertionState) -> tuple[Triangulation, Triangulation, frozenset[Edge]]:
-    """Complete both layers to triangulations; report the added dummy edges.
+    """Complete both layers to triangulations, layer 2 avoiding layer 1's;
+    report the added dummy edges.
 
-    Returns the carried t1 and t2 when their edge sets equal the two layers.
+    A state that carries t1 and t2 refills only the faces around their
+    edges that its layers lack, `missing` (`refilled`), and gives t1 and t2
+    back as they are when none of those is off the hull.
     """
     one, two, t1, t2 = state.layer1, state.layer2, state.t1, state.t2
-    if t1 is not None and t2 is not None and t1.edges == one and t2.edges == two:
-        return t1, t2, frozenset()
-    t1 = complete_to_triangulation(state.ps, required=one)
-    t2 = complete_to_triangulation(state.ps, required=two, avoid=t1.edges)
-    dummies = frozenset((t1.edges | t2.edges) - one - two)
-    return t1, t2, dummies
+    if t1 is None or t2 is None:
+        t1 = complete_to_triangulation(state.ps, required=one)
+        t2 = complete_to_triangulation(state.ps, required=two, avoid=t1.edges)
+        return t1, t2, frozenset((t1.edges | t2.edges) - one - two)
+    # t_i's edges outside layer i are its missing ones; a refill trades them
+    # for the edges it takes, none of which is in layer i
+    missing = state.missing
+    t1, taken1 = refilled(t1, missing & t1.edges)
+    t2, taken2 = refilled(t2, missing & t2.edges, avoid=t1.edges)
+    kept = frozenset(e for e in missing if e in t1.edges or e in t2.edges)
+    return t1, t2, kept.union(e for e in taken1 + taken2 if e not in one and e not in two)
 
 
 def find_flippable_opposite(t: Triangulation, s: int) -> tuple[tuple[int, int, int], Edge]:
@@ -220,16 +231,20 @@ def _interior_hull_with(ps: PointSet, hull: tuple[int, ...], s: int) -> tuple[in
     return tuple(hull[(i + k + j) % m] for j in range(m - k + 1)) + (s,)
 
 
-def insert_interior_point(state: InsertionState, coords: tuple[int, int]) -> InsertionState:
-    """Insert one point lying inside ch(S) but outside the hull of the current
-    interior vertices, keeping the graph 5-connected and biplane."""
+def insert_interior_point(state: InsertionState, new_ps: PointSet) -> InsertionState:
+    """Insert the last point s of `new_ps`, which must extend the state's
+    point set by that one point, lying inside ch(S) but outside the hull of
+    the current interior vertices, keeping the graph 5-connected and
+    biplane.  For bare coordinates pass `state.ps.extended([coords])`, which
+    checks them; `build_5conn_general` passes prefixes of the one set it
+    validated (`PointSet.next_prefix`)."""
     ps_a = state.ps
     s = len(ps_a)
-    # with the hull of ps_a cached, `extended` keeps it exactly when the new
+    if len(new_ps) != s + 1 or new_ps.xs[:s] != ps_a.xs or new_ps.ys[:s] != ps_a.ys:
+        raise PreconditionError(f"the new point set does not extend the state's {s} points by one")
+    # a new set that carries the hull of ps_a keeps it exactly when the new
     # point lies strictly inside it
-    hull = ps_a.hull()
-    new_ps = ps_a.extended([coords])
-    if new_ps.hull() != hull:
+    if new_ps.hull() != ps_a.hull():
         raise PreconditionError("point must lie strictly inside the current hull")
     interior_hull = _interior_hull_with(new_ps, state.interior_hull, s)
     t1, t2, dummies = _saturate(state)
@@ -245,7 +260,7 @@ def insert_interior_point(state: InsertionState, coords: tuple[int, int]) -> Ins
         raise InternalInvariantError(f"inserted vertex has degree {degree} < 5")
     # each layer is a subset of a validated triangulation, so it is plane
     return InsertionState.of_layers(new_ps, t1.edges & final_edges, t2.edges & final_edges,
-                                    t1, t2, interior_hull)
+                                    t1, t2, dummies & union, interior_hull)
 
 
 # ----------------------------------------------------------------------
@@ -627,7 +642,9 @@ def build_5conn_general(ps: PointSet,
     hull-peeling order.  The steps number the points in that construction
     order (the core in ascending id order, then each point as it is
     inserted), and so do the graphs passed to `on_step`; the result is
-    relabelled to the ids of `ps`.
+    relabelled to the ids of `ps`.  `ps` is reordered once into that order
+    with nothing re-checked, and each interior and exterior step takes the
+    next prefix of it (see README, Verification).
     """
     core = sorted(max_convex_subset_indices(ps))
     if len(core) < 14:
@@ -636,28 +653,20 @@ def build_5conn_general(ps: PointSet,
     core_set = set(core)
     ps0 = ps.subset(core)
     pos = ps.hull_positions()
-    rest = [i for i in range(len(ps)) if i not in core_set]
     core_hull = [core[j] for j in ps0.hull()]
-    s_int = [i for i in rest if strictly_inside(ps, core_hull, i)]
-    s_bou = [i for i in rest if i not in s_int and pos[i] >= 0]
-    s_ext = [i for i in rest if i not in s_int and pos[i] < 0]
-
-    # order[k] is the id in ps of the point at construction position k
-    order = list(core)
-    state = InsertionState(build_5conn_convex(ps0))
-    if on_step:
-        on_step("core", state.current)
-    for i in sorted(s_int, key=lambda i: (ps.xs[i], ps.ys[i])):
-        state = insert_interior_point(state, (ps.xs[i], ps.ys[i]))
-        order.append(i)
-        if on_step:
-            on_step(f"interior:{i}", state.current)
-    if s_bou:
-        state = insert_hull_points(state, [(ps.xs[i], ps.ys[i]) for i in s_bou])
-        order.extend(s_bou)
-        if on_step:
-            on_step("boundary", state.current)
-    remaining = set(s_ext)
+    s_int: list[int] = []
+    s_bou: list[int] = []
+    remaining: set[int] = set()
+    for i in range(len(ps)):
+        if i in core_set:
+            continue
+        if strictly_inside(ps, core_hull, i):
+            s_int.append(i)
+        elif pos[i] >= 0:
+            s_bou.append(i)
+        else:
+            remaining.add(i)
+    s_int.sort(key=lambda i: (ps.xs[i], ps.ys[i]))
     removal: list[int] = []
     while remaining:
         pick = min((v for v in _hull_of(ps, sorted(core_set | remaining)) if v in remaining),
@@ -666,9 +675,24 @@ def build_5conn_general(ps: PointSet,
             raise InternalInvariantError("hull peeling found no removable exterior point")
         removal.append(pick)
         remaining.remove(pick)
+
+    # order[k] is the id in ps of the point at construction position k, and
+    # every step's point set is a prefix of `full`
+    order = core + s_int + s_bou + removal[::-1]
+    full = ps.reordered(order)
+    state = InsertionState(build_5conn_convex(ps0))
+    if on_step:
+        on_step("core", state.current)
+    for i in s_int:
+        state = insert_interior_point(state, full.next_prefix(state.ps))
+        if on_step:
+            on_step(f"interior:{i}", state.current)
+    if s_bou:
+        state = insert_hull_points(state, [(ps.xs[i], ps.ys[i]) for i in s_bou])
+        if on_step:
+            on_step("boundary", state.current)
     for i in reversed(removal):
-        state = insert_interior_point(state, (ps.xs[i], ps.ys[i]))
-        order.append(i)
+        state = insert_interior_point(state, full.next_prefix(state.ps))
         if on_step:
             on_step(f"exterior:{i}", state.current)
     return LayeredGraph(ps, [(order[u], order[v]) for (u, v) in state.layer1],

@@ -3,10 +3,10 @@ from __future__ import annotations
 
 from bisect import bisect
 from collections import defaultdict
+from collections.abc import Callable, Container, Iterable, Iterator, Sequence
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError, PreconditionError
 from .geometry import (PointSet, _ccw_key, _edge_rings, ccw_order, crossing_pairs, crosses_any,
@@ -125,18 +125,14 @@ class Triangulation:
         out._check(check)
         return out
 
-    def _replaced(self, ps: PointSet, gone: set[tuple[int, int, int]],
+    def _replaced(self, gone: set[tuple[int, int, int]],
                   new: set[tuple[int, int, int]]) -> "Triangulation":
-        """This triangulation on `ps`, which may append points, with its faces
-        `gone` replaced by `new` (sorted corner triples).  The maps are copied
-        and changed on the edges of those faces only, and `_check` re-checks
-        just those edges (see README, Verification)."""
-        if ps.hull() != self.hull:
-            raise InternalInvariantError(f"replacing {sorted(gone)} by {sorted(new)} changed the hull")
+        """This triangulation with its faces `gone` replaced by `new` (sorted
+        corner triples).  The maps are copied and changed on the edges of
+        those faces only, and `_check` re-checks just those edges (see
+        README, Verification)."""
         opposites = dict(self._opposites)
         adj = dict(self._adj)
-        for v in range(len(self.ps), len(ps)):
-            adj[v] = set()
         changed = {}
         for (a, b, c) in gone:
             for e, w in (((a, b), c), ((b, c), a), ((a, c), b)):
@@ -156,7 +152,7 @@ class Triangulation:
         for (u, v) in dropped:
             adj[u], adj[v] = adj[u] - {v}, adj[v] - {u}
             del opposites[u, v], changed[u, v]
-        return Triangulation._from_maps(ps, opposites, adj, changed)
+        return Triangulation._from_maps(self.ps, opposites, adj, changed)
 
     def restricted(self, keep: list[int]) -> "Triangulation":
         """The faces with every corner in the sorted ids `keep`, on
@@ -189,8 +185,17 @@ class Triangulation:
         ps, n = self.ps, len(self.ps)
         if s != n or len(new_ps) != n + 1 or new_ps.xs[:n] != ps.xs or new_ps.ys[:n] != ps.ys:
             raise PreconditionError(f"the new point set does not extend this one by point {s}")
-        a, b, c = tri = self.locate((new_ps.xs[s], new_ps.ys[s]))
-        return self._replaced(new_ps, {tri}, {(a, b, s), (b, c, s), (a, c, s)})
+        a, b, c = self.locate((new_ps.xs[s], new_ps.ys[s]))
+        # each side of (a, b, c) trades its apex for s, which is above every
+        # id; each new edge to s has the other two corners as apexes
+        opposites, adj = dict(self._opposites), dict(self._adj)
+        for e, w in (((a, b), c), ((b, c), a), ((a, c), b)):
+            ws = opposites[e]
+            opposites[e] = (ws[:-1] if ws[-1] == w else ws[1:]) + (s,)
+        opposites[a, s], opposites[b, s], opposites[c, s] = (b, c), (a, c), (a, b)
+        adj[a], adj[b], adj[c], adj[s] = adj[a] | {s}, adj[b] | {s}, adj[c] | {s}, {a, b, c}
+        return Triangulation._from_maps(new_ps, opposites, adj,
+                                        ((a, b), (b, c), (a, c), (a, s), (b, s), (c, s)))
 
     # ------------------------------------------------------------------
     def chords(self) -> list[Edge]:
@@ -349,7 +354,7 @@ def flip(t: Triangulation, e: Edge) -> Triangulation:
         raise PreconditionError(f"edge {e} is not flippable")
     a, b = t.opposites(e)
     u, v = e
-    return t._replaced(t.ps, {triangle_key(u, v, a), triangle_key(u, v, b)},
+    return t._replaced({triangle_key(u, v, a), triangle_key(u, v, b)},
                        {triangle_key(a, b, u), triangle_key(a, b, v)})
 
 
@@ -444,27 +449,14 @@ def _adjacency(n: int, edges: Iterable[Edge]) -> dict[int, set[int]]:
 
 def _read_faces(ps: PointSet, required: list[Edge]) -> Triangulation:
     """The triangulation whose edges are R', `required` plus the hull edges,
-    when R' has 3n - 3 - h edges (see README, Verification).  The face on
-    each side of an edge uv is (u, v, w) for the common neighbour w on that
-    side with the least angle at u.  `_check` certifies the faces that these
-    picks give, and their edges must be R'."""
+    when R' has 3n - 3 - h edges (see README, Verification).  The faces
+    come from `_side_apexes`; `_check` certifies the faces that these picks
+    give, and their edges must be R'."""
     xs, ys = ps.xs, ps.ys
     plane = ps.hull_edges().union(required)
     adj = _adjacency(len(ps), plane)
     faces = []
-    for u, v in plane:
-        ux, uy = xs[u], ys[u]
-        dx, dy = xs[v] - ux, ys[v] - uy
-        left = right = -1
-        lx = ly = rx = ry = 0
-        for w in adj[u] & adj[v]:
-            wx, wy = xs[w] - ux, ys[w] - uy
-            # w turns less from v than the pick so far when it lies between them
-            if dx * wy > dy * wx:
-                if left < 0 or lx * wy < ly * wx:
-                    left, lx, ly = w, wx, wy
-            elif right < 0 or rx * wy > ry * wx:
-                right, rx, ry = w, wx, wy
+    for u, v, left, right in _side_apexes(xs, ys, adj, plane):
         # a face is kept from its least edge only, so each is kept once
         if left > v:
             faces.append((u, v, left))
@@ -477,25 +469,56 @@ def _read_faces(ps: PointSet, required: list[Edge]) -> Triangulation:
     return t
 
 
+def _side_apexes(xs: Sequence[int], ys: Sequence[int], adj: dict[int, set[int]],
+                 edges: Iterable[Edge]) -> Iterator[tuple[int, int, int, int]]:
+    """(u, v, left, right) for each edge uv of `edges`, in a plane edge set
+    `adj` whose faces there are triangles: the apexes of the faces left and
+    right of u -> v (-1 for none), each the common neighbour on that side
+    with the least angle at u."""
+    for u, v in edges:
+        ux, uy = xs[u], ys[u]
+        dx, dy = xs[v] - ux, ys[v] - uy
+        left = right = -1
+        lx = ly = rx = ry = 0
+        for w in adj[u] & adj[v]:
+            wx, wy = xs[w] - ux, ys[w] - uy
+            # w turns less from v than the pick so far when it lies between them
+            if dx * wy > dy * wx:
+                if left < 0 or lx * wy < ly * wx:
+                    left, lx, ly = w, wx, wy
+            elif right < 0 or rx * wy > ry * wx:
+                right, rx, ry = w, wx, wy
+        yield u, v, left, right
+
+
 def _fill_faces(ps: PointSet, required: list[Edge], avoid: set[Edge]) -> Triangulation:
     """The greedy completion of the plane edge set R', `required` plus the
-    hull edges, one face of R' at a time (see README, Verification).
+    hull edges: its faces from `_faces_of`, filled by `_greedy_fill`, and
+    the triangles read back by `_read_faces` (see README, Verification)."""
+    plane = {*ps.hull_edges(), *required}
+    pairs, inside, corner = _faces_of(ps, plane)
+    room = 3 * len(ps) - 3 - len(ps.hull()) - len(plane)
+    return _read_faces(ps, required + _greedy_fill(ps, pairs, inside, corner, avoid, room))
 
-    The faces of R' are read once from its rotation system: each ring is
+
+def _faces_of(ps: PointSet, plane: set[Edge]
+              ) -> tuple[set[Edge], defaultdict[int, list[Edge]], Callable[[int, int], int]]:
+    """The faces of the plane edge set `plane`, which holds the hull edges,
+    as `_greedy_fill` takes them: the candidate pairs, the edges bounding
+    each face, and the face that a segment leaves its end into.
+
+    The faces are read once from the rotation system: each ring is
     `ccw_order`, and the walk after the directed edge (a, b) goes on to the
     neighbour just before a in b's ring, so it keeps its face on the left.
     A bounded face's outer walk winds counterclockwise, of positive area.
     Any other walk off the hull goes around a hole, a part of R' that no
     edge joins to the hull (a vertex with no edge is the walk of itself);
-    the hole lies in the innermost outer walk that winds around it.  A
-    candidate pair gets the face of the corner it leaves at each end, is
-    rejected when the two differ, and is otherwise tested against the edges
-    of that face only.  The triangles are the closed triangle faces of R'
-    and the two on each taken edge; `Triangulation` certifies them, and
-    their edges must be R' and the taken ones."""
-    n, xs, ys = len(ps), ps.xs, ps.ys
+    the hole lies in the innermost outer walk that winds around it.  The
+    candidates are the pairs of vertices of a face that is not a closed
+    triangle, less `plane`; a face's bounding edges are those of its walks
+    that are not hull edges."""
     hull_edges, on_hull = ps.hull_edges(), ps.hull_positions()
-    plane = {*hull_edges, *required}
+    xs, ys = ps.xs, ps.ys
     rings, keys = _edge_rings(ps, plane)
     pos = [dict(zip(ring, range(len(ring)))) for ring in rings]
     # at[v][i] is the walk of the corner at v from rings[v][i] on,
@@ -550,23 +573,124 @@ def _fill_faces(ps: PointSet, required: list[Edge], avoid: set[Edge]) -> Triangu
             return canon[fs[0]]
         return canon[fs[bisect(keys[u], _ccw_key(ps, u)(w)) - 1]]
 
+    return pairs, inside, corner
+
+
+def _greedy_fill(ps: PointSet, pairs: set[Edge], inside: dict[int, list[Edge]],
+                 corner: Callable[[int, int], int | None], avoid: Container[Edge],
+                 room: int) -> list[Edge]:
+    """The `room` candidate `pairs` that greedy completion takes, in the
+    order (in `avoid`, squared length, ids), one face at a time: a pair is
+    taken when `corner` gives one face, not None, at both of its ends and
+    the pair crosses none of that face's edges, `inside[f]`, which grows by
+    each pair taken in it (see README, Verification)."""
+    xs, ys = ps.xs, ps.ys
+
     def sqlen(e: Edge) -> int:
         u, v = e
         return (xs[u] - xs[v]) ** 2 + (ys[u] - ys[v]) ** 2
 
-    room = 3 * n - 3 - len(ps.hull()) - len(plane)
     taken: list[Edge] = []
     for e in sorted(pairs, key=lambda e: (e in avoid, sqlen(e), e)):
         if len(taken) >= room:
             break
         u, v = e
         f = corner(u, v)
-        if f == corner(v, u) and not crosses_any(ps, e, inside[f]):
+        if f is not None and f == corner(v, u) and not crosses_any(ps, e, inside[f]):
             inside[f].append(e)
             taken.append(e)
     if len(taken) != room:
         raise InternalInvariantError("greedy completion failed to reach a triangulation")
-    return _read_faces(ps, required + taken)
+    return taken
+
+
+def refilled(t: Triangulation, dropped: Iterable[Edge],
+             avoid: Container[Edge] = frozenset()) -> tuple[Triangulation, list[Edge]]:
+    """The greedy completion of R, t's edges less `dropped` (sorted pairs),
+    with the edges it took that R lacks: `complete_to_triangulation(t.ps,
+    R, avoid)`, read from t, which fills again only the faces that the
+    dropped edges D, less the hull edges, cross (see README, Verification).
+
+    R', R plus the hull edges, is t without D, so its faces are t's
+    triangles with no side in D and the regions that t's triangles on D
+    form, glued along D.  Each region is filled on its own by
+    `_greedy_fill`: its candidates are the pairs of its corners outside R',
+    its edges are the sides of its triangles outside D, off the hull, and a
+    segment leaves u into it when it runs along a side in D of the region
+    or strictly inside the angle at u of one of the region's triangles.
+    The new triangles are read from the sides of each taken edge
+    (`_side_apexes` on the regions' edges) and spliced in by `_replaced`,
+    whose `_check` certifies every edge they touch."""
+    ps, opposites = t.ps, t._opposites
+    hull_edges = ps.hull_edges()
+    dropped = {e for e in dropped if e not in hull_edges}
+    if not dropped:
+        return t, []
+    if not opposites.keys() >= dropped:
+        raise PreconditionError("dropped edges must be edges of the triangulation")
+    xs, ys = ps.xs, ps.ys
+    # the regions: t's triangles on dropped edges, glued along them
+    region: dict[tuple[int, int, int], int] = {}
+    count = 0
+    for e in sorted(dropped):
+        first = triangle_key(*e, opposites[e][0])
+        if first in region:
+            continue
+        region[first], stack = count, [first]
+        while stack:
+            a, b, c = stack.pop()
+            for side, w in (((a, b), c), ((b, c), a), ((a, c), b)):
+                if side in dropped:
+                    for x in opposites[side]:
+                        nb = triangle_key(*side, x)
+                        if x != w and nb not in region:
+                            region[nb] = count
+                            stack.append(nb)
+        count += 1
+    corners: list[set[int]] = [set() for _ in range(count)]
+    rims: list[set[Edge]] = [set() for _ in range(count)]
+    # rims[f]: the sides of region f's triangles outside D; wedges[u]:
+    # (p, q, f) for the angle at u, from p counterclockwise to q, of each
+    # triangle of region f; along[u][p]: the region of the dropped edge up
+    wedges: defaultdict[int, list[tuple[int, int, int]]] = defaultdict(list)
+    along: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for (a, b, c), f in region.items():
+        corners[f].update((a, b, c))
+        for u, p, q in ((a, b, c), (b, c, a), (c, a, b)):
+            if (xs[p] - xs[u]) * (ys[q] - ys[u]) - (ys[p] - ys[u]) * (xs[q] - xs[u]) < 0:
+                p, q = q, p
+            wedges[u].append((p, q, f))
+            side = edge_key(u, p)
+            if side in dropped:
+                along[u][p] = along[p][u] = f
+            else:
+                rims[f].add(side)
+    pairs = {e for f in range(count) for e in combinations(sorted(corners[f]), 2)
+             if e in dropped or e not in opposites}
+    inside = {f: [e for e in rim if e not in hull_edges] for f, rim in enumerate(rims)}
+
+    def corner(u: int, w: int) -> int | None:
+        """The region that the segment from u to w leaves u into, if any."""
+        if w in along[u]:
+            return along[u][w]
+        ux, uy = xs[u], ys[u]
+        wx, wy = xs[w] - ux, ys[w] - uy
+        for p, q, f in wedges[u]:
+            if (xs[p] - ux) * wy - (ys[p] - uy) * wx > 0 and wx * (ys[q] - uy) - wy * (xs[q] - ux) > 0:
+                return f
+        return None
+
+    taken = _greedy_fill(ps, pairs, inside, corner, avoid, len(dropped))
+    adj: defaultdict[int, set[int]] = defaultdict(set)
+    for u, v in (*set().union(*rims), *taken):
+        adj[u].add(v)
+        adj[v].add(u)
+    new = set()
+    for u, v, left, right in _side_apexes(xs, ys, adj, taken):
+        if left < 0 or right < 0:
+            raise InternalInvariantError(f"refilled edge {(u, v)} misses a face")
+        new.update((triangle_key(u, v, left), triangle_key(u, v, right)))
+    return t._replaced(set(region), new), taken
 
 
 def _winding(ps: PointSet, walk: list[int], r: int) -> int:

@@ -594,6 +594,29 @@ def bf_wheel_or_fan(ps: PointSet, edges) -> bool:
     return (not inside and bool(hubs)) or (len(inside) == 1 and inside <= hubs)
 
 
+def bf_leaf_cells(ps: PointSet, edges) -> int:
+    """The number of leaf cells of the triangulation with these edges.
+
+    A hull chord (an edge between two hull corners that is no hull edge)
+    cuts the hull polygon in two; the chords cut it into cells, and a leaf
+    cell is the one cell on a side of a chord that holds no other chord.
+    So this counts the (chord, side) pairs with no other chord on that side,
+    a chord lying on a side when each of its ends is an end of the first
+    chord or strictly on that side, by orientation alone."""
+    pts = [p.coords() for p in ps]
+    corners = _ref_hull_corners(pts)
+    hull_sides = {frozenset((corners[i - 1], corners[i])) for i in range(len(corners))}
+    chords = [(pts[u], pts[v]) for u, v in edges
+              if pts[u] in corners and pts[v] in corners
+              and frozenset((pts[u], pts[v])) not in hull_sides]
+    leaves = 0
+    for a, b in chords:
+        for side in (1, -1):
+            leaves += not any(all(p in (a, b) or side * _cross(a, b, p) > 0 for p in other)
+                              for other in chords if other != (a, b))
+    return leaves
+
+
 def _ref_hull_corners(pts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     """Hull corners of distinct points by the monotone chain, each once; a
     point on a hull edge is not a corner."""

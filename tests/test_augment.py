@@ -23,7 +23,7 @@ from biplane.triangulation import (Triangulation, TriangulationClass, classify,
                                    triangulation_from_edges)
 
 from conftest import chordful_triangulation
-from oracles import (all_triangulations, bf_first_crossing, bf_vertex_connectivity,
+from oracles import (all_triangulations, bf_first_crossing, bf_leaf_cells, bf_vertex_connectivity,
                      bf_wheel_or_fan, ref_closer_to_first_ray, ref_first_hit, ref_flip,
                      ref_maximal_sector, ref_vertex_connectivity)
 
@@ -323,6 +323,20 @@ class TestEveryTriangulation:
             assert refused == n
         elif name.startswith("wheel"):
             assert refused == 1
+
+    def test_min_augment_3conn_joins_leaf_cells_in_pairs(self):
+        """min_augment_3conn adds ceil(m / 2) edges for the m >= 2 leaf cells
+        that the oracle counts, and none to a triangulation without a chord,
+        which has no leaf cell (one chord makes two)."""
+        counts = set()
+        for name, points in EVERY_TRIANGULATION_SETS.items():
+            ps = points()
+            for edges in all_triangulations(ps):
+                m = bf_leaf_cells(ps, edges)
+                added = min_augment_3conn(triangulation_from_edges(ps, edges))
+                assert m != 1 and len(added) == math.ceil(m / 2), (name, sorted(edges))
+                counts.add(m)
+        assert {0, 2, 3, 4} <= counts, counts
 
 
 class TestBisectorSign:

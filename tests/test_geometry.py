@@ -748,6 +748,41 @@ class TestHullView:
                 self.check(out)
         assert kept >= 4 and moved >= 4, (kept, moved)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reordered_prefixes(self, seed):
+        """A reordering of a checked set has its points in the given order;
+        each next prefix has the views of a fresh PointSet of its
+        coordinates, and keeps the shorter prefix's hull exactly when the
+        new point lies strictly inside it."""
+        rng = random.Random(seed)
+        ps = random_general_position(16, seed, span=1000)
+        order = rng.sample(range(16), 16)
+        full = ps.reordered(order)
+        assert list(zip(full.xs, full.ys)) == [(ps.xs[i], ps.ys[i]) for i in order]
+        assert ps.subset([5, 2, 9, 2]).xs == ps.reordered([2, 5, 9]).xs
+        prev = PointSet(list(zip(full.xs[:3], full.ys[:3])))
+        outcomes = set()
+        for k in range(4, 17):
+            out = full.next_prefix(prev)
+            inside = inside_hull(prev, Point(full.xs[k - 1], full.ys[k - 1]))
+            assert (out._hull is prev.hull()) == inside
+            outcomes.add(inside)
+            fresh = PointSet(list(zip(out.xs, out.ys)))
+            assert out.hull() == fresh.hull() and out.hull_edges() == fresh.hull_edges()
+            assert out.hull_positions() == fresh.hull_positions()
+            self.check(out)
+            prev = out
+        assert outcomes == {False, True}
+
+    def test_reordered_and_prefix_misuse(self):
+        ps = random_general_position(8, 1, span=1000)
+        with pytest.raises(PreconditionError, match="^ids repeat a vertex$"):
+            ps.reordered([0, 1, 1])
+        other = ps.reordered([1, 0, *range(2, 8)])
+        for before in (other.subset(range(3)), ps, ps.extended([(5000, 5001)])):
+            with pytest.raises(PreconditionError, match="no shorter prefix"):
+                ps.next_prefix(before)
+
 
 class TestConvexPosition:
     def test_hexagon(self):

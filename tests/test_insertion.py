@@ -34,6 +34,11 @@ def fresh_core(n=14, radius=1000):
     return InsertionState(build_5conn_convex(ps))
 
 
+def insert_at(st, pt):
+    """The interior step for bare coordinates, checked by `extended`."""
+    return insert_interior_point(st, st.ps.extended([pt]))
+
+
 class TestFindFlippableOpposite:
     def test_returned_edge_is_flippable_and_opposite(self):
         for seed in range(12):
@@ -81,7 +86,7 @@ class TestFindFlippableOpposite:
 class TestInsertInteriorPoint:
     def test_fig3_style_15_points(self):
         st = fresh_core()
-        st = insert_interior_point(st, (103, 57))
+        st = insert_at(st, (103, 57))
         assert kappa_of(st.current) >= 5
         assert verify_layering(st.current)
         assert len(st.current.adjacency()[14]) >= 5
@@ -95,7 +100,7 @@ class TestInsertInteriorPoint:
             attempts += 1
             pt = (rng.randint(-600, 600), rng.randint(-600, 600))
             try:
-                st = insert_interior_point(st, pt)
+                st = insert_at(st, pt)
             except PreconditionError:
                 continue
             done += 1
@@ -109,25 +114,35 @@ class TestInsertInteriorPoint:
         monkeypatch.setattr(insertion, "LayeredGraph",
                             lambda *args: built.append(args) or LayeredGraph(*args))
         for pt in ((103, 57), (-211, 101), (97, -305), (-40, -380)):
-            st = insert_interior_point(st, pt)
+            st = insert_at(st, pt)
         assert not built
         g = st.current
         assert st.current is g and len(built) == 1
         assert (g.ps, g.layer_edges(LAYER1), g.layer_edges(LAYER2)) == (st.ps, st.layer1, st.layer2)
         assert kappa_of(g) >= 5 and verify_layering(g)
 
+    def test_rejects_a_set_that_does_not_extend_the_state(self):
+        st = fresh_core()
+        ps = st.ps
+        with_two = ps.extended([(103, 57), (-211, 101)])
+        moved = PointSet([(ps.xs[0] + 1, ps.ys[0])] + list(zip(ps.xs, ps.ys))[1:] + [(103, 57)])
+        for new_ps in (with_two, moved, ps):
+            with pytest.raises(PreconditionError,
+                               match="^the new point set does not extend the state's 14 points by one$"):
+                insert_interior_point(st, new_ps)
+
     def test_rejects_exterior_point(self):
         st = fresh_core()
         with pytest.raises(PreconditionError):
-            insert_interior_point(st, (10 ** 6, 10 ** 6))
+            insert_at(st, (10 ** 6, 10 ** 6))
 
     @pytest.mark.parametrize("pt", [(10 ** 6, 10 ** 6), (1001, 3), (-990, -150)])
     def test_point_off_the_hull_interior_named(self, pt):
         # beyond the 14-gon of radius 1000: far away, and just outside an edge
-        for st in (fresh_core(), InsertionState(insert_interior_point(fresh_core(), (103, 57)).current)):
+        for st in (fresh_core(), InsertionState(insert_at(fresh_core(), (103, 57)).current)):
             with pytest.raises(PreconditionError,
                                match=r"^point must lie strictly inside the current hull$"):
-                insert_interior_point(st, pt)
+                insert_at(st, pt)
 
     def test_case1_disjoint_triangles_no_deletion(self):
         # run insertions until a case-1 (no edge removed) instance appears
@@ -137,7 +152,7 @@ class TestInsertInteriorPoint:
             pt = (rng.randint(-600, 600), rng.randint(-600, 600))
             before = st.current.edges()
             try:
-                nxt = insert_interior_point(st, pt)
+                nxt = insert_at(st, pt)
             except PreconditionError:
                 continue
             lost = before - nxt.current.edges()
@@ -221,8 +236,8 @@ class TestInteriorHull:
         real = insertion.insert_interior_point
         spliced = []
 
-        def checked(state, coords):
-            nxt = real(state, coords)
+        def checked(state, new_ps):
+            nxt = real(state, new_ps)
             self.assert_same_up_to_rotation(nxt.interior_hull, self.fresh_hull(nxt.ps))
             spliced.append(len(nxt.interior_hull))
             return nxt
@@ -240,7 +255,7 @@ class TestInteriorHull:
     def four_steps():
         st = fresh_core()
         for pt in ((103, 57), (-211, 101), (97, -305), (-40, -380)):
-            st = insert_interior_point(st, pt)
+            st = insert_at(st, pt)
         return st
 
     def test_point_inside_the_interior_hull_rejected(self):
@@ -248,7 +263,7 @@ class TestInteriorHull:
         assert len(st.interior_hull) == 4
         with pytest.raises(PreconditionError,
                            match="^point must lie outside the hull of the interior vertices$"):
-            insert_interior_point(st, (-3, -49))
+            insert_at(st, (-3, -49))
 
     def test_state_from_a_graph_computes_the_hull_on_first_use(self, monkeypatch):
         st = self.four_steps()
@@ -493,6 +508,31 @@ class TestBuildGeneral:
         g = build_5conn_general(ps)
         assert kappa_of(g) >= 5 and verify_layering(g)
 
+    def test_every_step_takes_a_checked_prefix(self, monkeypatch):
+        """Each step's point set, a prefix of the one set that the build
+        reorders without a check, has the coordinates and hull views that a
+        fresh PointSet of them has, and no collinear triple by a full scan;
+        the interior and exterior steps get the hull views carried over."""
+        real = insertion.insert_interior_point
+        seen = []
+
+        def checked(state, new_ps):
+            carried = new_ps._hull is not None
+            fresh = PointSet(list(zip(new_ps.xs, new_ps.ys)))
+            assert (new_ps.xs, new_ps.ys) == (fresh.xs, fresh.ys)
+            assert new_ps.hull() == fresh.hull() and new_ps.hull_positions() == fresh.hull_positions()
+            assert new_ps.hull_edges() == fresh.hull_edges()
+            assert bf_first_collinear(new_ps.xs, new_ps.ys, 0) is None
+            seen.append(carried)
+            return real(state, new_ps)
+
+        monkeypatch.setattr(insertion, "insert_interior_point", checked)
+        for seed in (0, 1, 3, 4):
+            build_5conn_general(core_plus_interior(24, seed, outer=2))
+        for seed in range(1, 6):
+            build_5conn_general(mixed_pipeline_instance(seed))
+        assert len(seen) >= 40 and all(seen)
+
 
 # sha256 of repr(sorted(g.layers.items())) for mixed_pipeline_instance(seed),
 # edges in the input's ids: any change to what an insertion step builds shows
@@ -519,31 +559,33 @@ def test_general_build_layers_are_unchanged(seed):
 
 
 def test_carried_triangulations_equal_a_fresh_saturation(monkeypatch):
-    """Where a step reuses the carried t1/t2, they are what saturating the
-    layers from scratch would give.  Seeds 0-9 reuse and saturate; seeds 21
-    and 30 also leave dummy edges, so a carried pair is turned down."""
+    """Where a step starts from the carried t1/t2, reused as they are or
+    refilled around the edges their layers lack, the pair and its dummy
+    edges are what saturating the layers from scratch would give.  The mixed
+    seeds reuse and saturate (seeds 21 and 30 leave a hull edge out of both
+    layers, which refills nothing); core_plus_interior(70, 2) leaves edges
+    inside the hull, which the next step refills."""
     real = insertion._saturate
-    paths = {"reused": 0, "no pair": 0, "dummies left": 0}
+    paths = {"reused": 0, "no pair": 0, "refilled": 0}
 
     def checked(state):
         t1, t2, dummies = real(state)
         if state.t1 is None:
             paths["no pair"] += 1
-        elif (t1, t2) != (state.t1, state.t2):
-            paths["dummies left"] += 1
-        else:
-            g = state.current
-            want1 = complete_to_triangulation(g.ps, required=g.layer_edges(LAYER1))
-            want2 = complete_to_triangulation(g.ps, required=g.layer_edges(LAYER2),
-                                              avoid=want1.edges)
-            assert (t1.triangles, t2.triangles) == (want1.triangles, want2.triangles)
-            assert not dummies
-            paths["reused"] += 1
+            return t1, t2, dummies
+        g = state.current
+        want1 = complete_to_triangulation(g.ps, required=g.layer_edges(LAYER1))
+        want2 = complete_to_triangulation(g.ps, required=g.layer_edges(LAYER2),
+                                          avoid=want1.edges)
+        assert (t1.triangles, t2.triangles) == (want1.triangles, want2.triangles)
+        assert dummies == (want1.edges | want2.edges) - g.edges()
+        paths["reused" if (t1, t2) == (state.t1, state.t2) else "refilled"] += 1
         return t1, t2, dummies
 
     monkeypatch.setattr(insertion, "_saturate", checked)
     for seed in [*range(10), 21, 30]:
         build_5conn_general(mixed_pipeline_instance(seed))
+    build_5conn_general(core_plus_interior(70, 2))
     assert all(paths.values()), paths
 
 

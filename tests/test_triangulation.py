@@ -17,7 +17,7 @@ from biplane.connectivity import verify_layering
 from biplane.insertion import build_5conn_general
 from biplane.triangulation import (Triangulation, TriangulationClass,
                                    classify, complete_to_triangulation,
-                                   edge_key, flip, is_flippable,
+                                   edge_key, flip, is_flippable, refilled,
                                    triangle_key, triangulate,
                                    triangulation_from_edges)
 
@@ -222,13 +222,43 @@ def joins_every_vertex_to_the_hull(ps: PointSet, edges) -> bool:
 def subset_cases(seeds):
     """(seed, points, required, avoid): a random plane subset of the edges of
     random_triangulation(n, seed), n 4-16, and random pairs to avoid."""
+    for seed, t, required, avoid in triangulated_subset_cases(seeds):
+        yield seed, t.ps, required, avoid
+
+
+def triangulated_subset_cases(seeds):
+    """`subset_cases` with the triangulation t whose edges were sampled in
+    place of its points."""
     for seed in seeds:
         rng = random.Random(seed)
         t = random_triangulation(rng.randint(4, 16), seed)
         n, keep, shun = len(t.ps), rng.randint(0, 10) / 10, rng.random() / 2
         required = [e for e in sorted(t.edges) if rng.random() < keep]
         avoid = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < shun]
-        yield seed, t.ps, required, avoid
+        yield seed, t, required, avoid
+
+
+def refill_regions(t: Triangulation, required) -> int:
+    """The regions that `refilled` fills: t's triangles glued along its edges
+    outside `required` and the hull edges, by a union-find of its own."""
+    h = t.ps.hull()
+    keep = {edge_key(*e) for e in required} | {edge_key(h[i - 1], h[i]) for i in range(len(h))}
+    owner = {}
+    parent = {tri: tri for tri in t.triangles}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b, c in t.triangles:
+        for e in ((a, b), (b, c), (a, c)):
+            if e not in keep:
+                if e in owner:
+                    parent[find(owner[e])] = find((a, b, c))
+                else:
+                    owner[e] = (a, b, c)
+    return len({find(tri) for tri in owner.values()})
 
 
 def nested_cases(seeds):
@@ -316,7 +346,7 @@ class TestGreedyCompletionDifferential:
         assert len(found["nested hole"]) >= 20
 
     def test_every_completion_of_seeded_builds(self, monkeypatch):
-        calls = []
+        calls, refills = [], []
 
         def recording(ps, required=(), avoid=()):
             required, avoid = list(required), list(avoid)
@@ -324,7 +354,14 @@ class TestGreedyCompletionDifferential:
             calls.append((ps, required, avoid, t.edges))
             return t
 
+        def recording_refill(t, dropped, avoid=frozenset()):
+            out, taken = refilled(t, dropped, avoid)
+            refills.append((t, t.edges - dropped, avoid, out.edges))
+            assert set(taken) == (out.edges - t.edges) | ((dropped & out.edges) - t.ps.hull_edges())
+            return out, taken
+
         monkeypatch.setattr(insertion, "complete_to_triangulation", recording)
+        monkeypatch.setattr(insertion, "refilled", recording_refill)
         monkeypatch.setattr(augment, "complete_to_triangulation", recording)
         for n, seed, outer in ((70, 2, 0), (80, 5, 0), (80, 6, 4), (100, 1, 0)):
             build_5conn_general(core_plus_interior(n, seed, outer=outer))
@@ -334,9 +371,44 @@ class TestGreedyCompletionDifferential:
         for n, seed in ((20, 1), (40, 2), (60, 3)):
             augment_to_4conn(chordful_triangulation(n, seed))
             augment_to_4conn(random_triangulation(n, seed))
-        assert built > 100 and len(calls) - built > 50
+        assert built > 20 and len(calls) - built > 50
         for ps, required, avoid, edges in calls:
             assert edges == ref_greedy_completion(ps, required, avoid)
+        # a refill that finds every edge of t in its layer gives t back as it is
+        regions = [refill_regions(t, required) for t, required, _, _ in refills]
+        assert len(refills) > 300 and sum(r > 0 for r in regions) > 50 and max(regions) >= 2
+        for (t, required, avoid, edges), r in zip(refills, regions):
+            if r:
+                assert edges == ref_greedy_completion(t.ps, required, avoid)
+            else:
+                assert edges == t.edges
+
+    def test_refills_of_plane_subsets(self):
+        """`refilled` from a triangulation that holds the required edges, with
+        its other edges dropped: the random triangulation of each subset
+        case, and the plain completion of each nested case, refilled with
+        its own pairs to avoid.  It reports as taken the edges it adds and
+        the dropped ones it takes again, never a hull edge."""
+        cases = list(triangulated_subset_cases(range(600)))
+        cases += [(seed, complete_to_triangulation(ps, required), required, avoid)
+                  for seed, ps, required, avoid in nested_cases(range(40))]
+        holes = regions = 0
+        for seed, t, required, avoid in cases:
+            dropped = t.edges - {edge_key(*e) for e in required}
+            got, taken = refilled(t, dropped, frozenset(edge_key(*e) for e in avoid))
+            assert got.edges == ref_greedy_completion(t.ps, required, avoid), seed
+            assert set(taken) == (got.edges - t.edges) | ((dropped & got.edges) - t.ps.hull_edges())
+            holes += not joins_every_vertex_to_the_hull(t.ps, required)
+            regions += refill_regions(t, required) >= 2
+        assert holes >= 50 and regions >= 50, (holes, regions)
+
+    def test_refill_keeps_hull_edges_and_rejects_a_foreign_edge(self):
+        t = random_triangulation(8, 1)
+        assert refilled(t, t.ps.hull_edges()) == (t, [])
+        foreign = next((u, v) for u in range(8) for v in range(u + 1, 8) if (u, v) not in t.edges)
+        with pytest.raises(PreconditionError,
+                           match=r"^dropped edges must be edges of the triangulation$"):
+            refilled(t, [foreign])
 
 
 FROM_EDGES_CASES = ([random_triangulation(n, seed) for n, seed in
