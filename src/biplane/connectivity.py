@@ -11,7 +11,8 @@ from typing import Iterable, Sequence
 from .errors import PreconditionError
 from .geometry import PointSet, crossing_pairs, first_crossing
 from .layered import LayeredGraph
-from .triangulation import Edge, Triangulation, _adjacency, checked_edges, edge_key
+from .triangulation import (Edge, Triangulation, _adjacency, checked_adjacency,
+                            checked_edges, edge_key)
 
 INF = 1 << 30
 
@@ -86,7 +87,7 @@ def min_vertex_cut(n: int, edges: Iterable[Edge]) -> tuple[int, list[int]]:
     """
     if n < 2:
         raise PreconditionError("vertex connectivity needs n >= 2")
-    adj = _adjacency(n, checked_edges(n, edges))
+    adj = checked_adjacency(n, edges)
     degree = [len(a) for a in adj.values()]
     delta = min(degree)
     s = degree.index(delta)

@@ -14,7 +14,7 @@ from .errors import (ImpossibleError, InternalInvariantError,
                      PreconditionError)
 from .geometry import PointSet, is_convex_position
 from .layered import LayeredGraph
-from .triangulation import Edge, _adjacency, checked_edges, edge_key
+from .triangulation import Edge, checked_adjacency, edge_key
 
 
 def _fig1_trees(n: int) -> tuple[set[Edge], set[Edge]]:
@@ -73,9 +73,9 @@ def find_hamiltonian_cycle(n: int, edges: Iterable[Edge]) -> list[int]:
     a child appends w to a path whose test passed, w is the new tail, and the
     count drops by one exactly for the unvisited neighbours of the old tail p
     (not at all when p = 0), so only they are tested again.  A bad edge is
-    a PreconditionError (`checked_edges`).
+    a PreconditionError (`checked_adjacency`).
     """
-    adj = _adjacency(n, checked_edges(n, edges))
+    adj = checked_adjacency(n, edges)
     if n < 3:
         raise PreconditionError("cycle needs n >= 3")
     nbrs = [sorted(adj[v]) for v in range(n)]

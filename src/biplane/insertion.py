@@ -17,9 +17,9 @@ from typing import Callable, Sequence
 from .connectivity import layer_crossing
 from .convex import build_5conn_convex
 from .errors import InternalInvariantError, PreconditionError
-from .geometry import (PointSet, circular_runs, convex_hull, max_convex_subset_indices,
-                       polygon_doubled_area, segments_properly_cross, strictly_inside,
-                       visible_chain)
+from .geometry import (PointSet, circular_runs, convex_hull, first_crossing,
+                       max_convex_subset_indices, polygon_doubled_area,
+                       segments_properly_cross, strictly_inside, visible_chain)
 from .layered import LAYER1, LAYER2, LayeredGraph
 from .triangulation import (Edge, Triangulation, TriangulationClass, classify,
                             complete_to_triangulation, edge_key, flip, is_flippable,
@@ -35,19 +35,19 @@ class InsertionState:
     next as its point set `ps` and its two layer edge sets.
 
     After an interior insertion, t1 and t2 are the two validated layer
-    triangulations: each layer is a subset of its triangulation, and only
-    the saturation's dummy edges are missing from it.  No two edges of a
-    validated triangulation cross, so that inclusion alone shows both layers
-    plane.  `missing` holds the edges of t1 and t2 that neither layer has,
-    so t_i less layer i is `missing` within t_i.  The next step starts from
-    t1 and t2 and refills only the faces around the missing edges, which
-    gives what completing the layers from scratch would give (`refilled`);
-    with none missing off the hull it takes them as they are.  Only
-    `of_layers` sets them; states built from a LayeredGraph (the convex
-    core, after hull insertion) carry None and no missing edge.
+    triangulations and `missing` holds their edges that neither layer has,
+    the saturation's dummy edges.  Each layer is then a view, t_i less
+    `missing`, built on first read and kept: the steps read only t1, t2 and
+    `missing`.  No two edges of a validated triangulation cross, so that
+    inclusion alone shows both layers plane.  The next step starts from t1
+    and t2 and refills only the faces around the missing edges, which gives
+    what completing the layers from scratch would give (`refilled`); with
+    none missing off the hull it takes them as they are.  Only
+    `of_triangulations` sets them; states built from a LayeredGraph (the
+    convex core, after hull insertion) carry its layers, None for t1 and
+    t2, and no missing edge.
 
-    `current`, the graph as a LayeredGraph, is built on first use and kept;
-    the insertion steps read and write only the edge sets.
+    `current`, the graph as a LayeredGraph, is built on first use and kept.
 
     `interior_hull` holds the vertices of the convex hull of the interior
     vertices (those not on the hull of `ps`), counterclockwise; with fewer
@@ -61,8 +61,8 @@ class InsertionState:
 
     def __init__(self, current: LayeredGraph):
         self.ps = current.ps
-        self.layer1 = current.layer_edges(LAYER1)
-        self.layer2 = current.layer_edges(LAYER2)
+        self._layers: tuple[frozenset[Edge], frozenset[Edge]] | None = (
+            current.layer_edges(LAYER1), current.layer_edges(LAYER2))
         self.t1: Triangulation | None = None
         self.t2: Triangulation | None = None
         self.missing: frozenset[Edge] = frozenset()
@@ -70,16 +70,29 @@ class InsertionState:
         self._interior_hull: tuple[int, ...] | None = None
 
     @classmethod
-    def of_layers(cls, ps: PointSet, layer1: frozenset[Edge], layer2: frozenset[Edge],
-                  t1: Triangulation, t2: Triangulation, missing: frozenset[Edge],
-                  interior_hull: tuple[int, ...]) -> "InsertionState":
-        """The state with these layer edge sets; `current` is not built yet."""
+    def of_triangulations(cls, ps: PointSet, t1: Triangulation, t2: Triangulation,
+                          missing: frozenset[Edge], interior_hull: tuple[int, ...]
+                          ) -> "InsertionState":
+        """The state whose layers are t1 and t2 less `missing`; neither the
+        layers nor `current` is built yet."""
         state = cls.__new__(cls)
-        state.ps, state.layer1, state.layer2 = ps, layer1, layer2
-        state.t1, state.t2, state.missing = t1, t2, missing
-        state._current = None
+        state.ps, state.t1, state.t2, state.missing = ps, t1, t2, missing
+        state._layers = state._current = None
         state._interior_hull = interior_hull
         return state
+
+    def _layer_pair(self) -> tuple[frozenset[Edge], frozenset[Edge]]:
+        if self._layers is None:
+            self._layers = (self.t1.edges - self.missing, self.t2.edges - self.missing)
+        return self._layers
+
+    @property
+    def layer1(self) -> frozenset[Edge]:
+        return self._layer_pair()[0]
+
+    @property
+    def layer2(self) -> frozenset[Edge]:
+        return self._layer_pair()[1]
 
     @property
     def current(self) -> LayeredGraph:
@@ -108,21 +121,53 @@ def _saturate(state: InsertionState) -> tuple[Triangulation, Triangulation, froz
     report the added dummy edges.
 
     A state that carries t1 and t2 refills only the faces around their
-    edges that its layers lack, `missing` (`refilled`), and gives t1 and t2
-    back as they are when none of those is off the hull.
+    edges that its layers lack, `missing` (`refilled`), and gives t_i back
+    as it is when none of those is off the hull, or when the refill is
+    settled (`_settled`).  It reads no layer.
     """
-    one, two, t1, t2 = state.layer1, state.layer2, state.t1, state.t2
-    if t1 is None or t2 is None:
+    old1, old2, missing = state.t1, state.t2, state.missing
+    if old1 is None or old2 is None:
+        one, two = state.layer1, state.layer2
         t1 = complete_to_triangulation(state.ps, required=one)
         t2 = complete_to_triangulation(state.ps, required=two, avoid=t1.edges)
         return t1, t2, frozenset((t1.edges | t2.edges) - one - two)
+    # s is the point the last step inserted
+    s, hull_edges = len(state.ps) - 1, state.ps.hull_edges()
+    drop1 = {e for e in missing if e in old1 and e not in hull_edges}
+    drop2 = {e for e in missing if e in old2 and e not in hull_edges}
+    t1, taken1 = (old1, []) if _settled(old1, drop1, s, ()) else refilled(old1, drop1)
+    # layer 2 avoids t1's edges, which the last step's flips changed only
+    # between neighbours of s
+    ring = sorted(old1.neighbors(s))
+    flipped = [(a, b) for i, a in enumerate(ring) for b in ring[i + 1:] if (a, b) not in old1]
+    t2, taken2 = ((old2, []) if t1 is old1 and _settled(old2, drop2, s, flipped)
+                  else refilled(old2, drop2, avoid=t1))
     # t_i's edges outside layer i are its missing ones; a refill trades them
     # for the edges it takes, none of which is in layer i
-    missing = state.missing
-    t1, taken1 = refilled(t1, missing & t1.edges)
-    t2, taken2 = refilled(t2, missing & t2.edges, avoid=t1.edges)
-    kept = frozenset(e for e in missing if e in t1.edges or e in t2.edges)
-    return t1, t2, kept.union(e for e in taken1 + taken2 if e not in one and e not in two)
+    kept = frozenset(e for e in missing if e in t1 or e in t2)
+    # a taken edge lies in the other layer when that triangulation had it
+    # and did not miss it
+    return t1, t2, kept.union(e for taken, other in ((taken1, old2), (taken2, old1))
+                              for e in taken if e in missing or e not in other)
+
+
+def _settled(t: Triangulation, dropped: set[Edge], s: int, moved: Sequence[Edge]) -> bool:
+    """Whether refilling t around `dropped` gives t back, by a sufficient
+    test: no triangle on a dropped edge has the corner s, the point the
+    last step inserted, and no pair in `moved`, the pairs whose membership
+    in the triangulation to avoid may have changed since the last
+    saturation, joins two corners of those triangles.  Every triangle
+    without the corner s is then one the last saturation made, and each
+    region is a face it filled, in the same order (see README,
+    Verification, *Settled refills*)."""
+    corners: set[int] = set()
+    for e in dropped:
+        ws = t.opposites(e)
+        if s in ws:
+            return False
+        corners.update(e)
+        corners.update(ws)
+    return not any(a in corners and b in corners for a, b in moved)
 
 
 def find_flippable_opposite(t: Triangulation, s: int) -> tuple[tuple[int, int, int], Edge]:
@@ -171,7 +216,7 @@ def _cycle_flip(ta: Triangulation, tb: Triangulation, s: int) -> Edge | None:
     candidates = []
     for i in range(k):
         e = edge_key(ring[i], ring[(i + 1) % k])
-        if e in tb.edges and is_flippable(ta, e) and _far_apex(ta, e, s) not in union_nbrs:
+        if e in tb and is_flippable(ta, e) and _far_apex(ta, e, s) not in union_nbrs:
             candidates.append(e)
     return min(candidates) if candidates else None
 
@@ -248,19 +293,37 @@ def insert_interior_point(state: InsertionState, new_ps: PointSet) -> InsertionS
         raise PreconditionError("point must lie strictly inside the current hull")
     interior_hull = _interior_hull_with(new_ps, state.interior_hull, s)
     t1, t2, dummies = _saturate(state)
-    t1, t2 = _raise_degree_to_five(t1.split(new_ps, s), t2.split(new_ps, s), s)
-
-    union = t1.edges | t2.edges
-    final_edges = union - dummies
-    lost = state.edges() - final_edges
+    split1, split2 = t1.split(new_ps, s), t2.split(new_ps, s)
+    t1, t2 = _raise_degree_to_five(split1, split2, s)
+    # the layers lost only edges that a flip removed and neither
+    # triangulation has now, and they had every such edge but the dummies
+    lost = sorted({e for split, t in ((split1, t1), (split2, t2)) if t is not split
+                   for e in _flip_reach(split, s) if e not in t1 and e not in t2 and e not in dummies})
     if len(lost) > 1:
-        raise InternalInvariantError(f"insertion deleted {len(lost)} original edges: {sorted(lost)}")
-    degree = sum((v, s) in final_edges for v in t1.neighbors(s) | t2.neighbors(s))
+        raise InternalInvariantError(f"insertion deleted {len(lost)} original edges: {lost}")
+    # every edge at s is new, so none of them is a dummy
+    degree = len(t1.neighbors(s) | t2.neighbors(s))
     if degree < 5:
         raise InternalInvariantError(f"inserted vertex has degree {degree} < 5")
     # each layer is a subset of a validated triangulation, so it is plane
-    return InsertionState.of_layers(new_ps, t1.edges & final_edges, t2.edges & final_edges,
-                                    t1, t2, dummies & union, interior_hull)
+    return InsertionState.of_triangulations(
+        new_ps, t1, t2, frozenset(e for e in dummies if e in t1 or e in t2), interior_hull)
+
+
+def _flip_reach(t: Triangulation, s: int) -> set[Edge]:
+    """The edges that `_raise_degree_to_five` can flip away in t, just split
+    at s: the sides of the triangle that s split, which are the link edges
+    of s, and the far sides of the triangles beyond them, which the
+    rescue's second flip can take once its first has joined s to the far
+    apex (see README, Verification)."""
+    a, b, c = t.neighbors(s)
+    reach = set()
+    for u, v in (edge_key(a, b), edge_key(b, c), edge_key(a, c)):
+        reach.add((u, v))
+        for x in t.opposites((u, v)):
+            if x != s:
+                reach.update((edge_key(u, x), edge_key(v, x)))
+    return reach
 
 
 # ----------------------------------------------------------------------
@@ -619,12 +682,43 @@ def insert_hull_points(state: InsertionState, sb: Sequence[tuple[int, int]]) -> 
     for b in sorted(b_ids):
         if len(adj[b]) < 5:
             raise InternalInvariantError(f"new hull vertex {b} has degree {len(adj[b])} < 5")
-    crossing = layer_crossing(result)
-    if crossing:
-        layer, e, f = crossing
-        raise InternalInvariantError(
-            f"layer separation broken by hull insertion: layer {layer} edges {e} and {f} cross")
+    # only a crossing that the guard cannot rule out runs the full check,
+    # which names the pair
+    if _may_cross(result, t1, LAYER1) or _may_cross(result, t2, LAYER2):
+        crossing = layer_crossing(result)
+        if crossing:
+            layer, e, f = crossing
+            raise InternalInvariantError(
+                f"layer separation broken by hull insertion: layer {layer} edges {e} and {f} cross")
     return InsertionState(result)
+
+
+def _may_cross(g: LayeredGraph, t: Triangulation, layer: int) -> bool:
+    """False when no two edges of layer `layer` of g cross, given t, the
+    triangulation of a prefix of g's points that the layer started from.
+
+    t's edges cross none of each other, so a crossing in the layer has an
+    edge outside t, one of `added` (see README, Verification, *Layering*).
+    Each added edge between two points of t crosses the layer's edges of t
+    that `crossed_edges` lists; one from a point of t to a later point, the
+    edges of t that its walk crosses until it leaves t's hull; one between
+    two later points that is a hull edge of g's points, none.  The added
+    edges among themselves go through `first_crossing`.  True for an added
+    edge between two later points off the hull, which no walk covers."""
+    ps, es, n = g.ps, g.layer_edges(layer), len(t.ps)
+    added = sorted(es - t.edges)
+    for u, v in added:
+        if v < n:
+            crossed = t.crossed_edges(u, v)
+        elif u < n:
+            crossed = t.crossed_leaving(u, (ps.xs[v], ps.ys[v]))
+        elif (u, v) in ps.hull_edges():
+            continue
+        else:
+            return True
+        if any(e in es for e in crossed):
+            return True
+    return first_crossing(ps, added) is not None
 
 
 # ----------------------------------------------------------------------

@@ -21,17 +21,38 @@ def edge_key(u: int, v: int) -> Edge:
 
 
 def checked_edges(n: int, edges: Iterable[Edge]) -> list[Edge]:
-    """Each edge as a sorted pair, in the given order: the one check of an
-    edge list.  The first edge that joins a point to itself or names no
-    point of 0..n-1 is a PreconditionError that names it as a sorted pair."""
+    """Each edge as a sorted pair, in the given order: the check of an edge
+    list.  The first edge that joins a point to itself or names no point of
+    0..n-1 is a PreconditionError that names it as a sorted pair."""
     out: list[Edge] = []
     for u, v in edges:
         if u > v:
             u, v = v, u
         if not 0 <= u < v < n:
-            raise PreconditionError(f"bad edge {(u, v)}")
+            raise _bad_edge(u, v)
         out.append((u, v))
     return out
+
+
+def checked_adjacency(n: int, edges: Iterable[Edge]) -> dict[int, set[int]]:
+    """The neighbours of each of the n vertices along `edges`, which are
+    checked as `checked_edges` checks them, in the same loop that files
+    them."""
+    adj: dict[int, set[int]] = {v: set() for v in range(n)}
+    for u, v in edges:
+        if u > v:
+            u, v = v, u
+        if not 0 <= u < v < n:
+            raise _bad_edge(u, v)
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def _bad_edge(u: int, v: int) -> PreconditionError:
+    """The error for the edge (u, v), u < v, that joins a point to itself or
+    names no point."""
+    return PreconditionError(f"bad edge {(u, v)}")
 
 
 def triangle_key(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -217,6 +238,11 @@ class Triangulation:
     def opposites(self, e: Edge) -> tuple[int, ...]:
         return self._opposites[edge_key(*e)]
 
+    def __contains__(self, e: Edge) -> bool:
+        """Whether the sorted pair e is an edge, read from the apex map, so
+        a triangulation serves as a container of its edges without `edges`."""
+        return e in self._opposites
+
     def locate(self, s: tuple[int, int]) -> tuple[int, int, int]:
         """Triangle strictly containing the point s = (x, y), by a straight
         walk from vertex n - 1 to s (`_walk`).
@@ -238,15 +264,23 @@ class Triangulation:
             u, v = v, u
         return self._walk(u, (self.ps.xs[v], self.ps.ys[v]), v)[1]
 
+    def crossed_leaving(self, q: int, s: tuple[int, int]) -> list[Edge]:
+        """The edges that the segment from vertex q to the point s, which
+        lies outside the hull, properly crosses, in order: a `_walk` that
+        ends where the segment leaves the hull, by the hull edge it crosses
+        last, or at q when q is a hull vertex and the segment points out."""
+        return self._walk(q, s, len(self.ps))[1]
+
     def _walk(self, q: int, s: tuple[int, int], end: int = -1
               ) -> tuple[tuple[int, int, int] | None, list[Edge]]:
         """A straight walk from vertex q to the point s (Devillers, Pion and
         Teillaud, *Walking in a triangulation*, 2002): the triangle that
         strictly contains s, or None when the walk reaches the vertex `end`
-        at s, and the edges it crossed, in order.  It crosses only the edges
-        that the segment crosses, each further along it (see README,
-        Verification).  A collinear triple met on the way, or an s outside
-        the hull, is a PreconditionError."""
+        at s or, for `end` = n, which names no vertex, leaves the hull, and
+        the edges it crossed, in order.  It crosses only the edges that the
+        segment crosses, each further along it (see README, Verification).
+        A collinear triple met on the way, or for `end` < n an s outside the
+        hull, is a PreconditionError."""
         xs, ys = self.ps.xs, self.ps.ys
         sx, sy = s
         qx, qy = xs[q], ys[q]
@@ -265,7 +299,10 @@ class Triangulation:
                     lx, ly = xs[l] - qx, ys[l] - qy
                     if dx * ly > dy * lx and rx * ly > ry * lx:
                         start = (r, l)
+        leaving = end == len(self.ps)
         if start is None:
+            if leaving:
+                return None, []
             raise PreconditionError(f"point {(sx, sy)} lies in no triangle")
         (r, l), far = start, q
         crossed: list[Edge] = []
@@ -284,6 +321,8 @@ class Triangulation:
             crossed.append(e)
             ws = opposites[e]
             if len(ws) == 1:
+                if leaving:
+                    return None, crossed
                 raise PreconditionError(f"point {(sx, sy)} lies in no triangle")
             z = ws[1] if ws[0] == far else ws[0]
             if z == end:
@@ -438,8 +477,8 @@ def _apex_map(triangles: Iterable[tuple[int, int, int]]) -> dict[Edge, tuple[int
 
 
 def _adjacency(n: int, edges: Iterable[Edge]) -> dict[int, set[int]]:
-    """The neighbours of each of the n vertices along `edges`: the one
-    builder of neighbour sets from an edge list."""
+    """The neighbours of each of the n vertices along `edges`, which are
+    already keyed; `checked_adjacency` builds them from an outside list."""
     adj: dict[int, set[int]] = {v: set() for v in range(n)}
     for u, v in edges:
         adj[u].add(v)

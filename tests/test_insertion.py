@@ -1,8 +1,11 @@
 import hashlib
+import importlib.util
 import json
 import math
 import random
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +17,7 @@ from biplane.errors import InternalInvariantError, PreconditionError
 from biplane.formats import loads_layered
 from biplane.generators import (random_general_position, random_triangulation,
                                 regular_polygon_points)
-from biplane.geometry import (PointSet, convex_hull, is_convex_position,
+from biplane.geometry import (PointSet, convex_hull, first_crossing, is_convex_position,
                               segments_properly_cross)
 from biplane.layered import LAYER1, LAYER2, LayeredGraph
 from biplane.insertion import (InsertionState, build_5conn_general,
@@ -719,3 +722,182 @@ class TestLayeringFailureWitness:
         a, b, c, d = map(int, re.findall(r"\d+", str(err.value))[1:])
         ps = st.current.ps.extended([point])
         assert (a, b) < (c, d) and segments_properly_cross(ps, a, b, c, d)
+
+
+def family_sets(seeds):
+    """The sets of `test_general5_builds_or_rejects_on_500_seeds`."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        inner, outer = rng.randint(0, 16), rng.randint(0, 8)
+        yield core_plus_interior(14 + inner + outer, seed, outer=outer)
+
+
+def bench_sets(monkeypatch):
+    """The 40 general5 sets of the bench, drawn by its own `fuzz_instance`."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks the module up by name while the file runs
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return [PointSet(module.fuzz_instance(random.Random(f"general5:{i}"))) for i in range(40)]
+
+
+def build_all(point_sets):
+    for ps in point_sets:
+        try:
+            build_5conn_general(ps)
+        except PreconditionError:
+            continue
+
+
+class TestLocalStep:
+    """An interior step reads only the edges around s.  Its layers, t_i less
+    `missing`, its next `missing`, the edges it lost and the degree of s
+    equal the formulas on whole edge sets, recomputed here from the step's
+    saturation, split and final triangulations."""
+
+    def test_step_matches_the_whole_set_formulas(self, monkeypatch):
+        saturate, raise_degree, step = (insertion._saturate, insertion._raise_degree_to_five,
+                                        insertion.insert_interior_point)
+        seen, counts = {}, {"steps": 0, "lost": 0, "far side": 0}
+
+        def recording_saturate(state):
+            out = saturate(state)
+            seen["dummies"] = out[2]
+            return out
+
+        def recording_raise(split1, split2, s):
+            seen["splits"] = (split1, split2)
+            return raise_degree(split1, split2, s)
+
+        def checked(state, new_ps):
+            before = state.layer1 | state.layer2
+            nxt = step(state, new_ps)
+            s, dummies = len(state.ps), seen["dummies"]
+            t1, t2 = nxt.t1, nxt.t2
+            union = t1.edges | t2.edges
+            final = union - dummies
+            assert (nxt.layer1, nxt.layer2) == (t1.edges & final, t2.edges & final)
+            assert nxt.missing == dummies & union
+            lost = before - final
+            reach = [insertion._flip_reach(split, s) for split in seen["splits"]]
+            assert lost == {e for edges in reach for e in edges if e not in union and e not in dummies}
+            assert len(lost) <= 1
+            degree = sum((v, s) in final for v in range(s))
+            assert degree == len(t1.neighbors(s) | t2.neighbors(s)) >= 5
+            for split, t, edges in zip(seen["splits"], (t1, t2), reach):
+                # every edge that a flip removed is one that `_flip_reach` lists
+                gone = split.edges - t.edges
+                assert gone <= edges
+                a, b, c = split.neighbors(s)
+                counts["far side"] += bool(gone - {edge_key(a, b), edge_key(b, c), edge_key(a, c)})
+            counts["steps"] += 1
+            counts["lost"] += len(lost)
+            return nxt
+
+        monkeypatch.setattr(insertion, "_saturate", recording_saturate)
+        monkeypatch.setattr(insertion, "_raise_degree_to_five", recording_raise)
+        monkeypatch.setattr(insertion, "insert_interior_point", checked)
+        build_all([*map(mixed_pipeline_instance, range(10)), *family_sets(range(80))])
+        assert counts["steps"] > 500 and counts["lost"] > 20 and counts["far side"] >= 1, counts
+
+
+class TestHullBatchGuard:
+    """The hull batch checks only the edges it adds (`_may_cross`): the
+    edges of each layer's pre-batch triangulation cross none of each
+    other."""
+
+    @staticmethod
+    def batches(monkeypatch, point_sets):
+        """(result, t1, t2) of every hull batch of the builds of
+        `point_sets`: the graph it returns and the triangulations it wired
+        from."""
+        wirings, results = [], []
+        init, insert = insertion._HullWiring.__init__, insertion.insert_hull_points
+
+        def recording_init(w, new_ps, t1, t2):
+            wirings.append((t1, t2))
+            init(w, new_ps, t1, t2)
+
+        def recording_insert(state, sb):
+            out = insert(state, sb)
+            if sb:
+                results.append(out.current)
+            return out
+
+        monkeypatch.setattr(insertion._HullWiring, "__init__", recording_init)
+        monkeypatch.setattr(insertion, "insert_hull_points", recording_insert)
+        build_all(point_sets)
+        assert len(wirings) == len(results)
+        return [(g, t1, t2) for g, (t1, t2) in zip(results, wirings)]
+
+    @staticmethod
+    def agree(g, t1, t2) -> bool:
+        """Whether each layer has a crossing, asserting that the guard says
+        the same and that `layer_crossing` finds one exactly then."""
+        guard = (insertion._may_cross(g, t1, LAYER1), insertion._may_cross(g, t2, LAYER2))
+        truth = tuple(first_crossing(g.ps, sorted(g.layer_edges(layer))) is not None
+                      for layer in (LAYER1, LAYER2))
+        assert guard == truth and any(truth) == (layer_crossing(g) is not None)
+        return any(truth)
+
+    def test_guard_agrees_with_layer_crossing(self, monkeypatch):
+        """On every batch of the build tests, the 500 seeds and the bench
+        sets, and on two rewirings of each that may cross: both layers in
+        layer 1, and each layer's added edges moved to the other layer."""
+        point_sets = [*(core_plus_interior(24, seed, outer=2) for seed in (0, 1, 3, 4)),
+                      *map(mixed_pipeline_instance, range(6)), *family_sets(range(500)),
+                      *bench_sets(monkeypatch)]
+        found = {"batches": 0, "crossing": 0, "plane": 0}
+        for g, t1, t2 in self.batches(monkeypatch, point_sets):
+            assert not self.agree(g, t1, t2)
+            one, two = g.layer_edges(LAYER1), g.layer_edges(LAYER2)
+            for rewired in (LayeredGraph(g.ps, one | two, ()),
+                            LayeredGraph(g.ps, (one & t1.edges) | (two - t2.edges),
+                                         (two & t2.edges) | (one - t1.edges))):
+                found["crossing" if self.agree(rewired, t1, t2) else "plane"] += 1
+            found["batches"] += 1
+        assert found["batches"] > 300 and found["crossing"] > 300 and found["plane"] > 300, found
+
+    def test_redirected_spoke_raises_the_layer_crossing_witness(self, monkeypatch):
+        """A spoke of the new point sent to the far side of the core crosses
+        edges that layer 1 kept from its triangulation: the guard sees it,
+        and the error names the pair that `layer_crossing` names."""
+        st = fresh_core()
+        point = (4000, 100)
+        far = min(range(14), key=st.ps.xs.__getitem__)
+        add, crossing, guard = insertion._HullWiring.add, insertion.layer_crossing, insertion._may_cross
+        redirected, witnesses, guards = [], [], []
+
+        def redirecting(w, u, v, layer):
+            if not redirected and layer == LAYER1 and 14 in (u, v):
+                redirected.append((far, 14))
+                u, v = far, 14
+            add(w, u, v, layer)
+
+        monkeypatch.setattr(insertion._HullWiring, "add", redirecting)
+        monkeypatch.setattr(insertion, "layer_crossing",
+                            lambda g: witnesses.append(crossing(g)) or witnesses[-1])
+        monkeypatch.setattr(insertion, "_may_cross",
+                            lambda g, t, layer: guards.append(guard(g, t, layer)) or guards[-1])
+        with pytest.raises(InternalInvariantError) as err:
+            insert_hull_points(st, [point])
+        (layer, e, f), = witnesses
+        assert guards == [True] and layer == 1
+        assert str(err.value) == f"layer separation broken by hull insertion: layer 1 edges {e} and {f} cross"
+        assert redirected[0] in (e, f)
+        kept = f if e == redirected[0] else e
+        assert kept in st.layer1 and segments_properly_cross(st.ps.extended([point]), *e, *f)
+
+    def test_added_edge_between_new_points_off_the_hull_defers_to_the_full_check(self):
+        """No walk covers an added edge whose two ends are new and which is
+        no hull edge: the guard answers that the layer may cross, and the
+        full check decides, here that it does not."""
+        st = fresh_core()
+        t = complete_to_triangulation(st.ps, required=st.layer1)
+        ps = st.ps.extended([(4000, 100), (-4000, 100)])
+        assert (14, 15) not in ps.hull_edges()
+        g = LayeredGraph(ps, [(14, 15)], ())
+        assert insertion._may_cross(g, t, LAYER1) and layer_crossing(g) is None
+        assert not insertion._may_cross(LayeredGraph(ps, t.edges, ()), t, LAYER1)

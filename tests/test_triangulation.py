@@ -9,7 +9,7 @@ import pytest
 from biplane import augment, geometry, insertion, triangulation
 from biplane.augment import augment_to_4conn
 from biplane.errors import BiplaneError, InternalInvariantError, PreconditionError
-from biplane.geometry import PointSet, point_in_triangle
+from biplane.geometry import Point, PointSet, point_in_triangle
 from biplane.generators import (generate_fan, generate_no5conn_counterexample,
                                 generate_wheel, random_general_position,
                                 random_triangulation, regular_polygon_points)
@@ -346,7 +346,12 @@ class TestGreedyCompletionDifferential:
         assert len(found["nested hole"]) >= 20
 
     def test_every_completion_of_seeded_builds(self, monkeypatch):
-        calls, refills = [], []
+        """Every completion and every refill of the seeded builds, against
+        the oracle; a refill that `_settled` skips is recorded as the
+        triangulation it keeps, with what it would have avoided: nothing in
+        layer 1, and layer 1's carried triangulation in layer 2, which is
+        skipped only when layer 1 kept its own."""
+        calls, refills, state_t1 = [], [], []
 
         def recording(ps, required=(), avoid=()):
             required, avoid = list(required), list(avoid)
@@ -356,12 +361,29 @@ class TestGreedyCompletionDifferential:
 
         def recording_refill(t, dropped, avoid=frozenset()):
             out, taken = refilled(t, dropped, avoid)
-            refills.append((t, t.edges - dropped, avoid, out.edges))
+            # general5 passes layer 1's triangulation itself as the container to avoid
+            avoid = avoid.edges if isinstance(avoid, Triangulation) else avoid
+            refills.append((t, t.edges - dropped, avoid, out.edges, False))
             assert set(taken) == (out.edges - t.edges) | ((dropped & out.edges) - t.ps.hull_edges())
             return out, taken
 
+        saturate, settled = insertion._saturate, insertion._settled
+
+        def recording_saturate(state):
+            state_t1.append(state.t1)
+            return saturate(state)
+
+        def recording_settled(t, dropped, s, moved):
+            skip = settled(t, dropped, s, moved)
+            if skip and dropped:
+                avoid = frozenset() if t is state_t1[-1] else state_t1[-1].edges
+                refills.append((t, t.edges - dropped, avoid, t.edges, True))
+            return skip
+
         monkeypatch.setattr(insertion, "complete_to_triangulation", recording)
         monkeypatch.setattr(insertion, "refilled", recording_refill)
+        monkeypatch.setattr(insertion, "_saturate", recording_saturate)
+        monkeypatch.setattr(insertion, "_settled", recording_settled)
         monkeypatch.setattr(augment, "complete_to_triangulation", recording)
         for n, seed, outer in ((70, 2, 0), (80, 5, 0), (80, 6, 4), (100, 1, 0)):
             build_5conn_general(core_plus_interior(n, seed, outer=outer))
@@ -375,9 +397,11 @@ class TestGreedyCompletionDifferential:
         for ps, required, avoid, edges in calls:
             assert edges == ref_greedy_completion(ps, required, avoid)
         # a refill that finds every edge of t in its layer gives t back as it is
-        regions = [refill_regions(t, required) for t, required, _, _ in refills]
-        assert len(refills) > 300 and sum(r > 0 for r in regions) > 50 and max(regions) >= 2
-        for (t, required, avoid, edges), r in zip(refills, regions):
+        regions = [refill_regions(t, required) for t, required, _, _, _ in refills]
+        skipped = sum(skip for *_, skip in refills)
+        assert skipped > 40 and len(refills) - skipped > 10
+        assert sum(r > 0 for r in regions) > 50 and max(regions) >= 2
+        for (t, required, avoid, edges, _), r in zip(refills, regions):
             if r:
                 assert edges == ref_greedy_completion(t.ps, required, avoid)
             else:
@@ -526,6 +550,28 @@ class TestCrossedEdges:
             assert at in (sorted(at), sorted(at, reverse=True)), (u, v)
             walked += bool(got)
         assert walked > len(pts)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_leaving_walk_matches_the_scan_in_order(self, seed):
+        """From each vertex towards each point outside the hull, the walk
+        lists the edges the segment crosses up to where it leaves the hull,
+        the hull edge it leaves by last; none from a hull vertex whose
+        segment points out at once."""
+        t = shuffled(random_triangulation(random.Random(seed).randint(8, 30), seed), seed)
+        pts, hull_edges, kinds = t.ps.points, t.ps.hull_edges(), set()
+        for s in exterior_points(t):
+            p = Point(*s)
+            for q in range(len(pts)):
+                got = t.crossed_leaving(q, s)
+                want = {f for f in t.edges if ref_segments_properly_cross(pts[q], p, pts[f[0]], pts[f[1]])}
+                assert len(got) == len(want) and set(got) == want, (q, s)
+                at = [Fraction(ref_cross(pts[a], pts[b], pts[q]),
+                               ref_cross(pts[a], pts[b], pts[q]) - ref_cross(pts[a], pts[b], p))
+                      for a, b in got]
+                assert at == sorted(at), (q, s)
+                assert not got or got[-1] in hull_edges and not hull_edges.intersection(got[:-1])
+                kinds.add((q in t.hull, bool(got)))
+        assert kinds == {(True, False), (True, True), (False, True)}
 
 
 class TestBadEdges:
