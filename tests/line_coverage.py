@@ -1,60 +1,45 @@
 """Line-coverage guard for src/biplane: run the whole tier-1 suite
-in-process under a line tracer and compare the lines that never ran with a
-committed allowlist.
+in-process and fail when a counted line never ran.
 
     python tests/line_coverage.py
 
 A line counts when some code object of its module has an instruction on it
 and it is not part of a bare re-raise or of a `raise InternalInvariantError`
-statement: a rejected precondition must run like any other line.
-`line_coverage_allowlist.txt`
-names each line that may stay unrun by its file, the qualified name of the
-innermost function that holds it, and its stripped source text, not by its
-number, so edits elsewhere in the file leave the entry valid.  An entry
-allows one unrun line; two unrun lines with the same key need the entry
-twice.  The script exits 1 when a counted line never ran and is not listed,
-or when a listed line has no unrun line to match (it now runs, or it is
-gone): so the list can only shrink.  It also exits 1 when the tests fail.
-Stdlib and pytest only; needs Python 3.11 or later (`co_qualname`).  A
-code object is traced only until every line in its `co_lines()` has run.
-The traced run took 6 min 45 s on a 2-vCPU VM (Python 3.11), against 12 min
-when every call was traced to its end, and 55 s untraced.
+statement: a rejected precondition must run like any other line.  The
+script prints each counted line that never ran as `file:line: text`, and
+exits 1 when there is one or when the tests fail.
+
+Stdlib and pytest only; needs Python 3.12 or later.  Lines are recorded by
+one `sys.monitoring` LINE callback, which switches itself off at each line
+once it has fired there, so code that has run all its lines runs untraced.
+The traced run took 73 s on a 2-vCPU VM (Python 3.12), against 66 s
+untraced.
 """
 from __future__ import annotations
 
 import ast
+import functools
 import sys
 import types
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "biplane"
-ALLOWLIST = Path(__file__).with_name("line_coverage_allowlist.txt")
 
 
-def counted_lines(path: Path) -> dict[int, str]:
+def counted_lines(path: Path) -> set[int]:
     """Each line with an instruction in some code object of the module,
-    minus the lines of each exempt `raise` statement, mapped to the qualified name
-    of the innermost function or class that holds it (`<module>` at the top
-    level); a line that a lambda or comprehension shares with the code
-    around it keeps the name of that code."""
+    minus the lines of each exempt `raise` statement."""
     source = path.read_text()
-    lines: dict[int, str] = {}
+    lines: set[int] = set()
     stack = [compile(source, str(path), "exec")]
     while stack:
-        # a nested code object is popped after its parent, so it overwrites
-        # the parent's name, except on the line where a lambda or
-        # comprehension (`<lambda>`, `<genexpr>`, ...) is written
         code = stack.pop()
-        anonymous = code.co_name.startswith("<")
-        lines.update((line, code.co_qualname) for _, _, line in code.co_lines()
-                     if line and not (anonymous and line in lines))
+        lines.update(line for _, _, line in code.co_lines() if line)
         stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Raise) and _exempt(node):
-            for line in range(node.lineno, node.end_lineno + 1):
-                lines.pop(line, None)
+            lines.difference_update(range(node.lineno, node.end_lineno + 1))
     return lines
 
 
@@ -68,83 +53,55 @@ def _exempt(node: ast.Raise) -> bool:
                            and exc.func.id == "InternalInvariantError")
 
 
-def run_traced() -> tuple[int, dict[str, set[int]]]:
-    """Run tier-1 in this process; return pytest's exit code and, per file
-    of src/biplane, the line numbers that ran."""
+def run_traced() -> tuple[int, set[tuple[str, int]]]:
+    """Run tier-1 in this process; return pytest's exit code and the
+    (file name, line) pairs of src/biplane that ran."""
     import pytest
 
-    ran: dict[str, set[int]] = {}
-    # per code object of src/biplane: its file's set of lines that ran, and
-    # its own lines that have not run yet; None for any other code
-    ours: dict[types.CodeType, tuple[set[int], set[int]] | None] = {}
+    monitoring = sys.monitoring
+    tool, line_event = monitoring.COVERAGE_ID, monitoring.events.LINE
+    ran: set[tuple[str, int]] = set()
 
-    def record(frame) -> bool:
-        """Record the frame's line; True while its code has lines to run."""
-        done, todo = ours[frame.f_code]
-        done.add(frame.f_lineno)
-        todo.discard(frame.f_lineno)
-        return bool(todo)
+    @functools.cache
+    def ours(filename: str) -> str | None:
+        """The file name of a module of src/biplane, else None."""
+        path = Path(filename).resolve()
+        return path.name if path.parent == SRC else None
 
-    def local(frame, event, arg):
-        if event == "line" and not record(frame):
-            # every line of this code has run: stop tracing the frame, which
-            # may still be running (a recursion, a suspended generator);
-            # returning None alone leaves its trace function in place
-            frame.f_trace = None
-            return None
-        return local
+    def line(code: types.CodeType, number: int):
+        name = ours(code.co_filename)
+        if name is not None:
+            ran.add((name, number))
+        return monitoring.DISABLE
 
-    def start(frame, event, arg):
-        code = frame.f_code
-        if code not in ours:
-            path = Path(code.co_filename).resolve()
-            ours[code] = (ran.setdefault(path.name, set()),
-                          {line for _, _, line in code.co_lines() if line}) if path.parent == SRC else None
-        if ours[code] is None or not ours[code][1]:
-            return None
-        return local if record(frame) else None
-
-    sys.settrace(start)
+    monitoring.use_tool_id(tool, "line_coverage")
+    monitoring.register_callback(tool, line_event, line)
+    monitoring.set_events(tool, line_event)
     try:
         status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
     finally:
-        sys.settrace(None)
+        monitoring.set_events(tool, monitoring.events.NO_EVENTS)
+        monitoring.register_callback(tool, line_event, None)
+        monitoring.free_tool_id(tool)
     return int(status), ran
 
 
-def read_allowlist() -> Counter[tuple[str, str, str]]:
-    """How often each (file name, function, stripped source text) is
-    listed; `#` starts a comment line."""
-    entries: Counter[tuple[str, str, str]] = Counter()
-    for row in ALLOWLIST.read_text().splitlines():
-        if row.strip() and not row.startswith("#"):
-            name, _, rest = row.partition(": ")
-            function, _, text = rest.partition(": ")
-            entries[name.strip(), function.strip(), text.strip()] += 1
-    return entries
-
-
 def main() -> int:
+    if sys.version_info < (3, 12):
+        sys.exit("tests/line_coverage.py needs Python 3.12 or later (sys.monitoring)")
     # read the sources before the run imports them, so that an edit during
     # the run cannot shift the line numbers
     sources = {path.name: (counted_lines(path), path.read_text().splitlines())
                for path in sorted(SRC.glob("*.py"))}
     status, ran = run_traced()
-    unrun: dict[tuple[str, str, str], list[int]] = {}
+    unrun = 0
     for name, (counted, text) in sources.items():
-        for line in sorted(set(counted) - ran.get(name, set())):
-            unrun.setdefault((name, counted[line], text[line - 1].strip()), []).append(line)
-    found = Counter({key: len(lines) for key, lines in unrun.items()})
-    allowed = read_allowlist()
-    new, stale = found - allowed, allowed - found
-    for key in sorted(unrun):
-        mark = "NOT LISTED" if key in new else "allowed"
-        print(f"unrun {key[0]}:{','.join(map(str, unrun[key]))}: {key[1]}: {key[2]}  [{mark}]")
-    for key in sorted(stale.elements()):
-        print(f"listed but not unrun (delete the entry): {': '.join(key)}")
-    print(f"{sum(map(len, unrun.values()))} unrun lines, {new.total()} not listed, "
-          f"{stale.total()} stale entries; pytest exit {status}")
-    return 1 if new or stale or status else 0
+        for line in sorted(counted):
+            if (name, line) not in ran:
+                print(f"{name}:{line}: {text[line - 1].strip()}")
+                unrun += 1
+    print(f"{unrun} unrun lines; pytest exit {status}")
+    return 1 if unrun or status else 0
 
 
 if __name__ == "__main__":

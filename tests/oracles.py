@@ -531,18 +531,23 @@ def ref_greedy_completion(ps: PointSet, required=(), avoid=()) -> frozenset[Edge
     return frozenset(taken)
 
 
-def all_triangulations(ps: PointSet) -> list[frozenset[Edge]]:
-    """Every triangulation of ps, each as its set of edges (sorted pairs), in
-    sorted order.
+def all_triangulations(ps: PointSet, required=()) -> list[frozenset[Edge]]:
+    """Every triangulation of ps that contains the plane edge set
+    `required`, each as its set of edges (sorted pairs), in sorted order.
 
     A depth-first search over flips on plain edge sets, from the greedy
-    completion of no edges.  The faces of a set are its 3-cycles with no
-    point strictly inside, and an edge uv with faces uva and uvb flips to ab
-    when ab properly crosses uv, that is, when the quadrilateral is convex.
-    The flip graph of a point set is connected (Lawson, 1972), so the search
-    reaches every triangulation."""
+    completion of `required`, that never flips a required edge.  The faces
+    of a set are its 3-cycles with no point strictly inside, and an edge uv
+    with faces uva and uvb flips to ab when ab properly crosses uv, that is,
+    when the quadrilateral is convex.  The triangulations that contain a
+    plane edge set are the triangulations of the polygonal domain that the
+    set cuts the hull into, and those are joined by flips of the edges that
+    are not in the set (Dyn, Goren and Rippa, 1993; with no required edge
+    this is Lawson's connected flip graph, 1972): so the search reaches
+    every one of them."""
     pts = [p.coords() for p in ps]
     n = len(pts)
+    fixed = {(min(e), max(e)) for e in required}
 
     def sides(a: int, b: int, c: int) -> bool:
         return _cross(pts[a], pts[b], pts[c]) > 0
@@ -565,13 +570,13 @@ def all_triangulations(ps: PointSet) -> list[frozenset[Edge]]:
                     apexes[v, w].append(u)
         out = []
         for (u, v), ws in apexes.items():
-            if len(ws) == 2:
+            if len(ws) == 2 and (u, v) not in fixed:
                 a, b = ws
                 if sides(u, v, a) != sides(u, v, b) and sides(a, b, u) != sides(a, b, v):
                     out.append(edges - {(u, v)} | {(min(a, b), max(a, b))})
         return out
 
-    start = ref_greedy_completion(ps)
+    start = ref_greedy_completion(ps, fixed)
     seen = {start}
     stack = [start]
     while stack:

@@ -2,6 +2,8 @@ import hashlib
 import math
 import random
 import sys
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -337,6 +339,42 @@ class TestEveryTriangulation:
                 assert m != 1 and len(added) == math.ceil(m / 2), (name, sorted(edges))
                 counts.add(m)
         assert {0, 2, 3, 4} <= counts, counts
+
+    def test_min_augment_3conn_is_minimal(self):
+        """No set of ceil(m / 2) - 1 absent edges, crossing or not, makes a
+        triangulation with m >= 2 leaf cells 3-connected, by the reference
+        flow: so the ceil(m / 2) edges of min_augment_3conn are the fewest."""
+        checks = Counter()
+        for name, points in EVERY_TRIANGULATION_SETS.items():
+            ps = points()
+            n = len(ps)
+            for edges in all_triangulations(ps):
+                m = bf_leaf_cells(ps, edges)
+                if m < 2:
+                    continue
+                absent = [e for e in combinations(range(n), 2) if e not in edges]
+                for fewer in combinations(absent, math.ceil(m / 2) - 1):
+                    assert ref_vertex_connectivity(n, edges | set(fewer)) < 3, (name, sorted(edges), fewer)
+                    checks[m] += 1
+        assert checks == {2: 1497, 3: 9563, 4: 1125}, checks
+
+    @pytest.mark.parametrize("name", [name for name in EVERY_TRIANGULATION_SETS
+                                      if int(name.split("-")[1]) <= 8])
+    def test_required_edges_keep_exactly_the_triangulations_that_contain_them(self, name):
+        """all_triangulations(ps, required) lists exactly the triangulations
+        of ps that contain `required`, drawn from one listed triangulation
+        and given in either orientation."""
+        ps = EVERY_TRIANGULATION_SETS[name]()
+        listed = all_triangulations(ps)
+        rng = random.Random(name)
+        for size in (1, 2, 3, 4, len(ps)):
+            chosen = rng.choice(listed)
+            required = [(v, u) if rng.random() < 0.5 else (u, v)
+                        for u, v in rng.sample(sorted(chosen), size)]
+            got = all_triangulations(ps, required)
+            assert chosen in got, (name, required)
+            assert got == [edges for edges in listed
+                           if {(min(e), max(e)) for e in required} <= edges], (name, required)
 
 
 class TestBisectorSign:

@@ -2,6 +2,8 @@ import hashlib
 import json
 import random
 import re
+import runpy
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -597,6 +599,19 @@ class TestCli:
             self.run("build", "--mode", "convex4", "--points", str(pts), "--out", str(out))
             outs.append(out.read_text())
         assert outs[0] == outs[1]
+
+    def test_python_m_biplane_runs_main(self, capsys, monkeypatch):
+        # `python -m biplane`, in-process: __main__.py is the one module
+        # entry point, and it exits with main's code and prints main's output
+        argv = ["gen", "--shape", "regular", "--n", "6"]
+        capsys.readouterr()
+        assert self.run(*argv) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["biplane", *argv])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("biplane", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == expected != ""
 
 
 class TestCliGolden:
