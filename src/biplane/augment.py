@@ -132,7 +132,7 @@ def _maximal_sector(t: Triangulation, report: CutReport) -> tuple[int, list[int]
     A centre's arms are kept as sorted hull positions.  When e0 runs from
     position p0 to p0 + 1, its sector runs from the last arm at or before
     p0, cyclically, to the next arm."""
-    ps, hull = t.ps, t.hull
+    ps, hull = t.ps, t.ps.hull()
     h, pos = len(hull), ps.hull_positions()
     arms: dict[int, set[int]] = {}
     for b in report.bichords:
@@ -172,7 +172,7 @@ def _bichord_star(t: Triangulation, labels: list[int], anchor: int) -> set[Edge]
     k = len(labels)
     v2, vk1, vk = labels[1], labels[k - 2], labels[k - 1]
     new_edges: set[Edge] = {edge_key(anchor, lab) for lab in labels[1:k - 1]}
-    for hv in t.hull:
+    for hv in t.ps.hull():
         if hv not in (v2, vk1) and (_in_ccw_sweep(ps, anchor, v2, vk1, hv)
                                     == _in_ccw_sweep(ps, anchor, v2, vk1, vk)):
             near = v2 if _closer_to_first_ray(*_rays(ps, anchor, v2, vk1, hv)) else vk1
@@ -190,7 +190,7 @@ def _small_base(t: Triangulation) -> set[Edge]:
     points and on six points with two interior ones (see README,
     Verification)."""
     n = len(t.ps)
-    size = 3 if len(t.hull) == 6 else 2
+    size = 3 if len(t.ps.hull()) == 6 else 2
     absent = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in t.edges]
     for combo in combinations(absent, size):
         if (first_crossing(t.ps, combo) is None
@@ -256,7 +256,7 @@ def _wheel_remainder_wiring(t: Triangulation, chord: Edge, members: frozenset[in
     if len(cell_inner) == 1:
         v = cell_inner[0]
         return {edge_key(v, q) for q in range(len(t.ps)) if q != v} - set(t.edges)
-    hull, pos = t.hull, t.ps.hull_positions()
+    hull, pos = t.ps.hull(), t.ps.hull_positions()
     h, iw = len(hull), pos[w]
     step = -1 if hull[(iw + 1) % h] in members else 1
     vs = [hull[(iw + step * i) % h] for i in range(1, (step * (pos[u] - iw)) % h)]
@@ -291,7 +291,7 @@ def _plane_partner(t: Triangulation, report: CutReport | None = None) -> set[Edg
         leaves = build_cell_tree(t).leaves
         cands = sorted((min(leaf.inner_members), leaf.chord, leaf.members)
                        for leaf in leaves if len(leaf.members) == 3)
-        if n == 5 or (n == 6 and (len(t.hull) == 6 or not cands)):
+        if n == 5 or (n == 6 and (len(t.ps.hull()) == 6 or not cands)):
             partner = _small_base(t)
             break
         if not cands:

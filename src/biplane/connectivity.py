@@ -362,7 +362,7 @@ def cut_structures(t: Triangulation) -> CutReport:
     """
     if len(t.ps) < 5:
         raise PreconditionError("cut structures are defined for n >= 5")
-    hull = t.hull
+    hull = t.ps.hull()
     h = len(hull)
     pos, hull_edges = t.ps.hull_positions(), t.ps.hull_edges()
     report = CutReport()

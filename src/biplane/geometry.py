@@ -318,11 +318,6 @@ class PointSet:
     def interior_ids(self) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.hull_positions()) if p < 0)
 
-    def subset(self, ids: Iterable[int]) -> "PointSet":
-        """New PointSet of the given vertices, kept in original order (see
-        `reordered`)."""
-        return self.reordered(sorted(set(ids)))
-
     def reordered(self, ids: Sequence[int]) -> "PointSet":
         """New PointSet of the distinct vertices `ids`, in that order.  Points
         of a set in general position are distinct and in general position in

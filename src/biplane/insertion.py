@@ -479,8 +479,8 @@ def _wire_surrounding(w: _HullWiring, a_hull: tuple[int, ...], b_cycle: tuple[in
         return [(i, j) for i in range(q) for j in range(i + 1, q)
                 if _convex_polys_overlap(ps, quads[i], quads[j])]
 
+    # each exchange shrinks `pairs` or raises, so the loop ends
     pairs = overlap_pairs()
-    guard = 0
     while pairs:
         i, j = pairs[0]
         if assign[j] not in vis[i] or assign[i] not in vis[j]:
@@ -490,9 +490,6 @@ def _wire_surrounding(w: _HullWiring, a_hull: tuple[int, ...], b_cycle: tuple[in
         if len(nxt) >= len(pairs):
             raise InternalInvariantError("uncrossing exchange did not reduce crossings")
         pairs = nxt
-        guard += 1
-        if guard > q * q + 4:
-            raise InternalInvariantError("uncrossing loop failed to terminate")
 
     for i in range(q):
         w.add(b_cycle[i], b_cycle[(i + 1) % q], LAYER1)
@@ -745,7 +742,7 @@ def build_5conn_general(ps: PointSet,
         raise PreconditionError(
             f"need 14 points in convex position; largest convex subset has {len(core)}")
     core_set = set(core)
-    ps0 = ps.subset(core)
+    ps0 = ps.reordered(core)
     pos = ps.hull_positions()
     core_hull = [core[j] for j in ps0.hull()]
     s_int: list[int] = []

@@ -205,7 +205,7 @@ def min_augment_3conn(t: Triangulation) -> frozenset[Edge]:
     The representatives of the leaf cells are distinct hull vertices of S
     (inner members of different leaves are disjoint), so they are in convex
     position, and the hull of any subset of them is that subset in the
-    counterclockwise order of `t.hull`."""
+    counterclockwise order of `t.ps.hull()`."""
     if len(t.ps) < 4:
         raise PreconditionError("3-connectivity needs at least 4 points")
     cell_tree = build_cell_tree(t)

@@ -79,7 +79,7 @@ class Triangulation:
 
     def __init__(self, ps: PointSet, triangles: Iterable[Sequence[int]]):
         opposites = _apex_map(frozenset(triangle_key(*t) for t in triangles))
-        self.ps, self.hull = ps, ps.hull()
+        self.ps = ps
         self._opposites, self._adj = opposites, _adjacency(len(ps), opposites)
         self._check(opposites)
 
@@ -104,7 +104,7 @@ class Triangulation:
         A failed certificate runs the emptiness and crossing scans for a
         witness."""
         ps, opposites = self.ps, self._opposites
-        expected = 3 * len(ps) - 3 - len(self.hull)
+        expected = 3 * len(ps) - 3 - len(ps.hull())
         if len(opposites) != expected:
             raise InternalInvariantError(f"edge count {len(opposites)} != 3n-3-h = {expected}")
         hull_edges, xs, ys = ps.hull_edges(), ps.xs, ps.ys
@@ -142,7 +142,7 @@ class Triangulation:
         """The triangulation of `ps` with these maps, taken as they are;
         `_check` runs on the edges `check` (see README, Verification)."""
         out = cls.__new__(cls)
-        out.ps, out.hull, out._opposites, out._adj = ps, ps.hull(), opposites, adj
+        out.ps, out._opposites, out._adj = ps, opposites, adj
         out._check(check)
         return out
 
@@ -177,14 +177,14 @@ class Triangulation:
 
     def restricted(self, keep: list[int]) -> "Triangulation":
         """The faces with every corner in the sorted ids `keep`, on
-        `ps.subset(keep)` with each vertex renamed by its index there.  The
+        `ps.reordered(keep)` with each vertex renamed by its index there.  The
         maps are relabelled, and `_check` re-checks only the edges that lost
         a face, which the subset's hull must add to this hull's edges between
         kept vertices (see README, Augmentation by leaf peels)."""
         new = [-1] * len(self.ps)
         for i, v in enumerate(keep):
             new[v] = i
-        ps = self.ps.subset(keep)
+        ps = self.ps.reordered(keep)
         opposites: dict[Edge, tuple[int, ...]] = {}
         lost: list[Edge] = []
         for (u, v), ws in self._opposites.items():
@@ -402,7 +402,7 @@ def classify(t: Triangulation) -> TriangulationClass:
     n = len(t.ps)
     if n < 4:
         raise PreconditionError("classification requires n >= 4")
-    h = len(t.hull)
+    h = len(t.ps.hull())
     if h == n - 1:
         center = t.ps.hull_positions().index(-1)
         if t.degree(center) == n - 1:

@@ -14,6 +14,20 @@ from biplane.triangulation import (complete_to_triangulation, flip, is_flippable
                                    triangulate)
 
 
+#: the two hull-insertion repro sets of tests/test_insertion.py: a 14-point
+#: convex core plus far points
+N17_CHAIN_WRAPS = [
+    (99871, 17354), (83594, 63888), (41696, 90314), (-3359, 97670), (-45726, 96530),
+    (-65646, 76115), (-95224, 31371), (-98961, -4163), (-81257, -51547), (-42048, -79989),
+    (-10283, -99920), (33589, -96059), (63885, -62344), (95724, -22890), (221170, 81764),
+    (-321623, -229129), (-325199, 185112)]
+N18_SURROUNDING = [
+    (99885, 3137), (87790, 45435), (53198, 83683), (-3350, 99983), (-41376, 96591),
+    (-69644, 73742), (-95208, 40498), (-97518, -23073), (-82407, -53909), (-41751, -81976),
+    (-9680, -99984), (34390, -92993), (73999, -78035), (91014, -34262), (-14634, -311645),
+    (294800, -237369), (-62518, 341267), (-353854, -29514)]
+
+
 def mixed_pipeline_instance(seed: int) -> PointSet:
     """A 14-point convex core plus up to 8 interior / boundary / exterior
     points, retrying sub-seeds until the sampled set is in general position.

@@ -15,8 +15,7 @@ from biplane.generators import random_general_position
 from biplane.geometry import Point, PointSet
 from biplane.insertion import check_property_maxi
 from biplane.layered import LAYER1, LAYER2, LayeredGraph
-from biplane.triangulation import (Edge, Triangulation, edge_key, is_flippable,
-                                  triangle_key, triangulate)
+from biplane.triangulation import Edge, Triangulation, edge_key, triangle_key, triangulate
 
 
 def ref_cross(o: Point, a: Point, b: Point) -> int:
@@ -143,10 +142,21 @@ def ref_vertex_connectivity(n: int, edges) -> int:
     return best
 
 
+def ref_is_flippable(t: Triangulation, e: Edge) -> bool:
+    """e has two apexes a and b, and the diagonals of its quadrilateral, e
+    and ab, properly cross: the quadrilateral is strictly convex."""
+    e = edge_key(*e)
+    if e not in t.edges or len(t.opposites(e)) != 2:
+        return False
+    (u, v), (a, b) = e, t.opposites(e)
+    ps = t.ps
+    return ref_segments_properly_cross(ps[u], ps[v], ps[a], ps[b])
+
+
 def ref_flip(t: Triangulation, e: Edge) -> Triangulation:
     """Replace e by the opposite diagonal of its quadrilateral."""
     e = edge_key(*e)
-    if not is_flippable(t, e):
+    if not ref_is_flippable(t, e):
         raise PreconditionError(f"edge {e} is not flippable")
     a, b = t.opposites(e)
     u, v = e
@@ -170,12 +180,12 @@ def ref_locate(t: Triangulation, s: tuple[int, int]) -> tuple[int, int, int]:
 
 
 def ref_random_triangulation(n: int, seed: int, flips: int | None = None):
-    """`random_triangulation` re-testing every edge for flippability before
-    each flip, with the rebuilding `ref_flip`."""
+    """`random_triangulation` re-testing every edge with `ref_is_flippable`
+    before each flip, with the rebuilding `ref_flip`."""
     t = triangulate(random_general_position(n, seed))
     rng = random.Random(seed ^ 0x5EED)
     for _ in range(flips if flips is not None else 3 * n):
-        candidates = sorted(e for e in t.edges if is_flippable(t, e))
+        candidates = sorted(e for e in t.edges if ref_is_flippable(t, e))
         if not candidates:
             break
         t = ref_flip(t, candidates[rng.randrange(len(candidates))])
@@ -808,7 +818,7 @@ def ref_maximal_sector(t: Triangulation, report: CutReport) -> tuple[int, list[i
     """augment._maximal_sector, without its arm count check, by walking
     every sector of every centre until one holds both ends of the smallest
     hull edge e0."""
-    hull = list(t.hull)
+    hull = list(t.ps.hull())
     h = len(hull)
     pts = t.ps.points
     arms: dict[int, set[int]] = {}
@@ -853,7 +863,7 @@ def ref_cut_structures(t) -> CutReport:
     t, faces included, tested for points inside and outside."""
     if len(t.ps) < 5:
         raise PreconditionError("cut structures are defined for n >= 5")
-    hull = list(t.hull)
+    hull = list(t.ps.hull())
     hullset = set(hull)
     hull_edges = {edge_key(a, b) for a, b in zip(hull, hull[1:] + hull[:1])}
     report = CutReport()

@@ -27,7 +27,7 @@ from biplane.triangulation import (Triangulation, TriangulationClass, classify,
 from conftest import chordful_triangulation
 from oracles import (all_triangulations, bf_first_crossing, bf_leaf_cells, bf_vertex_connectivity,
                      bf_wheel_or_fan, ref_closer_to_first_ray, ref_first_hit, ref_flip,
-                     ref_maximal_sector, ref_vertex_connectivity)
+                     ref_is_flippable, ref_maximal_sector, ref_vertex_connectivity)
 
 
 class TestGenerators:
@@ -35,7 +35,7 @@ class TestGenerators:
         t = generate_wheel(8)
         assert classify(t) is TriangulationClass.WHEEL
         assert kappa_of(t) == 3
-        assert len(set(range(8)) - set(t.hull)) == 1
+        assert len(set(range(8)) - set(t.ps.hull())) == 1
 
     def test_fan_shape_and_kappa(self):
         t = generate_fan(7)
@@ -56,7 +56,7 @@ class TestFlipPairHelper:
         # pentagon with apex triangles matching the helper's precondition
         ps = regular_polygon_points(5, 1000)
         t = triangulate(ps)
-        hull = list(t.hull)
+        hull = list(t.ps.hull())
         for i in range(5):
             u, v, w = hull[i], hull[(i + 1) % 5], hull[(i + 2) % 5]
             tri = tuple(sorted((u, v, w)))
@@ -78,14 +78,14 @@ class TestFlipPairHelper:
     def test_small_input_rejected(self):
         ps = PointSet([(0, 0), (10, 0), (10, 10), (0, 10)])
         t = triangulate(ps)
-        hull = list(t.hull)
+        hull = list(t.ps.hull())
         with pytest.raises(PreconditionError):
             flip_pair_helper(t, hull[0], hull[1], hull[2], 0)
 
     def test_tiebreak_prefers_first_candidate(self):
         t, u, v, w, v2 = self._pentagon_instance()
         t1 = flip(t, edge_key(u, w))
-        both = is_flippable(t1, edge_key(u, v2)) and is_flippable(t1, edge_key(v2, w))
+        both = ref_is_flippable(t1, edge_key(u, v2)) and ref_is_flippable(t1, edge_key(v2, w))
         _, moves = flip_pair_helper(t, u, v, w, v2)
         if both:
             assert moves[1][0] == edge_key(u, v2)
@@ -112,17 +112,17 @@ class TestFlipPairHelper:
                             continue
                         got, moves = flip_pair_helper(t, u, v, w, v2)
                         t1 = ref_flip(t, chord)
-                        cand = (edge_key(u, v2) if is_flippable(t1, edge_key(u, v2))
+                        cand = (edge_key(u, v2) if ref_is_flippable(t1, edge_key(u, v2))
                                 else edge_key(v2, w))
                         assert got.triangles == ref_flip(t1, cand).triangles
                         assert moves[0] == (chord, edge_key(v, v2)) and moves[1][0] == cand
                         accepted += 1
-                        apex_inside += v not in t.hull
+                        apex_inside += v not in t.ps.hull()
         assert (accepted, rejected, apex_inside) == (2684, 544, 128)
 
     def test_interior_u_rejected(self):
         t = random_triangulation(12, 0)
-        u = next(x for x in range(12) if x not in t.hull)
+        u = next(x for x in range(12) if x not in t.ps.hull())
         w = min(t.neighbors(u))
         v, v2 = t.opposites(edge_key(u, w))
         with pytest.raises(PreconditionError, match="hull vertices"):
@@ -478,7 +478,7 @@ class TestBichordStarAnchors:
         assert t.chords() == []
         assert {v for triple in rep.cut_triples() for v in triple} == set(range(n))
         center, labels = augment_module._maximal_sector(t, rep)
-        anchors = [x for x in range(n) if x not in t.hull and x != center]
+        anchors = [x for x in range(n) if x not in t.ps.hull() and x != center]
         assert len(anchors) >= 2
         for anchor in anchors:
             star = sorted(augment_module._bichord_star(t, labels, anchor))
@@ -673,8 +673,8 @@ def _without(t: Triangulation, v: int) -> Triangulation:
     """The triangulation that t induces on its vertices other than v."""
     keep = [x for x in range(len(t.ps)) if x != v]
     to_sub = {old: new for new, old in enumerate(keep)}
-    return Triangulation(t.ps.subset(keep), [[to_sub[q] for q in tri]
-                                             for tri in t.triangles if v not in tri])
+    return Triangulation(t.ps.reordered(keep), [[to_sub[q] for q in tri]
+                                                for tri in t.triangles if v not in tri])
 
 
 def _first_size3_private_vertex(t: Triangulation) -> int:
@@ -758,7 +758,7 @@ class TestLeafPeelGolden:
         t = self.CASES[name][0]()
         flips = _count_calls(monkeypatch, "flip_pair_helper")
         extra = augment_to_4conn(t)
-        assert not flips and len(extra) == (3 if len(t.hull) == 6 else 2)
+        assert not flips and len(extra) == (3 if len(t.ps.hull()) == 6 else 2)
 
 
 class TestRandomPeelPin:
@@ -811,7 +811,7 @@ class TestCellNumberingPin:
 class TestRestrictedPeelLevels:
     """Every peel level of the `TestRandomPeelPin` inputs, relabelled from
     its parent's maps, is the triangulation that `Triangulation` builds from
-    the kept faces on `PointSet.subset`."""
+    the kept faces on `PointSet.reordered`."""
 
     def test_matches_the_rebuild(self, monkeypatch):
         restricted, levels = Triangulation.restricted, []
@@ -819,9 +819,10 @@ class TestRestrictedPeelLevels:
         def checked(t, keep):
             got = restricted(t, keep)
             new_id = {v: i for i, v in enumerate(keep)}
-            want = Triangulation(t.ps.subset(keep), [[new_id[v] for v in tri] for tri in t.triangles
-                                                     if all(v in new_id for v in tri)])
-            assert (got.ps.xs, got.ps.ys, got.hull) == (want.ps.xs, want.ps.ys, want.hull)
+            want = Triangulation(t.ps.reordered(keep), [[new_id[v] for v in tri]
+                                                        for tri in t.triangles
+                                                        if all(v in new_id for v in tri)])
+            assert (got.ps.xs, got.ps.ys, got.ps.hull()) == (want.ps.xs, want.ps.ys, want.ps.hull())
             assert got.triangles == want.triangles and got.edges == want.edges
             assert [got.opposites(e) for e in sorted(want.edges)] == \
                 [want.opposites(e) for e in sorted(want.edges)]

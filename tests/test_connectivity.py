@@ -490,7 +490,7 @@ class TestCutStructures:
         center = 7
         assert all(b.m == center for b in rep.bichords)
         # exactly the paths through the center between nonadjacent hull vertices
-        hull = list(t.hull)
+        hull = list(t.ps.hull())
         h = len(hull)
         nonadj = {tuple(sorted((hull[i], hull[j])))
                   for i in range(h) for j in range(i + 1, h)
@@ -549,7 +549,7 @@ class TestCutStructuresAgainstReference:
         for _, build in cut_structure_inputs():
             t = build()
             rep = cut_structures(t)
-            pos = {v: i for i, v in enumerate(t.hull)}
+            pos = {v: i for i, v in enumerate(t.ps.hull())}
             hull_middle += sum(1 for b in rep.bichords if b.m in pos)
             # interior middle, u < w by id but w first in hull order
             id_order_against_hull += sum(1 for b in rep.bichords
@@ -557,7 +557,7 @@ class TestCutStructuresAgainstReference:
             separating += len(rep.separating_triangles)
             chords += len(rep.chords)
             # the hull triangle has no point outside, so it never separates
-            triangle_hulls += len(t.hull) == 3
+            triangle_hulls += len(t.ps.hull()) == 3
         assert min(hull_middle, id_order_against_hull, separating, chords, triangle_hulls) > 0
 
 

@@ -13,14 +13,16 @@ from biplane.cli import main
 from biplane.convex import build_5conn_convex
 from biplane.errors import PreconditionError
 from biplane.formats import dumps_layered, dumps_points, loads_layered, loads_points
-from biplane.generators import (random_general_position, random_triangulation,
+from biplane.generators import (generate_fan, generate_no5conn_counterexample, generate_wheel,
+                                random_general_position, random_triangulation,
                                 regular_polygon_points)
 from biplane.geometry import Point, PointSet, segments_properly_cross
 from biplane.layered import BOTH, LAYER1, LAYER2, LayeredGraph
 from biplane.render import render_svg
 from biplane.triangulation import triangulate
 
-from conftest import chordful_triangulation, core_plus_interior, mixed_pipeline_instance
+from conftest import (N17_CHAIN_WRAPS, N18_SURROUNDING, chordful_triangulation,
+                      core_plus_interior, mixed_pipeline_instance)
 from oracles import ref_loads_layered, ref_loads_points
 
 
@@ -292,6 +294,40 @@ def _exit_and_digest(capsys, *argv):
     return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
+def _input_of(t):
+    """A triangulation as (points, layer-1 edges)."""
+    return t.ps, t.edges
+
+
+def _polygon(n, chords):
+    """`gen --shape regular --n n` with its hull cycle and `chords`."""
+    return regular_polygon_points(n), [(i, (i + 1) % n) for i in range(n)] + chords
+
+
+#: the SVG namespace of `render`'s elements
+SVG_NS = "{http://www.w3.org/2000/svg}"
+
+#: augment inputs by name, as (points, layer-1 edges)
+AUGMENT_INPUTS = {
+    "triangle": lambda: _polygon(3, []),
+    "wheel-9": lambda: _input_of(generate_wheel(9)),
+    "fan-8": lambda: _input_of(generate_fan(8)),
+    "no5conn-2": lambda: _input_of(generate_no5conn_counterexample(2)),
+    "random-7-1": lambda: _input_of(random_triangulation(7, 1)),
+    "random-8-4": lambda: _input_of(random_triangulation(8, 4)),
+    "random-13-8": lambda: _input_of(random_triangulation(13, 8)),
+    # four ear cells, at 1, 3, 5 and 7
+    "octagon": lambda: _polygon(8, [(0, 2), (2, 4), (4, 6), (0, 6), (0, 4)]),
+    # the octagon's diagonal 0-2 swapped for 1-3: still 13 edges, so only
+    # the face certificate fails, and the crossing sweep that runs then
+    # names the pair
+    "octagon-crossed": lambda: _polygon(8, [(1, 3), (2, 4), (4, 6), (0, 6), (0, 4)]),
+    # the right count and one crossing pair: the common-neighbour reader's
+    # certificate fails and the error names the pair
+    "hexagon-crossed": lambda: _polygon(6, [(0, 2), (0, 3), (2, 4)]),
+}
+
+
 class TestCli:
     def run(self, *argv):
         return main(list(argv))
@@ -313,30 +349,50 @@ class TestCli:
         self.run("gen", "--shape", "regular", "--n", "13", "--out", str(pts))
         assert self.run("build", "--mode", "convex5", "--points", str(pts)) == 2
 
-    def test_augment_wheel_exit_2(self, tmp_path):
-        pts, edges = tmp_path / "w.pts", tmp_path / "w.edges"
-        self.run("gen", "--shape", "wheel", "--n", "8", "--out", str(pts),
-                 "--edges-out", str(edges))
-        assert self.run("augment", "--target", "4", "--points", str(pts),
-                        "--edges", str(edges)) == 2
-
-    def test_augment_3_reports_added_edges(self, tmp_path, capsys):
-        pts, edges = tmp_path / "f.pts", tmp_path / "f.edges"
-        self.run("gen", "--shape", "fan", "--n", "8", "--out", str(pts),
-                 "--edges-out", str(edges))
+    @pytest.mark.parametrize("name,target,code,message", [
+        ("wheel-9", 4, 2, "a wheel plus any plane layer stays at most 3-connected"),
+        ("fan-8", 4, 2, "a fan plus any second layer stays at most 3-connected"),
+        ("triangle", 3, 3, "3-connectivity needs at least 4 points"),
+        ("octagon-crossed", 4, 3, "edges (1, 3) and (2, 4) cross"),
+        ("hexagon-crossed", 4, 3, "edges (0, 3) and (2, 4) cross"),
+    ])
+    def test_augment_refusal_names_its_reason(self, tmp_path, capsys, name, target, code,
+                                              message):
+        pts, path = _write_input(tmp_path, *AUGMENT_INPUTS[name]())
         capsys.readouterr()
-        assert self.run("--format", "json", "augment", "--target", "3",
-                        "--points", str(pts), "--edges", str(edges)) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["kappa"] >= 3
-        assert payload["added_edges"]
+        assert self.run("augment", "--target", str(target),
+                        "--points", pts, "--edges", path) == code
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
-    def test_augment_3_on_a_triangle_exit_3(self, tmp_path, capsys):
-        t = random_triangulation(3, 0)
-        pts, path = _write_input(tmp_path, t.ps, t.edges)
+    @pytest.mark.parametrize("name,target,added", [
+        # a wheel is 3-connected already
+        ("wheel-9", 3, []),
+        # the fan's two ear cells are joined by one edge between their hull
+        # vertices
+        ("fan-8", 3, [[3, 5]]),
+        # the leaf pairing loop: two noncrossing edges join the four ears
+        ("octagon", 3, [[1, 7], [3, 5]]),
+        # the size-3 cells peeled one by one
+        ("octagon", 4, [[1, 3], [1, 7], [3, 5], [3, 7], [5, 7]]),
+        ("no5conn-2", 4, [[0, 2], [0, 3], [0, 6], [0, 7], [0, 9], [0, 10], [0, 11]]),
+        # a size-3 cell peeled, then a larger one hung back on with a
+        # bisector split
+        ("random-8-4", 4, [[1, 3], [1, 4], [2, 4], [2, 7], [4, 6], [4, 7]]),
+        # chordless with every vertex in a cut triple: the bichord star
+        # around a maximal sector
+        ("random-13-8", 4, [[0, 4], [0, 5], [1, 11], [2, 5], [2, 7], [2, 10], [2, 12], [3, 12],
+                            [4, 10], [4, 11], [4, 12], [5, 10], [6, 11], [7, 12]]),
+        # peeled to a wheel remainder whose cell has two inner vertices,
+        # wired to the first cell point that a turning line meets
+        ("random-7-1", 4, [[0, 5], [0, 6], [2, 6]]),
+    ])
+    def test_augment_reports_added_edges(self, tmp_path, capsys, name, target, added):
+        pts, path = _write_input(tmp_path, *AUGMENT_INPUTS[name]())
         capsys.readouterr()
-        assert self.run("augment", "--target", "3", "--points", pts, "--edges", path) == 3
-        assert capsys.readouterr().err.strip() == "error: 3-connectivity needs at least 4 points"
+        assert self.run("--format", "json", "augment", "--target", str(target),
+                        "--points", pts, "--edges", path) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["kappa"], report["biplane"], report["added_edges"]) == (target, True, added)
 
     @pytest.mark.parametrize("argv,points,edges,message", [
         (["gen", "--shape", "regular", "--n", "2"], None, None, "polygon needs n >= 3"),
@@ -444,9 +500,11 @@ class TestCli:
         assert self.run("verify", "--points", str(pts), "--edges", str(path)) == 0
         assert f"violation: {violation}" in capsys.readouterr().out.splitlines()
 
-    def test_no5conn_gen_and_verify(self, tmp_path, capsys):
+    # kappa on the k = 12 fixture needs a residual search
+    @pytest.mark.parametrize("k", [2, 12])
+    def test_no5conn_gen_and_verify(self, tmp_path, capsys, k):
         pts, edges = tmp_path / "c.pts", tmp_path / "c.edges"
-        assert self.run("gen", "--shape", "no5conn", "--k", "2", "--out", str(pts),
+        assert self.run("gen", "--shape", "no5conn", "--k", str(k), "--out", str(pts),
                         "--edges-out", str(edges)) == 0
         capsys.readouterr()
         assert self.run("--format", "json", "verify", "--points", str(pts),
@@ -500,21 +558,87 @@ class TestCli:
         capsys.readouterr()
         assert self.run("build", "--mode", "general5", "--points", str(pts),
                         "--out", str(tmp_path / "g.edges"), "--trace", str(trace)) == 0
-        assert list(trace.glob("*.edges"))
+        # the text report names each step file on a line of its own
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("checkpoint: ")] == \
+            [f"checkpoint: {path}" for path in sorted(trace.iterdir())] != []
 
-    @pytest.mark.parametrize("seed", [0, 1, 3])
-    def test_general5_out_round_trips_through_verify(self, tmp_path, capsys, seed):
-        pts, edges = tmp_path / "p.pts", tmp_path / "g.edges"
-        pts.write_text(dumps_points(core_plus_interior(24, seed, outer=2)))
+    #: general5 inputs by name, as points and the steps that the trace writes
+    GENERAL5 = {
+        # three interior points make general5 run the insertion steps
+        "regular-14-3": (lambda: regular_polygon_points(14).extended([(13, 7), (-211, 101),
+                                                                       (97, -305)]),
+                         "core interior_15 interior_14 interior_16"),
+        # a 14-point core with three interior points, one point that becomes
+        # a hull vertex of the whole set and one between it and the core
+        "g19": (lambda: PointSet([
+            (97266, 23223), (78768, 61609), (50893, 86081), (12112, 99264), (-37464, 92717),
+            (-72356, 69026), (-97411, 22606), (-99363, -11270), (-82498, -56516),
+            (-47715, -87882), (2426, -99971), (37327, -92772), (70422, -70998), (97267, -23218),
+            (13589, -42364), (-32514, -6747), (-8724, -6499), (158671, 104515), (101373, 66773)]),
+            "core interior_15 interior_16 interior_14 boundary exterior_18"),
+        # no argument shows these hull-batch wirings plane, so the batch's
+        # crossing guard decides
+        "n17": (lambda: PointSet(N17_CHAIN_WRAPS), "core boundary"),
+        "n18": (lambda: PointSet(N18_SURROUNDING), "core boundary"),
+        "cpi-0": (lambda: core_plus_interior(24, 0, outer=2),
+                  "core interior_15 interior_3 interior_16 interior_21 interior_2 interior_18 "
+                  "interior_10 interior_20 boundary"),
+        "cpi-1": (lambda: core_plus_interior(24, 1, outer=2),
+                  "core interior_2 interior_1 interior_10 interior_18 interior_17 interior_23 "
+                  "interior_19 interior_0 boundary"),
+        "cpi-3": (lambda: core_plus_interior(24, 3, outer=2),
+                  "core interior_14 interior_4 interior_17 interior_6 interior_1 interior_23 "
+                  "interior_2 interior_3 boundary"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GENERAL5))
+    def test_general5_build_verify_render(self, tmp_path, capsys, name):
+        points, steps = self.GENERAL5[name]
+        pts, edges, trace, svg = (tmp_path / f for f in ("p.txt", "g.edges", "tr", "g.svg"))
+        pts.write_text(dumps_points(points()))
         capsys.readouterr()
         assert main(["--format", "json", "build", "--mode", "general5", "--points", str(pts),
-                     "--out", str(edges)]) == 0
+                     "--out", str(edges), "--trace", str(trace)]) == 0
         built = json.loads(capsys.readouterr().out)
+        # one step file per reported checkpoint
+        names = [f"step_{i:03d}_{step}.edges" for i, step in enumerate(steps.split())]
+        assert built["phase_checkpoints"] == [str(trace / name) for name in names]
+        assert sorted(p.name for p in trace.iterdir()) == names
+        # the edges file names points by their line in the points file, so
+        # verify reads it back on the same points
         assert main(["--format", "json", "verify", "--points", str(pts),
                      "--edges", str(edges)]) == 0
         got = json.loads(capsys.readouterr().out)
-        assert got["kappa"] == built["kappa"] >= 5
-        assert got["biplane"] is True and "violations" not in got, got
+        assert (got["kappa"], got["edge_count"]) == (built["kappa"], built["edge_count"])
+        assert got["kappa"] >= 5 and got["biplane"] is True and "violations" not in got, got
+        # the SVG of the same graph draws one line per edge that verify counted
+        assert main(["render", "--points", str(pts), "--edges", str(edges),
+                     "--out", str(svg)]) == 0
+        assert len(ET.parse(svg).getroot().findall(f"{SVG_NS}line")) == got["edge_count"]
+
+    @pytest.mark.parametrize("n", [200, 2000])
+    def test_convex4_verify_reads_rewritten_files_alike(self, tmp_path, capsys, n):
+        # convex4 on a regular polygon keeps the hull order as labels: a
+        # cycle plus two hubs, where kappa's breadth-first order would walk
+        # the cycle if it broke ties by ascending id
+        pts, edges = tmp_path / "p.txt", tmp_path / "g.edges"
+        assert main(["gen", "--shape", "regular", "--n", str(n), "--out", str(pts)]) == 0
+        assert main(["build", "--mode", "convex4", "--points", str(pts), "--out", str(edges)]) == 0
+        verify = ["--format", "json", "verify", "--points", str(pts), "--edges", str(edges)]
+        capsys.readouterr()
+        assert main(verify) == 0
+        report = capsys.readouterr().out
+        assert json.loads(report) == {"kappa": 4, "biplane": True, "edge_count": 3 * n - 6}
+        # the same pair with '#' comments, blank lines, tab separators and
+        # CRLF endings reads as the same input
+        for path in (pts, edges):
+            lines = path.read_text().splitlines()
+            path.write_text("# rewritten\r\n\r\n" + "".join(
+                "\t".join(line.split()) + "\t# row\r\n" + "\r\n" * (i % 2)
+                for i, line in enumerate(lines)), newline="")
+        assert main(verify) == 0
+        assert capsys.readouterr().out == report
 
     def test_render_cli(self, tmp_path):
         pts, edges, svg = tmp_path / "p.pts", tmp_path / "g.edges", tmp_path / "g.svg"
@@ -524,13 +648,16 @@ class TestCli:
                         "--out", str(svg)) == 0
         ET.fromstring(svg.read_text())
 
-    def test_render_empty_point_file(self, tmp_path):
-        pts, svg = tmp_path / "empty.pts", tmp_path / "e.svg"
-        pts.write_text("")
+    @pytest.mark.parametrize("n", [0, 30])
+    def test_render_without_edges(self, tmp_path, n):
+        # one circle and one label per point, in id order, and no line; at
+        # n = 0 the point file is empty
+        pts, svg = tmp_path / "p.txt", tmp_path / "p.svg"
+        pts.write_text(dumps_points(random_general_position(n, 3)))
         assert self.run("render", "--points", str(pts), "--out", str(svg)) == 0
-        text = svg.read_text()
-        ET.fromstring(text)
-        assert "<circle" not in text
+        root = ET.parse(svg).getroot()
+        assert len(root.findall(f"{SVG_NS}circle")) == n and not root.findall(f"{SVG_NS}line")
+        assert [label.text for label in root.findall(f"{SVG_NS}text")] == [str(i) for i in range(n)]
 
     @pytest.mark.parametrize("text,reason", [
         ("3 x\n", "line 1: non-integer field in '3 x'"),
@@ -539,6 +666,10 @@ class TestCli:
         ("3 1\n0 \u0662 1\n", "line 2: non-integer field in '0 \u0662 1'"),
         ("3 1\n0 1_0 1\n", "line 2: non-integer field in '0 1_0 1'"),
         ("3 1_0\n0 1 1\n", "line 1: non-integer field in '3 1_0'"),
+        # a row with four fields, quoted with its tab escaped
+        ("3 1\n0\t1  1 1\n", "expected 'u v layer', got '0\\t1  1 1'"),
+        # a row that names point 3 of a three-point set, as a sorted pair
+        ("3 1\n3 0 1\n", "bad edge (0, 3)"),
     ])
     def test_malformed_edge_list_exit_3(self, tmp_path, capsys, text, reason):
         pts, edges = tmp_path / "p.pts", tmp_path / "g.edges"

@@ -26,7 +26,7 @@ from biplane.insertion import (InsertionState, build_5conn_general,
 from biplane.triangulation import complete_to_triangulation, edge_key, is_flippable
 from biplane.generators import generate_wheel
 
-from conftest import core_plus_interior, mixed_pipeline_instance
+from conftest import N17_CHAIN_WRAPS, N18_SURROUNDING, core_plus_interior, mixed_pipeline_instance
 from oracles import (bf_first_collinear, bf_first_crossing, bf_triangulation_ok,
                      edge_visibility_hall_holds, ref_segments_properly_cross,
                      ref_vertex_connectivity, visible_hull_edges)
@@ -46,9 +46,9 @@ class TestFindFlippableOpposite:
     def test_returned_edge_is_flippable_and_opposite(self):
         for seed in range(12):
             t = random_triangulation(9, seed)
-            interior = [v for v in range(9) if v not in set(t.hull)]
+            interior = [v for v in range(9) if v not in set(t.ps.hull())]
             for s in interior:
-                if not any(x in set(t.hull) for x in t.neighbors(s)):
+                if not any(x in set(t.ps.hull()) for x in t.neighbors(s)):
                     continue
                 tri, e = find_flippable_opposite(t, s)
                 assert is_flippable(t, e)
@@ -58,20 +58,20 @@ class TestFindFlippableOpposite:
 
     def test_wheel_rejected(self):
         t = generate_wheel(8)
-        center = next(v for v in range(8) if v not in set(t.hull))
+        center = next(v for v in range(8) if v not in set(t.ps.hull()))
         with pytest.raises(PreconditionError):
             find_flippable_opposite(t, center)
 
     def test_hull_vertex_rejected(self):
         t = random_triangulation(8, 3)
         with pytest.raises(PreconditionError):
-            find_flippable_opposite(t, t.hull[0])
+            find_flippable_opposite(t, t.ps.hull()[0])
 
     def test_matches_exhaustive_scan(self):
         # the returned edge must be among all flippable link-opposite edges
         for seed in range(20):
             t = random_triangulation(10, seed)
-            hullset = set(t.hull)
+            hullset = set(t.ps.hull())
             for s in range(10):
                 if s in hullset or not any(x in hullset for x in t.neighbors(s)):
                     continue
@@ -445,10 +445,10 @@ class TestInsertHullPoints:
             inner, outer = rng.randint(0, 2), rng.randint(2, 8)
             ps = core_plus_interior(14 + inner + outer, seed, outer=outer)
             by_norm = sorted(range(len(ps)), key=lambda i: ps.xs[i] ** 2 + ps.ys[i] ** 2)
-            ring = set(by_norm[inner:inner + 14])
-            if not is_convex_position(ps.subset(ring)):
+            ring = sorted(by_norm[inner:inner + 14])
+            if not is_convex_position(ps.reordered(ring)):
                 continue
-            st = InsertionState(build_5conn_convex(ps.subset(ring)))
+            st = InsertionState(build_5conn_convex(ps.reordered(ring)))
             hull = set(ps.hull())
             sb = [ps[i].coords() for i in range(len(ps))
                   if i not in ring and (seed % 2 or i in hull)]
@@ -599,22 +599,8 @@ def test_carried_triangulations_equal_a_fresh_saturation(monkeypatch):
 # n18: every final-hull vertex is new but one consecutive pair shares no
 # visible edge, so the one chain starts just after that pair, and its arc too
 # is the whole circle.
-HULL_INSERTION_REPROS = [
-    pytest.param(
-        [(99871, 17354), (83594, 63888), (41696, 90314), (-3359, 97670),
-         (-45726, 96530), (-65646, 76115), (-95224, 31371), (-98961, -4163),
-         (-81257, -51547), (-42048, -79989), (-10283, -99920), (33589, -96059),
-         (63885, -62344), (95724, -22890), (221170, 81764), (-321623, -229129),
-         (-325199, 185112)],
-        id="n17-chain-wraps"),
-    pytest.param(
-        [(99885, 3137), (87790, 45435), (53198, 83683), (-3350, 99983),
-         (-41376, 96591), (-69644, 73742), (-95208, 40498), (-97518, -23073),
-         (-82407, -53909), (-41751, -81976), (-9680, -99984), (34390, -92993),
-         (73999, -78035), (91014, -34262), (-14634, -311645), (294800, -237369),
-         (-62518, 341267), (-353854, -29514)],
-        id="n18-surrounding"),
-]
+HULL_INSERTION_REPROS = [pytest.param(N17_CHAIN_WRAPS, id="n17-chain-wraps"),
+                         pytest.param(N18_SURROUNDING, id="n18-surrounding")]
 
 
 @pytest.mark.parametrize("coords", HULL_INSERTION_REPROS)

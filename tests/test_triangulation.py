@@ -28,7 +28,7 @@ from oracles import (bf_faces_of, bf_first_crossing, bf_triangulation_ok, ref_cr
 
 
 def euler_count(t: Triangulation) -> bool:
-    return len(t.edges) == 3 * len(t.ps) - 3 - len(t.hull)
+    return len(t.edges) == 3 * len(t.ps) - 3 - len(t.ps.hull())
 
 
 class TestTriangulate:
@@ -570,7 +570,7 @@ class TestCrossedEdges:
                       for a, b in got]
                 assert at == sorted(at), (q, s)
                 assert not got or got[-1] in hull_edges and not hull_edges.intersection(got[:-1])
-                kinds.add((q in t.hull, bool(got)))
+                kinds.add((q in t.ps.hull(), bool(got)))
         assert kinds == {(True, False), (True, True), (False, True)}
 
 
@@ -725,7 +725,7 @@ class TestValidationCertificate:
 def assert_same_triangulation(got: Triangulation, want: Triangulation) -> None:
     """Equal faces, edges, apexes, adjacency and hull."""
     assert got.triangles == want.triangles and got.edges == want.edges
-    assert got.hull == want.hull and got.ps.hull_edges() == want.ps.hull_edges()
+    assert got.ps.hull() == want.ps.hull() and got.ps.hull_edges() == want.ps.hull_edges()
     assert {e: got.opposites(e) for e in got.edges} == {e: want.opposites(e) for e in want.edges}
     n = len(want.ps)
     assert [got.neighbors(v) for v in range(n)] == [want.neighbors(v) for v in range(n)]
@@ -860,13 +860,13 @@ class TestLocate:
             inside += 1
         assert inside >= len(t.triangles) - 2
         outside = [located(Triangulation.locate, t, s) for s in exterior_points(t)]
-        assert len(outside) >= len(t.hull)
+        assert len(outside) >= len(t.ps.hull())
         assert outside == [located(ref_locate, t, s) for s in exterior_points(t)]
         assert set(outside) == {f"point {s} lies in no triangle"
                                 for s in exterior_points(t)}
 
     def test_walks_start_at_interior_and_hull_vertices(self):
-        starts = [len(t.ps) - 1 in set(t.hull) for t in map(self.case, self.SEEDS)]
+        starts = [len(t.ps) - 1 in set(t.ps.hull()) for t in map(self.case, self.SEEDS)]
         assert True in starts and False in starts
 
     def test_collinear_query_is_a_precondition(self):
@@ -912,7 +912,7 @@ class TestLocalFlip:
                 ref_flip(t, e)
             assert str(got.value) == str(want.value) == f"edge {e} is not flippable"
             refused += 1
-        assert flipped_edges and refused > len(t.hull)
+        assert flipped_edges and refused > len(t.ps.hull())
         assert_same_triangulation(t, before)
 
     def test_flip_sequences_match_the_rebuild(self):
