@@ -560,38 +560,81 @@ def _edge_rings(ps: PointSet, edges: Iterable[tuple[int, int]]
     return rings, keys
 
 
-def _ccw_rings(xs: Sequence[int], ys: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
+def _slope_pairs(xs: Sequence[int], ys: Sequence[int]) -> list[tuple[int, int]]:
+    """Every unordered pair of points as (t, h), where the direction h - t
+    lies in the half-plane dx > 0 or (dx == 0, dy > 0), sorted by the
+    `_slope` of that direction: one sort of the n(n - 1)/2 pair keys.  In
+    general position no two pairs that share a point are parallel, so the
+    pairs of one point have distinct keys (see README, Verification)."""
+    n = len(xs)
+    nn = n * n
+    keyed: list[int] = []
+    for v in range(n):
+        vx, vy, vn = xs[v], ys[v], v * n
+        for p in range(v + 1, n):
+            dx, dy = xs[p] - vx, ys[p] - vy
+            # `_slope` and (dx, dy) > (0, 0), written out: this loop runs
+            # n^2 / 2 times; the pair t * n + h rides in the low digits, so
+            # the sort compares ints
+            keyed.append(((dy << 64) // dx if dx else _ABOVE_EVERY_SLOPE) * nn
+                         + (vn + p if dx > 0 or (dx == 0 and dy > 0) else p * n + v))
+    keyed.sort()
+    return [divmod(k % nn, n) for k in keyed]
+
+
+def _ccw_rings(n: int, pairs: Iterable[tuple[int, int]]
+               ) -> tuple[list[list[int]], list[list[int]]]:
     """For every vertex v, the 2(n-1) directions +-(p - v), p != v,
-    counterclockwise from just above the downward vertical, as (rings, ats).
+    counterclockwise from just above the downward vertical, as (rings, ats),
+    from the `_slope_pairs` of the n points.
 
     A ring entry is p for the direction p - v and ~p for v - p.  The first
     half lists, for every p, whichever of the two points into the half-plane
     dx > 0 or (dx == 0, dy > 0), sorted by `_slope`, and the second half is
     the first negated.  ats[v][p] is the index of p's entry in the first half
-    of v's ring.  p - v and v - p have one `_slope`, so each unordered pair's
-    key is computed once and filed in both rings."""
-    n = len(xs)
-    dirs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for v in range(n):
-        vx, vy, into_v = xs[v], ys[v], dirs[v]
-        for p in range(v + 1, n):
-            dx, dy = xs[p] - vx, ys[p] - vy
-            e, f = (p, ~v) if (dx, dy) > (0, 0) else (~p, v)
-            # `_slope`, written out: this loop runs n^2 / 2 times
-            key = (dy << 64) // dx if dx else _ABOVE_EVERY_SLOPE
-            into_v.append((key, e))
-            dirs[p].append((key, f))
-    rings: list[list[int]] = []
-    ats: list[list[int]] = []
-    for ring_dirs in dirs:
-        ring_dirs.sort()
-        half = [e for _, e in ring_dirs]
-        at = [0] * n
-        for i, e in enumerate(half):
-            at[e if e >= 0 else ~e] = i
-        rings.append(half + [~e for e in half])
-        ats.append(at)
+    of v's ring.  A pair (t, h) is h - t in t's ring and t - h in h's, with
+    one `_slope`, so filing the pairs in their global order into both rings
+    sorts every ring."""
+    rings: list[list[int]] = [[] for _ in range(n)]
+    ats = [[0] * n for _ in range(n)]
+    for t, h in pairs:
+        ring_t, ring_h = rings[t], rings[h]
+        ats[t][h] = len(ring_t)
+        ring_t.append(h)
+        ats[h][t] = len(ring_h)
+        ring_h.append(~t)
+    for half in rings:
+        half += [~e for e in half]
     return rings, ats
+
+
+def _anchor_bounds(n: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """For n points in lexicographic order, given by their `_slope_pairs`,
+    an upper bound on the corners of every convex polygon whose
+    lexicographically smallest corner is a, for each point a:
+    min(cup[a] + cap[a], n - a).
+
+    A cup is a chain of points in increasing order whose edge slopes
+    strictly increase, a cap one whose slopes strictly decrease (Erdos and
+    Szekeres, 1935); cup[a] and cap[a] count the edges of the longest ones
+    from a.  A convex polygon anchored at a, with largest corner b, is a cup
+    a -> b below and a cap a -> b above, with as many edges as corners, and
+    its other corners are among the n - 1 - a points after a.
+
+    The points are in lexicographic order, so every pair is (u, v) with
+    u < v.  Scanned by decreasing slope, a pair (u, v) meets cup[v] counting
+    only the cups from v whose first edge has a larger slope, and extends
+    them; the scan by increasing slope does the same for caps.  Two pairs
+    that share a point never have one slope, so the ties of the sort do not
+    matter."""
+    cup, cap = [0] * n, [0] * n
+    for u, v in reversed(pairs):
+        if cup[v] >= cup[u]:
+            cup[u] = cup[v] + 1
+    for u, v in pairs:
+        if cap[v] >= cap[u]:
+            cap[u] = cap[v] + 1
+    return [min(cup[a] + cap[a], n - a) for a in range(n)]
 
 
 def max_convex_subset_indices(ps: PointSet) -> tuple[int, ...]:
@@ -626,19 +669,22 @@ def max_convex_subset_indices(ps: PointSet) -> tuple[int, ...]:
     half-turn, d_in comes before d_out counterclockwise exactly when
     cross(u, v, w) > 0.  So walking the n - 2 ring entries of v after v - a
     and folding each edge into v into a running best gives every edge out
-    of v its best allowed predecessor.  The rings are sorted once, in
-    O(n^2 log n); the walks cost O(n) per pair (a, v).
+    of v its best allowed predecessor.  The rings come from one sort of the
+    n(n - 1)/2 pair keys, in O(n^2 log n); the walks cost O(n) per pair
+    (a, v).
 
     The sweep runs in two passes.  Values compare size first, so the size
     part of the dominating value on an edge is the largest chain size on
     that edge, and a first pass that keeps sizes alone, as small ints, finds
-    each anchor's best size reach[a] and the maximum K.  It stops at the
-    first anchor with fewer than K points from it on, which cannot hold a
-    K-point polygon.  The second pass runs the exact (size, area, mask)
-    sweep on the anchors with reach[a] == K only: the optimum is anchored at
-    one of them, and no other anchor has a K-point chain.  An anchor's
-    sweep reads only values written by the same anchor, so skipping the
-    others changes nothing.
+    each anchor's best size reach[a] and the maximum K.  It visits anchors
+    by decreasing `_anchor_bounds`, min(cup[a] + cap[a], n - a) from the
+    longest cup and cap from a, and stops at the first bound below the best
+    size so far: no anchor from there on can hold a K-point polygon.  The
+    second pass runs the exact (size, area, mask) sweep on the anchors with
+    reach[a] == K only: the optimum is anchored at one of them, and no other
+    anchor has a K-point chain.  An anchor's sweep reads only values written
+    by the same anchor, so neither the order of the anchors nor skipping
+    some changes anything.
     """
     n = len(ps)
     if n < 3:
@@ -648,7 +694,9 @@ def max_convex_subset_indices(ps: PointSet) -> tuple[int, ...]:
     xs = [ps.xs[i] for i in order]
     ys = [ps.ys[i] for i in order]
     bit = [1 << (n - 1 - i) for i in order]
-    rings, ats = _ccw_rings(xs, ys)
+    pairs = _slope_pairs(xs, ys)
+    rings, ats = _ccw_rings(n, pairs)
+    bound = _anchor_bounds(n, pairs)
 
     def chain_ends(a: int) -> list[int]:
         # the first half of a's ring lists the lex-greater points counterclockwise
@@ -658,8 +706,8 @@ def max_convex_subset_indices(ps: PointSet) -> tuple[int, ...]:
     sizes = [[0] * n for _ in range(n)]
     reach = [0] * n
     most = 0
-    for a in range(n - 2):
-        if n - a < most:
+    for a in sorted(range(n - 2), key=bound.__getitem__, reverse=True):
+        if bound[a] < most:
             break
         top_a = 0
         for v in chain_ends(a):

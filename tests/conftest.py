@@ -1,4 +1,5 @@
 """Shared seeded instance builders for the insertion pipeline tests."""
+import importlib.util
 import math
 import random
 import sys
@@ -82,6 +83,17 @@ def core_plus_interior(n, seed, radius=10 ** 5, outer=0):
             return PointSet(coords)
         except PreconditionError:
             continue
+
+
+def bench_sets(monkeypatch):
+    """The 40 general5 sets of the bench, drawn by its own `fuzz_instance`."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks the module up by name while the file runs
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return [PointSet(module.fuzz_instance(random.Random(f"general5:{i}"))) for i in range(40)]
 
 
 def greedy_biplane(ps: PointSet) -> LayeredGraph:

@@ -347,6 +347,17 @@ def bf_max_convex_subset(ps: PointSet) -> tuple[int, ...]:
     return bf_optimal_convex_subsets(ps)[0]
 
 
+def bf_largest_anchored_convex(ps: PointSet, a: int) -> int:
+    """The most points of a convex-position subset whose lexicographically
+    smallest point is a, by exhaustive search with cross products only; 0
+    when fewer than two points are lexicographically greater than a."""
+    later = [i for i in range(len(ps)) if (ps[i].x, ps[i].y) > (ps[a].x, ps[a].y)]
+    for k in range(len(later), 1, -1):
+        if any(_subset_convex(ps, (a,) + rest)[0] for rest in combinations(later, k)):
+            return k + 1
+    return 0
+
+
 # The O(n^4) chain dynamic program that `max_convex_subset_indices` used
 # before its angular sweep, kept as the reference for larger sets.
 

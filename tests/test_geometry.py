@@ -17,14 +17,14 @@ from biplane.geometry import (COORD_LIMIT, Point, PointSet, ccw_order, circular_
                               polygon_doubled_area, segments_properly_cross, strictly_inside,
                               visible_chain)
 from biplane.generators import random_general_position, regular_polygon_points
-from biplane.geometry import _ccw_rings, _open_segments_cross
+from biplane.geometry import _anchor_bounds, _ccw_rings, _open_segments_cross, _slope_pairs
 from biplane.triangulation import edge_key, triangulate
 
 from oracles import (bf_circular_runs, bf_first_collinear, bf_first_crossing, bf_hull_ids,
-                     bf_max_convex_subset, bf_optimal_convex_subsets, dp_max_convex_subset,
-                     ref_ccw_ring, ref_cross, ref_point_in_triangle,
-                     ref_segments_properly_cross, visible_hull_edges)
-from conftest import core_plus_interior
+                     bf_largest_anchored_convex, bf_max_convex_subset,
+                     bf_optimal_convex_subsets, dp_max_convex_subset, ref_ccw_ring, ref_cross,
+                     ref_point_in_triangle, ref_segments_properly_cross, visible_hull_edges)
+from conftest import bench_sets, core_plus_interior
 
 
 def segment(*coords):
@@ -933,8 +933,9 @@ class TestMaxConvexSubset:
         assert max_convex_subset_indices(ps) == dp_max_convex_subset(ps)
 
     def test_convex_set_found_before_the_later_anchors(self):
-        # the 16-gon's leftmost point is among the first anchors, so the
-        # size pass stops once fewer than 16 points are left from an anchor on
+        # the 16-gon's leftmost point has the highest cup-and-cap bound, 17,
+        # so the size pass finds 16 there first; it stops at the third anchor
+        # by bound, the first one whose bound is below 16
         ring = regular_polygon_points(16, 10 ** 5)
         rng = random.Random(16)
         while True:
@@ -965,6 +966,70 @@ class TestMaxConvexSubset:
         assert is_convex_position(ps.reordered(range(k)))
         assert is_convex_position(ps.reordered(range(k, 2 * k)))
         assert max_convex_subset_indices(ps) == tuple(range(k, 2 * k)) == dp_max_convex_subset(ps)
+
+    @staticmethod
+    def lex_bounds(ps):
+        """The ids in lexicographic order and `_anchor_bounds` by rank."""
+        n = len(ps)
+        order = sorted(range(n), key=lambda i: (ps.xs[i], ps.ys[i]))
+        pairs = _slope_pairs([ps.xs[i] for i in order], [ps.ys[i] for i in order])
+        return order, _anchor_bounds(n, pairs)
+
+    def test_anchor_bound_covers_every_anchored_polygon(self):
+        # the bound of every anchor, against the largest convex polygon whose
+        # lexicographically smallest corner it is; below n - a the bound is
+        # cup + cap, and there it is exact on 369 of the 1,138 anchors
+        rng = random.Random(42)
+        sets = [random_general_position(n, s) for n in range(6, 11) for s in range(6)]
+        sets += [quarter_turn_set(rng, 2, 4) if i % 2 else grid_set(rng, rng.randint(4, 10), 4)
+                 for i in range(120)]
+        exact = 0
+        for ps in sets:
+            order, bound = self.lex_bounds(ps)
+            for a, i in enumerate(order):
+                size = bf_largest_anchored_convex(ps, i)
+                assert bound[a] >= size, (ps.points, a)
+                exact += bound[a] == size < len(ps) - a
+        assert exact >= 300
+
+    @pytest.mark.parametrize("family", ["fuzz", "core_plus_interior"])
+    def test_bound_leaves_few_anchors(self, family, monkeypatch):
+        # anchors whose bound reaches K, the largest size, against those that
+        # the n - a >= K stop alone lets through: pinned totals over the sets,
+        # and the most on one set
+        if family == "fuzz":
+            sets = bench_sets(monkeypatch)
+            expected = (75, 728, 9)
+        else:
+            sets = [core_plus_interior(n, s) for n in range(16, 41, 4) for s in range(6)]
+            expected = (69, 637, 7)
+        kept, by_size = [], []
+        for ps in sets:
+            n, k = len(ps), len(max_convex_subset_indices(ps))
+            kept.append(sum(b >= k for b in self.lex_bounds(ps)[1][:n - 2]))
+            by_size.append(sum(n - a >= k for a in range(n - 2)))
+        assert (sum(kept), sum(by_size), max(kept)) == expected
+
+    def test_optimum_anchored_below_the_highest_bound(self):
+        # from the leftmost point, a steep cup up and a steep cap down give
+        # it the highest bound, 14, but the cap lies below the cup, so no
+        # polygon uses both.  The optimum is a regular 12-gon far to the
+        # right, whose anchor's bound is lower, so the size pass must go on
+        # past its first anchor.
+        rng = random.Random(7)
+        ring = [(10 ** 6 + p.x, p.y) for p in regular_polygon_points(12, 10 ** 4)]
+        while True:
+            cup = [(x, x * x) for x in rng.sample(range(1, 60), 7)]
+            cap = [(x, -x * x - 3) for x in rng.sample(range(1, 60), 7)]
+            try:
+                ps = PointSet([(0, 0)] + cup + cap + ring)
+                break
+            except PreconditionError:
+                continue
+        order, bound = self.lex_bounds(ps)
+        ring_anchor = order.index(min(range(15, 27), key=lambda i: (ps.xs[i], ps.ys[i])))
+        assert order[0] == 0 and bound[0] == max(bound) == 14 > bound[ring_anchor] == 12
+        assert max_convex_subset_indices(ps) == tuple(range(15, 27)) == dp_max_convex_subset(ps)
 
     def test_ties_on_small_grids(self):
         # On a 9 x 9 grid, sets that a quarter turn maps onto themselves have
@@ -1018,7 +1083,7 @@ class TestAngularKeys:
 
     def test_rings_match_the_comparator(self):
         for ps in self.cases():
-            rings, ats = _ccw_rings(ps.xs, ps.ys)
+            rings, ats = _ccw_rings(len(ps), _slope_pairs(ps.xs, ps.ys))
             for v in range(len(ps)):
                 assert (rings[v], ats[v]) == ref_ccw_ring(ps.xs, ps.ys, v)
 

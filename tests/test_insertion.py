@@ -1,11 +1,8 @@
 import hashlib
-import importlib.util
 import json
 import math
 import random
 import re
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -26,7 +23,8 @@ from biplane.insertion import (InsertionState, build_5conn_general,
 from biplane.triangulation import complete_to_triangulation, edge_key, is_flippable
 from biplane.generators import generate_wheel
 
-from conftest import N17_CHAIN_WRAPS, N18_SURROUNDING, core_plus_interior, mixed_pipeline_instance
+from conftest import (N17_CHAIN_WRAPS, N18_SURROUNDING, bench_sets, core_plus_interior,
+                      mixed_pipeline_instance)
 from oracles import (bf_first_collinear, bf_first_crossing, bf_triangulation_ok,
                      edge_visibility_hall_holds, ref_segments_properly_cross,
                      ref_vertex_connectivity, visible_hull_edges)
@@ -716,17 +714,6 @@ def family_sets(seeds):
         rng = random.Random(seed)
         inner, outer = rng.randint(0, 16), rng.randint(0, 8)
         yield core_plus_interior(14 + inner + outer, seed, outer=outer)
-
-
-def bench_sets(monkeypatch):
-    """The 40 general5 sets of the bench, drawn by its own `fuzz_instance`."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses looks the module up by name while the file runs
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return [PointSet(module.fuzz_instance(random.Random(f"general5:{i}"))) for i in range(40)]
 
 
 def build_all(point_sets):
