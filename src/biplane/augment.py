@@ -11,7 +11,7 @@ double flip, its other inner vertices off a bisector split.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import combinations
 
 from .connectivity import (CutReport, augmentation_violations, cut_structures,
@@ -20,7 +20,8 @@ from .errors import ImpossibleError, InternalInvariantError, PreconditionError
 from .geometry import _HALF_TURN, PointSet, _slope, cross, first_crossing, polygon_doubled_area
 from .treeaug import build_cell_tree
 from .triangulation import (Edge, Triangulation, TriangulationClass, classify,
-                            complete_to_triangulation, edge_key, flip, is_flippable)
+                            complete_to_triangulation, edge_key, flip, is_flippable,
+                            refilled_at)
 
 
 def flip_pair_helper(t: Triangulation, u: int, v: int, w: int, v2: int) -> tuple[Triangulation, list[tuple[Edge, Edge]]]:
@@ -199,30 +200,27 @@ def _small_base(t: Triangulation) -> set[Edge]:
     raise InternalInvariantError(f"no {size} absent edges complete the {n}-point base")
 
 
-def _hang_cell(t: Triangulation, chord: Edge, members: frozenset[int],
-               idmap: list[int], partner: set[Edge]) -> set[Edge]:
-    """Put a peeled leaf cell back on t: complete the remainder's partner,
-    read into t's ids by `idmap`, on t's own points with the cell's
-    triangles held, so the completion is t's cell glued to the completion
-    the remainder would get.  Then reinsert the apex v of the cell triangle
-    (u, v, w) on the chord by the double flip, and hang the other inner
-    vertices off the bisector split of v's two new neighbors (see README,
+def _hang_cell(t: Triangulation, chord: Edge, members: frozenset[int], idmap: list[int],
+               below: Triangulation) -> tuple[Triangulation, set[Edge]]:
+    """Put a peeled leaf cell back on t.  `below` is the greedy completion
+    of the remainder's partner on the remainder's points; read into t's ids
+    by the increasing `idmap` and glued to t's faces at the cell's inner
+    vertices along the chord (`spliced`), it is the completion of the
+    partner with the cell held, on t's points.  Then reinsert the apex v of the cell
+    triangle (u, v, w) on the chord by the double flip, and hang the other
+    inner vertices off the bisector split of v's two new neighbors.
+    Returns the flipped triangulation and the bisector edges (see README,
     Augmentation by leaf peels)."""
     u, w = chord
     inner = members - set(chord)
     v = next(x for x in t.opposites(chord) if x in inner)
-    # the sides of the faces (q, r, x) at the inner vertices q
-    cell = {edge_key(*e) for q in inner for r in t.neighbors(q)
-            for e in ((q, r), *((r, x) for x in t.opposites((q, r))))}
-    t_full = complete_to_triangulation(
-        t.ps, required=cell.union(edge_key(idmap[a], idmap[b]) for a, b in partner))
+    t_full = t.spliced(idmap, below)
     vp = next(q for q in t_full.opposites(chord) if q != v)
     flipped, (_, (_, added2)) = flip_pair_helper(t_full, u, v, w, vp)
     x = next(q for q in added2 if q != v)
-    edges = set(flipped.edges)
-    for q in sorted(inner - {v}):
-        edges.add(edge_key(q, x if _closer_to_first_ray(*_rays(t.ps, v, x, vp, q)) else vp))
-    return edges - t.edges
+    hang = {edge_key(q, x if _closer_to_first_ray(*_rays(t.ps, v, x, vp, q)) else vp)
+            for q in inner - {v}}
+    return flipped, hang
 
 
 def _first_hit(ps: PointSet, pivot: int, toward: int, points: list[int], sweep_ccw: bool) -> int:
@@ -281,39 +279,56 @@ def _plane_partner(t: Triangulation, report: CutReport | None = None) -> set[Edg
     (the size-3 cells by (private vertex, chord), else the smallest cell by
     (size, chord)), skipping cells whose removal leaves a fan, and go on with
     the remainder.  A chordless remainder, a small base or a wheel remainder
-    ends the walk; the peeled cells are then hung back on, last peel first."""
+    ends the walk; the peeled cells are then hung back on, last peel first.
+    One cell tree, in the input's ids, serves every level: `ids` maps each
+    level's ids to the input's, and each peel deletes its leaf.  One greedy
+    completion serves every hang: the base's, refilled at each level above
+    where the level below changed it (see README, Augmentation by leaf
+    peels)."""
+    if not t.chords():
+        return _augment_3connected(t, report if report is not None else cut_structures(t))
     levels = []
+    tree, ids = build_cell_tree(t), list(range(len(t.ps)))
     while True:
         n = len(t.ps)
-        if not t.chords():
-            partner = _augment_3connected(t, report if report is not None else cut_structures(t))
+        if not tree.leaves:
+            partner = _augment_3connected(t, cut_structures(t))
             break
-        leaves = build_cell_tree(t).leaves
-        cands = sorted((min(leaf.inner_members), leaf.chord, leaf.members)
-                       for leaf in leaves if len(leaf.members) == 3)
+        cands = sorted((leaf for leaf in tree.leaves if len(leaf.members) == 3),
+                       key=lambda c: (min(c.inner_members), c.chord))
         if n == 5 or (n == 6 and (len(t.ps.hull()) == 6 or not cands)):
             partner = _small_base(t)
             break
         if not cands:
-            leaf = min(leaves, key=lambda c: (len(c.members), c.chord))
-            cands = [(0, leaf.chord, leaf.members)]
+            cands = [min(tree.leaves, key=lambda c: (len(c.members), c.chord))]
         # a remainder keeps four points or more: a leftover triangle is a size-3 leaf
-        for _, chord, members in cands:
-            idmap = [x for x in range(n) if x in chord or x not in members]
+        for leaf in cands:
+            idmap = [i for i, x in enumerate(ids) if x in leaf.chord or x not in leaf.members]
             t1 = t.restricted(idmap)
             cls = classify(t1)
             if cls is not TriangulationClass.FAN:
                 break
         else:
             raise InternalInvariantError("every leaf removal yields a fan; the input should have been a fan")
+        # the leaf in t's ids
+        chord = (bisect_left(ids, leaf.chord[0]), bisect_left(ids, leaf.chord[1]))
+        members = frozenset(bisect_left(ids, x) for x in leaf.members)
         if cls is TriangulationClass.WHEEL:
             partner = _wheel_remainder_wiring(t, chord, members)
             break
         levels.append((t, chord, members, idmap))
-        t, report = t1, None
-    for level in reversed(levels):
-        partner = _hang_cell(*level, partner)
-    return partner
+        tree.delete_leaf(leaf.cell)
+        t, ids = t1, [ids[i] for i in idmap]
+    if not levels:
+        return partner
+    below = complete_to_triangulation(t.ps, required=partner)
+    for k, (t, chord, members, idmap) in enumerate(reversed(levels)):
+        if k:
+            below = refilled_at(flipped, inner, prev,
+                                {e for e in hang if e not in flipped and e not in prev})
+        flipped, hang = _hang_cell(t, chord, members, idmap, below)
+        prev, inner = t, members - set(chord)
+    return hang.union(flipped.edges)
 
 
 def augment_to_4conn(t: Triangulation) -> frozenset[Edge]:

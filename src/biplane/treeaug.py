@@ -5,6 +5,7 @@ cell tree hung from one root, so that the tree plus the pairs is
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -123,10 +124,41 @@ class LeafCell:
 
 @dataclass
 class CellTree:
-    """Dual tree of the convex cells cut out by the hull chords."""
+    """Dual tree of the convex cells cut out by the hull chords, with what
+    `delete_leaf` needs to keep `leaves` as a rebuild on the remainder
+    would give them: each cell's members, the chord between each two
+    adjacent cells (keyed by their ids, smaller first) and the hull
+    positions of t's points."""
 
     adjacency: dict[int, set[int]]
     leaves: list[LeafCell]
+    members: list[frozenset[int]]
+    chord_of: dict[tuple[int, int], Edge]
+    hull_positions: list[int]
+
+    def _leaf(self, k: int) -> LeafCell:
+        """Cell k, which has one neighbour, as a leaf: its chord, its members
+        and its least inner member on the hull."""
+        other = next(iter(self.adjacency[k]))
+        chord = self.chord_of[(min(k, other), max(k, other))]
+        inner = self.members[k] - set(chord)
+        pos = self.hull_positions
+        on_hull = [v for v in inner if pos[v] >= 0]
+        if not on_hull:
+            raise InternalInvariantError("leaf cell without a hull representative")
+        return LeafCell(k, chord, self.members[k], inner, min(on_hull))
+
+    def delete_leaf(self, k: int) -> None:
+        """Drop leaf cell k, as peeling its inner vertices off t does: its
+        chord becomes a hull edge, so its neighbour loses one chord, and
+        is a leaf exactly when one is left.  The ids stay t's, and the
+        leaves stay in ascending cell id, the order a rebuild on the
+        remainder gives (see README, *Cell numbering*)."""
+        other = self.adjacency.pop(k).pop()
+        self.adjacency[other].discard(k)
+        self.leaves = [leaf for leaf in self.leaves if leaf.cell not in (k, other)]
+        if len(self.adjacency[other]) == 1:
+            insort(self.leaves, self._leaf(other), key=lambda leaf: leaf.cell)
 
 
 def build_cell_tree(t: Triangulation) -> CellTree:
@@ -140,7 +172,6 @@ def build_cell_tree(t: Triangulation) -> CellTree:
     and may have the same size.  A cell tree read from the apex map
     (`t.opposites`) instead of the sorted faces must keep these numbers
     (README, *Cell numbering*)."""
-    pos = t.ps.hull_positions()
     chords = t.chords()
     chord_set = set(chords)
     tris = sorted(t.triangles)
@@ -179,20 +210,13 @@ def build_cell_tree(t: Triangulation) -> CellTree:
         chord_of[(min(c1, c2), max(c1, c2))] = e
     if len(roots) != len(chords) + 1:
         raise InternalInvariantError("cell dual graph is not a tree")
-    leaves = []
-    for k in range(len(roots)):
-        if len(adjacency[k]) == 1:
-            other = next(iter(adjacency[k]))
-            chord = chord_of[(min(k, other), max(k, other))]
-            inner = frozenset(members[k] - set(chord))
-            on_hull = sorted(v for v in inner if pos[v] >= 0)
-            if not on_hull:
-                raise InternalInvariantError("leaf cell without a hull representative")
-            leaves.append(LeafCell(k, chord, frozenset(members[k]), inner, on_hull[0]))
+    tree = CellTree(adjacency, [], [frozenset(m) for m in members], chord_of,
+                    t.ps.hull_positions())
+    leaves = tree.leaves = [tree._leaf(k) for k in range(len(roots)) if len(adjacency[k]) == 1]
     if any(l1.inner_members & l2.inner_members
            for i, l1 in enumerate(leaves) for l2 in leaves[i + 1:]):
         raise InternalInvariantError("leaf cells share inner members")
-    return CellTree(adjacency, leaves)
+    return tree
 
 
 def min_augment_3conn(t: Triangulation) -> frozenset[Edge]:

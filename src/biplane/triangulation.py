@@ -200,6 +200,39 @@ class Triangulation:
         adj = {i: {new[w] for w in self._adj[v] if new[w] >= 0} for i, v in enumerate(keep)}
         return Triangulation._from_maps(ps, opposites, adj, lost)
 
+    def spliced(self, keep: list[int], below: "Triangulation") -> "Triangulation":
+        """This triangulation with its faces on the sorted ids `keep` traded
+        for the faces of `below`, a triangulation of the points of
+        `restricted(keep)`, read back into this one's ids: the faces that
+        `restricted` drops, glued to `below` along the edges that lost a
+        face there.  The maps are relabelled, the increasing renaming keeps
+        keys and apexes sorted, and `_check` re-checks the edges at the
+        other vertices and the edges that gain a face (see README,
+        Augmentation by leaf peels)."""
+        opp, adj = self._opposites, self._adj
+        opposites = {(keep[u], keep[v]): tuple(keep[w] for w in ws)
+                     for (u, v), ws in below._opposites.items()}
+        nbrs = {keep[u]: {keep[v] for v in vs} for u, vs in below._adj.items()}
+        kept = set(keep)
+        check = set()
+        for q in range(len(self.ps)):
+            if q not in kept:
+                nbrs[q] = set(adj[q])
+                for r in adj[q]:
+                    e = edge_key(q, r)
+                    opposites[e] = opp[e]
+                    check.add(e)
+                    if r in kept:
+                        nbrs[r].add(q)
+                        # a kept side (r, x) of the face (q, r, x) gains q as an apex
+                        for x in opp[e]:
+                            side = edge_key(r, x)
+                            if x in kept and side not in check:
+                                check.add(side)
+                                opposites[side] = tuple(sorted({*opposites[side],
+                                                                *(w for w in opp[side] if w not in kept)}))
+        return Triangulation._from_maps(self.ps, opposites, nbrs, check)
+
     def split(self, new_ps: PointSet, s: int) -> "Triangulation":
         """This triangulation on `new_ps`, which appends the one point s,
         with the triangle containing s replaced by the three around s."""
@@ -541,39 +574,53 @@ def _fill_faces(ps: PointSet, required: list[Edge], avoid: set[Edge]) -> Triangu
 
 
 def _faces_of(ps: PointSet, plane: set[Edge]
-              ) -> tuple[set[Edge], defaultdict[int, list[Edge]], Callable[[int, int], int]]:
+              ) -> tuple[set[Edge], defaultdict[int, list[Edge]], Callable[[int, int], int | None]]:
     """The faces of the plane edge set `plane`, which holds the hull edges,
-    as `_greedy_fill` takes them: the candidate pairs, the edges bounding
-    each face, and the face that a segment leaves its end into.
+    as `_greedy_fill` takes them (`_walked_faces`), read from the rings of
+    every vertex, with the candidates less `plane`."""
+    rings, keys = _edge_rings(ps, plane)
+    pairs, inside, corner = _walked_faces(ps, plane, range(len(ps)), rings, keys,
+                                          [[-1] * len(ring) for ring in rings])
+    return pairs - plane, inside, corner
 
-    The faces are read once from the rotation system: each ring is
-    `ccw_order`, and the walk after the directed edge (a, b) goes on to the
-    neighbour just before a in b's ring, so it keeps its face on the left.
-    A bounded face's outer walk winds counterclockwise, of positive area.
-    Any other walk off the hull goes around a hole, a part of R' that no
-    edge joins to the hull (a vertex with no edge is the walk of itself);
+
+def _walked_faces(ps: PointSet, plane: set[Edge], vertices: Iterable[int],
+                  rings: Sequence[list[int]] | dict[int, list[int]],
+                  keys: Sequence[list[int]] | dict[int, list[int]],
+                  at: list[list[int]] | dict[int, list[int]]
+                  ) -> tuple[set[Edge], defaultdict[int, list[Edge]], Callable[[int, int], int | None]]:
+    """The faces of the plane edge set `plane` at the corners of `vertices`
+    that `at` marks -1, as `_greedy_fill` takes them: the candidate pairs,
+    the edges bounding each face, and the face that a segment leaves its
+    end into, None for a corner marked -2, which is never walked.  rings[v]
+    and keys[v] are v's neighbours in `ccw_order` and their keys, and at[v]
+    has one mark per corner at v: at[v][i] is the corner from rings[v][i]
+    on, counterclockwise, left of the edge from v to rings[v][i].
+
+    The faces are read once from the rotation system: the walk after the
+    directed edge (a, b) goes on to the neighbour just before a in b's
+    ring, so it keeps its face on the left.  A bounded face's outer walk
+    winds counterclockwise, of positive area.  Any other walk off the hull
+    goes around a hole, a part of R' that no edge joins to the hull or to
+    the face's outer walk (a vertex with no edge is the walk of itself);
     the hole lies in the innermost outer walk that winds around it.  The
     candidates are the pairs of vertices of a face that is not a closed
-    triangle, less `plane`; a face's bounding edges are those of its walks
-    that are not hull edges."""
+    triangle; a face's bounding edges are those of its walks that are not
+    hull edges."""
     hull_edges, on_hull = ps.hull_edges(), ps.hull_positions()
     xs, ys = ps.xs, ps.ys
-    rings, keys = _edge_rings(ps, plane)
-    pos = [dict(zip(ring, range(len(ring)))) for ring in rings]
-    # at[v][i] is the walk of the corner at v from rings[v][i] on,
-    # counterclockwise: the walk left of the edge from v to rings[v][i]
-    at = [[-1] * len(ring) for ring in rings]
+    pos = {v: dict(zip(rings[v], range(len(rings[v])))) for v in vertices}
     walks: list[list[int]] = []
     area: list[int] = []
-    for v, ring in enumerate(rings):
-        if not ring:
+    for v in vertices:
+        if not rings[v]:
             at[v] = [len(walks)]
             walks.append([v])
             area.append(0)
         for i, f in enumerate(at[v]):
-            if f < 0:
+            if f == -1:
                 f, x, j, row, walk, twice = len(walks), v, i, at[v], [], 0
-                while row[j] < 0:
+                while row[j] == -1:
                     row[j] = f
                     walk.append(x)
                     y = rings[x][j]
@@ -603,14 +650,12 @@ def _faces_of(ps: PointSet, plane: set[Edge]
         # (the walk of a vertex with no edge gives the pair (v, v), not in R')
         inside[f] = [e for e in {edge_key(a, b) for w in rim for a, b in zip(w, w[1:] + w[:1])}
                      if e in plane and e not in hull_edges]
-    pairs -= plane
 
-    def corner(u: int, w: int) -> int:
+    def corner(u: int, w: int) -> int | None:
         """The face that the segment from u to w leaves u into."""
         fs = at[u]
-        if len(fs) == 1:
-            return canon[fs[0]]
-        return canon[fs[bisect(keys[u], _ccw_key(ps, u)(w)) - 1]]
+        f = fs[0] if len(fs) == 1 else fs[bisect(keys[u], _ccw_key(ps, u)(w)) - 1]
+        return canon[f] if f >= 0 else None
 
     return pairs, inside, corner
 
@@ -730,6 +775,83 @@ def refilled(t: Triangulation, dropped: Iterable[Edge],
             raise InternalInvariantError(f"refilled edge {(u, v)} misses a face")
         new.update((triangle_key(u, v, left), triangle_key(u, v, right)))
     return t._replaced(set(region), new), taken
+
+
+def refilled_at(t: Triangulation, at: Iterable[int], dropped: Container[Edge],
+                held: Iterable[Edge]) -> Triangulation:
+    """The greedy completion of R, t's edges less D plus the edges `held`:
+    `complete_to_triangulation(t.ps, R)`, read from t.  D is the edges of
+    `dropped` off the hull that t's triangles at the vertices `at` reach,
+    glued across such edges.  The held edges are sorted pairs, no edges of
+    t, and each must lie in the regions that those triangles form, crossing
+    D only (see README, Verification, *Held refills*).
+
+    Each face of R' fills on its own, so only the regions fill again, and
+    they fill face by face: the regions' sides outside D and the held
+    edges split them into the faces of R', read as `_faces_of` reads
+    faces, from the rings of those edges, with each walk that runs outside
+    the regions left out.  `_greedy_fill` fills them, and the new triangles
+    are read from the sides of each taken and held edge and spliced in by
+    `_replaced`, whose `_check` certifies every edge they touch."""
+    ps, opposites = t.ps, t._opposites
+    hull_edges, xs, ys = ps.hull_edges(), ps.xs, ps.ys
+    held = list(held)
+    # the regions: t's triangles at `at` with a side in D, grown across D;
+    # R' there is the held edges and the regions' sides outside D, and
+    # `left` holds each of them directed with a region on its left
+    d: set[Edge] = set()
+    plane: set[Edge] = set(held)
+    left = {*held, *((v, u) for u, v in held)}
+    region: set[tuple[int, int, int]] = set()
+    nbrs: dict[int, set[int]] = {}
+    stack = list({triangle_key(q, r, a) for q in at for r in t._adj[q]
+                  for a in opposites[edge_key(q, r)]})
+    seen = set(stack)
+    while stack:
+        a, b, c = tri = stack.pop()
+        if (xs[b] - xs[a]) * (ys[c] - ys[a]) - (ys[b] - ys[a]) * (xs[c] - xs[a]) < 0:
+            b, c = c, b
+        sides = [(edge_key(u, v), u, v, w) for u, v, w in ((a, b, c), (b, c, a), (c, a, b))]
+        out = [e in dropped and e not in hull_edges for e, _, _, _ in sides]
+        if not any(out):
+            continue
+        region.add(tri)
+        for (e, u, v, w), gone in zip(sides, out):
+            nbrs.setdefault(u, set())
+            if gone:
+                d.add(e)
+                x, y = opposites[e]
+                nb = triangle_key(u, v, y if x == w else x)
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+            else:
+                plane.add(e)
+                left.add((u, v))
+    for u, v in plane:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    # a corner outside the regions is marked -2, never walked
+    rings, keys, marks = {}, {}, {}
+    for v, ns in nbrs.items():
+        key = _ccw_key(ps, v)
+        ring = sorted((key(p), p) for p in ns)
+        keys[v] = [k for k, _ in ring]
+        rings[v] = [p for _, p in ring]
+        marks[v] = [-1 if (v, p) in left else -2 for _, p in ring]
+    pairs, inside, corner = _walked_faces(ps, plane, list(rings), rings, keys, marks)
+    pairs = {e for e in pairs if e in d or (e not in opposites and e not in plane)}
+    taken = _greedy_fill(ps, pairs, inside, corner, (), len(d) - len(held))
+    adj: defaultdict[int, set[int]] = defaultdict(set)
+    for u, v in (*plane, *taken):
+        adj[u].add(v)
+        adj[v].add(u)
+    new = set()
+    for u, v, left_apex, right_apex in _side_apexes(xs, ys, adj, [*taken, *held]):
+        if left_apex < 0 or right_apex < 0:
+            raise InternalInvariantError(f"refilled edge {(u, v)} misses a face")
+        new.update((triangle_key(u, v, left_apex), triangle_key(u, v, right_apex)))
+    return t._replaced(region, new)
 
 
 def _winding(ps: PointSet, walk: list[int], r: int) -> int:

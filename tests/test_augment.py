@@ -19,7 +19,7 @@ from biplane.generators import (generate_fan, generate_no5conn_counterexample,
                                 random_triangulation, regular_polygon_points)
 from biplane.geometry import Point, PointSet, cross, segments_properly_cross
 from biplane.connectivity import cut_structures
-from biplane.treeaug import build_cell_tree, min_augment_3conn
+from biplane.treeaug import CellTree, build_cell_tree, min_augment_3conn
 from biplane.triangulation import (Triangulation, TriangulationClass, classify,
                                    edge_key, flip, is_flippable, triangulate,
                                    triangulation_from_edges)
@@ -292,6 +292,10 @@ EVERY_TRIANGULATION_SETS = {
     **{f"wheel-{n}": lambda n=n: jittered_wheel_points(n) for n in range(6, 10)},
 }
 
+#: augment alone also runs on the convex 10-gon's 1,430 triangulations, 10
+#: of them fans: every convex triangulation peels level after level
+AUGMENTED_SETS = {**EVERY_TRIANGULATION_SETS, "convex-10": lambda: regular_polygon_points(10)}
+
 
 class TestEveryTriangulation:
     """augment_to_4conn and min_augment_3conn on every triangulation of small
@@ -300,9 +304,9 @@ class TestEveryTriangulation:
     triangulation gets plane new edges whose union has kappa >= 4, checked
     by the reference flow; target 3 reaches kappa >= 3 everywhere."""
 
-    @pytest.mark.parametrize("name", EVERY_TRIANGULATION_SETS)
+    @pytest.mark.parametrize("name", AUGMENTED_SETS)
     def test_augments_every_triangulation(self, name):
-        ps = EVERY_TRIANGULATION_SETS[name]()
+        ps = AUGMENTED_SETS[name]()
         n = len(ps)
         refused = 0
         for edges in all_triangulations(ps):
@@ -839,6 +843,119 @@ class TestRestrictedPeelLevels:
                 except BiplaneError:
                     pass
         assert len(levels) > 250
+
+
+class TestDeepPeelPin:
+    """sha256 over `augment_to_4conn` on walks of many levels, recorded
+    before the walk carried its completion and cell tree up: chordful
+    triangulations for n = 8-60 in steps of 4 and seeds 0-4 (1,960 hangs),
+    and the bench's family `random_triangulation(n, 1000 + n, flips=n)` for
+    n = 30-60, which peels up to four levels."""
+
+    def test_chordful_triangulations(self):
+        out = [(n, seed, sorted(augment_to_4conn(chordful_triangulation(n, seed))))
+               for n in range(8, 61, 4) for seed in range(5)]
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+            "1172820a1e22266ff0b5a2b5435afe09f4124ee6b6827868e5165bffad47180c")
+
+    def test_bench_family(self, monkeypatch):
+        hangs = _count_calls(monkeypatch, "_hang_cell")
+        out, depth = [], 0
+        for n in range(30, 61):
+            t = random_triangulation(n, 1000 + n, flips=n)
+            before = len(hangs)
+            try:
+                out.append((n, sorted(augment_to_4conn(t))))
+            except BiplaneError as exc:
+                out.append((n, type(exc).__name__))
+            depth = max(depth, len(hangs) - before)
+        assert depth == 4
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+            "d6bae11ca8c848e69b93762b53533949eed83829a124c386b9a83a7c4be61c38")
+
+
+class TestCarriedWalk:
+    """The peel walk carries one greedy completion up and one cell tree
+    down.  Level by level, on the `TestRandomPeelPin` inputs and the
+    chordful corpus of `TestDeepPeelPin`, each must equal its rebuild:
+
+    - each hang's triangulation before its double flip is
+      `complete_to_triangulation(t.ps, required=cell | partner)`, with the
+      partner that the level below returns read into t's ids;
+    - after each peel, the tree's leaves are those of `build_cell_tree` on
+      the remainder, read into the input's ids: the same order, chord,
+      members, inner members and representative;
+    - a walk completes from scratch once, at its base."""
+
+    CORPORA = {
+        "random": lambda: [random_triangulation(n, seed) for n in range(6, 31) for seed in range(10)],
+        "chordful": lambda: [chordful_triangulation(n, seed)
+                             for n in range(8, 61, 4) for seed in range(5)],
+    }
+
+    @pytest.mark.parametrize("corpus", sorted(CORPORA))
+    def test_each_level_matches_its_rebuild(self, monkeypatch, corpus):
+        walk = {}
+        counts = Counter()
+        complete, hang_cell, flip_pair = (augment_module.complete_to_triangulation,
+                                          augment_module._hang_cell, augment_module.flip_pair_helper)
+        restricted, delete_leaf = Triangulation.restricted, CellTree.delete_leaf
+
+        def base(ps, required):
+            counts["base"] += 1
+            walk["partner"] = set(required)
+            return complete(ps, required=required)
+
+        def full(t, u, v, w, v2):
+            walk["full"] = t
+            return flip_pair(t, u, v, w, v2)
+
+        def hang(t, chord, members, idmap, below):
+            inner = members - set(chord)
+            cell = {edge_key(*e) for q in inner for r in t.neighbors(q)
+                    for e in ((q, r), *((r, x) for x in t.opposites((q, r))))}
+            want = complete(t.ps, required=cell | {edge_key(idmap[a], idmap[b])
+                                                   for a, b in walk["partner"]})
+            flipped, hung = hang_cell(t, chord, members, idmap, below)
+            assert walk["full"].triangles == want.triangles
+            walk["partner"] = (flipped.edges | hung) - t.edges
+            counts["hangs"] += 1
+            return flipped, hung
+
+        def tree(t):
+            walk["ids"] = list(range(len(t.ps)))
+            return build_cell_tree(t)
+
+        def kept(t, keep):
+            walk["remainder"], walk["keep"] = restricted(t, keep), keep
+            return walk["remainder"]
+
+        def peel(self, k):
+            delete_leaf(self, k)
+            ids = walk["ids"] = [walk["ids"][i] for i in walk["keep"]]
+            want = [(tuple(ids[x] for x in leaf.chord), frozenset(ids[x] for x in leaf.members),
+                     frozenset(ids[x] for x in leaf.inner_members), ids[leaf.representative])
+                    for leaf in build_cell_tree(walk["remainder"]).leaves]
+            assert [(leaf.chord, leaf.members, leaf.inner_members, leaf.representative)
+                    for leaf in self.leaves] == want
+            counts["peels"] += 1
+
+        monkeypatch.setattr(augment_module, "complete_to_triangulation", base)
+        monkeypatch.setattr(augment_module, "flip_pair_helper", full)
+        monkeypatch.setattr(augment_module, "_hang_cell", hang)
+        monkeypatch.setattr(augment_module, "build_cell_tree", tree)
+        monkeypatch.setattr(Triangulation, "restricted", kept)
+        monkeypatch.setattr(CellTree, "delete_leaf", peel)
+        walks = 0
+        for t in self.CORPORA[corpus]():
+            hangs = counts["hangs"]
+            try:
+                augment_to_4conn(t)
+            except BiplaneError:
+                pass
+            walks += counts["hangs"] > hangs
+        assert counts["base"] == walks and counts["hangs"] == counts["peels"]
+        assert counts["hangs"] >= {"random": 250, "chordful": 1900}[corpus], counts
 
 
 class TestNo5ConnCounterexample:

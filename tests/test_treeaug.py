@@ -129,6 +129,28 @@ class TestCellTree:
             for j in range(i + 1, len(inner_sets)):
                 assert not inner_sets[i] & inner_sets[j]
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_deleting_leaves_keeps_the_rebuild(self, seed):
+        """Peel leaf cells in a seeded random order, down to one cell: after
+        each `delete_leaf`, the leaves are those of `build_cell_tree` on
+        the remainder, read into the input's ids, in the same order."""
+        rng, peels = random.Random(seed), 0
+        for t0 in (chordful_triangulation(12 + 6 * seed, seed), random_triangulation(30, seed)):
+            tree, t, ids = build_cell_tree(t0), t0, list(range(len(t0.ps)))
+            while tree.leaves:
+                leaf = rng.choice(tree.leaves)
+                keep = [i for i, x in enumerate(ids) if x in leaf.chord or x not in leaf.members]
+                t, ids = t.restricted(keep), [ids[i] for i in keep]
+                tree.delete_leaf(leaf.cell)
+                want = [(tuple(ids[x] for x in c.chord), frozenset(ids[x] for x in c.members),
+                         frozenset(ids[x] for x in c.inner_members), ids[c.representative])
+                        for c in build_cell_tree(t).leaves]
+                assert [(c.chord, c.members, c.inner_members, c.representative)
+                        for c in tree.leaves] == want
+                peels += 1
+            assert not t.chords() and len(tree.adjacency) == 1
+        assert peels >= 4
+
 
 class TestMinAugment3Conn:
     def test_added_edge_already_in_t_is_in_both_layers(self):

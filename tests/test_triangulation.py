@@ -15,10 +15,11 @@ from biplane.generators import (generate_fan, generate_no5conn_counterexample,
                                 random_triangulation, regular_polygon_points)
 from biplane.connectivity import verify_layering
 from biplane.insertion import build_5conn_general
+from biplane.treeaug import build_cell_tree
 from biplane.triangulation import (Triangulation, TriangulationClass,
                                    classify, complete_to_triangulation,
                                    edge_key, flip, is_flippable, refilled,
-                                   triangle_key, triangulate,
+                                   refilled_at, triangle_key, triangulate,
                                    triangulation_from_edges)
 
 from conftest import (chordful_triangulation, core_plus_interior, greedy_biplane,
@@ -261,6 +262,30 @@ def refill_regions(t: Triangulation, required) -> int:
     return len({find(tri) for tri in owner.values()})
 
 
+def grown_drop(t: Triangulation, at, dropped) -> set:
+    """D of `refilled_at`: the edges of `dropped` off the hull that t's
+    triangles at the vertices `at` reach, glued across such edges, by a
+    search of its own over t.triangles."""
+    h = t.ps.hull()
+    cut = {e for e in t.edges if e in dropped} - {edge_key(h[i - 1], h[i]) for i in range(len(h))}
+    owners: dict = {}
+    for a, b, c in t.triangles:
+        for e in ((a, b), (b, c), (a, c)):
+            owners.setdefault(e, []).append((a, b, c))
+    stack = [tri for tri in t.triangles if set(tri) & set(at)]
+    seen, d = set(stack), set()
+    while stack:
+        a, b, c = stack.pop()
+        for e in ((a, b), (b, c), (a, c)):
+            if e in cut:
+                d.add(e)
+                for nb in owners[e]:
+                    if nb not in seen:
+                        seen.add(nb)
+                        stack.append(nb)
+    return d
+
+
 def nested_cases(seeds):
     """(seed, points, required, avoid): three nested triangles, turned and
     jittered by the seed, around a centre point 9, and up to three more
@@ -346,12 +371,14 @@ class TestGreedyCompletionDifferential:
         assert len(found["nested hole"]) >= 20
 
     def test_every_completion_of_seeded_builds(self, monkeypatch):
-        """Every completion and every refill of the seeded builds, against
-        the oracle; a refill that `_settled` skips is recorded as the
-        triangulation it keeps, with what it would have avoided: nothing in
-        layer 1, and layer 1's carried triangulation in layer 2, which is
-        skipped only when layer 1 kept its own."""
-        calls, refills, state_t1 = [], [], []
+        """Every completion and every refill of the seeded builds and
+        augmentations, against the oracle; a refill that `_settled` skips is
+        recorded as the triangulation it keeps, with what it would have
+        avoided: nothing in layer 1, and layer 1's carried triangulation in
+        layer 2, which is skipped only when layer 1 kept its own.  augment
+        completes once per peel walk and refills each hang above the
+        deepest (`refilled_at`), with the edges it drops and holds."""
+        calls, refills, state_t1, hangs = [], [], [], []
 
         def recording(ps, required=(), avoid=()):
             required, avoid = list(required), list(avoid)
@@ -384,7 +411,14 @@ class TestGreedyCompletionDifferential:
         monkeypatch.setattr(insertion, "refilled", recording_refill)
         monkeypatch.setattr(insertion, "_saturate", recording_saturate)
         monkeypatch.setattr(insertion, "_settled", recording_settled)
+        def recording_refill_at(t, at, dropped, held):
+            at, held = list(at), set(held)
+            out = refilled_at(t, at, dropped, held)
+            hangs.append((t, (t.edges - grown_drop(t, at, dropped)) | held, out.edges))
+            return out
+
         monkeypatch.setattr(augment, "complete_to_triangulation", recording)
+        monkeypatch.setattr(augment, "refilled_at", recording_refill_at)
         for n, seed, outer in ((70, 2, 0), (80, 5, 0), (80, 6, 4), (100, 1, 0)):
             build_5conn_general(core_plus_interior(n, seed, outer=outer))
         for seed in range(4):
@@ -393,9 +427,11 @@ class TestGreedyCompletionDifferential:
         for n, seed in ((20, 1), (40, 2), (60, 3)):
             augment_to_4conn(chordful_triangulation(n, seed))
             augment_to_4conn(random_triangulation(n, seed))
-        assert built > 20 and len(calls) - built > 50
+        assert built > 20 and len(calls) - built == 6 and len(hangs) > 50
         for ps, required, avoid, edges in calls:
             assert edges == ref_greedy_completion(ps, required, avoid)
+        for t, required, edges in hangs:
+            assert edges == ref_greedy_completion(t.ps, required)
         # a refill that finds every edge of t in its layer gives t back as it is
         regions = [refill_regions(t, required) for t, required, _, _, _ in refills]
         skipped = sum(skip for *_, skip in refills)
@@ -433,6 +469,93 @@ class TestGreedyCompletionDifferential:
         with pytest.raises(PreconditionError,
                            match=r"^dropped edges must be edges of the triangulation$"):
             refilled(t, [foreign])
+
+
+def held_refill_cases(seeds):
+    """(seed, t, at, dropped, D, held) for `refilled_at`: a random
+    triangulation, one to three vertices `at`, a random set of its edges
+    to drop, the D that they reach (`grown_drop`) and a random plane set of
+    held pairs, each between corners of D's triangles, off t, and crossing
+    only edges of D, so that it lies in the regions."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        t = random_triangulation(rng.randint(6, 16), seed)
+        pts = t.ps.points
+        at = rng.sample(range(len(pts)), rng.randint(1, 3))
+        dropped = {e for e in t.edges if rng.random() < 0.7}
+        d = grown_drop(t, at, dropped)
+        corners = sorted({v for tri in t.triangles if any(e in d for e in combinations(tri, 2))
+                          for v in tri})
+
+        def crosses(e, f):
+            return ref_segments_properly_cross(pts[e[0]], pts[e[1]], pts[f[0]], pts[f[1]])
+
+        held: list = []
+        pairs = [e for e in combinations(corners, 2) if e not in t.edges
+                 and all(f in d for f in t.edges if crosses(e, f))]
+        for e in rng.sample(pairs, len(pairs)):
+            if rng.random() < 0.5 and not any(crosses(e, f) for f in held):
+                held.append(e)
+        yield seed, t, at, dropped, d, held
+
+
+class TestRefilledAt:
+    """`refilled_at(t, at, dropped, held)` is the greedy completion of t's
+    edges less the D edges that its regions reach, plus the held edges: the
+    all-pairs greedy of oracles.ref_greedy_completion must give the same
+    edges, with the held edges splitting the regions and with holes."""
+
+    def test_matches_the_greedy_completion(self):
+        shapes = {"held": 0, "kept drop": 0, "hole": 0}
+        for seed, t, at, dropped, d, held in held_refill_cases(range(400)):
+            got = refilled_at(t, at, dropped, held)
+            assert got.edges == ref_greedy_completion(t.ps, (t.edges - d) | set(held)), seed
+            shapes["held"] += bool(held)
+            shapes["kept drop"] += bool(dropped - d - t.ps.hull_edges())
+            ends = {v for e in held for v in e}
+            shapes["hole"] += any(t.neighbors(v) and all(edge_key(v, r) in d for r in t.neighbors(v))
+                                  and v not in ends for v in range(len(t.ps)))
+        assert min(shapes.values()) >= 80, shapes
+
+    def test_nested_holes(self):
+        """With every vertex in `at` and every edge off `required` dropped,
+        the refill is the completion of `required` from scratch: the nested
+        triangles are holes in holes."""
+        for seed, ps, required, _ in nested_cases(range(40)):
+            t = complete_to_triangulation(ps, required)
+            got = refilled_at(t, range(len(ps)), t.edges - {edge_key(*e) for e in required}, ())
+            assert got.edges == ref_greedy_completion(ps, required), seed
+
+    def test_nothing_to_drop_gives_t_back(self):
+        t = random_triangulation(12, 3)
+        got = refilled_at(t, range(12), t.ps.hull_edges(), ())
+        assert_same_triangulation(got, t)
+
+
+class TestSpliced:
+    """`spliced(keep, r)` trades t's faces on `keep` for those of r, a
+    triangulation of the points of `restricted(keep)`: at every peel of a
+    leaf cell it undoes `restricted`, and it glues a flipped remainder in
+    its place."""
+
+    def test_undoes_restricted_and_glues_a_flipped_remainder(self):
+        rng, glued = random.Random(43), 0
+        for n in range(6, 25):
+            for seed in range(6):
+                t = random_triangulation(n, seed)
+                for leaf in build_cell_tree(t).leaves:
+                    keep = [v for v in range(n) if v in leaf.chord or v not in leaf.members]
+                    r = t.restricted(keep)
+                    assert_same_triangulation(t.spliced(keep, r), t)
+                    flippable = [e for e in sorted(r.edges) if is_flippable(r, e)]
+                    if not flippable:
+                        continue
+                    r2 = flip(r, rng.choice(flippable))
+                    faces = {tri for tri in t.triangles if not set(tri) <= set(keep)}
+                    faces |= {tuple(keep[v] for v in tri) for tri in r2.triangles}
+                    assert_same_triangulation(t.spliced(keep, r2), Triangulation(t.ps, faces))
+                    glued += 1
+        assert glued > 100, glued
 
 
 FROM_EDGES_CASES = ([random_triangulation(n, seed) for n, seed in
