@@ -21,7 +21,7 @@ from .geometry import _HALF_TURN, PointSet, _slope, cross, first_crossing, polyg
 from .treeaug import build_cell_tree
 from .triangulation import (Edge, Triangulation, TriangulationClass, classify,
                             complete_to_triangulation, edge_key, flip, is_flippable,
-                            refilled_at)
+                            refilled)
 
 
 def flip_pair_helper(t: Triangulation, u: int, v: int, w: int, v2: int) -> tuple[Triangulation, list[tuple[Edge, Edge]]]:
@@ -324,8 +324,8 @@ def _plane_partner(t: Triangulation, report: CutReport | None = None) -> set[Edg
     below = complete_to_triangulation(t.ps, required=partner)
     for k, (t, chord, members, idmap) in enumerate(reversed(levels)):
         if k:
-            below = refilled_at(flipped, inner, prev,
-                                {e for e in hang if e not in flipped and e not in prev})
+            below, _ = refilled(flipped, (edge_key(q, r) for q in inner for r in flipped.neighbors(q)),
+                                prev, {e for e in hang if e not in flipped and e not in prev})
         flipped, hang = _hang_cell(t, chord, members, idmap, below)
         prev, inner = t, members - set(chord)
     return hang.union(flipped.edges)

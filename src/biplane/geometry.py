@@ -7,7 +7,7 @@ portable and accidental floats are rejected early.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import PreconditionError
 
@@ -516,33 +516,28 @@ def _slope(dx: int, dy: int) -> int:
     return (dy << 64) // dx if dx else _ABOVE_EVERY_SLOPE
 
 
-def _ccw_key(ps: PointSet, v: int) -> Callable[[int], int]:
-    """The sort key of `ccw_order` around v, as a function of the neighbour:
-    the `_slope` of its direction, plus `_HALF_TURN` in the half-plane
-    (dx, dy) < (0, 0)."""
-    xs, ys, vx, vy = ps.xs, ps.ys, ps.xs[v], ps.ys[v]
-
-    def key(p: int) -> int:
-        dx, dy = xs[p] - vx, ys[p] - vy
-        return _slope(dx, dy) + (_HALF_TURN if (dx, dy) < (0, 0) else 0)
-
-    return key
+def _ccw_key(ps: PointSet, v: int, p: int) -> int:
+    """The sort key of the neighbour p in `ccw_order` around v: the `_slope`
+    of its direction, plus `_HALF_TURN` in the half-plane (dx, dy) < (0, 0)."""
+    dx, dy = ps.xs[p] - ps.xs[v], ps.ys[p] - ps.ys[v]
+    return _slope(dx, dy) + (_HALF_TURN if (dx, dy) < (0, 0) else 0)
 
 
 def ccw_order(ps: PointSet, v: int, nbrs: Iterable[int]) -> list[int]:
     """`nbrs` in counterclockwise angular order around v, from just after the
     downward vertical (`_ccw_key`)."""
-    return sorted(nbrs, key=_ccw_key(ps, v))
+    return sorted(nbrs, key=lambda p: _ccw_key(ps, v, p))
 
 
-def _edge_rings(ps: PointSet, edges: Iterable[tuple[int, int]]
-                ) -> tuple[list[list[int]], list[list[int]]]:
-    """Every vertex's neighbours under `edges` in `ccw_order`, as (rings,
-    keys), with keys[v] the `_ccw_key`s of rings[v].  p - v and v - p have
-    one `_slope` and lie in opposite half-planes, so each edge's slope is
-    computed once and filed in both rings."""
+def _edge_rings(ps: PointSet, edges: Iterable[tuple[int, int]], vertices: Iterable[int]
+                ) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """The neighbours under `edges` of each of `vertices`, which hold every
+    end of them, in `ccw_order`, as (rings, keys), with keys[v] the
+    `_ccw_key`s of rings[v].  p - v and v - p have one `_slope` and lie in
+    opposite half-planes, so each edge's slope is computed once and filed
+    in both rings."""
     xs, ys = ps.xs, ps.ys
-    dirs: list[list[tuple[int, int]]] = [[] for _ in range(len(ps))]
+    dirs: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
     for u, v in edges:
         dx, dy = xs[v] - xs[u], ys[v] - ys[u]
         slope = _slope(dx, dy)
@@ -552,11 +547,11 @@ def _edge_rings(ps: PointSet, edges: Iterable[tuple[int, int]]
         else:
             dirs[u].append((slope, v))
             dirs[v].append((slope + _HALF_TURN, u))
-    rings, keys = [], []
-    for ring_dirs in dirs:
+    rings, keys = {}, {}
+    for v, ring_dirs in dirs.items():
         ring_dirs.sort()
-        keys.append([key for key, _ in ring_dirs])
-        rings.append([p for _, p in ring_dirs])
+        keys[v] = [key for key, _ in ring_dirs]
+        rings[v] = [p for _, p in ring_dirs]
     return rings, keys
 
 

@@ -135,13 +135,13 @@ def _saturate(state: InsertionState) -> tuple[Triangulation, Triangulation, froz
     s, hull_edges = len(state.ps) - 1, state.ps.hull_edges()
     drop1 = {e for e in missing if e in old1 and e not in hull_edges}
     drop2 = {e for e in missing if e in old2 and e not in hull_edges}
-    t1, taken1 = (old1, []) if _settled(old1, drop1, s, ()) else refilled(old1, drop1)
+    t1, taken1 = (old1, []) if _settled(old1, drop1, s, ()) else refilled(old1, drop1, drop1)
     # layer 2 avoids t1's edges, which the last step's flips changed only
     # between neighbours of s
     ring = sorted(old1.neighbors(s))
     flipped = [(a, b) for i, a in enumerate(ring) for b in ring[i + 1:] if (a, b) not in old1]
     t2, taken2 = ((old2, []) if t1 is old1 and _settled(old2, drop2, s, flipped)
-                  else refilled(old2, drop2, avoid=t1))
+                  else refilled(old2, drop2, drop2, avoid=t1))
     # t_i's edges outside layer i are its missing ones; a refill trades them
     # for the edges it takes, none of which is in layer i
     kept = frozenset(e for e in missing if e in t1 or e in t2)

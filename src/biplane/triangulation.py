@@ -578,24 +578,23 @@ def _faces_of(ps: PointSet, plane: set[Edge]
     """The faces of the plane edge set `plane`, which holds the hull edges,
     as `_greedy_fill` takes them (`_walked_faces`), read from the rings of
     every vertex, with the candidates less `plane`."""
-    rings, keys = _edge_rings(ps, plane)
-    pairs, inside, corner = _walked_faces(ps, plane, range(len(ps)), rings, keys,
-                                          [[-1] * len(ring) for ring in rings])
+    rings, keys = _edge_rings(ps, plane, range(len(ps)))
+    pairs, inside, corner = _walked_faces(ps, plane, rings, keys,
+                                          {v: [-1] * len(ring) for v, ring in rings.items()})
     return pairs - plane, inside, corner
 
 
-def _walked_faces(ps: PointSet, plane: set[Edge], vertices: Iterable[int],
-                  rings: Sequence[list[int]] | dict[int, list[int]],
-                  keys: Sequence[list[int]] | dict[int, list[int]],
-                  at: list[list[int]] | dict[int, list[int]]
+def _walked_faces(ps: PointSet, plane: set[Edge], rings: dict[int, list[int]],
+                  keys: dict[int, list[int]], at: dict[int, list[int]]
                   ) -> tuple[set[Edge], defaultdict[int, list[Edge]], Callable[[int, int], int | None]]:
-    """The faces of the plane edge set `plane` at the corners of `vertices`
-    that `at` marks -1, as `_greedy_fill` takes them: the candidate pairs,
-    the edges bounding each face, and the face that a segment leaves its
-    end into, None for a corner marked -2, which is never walked.  rings[v]
-    and keys[v] are v's neighbours in `ccw_order` and their keys, and at[v]
-    has one mark per corner at v: at[v][i] is the corner from rings[v][i]
-    on, counterclockwise, left of the edge from v to rings[v][i].
+    """The faces of the plane edge set `plane` at the corners that `at`
+    marks -1, as `_greedy_fill` takes them: the candidate pairs, the edges
+    bounding each face, and the face that a segment leaves its end into,
+    None for a corner marked -2, which is never walked.  rings[v] and
+    keys[v] are v's neighbours in `ccw_order` and their keys, for each
+    vertex v of those faces, and at[v] has one mark per corner at v:
+    at[v][i] is the corner from rings[v][i] on, counterclockwise, left of
+    the edge from v to rings[v][i].
 
     The faces are read once from the rotation system: the walk after the
     directed edge (a, b) goes on to the neighbour just before a in b's
@@ -609,10 +608,10 @@ def _walked_faces(ps: PointSet, plane: set[Edge], vertices: Iterable[int],
     hull edges."""
     hull_edges, on_hull = ps.hull_edges(), ps.hull_positions()
     xs, ys = ps.xs, ps.ys
-    pos = {v: dict(zip(rings[v], range(len(rings[v])))) for v in vertices}
+    pos = {v: dict(zip(ring, range(len(ring)))) for v, ring in rings.items()}
     walks: list[list[int]] = []
     area: list[int] = []
-    for v in vertices:
+    for v in rings:
         if not rings[v]:
             at[v] = [len(walks)]
             walks.append([v])
@@ -654,7 +653,7 @@ def _walked_faces(ps: PointSet, plane: set[Edge], vertices: Iterable[int],
     def corner(u: int, w: int) -> int | None:
         """The face that the segment from u to w leaves u into."""
         fs = at[u]
-        f = fs[0] if len(fs) == 1 else fs[bisect(keys[u], _ccw_key(ps, u)(w)) - 1]
+        f = fs[0] if len(fs) == 1 else fs[bisect(keys[u], _ccw_key(ps, u, w)) - 1]
         return canon[f] if f >= 0 else None
 
     return pairs, inside, corner
@@ -688,160 +687,63 @@ def _greedy_fill(ps: PointSet, pairs: set[Edge], inside: dict[int, list[Edge]],
     return taken
 
 
-def refilled(t: Triangulation, dropped: Iterable[Edge],
-             avoid: Container[Edge] = frozenset()) -> tuple[Triangulation, list[Edge]]:
-    """The greedy completion of R, t's edges less `dropped` (sorted pairs),
+def refilled(t: Triangulation, seeds: Iterable[Edge], dropped: Container[Edge],
+             held: Iterable[Edge] = (), avoid: Container[Edge] = frozenset()
+             ) -> tuple[Triangulation, list[Edge]]:
+    """The greedy completion of R, t's edges less D plus the edges `held`,
     with the edges it took that R lacks: `complete_to_triangulation(t.ps,
-    R, avoid)`, read from t, which fills again only the faces that the
-    dropped edges D, less the hull edges, cross (see README, Verification).
-
-    R', R plus the hull edges, is t without D, so its faces are t's
-    triangles with no side in D and the regions that t's triangles on D
-    form, glued along D.  Each region is filled on its own by
-    `_greedy_fill`: its candidates are the pairs of its corners outside R',
-    its edges are the sides of its triangles outside D, off the hull, and a
-    segment leaves u into it when it runs along a side in D of the region
-    or strictly inside the angle at u of one of the region's triangles.
-    The new triangles are read from the sides of each taken edge
-    (`_side_apexes` on the regions' edges) and spliced in by `_replaced`,
-    whose `_check` certifies every edge they touch."""
-    ps, opposites = t.ps, t._opposites
-    hull_edges = ps.hull_edges()
-    dropped = {e for e in dropped if e not in hull_edges}
-    if not dropped:
-        return t, []
-    if not opposites.keys() >= dropped:
-        raise PreconditionError("dropped edges must be edges of the triangulation")
-    xs, ys = ps.xs, ps.ys
-    # the regions: t's triangles on dropped edges, glued along them
-    region: dict[tuple[int, int, int], int] = {}
-    count = 0
-    for e in sorted(dropped):
-        first = triangle_key(*e, opposites[e][0])
-        if first in region:
-            continue
-        region[first], stack = count, [first]
-        while stack:
-            a, b, c = stack.pop()
-            for side, w in (((a, b), c), ((b, c), a), ((a, c), b)):
-                if side in dropped:
-                    for x in opposites[side]:
-                        nb = triangle_key(*side, x)
-                        if x != w and nb not in region:
-                            region[nb] = count
-                            stack.append(nb)
-        count += 1
-    corners: list[set[int]] = [set() for _ in range(count)]
-    rims: list[set[Edge]] = [set() for _ in range(count)]
-    # rims[f]: the sides of region f's triangles outside D; wedges[u]:
-    # (p, q, f) for the angle at u, from p counterclockwise to q, of each
-    # triangle of region f; along[u][p]: the region of the dropped edge up
-    wedges: defaultdict[int, list[tuple[int, int, int]]] = defaultdict(list)
-    along: defaultdict[int, dict[int, int]] = defaultdict(dict)
-    for (a, b, c), f in region.items():
-        corners[f].update((a, b, c))
-        for u, p, q in ((a, b, c), (b, c, a), (c, a, b)):
-            if (xs[p] - xs[u]) * (ys[q] - ys[u]) - (ys[p] - ys[u]) * (xs[q] - xs[u]) < 0:
-                p, q = q, p
-            wedges[u].append((p, q, f))
-            side = edge_key(u, p)
-            if side in dropped:
-                along[u][p] = along[p][u] = f
-            else:
-                rims[f].add(side)
-    pairs = {e for f in range(count) for e in combinations(sorted(corners[f]), 2)
-             if e in dropped or e not in opposites}
-    inside = {f: [e for e in rim if e not in hull_edges] for f, rim in enumerate(rims)}
-
-    def corner(u: int, w: int) -> int | None:
-        """The region that the segment from u to w leaves u into, if any."""
-        if w in along[u]:
-            return along[u][w]
-        ux, uy = xs[u], ys[u]
-        wx, wy = xs[w] - ux, ys[w] - uy
-        for p, q, f in wedges[u]:
-            if (xs[p] - ux) * wy - (ys[p] - uy) * wx > 0 and wx * (ys[q] - uy) - wy * (xs[q] - ux) > 0:
-                return f
-        return None
-
-    taken = _greedy_fill(ps, pairs, inside, corner, avoid, len(dropped))
-    adj: defaultdict[int, set[int]] = defaultdict(set)
-    for u, v in (*set().union(*rims), *taken):
-        adj[u].add(v)
-        adj[v].add(u)
-    new = set()
-    for u, v, left, right in _side_apexes(xs, ys, adj, taken):
-        if left < 0 or right < 0:
-            raise InternalInvariantError(f"refilled edge {(u, v)} misses a face")
-        new.update((triangle_key(u, v, left), triangle_key(u, v, right)))
-    return t._replaced(set(region), new), taken
-
-
-def refilled_at(t: Triangulation, at: Iterable[int], dropped: Container[Edge],
-                held: Iterable[Edge]) -> Triangulation:
-    """The greedy completion of R, t's edges less D plus the edges `held`:
-    `complete_to_triangulation(t.ps, R)`, read from t.  D is the edges of
-    `dropped` off the hull that t's triangles at the vertices `at` reach,
-    glued across such edges.  The held edges are sorted pairs, no edges of
-    t, and each must lie in the regions that those triangles form, crossing
-    D only (see README, Verification, *Held refills*).
+    R, avoid)`, read from t.  D is the edges of `dropped` off the hull that
+    t's triangles on the edges `seeds` reach, glued across such edges.  The
+    seeds are edges of t and the held edges are not; all are sorted pairs,
+    and each held edge must lie in the regions that those triangles form,
+    crossing D only (see README, Verification, *Refills*).
 
     Each face of R' fills on its own, so only the regions fill again, and
     they fill face by face: the regions' sides outside D and the held
-    edges split them into the faces of R', read as `_faces_of` reads
-    faces, from the rings of those edges, with each walk that runs outside
-    the regions left out.  `_greedy_fill` fills them, and the new triangles
+    edges split them into the faces of R', which `_walked_faces`, the
+    reader of `_faces_of`, reads from the rings of those edges, with each
+    walk that runs outside the regions left out.  `_greedy_fill` fills them, and the new triangles
     are read from the sides of each taken and held edge and spliced in by
     `_replaced`, whose `_check` certifies every edge they touch."""
     ps, opposites = t.ps, t._opposites
     hull_edges, xs, ys = ps.hull_edges(), ps.xs, ps.ys
     held = list(held)
-    # the regions: t's triangles at `at` with a side in D, grown across D;
-    # R' there is the held edges and the regions' sides outside D, and
-    # `left` holds each of them directed with a region on its left
+    seeded: set[tuple[int, int, int]] = set()
+    for e in seeds:
+        if e not in opposites:
+            raise PreconditionError("seed edges must be edges of the triangulation")
+        seeded.update(triangle_key(*e, a) for a in opposites[e])
+    # the regions: t's triangles on the seeds with a side in D, grown
+    # across D; R' there is the held edges and the regions' sides outside
+    # D, and `left` holds each of them directed with a region on its left
+    stack = [(a, b, c) for a, b, c in seeded
+             if any(e in dropped and e not in hull_edges for e in ((a, b), (b, c), (a, c)))]
+    region = set(stack)
     d: set[Edge] = set()
     plane: set[Edge] = set(held)
     left = {*held, *((v, u) for u, v in held)}
-    region: set[tuple[int, int, int]] = set()
-    nbrs: dict[int, set[int]] = {}
-    stack = list({triangle_key(q, r, a) for q in at for r in t._adj[q]
-                  for a in opposites[edge_key(q, r)]})
-    seen = set(stack)
     while stack:
-        a, b, c = tri = stack.pop()
-        if (xs[b] - xs[a]) * (ys[c] - ys[a]) - (ys[b] - ys[a]) * (xs[c] - xs[a]) < 0:
-            b, c = c, b
-        sides = [(edge_key(u, v), u, v, w) for u, v, w in ((a, b, c), (b, c, a), (c, a, b))]
-        out = [e in dropped and e not in hull_edges for e, _, _, _ in sides]
-        if not any(out):
-            continue
-        region.add(tri)
-        for (e, u, v, w), gone in zip(sides, out):
-            nbrs.setdefault(u, set())
-            if gone:
+        a, b, c = stack.pop()
+        ccw = (xs[b] - xs[a]) * (ys[c] - ys[a]) > (ys[b] - ys[a]) * (xs[c] - xs[a])
+        for e, w, forward in (((a, b), c, ccw), ((b, c), a, ccw), ((a, c), b, not ccw)):
+            if e in dropped and e not in hull_edges:
                 d.add(e)
                 x, y = opposites[e]
-                nb = triangle_key(u, v, y if x == w else x)
-                if nb not in seen:
-                    seen.add(nb)
+                nb = triangle_key(*e, y if x == w else x)
+                if nb not in region:
+                    region.add(nb)
                     stack.append(nb)
             else:
                 plane.add(e)
-                left.add((u, v))
-    for u, v in plane:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
+                left.add(e if forward else e[::-1])
+    if not region:
+        return t, []
     # a corner outside the regions is marked -2, never walked
-    rings, keys, marks = {}, {}, {}
-    for v, ns in nbrs.items():
-        key = _ccw_key(ps, v)
-        ring = sorted((key(p), p) for p in ns)
-        keys[v] = [k for k, _ in ring]
-        rings[v] = [p for _, p in ring]
-        marks[v] = [-1 if (v, p) in left else -2 for _, p in ring]
-    pairs, inside, corner = _walked_faces(ps, plane, list(rings), rings, keys, marks)
-    pairs = {e for e in pairs if e in d or (e not in opposites and e not in plane)}
-    taken = _greedy_fill(ps, pairs, inside, corner, (), len(d) - len(held))
+    rings, keys = _edge_rings(ps, plane, {v for tri in region for v in tri})
+    marks = {v: [-1 if (v, p) in left else -2 for p in ring] for v, ring in rings.items()}
+    pairs, inside, corner = _walked_faces(ps, plane, rings, keys, marks)
+    pairs = (pairs & d) | pairs.difference(opposites, plane)
+    taken = _greedy_fill(ps, pairs, inside, corner, avoid, len(d) - len(held))
     adj: defaultdict[int, set[int]] = defaultdict(set)
     for u, v in (*plane, *taken):
         adj[u].add(v)
@@ -851,7 +753,7 @@ def refilled_at(t: Triangulation, at: Iterable[int], dropped: Container[Edge],
         if left_apex < 0 or right_apex < 0:
             raise InternalInvariantError(f"refilled edge {(u, v)} misses a face")
         new.update((triangle_key(u, v, left_apex), triangle_key(u, v, right_apex)))
-    return t._replaced(region, new)
+    return t._replaced(region, new), taken
 
 
 def _winding(ps: PointSet, walk: list[int], r: int) -> int:

@@ -1105,12 +1105,12 @@ class TestAngularKeys:
         for ps in self.cases():
             n = len(ps)
             edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
-            rings, keys = geometry_module._edge_rings(ps, edges)
+            rings, keys = geometry_module._edge_rings(ps, edges, range(n))
             for v in range(n):
                 nbrs = {u for e in edges for u in e if v in e and u != v}
                 ring = ref_ccw_ring(ps.xs, ps.ys, v)[0]
                 assert rings[v] == [e for e in ring if e >= 0 and e in nbrs]
-                assert keys[v] == [geometry_module._ccw_key(ps, v)(p) for p in rings[v]]
+                assert keys[v] == [geometry_module._ccw_key(ps, v, p) for p in rings[v]]
 
 
 def grid_set(rng, n, span):

@@ -19,7 +19,7 @@ from biplane.treeaug import build_cell_tree
 from biplane.triangulation import (Triangulation, TriangulationClass,
                                    classify, complete_to_triangulation,
                                    edge_key, flip, is_flippable, refilled,
-                                   refilled_at, triangle_key, triangulate,
+                                   triangle_key, triangulate,
                                    triangulation_from_edges)
 
 from conftest import (chordful_triangulation, core_plus_interior, greedy_biplane,
@@ -263,9 +263,9 @@ def refill_regions(t: Triangulation, required) -> int:
 
 
 def grown_drop(t: Triangulation, at, dropped) -> set:
-    """D of `refilled_at`: the edges of `dropped` off the hull that t's
-    triangles at the vertices `at` reach, glued across such edges, by a
-    search of its own over t.triangles."""
+    """D of `refilled` seeded from the edges at the vertices `at`: the
+    edges of `dropped` off the hull that t's triangles at `at` reach, glued
+    across such edges, by a search of its own over t.triangles."""
     h = t.ps.hull()
     cut = {e for e in t.edges if e in dropped} - {edge_key(h[i - 1], h[i]) for i in range(len(h))}
     owners: dict = {}
@@ -377,7 +377,7 @@ class TestGreedyCompletionDifferential:
         avoided: nothing in layer 1, and layer 1's carried triangulation in
         layer 2, which is skipped only when layer 1 kept its own.  augment
         completes once per peel walk and refills each hang above the
-        deepest (`refilled_at`), with the edges it drops and holds."""
+        deepest, with the edges it drops and holds."""
         calls, refills, state_t1, hangs = [], [], [], []
 
         def recording(ps, required=(), avoid=()):
@@ -386,9 +386,20 @@ class TestGreedyCompletionDifferential:
             calls.append((ps, required, avoid, t.edges))
             return t
 
-        def recording_refill(t, dropped, avoid=frozenset()):
-            out, taken = refilled(t, dropped, avoid)
-            # general5 passes layer 1's triangulation itself as the container to avoid
+        def recording_refill(t, seeds, dropped, held=(), avoid=frozenset()):
+            seeds, held = set(seeds), set(held)
+            out, taken = refilled(t, seeds, dropped, held, avoid)
+            if isinstance(dropped, Triangulation):
+                # augment drops the edges of the level below and seeds the
+                # edges at the cell's inner vertices; the vertices whose every
+                # edge is a seed add no triangle that is not on a seed
+                at = [v for v in range(len(t.ps))
+                      if all(edge_key(v, r) in seeds for r in t.neighbors(v))]
+                hangs.append((t, (t.edges - grown_drop(t, at, dropped)) | held, out.edges))
+                return out, taken
+            # general5 seeds its dropped edges, and passes layer 1's
+            # triangulation itself as the container to avoid
+            assert seeds == dropped and not held
             avoid = avoid.edges if isinstance(avoid, Triangulation) else avoid
             refills.append((t, t.edges - dropped, avoid, out.edges, False))
             assert set(taken) == (out.edges - t.edges) | ((dropped & out.edges) - t.ps.hull_edges())
@@ -407,18 +418,11 @@ class TestGreedyCompletionDifferential:
                 refills.append((t, t.edges - dropped, avoid, t.edges, True))
             return skip
 
-        monkeypatch.setattr(insertion, "complete_to_triangulation", recording)
-        monkeypatch.setattr(insertion, "refilled", recording_refill)
         monkeypatch.setattr(insertion, "_saturate", recording_saturate)
         monkeypatch.setattr(insertion, "_settled", recording_settled)
-        def recording_refill_at(t, at, dropped, held):
-            at, held = list(at), set(held)
-            out = refilled_at(t, at, dropped, held)
-            hangs.append((t, (t.edges - grown_drop(t, at, dropped)) | held, out.edges))
-            return out
-
-        monkeypatch.setattr(augment, "complete_to_triangulation", recording)
-        monkeypatch.setattr(augment, "refilled_at", recording_refill_at)
+        for module in (insertion, augment):
+            monkeypatch.setattr(module, "complete_to_triangulation", recording)
+            monkeypatch.setattr(module, "refilled", recording_refill)
         for n, seed, outer in ((70, 2, 0), (80, 5, 0), (80, 6, 4), (100, 1, 0)):
             build_5conn_general(core_plus_interior(n, seed, outer=outer))
         for seed in range(4):
@@ -445,9 +449,9 @@ class TestGreedyCompletionDifferential:
 
     def test_refills_of_plane_subsets(self):
         """`refilled` from a triangulation that holds the required edges, with
-        its other edges dropped: the random triangulation of each subset
-        case, and the plain completion of each nested case, refilled with
-        its own pairs to avoid.  It reports as taken the edges it adds and
+        its other edges dropped and seeded: the random triangulation of each
+        subset case, and the plain completion of each nested case, refilled
+        with its own pairs to avoid.  It reports as taken the edges it adds and
         the dropped ones it takes again, never a hull edge."""
         cases = list(triangulated_subset_cases(range(600)))
         cases += [(seed, complete_to_triangulation(ps, required), required, avoid)
@@ -455,7 +459,7 @@ class TestGreedyCompletionDifferential:
         holes = regions = 0
         for seed, t, required, avoid in cases:
             dropped = t.edges - {edge_key(*e) for e in required}
-            got, taken = refilled(t, dropped, frozenset(edge_key(*e) for e in avoid))
+            got, taken = refilled(t, dropped, dropped, avoid=frozenset(edge_key(*e) for e in avoid))
             assert got.edges == ref_greedy_completion(t.ps, required, avoid), seed
             assert set(taken) == (got.edges - t.edges) | ((dropped & got.edges) - t.ps.hull_edges())
             holes += not joins_every_vertex_to_the_hull(t.ps, required)
@@ -464,19 +468,26 @@ class TestGreedyCompletionDifferential:
 
     def test_refill_keeps_hull_edges_and_rejects_a_foreign_edge(self):
         t = random_triangulation(8, 1)
-        assert refilled(t, t.ps.hull_edges()) == (t, [])
+        assert refilled(t, t.ps.hull_edges(), t.ps.hull_edges()) == (t, [])
         foreign = next((u, v) for u in range(8) for v in range(u + 1, 8) if (u, v) not in t.edges)
         with pytest.raises(PreconditionError,
-                           match=r"^dropped edges must be edges of the triangulation$"):
-            refilled(t, [foreign])
+                           match=r"^seed edges must be edges of the triangulation$"):
+            refilled(t, [foreign], {foreign})
+
+
+def star_edges(t: Triangulation, at) -> set:
+    """The edges of t at the vertices `at`, the seeds whose triangles are
+    t's triangles at `at`."""
+    return {edge_key(q, r) for q in at for r in t.neighbors(q)}
 
 
 def held_refill_cases(seeds):
-    """(seed, t, at, dropped, D, held) for `refilled_at`: a random
-    triangulation, one to three vertices `at`, a random set of its edges
-    to drop, the D that they reach (`grown_drop`) and a random plane set of
-    held pairs, each between corners of D's triangles, off t, and crossing
-    only edges of D, so that it lies in the regions."""
+    """(seed, t, at, dropped, D, held) for `refilled` seeded from the edges
+    at the vertices `at` (`star_edges`): a random triangulation, one to
+    three vertices `at`, a random set of its edges to drop, the D that they
+    reach (`grown_drop`) and a random plane set of held pairs, each between
+    corners of D's triangles, off t, and crossing only edges of D, so that
+    it lies in the regions."""
     for seed in seeds:
         rng = random.Random(seed)
         t = random_triangulation(rng.randint(6, 16), seed)
@@ -499,17 +510,19 @@ def held_refill_cases(seeds):
         yield seed, t, at, dropped, d, held
 
 
-class TestRefilledAt:
-    """`refilled_at(t, at, dropped, held)` is the greedy completion of t's
-    edges less the D edges that its regions reach, plus the held edges: the
-    all-pairs greedy of oracles.ref_greedy_completion must give the same
-    edges, with the held edges splitting the regions and with holes."""
+class TestRefilledFromStars:
+    """`refilled(t, star_edges(t, at), dropped, held)` is the greedy
+    completion of t's edges less the D edges that its regions reach, plus
+    the held edges: the all-pairs greedy of oracles.ref_greedy_completion
+    must give the same edges, with the held edges splitting the regions and
+    with holes."""
 
     def test_matches_the_greedy_completion(self):
         shapes = {"held": 0, "kept drop": 0, "hole": 0}
         for seed, t, at, dropped, d, held in held_refill_cases(range(400)):
-            got = refilled_at(t, at, dropped, held)
+            got, taken = refilled(t, star_edges(t, at), dropped, held)
             assert got.edges == ref_greedy_completion(t.ps, (t.edges - d) | set(held)), seed
+            assert set(taken) == got.edges - (t.edges - d) - set(held), seed
             shapes["held"] += bool(held)
             shapes["kept drop"] += bool(dropped - d - t.ps.hull_edges())
             ends = {v for e in held for v in e}
@@ -518,18 +531,19 @@ class TestRefilledAt:
         assert min(shapes.values()) >= 80, shapes
 
     def test_nested_holes(self):
-        """With every vertex in `at` and every edge off `required` dropped,
+        """With every edge seeded and every edge off `required` dropped,
         the refill is the completion of `required` from scratch: the nested
         triangles are holes in holes."""
         for seed, ps, required, _ in nested_cases(range(40)):
             t = complete_to_triangulation(ps, required)
-            got = refilled_at(t, range(len(ps)), t.edges - {edge_key(*e) for e in required}, ())
+            got, _ = refilled(t, t.edges, t.edges - {edge_key(*e) for e in required})
             assert got.edges == ref_greedy_completion(ps, required), seed
 
     def test_nothing_to_drop_gives_t_back(self):
         t = random_triangulation(12, 3)
-        got = refilled_at(t, range(12), t.ps.hull_edges(), ())
+        got, taken = refilled(t, t.edges, t.ps.hull_edges())
         assert_same_triangulation(got, t)
+        assert taken == []
 
 
 class TestSpliced:
