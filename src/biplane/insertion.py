@@ -12,6 +12,7 @@ around the dummy edges that were left.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .connectivity import layer_crossing
@@ -36,18 +37,15 @@ class InsertionState:
 
     After an interior insertion, t1 and t2 are the two validated layer
     triangulations and `missing` holds their edges that neither layer has,
-    the saturation's dummy edges.  Each layer is then a view, t_i less
-    `missing`, built on first read and kept: the steps read only t1, t2 and
-    `missing`.  No two edges of a validated triangulation cross, so that
-    inclusion alone shows both layers plane.  The next step starts from t1
-    and t2 and refills only the faces around the missing edges, which gives
-    what completing the layers from scratch would give (`refilled`); with
-    none missing off the hull it takes them as they are.  Only
-    `of_triangulations` sets them; states built from a LayeredGraph (the
-    convex core, after hull insertion) carry its layers, None for t1 and
-    t2, and no missing edge.
-
-    `current`, the graph as a LayeredGraph, is built on first use and kept.
+    the saturation's dummy edges.  Each layer is then t_i less `missing`:
+    the steps read only t1, t2 and `missing`.  No two edges of a validated
+    triangulation cross, so that inclusion alone shows both layers plane.
+    The next step starts from t1 and t2 and refills only the faces around
+    the missing edges, which gives what completing the layers from scratch
+    would give (`refilled`); with none missing off the hull it takes them as
+    they are.  Only `of_triangulations` sets them; states built from a
+    LayeredGraph (the convex core, after hull insertion) carry its layers,
+    None for t1 and t2, and no missing edge.
 
     `interior_hull` holds the vertices of the convex hull of the interior
     vertices (those not on the hull of `ps`), counterclockwise; with fewer
@@ -55,19 +53,20 @@ class InsertionState:
     point lies strictly inside the hull of `ps`, so that hull stays the same
     and the interior set grows by exactly the new point: the step splices
     the point into the carried hull (`_interior_hull_with`) instead of
-    computing it again.  States built from a LayeredGraph (the convex core,
-    after hull insertion) compute it on first use.
+    computing it again.
+
+    `layer1`, `layer2`, `current` (the graph as a LayeredGraph) and
+    `interior_hull` are cached properties: each constructor sets those it
+    already holds, and the rest are built on first read.
     """
 
     def __init__(self, current: LayeredGraph):
         self.ps = current.ps
-        self._layers: tuple[frozenset[Edge], frozenset[Edge]] | None = (
-            current.layer_edges(LAYER1), current.layer_edges(LAYER2))
         self.t1: Triangulation | None = None
         self.t2: Triangulation | None = None
         self.missing: frozenset[Edge] = frozenset()
-        self._current: LayeredGraph | None = current
-        self._interior_hull: tuple[int, ...] | None = None
+        self.current = current
+        self.layer1, self.layer2 = current.layer_edges(LAYER1), current.layer_edges(LAYER2)
 
     @classmethod
     def of_triangulations(cls, ps: PointSet, t1: Triangulation, t2: Triangulation,
@@ -77,38 +76,25 @@ class InsertionState:
         layers nor `current` is built yet."""
         state = cls.__new__(cls)
         state.ps, state.t1, state.t2, state.missing = ps, t1, t2, missing
-        state._layers = state._current = None
-        state._interior_hull = interior_hull
+        state.interior_hull = interior_hull
         return state
 
-    def _layer_pair(self) -> tuple[frozenset[Edge], frozenset[Edge]]:
-        if self._layers is None:
-            self._layers = (self.t1.edges - self.missing, self.t2.edges - self.missing)
-        return self._layers
-
-    @property
+    @cached_property
     def layer1(self) -> frozenset[Edge]:
-        return self._layer_pair()[0]
+        return self.t1.edges - self.missing
 
-    @property
+    @cached_property
     def layer2(self) -> frozenset[Edge]:
-        return self._layer_pair()[1]
+        return self.t2.edges - self.missing
 
-    @property
+    @cached_property
     def current(self) -> LayeredGraph:
-        if self._current is None:
-            self._current = LayeredGraph(self.ps, self.layer1, self.layer2)
-        return self._current
+        return LayeredGraph(self.ps, self.layer1, self.layer2)
 
-    @property
+    @cached_property
     def interior_hull(self) -> tuple[int, ...]:
-        if self._interior_hull is None:
-            inner = self.ps.interior_ids()
-            self._interior_hull = _hull_of(self.ps, inner) if len(inner) >= 3 else inner
-        return self._interior_hull
-
-    def edges(self) -> frozenset[Edge]:
-        return self.layer1 | self.layer2
+        inner = self.ps.interior_ids()
+        return _hull_of(self.ps, inner) if len(inner) >= 3 else inner
 
 
 def _hull_of(ps: PointSet, ids: Sequence[int]) -> tuple[int, ...]:
@@ -672,7 +658,7 @@ def insert_hull_points(state: InsertionState, sb: Sequence[tuple[int, int]]) -> 
     for d in dummies:
         w.delete(d)
     result = LayeredGraph(new_ps, w.layers[LAYER1], w.layers[LAYER2])
-    lost = state.edges() - result.edges()
+    lost = (state.layer1 | state.layer2) - result.edges()
     if not lost <= deleted:
         raise InternalInvariantError(f"hull insertion lost unexpected edges {sorted(lost - deleted)}")
     adj = result.adjacency()

@@ -1,6 +1,7 @@
 """Geometric graphs as two layer edge sets (the biplane artifact)."""
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable
 
 from .errors import PreconditionError
@@ -25,17 +26,14 @@ class LayeredGraph:
         self.ps = ps
         self._layer_edges = {LAYER1: frozenset(checked_edges(len(ps), layer1)),
                              LAYER2: frozenset(checked_edges(len(ps), layer2))}
-        self._layers: dict[Edge, int] | None = None
 
-    @property
+    @cached_property
     def layers(self) -> dict[Edge, int]:
         """Every edge with its layer tag (BOTH for an edge in both layers),
-        in edge order, for the writers; computed on first use and kept."""
-        if self._layers is None:
-            one, two = self._layer_edges[LAYER1], self._layer_edges[LAYER2]
-            self._layers = {e: (BOTH if e in two else LAYER1) if e in one else LAYER2
-                            for e in sorted(one | two)}
-        return self._layers
+        in edge order, for the writers."""
+        one, two = self._layer_edges[LAYER1], self._layer_edges[LAYER2]
+        return {e: (BOTH if e in two else LAYER1) if e in one else LAYER2
+                for e in sorted(one | two)}
 
     # ------------------------------------------------------------------
     def edges(self) -> frozenset[Edge]:

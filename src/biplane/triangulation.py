@@ -458,6 +458,8 @@ def complete_to_triangulation(ps: PointSet, required: Iterable[Edge] = (),
     that check, are crossing required edges, named by their first crossing
     pair.
     """
+    if len(ps) < 3:
+        raise PreconditionError("need at least 3 points")
     return _certified(ps, sorted(set(checked_edges(len(ps), required))),
                       {edge_key(*e) for e in avoid}, "required edges")
 
@@ -470,6 +472,8 @@ def triangulation_from_edges(ps: PointSet, edges: Iterable[Edge]) -> Triangulati
     `_read_faces` reads off.  An edge that `checked_edges` rejects is named
     first, then a wrong count, then a crossing pair.
     """
+    if len(ps) < 3:
+        raise PreconditionError("need at least 3 points")
     keyed = set(checked_edges(len(ps), edges))
     expected = 3 * len(ps) - 3 - len(ps.hull())
     if len(keyed) != expected:

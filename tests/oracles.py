@@ -13,7 +13,6 @@ from biplane.connectivity import Bichord, CutReport, SeparatingTriangle
 from biplane.errors import ImpossibleError, InternalInvariantError, PreconditionError
 from biplane.generators import random_general_position
 from biplane.geometry import Point, PointSet
-from biplane.insertion import check_property_maxi
 from biplane.layered import LAYER1, LAYER2, LayeredGraph
 from biplane.triangulation import Edge, Triangulation, edge_key, triangle_key, triangulate
 
@@ -714,12 +713,93 @@ def visible_hull_edges(s: Point, ps: PointSet) -> list[int]:
             if ref_cross(pts[h[i]], pts[h[(i + 1) % len(h)]], s) < 0]
 
 
+def ref_property_maxi(sa: PointSet, sb: Sequence[tuple[int, int]]) -> bool:
+    """The hull-insertion property, read from the definition: ch(S_a) has at
+    least 4 corners, every point of S_b is a hull corner of the union, and
+    every k consecutive new corners of the union's hull (k < |ch(S_a)|,
+    windows taken round the cycle) jointly see at least k + 2 consecutive
+    hull edges of S_a.  A point sees a hull edge when it lies strictly on
+    the outer side of its line.  The union is assumed to have no three
+    collinear points."""
+    old = [q.coords() for q in sa]
+    a_corners = _ref_hull_corners(old)
+    p = len(a_corners)
+    if p < 4:
+        return False
+    new = {tuple(c) for c in sb}
+    if len(new) != len(sb) or new & set(old):
+        return False
+    corners = _ref_hull_corners(old + sorted(new))
+    if not new <= set(corners):
+        return False
+    edges = [(Point(*a_corners[i]), Point(*a_corners[(i + 1) % p])) for i in range(p)]
+    sees = {c: {i for i, (u, v) in enumerate(edges) if ref_cross(u, v, Point(*c)) < 0}
+            for c in new}
+    h = len(corners)
+    for start in range(h):
+        joint: set[int] = set()
+        for k in range(1, min(h, p - 1) + 1):
+            c = corners[(start + k - 1) % h]
+            if c not in new:
+                break
+            joint |= sees[c]
+            if not any(length >= k + 2
+                       for _, length in bf_circular_runs([i in joint for i in range(p)])):
+                return False
+    return True
+
+
+def noncrossing_cover(ps: PointSet, edges, needy) -> list[Edge] | None:
+    """Absent, pairwise noncrossing edges that give every vertex of `needy`
+    a new neighbour, or None when no such set exists: the degree cover that
+    raising every vertex of `needy` by adding noncrossing edges needs.
+
+    A depth-first search that covers the uncovered vertex with the fewest
+    candidate edges first.  A candidate is an absent edge at an uncovered
+    vertex that properly crosses no chosen edge (by orientations alone).
+    Once the branch that covers a vertex by edge e fails, no cover extends
+    the chosen edges with e, so the later branches drop e."""
+    pts = [p.coords() for p in ps]
+    present = {(min(u, v), max(u, v)) for u, v in edges}
+    wanted = set(needy)
+    cands = sorted({(min(u, v), max(u, v)) for u in wanted for v in range(len(pts)) if v != u}
+                   - present)
+
+    def crosses(e: Edge, f: Edge) -> bool:
+        a, b, c, d = (pts[i] for i in (*e, *f))
+        return _cross(a, b, c) * _cross(a, b, d) < 0 and _cross(c, d, a) * _cross(c, d, b) < 0
+
+    crossed: dict[Edge, set[Edge]] = {}
+
+    def extend(open_: dict[int, list[Edge]]) -> list[Edge] | None:
+        if not open_:
+            return []
+        v = min(open_, key=lambda u: (len(open_[u]), u))
+        dropped: set[Edge] = set()
+        for e in open_[v]:
+            if e not in crossed:
+                crossed[e] = {f for f in cands if crosses(e, f)}
+            rest = {}
+            for u, es in open_.items():
+                if u not in e:
+                    rest[u] = [f for f in es if f not in crossed[e] and f not in dropped]
+                    if not rest[u]:
+                        break
+            else:
+                found = extend(rest)
+                if found is not None:
+                    return [e, *found]
+            dropped.add(e)
+        return None
+
+    return extend({v: [e for e in cands if v in e] for v in sorted(wanted)})
+
+
 def edge_visibility_hall_holds(sa: PointSet, sb: Sequence[tuple[int, int]]) -> bool:
     """Explicit Hall-condition check: every k consecutive hull edges of S_b
     jointly see at least k hull edges of S_a (test oracle for the matching)."""
-    ok, why = check_property_maxi(sa, sb)
-    if not ok:
-        raise PreconditionError(why)
+    if not ref_property_maxi(sa, sb):
+        raise PreconditionError("hull-insertion property violated")
     combined = sa.extended(sb)
     na = len(sa)
     hull = combined.hull()

@@ -23,8 +23,8 @@ from biplane.triangulation import TriangulationClass, classify, edge_key
 from biplane.geometry import max_convex_subset_indices, segments_properly_cross
 
 from conftest import chordful_triangulation, greedy_biplane, mixed_pipeline_instance
-from oracles import (bf_max_convex_subset, bf_vertex_connectivity,
-                     ref_vertex_connectivity)
+from oracles import (bf_max_convex_subset, bf_vertex_connectivity, noncrossing_cover,
+                     ref_segments_properly_cross, ref_vertex_connectivity)
 
 
 def _noncrossing(ps, edges):
@@ -224,6 +224,51 @@ def test_criterion_7_negative_fixtures():
             f"k={k}: cut report not empty"
     print("\nACCEPTANCE 7 PASS: no-5-connectable fixtures k=2,3,4 have kappa=4 "
           "and empty cut reports")
+
+
+def _is_cover(ps, present, needy, added) -> bool:
+    """`added` are absent edges, pairwise noncrossing, that meet every vertex
+    of `needy`."""
+    pts = ps.points
+    return (not set(added) & set(present) and set(needy) <= {v for e in added for v in e}
+            and not any(ref_segments_properly_cross(pts[a], pts[b], pts[c], pts[d])
+                        for (a, b), (c, d) in combinations(added, 2)))
+
+
+def test_criterion_7_no_noncrossing_degree_cover():
+    """No set of pairwise noncrossing edges added to the no5conn fixture
+    gives each of its degree-4 vertices a fifth neighbour, so no such set
+    makes it 5-connected.  On small random triangulations the search's
+    verdict is that of trying every subset of the absent edges, and on
+    larger ones it finds a valid cover of the vertices of degree < 5."""
+    start = time.time()
+    for k, deficient in ((2, 8), (3, 10), (5, 14)):
+        t = generate_no5conn_counterexample(k)
+        needy = [v for v in range(len(t.ps)) if t.degree(v) < 5]
+        assert len(needy) == deficient and all(t.degree(v) == 4 for v in needy)
+        assert noncrossing_cover(t.ps, t.edges, needy) is None, f"k={k}"
+    rng = random.Random(7)
+    verdicts = {True: 0, False: 0}
+    for seed in range(60):
+        t = random_triangulation(6 + seed % 3, seed)
+        n = len(t.ps)
+        needy = rng.sample(range(n), rng.randint(2, n))
+        absent = sorted(set(combinations(range(n), 2)) - t.edges)
+        exists = any(_is_cover(t.ps, t.edges, needy, added)
+                     for r in range(len(absent) + 1) for added in combinations(absent, r))
+        cover = noncrossing_cover(t.ps, t.edges, needy)
+        assert (cover is not None) == exists, f"seed {seed}"
+        assert cover is None or _is_cover(t.ps, t.edges, needy, cover), f"seed {seed}"
+        verdicts[exists] += 1
+    assert verdicts[True] > 10 and verdicts[False] > 10, verdicts
+    for seed in range(20):
+        t = random_triangulation(20 + seed, seed)
+        needy = [v for v in range(len(t.ps)) if t.degree(v) < 5]
+        cover = noncrossing_cover(t.ps, t.edges, needy)
+        assert cover is not None and _is_cover(t.ps, t.edges, needy, cover), f"seed {seed}"
+    print(f"\nACCEPTANCE 7 PASS: no noncrossing degree cover of the no5conn fixtures "
+          f"k=2,3,5; search agrees with subsets on {sum(verdicts.values())} small "
+          f"triangulations ({time.time() - start:.2f}s)")
 
 
 def test_criterion_8_oracle_agreement():

@@ -812,39 +812,6 @@ class TestCellNumberingPin:
             "5b6768620e99c12e32be4ad71e5e81d51f253d60297e096272ac767f5e89b842")
 
 
-class TestRestrictedPeelLevels:
-    """Every peel level of the `TestRandomPeelPin` inputs, relabelled from
-    its parent's maps, is the triangulation that `Triangulation` builds from
-    the kept faces on `PointSet.reordered`."""
-
-    def test_matches_the_rebuild(self, monkeypatch):
-        restricted, levels = Triangulation.restricted, []
-
-        def checked(t, keep):
-            got = restricted(t, keep)
-            new_id = {v: i for i, v in enumerate(keep)}
-            want = Triangulation(t.ps.reordered(keep), [[new_id[v] for v in tri]
-                                                        for tri in t.triangles
-                                                        if all(v in new_id for v in tri)])
-            assert (got.ps.xs, got.ps.ys, got.ps.hull()) == (want.ps.xs, want.ps.ys, want.ps.hull())
-            assert got.triangles == want.triangles and got.edges == want.edges
-            assert [got.opposites(e) for e in sorted(want.edges)] == \
-                [want.opposites(e) for e in sorted(want.edges)]
-            assert [got.neighbors(v) for v in new_id.values()] == \
-                [want.neighbors(v) for v in new_id.values()]
-            levels.append(len(keep))
-            return got
-
-        monkeypatch.setattr(Triangulation, "restricted", checked)
-        for n in range(6, 31):
-            for seed in range(10):
-                try:
-                    augment_to_4conn(random_triangulation(n, seed))
-                except BiplaneError:
-                    pass
-        assert len(levels) > 250
-
-
 class TestDeepPeelPin:
     """sha256 over `augment_to_4conn` on walks of many levels, recorded
     before the walk carried its completion and cell tree up: chordful
@@ -879,6 +846,10 @@ class TestCarriedWalk:
     down.  Level by level, on the `TestRandomPeelPin` inputs and the
     chordful corpus of `TestDeepPeelPin`, each must equal its rebuild:
 
+    - each peel level, relabelled from its parent's maps
+      (`Triangulation.restricted`), is the triangulation that
+      `Triangulation` builds from the kept faces on `PointSet.reordered`:
+      the same points and hull, triangles, edges, apexes and neighbours;
     - each hang's triangulation before its double flip is
       `complete_to_triangulation(t.ps, required=cell | partner)`, with the
       partner that the level below returns read into t's ids;
@@ -927,8 +898,20 @@ class TestCarriedWalk:
             return build_cell_tree(t)
 
         def kept(t, keep):
-            walk["remainder"], walk["keep"] = restricted(t, keep), keep
-            return walk["remainder"]
+            got = restricted(t, keep)
+            new_id = {v: i for i, v in enumerate(keep)}
+            want = Triangulation(t.ps.reordered(keep), [[new_id[v] for v in tri]
+                                                        for tri in t.triangles
+                                                        if all(v in new_id for v in tri)])
+            assert (got.ps.xs, got.ps.ys, got.ps.hull()) == (want.ps.xs, want.ps.ys, want.ps.hull())
+            assert got.triangles == want.triangles and got.edges == want.edges
+            assert [got.opposites(e) for e in sorted(want.edges)] == \
+                [want.opposites(e) for e in sorted(want.edges)]
+            assert [got.neighbors(v) for v in new_id.values()] == \
+                [want.neighbors(v) for v in new_id.values()]
+            counts["levels"] += 1
+            walk["remainder"], walk["keep"] = got, keep
+            return got
 
         def peel(self, k):
             delete_leaf(self, k)
@@ -955,7 +938,8 @@ class TestCarriedWalk:
                 pass
             walks += counts["hangs"] > hangs
         assert counts["base"] == walks and counts["hangs"] == counts["peels"]
-        assert counts["hangs"] >= {"random": 250, "chordful": 1900}[corpus], counts
+        floor = {"random": 250, "chordful": 1900}[corpus]
+        assert counts["hangs"] >= floor and counts["levels"] > floor, counts
 
 
 class TestNo5ConnCounterexample:

@@ -310,6 +310,7 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 #: augment inputs by name, as (points, layer-1 edges)
 AUGMENT_INPUTS = {
     "triangle": lambda: _polygon(3, []),
+    "segment": lambda: (PointSet([(0, 0), (10, 0)]), [(0, 1)]),
     "wheel-9": lambda: _input_of(generate_wheel(9)),
     "fan-8": lambda: _input_of(generate_fan(8)),
     "no5conn-2": lambda: _input_of(generate_no5conn_counterexample(2)),
@@ -353,6 +354,7 @@ class TestCli:
         ("wheel-9", 4, 2, "a wheel plus any plane layer stays at most 3-connected"),
         ("fan-8", 4, 2, "a fan plus any second layer stays at most 3-connected"),
         ("triangle", 3, 3, "3-connectivity needs at least 4 points"),
+        ("segment", 3, 3, "need at least 3 points"),
         ("octagon-crossed", 4, 3, "edges (1, 3) and (2, 4) cross"),
         ("hexagon-crossed", 4, 3, "edges (0, 3) and (2, 4) cross"),
     ])
@@ -473,6 +475,14 @@ class TestCli:
         assert json.loads(capsys.readouterr().out) == {
             "kappa": kappa, "biplane": True, "edge_count": len(t.edges),
             "cut_structures": "not reported: defined for n >= 5"}
+
+    def test_verify_two_points_reports_no_cut_counts(self, tmp_path, capsys):
+        # two points are no triangulation, so the report has no cut-structure
+        # entry at all
+        pts, path = _write_input(tmp_path, *AUGMENT_INPUTS["segment"]())
+        capsys.readouterr()
+        assert self.run("--format", "json", "verify", "--points", pts, "--edges", path) == 0
+        assert json.loads(capsys.readouterr().out) == {"kappa": 1, "biplane": True, "edge_count": 1}
 
     def test_verify_names_the_crossing_pair(self, tmp_path, capsys):
         # retag one layer-2 edge of a convex5 output so that it crosses a

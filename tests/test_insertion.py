@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -26,7 +27,7 @@ from biplane.generators import generate_wheel
 from conftest import (N17_CHAIN_WRAPS, N18_SURROUNDING, bench_sets, core_plus_interior,
                       mixed_pipeline_instance)
 from oracles import (bf_first_collinear, bf_first_crossing, bf_triangulation_ok,
-                     edge_visibility_hall_holds, ref_segments_properly_cross,
+                     edge_visibility_hall_holds, ref_property_maxi, ref_segments_properly_cross,
                      ref_vertex_connectivity, visible_hull_edges)
 
 
@@ -314,6 +315,34 @@ class TestPropertyMaxi:
         ring = ring_points(6, 3000, 0.2)
         ok, why = check_property_maxi(ps, ring)
         assert ok, why
+
+    def test_agrees_with_the_reference_on_recorded_batches(self, monkeypatch):
+        """On every hull batch of the 500 seeds and the bench sets, and on
+        each one- and two-point sub-batch of it, inserted into S_a alone and
+        into S_a grown by the rest of the batch: the verdict is the
+        reference's, and the reason is None exactly when it holds."""
+        recorded = []
+        insert = insertion.insert_hull_points
+
+        def recording_insert(state, sb):
+            if sb:
+                recorded.append((state.ps, list(sb)))
+            return insert(state, sb)
+
+        monkeypatch.setattr(insertion, "insert_hull_points", recording_insert)
+        build_all([*family_sets(range(500)), *bench_sets(monkeypatch)])
+        cases = []
+        for sa, sb in recorded:
+            cases.append((sa, sb))
+            for sub in [*itertools.combinations(sb, 1), *itertools.combinations(sb, 2)]:
+                rest = [b for b in sb if b not in sub]
+                cases += [(sa, sub), *([(sa.extended(rest), sub)] if rest else [])]
+        verdicts = {True: 0, False: 0}
+        for sa, sb in cases:
+            ok, why = check_property_maxi(sa, sb)
+            assert ok == ref_property_maxi(sa, sb) and (why is None) == ok, (sa.points, sb, why)
+            verdicts[ok] += 1
+        assert len(recorded) > 400 and verdicts[True] > 1000 and verdicts[False] > 1000, verdicts
 
 
 def ring_points(q, radius, offset):

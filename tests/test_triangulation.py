@@ -53,8 +53,10 @@ class TestTriangulate:
         assert triangulate(ps).triangles == triangulate(ps).triangles
 
     def test_two_points_rejected(self):
-        with pytest.raises(PreconditionError, match="need at least 3 points"):
-            triangulate(PointSet([(0, 0), (4, 1)]))
+        for build in (triangulate, complete_to_triangulation,
+                      lambda ps: triangulation_from_edges(ps, [(0, 1)])):
+            with pytest.raises(PreconditionError, match="^need at least 3 points$"):
+                build(PointSet([(0, 0), (4, 1)]))
 
 
 class TestFlip:
